@@ -18,6 +18,7 @@ from functools import cached_property
 from .frontend import (
     Assign, Binary, Block, Break, Continue, Expr, ExprStmt, For, FunctionDef,
     If, IntLit, Return, SourceLocation, Stmt, Unary, VarDecl, While,
+    calls_user_function,
 )
 
 ENTRY = "entry"
@@ -37,6 +38,28 @@ class CfgNode:
     loc: SourceLocation
     stmt: Stmt | None = None  # for STMT nodes
     expr: Expr | None = None  # for COND nodes
+
+    @property
+    def roots(self) -> list[Expr]:
+        """The expression trees this node evaluates; an assignment's target
+        comes first."""
+        if self.kind == COND:
+            return [self.expr]
+        s = self.stmt
+        if isinstance(s, Assign):
+            return [s.target, s.value]
+        if isinstance(s, ExprStmt):
+            return [s.expr]
+        if isinstance(s, VarDecl) and s.init is not None:
+            return [s.init]
+        if isinstance(s, Return) and s.value is not None:
+            return [s.value]
+        return []
+
+    @cached_property
+    def calls_user_function(self) -> bool:
+        """Does evaluating this node call a function other than malloc/free?"""
+        return any(calls_user_function(e) for e in self.roots)
 
     def describe(self) -> str:
         if self.kind == ENTRY:

@@ -1,7 +1,8 @@
 """Command-line interface and report rendering.
 
 Exit codes: 0 when no diagnostics were rendered, 1 when at least one was,
-2 on usage, parse, spec or I/O errors.  Severity and check-id filters are
+2 on usage, parse, spec or I/O errors and on internal errors, so that a
+crash never reads as "findings".  Severity and check-id filters are
 applied at render time only; the analysis itself always runs the whole
 active check set so cache entries stay filter-independent.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from dataclasses import dataclass
@@ -245,6 +247,10 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(code, int):
             return 2 if code != 0 else 0
         sys.stderr.write(f"ctl-lint: error: {code}\n")
+        return 2
+    except Exception as exc:
+        logging.getLogger("ctl_lint").debug("internal error", exc_info=True)
+        sys.stderr.write(f"ctl-lint: internal error: {type(exc).__name__}: {exc}\n")
         return 2
 
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 from . import __version__
 from . import frontend as ast
-from .cfg import Cfg, KripkeStructure, build_cfg, reverse, to_kripke
-from .ctl import And, EF, EU, EX, Not, Prop, SatSets, TRUE, check, witness
+from .cfg import Cfg, KripkeStructure, build_cfg, to_kripke
+from .ctl import And, EU, EX, Not, Prop, SatSets, TRUE, check, witness
 from .diagnostics import CONFIRMED, Diagnostic, UNCONFIRMED
 from .frontend import FunctionDef, SourceLocation, TranslationUnit, check_well_formed
 from .intervals import analyze as interval_analyze, interval_checks
@@ -34,8 +34,7 @@ from .refine import (
     SUPPRESSED, refine_diagnostic,
 )
 from .speclang import (
-    CheckSpec, CheckTask, Pattern, _roots, _walk, candidate_variables,
-    instantiate, match_pattern,
+    CheckSpec, CheckTask, Fact, candidate_variables, instantiate, label_index,
 )
 
 logger = logging.getLogger("ctl_lint")
@@ -82,65 +81,15 @@ def pessimistic_summary(f: FunctionDef) -> FunctionSummary:
     return FunctionSummary(f.name, may_return_null=True)
 
 
-def _direct_callees(f: FunctionDef, known: set[str]) -> set[str]:
-    out: set[str] = set()
-
-    def walk_expr(e):
-        if isinstance(e, ast.Call):
-            if e.name in known:
-                out.add(e.name)
-            for a in e.args:
-                walk_expr(a)
-        elif isinstance(e, ast.Unary):
-            walk_expr(e.operand)
-        elif isinstance(e, ast.Binary):
-            walk_expr(e.left)
-            walk_expr(e.right)
-        elif isinstance(e, ast.Index):
-            walk_expr(e.base)
-            walk_expr(e.index)
-
-    def walk_stmt(s):
-        if isinstance(s, ast.VarDecl):
-            if s.init is not None:
-                walk_expr(s.init)
-        elif isinstance(s, ast.Assign):
-            walk_expr(s.target)
-            walk_expr(s.value)
-        elif isinstance(s, ast.If):
-            walk_expr(s.cond)
-            walk_stmt(s.then)
-            if s.orelse is not None:
-                walk_stmt(s.orelse)
-        elif isinstance(s, ast.While):
-            walk_expr(s.cond)
-            walk_stmt(s.body)
-        elif isinstance(s, ast.For):
-            for part in (s.init, s.step, s.body):
-                if part is not None:
-                    walk_stmt(part)
-            if s.cond is not None:
-                walk_expr(s.cond)
-        elif isinstance(s, ast.Return):
-            if s.value is not None:
-                walk_expr(s.value)
-        elif isinstance(s, ast.ExprStmt):
-            walk_expr(s.expr)
-        elif isinstance(s, ast.Block):
-            for c in s.stmts:
-                walk_stmt(c)
-
-    walk_stmt(f.body)
-    return out
-
-
-def call_order(tu: TranslationUnit) -> tuple[list[str], set[str]]:
-    """Bottom-up (callees first) processing order and the set of functions
-    involved in recursion, via Tarjan SCCs."""
-    names = [f.name for f in tu.functions]
-    funcs = {f.name: f for f in tu.functions}
-    known = set(names)
-    callees = {n: sorted(_direct_callees(funcs[n], known)) for n in names}
+def call_order(cfgs: dict[str, Cfg]) -> tuple[list[str], set[str], dict[str, list[str]]]:
+    """Bottom-up (callees first) processing order, the set of functions
+    involved in recursion (via Tarjan SCCs), and each function's sorted
+    direct callees within the unit."""
+    callees: dict[str, list[str]] = {}
+    for name, cfg in cfgs.items():
+        called = {e.name for node in cfg.nodes for root in node.roots for e in ast.walk(root)
+                  if isinstance(e, ast.Call) and e.name in cfgs}
+        callees[name] = sorted(called)
 
     index: dict[str, int] = {}
     low: dict[str, int] = {}
@@ -188,37 +137,31 @@ def call_order(tu: TranslationUnit) -> tuple[list[str], set[str]]:
                     cyclic.update(scc)
                 order.extend(sorted(scc))
 
-    for n in names:
+    for n in cfgs:
         if n not in index:
             strongconnect(n)
-    return order, cyclic
+    return order, cyclic, callees
 
 
 def _return_nodes(cfg: Cfg) -> list[int]:
     return [n.id for n in cfg.nodes if isinstance(n.stmt, ast.Return)]
 
 
-def _labeled_kripke(cfg: Cfg, labeling: dict[int, set[str]]) -> KripkeStructure:
-    return to_kripke(cfg, labeling)
-
-
-def _label_nodes(cfg: Cfg, var: str, pattern_names: list[str], augment) -> set[int]:
-    """Nodes matching any of `pattern_names` for `var`, summary facts included."""
-    hits: set[int] = set()
-    binding = {"$v": var}
-    for pname in pattern_names:
-        pat = Pattern(pname, ("$v",))
-        for node in cfg.nodes:
-            if match_pattern(pat, node, binding):
-                hits.add(node.id)
-            elif augment is not None and augment(node.id, pname, var):
-                hits.add(node.id)
-    return hits
+def _labeling(index: dict[Fact, list[int]], var: str,
+              **labels: tuple[str, ...]) -> dict[int, set[str]]:
+    """Node id -> each label one of whose patterns holds there for `var`."""
+    out: dict[int, set[str]] = {}
+    for label, patterns in labels.items():
+        for p in patterns:
+            for n in index.get((p, var), ()):
+                out.setdefault(n, set()).add(label)
+    return out
 
 
 def compute_summary(f: FunctionDef, cfg: Cfg, summaries: dict[str, FunctionSummary],
-                    augment) -> FunctionSummary:
-    """Summarize one function given its callees' summaries.
+                    index: dict[Fact, list[int]]) -> FunctionSummary:
+    """Summarize one function given its callees' summaries and its
+    `label_index`, summary facts included.
 
     may_return_null: some return path yields 0, a malloc result, a may-null
     callee result, or a variable still holding one of those.
@@ -243,15 +186,10 @@ def compute_summary(f: FunctionDef, cfg: Cfg, summaries: dict[str, FunctionSumma
                 may_null = True
                 break
         if isinstance(value, ast.Var):
-            nulled = _label_nodes(cfg, value.name, ["null_assign", "malloc_assign"], augment)
-            assigns = _label_nodes(cfg, value.name, ["assign_to"], augment)
-            labeling: dict[int, set[str]] = {}
-            for n in nulled:
-                labeling.setdefault(n, set()).add("nulled")
-            for n in assigns:
-                labeling.setdefault(n, set()).add("assign")
+            labeling = _labeling(index, value.name, nulled=("null_assign", "malloc_assign"),
+                                 assign=("assign_to",))
             labeling.setdefault(rid, set()).add("ret")
-            k = _labeled_kripke(cfg, labeling)
+            k = to_kripke(cfg, labeling)
             formula = EU(TRUE, And(Prop("nulled"),
                                    EX(EU(Not(Prop("assign")), Prop("ret")))))
             if check(k, formula).holds(formula, cfg.entry):
@@ -261,22 +199,14 @@ def compute_summary(f: FunctionDef, cfg: Cfg, summaries: dict[str, FunctionSumma
     always_frees: set[int] = set()
     derefs_unchecked: set[int] = set()
     for i, prm in enumerate(f.params):
-        frees = _label_nodes(cfg, prm.name, ["free_of"], augment)
-        labeling = {n: {"fre"} for n in frees}
+        labeling = _labeling(index, prm.name, fre=("free_of",))
         labeling.setdefault(cfg.exit, set()).add("ext")
-        k = _labeled_kripke(cfg, labeling)
+        k = to_kripke(cfg, labeling)
         escape = EU(Not(Prop("fre")), Prop("ext"))
         if not check(k, escape).holds(escape, cfg.entry):
             always_frees.add(i)
 
-        derefs = _label_nodes(cfg, prm.name, ["deref"], augment)
-        checksn = _label_nodes(cfg, prm.name, ["null_check"], augment)
-        labeling = {}
-        for n in derefs:
-            labeling.setdefault(n, set()).add("drf")
-        for n in checksn:
-            labeling.setdefault(n, set()).add("chk")
-        k = _labeled_kripke(cfg, labeling)
+        k = to_kripke(cfg, _labeling(index, prm.name, drf=("deref",), chk=("null_check",)))
         unchecked = EU(Not(Prop("chk")), Prop("drf"))
         if check(k, unchecked).holds(unchecked, cfg.entry):
             derefs_unchecked.add(i)
@@ -290,34 +220,31 @@ def compute_summaries(tu: TranslationUnit,
     """Bottom-up summaries for a whole unit; recursion cycles go pessimistic."""
     cfgs = cfgs or {f.name: build_cfg(f) for f in tu.functions}
     funcs = {f.name: f for f in tu.functions}
-    order, cyclic = call_order(tu)
+    order, cyclic, _ = call_order(cfgs)
     summaries: dict[str, FunctionSummary] = {}
     for name in order:
         if name in cyclic:
             summaries[name] = pessimistic_summary(funcs[name])
         else:
-            aug = apply_summaries(cfgs[name], summaries)
-            summaries[name] = compute_summary(funcs[name], cfgs[name], summaries, aug)
+            index = label_index(cfgs[name], apply_summaries(cfgs[name], summaries))
+            summaries[name] = compute_summary(funcs[name], cfgs[name], summaries, index)
     return summaries
 
 
-def apply_summaries(cfg: Cfg, summaries: dict[str, FunctionSummary]):
-    """Extra pattern facts implied by callee summaries at call nodes.
-
-    Returns `augment(node_id, pattern_name, var) -> bool`:
+def apply_summaries(cfg: Cfg, summaries: dict[str, FunctionSummary]) -> dict[int, set[Fact]]:
+    """Extra pattern facts implied by callee summaries at call nodes, by
+    node id, for `label_index`:
       v = f(...)        matches null_assign(v) when f may return null
       f(..., v, ...)    matches free_of(v) at an always-frees position
                         and deref(v) at an unchecked-deref position.
     """
-    facts: dict[int, set[tuple[str, str]]] = {}
+    facts: dict[int, set[Fact]] = {}
 
     def add(nid: int, pname: str, var: str):
         facts.setdefault(nid, set()).add((pname, var))
 
     for node in cfg.nodes:
         s = node.stmt
-        if s is None and node.expr is None:
-            continue
         target_var = None
         call_rhs = None
         if isinstance(s, ast.Assign) and isinstance(s.target, ast.Var) \
@@ -329,8 +256,8 @@ def apply_summaries(cfg: Cfg, summaries: dict[str, FunctionSummary]):
             summ = summaries.get(call_rhs.name)
             if summ is not None and summ.may_return_null:
                 add(node.id, "null_assign", target_var)
-        for root in _roots(node):
-            for e in _walk(root):
+        for root in node.roots:
+            for e in ast.walk(root):
                 if not isinstance(e, ast.Call):
                     continue
                 summ = summaries.get(e.name)
@@ -342,14 +269,7 @@ def apply_summaries(cfg: Cfg, summaries: dict[str, FunctionSummary]):
                 for i in summ.derefs_param_unchecked:
                     if i < len(e.args) and isinstance(e.args[i], ast.Var):
                         add(node.id, "deref", e.args[i].name)
-
-    if not facts:
-        return None
-
-    def augment(node_id: int, pattern_name: str, var: str) -> bool:
-        return (pattern_name, var) in facts.get(node_id, ())
-
-    return augment
+    return facts
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +446,7 @@ def analyze_function(f: FunctionDef, cfg: Cfg, checks: list[CheckSpec],
                      globals_: list[ast.VarDecl],
                      config: EngineConfig) -> tuple[list[Diagnostic], int, int]:
     """All diagnostics of one function plus (tasks_created, tasks_skipped)."""
-    aug = apply_summaries(cfg, summaries)
+    index = label_index(cfg, apply_summaries(cfg, summaries))
     global_names = frozenset(g.name for g in globals_)
     diags: list[Diagnostic] = []
     created = 0
@@ -536,7 +456,7 @@ def analyze_function(f: FunctionDef, cfg: Cfg, checks: list[CheckSpec],
             diags.extend(_dead_code_diags(cfg, spec))
             continue
         bindings = candidate_variables(spec, cfg, globals_)
-        tasks = instantiate(spec, cfg, globals_, aug)
+        tasks = instantiate(spec, cfg, index, globals_)
         created += len(bindings)
         skipped += len(bindings) - len(tasks)
         for task in tasks:
@@ -565,14 +485,9 @@ def analyze_function(f: FunctionDef, cfg: Cfg, checks: list[CheckSpec],
 
 
 def _dead_code_diags(cfg: Cfg, spec: CheckSpec) -> list[Diagnostic]:
-    """Nodes that cannot reach the entry proposition in the reversed
-    structure are unreachable; one diagnostic per dead region."""
-    k = reverse(to_kripke(cfg, {cfg.entry: {"entry"}}))
-    reach = EF(Prop("entry"))
-    sat = check(k, reach)
-    dead = {n.id for n in cfg.nodes if not sat.holds(reach, n.id)}
+    """One diagnostic per region of nodes unreachable from the entry."""
     out: list[Diagnostic] = []
-    for region in _dead_regions(cfg, dead):
+    for region in _dead_regions(cfg, cfg.unreachable):
         head = cfg.nodes[min(region)]
         if head.kind in ("entry", "exit"):
             continue
@@ -581,7 +496,7 @@ def _dead_code_diags(cfg: Cfg, spec: CheckSpec) -> list[Diagnostic]:
     return out
 
 
-def _dead_regions(cfg: Cfg, dead: set[int]) -> list[set[int]]:
+def _dead_regions(cfg: Cfg, dead: frozenset[int]) -> list[set[int]]:
     regions: list[set[int]] = []
     left = set(dead)
     adj: dict[int, set[int]] = {d: set() for d in dead}
@@ -649,15 +564,14 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
     funcs = {f.name: f for f in tu.functions}
     cfgs = {f.name: build_cfg(f) for f in tu.functions}
     globals_text = canonical_json([_global_sig(g) for g in tu.globals])
-    order, cyclic = call_order(tu)
+    order, cyclic, callees = call_order(cfgs)
 
     summaries: dict[str, FunctionSummary] = {}
     keys: dict[str, str] = {}
     cached_entries: dict[str, dict] = {}
     to_analyze: list[str] = []
     for name in order:
-        callee_env = {c: summaries[c] for c in _direct_callees(funcs[name], set(funcs))
-                      if c in summaries}
+        callee_env = {c: summaries[c] for c in callees[name] if c in summaries}
         key = cache_key(funcs[name], config.checkset_text, callee_env,
                         globals_text, config.max_witnesses)
         keys[name] = key
@@ -671,8 +585,8 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
         if name in cyclic:
             summaries[name] = pessimistic_summary(funcs[name])
         else:
-            aug = apply_summaries(cfgs[name], summaries)
-            summaries[name] = compute_summary(funcs[name], cfgs[name], summaries, aug)
+            index = label_index(cfgs[name], apply_summaries(cfgs[name], summaries))
+            summaries[name] = compute_summary(funcs[name], cfgs[name], summaries, index)
         to_analyze.append(name)
 
     def run_one(name: str) -> tuple[str, list[Diagnostic], int, int]:
@@ -722,7 +636,7 @@ def _global_sig(g: ast.VarDecl) -> list:
 def _finalize(diags: list[Diagnostic]) -> list[Diagnostic]:
     best: dict[tuple, Diagnostic] = {}
     for d in diags:
-        key = (d.check_id, d.loc, d.function)
+        key = (d.check_id, d.loc, d.function, d.message)
         cur = best.get(key)
         if cur is None or (cur.confidence != CONFIRMED and d.confidence == CONFIRMED):
             best[key] = d

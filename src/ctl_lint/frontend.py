@@ -8,11 +8,17 @@ a `#` anywhere in the input is a parse error.
 
 Everything outside the subset (structs, unions, goto, switch, strings,
 floats, ...) is rejected with a located ParseError rather than silently
-mis-parsed.
+mis-parsed.  So is a syntax tree deeper than MAX_NESTING levels: later
+passes walk statements and expressions recursively, and a deeper tree
+would overflow the interpreter's stack.  Each statement, expression,
+operator and subscript on one path down from a function body adds a
+level, so the expression `a + b + c` is three levels deep: one for the
+expression and one for each operator of its left-deep chain.
 """
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, field
 
 
@@ -254,6 +260,13 @@ class Token:
     offset: int
 
 
+# ASCII only: str.isdigit/isalpha also accept characters such as '²' that
+# int() and the rest of the pipeline reject.
+_DIGITS = frozenset(string.digits)
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_IDENT_CHARS = _IDENT_START | _DIGITS
+
+
 def _lex(source: str, file: str) -> list[Token]:
     tokens: list[Token] = []
     i, line, col = 0, 1, 1
@@ -295,18 +308,18 @@ def _lex(source: str, file: str) -> list[Token]:
             continue
         if c == "#":
             raise ParseError(loc(), "preprocessor directives are not supported")
-        if c.isdigit():
+        if c in _DIGITS:
             start, start_col, start_i = loc(), col, i
-            while i < n and source[i].isdigit():
+            while i < n and source[i] in _DIGITS:
                 i += 1
                 col += 1
-            if i < n and (source[i].isalpha() or source[i] == "_"):
+            if i < n and source[i] in _IDENT_START:
                 raise ParseError(start, f"malformed number {source[start_i:i + 1]!r}")
             tokens.append(Token("int", source[start_i:i], start, start_i))
             continue
-        if c.isalpha() or c == "_":
+        if c in _IDENT_START:
             start, start_i = loc(), i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
+            while i < n and source[i] in _IDENT_CHARS:
                 i += 1
                 col += 1
             word = source[start_i:i]
@@ -343,6 +356,8 @@ _BINARY_PREC = {
 
 _FIXED_ARITY_CALLS = {"malloc": 1, "free": 1}
 
+MAX_NESTING = 100  # deepest syntax tree accepted; see the module docstring
+
 
 class _Parser:
     def __init__(self, source: str, file: str):
@@ -350,6 +365,7 @@ class _Parser:
         self.tokens = _lex(source, file)
         self.pos = 0
         self.loop_depth = 0
+        self.depth = 0  # syntax-tree levels open above the current token
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -375,6 +391,11 @@ class _Parser:
             found = repr(tok.text) if tok.kind != "eof" else "end of input"
             raise ParseError(tok.loc, f"expected '{text}'{' ' + what if what else ''}, found {found}")
         return self.next()
+
+    def enter(self, tok: Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(tok.loc, f"nesting deeper than {MAX_NESTING} levels is not supported")
 
     def expect_ident(self, what: str) -> Token:
         tok = self.peek()
@@ -483,6 +504,12 @@ class _Parser:
         return _at(Block(stmts), open_tok.loc)
 
     def stmt(self) -> Stmt:
+        self.enter(self.peek())
+        s = self._stmt()
+        self.depth -= 1
+        return s
+
+    def _stmt(self) -> Stmt:
         tok = self.peek()
         if tok.text == "{":
             return self._block()
@@ -595,16 +622,23 @@ class _Parser:
     # -- expressions (precedence climbing)
 
     def expr(self) -> Expr:
-        return self._binary(1)
+        self.enter(self.peek())
+        e = self._binary(1)
+        self.depth -= 1
+        return e
 
     def _binary(self, min_prec: int) -> Expr:
         left = self._unary()
+        chain = 0  # each operator of a left-deep chain adds a level
         while True:
             tok = self.peek()
             prec = _BINARY_PREC.get(tok.text) if tok.kind == "punct" else None
             if prec is None or prec < min_prec:
+                self.depth -= chain
                 return left
             self.next()
+            self.enter(tok)
+            chain += 1
             right = self._binary(prec + 1)
             left = _at(Binary(tok.text, left, right), tok.loc)
 
@@ -612,17 +646,23 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "punct" and tok.text in ("-", "!", "*", "&"):
             self.next()
+            self.enter(tok)
             operand = self._unary()
+            self.depth -= 1
             return _at(Unary(tok.text, operand), tok.loc)
         return self._postfix()
 
     def _postfix(self) -> Expr:
         e = self._primary()
+        chain = 0  # each subscript of a chain adds a level
         while self.at("["):
             open_tok = self.next()
+            self.enter(open_tok)
+            chain += 1
             idx = self.expr()
             self.expect("]")
             e = _at(Index(e, idx), open_tok.loc)
+        self.depth -= chain
         return e
 
     def _primary(self) -> Expr:
@@ -669,6 +709,32 @@ def parse_bytes(data: bytes, file: str = "<input>") -> TranslationUnit:
     except UnicodeDecodeError as exc:
         raise ParseError(SourceLocation(file, 1, 1), f"input is not valid UTF-8: {exc.reason}") from None
     return parse(text, file)
+
+
+# ---------------------------------------------------------------------------
+# Expression traversal
+
+def walk(e: Expr):
+    """Every subexpression of `e`, `e` included, in pre-order."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        if isinstance(e, Binary):
+            stack.append(e.right)
+            stack.append(e.left)
+        elif isinstance(e, Unary):
+            stack.append(e.operand)
+        elif isinstance(e, Index):
+            stack.append(e.index)
+            stack.append(e.base)
+        elif isinstance(e, Call):
+            stack.extend(reversed(e.args))
+
+
+def calls_user_function(e: Expr) -> bool:
+    """Does evaluating `e` call a function other than malloc and free?"""
+    return any(isinstance(x, Call) and x.name not in BUILTIN_FUNCTIONS for x in walk(e))
 
 
 # ---------------------------------------------------------------------------

@@ -400,38 +400,6 @@ def eval_expr(e: ast.Expr, env: IntervalEnv) -> Interval:
     raise AssertionError(f"unhandled expression {e!r}")
 
 
-def _has_user_call(e: ast.Expr | None) -> bool:
-    if e is None:
-        return False
-    if isinstance(e, ast.Call):
-        if e.name not in ast.BUILTIN_FUNCTIONS:
-            return True
-        return any(_has_user_call(a) for a in e.args)
-    if isinstance(e, ast.Unary):
-        return _has_user_call(e.operand)
-    if isinstance(e, ast.Binary):
-        return _has_user_call(e.left) or _has_user_call(e.right)
-    if isinstance(e, ast.Index):
-        return _has_user_call(e.base) or _has_user_call(e.index)
-    return False
-
-
-def node_exprs(node: CfgNode) -> list[ast.Expr]:
-    """Expression roots evaluated at a CFG node."""
-    if node.kind == COND:
-        return [node.expr]
-    s = node.stmt
-    if isinstance(s, ast.VarDecl):
-        return [s.init] if s.init is not None else []
-    if isinstance(s, ast.Assign):
-        return [s.target, s.value]
-    if isinstance(s, ast.ExprStmt):
-        return [s.expr]
-    if isinstance(s, ast.Return):
-        return [s.value] if s.value is not None else []
-    return []
-
-
 def _refine_by_cmp(iv: Interval, op: str, c: int) -> Interval:
     if op == "<":
         return meet(iv, Interval(None, c - 1))
@@ -499,7 +467,7 @@ def transfer(node: CfgNode, env: IntervalEnv, branch: str | None = None,
     """
     if env.is_bottom:
         return BOTTOM_ENV
-    has_call = any(_has_user_call(e) for e in node_exprs(node))
+    has_call = node.calls_user_function
     if node.kind == COND:
         if has_call:
             env = env.drop(call_havoc)
@@ -553,27 +521,11 @@ _WIDEN_DELAY = 3
 
 def _call_havoc_set(cfg: Cfg, global_names: frozenset[str]) -> frozenset[str]:
     taken: set[str] = set(global_names)
-
-    def walk(e: ast.Expr | None):
-        if e is None:
-            return
-        if isinstance(e, ast.Unary):
-            if e.op == "&" and isinstance(e.operand, ast.Var):
-                taken.add(e.operand.name)
-            walk(e.operand)
-        elif isinstance(e, ast.Binary):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, ast.Index):
-            walk(e.base)
-            walk(e.index)
-        elif isinstance(e, ast.Call):
-            for a in e.args:
-                walk(a)
-
     for node in cfg.nodes:
-        for e in node_exprs(node):
-            walk(e)
+        for root in node.roots:
+            for e in ast.walk(root):
+                if isinstance(e, ast.Unary) and e.op == "&" and isinstance(e.operand, ast.Var):
+                    taken.add(e.operand.name)
     return frozenset(taken)
 
 
@@ -705,10 +657,10 @@ def interval_checks(cfg: Cfg, result: AbsResult,
         env = result.at(node.id)
         if env.is_bottom:
             continue
-        if any(_has_user_call(e) for e in node_exprs(node)):
+        if node.calls_user_function:
             env = env.drop(havoc)
-        for root in node_exprs(node):
-            for e in _walk(root):
+        for root in node.roots:
+            for e in ast.walk(root):
                 if isinstance(e, ast.Index) and isinstance(e.base, ast.Var):
                     ty = types.get(e.base.name)
                     if not isinstance(ty, ast.ArrayInt):
@@ -740,18 +692,3 @@ def interval_checks(cfg: Cfg, result: AbsResult,
                             DIV_BY_ZERO, "warning", e.loc,
                             "possible division by zero", cfg.function, UNCONFIRMED))
     return out
-
-
-def _walk(e: ast.Expr):
-    yield e
-    if isinstance(e, ast.Unary):
-        yield from _walk(e.operand)
-    elif isinstance(e, ast.Binary):
-        yield from _walk(e.left)
-        yield from _walk(e.right)
-    elif isinstance(e, ast.Index):
-        yield from _walk(e.base)
-        yield from _walk(e.index)
-    elif isinstance(e, ast.Call):
-        for a in e.args:
-            yield from _walk(a)

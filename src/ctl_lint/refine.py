@@ -54,7 +54,7 @@ class PathConstraint:
 @dataclass(frozen=True)
 class FeasibilityVerdict:
     kind: str  # FEASIBLE | INFEASIBLE | UNKNOWN
-    reason: str | None = None  # for UNKNOWN: "nonlinear-havoc" | "budget"
+    reason: str | None = None  # for UNKNOWN: "budget"
 
     def __bool__(self) -> bool:
         return self.kind == FEASIBLE
@@ -123,20 +123,6 @@ def _linear(e: ast.Expr, v: _Versions) -> tuple[dict[str, Fraction], Fraction] |
     return None  # division, modulo, comparisons, calls, derefs: nonlinear
 
 
-def _user_calls_in(e: ast.Expr | None) -> bool:
-    if e is None:
-        return False
-    if isinstance(e, ast.Call):
-        return e.name not in ast.BUILTIN_FUNCTIONS or any(_user_calls_in(a) for a in e.args)
-    if isinstance(e, ast.Unary):
-        return _user_calls_in(e.operand)
-    if isinstance(e, ast.Binary):
-        return _user_calls_in(e.left) or _user_calls_in(e.right)
-    if isinstance(e, ast.Index):
-        return _user_calls_in(e.base) or _user_calls_in(e.index)
-    return False
-
-
 _CMP_TRUE = {
     # l ? r rewritten as (l - r) op 0
     "<": (LT, False), "<=": (LE, False), ">": (LT, True), ">=": (LE, True),
@@ -172,7 +158,7 @@ def path_constraints(trace: WitnessTrace, cfg: Cfg,
                     target, rhs = s.target.name, s.value
                 else:
                     rhs = s.value
-                if _user_calls_in(rhs):
+                if rhs is not None and ast.calls_user_function(rhs):
                     for g in sorted(global_names):
                         v.fresh(g)
                 if target is None:
@@ -187,15 +173,14 @@ def path_constraints(trace: WitnessTrace, cfg: Cfg,
                     out.append(_constraint({k: -x for k, x in terms.items()}, EQ, c))
                 # nonlinear/unknown: fresh version stays unconstrained
             elif isinstance(s, (ast.ExprStmt, ast.Return)):
-                e = s.expr if isinstance(s, ast.ExprStmt) else s.value
-                if _user_calls_in(e):
+                if node.calls_user_function:
                     for g in sorted(global_names):
                         v.fresh(g)
         elif node.kind == COND and nxt is not None:
             label = _edge_label(cfg, sid, nxt)
             if label is None:
                 continue
-            if _user_calls_in(node.expr):
+            if node.calls_user_function:
                 for g in sorted(global_names):
                     v.fresh(g)
             c = _guard_constraint(node.expr, label, v)

@@ -1,11 +1,14 @@
 """The check-specification DSL.
 
 A check declares named atomic propositions as syntactic patterns over one
-quantified program variable, plus a CTL property over those labels.  For
-every candidate variable of the quantified class, the patterns are matched
-against every CFG node to label a Kripke structure, producing one small
-model-checking task per binding.  Tasks whose trigger label (the first
-declared one) never matches are skipped before any checking happens.
+quantified program variable, plus a CTL property over those labels.  Each
+CFG node's facts, every (pattern, argument) pair that matches it, are
+computed once per function into a fact table (`node_facts`,
+`label_index`).  For every candidate variable of the quantified class, the
+labels are then looked up in that table to label a Kripke structure,
+producing one small model-checking task per binding.  Tasks whose trigger
+label (the first declared one) never matches are skipped before any
+checking happens.
 
 Grammar of `.chk` files (# starts a line comment):
 
@@ -68,10 +71,6 @@ class Pattern:
     def __str__(self) -> str:
         return f"{self.name}({', '.join(self.args)})"
 
-    @property
-    def metavars(self) -> tuple[str, ...]:
-        return tuple(a for a in self.args if a.startswith("$"))
-
 
 @dataclass(frozen=True)
 class CheckSpec:
@@ -83,10 +82,6 @@ class CheckSpec:
     prop: CtlFormula
     refine: bool
     loc: SourceLocation
-
-    @property
-    def trigger_label(self) -> str:
-        return self.labels[0][0]
 
 
 @dataclass(frozen=True)
@@ -348,149 +343,93 @@ def load_builtin_checks() -> list[CheckSpec]:
 
 
 # ---------------------------------------------------------------------------
-# Pattern matching
+# Node facts
 
-def match_pattern(p: Pattern, node: CfgNode, binding: dict[str, str]) -> bool:
-    """Does `node`'s AST fragment match `p` under the metavariable binding?"""
-    if p.name == "at_entry":
-        return node.kind == ENTRY
-    if p.name == "at_exit":
-        return node.kind == EXIT
-    if p.name == "call":
-        return any(isinstance(e, ast.Call) and e.name == p.args[0]
-                   for root in _roots(node) for e in _walk(root))
-    var = binding[p.args[0]] if p.args and p.args[0].startswith("$") else None
-    s = node.stmt
-    if p.name == "malloc_assign":
-        return _is_assign_of(s, var, lambda e: isinstance(e, ast.Call) and e.name == "malloc")
-    if p.name == "null_assign":
-        return _is_assign_of(s, var, lambda e: isinstance(e, ast.IntLit) and e.value == 0)
-    if p.name == "assign_to":
-        if isinstance(s, ast.Assign) and isinstance(s.target, ast.Var):
-            return s.target.name == var
-        return isinstance(s, ast.VarDecl) and s.name == var and s.init is not None
-    if p.name == "free_of":
-        return any(isinstance(e, ast.Call) and e.name == "free"
-                   and isinstance(e.args[0], ast.Var) and e.args[0].name == var
-                   for root in _roots(node) for e in _walk(root))
-    if p.name == "deref":
-        for root in _roots(node):
-            for e in _walk(root):
-                if isinstance(e, ast.Unary) and e.op == "*" \
-                        and isinstance(e.operand, ast.Var) and e.operand.name == var:
-                    return True
-                if isinstance(e, ast.Index) and isinstance(e.base, ast.Var) \
-                        and e.base.name == var:
-                    return True
-        return False
-    if p.name == "use":
-        return var in _reads(node)
-    if p.name == "decl_uninit":
-        return isinstance(s, ast.VarDecl) and s.name == var and s.init is None \
-            and not isinstance(s.type, ast.ArrayInt)
-    if p.name == "null_check":
-        if node.kind != COND:
-            return False
-        e = node.expr
-        if isinstance(e, ast.Var) and e.name == var:
-            return True
-        if isinstance(e, ast.Binary) and e.op in ("==", "!=", "<", "<=", ">", ">="):
-            l, r = e.left, e.right
-            if isinstance(l, ast.Var) and l.name == var and isinstance(r, ast.IntLit) and r.value == 0:
-                return True
-            if isinstance(r, ast.Var) and r.name == var and isinstance(l, ast.IntLit) and l.value == 0:
-                return True
-        return False
-    if p.name == "index_of":
-        return any(isinstance(e, ast.Index) and isinstance(e.base, ast.Var)
-                   and e.base.name == var
-                   for root in _roots(node) for e in _walk(root))
-    raise AssertionError(f"unknown pattern {p.name!r}")
+Fact = tuple[str, str]  # (pattern name, argument)
+
+_COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
 
 
-def _is_assign_of(s: ast.Stmt | None, var: str | None, rhs_pred) -> bool:
-    if isinstance(s, ast.Assign) and isinstance(s.target, ast.Var) and s.target.name == var:
-        return rhs_pred(s.value)
-    if isinstance(s, ast.VarDecl) and s.name == var and s.init is not None:
-        return rhs_pred(s.init)
-    return False
+def node_facts(node: CfgNode) -> set[Fact]:
+    """Every pattern that matches `node`, as (pattern name, argument) facts.
 
-
-def _roots(node: CfgNode) -> list[ast.Expr]:
-    if node.kind == COND:
-        return [node.expr]
-    s = node.stmt
-    if isinstance(s, ast.VarDecl):
-        return [s.init] if s.init is not None else []
-    if isinstance(s, ast.Assign):
-        return [s.target, s.value]
-    if isinstance(s, ast.ExprStmt):
-        return [s.expr]
-    if isinstance(s, ast.Return):
-        return [s.value] if s.value is not None else []
-    return []
-
-
-def _walk(e: ast.Expr):
-    yield e
-    if isinstance(e, ast.Unary):
-        yield from _walk(e.operand)
-    elif isinstance(e, ast.Binary):
-        yield from _walk(e.left)
-        yield from _walk(e.right)
-    elif isinstance(e, ast.Index):
-        yield from _walk(e.base)
-        yield from _walk(e.index)
-    elif isinstance(e, ast.Call):
-        for a in e.args:
-            yield from _walk(a)
-
-
-def _reads(node: CfgNode) -> set[str]:
-    """Names whose value is read at this node.
-
-    The direct target of an assignment and a declaration's own name are
-    writes, and `&v` takes an address without reading the value; everything
-    else that mentions a variable reads it.
+    The argument is the variable bound to the pattern's metavariable, the
+    callee name for `call`, and "" for `at_entry` and `at_exit`.  A plain
+    assignment's target and a declaration's own name are writes, and `&v`
+    takes an address without reading `v`; every other variable mention is
+    a `use`.
     """
-    out: set[str] = set()
-
-    def visit(e: ast.Expr):
-        if isinstance(e, ast.Var):
-            out.add(e.name)
-        elif isinstance(e, ast.Unary):
-            if e.op == "&" and isinstance(e.operand, ast.Var):
-                return
-            visit(e.operand)
-        elif isinstance(e, ast.Binary):
-            visit(e.left)
-            visit(e.right)
-        elif isinstance(e, ast.Index):
-            visit(e.base)
-            visit(e.index)
-        elif isinstance(e, ast.Call):
-            for a in e.args:
-                visit(a)
-
+    if node.kind == ENTRY:
+        return {("at_entry", "")}
+    if node.kind == EXIT:
+        return {("at_exit", "")}
+    facts: set[Fact] = set()
     s = node.stmt
-    if node.kind == COND:
-        visit(node.expr)
+    roots = node.roots
+    target = rhs = None
+    if isinstance(s, ast.Assign) and isinstance(s.target, ast.Var):
+        target, rhs = s.target.name, s.value
+        roots = roots[1:]  # the target is written, and a Var has no subexpressions
     elif isinstance(s, ast.VarDecl):
-        if s.init is not None:
-            visit(s.init)
-    elif isinstance(s, ast.Assign):
-        if isinstance(s.target, ast.Unary):
-            visit(s.target.operand)
-        elif isinstance(s.target, ast.Index):
-            visit(s.target.base)
-            visit(s.target.index)
-        visit(s.value)
-    elif isinstance(s, ast.ExprStmt):
-        visit(s.expr)
-    elif isinstance(s, ast.Return):
-        if s.value is not None:
-            visit(s.value)
-    return out
+        target, rhs = s.name, s.init
+        if rhs is None and not isinstance(s.type, ast.ArrayInt):
+            facts.add(("decl_uninit", target))
+    if rhs is not None:
+        facts.add(("assign_to", target))
+        if isinstance(rhs, ast.Call) and rhs.name == "malloc":
+            facts.add(("malloc_assign", target))
+        elif isinstance(rhs, ast.IntLit) and rhs.value == 0:
+            facts.add(("null_assign", target))
+    if node.kind == COND:
+        e = node.expr
+        if isinstance(e, ast.Var):
+            facts.add(("null_check", e.name))
+        elif isinstance(e, ast.Binary) and e.op in _COMPARISONS:
+            for a, b in ((e.left, e.right), (e.right, e.left)):
+                if isinstance(a, ast.Var) and isinstance(b, ast.IntLit) and b.value == 0:
+                    facts.add(("null_check", a.name))
+    # id() of the Var under each `&v`; walk is pre-order, so `&v` comes first
+    address_taken: set[int] = set()
+    for root in roots:
+        for e in ast.walk(root):
+            if isinstance(e, ast.Var):
+                if id(e) not in address_taken:
+                    facts.add(("use", e.name))
+            elif isinstance(e, ast.Call):
+                facts.add(("call", e.name))
+                if e.name == "free" and isinstance(e.args[0], ast.Var):
+                    facts.add(("free_of", e.args[0].name))
+            elif isinstance(e, ast.Unary) and isinstance(e.operand, ast.Var):
+                if e.op == "*":
+                    facts.add(("deref", e.operand.name))
+                elif e.op == "&":
+                    address_taken.add(id(e.operand))
+            elif isinstance(e, ast.Index) and isinstance(e.base, ast.Var):
+                facts.add(("deref", e.base.name))
+                facts.add(("index_of", e.base.name))
+    return facts
+
+
+def label_index(cfg: Cfg, extra: dict[int, set[Fact]] | None = None) -> dict[Fact, list[int]]:
+    """Map each fact holding somewhere in `cfg` to its node ids, ascending.
+
+    `extra` adds facts per node id, such as those implied by callee
+    summaries at call sites.
+    """
+    index: dict[Fact, list[int]] = {}
+    for node in cfg.nodes:
+        facts = node_facts(node)
+        if extra and node.id in extra:
+            facts |= extra[node.id]
+        for fact in facts:
+            index.setdefault(fact, []).append(node.id)
+    return index
+
+
+def _fact(p: Pattern, var: str) -> Fact:
+    """The fact `p` stands for with its metavariable bound to `var`."""
+    arg = p.args[0] if p.args else ""
+    return p.name, var if arg.startswith("$") else arg
 
 
 # ---------------------------------------------------------------------------
@@ -522,28 +461,23 @@ def candidate_variables(check: CheckSpec, cfg: Cfg,
     return [n for n, _ in ordered]
 
 
-def instantiate(check: CheckSpec, cfg: Cfg, globals_: list[ast.VarDecl] = (),
-                augment=None) -> list[CheckTask]:
+def instantiate(check: CheckSpec, cfg: Cfg, index: dict[Fact, list[int]],
+                globals_: list[ast.VarDecl] = ()) -> list[CheckTask]:
     """One task per admissible binding whose trigger label matches somewhere.
 
-    `augment(node_id, pattern_name, var) -> bool` adds extra matches, used
-    for summary-mediated facts at call nodes.
+    `index` is the function's `label_index`; labeling a binding is one
+    lookup per label.
     """
     base = to_kripke(cfg)
     tasks: list[CheckTask] = []
     for var in candidate_variables(check, cfg, globals_):
-        binding = {check.metavar: var}
+        hits = [(name, index.get(_fact(pattern, var), ())) for name, pattern in check.labels]
+        if not hits[0][1]:
+            continue  # the trigger label matches nowhere
         labeling: dict[int, set[str]] = {}
-        for name, pattern in check.labels:
-            for node in cfg.nodes:
-                hit = match_pattern(pattern, node, binding)
-                if not hit and augment is not None and pattern.metavars:
-                    hit = augment(node.id, pattern.name, var)
-                if hit:
-                    labeling.setdefault(node.id, set()).add(name)
-        trigger = check.trigger_label
-        if not any(trigger in props for props in labeling.values()):
-            continue
+        for name, nodes in hits:
+            for nid in nodes:
+                labeling.setdefault(nid, set()).add(name)
         labels = [frozenset(labeling.get(s, ())) for s in range(base.n)]
         k = KripkeStructure(base.n, base.succ, labels)
         k._pred = base.pred  # share the adjacency across bindings

@@ -221,7 +221,7 @@ class _FuncGen:
             return str(rng.randint(0, size - 1))
         if roll < 0.70:
             return str(rng.randint(size, size + 3))  # seeded overrun
-        counters = [v for v in self.locked]
+        counters = sorted(self.locked)
         if counters and roll < 0.9:
             return rng.choice(counters)
         return self.int_atom()

@@ -7,7 +7,7 @@ import pytest
 from ctl_lint.cli import main, render_summary, render_text
 from ctl_lint.diagnostics import Diagnostic
 from ctl_lint.engine import Counters
-from ctl_lint.frontend import SourceLocation
+from ctl_lint.frontend import MAX_NESTING, SourceLocation
 
 CLEAN = "int add(int a, int b) { return a + b; }\n"
 DOUBLE_FREE = "int f(int *p) { free(p); free(p); return 0; }\n"
@@ -72,6 +72,45 @@ class TestExitCodes:
     def test_unknown_command_exits_two(self, capsys):
         code, out, err = run(capsys, "frobnicate")
         assert code == 2
+
+    def test_unicode_digit_is_a_parse_error(self, ws, capsys):
+        path = ws("x.c", "int f(int x) { return x + \u00b2; }\n")
+        code, out, err = run(capsys, "analyze", "--format", "json", path)
+        assert code == 2
+        assert out == ""
+        assert "unexpected character" in err
+
+    @pytest.mark.parametrize("body", [
+        "return " + "(" * 5000 + "1" + ")" * 5000 + ";",
+        "if (c) " * 400 + "c = 1; return c;",
+        "int a[2]; return a" + "[0]" * 3000 + ";",
+    ], ids=["parentheses", "ifs", "subscripts"])
+    def test_deep_nesting_exits_two(self, ws, capsys, body):
+        path = ws("x.c", "int f(int c) { " + body + " }\n")
+        code, out, err = run(capsys, "analyze", "--no-cache", path)
+        assert code == 2
+        assert "nesting deeper than" in err
+
+    def test_nesting_at_the_limit_is_analyzed(self, ws, capsys):
+        # the deepest accepted shapes must not overflow any later pass
+        depth = MAX_NESTING - 3
+        src = ("int f(int c) { " + "if (c) " * depth + "c = 1; "
+               "int x = " + "(" * depth + "c" + ")" * depth + "; "
+               "if (" + " && ".join(["c"] * depth) + ") { x = 2; } "
+               "int a[2]; a[0] = a" + "[0]" * depth + "; "
+               "return x" + " + 1" * depth + "; }\n")
+        path = ws("x.c", src)
+        code, out, err = run(capsys, "analyze", "--no-cache", path)
+        assert code == 0, err
+
+    def test_internal_error_exits_two(self, ws, capsys, monkeypatch):
+        import ctl_lint.intervals
+        monkeypatch.setattr(ctl_lint.intervals, "iteration_cap", lambda *args: 0)
+        path = ws("clean.c", CLEAN)
+        code, out, err = run(capsys, "analyze", "--no-cache", path)
+        assert code == 2
+        assert out == ""
+        assert "internal error: RuntimeError: interval fixpoint exceeded" in err
 
     def test_exit_code_law(self, ws, capsys):
         # exit 1 iff at least one diagnostic was rendered

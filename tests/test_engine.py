@@ -11,7 +11,7 @@ from ctl_lint.engine import (
     AnalysisError, analyze_unit, apply_summaries, cache_key, call_order,
     compute_summaries, run_check_tasks,
 )
-from ctl_lint.speclang import instantiate, load_builtin_checks
+from ctl_lint.speclang import instantiate, label_index, load_builtin_checks
 
 CHECKS = load_builtin_checks()
 CONFIG = EngineConfig(checkset_text="builtin")
@@ -70,7 +70,8 @@ class TestSummaries:
         src = ("int leaf() { return 1; }\n"
                "int mid() { return leaf(); }\n"
                "int top() { return mid(); }\n")
-        order, cyclic = call_order(F.parse(src, "a.c"))
+        tu = F.parse(src, "a.c")
+        order, cyclic, _ = call_order({f.name: build_cfg(f) for f in tu.functions})
         assert order.index("leaf") < order.index("mid") < order.index("top")
         assert cyclic == set()
 
@@ -94,7 +95,7 @@ class TestApplySummaries:
     def test_unknown_callee_no_augmentation(self):
         tu = F.parse("int f(int *p) { helper(p); return 0; }\nint helper(int *q) { return 1; }", "a.c")
         cfg = build_cfg(tu.functions[0])
-        assert apply_summaries(cfg, {}) is None
+        assert apply_summaries(cfg, {}) == {}
 
     def test_facts_limited_to_var_args(self):
         src = ("void rel(int *q) { free(q); }\n"
@@ -243,6 +244,15 @@ class TestAnalyzeUnit:
         keys = [(d.check_id, d.loc, d.function) for d in diags]
         assert len(keys) == len(set(keys))
 
+    def test_same_location_distinct_messages_kept(self):
+        # both operands are read uninitialized at the same declaration
+        diags = analyze("int f() { int a; int b; int x = a + b; return x; }")
+        uninit = [d for d in diags if d.check_id == "uninit-read"]
+        assert len({d.loc for d in uninit}) == 1
+        assert sorted(d.message for d in uninit) == [
+            "'a' may be read before initialization",
+            "'b' may be read before initialization"]
+
     def test_counters_consistent(self):
         src = "int f(int *p, int *q) { free(p); free(q); free(p); return 0; }"
         c = Counters()
@@ -264,7 +274,7 @@ class TestRunCheckTasks:
         src = "int f(int *p, int *q) { free(p); free(q); free(p); return 0; }"
         tu = F.parse(src, "a.c")
         cfg = build_cfg(tu.functions[0])
-        return instantiate(df, cfg, tu.globals), cfg
+        return instantiate(df, cfg, label_index(cfg), tu.globals), cfg
 
     def test_results_in_input_order(self):
         tasks, cfg = self._tasks()

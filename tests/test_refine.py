@@ -9,7 +9,7 @@ from ctl_lint.refine import (
     EQ, LE, LT, Feasible, Infeasible, _constraint, enumerate_witnesses,
     feasible, path_constraints, refine_diagnostic,
 )
-from ctl_lint.speclang import instantiate, load_builtin_checks
+from ctl_lint.speclang import instantiate, label_index, load_builtin_checks
 
 CHECKS = {c.id: c for c in load_builtin_checks()}
 
@@ -183,7 +183,7 @@ class TestFourierMotzkin:
 def _satisfied_task(src, check_id, var="p"):
     g, tu = cfg_of(src)
     spec = CHECKS[check_id]
-    tasks = [t for t in instantiate(spec, g, tu.globals) if t.bound_var == var]
+    tasks = [t for t in instantiate(spec, g, label_index(g), tu.globals) if t.bound_var == var]
     assert tasks, "fixture must produce a task"
     task = tasks[0]
     sat = check(task.kripke, task.formula)

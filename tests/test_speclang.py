@@ -6,8 +6,8 @@ from ctl_lint import frontend as F
 from ctl_lint.cfg import build_cfg
 from ctl_lint.ctl import EF, EU, EX, And, Not, Prop, props_of
 from ctl_lint.speclang import (
-    Pattern, SpecError, candidate_variables, instantiate,
-    load_builtin_checks, match_pattern, parse_check, parse_checks,
+    SpecError, candidate_variables, instantiate, label_index,
+    load_builtin_checks, node_facts, parse_check, parse_checks,
 )
 
 DOUBLE_FREE = """
@@ -102,88 +102,95 @@ class TestMatchPattern:
     def test_malloc_assign(self):
         g, _ = cfg_of("int f() { int *p; p = malloc(4); return 0; }")
         node = node_matching(g, lambda n: isinstance(n.stmt, F.Assign))
-        assert match_pattern(Pattern("malloc_assign", ("$v",)), node, {"$v": "p"})
-        assert not match_pattern(Pattern("malloc_assign", ("$v",)), node, {"$v": "q"})
+        assert ("malloc_assign", "p") in node_facts(node)
+        assert ("malloc_assign", "q") not in node_facts(node)
 
     def test_malloc_assign_decl_form(self):
         g, _ = cfg_of("int f() { int *p = malloc(4); return 0; }")
         node = node_matching(g, lambda n: isinstance(n.stmt, F.VarDecl))
-        assert match_pattern(Pattern("malloc_assign", ("$v",)), node, {"$v": "p"})
+        assert ("malloc_assign", "p") in node_facts(node)
+
+    def test_null_assign(self):
+        g, _ = cfg_of("int f() { int *p; int *q = NULL; p = 0; p = q; return 0; }")
+        _, decl_q, zero, copy = [n for n in g.nodes if isinstance(n.stmt, (F.VarDecl, F.Assign))]
+        assert ("null_assign", "q") in node_facts(decl_q)
+        assert ("null_assign", "p") in node_facts(zero)
+        assert ("null_assign", "p") not in node_facts(copy)
+        assert ("assign_to", "p") in node_facts(copy)
 
     def test_free_of_name_mismatch(self):
         g, _ = cfg_of("int f(int *p, int *q) { free(p); return 0; }")
         node = node_matching(g, lambda n: isinstance(n.stmt, F.ExprStmt))
-        assert match_pattern(Pattern("free_of", ("$v",)), node, {"$v": "p"})
-        assert not match_pattern(Pattern("free_of", ("$v",)), node, {"$v": "q"})
+        assert ("free_of", "p") in node_facts(node)
+        assert ("free_of", "q") not in node_facts(node)
 
     def test_null_check_forms(self):
         g, _ = cfg_of("int f(int *p) { if (p != 0) { return 1; } if (p) { return 2; } return 0; }")
         conds = [n for n in g.nodes if n.kind == "cond"]
         for node in conds:
-            assert match_pattern(Pattern("null_check", ("$v",)), node, {"$v": "p"})
+            assert ("null_check", "p") in node_facts(node)
 
     def test_deref_and_use(self):
         g, _ = cfg_of("int f(int *p) { int x = *p + p[2]; return x; }")
         node = node_matching(g, lambda n: isinstance(n.stmt, F.VarDecl))
-        assert match_pattern(Pattern("deref", ("$v",)), node, {"$v": "p"})
-        assert match_pattern(Pattern("use", ("$v",)), node, {"$v": "p"})
+        assert ("deref", "p") in node_facts(node)
+        assert ("use", "p") in node_facts(node)
 
     def test_assignment_target_is_not_a_use(self):
         g, _ = cfg_of("int f() { int x; x = 1; return x; }")
         node = node_matching(g, lambda n: isinstance(n.stmt, F.Assign))
-        assert not match_pattern(Pattern("use", ("$v",)), node, {"$v": "x"})
-        assert match_pattern(Pattern("assign_to", ("$v",)), node, {"$v": "x"})
+        assert ("use", "x") not in node_facts(node)
+        assert ("assign_to", "x") in node_facts(node)
 
     def test_address_of_is_not_a_use(self):
         g, _ = cfg_of("int f() { int x = 1; int *p = &x; return 0; }")
         node = g.nodes[2]
         assert isinstance(node.stmt, F.VarDecl) and node.stmt.name == "p"
-        assert not match_pattern(Pattern("use", ("$v",)), node, {"$v": "x"})
+        assert ("use", "x") not in node_facts(node)
 
     def test_decl_uninit(self):
         g, _ = cfg_of("int f() { int x; int y = 1; int a[3]; return y; }")
         decls = {n.stmt.name: n for n in g.nodes if isinstance(n.stmt, F.VarDecl)}
-        pat = Pattern("decl_uninit", ("$v",))
-        assert match_pattern(pat, decls["x"], {"$v": "x"})
-        assert not match_pattern(pat, decls["y"], {"$v": "y"})
-        assert not match_pattern(pat, decls["a"], {"$v": "a"})  # arrays excluded
+        assert ("decl_uninit", "x") in node_facts(decls["x"])
+        assert ("decl_uninit", "y") not in node_facts(decls["y"])
+        assert ("decl_uninit", "a") not in node_facts(decls["a"])  # arrays excluded
 
     def test_entry_exit_and_call(self):
         g, _ = cfg_of("int cb() { return 0; } int f() { cb(); return 0; }", idx=1)
-        assert match_pattern(Pattern("at_entry", ()), g.nodes[g.entry], {})
-        assert match_pattern(Pattern("at_exit", ()), g.nodes[g.exit], {})
+        assert ("at_entry", "") in node_facts(g.nodes[g.entry])
+        assert ("at_exit", "") in node_facts(g.nodes[g.exit])
         call = node_matching(g, lambda n: isinstance(n.stmt, F.ExprStmt))
-        assert match_pattern(Pattern("call", ("cb",)), call, {})
-        assert not match_pattern(Pattern("call", ("other",)), call, {})
+        assert ("call", "cb") in node_facts(call)
+        assert ("call", "other") not in node_facts(call)
 
     def test_index_of(self):
         g, _ = cfg_of("int f(int *p) { p[3] = 1; return 0; }")
         node = node_matching(g, lambda n: isinstance(n.stmt, F.Assign))
-        assert match_pattern(Pattern("index_of", ("$v", "_")), node, {"$v": "p"})
+        assert ("index_of", "p") in node_facts(node)
 
 
 class TestInstantiate:
     def test_two_pointers_both_freed(self, builtin_checks):
         df = next(c for c in builtin_checks if c.id == "double-free")
         g, tu = cfg_of("int f(int *p, int *q) { free(p); free(q); return 0; }")
-        tasks = instantiate(df, g, tu.globals)
+        tasks = instantiate(df, g, label_index(g), tu.globals)
         assert [t.bound_var for t in tasks] == ["p", "q"]
 
     def test_trigger_skip(self, builtin_checks):
         df = next(c for c in builtin_checks if c.id == "double-free")
         g, tu = cfg_of("int f(int *p, int *q) { free(p); return 0; }")
-        tasks = instantiate(df, g, tu.globals)
+        tasks = instantiate(df, g, label_index(g), tu.globals)
         assert [t.bound_var for t in tasks] == ["p"]  # q never freed
 
     def test_no_pointers_no_tasks(self, builtin_checks):
         df = next(c for c in builtin_checks if c.id == "double-free")
         g, tu = cfg_of("int f(int x) { return x; }")
-        assert instantiate(df, g, tu.globals) == []
+        assert instantiate(df, g, label_index(g), tu.globals) == []
 
     def test_single_free_site_labels_one_node(self, builtin_checks):
         df = next(c for c in builtin_checks if c.id == "double-free")
         g, tu = cfg_of("int f(int *p) { free(p); return 0; }")
-        (task,) = instantiate(df, g, tu.globals)
+        (task,) = instantiate(df, g, label_index(g), tu.globals)
         freed_nodes = [s for s in task.kripke.states() if "freed" in task.kripke.labels[s]]
         assert len(freed_nodes) == 1
         assert isinstance(g.nodes[freed_nodes[0]].stmt, F.ExprStmt)
@@ -192,8 +199,8 @@ class TestInstantiate:
         src = "int f(int *p, int *q) { free(p); free(q); free(p); return 0; }"
         df = next(c for c in builtin_checks if c.id == "double-free")
         g, tu = cfg_of(src)
-        a = instantiate(df, g, tu.globals)
-        b = instantiate(df, g, tu.globals)
+        a = instantiate(df, g, label_index(g), tu.globals)
+        b = instantiate(df, g, label_index(g), tu.globals)
         assert [(t.binding, [t.kripke.labels[s] for s in t.kripke.states()]) for t in a] \
             == [(t.binding, [t.kripke.labels[s] for s in t.kripke.states()]) for t in b]
 
@@ -201,14 +208,14 @@ class TestInstantiate:
         src = "int f(int *p, int *q, int x) { free(p); free(q); x = *p; return x; }"
         g, tu = cfg_of(src)
         for spec in builtin_checks:
-            tasks = instantiate(spec, g, tu.globals)
+            tasks = instantiate(spec, g, label_index(g), tu.globals)
             assert len(tasks) <= len(candidate_variables(spec, g, tu.globals))
 
     def test_alphabet_closure(self, builtin_checks):
         src = "int f(int *p) { int *q = 0; free(p); *q = 1; free(p); return 0; }"
         g, tu = cfg_of(src)
         for spec in builtin_checks:
-            for task in instantiate(spec, g, tu.globals):
+            for task in instantiate(spec, g, label_index(g), tu.globals):
                 declared = {name for name, _ in spec.labels}
                 assert props_of(task.formula) <= declared
                 for s in task.kripke.states():
@@ -221,5 +228,5 @@ check idx { severity: info forall $a: array
   property: EF touch
 }""")
         g, tu = cfg_of("int f() { int a[4]; int b[2]; a[1] = 0; return 0; }")
-        tasks = instantiate(spec, g, tu.globals)
+        tasks = instantiate(spec, g, label_index(g), tu.globals)
         assert [t.bound_var for t in tasks] == ["a"]

@@ -300,9 +300,6 @@ class KripkeStructure:
             self._pred = pred
         return self._pred
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return b in self.succ[a]
-
     def states(self) -> range:
         return range(self.n)
 

@@ -5,15 +5,20 @@ Exit codes: 0 when no diagnostics were rendered, 1 when at least one was,
 crash never reads as "findings".  Severity and check-id filters are
 applied at render time only; the analysis itself always runs the whole
 active check set so cache entries stay filter-independent.
+
+`--jobs N` maps whole files over N worker processes, which only read the
+cache; this process writes every new record, in input order.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -22,7 +27,7 @@ from .diagnostics import Diagnostic, diagnostic_to_json_obj, meets_min_severity
 from .engine import (
     AnalysisError, CacheDb, Counters, EngineConfig, analyze_unit,
 )
-from .frontend import ParseError, parse_bytes
+from .frontend import ParseError, TranslationUnit, parse_bytes
 from .intervals import BUFFER_OVERRUN, DIV_BY_ZERO
 from .speclang import CheckSpec, SpecError, parse_checks
 
@@ -41,7 +46,8 @@ options:
   --no-cache            do not read or write the cache database
   --max-witnesses N     counterexamples examined per diagnostic (default 5)
   --min-severity S      error|warning|info rendering threshold (default info)
-  --jobs N              parallel workers (default: available parallelism)
+  --jobs N              worker processes, one file each at a time
+                        (default: the CPUs this process may run on)
   --dump-cfg            print each function's CFG as DOT and exit
   --specs FILE.chk      extra check specifications (repeatable)
 """
@@ -147,7 +153,7 @@ def _parse_analyze_args(args: list[str]) -> RunConfig:
     ns = p.parse_args(args)
     if ns.max_witnesses < 0:
         raise UsageError("--max-witnesses must be >= 0")
-    jobs = ns.jobs if ns.jobs is not None else (os.cpu_count() or 1)
+    jobs = ns.jobs if ns.jobs is not None else _available_cpus()
     if jobs < 1:
         raise UsageError("--jobs must be >= 1")
     db_path = None
@@ -160,6 +166,11 @@ def _parse_analyze_args(args: list[str]) -> RunConfig:
             raise UsageError("--checks needs at least one check id")
     return RunConfig(ns.files, check_ids, ns.format, db_path, ns.max_witnesses,
                      ns.min_severity, jobs, ns.dump_cfg, ns.specs)
+
+
+def _available_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
 
 
 class UsageError(Exception):
@@ -176,6 +187,28 @@ def _cmd_list_checks(spec_paths: list[str]) -> int:
     return 0
 
 
+def _parse_file(path: str) -> TranslationUnit:
+    with open(path, "rb") as fh:
+        return parse_bytes(fh.read(), path)
+
+
+# (checks, config, db) of the files this process analyzes
+_worker: tuple[list[CheckSpec], EngineConfig, CacheDb | None] | None = None
+
+
+def _init_worker(checks: list[CheckSpec], config: EngineConfig,
+                 db: CacheDb | None) -> None:
+    global _worker
+    _worker = (checks, config, db)
+
+
+def _analyze_file(path: str) -> tuple[list[Diagnostic], Counters, list[tuple[str, dict]]]:
+    checks, config, db = _worker
+    counters = Counters()
+    diagnostics, records = analyze_unit(_parse_file(path), checks, db, config, counters)
+    return diagnostics, counters, records
+
+
 def _cmd_analyze(cfg: RunConfig) -> int:
     checks, checkset_text = _load_checkset(cfg.spec_paths)
     if cfg.check_ids is not None:
@@ -183,25 +216,33 @@ def _cmd_analyze(cfg: RunConfig) -> int:
         if unknown:
             raise UsageError(f"unknown check ids: {', '.join(sorted(unknown))}")
 
-    units = []
-    for path in cfg.inputs:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        units.append(parse_bytes(data, path))
-
     if cfg.dump_cfg:
-        for tu in units:
+        for tu in [_parse_file(path) for path in cfg.inputs]:
             for f in tu.functions:
                 sys.stdout.write(to_dot(build_cfg(f)))
         return 0
 
     db = CacheDb(cfg.db_path) if cfg.db_path is not None else None
-    config = EngineConfig(checkset_text=checkset_text,
-                          max_witnesses=cfg.max_witnesses, jobs=cfg.jobs)
+    config = EngineConfig(checkset_text=checkset_text, max_witnesses=cfg.max_witnesses)
     counters = Counters()
     diagnostics: list[Diagnostic] = []
-    for tu in units:
-        diagnostics.extend(analyze_unit(tu, checks, db, config, counters))
+    workers = min(cfg.jobs, len(cfg.inputs))
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                workers, initializer=_init_worker, initargs=(checks, config, db)))
+            results = pool.map(_analyze_file, cfg.inputs)
+        else:
+            _init_worker(checks, config, db)
+            results = map(_analyze_file, cfg.inputs)
+        # results come in input order: the first failing file raises first,
+        # and records are stored as a one-process run would store them
+        for diags, file_counters, records in results:
+            diagnostics.extend(diags)
+            counters.add(file_counters)
+            if db is not None:
+                for key, record in records:
+                    db.put(key, record)
     diagnostics.sort(key=Diagnostic.sort_key)
 
     rendered = [d for d in diagnostics

@@ -28,10 +28,6 @@ class Diagnostic:
                 self.function, self.message)
 
 
-def severity_rank(severity: str) -> int:
-    return _SEVERITY_RANK[severity]
-
-
 def meets_min_severity(severity: str, min_severity: str) -> bool:
     return _SEVERITY_RANK[severity] <= _SEVERITY_RANK[min_severity]
 

@@ -1,16 +1,17 @@
-"""Analysis orchestration: summaries, caching, per-function task dispatch.
+"""Analysis orchestration: summaries, caching, per-function analysis.
 
 Functions are summarized bottom-up over the call graph (recursion falls
 back to pessimistic summaries), then analyzed independently: pattern
 labeling, CTL checking, witness refinement, interval checks and the
 structural dead-code check.  Results are aggregated into a deterministic
-diagnostic list that does not depend on worker count or scheduling.
+diagnostic list.
 
 Per-function results are cached in a single append-friendly store keyed by
 content: the function's source text, the active check-set text, the callee
 summary environment, relevant config and the tool version.  Cached
 diagnostics are stored with function-relative line numbers so entries
-survive moves within and across files.
+survive moves within and across files.  `analyze_unit` only reads the
+store and returns the records it would add; its caller writes them.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+import re
 from dataclasses import dataclass
 
 from . import __version__
 from . import frontend as ast
-from .cfg import Cfg, KripkeStructure, build_cfg, to_kripke
-from .ctl import And, EU, EX, Not, Prop, SatSets, TRUE, check, witness
+from .cfg import Cfg, build_cfg, to_kripke
+from .ctl import And, EU, EX, Not, Prop, TRUE, check, witness
 from .diagnostics import CONFIRMED, Diagnostic, UNCONFIRMED
 from .frontend import FunctionDef, SourceLocation, TranslationUnit, check_well_formed
 from .intervals import analyze as interval_analyze, interval_checks
@@ -50,6 +50,9 @@ class AnalysisError(Exception):
     def __init__(self, errors):
         super().__init__("; ".join(str(e) for e in errors))
         self.errors = list(errors)
+
+    def __reduce__(self):
+        return type(self), (self.errors,)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +278,9 @@ def apply_summaries(cfg: Cfg, summaries: dict[str, FunctionSummary]) -> dict[int
 # ---------------------------------------------------------------------------
 # Cache store
 
+_RECORD_HEAD = re.compile(rb"([0-9a-f]{64}) ([0-9]+)")
+
+
 class CacheDb:
     """Single-file append-friendly store.
 
@@ -288,7 +294,6 @@ class CacheDb:
     def __init__(self, path: str):
         self.path = path
         self._entries: dict[str, bytes] = {}
-        self._lock = threading.Lock()
         self._needs_rewrite = False
         self._load()
 
@@ -309,23 +314,22 @@ class CacheDb:
             nl = rest.find(b"\n", pos)
             if nl < 0:
                 break
-            head = rest[pos:nl].decode("utf-8", "replace").split(" ")
-            ok = len(head) == 2 and len(head[0]) == 64 and head[1].isdigit() \
-                and all(c in "0123456789abcdef" for c in head[0])
-            if not ok:
+            head = _RECORD_HEAD.fullmatch(rest, pos, nl)
+            if head is None:
                 logger.warning("cache %s: corrupt record header at byte %d; "
                                "dropping remainder", self.path, pos)
                 self._needs_rewrite = True
                 return
-            length = int(head[1])
+            key = head[1].decode("ascii")
+            length = int(head[2])
             start = nl + 1
             payload = rest[start:start + length]
             if len(payload) != length or rest[start + length:start + length + 1] != b"\n":
                 logger.warning("cache %s: corrupt payload for %s; dropping remainder",
-                               self.path, head[0][:12])
+                               self.path, key[:12])
                 self._needs_rewrite = True
                 return
-            self._entries[head[0]] = payload
+            self._entries[key] = payload
             pos = start + length + 1
 
     def get(self, key: str) -> dict | None:
@@ -340,26 +344,27 @@ class CacheDb:
             return None
 
     def put(self, key: str, obj: dict) -> None:
+        """Store a record; one the store already holds byte for byte is not
+        appended again."""
         payload = canonical_json(obj).encode("utf-8")
-        with self._lock:
-            self._entries[key] = payload
-            if self._needs_rewrite:
-                data = CACHE_HEADER + "\n"
-                blob = data.encode("utf-8") + b"".join(
+        if self._entries.get(key) == payload:
+            return
+        self._entries[key] = payload
+        if self._needs_rewrite:
+            with open(self.path, "wb") as fh:
+                fh.write((CACHE_HEADER + "\n").encode("utf-8") + b"".join(
                     f"{k} {len(v)}\n".encode("utf-8") + v + b"\n"
-                    for k, v in self._entries.items())
-                with open(self.path, "wb") as fh:
-                    fh.write(blob)
-                self._needs_rewrite = False
-                return
-            record = f"{key} {len(payload)}\n".encode("utf-8") + payload + b"\n"
-            try:
-                with open(self.path, "ab") as fh:
-                    if fh.tell() == 0:
-                        fh.write((CACHE_HEADER + "\n").encode("utf-8"))
-                    fh.write(record)
-            except FileNotFoundError:
-                raise OSError(f"cache path is not writable: {self.path}")
+                    for k, v in self._entries.items()))
+            self._needs_rewrite = False
+            return
+        record = f"{key} {len(payload)}\n".encode("utf-8") + payload + b"\n"
+        try:
+            with open(self.path, "ab") as fh:
+                if fh.tell() == 0:
+                    fh.write((CACHE_HEADER + "\n").encode("utf-8"))
+                fh.write(record)
+        except FileNotFoundError:
+            raise OSError(f"cache path is not writable: {self.path}")
 
 
 def canonical_json(obj) -> str:
@@ -408,7 +413,6 @@ def _message_for(check_id: str, var: str) -> str:
 class EngineConfig:
     checkset_text: str = ""
     max_witnesses: int = 5
-    jobs: int = 1
     fm_budget: int = DEFAULT_FM_BUDGET
     enum_budget: int = DEFAULT_ENUM_BUDGET
 
@@ -429,6 +433,10 @@ class Counters:
         self.content_tasks += tasks
         self.content_skipped += skipped
 
+    def add(self, other: Counters) -> None:
+        for name, value in vars(other).items():
+            setattr(self, name, getattr(self, name) + value)
+
 
 def _trace_anchor(task: CheckTask, trace) -> int:
     """Anchor node of a diagnostic: the last trace state carrying a label
@@ -443,10 +451,14 @@ def _trace_anchor(task: CheckTask, trace) -> int:
 
 def analyze_function(f: FunctionDef, cfg: Cfg, checks: list[CheckSpec],
                      summaries: dict[str, FunctionSummary],
-                     globals_: list[ast.VarDecl],
-                     config: EngineConfig) -> tuple[list[Diagnostic], int, int]:
-    """All diagnostics of one function plus (tasks_created, tasks_skipped)."""
-    index = label_index(cfg, apply_summaries(cfg, summaries))
+                     globals_: list[ast.VarDecl], config: EngineConfig,
+                     index: dict[Fact, list[int]] | None = None,
+                     ) -> tuple[list[Diagnostic], int, int]:
+    """All diagnostics of one function plus (tasks_created, tasks_skipped).
+    `index` is the function's `label_index` with summary facts, built here
+    when not given."""
+    if index is None:
+        index = label_index(cfg, apply_summaries(cfg, summaries))
     global_names = frozenset(g.name for g in globals_)
     diags: list[Diagnostic] = []
     created = 0
@@ -554,9 +566,13 @@ def _rehydrate(rel: list[dict], f: FunctionDef, file: str) -> list[Diagnostic]:
 
 def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
                  db: CacheDb | None, config: EngineConfig,
-                 counters: Counters | None = None) -> list[Diagnostic]:
-    """Analyze one translation unit; diagnostics are deduplicated, sorted
-    and cache-transparent (byte-identical with and without `db`)."""
+                 counters: Counters | None = None,
+                 ) -> tuple[list[Diagnostic], list[tuple[str, dict]]]:
+    """Analyze one translation unit.  Returns its diagnostics, deduplicated,
+    sorted and cache-transparent (byte-identical with and without `db`),
+    and, when there is a `db`, the (key, record) pairs of the functions
+    analyzed fresh, in source order, for the caller to store.  `db` is only
+    read."""
     errors = check_well_formed(tu)
     if errors:
         raise AnalysisError(errors)
@@ -569,7 +585,7 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
     summaries: dict[str, FunctionSummary] = {}
     keys: dict[str, str] = {}
     cached_entries: dict[str, dict] = {}
-    to_analyze: list[str] = []
+    indexes: dict[str, dict[Fact, list[int]]] = {}
     for name in order:
         callee_env = {c: summaries[c] for c in callees[name] if c in summaries}
         key = cache_key(funcs[name], config.checkset_text, callee_env,
@@ -582,50 +598,37 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
             counters.cache_hits += 1
             continue
         counters.cache_misses += 1
-        if name in cyclic:
+        if name in cyclic:  # no index yet: its cycle is not summarized yet
             summaries[name] = pessimistic_summary(funcs[name])
         else:
-            index = label_index(cfgs[name], apply_summaries(cfgs[name], summaries))
-            summaries[name] = compute_summary(funcs[name], cfgs[name], summaries, index)
-        to_analyze.append(name)
-
-    def run_one(name: str) -> tuple[str, list[Diagnostic], int, int]:
-        diags, created, skipped = analyze_function(
-            funcs[name], cfgs[name], checks, summaries, tu.globals, config)
-        return name, diags, created, skipped
-
-    fresh: dict[str, tuple[list[Diagnostic], int, int]] = {}
-    if config.jobs > 1 and len(to_analyze) > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            for name, diags, created, skipped in pool.map(run_one, to_analyze):
-                fresh[name] = (diags, created, skipped)
-    else:
-        for name in to_analyze:
-            fresh[name] = run_one(name)[1:]
+            indexes[name] = label_index(cfgs[name], apply_summaries(cfgs[name], summaries))
+            summaries[name] = compute_summary(funcs[name], cfgs[name], summaries, indexes[name])
 
     all_diags: list[Diagnostic] = []
+    records: list[tuple[str, dict]] = []
     for f in tu.functions:
         counters.functions += 1
-        if f.name in fresh:
-            diags, created, skipped = fresh[f.name]
-            counters.tasks_created += created
-            counters.tasks_skipped += skipped
-            counters.tasks_checked += created - skipped
-            counters.merge_content(created, skipped)
-            if db is not None:
-                db.put(keys[f.name], {
-                    "diagnostics": _relativize(diags, f),
-                    "summary": summaries[f.name].to_json_obj(),
-                    "tasks": created,
-                    "skipped": skipped,
-                })
-            all_diags.extend(diags)
-        else:
+        if f.name in cached_entries:
             entry = cached_entries[f.name]
             counters.merge_content(entry["tasks"], entry["skipped"])
             all_diags.extend(_rehydrate(entry["diagnostics"], f, tu.file))
+            continue
+        diags, created, skipped = analyze_function(
+            f, cfgs[f.name], checks, summaries, tu.globals, config, indexes.get(f.name))
+        counters.tasks_created += created
+        counters.tasks_skipped += skipped
+        counters.tasks_checked += created - skipped
+        counters.merge_content(created, skipped)
+        if db is not None:
+            records.append((keys[f.name], {
+                "diagnostics": _relativize(diags, f),
+                "summary": summaries[f.name].to_json_obj(),
+                "tasks": created,
+                "skipped": skipped,
+            }))
+        all_diags.extend(diags)
 
-    return _finalize(all_diags)
+    return _finalize(all_diags), records
 
 
 def _global_sig(g: ast.VarDecl) -> list:
@@ -642,38 +645,3 @@ def _finalize(diags: list[Diagnostic]) -> list[Diagnostic]:
             best[key] = d
     out = sorted(best.values(), key=Diagnostic.sort_key)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Bulk task checking (the many-small-tasks path)
-
-def _check_task_group(group: tuple[KripkeStructure, list[tuple[int, object]]]):
-    kripke, items = group
-    sat = SatSets(kripke)
-    return [(idx, tuple(sorted(sat.states(formula)))) for idx, formula in items]
-
-
-def run_check_tasks(tasks: list[CheckTask], jobs: int = 1) -> list[tuple[int, ...]]:
-    """Model-check many tasks, returning each formula's satisfying states.
-
-    Tasks sharing a Kripke structure are grouped so subformula results are
-    reused; groups go to worker processes when jobs > 1.  Output order
-    always matches input order.
-    """
-    groups: dict[int, tuple[KripkeStructure, list[tuple[int, object]]]] = {}
-    for idx, task in enumerate(tasks):
-        slot = groups.setdefault(id(task.kripke), (task.kripke, []))
-        slot[1].append((idx, task.formula))
-    group_list = list(groups.values())
-    results: list[tuple[int, ...] | None] = [None] * len(tasks)
-    if jobs <= 1:
-        for group in group_list:
-            for idx, sat_states in _check_task_group(group):
-                results[idx] = sat_states
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_check_task_group, group_list,
-                                  chunksize=max(1, len(group_list) // (jobs * 4) or 1)):
-                for idx, sat_states in chunk:
-                    results[idx] = sat_states
-    return results  # type: ignore[return-value]

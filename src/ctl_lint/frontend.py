@@ -32,13 +32,21 @@ class SourceLocation:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-class ParseError(Exception):
-    """Syntax or subset violation, with the location it was detected at."""
+class LocatedError(Exception):
+    """An error at a source location.  It pickles as (loc, message), so it
+    crosses a process pool unchanged."""
 
     def __init__(self, loc: SourceLocation, message: str):
         super().__init__(f"{loc}: {message}")
         self.loc = loc
         self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.loc, self.message)
+
+
+class ParseError(LocatedError):
+    """Syntax or subset violation, with the location it was detected at."""
 
 
 @dataclass

@@ -148,41 +148,30 @@ def path_constraints(trace: WitnessTrace, cfg: Cfg,
     for i, sid in enumerate(states):
         node = cfg.nodes[sid]
         nxt = states[i + 1] if i + 1 < len(states) else None
+        if node.calls_user_function:  # the callee may write any global
+            for g in sorted(global_names):
+                v.fresh(g)
         if node.kind == STMT:
             s = node.stmt
-            if isinstance(s, (ast.VarDecl, ast.Assign)):
-                target = None
-                if isinstance(s, ast.VarDecl):
-                    target, rhs = s.name, s.init
-                elif isinstance(s.target, ast.Var):
-                    target, rhs = s.target.name, s.value
-                else:
-                    rhs = s.value
-                if rhs is not None and ast.calls_user_function(rhs):
-                    for g in sorted(global_names):
-                        v.fresh(g)
-                if target is None:
-                    continue  # write through *p / arr[i]: tracked vars unchanged
-                lin = _linear(rhs, v) if rhs is not None else None
-                fresh = v.fresh(target)
-                if lin is not None:
-                    terms, c = lin
-                    terms = dict(terms)
-                    terms[fresh] = terms.get(fresh, Fraction(0)) - 1
-                    # rhs - fresh = -c  i.e.  fresh = rhs
-                    out.append(_constraint({k: -x for k, x in terms.items()}, EQ, c))
-                # nonlinear/unknown: fresh version stays unconstrained
-            elif isinstance(s, (ast.ExprStmt, ast.Return)):
-                if node.calls_user_function:
-                    for g in sorted(global_names):
-                        v.fresh(g)
+            if isinstance(s, ast.VarDecl):
+                target, rhs = s.name, s.init
+            elif isinstance(s, ast.Assign) and isinstance(s.target, ast.Var):
+                target, rhs = s.target.name, s.value
+            else:
+                continue  # no write, or through *p / arr[i]: tracked vars unchanged
+            lin = _linear(rhs, v) if rhs is not None else None
+            fresh = v.fresh(target)
+            if lin is not None:
+                terms, c = lin
+                terms = dict(terms)
+                terms[fresh] = terms.get(fresh, Fraction(0)) - 1
+                # rhs - fresh = -c  i.e.  fresh = rhs
+                out.append(_constraint({k: -x for k, x in terms.items()}, EQ, c))
+            # nonlinear/unknown: fresh version stays unconstrained
         elif node.kind == COND and nxt is not None:
             label = _edge_label(cfg, sid, nxt)
             if label is None:
                 continue
-            if node.calls_user_function:
-                for g in sorted(global_names):
-                    v.fresh(g)
             c = _guard_constraint(node.expr, label, v)
             if c is not None:
                 out.append(c)

@@ -33,14 +33,11 @@ from .ctl import (
     AF, AG, AU, AX, And, CtlFormula, EF, EG, EU, EX, Implies, Not, Or, Prop,
     props_of,
 )
-from .frontend import SourceLocation
+from .frontend import LocatedError, SourceLocation
 
 
-class SpecError(Exception):
-    def __init__(self, loc: SourceLocation, message: str):
-        super().__init__(f"{loc}: {message}")
-        self.loc = loc
-        self.message = message
+class SpecError(LocatedError):
+    """A check specification that cannot be parsed or is inconsistent."""
 
 
 PATTERN_NAMES = {

@@ -20,6 +20,10 @@ def analyze(builtin_checks):
             counters: Counters | None = None):
         tu = frontend.parse(source, file)
         config = EngineConfig(checkset_text="builtin", max_witnesses=max_witnesses)
-        return analyze_unit(tu, builtin_checks, db, config, counters)
+        diags, records = analyze_unit(tu, builtin_checks, db, config, counters)
+        if db is not None:
+            for key, record in records:
+                db.put(key, record)
+        return diags
 
     return run

@@ -14,16 +14,15 @@ import os
 import random
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
 from ctl_lint import frontend as F
 from ctl_lint.cfg import build_cfg
-from ctl_lint.cli import main as cli_main
+from ctl_lint.cli import _available_cpus, main as cli_main
 from ctl_lint.ctl import EF, EU, EX, And, Not, Or, Prop, check, is_witnessable, witness
-from ctl_lint.engine import (
-    CacheDb, Counters, EngineConfig, analyze_unit, run_check_tasks,
-)
+from ctl_lint.engine import CacheDb, Counters, EngineConfig, analyze_unit
 from ctl_lint.cfg import KripkeStructure
 from ctl_lint.intervals import analyze as interval_analyze, iteration_cap
 from ctl_lint.speclang import CheckTask, load_builtin_checks, parse_check
@@ -135,7 +134,7 @@ def test_criterion_3_and_4_interval_soundness_and_termination():
 def _analyze_fixture(fixture, max_witnesses=5):
     tu = F.parse(fixture.source, f"{fixture.name}.c")
     config = EngineConfig(checkset_text="builtin", max_witnesses=max_witnesses)
-    return analyze_unit(tu, CHECKS, None, config)
+    return analyze_unit(tu, CHECKS, None, config)[0]
 
 
 def test_criterion_5_seeded_bug_corpus():
@@ -256,16 +255,21 @@ def test_criterion_7_determinism_and_cache_transparency(tmp_path, capsys):
         # callers
         config = EngineConfig(checkset_text=open_checkset_text(), max_witnesses=5)
         db2 = CacheDb(str(tmp_path / "e.db"))
-        tu = F.parse(DETERMINISM_SRC, "d.c")
-        analyze_unit(tu, CHECKS, db2, config)
+
+        def analyze_stored(src, counters=None):
+            _, records = analyze_unit(F.parse(src, "d.c"), CHECKS, db2, config, counters)
+            for key, record in records:
+                db2.put(key, record)
+
+        analyze_stored(DETERMINISM_SRC)
         edited = DETERMINISM_SRC.replace("total + i", "total + i + 0")
         c = Counters()
-        analyze_unit(F.parse(edited, "d.c"), CHECKS, db2, config, c)
+        analyze_stored(edited, c)
         assert c.cache_misses == 1 and c.cache_hits == 2  # compute only
 
         edited2 = DETERMINISM_SRC.replace("{ free(q); return 0; }", "{ return 0; }")
         c2 = Counters()
-        analyze_unit(F.parse(edited2, "d.c"), CHECKS, db2, config, c2)
+        analyze_stored(edited2, c2)
         # helper changed and f depends on helper's summary; compute stays cached
         assert c2.cache_misses == 2 and c2.cache_hits == 1
 
@@ -316,48 +320,44 @@ check t { severity: info forall $v: any
     return tasks
 
 
-def test_criterion_8_many_small_tasks_throughput():
+def test_criterion_8_many_small_tasks_throughput(tmp_path, capsys):
     with criterion(8, "10,000 small tasks complete in under 10s single-threaded"):
         tasks = _throughput_tasks()
         t0 = time.perf_counter()
-        sequential = run_check_tasks(tasks, jobs=1)
+        holding = sum(check(t.kripke, t.formula).holds(t.formula, 0) for t in tasks)
         single = time.perf_counter() - t0
         assert single < 10, f"single-threaded run took {single:.2f}s"
+        assert 0 < holding < len(tasks)
 
-        t0 = time.perf_counter()
-        parallel = run_check_tasks(tasks, jobs=4)
-        quad = time.perf_counter() - t0
-        assert parallel == sequential  # scheduling never changes results
+    with criterion(8, "--jobs 4 reports what --jobs 1 reports"):
+        paths = _write_corpus(tmp_path, 32)
 
-    cpus = os.cpu_count() or 1
+        def run(jobs):
+            capsys.readouterr()  # drop the PASS line printed above
+            t0 = time.perf_counter()
+            code = cli_main(["analyze", "--format", "json", "--no-cache",
+                             "--jobs", jobs, *paths])
+            return code, capsys.readouterr().out, time.perf_counter() - t0
+
+        code1, out1, one = run("1")
+        code4, out4, quad = run("4")
+        assert (code4, out4) == (code1, out1)  # scheduling never changes results
+
+    cpus = _available_cpus()
     if cpus < 4:
         pytest.skip(
             f"scaling measurement needs >= 4 CPUs, this machine has {cpus}; "
-            f"single-threaded {single:.2f}s, jobs=4 {quad:.2f}s (functional "
-            f"equivalence asserted above)")
+            f"single-threaded {single:.2f}s, CLI --jobs 1 {one:.2f}s, --jobs 4 "
+            f"{quad:.2f}s (functional equivalence asserted above)")
     with criterion(8, "4-worker run is at least 2.5x faster"):
-        assert single / quad >= 2.5, \
-            f"speedup {single / quad:.2f}x below the 2.5x floor"
+        assert one / quad >= 2.5, \
+            f"speedup {one / quad:.2f}x below the 2.5x floor"
 
 
 def test_criterion_9_end_to_end_corpus(tmp_path, capsys):
     with criterion(9, "10,000-line corpus analyzes cold in under 30s"):
-        total_lines = 0
-        paths = []
-        seed = 0
-        for i in range(100):
-            lines = 0
-            chunks = []
-            while lines < 100:  # about one hundred lines per file
-                chunk = ProgramGen(7_000 + seed, max_funcs=2, stmt_budget=12).unit()
-                seed += 1
-                chunks.append(chunk)
-                lines += chunk.count("\n")
-            body = _merge_units(chunks, i)
-            total_lines += body.count("\n")
-            path = tmp_path / f"corpus_{i:03d}.c"
-            path.write_text(body)
-            paths.append(str(path))
+        paths = _write_corpus(tmp_path, 100)
+        total_lines = sum(Path(p).read_text().count("\n") for p in paths)
         assert total_lines >= 10_000, total_lines
 
         db = tmp_path / "corpus.db"
@@ -374,6 +374,25 @@ def test_criterion_9_end_to_end_corpus(tmp_path, capsys):
         code2 = cli_main(["analyze", "--format", "json", "--db", str(db), *paths])
         out2 = capsys.readouterr().out
         assert out2 == out and code2 == code
+
+
+def _write_corpus(directory, files: int) -> list[str]:
+    """Write the first `files` files of the criterion-9 corpus, about one
+    hundred generated lines each; returns their paths."""
+    paths = []
+    seed = 0
+    for i in range(files):
+        lines = 0
+        chunks = []
+        while lines < 100:
+            chunk = ProgramGen(7_000 + seed, max_funcs=2, stmt_budget=12).unit()
+            seed += 1
+            chunks.append(chunk)
+            lines += chunk.count("\n")
+        path = directory / f"corpus_{i:03d}.c"
+        path.write_text(_merge_units(chunks, i))
+        paths.append(str(path))
+    return paths
 
 
 def _merge_units(chunks: list[str], file_index: int) -> str:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from ctl_lint.cli import main, render_summary, render_text
+from ctl_lint.cli import _parse_analyze_args, main, render_summary, render_text
 from ctl_lint.diagnostics import Diagnostic
 from ctl_lint.engine import Counters
 from ctl_lint.frontend import MAX_NESTING, SourceLocation
@@ -301,3 +304,78 @@ check double-free {
         files = [line.split(":")[0] for line in out.splitlines()
                  if not line.startswith("  ")]
         assert files == sorted(files)
+
+
+class TestJobs:
+    """`--jobs N` maps whole files over N worker processes; nothing a run
+    prints or stores may depend on N."""
+
+    FILES = {
+        "a.c": DOUBLE_FREE,
+        "b.c": LEAK + "int g(int c) { int x; if (c) { x = 1; } return x; }\n",
+        "c.c": CLEAN + DOUBLE_FREE,  # f is a.c's f: one cache key, stored once
+    }
+
+    def _paths(self, ws):
+        return [ws(name, text) for name, text in self.FILES.items()]
+
+    def test_jobs_do_not_change_output(self, ws, capsys):
+        paths = self._paths(ws)
+        for fmt in ("text", "json"):
+            runs = [run(capsys, "analyze", "--format", fmt, "--no-cache",
+                        "--jobs", jobs, *paths)[:2] for jobs in ("1", "2")]
+            assert runs[0] == runs[1]
+            assert runs[0][0] == 1 and runs[0][1]
+
+    def test_parallel_cache_equals_sequential(self, ws, capsys, tmp_path):
+        paths = self._paths(ws)
+        blobs = []
+        for jobs in ("1", "2"):
+            db = tmp_path / f"jobs{jobs}.db"
+            code, out, err = run(capsys, "analyze", "--db", str(db), "--jobs", jobs, *paths)
+            assert code == 1
+            blobs.append(db.read_bytes())
+        assert blobs[0] == blobs[1]
+        assert blobs[0].count(b"\n") == 1 + 2 * 4  # header, then 4 of 5 functions
+        # a warm run in either mode hits every function and appends nothing
+        for jobs in ("1", "2"):
+            code, out, err = run(capsys, "analyze", "--db", str(tmp_path / "jobs1.db"),
+                                 "--jobs", jobs, *paths)
+            assert "cache hits: 100% (5/5)" in err
+        assert (tmp_path / "jobs1.db").read_bytes() == blobs[0]
+
+    @pytest.mark.parametrize("bad", [
+        ["bad_syntax.c"], ["undeclared.c"], ["undeclared.c", "bad_syntax.c"],
+        ["bad_syntax.c", "undeclared.c"]],
+        ids=["syntax", "undeclared", "undeclared-then-syntax", "syntax-then-undeclared"])
+    def test_errors_reported_in_input_order(self, ws, capsys, bad):
+        sources = {"ok.c": DOUBLE_FREE, "bad_syntax.c": "int f( {\n",
+                   "undeclared.c": "int f() { return y; }\n"}
+        paths = [ws(name, sources[name]) for name in ["ok.c", *bad]]
+        runs = [run(capsys, "analyze", "--no-cache", "--jobs", jobs, *paths)
+                for jobs in ("1", "2")]
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert code == 2 and out == ""
+        assert err.startswith(f"ctl-lint: error: {paths[1]}:")
+        assert err.count("\n") == 1
+
+    def test_spawned_workers_match(self, ws, capsys, tmp_path):
+        # workers get their state from the pool initializer, not from fork
+        paths = self._paths(ws)
+        code, expected, _ = run(capsys, "analyze", "--format", "json", "--no-cache",
+                                "--jobs", "1", *paths)
+        script = ("import multiprocessing, sys\n"
+                  "multiprocessing.set_start_method('spawn')\n"
+                  "from ctl_lint.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "analyze", "--format", "json", "--no-cache",
+             "--jobs", "2", *paths], capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (code, expected), proc.stderr
+
+    def test_default_is_the_usable_cpus(self):
+        expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+            else os.cpu_count()
+        assert _parse_analyze_args(["x.c"]).jobs == expected

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import logging
+import os
+import pickle
 
 import pytest
 
@@ -9,17 +11,21 @@ from ctl_lint.cfg import build_cfg
 from ctl_lint.engine import (
     CACHE_HEADER, CacheDb, Counters, EngineConfig, FunctionSummary,
     AnalysisError, analyze_unit, apply_summaries, cache_key, call_order,
-    compute_summaries, run_check_tasks,
+    compute_summaries,
 )
-from ctl_lint.speclang import instantiate, label_index, load_builtin_checks
+from ctl_lint.speclang import SpecError, label_index, load_builtin_checks
 
 CHECKS = load_builtin_checks()
 CONFIG = EngineConfig(checkset_text="builtin")
 
 
 def analyze(src, db=None, counters=None, config=CONFIG, file="test.c"):
-    tu = F.parse(src, file)
-    return analyze_unit(tu, CHECKS, db, config, counters)
+    """Analyze one unit and store its new cache records, as the CLI does."""
+    diags, records = analyze_unit(F.parse(src, file), CHECKS, db, config, counters)
+    if db is not None:
+        for key, record in records:
+            db.put(key, record)
+    return diags
 
 
 def ids(diags):
@@ -196,6 +202,36 @@ class TestCache:
         analyze(src, CacheDb(db_path), c2)  # entry was rewritten
         assert c2.cache_hits == 1
 
+    def test_non_ascii_record_length_is_corrupt(self, tmp_path, caplog):
+        # "²" passes str.isdigit but not int(); the record must count
+        # as corrupt, not crash the run
+        src = "int f() { return 1; }\n"
+        db_file = tmp_path / "c.db"
+        db_path = str(db_file)
+        analyze(src, CacheDb(db_path))
+        header, head, rest = db_file.read_bytes().split(b"\n", 2)
+        db_file.write_bytes(header + b"\n" + head[:-1] + "²".encode() + b"\n" + rest)
+        with caplog.at_level(logging.WARNING, logger="ctl_lint"):
+            c = Counters()
+            analyze(src, CacheDb(db_path), c)
+        assert c.cache_misses == 1
+        assert any("corrupt" in r.message for r in caplog.records)
+        c2 = Counters()
+        analyze(src, CacheDb(db_path), c2)  # the record was rewritten
+        assert c2.cache_hits == 1
+
+    def test_put_of_held_record_appends_nothing(self, tmp_path):
+        db_file = tmp_path / "c.db"
+        db_path = str(db_file)
+        db = CacheDb(db_path)
+        db.put("a" * 64, {"x": 1})
+        size = db_file.stat().st_size
+        db.put("a" * 64, {"x": 1})
+        CacheDb(db_path).put("a" * 64, {"x": 1})
+        assert db_file.stat().st_size == size
+        db.put("a" * 64, {"x": 2})  # a changed record is appended
+        assert CacheDb(db_path).get("a" * 64) == {"x": 2}
+
     def test_bad_header_starts_fresh(self, tmp_path, caplog):
         db_path = str(tmp_path / "c.db")
         open(db_path, "w").write("not a cache\n")
@@ -226,6 +262,38 @@ class TestCache:
 
 
 class TestAnalyzeUnit:
+    def test_records_only_for_fresh_functions(self, tmp_path):
+        src = "int f() { return 1; }\nint g() { return f(); }\n"
+        db = CacheDb(str(tmp_path / "c.db"))
+        _, records = analyze_unit(F.parse(src, "a.c"), CHECKS, db, CONFIG)
+        assert [r["summary"]["function"] for _, r in records] == ["f", "g"]
+        assert not os.path.exists(db.path)  # analyze_unit only reads the store
+        db.put(*records[0])
+        _, again = analyze_unit(F.parse(src, "a.c"), CHECKS, db, CONFIG)
+        assert again == records[1:]
+
+    def test_label_index_built_once_per_function(self, monkeypatch):
+        import ctl_lint.engine as engine
+        built = []
+
+        def counting(cfg, extra=None):
+            built.append(cfg.function)
+            return label_index(cfg, extra)
+
+        monkeypatch.setattr(engine, "label_index", counting)
+        # r is recursive: its index waits until its own summary is known
+        analyze("int f() { return 1; }\nint g() { return f(); }\n"
+                "int r(int n) { if (n) { return r(n - 1); } return 0; }\n")
+        assert sorted(built) == ["f", "g", "r"]
+
+    def test_errors_survive_pickling(self):
+        loc = F.SourceLocation("a.c", 3, 4)
+        for exc in (F.ParseError(loc, "expected ';'"), SpecError(loc, "bad label"),
+                    AnalysisError([F.SemanticError(loc, "undeclared 'y'")])):
+            back = pickle.loads(pickle.dumps(exc))
+            assert type(back) is type(exc) and str(back) == str(exc)
+        assert pickle.loads(pickle.dumps(exc)).errors == exc.errors
+
     def test_not_well_formed_raises(self):
         with pytest.raises(AnalysisError) as exc:
             analyze("int f() { return y; }")
@@ -259,31 +327,3 @@ class TestAnalyzeUnit:
         analyze(src, counters=c)
         assert c.tasks_created == c.tasks_checked + c.tasks_skipped
         assert c.functions == 1
-
-    def test_jobs_do_not_change_output(self):
-        src = "\n".join(
-            f"int f{i}(int *p) {{ free(p); free(p); return {i}; }}" for i in range(6))
-        seq = analyze(src, config=EngineConfig(checkset_text="x", jobs=1))
-        par = analyze(src, config=EngineConfig(checkset_text="x", jobs=8))
-        assert seq == par
-
-
-class TestRunCheckTasks:
-    def _tasks(self):
-        df = next(c for c in CHECKS if c.id == "double-free")
-        src = "int f(int *p, int *q) { free(p); free(q); free(p); return 0; }"
-        tu = F.parse(src, "a.c")
-        cfg = build_cfg(tu.functions[0])
-        return instantiate(df, cfg, label_index(cfg), tu.globals), cfg
-
-    def test_results_in_input_order(self):
-        tasks, cfg = self._tasks()
-        results = run_check_tasks(tasks, jobs=1)
-        assert len(results) == len(tasks)
-        assert cfg.entry in results[0]       # p is double-freed
-        assert cfg.entry not in results[1]   # q is not
-
-    def test_parallel_equals_sequential(self):
-        tasks, _ = self._tasks()
-        many = tasks * 40
-        assert run_check_tasks(many, jobs=1) == run_check_tasks(many, jobs=2)

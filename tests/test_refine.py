@@ -2,6 +2,8 @@ from __future__ import annotations
 
 from fractions import Fraction as Fr
 
+import pytest
+
 from ctl_lint import frontend as F
 from ctl_lint.cfg import FALSE, TRUE, build_cfg
 from ctl_lint.ctl import WitnessTrace, check
@@ -105,6 +107,19 @@ int f(int y) {
         cs = path_constraints(follow(g, [TRUE]), g)
         assert [str(c) for c in cs] == ["x@1 < 0"]
         assert feasible(cs) == Feasible
+
+
+    @pytest.mark.parametrize("call", ["a[k()] = 1;", "if (k()) { }"],
+                             ids=["assignment-target", "empty-branch-condition"])
+    def test_user_call_renews_globals(self, analyze, call):
+        # k() may set g to 5, so the path that takes the early return
+        # without freeing p is feasible
+        src = ("int g; int k() { g = 5; return 0; }\n"
+               f"int f(int a[4]) {{ int *p = malloc(4); g = 0; {call}\n"
+               "  if (g == 5) { return 0; } free(p); return 0; }\n")
+        leaks = [d for d in analyze(src) if d.check_id == "memory-leak"]
+        assert [(d.function, d.message) for d in leaks] == [
+            ("f", "allocation of 'p' may reach function exit without free")]
 
 
 class TestFourierMotzkin:

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 from .frontend import SourceLocation
 
-SEVERITIES = ("error", "warning", "info")
 _SEVERITY_RANK = {"error": 0, "warning": 1, "info": 2}
 
 CONFIRMED = "confirmed"

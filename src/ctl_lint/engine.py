@@ -30,8 +30,7 @@ from .diagnostics import CONFIRMED, Diagnostic, UNCONFIRMED
 from .frontend import FunctionDef, SourceLocation, TranslationUnit, check_well_formed
 from .intervals import analyze as interval_analyze, interval_checks
 from .refine import (
-    CONFIRMED as R_CONFIRMED, DEFAULT_ENUM_BUDGET, DEFAULT_FM_BUDGET,
-    SUPPRESSED, refine_diagnostic,
+    CONFIRMED as R_CONFIRMED, SUPPRESSED, refine_diagnostic,
 )
 from .speclang import (
     CheckSpec, CheckTask, Fact, candidate_variables, instantiate, label_index,
@@ -218,22 +217,6 @@ def compute_summary(f: FunctionDef, cfg: Cfg, summaries: dict[str, FunctionSumma
                            frozenset(derefs_unchecked))
 
 
-def compute_summaries(tu: TranslationUnit,
-                      cfgs: dict[str, Cfg] | None = None) -> dict[str, FunctionSummary]:
-    """Bottom-up summaries for a whole unit; recursion cycles go pessimistic."""
-    cfgs = cfgs or {f.name: build_cfg(f) for f in tu.functions}
-    funcs = {f.name: f for f in tu.functions}
-    order, cyclic, _ = call_order(cfgs)
-    summaries: dict[str, FunctionSummary] = {}
-    for name in order:
-        if name in cyclic:
-            summaries[name] = pessimistic_summary(funcs[name])
-        else:
-            index = label_index(cfgs[name], apply_summaries(cfgs[name], summaries))
-            summaries[name] = compute_summary(funcs[name], cfgs[name], summaries, index)
-    return summaries
-
-
 def apply_summaries(cfg: Cfg, summaries: dict[str, FunctionSummary]) -> dict[int, set[Fact]]:
     """Extra pattern facts implied by callee summaries at call nodes, by
     node id, for `label_index`:
@@ -413,16 +396,11 @@ def _message_for(check_id: str, var: str) -> str:
 class EngineConfig:
     checkset_text: str = ""
     max_witnesses: int = 5
-    fm_budget: int = DEFAULT_FM_BUDGET
-    enum_budget: int = DEFAULT_ENUM_BUDGET
 
 
 @dataclass
 class Counters:
     functions: int = 0
-    tasks_created: int = 0
-    tasks_skipped: int = 0
-    tasks_checked: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     # content view: totals a fresh analysis of the same sources would report
@@ -477,8 +455,7 @@ def analyze_function(f: FunctionDef, cfg: Cfg, checks: list[CheckSpec],
                 continue
             if spec.refine:
                 verdict, trace = refine_diagnostic(
-                    task, cfg, config.max_witnesses, global_names, sat,
-                    config.fm_budget, config.enum_budget)
+                    task, cfg, config.max_witnesses, global_names, sat)
                 if verdict == SUPPRESSED:
                     continue
                 confidence = CONFIRMED if verdict == R_CONFIRMED else UNCONFIRMED
@@ -615,9 +592,6 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
             continue
         diags, created, skipped = analyze_function(
             f, cfgs[f.name], checks, summaries, tu.globals, config, indexes.get(f.name))
-        counters.tasks_created += created
-        counters.tasks_skipped += skipped
-        counters.tasks_checked += created - skipped
         counters.merge_content(created, skipped)
         if db is not None:
             records.append((keys[f.name], {

@@ -1,4 +1,7 @@
-"""Lexer, parser and well-formedness checks for the MiniC input language.
+"""Scanner, parser and well-formedness checks for the MiniC input language.
+
+`tokenize` is the one scanner of both input languages: MiniC here and the
+check language in `speclang`, each described by one regular expression.
 
 MiniC is the analyzable C subset: `int`/`int*`/`int[N]` variables, the
 usual expression operators, `if`/`while`/`for`/`return`/`break`/`continue`,
@@ -18,8 +21,9 @@ expression and one for each operator of its left-deep chain.
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 @dataclass(frozen=True, order=True)
@@ -238,7 +242,46 @@ def _at(node, loc: SourceLocation):
 
 
 # ---------------------------------------------------------------------------
-# Lexer
+# Scanner (shared with the .chk language in speclang)
+
+class Token(NamedTuple):
+    kind: str  # the name of the pattern group that matched, 'keyword' or 'eof'
+    text: str
+    loc: SourceLocation
+    offset: int
+
+
+def tokenize(pattern: re.Pattern, source: str, file: str) -> list[Token]:
+    """Split `source` into tokens with `pattern`, an alternation of named groups.
+
+    Each match becomes a token whose kind is the name of its group;
+    matches of the group `skip` (whitespace and comments) are dropped.
+    The pattern must match at every position, so it ends with a catch-all
+    `error` group, and only `skip` matches may span lines.  Only a newline
+    character breaks a line; columns count characters; both start at 1.
+    The list ends with an `eof` token, or with the first `error` token:
+    scanning stops there, and the caller reports it.
+    """
+    tokens: list[Token] = []
+    append = tokens.append
+    line, line_start = 1, 0
+    for m in pattern.finditer(source):
+        kind = m.lastgroup
+        start = m.start()
+        if kind == "skip":
+            text = m.group()
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
+        else:
+            append(Token(kind, m.group(), SourceLocation(file, line, start - line_start + 1), start))
+            if kind == "error":
+                return tokens
+    end = len(source)
+    append(Token("eof", "", SourceLocation(file, line, end - line_start + 1), end))
+    return tokens
+
 
 _KEYWORDS = {
     "int", "void", "if", "else", "while", "for", "return",
@@ -253,100 +296,41 @@ _UNSUPPORTED_KEYWORDS = {
     "auto", "register", "inline",
 }
 
-_PUNCT = [
-    "<=", ">=", "==", "!=", "&&", "||", "++", "--",
-    "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|",
-    "(", ")", "{", "}", "[", "]", ",", ";",
-]
+# ASCII classes only: str.isdigit/isalpha and \d/\w also accept characters
+# such as '²' that int() and the rest of the pipeline reject.  An `error`
+# match is the first character that starts no token, or one of the longer
+# rejections: an unterminated comment (the `/(?!\*)` keeps its `/*` from
+# scanning as a division) and a number run into a name.
+_MINIC_TOKENS = re.compile(r"""
+    (?P<skip> [ \t\n\r\f\v]+ | //[^\n]* | /\*.*?\*/ )
+  | (?P<ident> [A-Za-z_][A-Za-z0-9_]* )
+  | (?P<int> [0-9]+(?![0-9A-Za-z_]) )
+  | (?P<punct> <= | >= | == | != | && | \|\| | \+\+ | -- | /(?!\*) | [-+*%<>=!&|(){}\[\],;] )
+  | (?P<error> /\* | [0-9]+[A-Za-z_] | . )
+""", re.VERBOSE | re.DOTALL)
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'ident', 'int', 'punct', 'keyword', 'eof'
-    text: str
-    loc: SourceLocation
-    offset: int
-
-
-# ASCII only: str.isdigit/isalpha also accept characters such as '²' that
-# int() and the rest of the pipeline reject.
-_DIGITS = frozenset(string.digits)
-_IDENT_START = frozenset(string.ascii_letters + "_")
-_IDENT_CHARS = _IDENT_START | _DIGITS
+_LEX_ERRORS = {
+    "/*": "unterminated block comment",
+    "#": "preprocessor directives are not supported",
+    "'": "character and string literals are not supported",
+    '"': "character and string literals are not supported",
+}
 
 
 def _lex(source: str, file: str) -> list[Token]:
-    tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-
-    def loc() -> SourceLocation:
-        return SourceLocation(file, line, col)
-
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r\f\v":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            start = loc()
-            i += 2
-            col += 2
-            while i < n and not source.startswith("*/", i):
-                if source[i] == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-                i += 1
-            if i >= n:
-                raise ParseError(start, "unterminated block comment")
-            i += 2
-            col += 2
-            continue
-        if c == "#":
-            raise ParseError(loc(), "preprocessor directives are not supported")
-        if c in _DIGITS:
-            start, start_col, start_i = loc(), col, i
-            while i < n and source[i] in _DIGITS:
-                i += 1
-                col += 1
-            if i < n and source[i] in _IDENT_START:
-                raise ParseError(start, f"malformed number {source[start_i:i + 1]!r}")
-            tokens.append(Token("int", source[start_i:i], start, start_i))
-            continue
-        if c in _IDENT_START:
-            start, start_i = loc(), i
-            while i < n and source[i] in _IDENT_CHARS:
-                i += 1
-                col += 1
-            word = source[start_i:i]
-            if word in _UNSUPPORTED_KEYWORDS:
-                raise ParseError(start, f"'{word}' is not supported in this C subset")
-            kind = "keyword" if word in _KEYWORDS else "ident"
-            tokens.append(Token(kind, word, start, start_i))
-            continue
-        if c in "'\"":
-            raise ParseError(loc(), "character and string literals are not supported")
-        for p in _PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token("punct", p, loc(), i))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError(loc(), f"unexpected character {c!r}")
-    tokens.append(Token("eof", "", SourceLocation(file, line, col), n))
+    tokens = tokenize(_MINIC_TOKENS, source, file)
+    for i, (kind, text, loc, offset) in enumerate(tokens):
+        if kind == "ident":
+            if text in _KEYWORDS:
+                tokens[i] = Token("keyword", text, loc, offset)
+            elif text in _UNSUPPORTED_KEYWORDS:
+                raise ParseError(loc, f"'{text}' is not supported in this C subset")
+        elif kind == "error":
+            if text in _LEX_ERRORS:
+                raise ParseError(loc, _LEX_ERRORS[text])
+            # a number run into a name, or one character that starts no token
+            what = "malformed number" if len(text) > 1 else "unexpected character"
+            raise ParseError(loc, f"{what} {text!r}")
     return tokens
 
 

@@ -294,11 +294,6 @@ class IntervalEnv:
         out = {k: v for k, v in self.vars.items() if k not in names}
         return IntervalEnv(out)
 
-    def equals(self, other: IntervalEnv) -> bool:
-        if self.is_bottom or other.is_bottom:
-            return self.is_bottom == other.is_bottom
-        return self.vars == other.vars
-
 
 BOTTOM_ENV = IntervalEnv(is_bottom=True)
 

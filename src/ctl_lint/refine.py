@@ -56,9 +56,6 @@ class FeasibilityVerdict:
     kind: str  # FEASIBLE | INFEASIBLE | UNKNOWN
     reason: str | None = None  # for UNKNOWN: "budget"
 
-    def __bool__(self) -> bool:
-        return self.kind == FEASIBLE
-
 
 Feasible = FeasibilityVerdict(FEASIBLE)
 Infeasible = FeasibilityVerdict(INFEASIBLE)
@@ -480,8 +477,6 @@ SUPPRESSED = "suppressed"
 def refine_diagnostic(task: CheckTask, cfg: Cfg, max_witnesses: int,
                       global_names: frozenset[str] = frozenset(),
                       sat: SatSets | None = None,
-                      fm_budget: int = DEFAULT_FM_BUDGET,
-                      enum_budget: int = DEFAULT_ENUM_BUDGET,
                       ) -> tuple[str, WitnessTrace | None]:
     """Feasibility-filter a satisfied check task.
 
@@ -496,12 +491,12 @@ def refine_diagnostic(task: CheckTask, cfg: Cfg, max_witnesses: int,
     if max_witnesses <= 0:
         return UNCONFIRMED, witness(task.kripke, task.formula, cfg.entry, sat)
     traces, exhausted = enumerate_witnesses(
-        task.kripke, task.formula, cfg.entry, max_witnesses, sat, enum_budget)
+        task.kripke, task.formula, cfg.entry, max_witnesses, sat)
     if not traces:
         return UNCONFIRMED, witness(task.kripke, task.formula, cfg.entry, sat)
     saw_unknown = False
     for trace in traces:
-        verdict = feasible(path_constraints(trace, cfg, global_names), fm_budget)
+        verdict = feasible(path_constraints(trace, cfg, global_names))
         if verdict.kind == FEASIBLE:
             return CONFIRMED, trace
         if verdict.kind == UNKNOWN:

@@ -24,6 +24,7 @@ Grammar of `.chk` files (# starts a line comment):
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -33,7 +34,7 @@ from .ctl import (
     AF, AG, AU, AX, And, CtlFormula, EF, EG, EU, EX, Implies, Not, Or, Prop,
     props_of,
 )
-from .frontend import LocatedError, SourceLocation
+from .frontend import LocatedError, SourceLocation, Token, tokenize
 
 
 class SpecError(LocatedError):
@@ -97,53 +98,25 @@ class CheckTask:
 # ---------------------------------------------------------------------------
 # DSL parsing
 
-_PUNCT = (":=", "->", "{", "}", "(", ")", "[", "]", ":", ",", "!", "&", "|", "_")
+# An identifier starts with a letter (checked with str.isalpha in _lex_chk,
+# since [^\W\d_] also takes characters like '²') and goes on with letters,
+# digits, '_' or '-'.
+_CHK_TOKENS = re.compile(r"""
+    (?P<skip> [ \t\r\n]+ | \#[^\n]* )
+  | (?P<ident> [^\W\d_][\w-]* )
+  | (?P<metavar> \$\w* )
+  | (?P<punct> := | -> | [{}()\[\]:,!&|_] )
+  | (?P<error> . )
+""", re.VERBOSE)
 
 
-def _lex_chk(text: str, file: str) -> list[tuple[str, str, SourceLocation]]:
-    tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if c in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        loc = SourceLocation(file, line, col)
-        if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_-"):
-                j += 1
-            tokens.append(("ident", text[i:j], loc))
-            col += j - i
-            i = j
-            continue
-        if c == "$":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j == i + 1:
-                raise SpecError(loc, "expected a name after '$'")
-            tokens.append(("metavar", text[i:j], loc))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(("punct", p, loc))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise SpecError(loc, f"unexpected character {c!r}")
-    tokens.append(("eof", "", SourceLocation(file, line, col)))
+def _lex_chk(text: str, file: str) -> list[Token]:
+    tokens = tokenize(_CHK_TOKENS, text, file)
+    for kind, val, loc, _ in tokens:
+        if kind == "error" or kind == "ident" and not val[0].isalpha():
+            raise SpecError(loc, f"unexpected character {val[0]!r}")
+        if val == "$":
+            raise SpecError(loc, "expected a name after '$'")
     return tokens
 
 
@@ -152,34 +125,34 @@ class _ChkParser:
         self.toks = _lex_chk(text, file)
         self.pos = 0
 
-    def peek(self):
+    def peek(self) -> Token:
         return self.toks[self.pos]
 
-    def next(self):
+    def next(self) -> Token:
         tok = self.toks[self.pos]
-        if tok[0] != "eof":
+        if tok.kind != "eof":
             self.pos += 1
         return tok
 
-    def expect(self, text: str):
-        kind, val, loc = self.peek()
-        if val != text or kind == "eof":
-            found = repr(val) if kind != "eof" else "end of file"
-            raise SpecError(loc, f"expected '{text}', found {found}")
+    def expect(self, text: str) -> Token:
+        tok = self.peek()
+        if tok.text != text or tok.kind == "eof":
+            found = repr(tok.text) if tok.kind != "eof" else "end of file"
+            raise SpecError(tok.loc, f"expected '{text}', found {found}")
         return self.next()
 
-    def expect_ident(self, what: str):
-        kind, val, loc = self.peek()
-        if kind != "ident":
-            found = repr(val) if kind != "eof" else "end of file"
-            raise SpecError(loc, f"expected {what}, found {found}")
+    def expect_ident(self, what: str) -> Token:
+        tok = self.peek()
+        if tok.kind != "ident":
+            found = repr(tok.text) if tok.kind != "eof" else "end of file"
+            raise SpecError(tok.loc, f"expected {what}, found {found}")
         return self.next()
 
     def parse_file(self) -> list[CheckSpec]:
         checks: list[CheckSpec] = []
-        if self.peek()[0] == "eof":
-            raise SpecError(self.peek()[2], "expected 'check'")
-        while self.peek()[0] != "eof":
+        if self.peek().kind == "eof":
+            raise SpecError(self.peek().loc, "expected 'check'")
+        while self.peek().kind != "eof":
             checks.append(self.parse_check())
         ids = [c.id for c in checks]
         for c in checks:
@@ -188,27 +161,27 @@ class _ChkParser:
         return checks
 
     def parse_check(self) -> CheckSpec:
-        _, _, loc = self.expect("check")
-        _, check_id, _ = self.expect_ident("a check id")
+        loc = self.expect("check").loc
+        check_id = self.expect_ident("a check id").text
         self.expect("{")
         self.expect("severity")
         self.expect(":")
-        _, severity, sev_loc = self.expect_ident("a severity")
+        _, severity, sev_loc, _ = self.expect_ident("a severity")
         if severity not in ("error", "warning", "info"):
             raise SpecError(sev_loc, f"severity must be error, warning or info, not '{severity}'")
         self.expect("forall")
-        kind, metavar, mv_loc = self.next()
+        kind, metavar, mv_loc, _ = self.next()
         if kind != "metavar":
             raise SpecError(mv_loc, "expected a metavariable like '$v' after 'forall'")
         self.expect(":")
-        _, var_class, vc_loc = self.expect_ident("a variable class")
+        _, var_class, vc_loc, _ = self.expect_ident("a variable class")
         if var_class not in VAR_CLASSES:
             raise SpecError(vc_loc, "variable class must be pointer, array or any")
 
         labels: list[tuple[str, Pattern]] = []
-        while self.peek()[1] == "label":
+        while self.peek().text == "label":
             self.next()
-            _, name, name_loc = self.expect_ident("a label name")
+            _, name, name_loc, _ = self.expect_ident("a label name")
             if name in _RESERVED:
                 raise SpecError(name_loc, f"'{name}' is reserved")
             if any(name == seen for seen, _ in labels):
@@ -216,7 +189,7 @@ class _ChkParser:
             self.expect(":=")
             labels.append((name, self.parse_pattern(metavar)))
         if not labels:
-            raise SpecError(self.peek()[2], "expected at least one 'label' declaration")
+            raise SpecError(self.peek().loc, "expected at least one 'label' declaration")
 
         self.expect("property")
         self.expect(":")
@@ -227,10 +200,10 @@ class _ChkParser:
                 raise SpecError(loc, f"unknown label '{p}' in property of '{check_id}'")
 
         refine = False
-        if self.peek()[1] == "refine":
+        if self.peek().text == "refine":
             self.next()
             self.expect(":")
-            _, mode, mode_loc = self.expect_ident("'on' or 'off'")
+            _, mode, mode_loc, _ = self.expect_ident("'on' or 'off'")
             if mode not in ("on", "off"):
                 raise SpecError(mode_loc, "refine must be 'on' or 'off'")
             refine = mode == "on"
@@ -239,19 +212,19 @@ class _ChkParser:
                          prop, refine, loc)
 
     def parse_pattern(self, quantified: str) -> Pattern:
-        _, name, loc = self.expect_ident("a pattern name")
+        _, name, loc, _ = self.expect_ident("a pattern name")
         shape = PATTERN_NAMES.get(name)
         if shape is None:
             raise SpecError(loc, f"unknown pattern '{name}'")
         self.expect("(")
         args: list[str] = []
-        if self.peek()[1] != ")":
+        if self.peek().text != ")":
             while True:
-                kind, val, aloc = self.next()
+                kind, val, aloc, _ = self.next()
                 if kind not in ("ident", "metavar") and val != "_":
                     raise SpecError(aloc, f"bad pattern argument {val!r}")
                 args.append(val)
-                if self.peek()[1] != ",":
+                if self.peek().text != ",":
                     break
                 self.next()
         self.expect(")")
@@ -272,21 +245,21 @@ class _ChkParser:
     # CTL precedence: ->  <  |  <  &  <  unary/temporal
     def parse_ctl(self) -> CtlFormula:
         left = self._ctl_or()
-        if self.peek()[1] == "->":
+        if self.peek().text == "->":
             self.next()
             return Implies(left, self.parse_ctl())
         return left
 
     def _ctl_or(self) -> CtlFormula:
         left = self._ctl_and()
-        while self.peek()[1] == "|":
+        while self.peek().text == "|":
             self.next()
             left = Or(left, self._ctl_and())
         return left
 
     def _ctl_and(self) -> CtlFormula:
         left = self._ctl_unary()
-        while self.peek()[1] == "&":
+        while self.peek().text == "&":
             self.next()
             left = And(left, self._ctl_unary())
         return left
@@ -294,7 +267,7 @@ class _ChkParser:
     _UNARY_OPS = {"AX": AX, "EX": EX, "AF": AF, "EF": EF, "AG": AG, "EG": EG}
 
     def _ctl_unary(self) -> CtlFormula:
-        kind, val, loc = self.peek()
+        kind, val, loc, _ = self.peek()
         if val == "!":
             self.next()
             return Not(self._ctl_unary())

@@ -11,7 +11,6 @@ from ctl_lint.cfg import build_cfg
 from ctl_lint.engine import (
     CACHE_HEADER, CacheDb, Counters, EngineConfig, FunctionSummary,
     AnalysisError, analyze_unit, apply_summaries, cache_key, call_order,
-    compute_summaries,
 )
 from ctl_lint.speclang import SpecError, label_index, load_builtin_checks
 
@@ -33,8 +32,17 @@ def ids(diags):
 
 
 class TestSummaries:
+    @pytest.fixture(autouse=True)
+    def _db(self, tmp_path):
+        self.db = CacheDb(str(tmp_path / "c.db"))
+
     def _summaries(self, src):
-        return compute_summaries(F.parse(src, "a.c"))
+        """Each function's summary from its cache record; records come in
+        source order, and every function is fresh in an empty db."""
+        tu = F.parse(src, "a.c")
+        _, records = analyze_unit(tu, CHECKS, self.db, CONFIG)
+        return {f.name: FunctionSummary.from_json_obj(record["summary"])
+                for f, (_, record) in zip(tu.functions, records, strict=True)}
 
     def test_return_zero_may_be_null(self):
         s = self._summaries("int *f() { return 0; }")
@@ -321,9 +329,13 @@ class TestAnalyzeUnit:
             "'a' may be read before initialization",
             "'b' may be read before initialization"]
 
-    def test_counters_consistent(self):
+    def test_counters_consistent(self, tmp_path):
         src = "int f(int *p, int *q) { free(p); free(q); free(p); return 0; }"
-        c = Counters()
-        analyze(src, counters=c)
-        assert c.tasks_created == c.tasks_checked + c.tasks_skipped
-        assert c.functions == 1
+        db_path = str(tmp_path / "c.db")
+        cold, warm = Counters(), Counters()
+        analyze(src, CacheDb(db_path), cold)
+        analyze(src, CacheDb(db_path), warm)
+        assert (warm.cache_hits, warm.cache_misses) == (1, 0)
+        assert (cold.content_tasks, cold.content_skipped) == (warm.content_tasks, warm.content_skipped)
+        assert 0 <= cold.content_skipped <= cold.content_tasks and cold.content_tasks > 0
+        assert cold.functions == warm.functions == 1

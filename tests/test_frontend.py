@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctl_lint import frontend as F
+from ctl_lint import speclang as S
 from program_gen import generate_program
 
 
@@ -153,6 +154,30 @@ class TestRoundTrip:
         assert F.structurally_equal(tu, tu2)
 
 
+class TestScanner:
+    def test_both_languages_share_one_token_type(self):
+        minic = F._lex("int x;", "a.c")
+        chk = S._lex_chk("check x", "c.chk")
+        assert {type(t) for t in minic + chk} == {F.Token}
+        assert [t.kind for t in minic] == ["keyword", "ident", "punct", "eof"]
+        assert [t.kind for t in chk] == ["ident", "ident", "eof"]
+        assert chk[1] == ("ident", "x", F.SourceLocation("c.chk", 1, 7), 6)
+
+    def test_scanning_stops_at_the_first_error(self):
+        tokens = F.tokenize(F._MINIC_TOKENS, "a /* b /* c /* d", "a.c")
+        assert [(t.kind, t.text) for t in tokens] == [("ident", "a"), ("error", "/*")]
+
+    @pytest.mark.parametrize("parse_one,text,error", [
+        (F.parse, "int f() { return x // c", "a:1:24: expected ';', found end of input"),
+        (S.parse_checks, "check x # c", "a:1:12: expected '{', found end of file"),
+    ])
+    def test_end_of_input_after_a_trailing_line_comment(self, parse_one, text, error):
+        # end of input is where the text ends, after the comment
+        with pytest.raises(F.LocatedError) as exc:
+            parse_one(text, "a")
+        assert str(exc.value) == error
+
+
 class TestTotality:
     @given(st.text(max_size=200))
     @settings(max_examples=150, deadline=None)
@@ -168,4 +193,12 @@ class TestTotality:
         try:
             F.parse_bytes(data, "fuzz.c")
         except F.ParseError:
+            pass
+
+    @given(st.text(max_size=200))
+    @settings(max_examples=150, deadline=None)
+    def test_parse_checks_never_crashes_on_text(self, text):
+        try:
+            S.parse_checks(text, "fuzz.chk")
+        except S.SpecError:
             pass

@@ -222,12 +222,6 @@ class SatSets:
     def holds(self, f: CtlFormula, state: int) -> bool:
         return state in self.states(f)
 
-    def dump(self) -> str:
-        """Debug rendering of every labeled subformula and its states."""
-        lines = [f"{sorted(states)}  {formula}"
-                 for formula, states in self._memo.items()]
-        return "\n".join(sorted(lines)) + ("\n" if lines else "")
-
     def _eval(self, f: CtlFormula) -> frozenset[int]:
         got = self._memo.get(f)
         if got is not None:

@@ -28,7 +28,7 @@ from .cfg import Cfg, build_cfg, to_kripke
 from .ctl import And, EU, EX, Not, Prop, TRUE, check, witness
 from .diagnostics import CONFIRMED, Diagnostic, UNCONFIRMED
 from .frontend import FunctionDef, SourceLocation, TranslationUnit, check_well_formed
-from .intervals import analyze as interval_analyze, interval_checks
+from .intervals import analyze as interval_analyze, check_sites, interval_checks
 from .refine import (
     CONFIRMED as R_CONFIRMED, SUPPRESSED, refine_diagnostic,
 )
@@ -467,8 +467,9 @@ def analyze_function(f: FunctionDef, cfg: Cfg, checks: list[CheckSpec],
                 spec.id, spec.severity, cfg.nodes[anchor].loc,
                 _message_for(spec.id, task.bound_var), cfg.function, confidence,
                 tuple(cfg.nodes[s].loc for s in trace.states)))
-    result = interval_analyze(cfg, frozenset(g.name for g in globals_))
-    diags.extend(interval_checks(cfg, result, globals_))
+    if any(check_sites(cfg, globals_)):
+        result = interval_analyze(cfg, global_names)
+        diags.extend(interval_checks(cfg, result, globals_))
     diags.sort(key=Diagnostic.sort_key)
     return diags, created, skipped
 

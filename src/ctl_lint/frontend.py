@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class SourceLocation:
+class SourceLocation(NamedTuple):
     file: str
     line: int  # 1-based
     column: int  # 1-based
@@ -451,31 +450,27 @@ class _Parser:
         tok = self.expect("int", "in parameter")
         is_ptr = self.accept("*") is not None
         name_tok = self.expect_ident("a parameter name")
-        ty: MiniCType = PTR_INT if is_ptr else INT
-        if not is_ptr and self.accept("["):
-            size_tok = self.peek()
-            if size_tok.kind != "int":
-                raise ParseError(size_tok.loc, "expected array size")
-            self.next()
-            self.expect("]")
-            size = int(size_tok.text)
-            if size < 1:
-                raise ParseError(size_tok.loc, "array size must be >= 1")
-            ty = ArrayInt(size)
-        return Param(name_tok.text, ty, name_tok.loc)
+        return Param(name_tok.text, self._var_type(is_ptr), name_tok.loc)
+
+    def _var_type(self, is_ptr: bool) -> MiniCType:
+        """The type of a declared name: `int*`, `int`, or `int[N]` when an
+        array size follows the name."""
+        if is_ptr:
+            return PTR_INT
+        if not self.accept("["):
+            return INT
+        size_tok = self.peek()
+        if size_tok.kind != "int":
+            raise ParseError(size_tok.loc, "expected array size")
+        self.next()
+        self.expect("]")
+        size = int(size_tok.text)
+        if size < 1:
+            raise ParseError(size_tok.loc, "array size must be >= 1")
+        return ArrayInt(size)
 
     def _decl_rest(self, start_tok: Token, is_ptr: bool, name_tok: Token) -> VarDecl:
-        ty: MiniCType = PTR_INT if is_ptr else INT
-        if not is_ptr and self.accept("["):
-            size_tok = self.peek()
-            if size_tok.kind != "int":
-                raise ParseError(size_tok.loc, "expected array size")
-            self.next()
-            self.expect("]")
-            size = int(size_tok.text)
-            if size < 1:
-                raise ParseError(size_tok.loc, "array size must be >= 1")
-            ty = ArrayInt(size)
+        ty = self._var_type(is_ptr)
         init = None
         if self.accept("="):
             if isinstance(ty, ArrayInt):

@@ -12,6 +12,7 @@ operation escalates to an error, a possibly-bad one stays a warning.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import frontend as ast
@@ -506,10 +507,6 @@ class AbsResult:
     def at(self, node_id: int) -> IntervalEnv:
         return self.envs[node_id]
 
-    def dump(self) -> str:
-        """Debug rendering: one line per node."""
-        return "".join(f"n{i}: {env!r}\n" for i, env in enumerate(self.envs))
-
 
 _WIDEN_DELAY = 3
 
@@ -637,6 +634,23 @@ def declared_types(cfg: Cfg, globals_: list[ast.VarDecl] = ()) -> dict[str, ast.
     return types
 
 
+def check_sites(cfg: Cfg, globals_: list[ast.VarDecl] = (),
+                ) -> Iterator[tuple[CfgNode, ast.Expr, int | None]]:
+    """(node, expression, array size) for each expression `interval_checks`
+    reports on, in node and walk order: an index into a declared `int[N]`
+    array, with size N, and a `/` or `%`, with size None."""
+    types = declared_types(cfg, globals_)
+    for node in cfg.nodes:
+        for root in node.roots:
+            for e in ast.walk(root):
+                if isinstance(e, ast.Index) and isinstance(e.base, ast.Var):
+                    ty = types.get(e.base.name)
+                    if isinstance(ty, ast.ArrayInt):
+                        yield node, e, ty.size
+                elif isinstance(e, ast.Binary) and e.op in ("/", "%"):
+                    yield node, e, None
+
+
 def interval_checks(cfg: Cfg, result: AbsResult,
                     globals_: list[ast.VarDecl] = ()) -> list[Diagnostic]:
     """Array-bound and divisor checks from the interval fixpoint.
@@ -645,45 +659,39 @@ def interval_checks(cfg: Cfg, result: AbsResult,
     possibly-failing ones are warnings left unconfirmed.  Nodes with a
     Bottom environment are unreachable and produce nothing.
     """
-    types = declared_types(cfg, globals_)
     havoc = _call_havoc_set(cfg, frozenset(g.name for g in globals_))
     out: list[Diagnostic] = []
-    for node in cfg.nodes:
+    for node, e, size in check_sites(cfg, globals_):
         env = result.at(node.id)
         if env.is_bottom:
             continue
         if node.calls_user_function:
             env = env.drop(havoc)
-        for root in node.roots:
-            for e in ast.walk(root):
-                if isinstance(e, ast.Index) and isinstance(e.base, ast.Var):
-                    ty = types.get(e.base.name)
-                    if not isinstance(ty, ast.ArrayInt):
-                        continue
-                    idx = eval_expr(e.index, env)
-                    if idx.empty:
-                        continue
-                    bound = Interval(0, ty.size - 1)
-                    if meet(idx, bound).empty:
-                        out.append(Diagnostic(
-                            BUFFER_OVERRUN, "error", e.loc,
-                            f"index {idx!r} is outside 'int {e.base.name}[{ty.size}]'",
-                            cfg.function, CONFIRMED))
-                    elif not interval_leq(idx, bound):
-                        out.append(Diagnostic(
-                            BUFFER_OVERRUN, "warning", e.loc,
-                            f"index {idx!r} may fall outside 'int {e.base.name}[{ty.size}]'",
-                            cfg.function, UNCONFIRMED))
-                elif isinstance(e, ast.Binary) and e.op in ("/", "%"):
-                    dv = eval_expr(e.right, env)
-                    if dv.empty:
-                        continue
-                    if dv.is_const() and dv.lo == 0:
-                        out.append(Diagnostic(
-                            DIV_BY_ZERO, "error", e.loc,
-                            "division by zero", cfg.function, CONFIRMED))
-                    elif dv.contains(0):
-                        out.append(Diagnostic(
-                            DIV_BY_ZERO, "warning", e.loc,
-                            "possible division by zero", cfg.function, UNCONFIRMED))
+        if size is not None:
+            idx = eval_expr(e.index, env)
+            if idx.empty:
+                continue
+            bound = Interval(0, size - 1)
+            if meet(idx, bound).empty:
+                out.append(Diagnostic(
+                    BUFFER_OVERRUN, "error", e.loc,
+                    f"index {idx!r} is outside 'int {e.base.name}[{size}]'",
+                    cfg.function, CONFIRMED))
+            elif not interval_leq(idx, bound):
+                out.append(Diagnostic(
+                    BUFFER_OVERRUN, "warning", e.loc,
+                    f"index {idx!r} may fall outside 'int {e.base.name}[{size}]'",
+                    cfg.function, UNCONFIRMED))
+        else:
+            dv = eval_expr(e.right, env)
+            if dv.empty:
+                continue
+            if dv.is_const() and dv.lo == 0:
+                out.append(Diagnostic(
+                    DIV_BY_ZERO, "error", e.loc,
+                    "division by zero", cfg.function, CONFIRMED))
+            elif dv.contains(0):
+                out.append(Diagnostic(
+                    DIV_BY_ZERO, "warning", e.loc,
+                    "possible division by zero", cfg.function, UNCONFIRMED))
     return out

@@ -17,6 +17,7 @@ rationally but not integrally satisfiable still confirms its diagnostic.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -223,6 +224,7 @@ def _guard_constraint(e: ast.Expr, branch: str, v: _Versions) -> PathConstraint 
 # Fourier-Motzkin over the rationals
 
 DEFAULT_FM_BUDGET = 20_000
+_ZERO = Fraction(0)
 
 
 def feasible(cs: list[PathConstraint], budget: int = DEFAULT_FM_BUDGET) -> FeasibilityVerdict:
@@ -286,7 +288,7 @@ def _coef(c: PathConstraint, var: str) -> Fraction:
     for v, x in c.terms:
         if v == var:
             return x
-    return Fraction(0)
+    return _ZERO
 
 
 def _elim_cost(cs: list[PathConstraint], var: str) -> int:
@@ -409,18 +411,23 @@ DEFAULT_ENUM_BUDGET = 4_000
 
 def enumerate_witnesses(task_kripke, formula: CtlFormula, start: int, limit: int,
                         sat: SatSets | None = None,
-                        budget: int = DEFAULT_ENUM_BUDGET) -> tuple[list[WitnessTrace], bool]:
+                        budget: int = DEFAULT_ENUM_BUDGET,
+                        stop: Callable[[WitnessTrace], bool] | None = None,
+                        ) -> tuple[list[WitnessTrace], bool]:
     """Up to `limit` distinct finite witnesses, shortest first with
     lowest-state-id tie-breaks; second result reports whether enumeration
     ran to exhaustion.  Distinct means differing in at least one edge;
-    idling on self-loops is not a distinct witness.
+    idling on self-loops is not a distinct witness.  `stop(trace)` is
+    called on each witness as it is found; when it returns true, the
+    search ends with that witness last.
     """
     phases: list = []
     entry = _compile_obligations(formula, phases)
     if entry is None:
         return [], False
     sat = sat or check(task_kripke, formula)
-    holds = sat.holds
+    holding = [sat.states(p.prop) if isinstance(p, (_Gate, _Stay, _Accept)) else None
+               for p in phases]
     found: list[WitnessTrace] = []
     seen_traces: set[tuple[int, ...]] = set()
     heap: list[tuple[int, tuple[int, ...], int]] = [(0, (start,), entry)]
@@ -438,12 +445,14 @@ def enumerate_witnesses(task_kripke, formula: CtlFormula, start: int, limit: int
         state = states[-1]
         phase = phases[ph]
         if isinstance(phase, _Accept):
-            if holds(phase.prop, state) and states not in seen_traces:
+            if state in holding[ph] and states not in seen_traces:
                 seen_traces.add(states)
                 found.append(WitnessTrace(states))
+                if stop is not None and stop(found[-1]):
+                    break
             continue
         if isinstance(phase, _Gate):
-            if holds(phase.prop, state):
+            if state in holding[ph]:
                 heapq.heappush(heap, (steps, states, phase.nxt))
             continue
         if isinstance(phase, _Split):
@@ -456,7 +465,7 @@ def enumerate_witnesses(task_kripke, formula: CtlFormula, start: int, limit: int
             continue
         if isinstance(phase, _Stay):
             heapq.heappush(heap, (steps, states, phase.nxt))
-            if holds(phase.prop, state):
+            if state in holding[ph]:
                 for t in task_kripke.succ[state]:
                     if t == state:
                         continue  # product self-loop: idling adds nothing
@@ -480,9 +489,10 @@ def refine_diagnostic(task: CheckTask, cfg: Cfg, max_witnesses: int,
                       ) -> tuple[str, WitnessTrace | None]:
     """Feasibility-filter a satisfied check task.
 
-    Enumerates up to `max_witnesses` distinct traces shortest-first: the
-    first feasible one confirms the diagnostic; if every enumerated trace
-    is infeasible and enumeration was exhaustive or hit the witness budget,
+    Enumerates up to `max_witnesses` distinct traces shortest-first and
+    tests each as it is found: the first feasible one confirms the
+    diagnostic and ends the search; if every enumerated trace is
+    infeasible and enumeration was exhaustive or hit the witness budget,
     the diagnostic is suppressed; any Unknown (or an aborted enumeration)
     downgrades to unconfirmed instead.
     """
@@ -490,17 +500,18 @@ def refine_diagnostic(task: CheckTask, cfg: Cfg, max_witnesses: int,
     assert sat.holds(task.formula, cfg.entry), "refine requires a satisfied task"
     if max_witnesses <= 0:
         return UNCONFIRMED, witness(task.kripke, task.formula, cfg.entry, sat)
+    kinds: list[str] = []
+
+    def is_feasible(trace: WitnessTrace) -> bool:
+        kinds.append(feasible(path_constraints(trace, cfg, global_names)).kind)
+        return kinds[-1] == FEASIBLE
+
     traces, exhausted = enumerate_witnesses(
-        task.kripke, task.formula, cfg.entry, max_witnesses, sat)
+        task.kripke, task.formula, cfg.entry, max_witnesses, sat, stop=is_feasible)
     if not traces:
         return UNCONFIRMED, witness(task.kripke, task.formula, cfg.entry, sat)
-    saw_unknown = False
-    for trace in traces:
-        verdict = feasible(path_constraints(trace, cfg, global_names))
-        if verdict.kind == FEASIBLE:
-            return CONFIRMED, trace
-        if verdict.kind == UNKNOWN:
-            saw_unknown = True
-    if saw_unknown or (not exhausted and len(traces) < max_witnesses):
+    if kinds[-1] == FEASIBLE:
+        return CONFIRMED, traces[-1]
+    if UNKNOWN in kinds or (not exhausted and len(traces) < max_witnesses):
         return UNCONFIRMED, traces[0]
     return SUPPRESSED, None

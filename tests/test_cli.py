@@ -109,7 +109,8 @@ class TestExitCodes:
     def test_internal_error_exits_two(self, ws, capsys, monkeypatch):
         import ctl_lint.intervals
         monkeypatch.setattr(ctl_lint.intervals, "iteration_cap", lambda *args: 0)
-        path = ws("clean.c", CLEAN)
+        # the division makes the interval analysis run
+        path = ws("clean.c", "int half(int a) { return a / 2; }\n")
         code, out, err = run(capsys, "analyze", "--no-cache", path)
         assert code == 2
         assert out == ""

@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from ctl_lint import engine
 from ctl_lint import frontend as F
 from ctl_lint.cfg import build_cfg
 from ctl_lint.engine import (
@@ -270,6 +271,28 @@ class TestCache:
 
 
 class TestAnalyzeUnit:
+    @pytest.mark.parametrize("src, runs", [
+        ("int add(int a, int b) { return a + b; }\n", 0),
+        ("int f(int a[4], int i) { return a[i]; }", 1),
+        ("int g[4];\nint f(int i) { g[i] = 1; return 0; }", 1),
+        ("int f(int i) { int a[2]; a[0] = i; return a[0]; }", 1),
+        ("int f(int x) { return 10 / x; }", 1),
+        ("int f(int x) { return 10 % x; }", 1),
+        ("int f(int *p) { return p[1]; }", 0),
+    ], ids=["clean", "array-param", "array-global", "array-local", "division",
+            "modulo", "pointer-index"])
+    def test_intervals_only_where_a_check_can_fire(self, monkeypatch, src, runs):
+        calls = []
+        real = engine.interval_analyze
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(engine, "interval_analyze", counting)
+        analyze(src)
+        assert len(calls) == runs
+
     def test_records_only_for_fresh_functions(self, tmp_path):
         src = "int f() { return 1; }\nint g() { return f(); }\n"
         db = CacheDb(str(tmp_path / "c.db"))

@@ -4,14 +4,18 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from ctl_lint import engine, refine
 from ctl_lint import frontend as F
 from ctl_lint.cfg import FALSE, TRUE, build_cfg
-from ctl_lint.ctl import WitnessTrace, check
+from ctl_lint.ctl import WitnessTrace, check, witness
 from ctl_lint.refine import (
-    EQ, LE, LT, Feasible, Infeasible, _constraint, enumerate_witnesses,
-    feasible, path_constraints, refine_diagnostic,
+    CONFIRMED, EQ, FEASIBLE, LE, LT, SUPPRESSED, UNCONFIRMED, UNKNOWN, Feasible,
+    FeasibilityVerdict, Infeasible, _constraint, enumerate_witnesses, feasible,
+    path_constraints, refine_diagnostic,
 )
 from ctl_lint.speclang import instantiate, label_index, load_builtin_checks
+from fixtures_bugs import FIXTURES
+from program_gen import generate_program
 
 CHECKS = {c.id: c for c in load_builtin_checks()}
 
@@ -230,6 +234,32 @@ int f(int *p, int x) {
         verdict, trace = refine_diagnostic(task, g, 5, sat=sat)
         assert verdict == "suppressed" and trace is None
 
+    def test_unknown_verdict_keeps_unconfirmed(self, monkeypatch):
+        # the contradictory-guards task, whose witnesses are all infeasible,
+        # with Fourier-Motzkin giving up on the first one
+        src = """
+int f(int *p, int x) {
+  free(p);
+  if (x > 0) {
+    if (x < 0) {
+      free(p);
+    }
+  }
+  return 0;
+}
+"""
+        task, g, sat = _satisfied_task(src, "double-free")
+        traces, _ = enumerate_witnesses(task.kripke, task.formula, g.entry, 5, sat)
+        real = refine.feasible
+        calls = []
+
+        def first_unknown(cs, *args):
+            calls.append(cs)
+            return FeasibilityVerdict(UNKNOWN, "budget") if len(calls) == 1 else real(cs, *args)
+
+        monkeypatch.setattr(refine, "feasible", first_unknown)
+        assert refine_diagnostic(task, g, 5, sat=sat) == (UNCONFIRMED, traces[0])
+
     def test_zero_budget_keeps_unconfirmed(self):
         task, g, sat = _satisfied_task(
             "int f(int *p) { free(p); free(p); return 0; }", "double-free")
@@ -283,3 +313,93 @@ class TestEnumeration:
         traces, exhausted = enumerate_witnesses(task.kripke, task.formula, g.entry, 10, sat)
         assert exhausted
         assert len(traces) == 1  # idling on the exit loop is not a new witness
+
+
+def _reference_refine(task, cfg, max_witnesses, global_names, sat, known):
+    """The verdict rule applied to the full `enumerate_witnesses` list: the
+    first feasible trace confirms; all infeasible suppresses unless some
+    verdict was Unknown or the search stopped short of the budget.
+    `known` maps constraint tuples to verdicts already computed."""
+    traces, exhausted = enumerate_witnesses(
+        task.kripke, task.formula, cfg.entry, max_witnesses, sat)
+    if not traces:
+        return UNCONFIRMED, witness(task.kripke, task.formula, cfg.entry, sat)
+    saw_unknown = False
+    for trace in traces:
+        cs = tuple(path_constraints(trace, cfg, global_names))
+        kind = (known[cs] if cs in known else feasible(list(cs))).kind
+        if kind == FEASIBLE:
+            return CONFIRMED, trace
+        saw_unknown |= kind == UNKNOWN
+    if saw_unknown or (not exhausted and len(traces) < max_witnesses):
+        return UNCONFIRMED, traces[0]
+    return SUPPRESSED, None
+
+
+@pytest.fixture(scope="module")
+def pin_tasks():
+    """(task, cfg, global_names, sat) of every refine call the engine makes
+    on the first 50 generated programs and the 48 bug fixtures."""
+    calls = []
+    real = engine.refine_diagnostic
+
+    def recording(task, cfg, budget, global_names, sat):
+        calls.append((task, cfg, global_names, sat))
+        return real(task, cfg, budget, global_names, sat)
+
+    sources = ([(f"gen{seed}.c", generate_program(seed)) for seed in range(50)]
+               + [(f"{fx.name}.c", fx.source) for fx in FIXTURES])
+    config = engine.EngineConfig(checkset_text="builtin", max_witnesses=1)
+    checks = load_builtin_checks()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "refine_diagnostic", recording)
+        for name, src in sources:
+            engine.analyze_unit(F.parse(src, name), checks, None, config)
+    return calls
+
+
+@pytest.mark.parametrize("max_witnesses", [1, 5, 300])
+def test_refine_matches_full_enumeration_reference(pin_tasks, monkeypatch, max_witnesses):
+    # feasible() is a pure function of its constraints, so the reference
+    # reuses the verdicts refine_diagnostic computed instead of repeating
+    # the Fourier-Motzkin work
+    known = {}
+    real = refine.feasible
+
+    def recording(cs, *args):
+        verdict = known[tuple(cs)] = real(cs, *args)
+        return verdict
+
+    monkeypatch.setattr(refine, "feasible", recording)
+    verdicts = set()
+    for task, cfg, global_names, sat in pin_tasks:
+        got = refine_diagnostic(task, cfg, max_witnesses, global_names, sat)
+        want = _reference_refine(task, cfg, max_witnesses, global_names, sat, known)
+        assert got == want, (cfg.function, task.check.id, task.bound_var)
+        verdicts.add(got[0])
+    assert verdicts >= {CONFIRMED, SUPPRESSED}, verdicts
+
+
+def test_refine_stops_at_first_feasible_witness(monkeypatch):
+    src = "int f(int *p, int c) { free(p); if (c) { free(p); } else { free(p); } return 0; }"
+    task, g, sat = _satisfied_task(src, "double-free")
+    traces, _ = enumerate_witnesses(task.kripke, task.formula, g.entry, 5, sat)
+    assert len(traces) == 2
+    assert feasible(path_constraints(traces[0], g)) == Feasible
+    enumerated, fm_calls = [], []
+    real_enum, real_feasible = refine.enumerate_witnesses, refine.feasible
+
+    def counting_enum(*args, **kwargs):
+        result = real_enum(*args, **kwargs)
+        enumerated.append(len(result[0]))
+        return result
+
+    def counting_feasible(*args, **kwargs):
+        fm_calls.append(1)
+        return real_feasible(*args, **kwargs)
+
+    monkeypatch.setattr(refine, "enumerate_witnesses", counting_enum)
+    monkeypatch.setattr(refine, "feasible", counting_feasible)
+    assert refine_diagnostic(task, g, 5, sat=sat) == (CONFIRMED, traces[0])
+    assert enumerated == [1]
+    assert len(fm_calls) == 1

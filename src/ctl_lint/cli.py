@@ -20,7 +20,6 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from importlib import resources
 
 from .cfg import build_cfg, to_dot
 from .diagnostics import Diagnostic, diagnostic_to_json_obj, meets_min_severity
@@ -29,7 +28,7 @@ from .engine import (
 )
 from .frontend import ParseError, TranslationUnit, parse_bytes
 from .intervals import BUFFER_OVERRUN, DIV_BY_ZERO
-from .speclang import CheckSpec, SpecError, parse_checks
+from .speclang import CheckSpec, SpecError, load_checkset
 
 DEFAULT_DB = ".ctl-lint.db"
 DB_ENV_VAR = "CTL_LINT_DB"
@@ -105,22 +104,6 @@ def render_summary(ds: list[Diagnostic], counters: Counters) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_checkset(spec_paths: list[str]) -> tuple[list[CheckSpec], str]:
-    builtin_text = resources.files("ctl_lint").joinpath("builtin.chk").read_text("utf-8")
-    texts = [builtin_text]
-    checks = parse_checks(builtin_text, "builtin.chk")
-    for path in spec_paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        texts.append(text)
-        checks.extend(parse_checks(text, path))
-    ids = [c.id for c in checks]
-    for c in checks:
-        if ids.count(c.id) > 1:
-            raise SpecError(c.loc, f"duplicate check id '{c.id}' across spec files")
-    return checks, "\n\x00\n".join(texts)
-
-
 def _known_check_ids(checks: list[CheckSpec]) -> set[str]:
     return {c.id for c in checks} | {BUFFER_OVERRUN, DIV_BY_ZERO}
 
@@ -178,7 +161,7 @@ class UsageError(Exception):
 
 
 def _cmd_list_checks(spec_paths: list[str]) -> int:
-    checks, _ = _load_checkset(spec_paths)
+    checks, _ = load_checkset(spec_paths)
     for c in checks:
         refine = "refine" if c.refine else "no-refine"
         print(f"{c.id:<16} {c.severity:<8} forall {c.metavar}: {c.var_class:<8} {refine}")
@@ -210,7 +193,7 @@ def _analyze_file(path: str) -> tuple[list[Diagnostic], Counters, list[tuple[str
 
 
 def _cmd_analyze(cfg: RunConfig) -> int:
-    checks, checkset_text = _load_checkset(cfg.spec_paths)
+    checks, checkset_text = load_checkset(cfg.spec_paths)
     if cfg.check_ids is not None:
         unknown = cfg.check_ids - _known_check_ids(checks)
         if unknown:

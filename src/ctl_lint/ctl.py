@@ -309,12 +309,6 @@ class WitnessTrace:
     def kind(self) -> str:
         return "lasso" if self.cycle_start is not None else "finite-path"
 
-    def edge_list(self) -> list[tuple[int, int]]:
-        edges = list(zip(self.states, self.states[1:]))
-        if self.cycle_start is not None:
-            edges.append((self.states[-1], self.states[self.cycle_start]))
-        return edges
-
 
 def is_propositional(f: CtlFormula) -> bool:
     if isinstance(f, (TrueF, Prop)):

@@ -16,9 +16,11 @@ store and returns the records it would add; its caller writes them.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass
 
@@ -83,15 +85,12 @@ def pessimistic_summary(f: FunctionDef) -> FunctionSummary:
     return FunctionSummary(f.name, may_return_null=True)
 
 
-def call_order(cfgs: dict[str, Cfg]) -> tuple[list[str], set[str], dict[str, list[str]]]:
+def call_order(functions: list[FunctionDef]) -> tuple[list[str], set[str], dict[str, list[str]]]:
     """Bottom-up (callees first) processing order, the set of functions
     involved in recursion (via Tarjan SCCs), and each function's sorted
     direct callees within the unit."""
-    callees: dict[str, list[str]] = {}
-    for name, cfg in cfgs.items():
-        called = {e.name for node in cfg.nodes for root in node.roots for e in ast.walk(root)
-                  if isinstance(e, ast.Call) and e.name in cfgs}
-        callees[name] = sorted(called)
+    names = {f.name for f in functions}
+    callees = {f.name: sorted(names.intersection(f.calls)) for f in functions}
 
     index: dict[str, int] = {}
     low: dict[str, int] = {}
@@ -139,9 +138,9 @@ def call_order(cfgs: dict[str, Cfg]) -> tuple[list[str], set[str], dict[str, lis
                     cyclic.update(scc)
                 order.extend(sorted(scc))
 
-    for n in cfgs:
-        if n not in index:
-            strongconnect(n)
+    for f in functions:
+        if f.name not in index:
+            strongconnect(f.name)
     return order, cyclic, callees
 
 
@@ -334,10 +333,7 @@ class CacheDb:
             return
         self._entries[key] = payload
         if self._needs_rewrite:
-            with open(self.path, "wb") as fh:
-                fh.write((CACHE_HEADER + "\n").encode("utf-8") + b"".join(
-                    f"{k} {len(v)}\n".encode("utf-8") + v + b"\n"
-                    for k, v in self._entries.items()))
+            self._rewrite()
             self._needs_rewrite = False
             return
         record = f"{key} {len(payload)}\n".encode("utf-8") + payload + b"\n"
@@ -348,6 +344,25 @@ class CacheDb:
                 fh.write(record)
         except FileNotFoundError:
             raise OSError(f"cache path is not writable: {self.path}")
+
+    def _rewrite(self) -> None:
+        """Replace the store with every held record.  The records go to a
+        temporary file in the same directory, which is synced and then
+        renamed over the store, so a crash leaves the old file or the new
+        one, never a truncated one."""
+        tmp = f"{self.path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write((CACHE_HEADER + "\n").encode("utf-8") + b"".join(
+                    f"{k} {len(v)}\n".encode("utf-8") + v + b"\n"
+                    for k, v in self._entries.items()))
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, self.path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
 
 
 def canonical_json(obj) -> str:
@@ -556,10 +571,10 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
         raise AnalysisError(errors)
     counters = counters if counters is not None else Counters()
     funcs = {f.name: f for f in tu.functions}
-    cfgs = {f.name: build_cfg(f) for f in tu.functions}
     globals_text = canonical_json([_global_sig(g) for g in tu.globals])
-    order, cyclic, callees = call_order(cfgs)
+    order, cyclic, callees = call_order(tu.functions)
 
+    cfgs: dict[str, Cfg] = {}  # only functions the cache misses need one
     summaries: dict[str, FunctionSummary] = {}
     keys: dict[str, str] = {}
     cached_entries: dict[str, dict] = {}
@@ -576,11 +591,12 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
             counters.cache_hits += 1
             continue
         counters.cache_misses += 1
+        cfg = cfgs[name] = build_cfg(funcs[name])
         if name in cyclic:  # no index yet: its cycle is not summarized yet
             summaries[name] = pessimistic_summary(funcs[name])
         else:
-            indexes[name] = label_index(cfgs[name], apply_summaries(cfgs[name], summaries))
-            summaries[name] = compute_summary(funcs[name], cfgs[name], summaries, indexes[name])
+            indexes[name] = label_index(cfg, apply_summaries(cfg, summaries))
+            summaries[name] = compute_summary(funcs[name], cfg, summaries, indexes[name])
 
     all_diags: list[Diagnostic] = []
     records: list[tuple[str, dict]] = []

@@ -226,6 +226,7 @@ class FunctionDef:
     loc: SourceLocation
     end_loc: SourceLocation  # closing brace
     source_text: str  # exact source slice, used for content hashing
+    calls: set[str]  # every name the body calls, builtins and unknown names too
 
 
 @dataclass(eq=False)
@@ -244,7 +245,7 @@ def _at(node, loc: SourceLocation):
 # Scanner (shared with the .chk language in speclang)
 
 class Token(NamedTuple):
-    kind: str  # the name of the pattern group that matched, 'keyword' or 'eof'
+    kind: str  # the name of the pattern group that matched, or 'eof'
     text: str
     loc: SourceLocation
     offset: int
@@ -261,6 +262,10 @@ def tokenize(pattern: re.Pattern, source: str, file: str) -> list[Token]:
     The list ends with an `eof` token, or with the first `error` token:
     scanning stops there, and the caller reports it.
     """
+    # tuple.__new__ builds the same Token and SourceLocation values as
+    # their constructors, without a Python-level NamedTuple.__new__ call
+    # for each one
+    new = tuple.__new__
     tokens: list[Token] = []
     append = tokens.append
     line, line_start = 1, 0
@@ -274,7 +279,8 @@ def tokenize(pattern: re.Pattern, source: str, file: str) -> list[Token]:
                 line += newlines
                 line_start = start + text.rindex("\n") + 1
         else:
-            append(Token(kind, m.group(), SourceLocation(file, line, start - line_start + 1), start))
+            append(new(Token, (kind, m.group(),
+                               new(SourceLocation, (file, line, start - line_start + 1)), start)))
             if kind == "error":
                 return tokens
     end = len(source)
@@ -295,17 +301,27 @@ _UNSUPPORTED_KEYWORDS = {
     "auto", "register", "inline",
 }
 
+
+def _words(words) -> str:
+    """A pattern matching exactly one of `words` as a whole name."""
+    return "(?:" + "|".join(sorted(words)) + ")(?![A-Za-z0-9_])"
+
+
 # ASCII classes only: str.isdigit/isalpha and \d/\w also accept characters
-# such as '²' that int() and the rest of the pipeline reject.  An `error`
-# match is the first character that starts no token, or one of the longer
-# rejections: an unterminated comment (the `/(?!\*)` keeps its `/*` from
-# scanning as a division) and a number run into a name.
+# such as '²' that int() and the rest of the pipeline reject.  Keywords
+# scan as their own kind.  An `error` match is the first character that
+# starts no token, or one of the longer rejections: an unsupported keyword
+# (`ident` declines it), an unterminated comment (the `/(?!\*)` keeps its
+# `/*` from scanning as a division) and a number run into a name.  So
+# scanning stops at the first rejected token, and `_lex` reads only the
+# last one.
 _MINIC_TOKENS = re.compile(r"""
     (?P<skip> [ \t\n\r\f\v]+ | //[^\n]* | /\*.*?\*/ )
-  | (?P<ident> [A-Za-z_][A-Za-z0-9_]* )
+  | (?P<keyword> """ + _words(_KEYWORDS) + r""" )
+  | (?P<ident> (?!""" + _words(_UNSUPPORTED_KEYWORDS) + r""")[A-Za-z_][A-Za-z0-9_]* )
   | (?P<int> [0-9]+(?![0-9A-Za-z_]) )
   | (?P<punct> <= | >= | == | != | && | \|\| | \+\+ | -- | /(?!\*) | [-+*%<>=!&|(){}\[\],;] )
-  | (?P<error> /\* | [0-9]+[A-Za-z_] | . )
+  | (?P<error> /\* | [0-9]+[A-Za-z_] | [A-Za-z_][A-Za-z0-9_]* | . )
 """, re.VERBOSE | re.DOTALL)
 
 _LEX_ERRORS = {
@@ -318,18 +334,15 @@ _LEX_ERRORS = {
 
 def _lex(source: str, file: str) -> list[Token]:
     tokens = tokenize(_MINIC_TOKENS, source, file)
-    for i, (kind, text, loc, offset) in enumerate(tokens):
-        if kind == "ident":
-            if text in _KEYWORDS:
-                tokens[i] = Token("keyword", text, loc, offset)
-            elif text in _UNSUPPORTED_KEYWORDS:
-                raise ParseError(loc, f"'{text}' is not supported in this C subset")
-        elif kind == "error":
-            if text in _LEX_ERRORS:
-                raise ParseError(loc, _LEX_ERRORS[text])
-            # a number run into a name, or one character that starts no token
-            what = "malformed number" if len(text) > 1 else "unexpected character"
-            raise ParseError(loc, f"{what} {text!r}")
+    kind, text, loc, _ = tokens[-1]
+    if kind == "error":
+        if text in _UNSUPPORTED_KEYWORDS:
+            raise ParseError(loc, f"'{text}' is not supported in this C subset")
+        if text in _LEX_ERRORS:
+            raise ParseError(loc, _LEX_ERRORS[text])
+        # a number run into a name, or one character that starts no token
+        what = "malformed number" if len(text) > 1 else "unexpected character"
+        raise ParseError(loc, f"{what} {text!r}")
     return tokens
 
 
@@ -357,9 +370,13 @@ class _Parser:
         self.pos = 0
         self.loop_depth = 0
         self.depth = 0  # syntax-tree levels open above the current token
+        self.calls: set[str] = set()  # names called in the current top-level declaration
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    # `next` never moves past the final `eof` token, so the current token
+    # is always `self.tokens[self.pos]`.
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -368,7 +385,7 @@ class _Parser:
         return tok
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.text == text and tok.kind in ("punct", "keyword")
 
     def accept(self, text: str) -> Token | None:
@@ -377,8 +394,8 @@ class _Parser:
         return None
 
     def expect(self, text: str, what: str | None = None) -> Token:
-        tok = self.peek()
         if not self.at(text):
+            tok = self.peek()
             found = repr(tok.text) if tok.kind != "eof" else "end of input"
             raise ParseError(tok.loc, f"expected '{text}'{' ' + what if what else ''}, found {found}")
         return self.next()
@@ -402,6 +419,7 @@ class _Parser:
         globals_: list[VarDecl] = []
         seen_funcs: set[str] = set()
         while self.peek().kind != "eof":
+            self.calls = set()
             tok = self.peek()
             if tok.text not in ("int", "void"):
                 raise ParseError(tok.loc, f"expected 'int' or 'void' at top level, found {tok.text!r}")
@@ -429,7 +447,8 @@ class _Parser:
         self.expect("(")
         params: list[Param] = []
         seen: set[str] = set()
-        if self.at("void") and self.peek(1).text == ")":
+        # the current token is `void`, not `eof`, so a next token exists
+        if self.at("void") and self.tokens[self.pos + 1].text == ")":
             self.next()
         elif not self.at(")"):
             while True:
@@ -443,8 +462,8 @@ class _Parser:
         body = self._block()
         end_tok = self.tokens[self.pos - 1]  # closing brace of the body
         src = self.source[start_tok.offset:end_tok.offset + 1]
-        return FunctionDef(name_tok.text, params, ret, body,
-                           loc=start_tok.loc, end_loc=end_tok.loc, source_text=src)
+        return FunctionDef(name_tok.text, params, ret, body, loc=start_tok.loc,
+                           end_loc=end_tok.loc, source_text=src, calls=self.calls)
 
     def _param(self) -> Param:
         tok = self.expect("int", "in parameter")
@@ -679,6 +698,7 @@ class _Parser:
                 want = _FIXED_ARITY_CALLS.get(tok.text)
                 if want is not None and len(args) != want:
                     raise ParseError(tok.loc, f"'{tok.text}' takes exactly {want} argument")
+                self.calls.add(tok.text)
                 return _at(Call(tok.text, args), tok.loc)
             return _at(Var(tok.text), tok.loc)
         found = repr(tok.text) if tok.kind != "eof" else "end of input"

@@ -25,6 +25,7 @@ Grammar of `.chk` files (# starts a line comment):
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
 
@@ -307,9 +308,22 @@ def parse_check(text: str, file: str = "<checks>") -> CheckSpec:
     return checks[0]
 
 
-def load_builtin_checks() -> list[CheckSpec]:
-    text = resources.files(__package__).joinpath("builtin.chk").read_text("utf-8")
-    return parse_checks(text, "builtin.chk")
+def load_checkset(spec_paths: Sequence[str] = ()) -> tuple[list[CheckSpec], str]:
+    """The builtin checks followed by those of each spec file, and the text
+    of all of them, which cache keys hash.  Check ids must be unique."""
+    builtin_text = resources.files(__package__).joinpath("builtin.chk").read_text("utf-8")
+    texts = [builtin_text]
+    checks = parse_checks(builtin_text, "builtin.chk")
+    for path in spec_paths:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        texts.append(text)
+        checks.extend(parse_checks(text, path))
+    ids = [c.id for c in checks]
+    for c in checks:
+        if ids.count(c.id) > 1:
+            raise SpecError(c.loc, f"duplicate check id '{c.id}' across spec files")
+    return checks, "\n\x00\n".join(texts)
 
 
 # ---------------------------------------------------------------------------

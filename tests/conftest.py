@@ -4,12 +4,12 @@ import pytest
 
 from ctl_lint import frontend
 from ctl_lint.engine import Counters, EngineConfig, analyze_unit
-from ctl_lint.speclang import load_builtin_checks
+from ctl_lint.speclang import load_checkset
 
 
 @pytest.fixture(scope="session")
 def builtin_checks():
-    return load_builtin_checks()
+    return load_checkset()[0]
 
 
 @pytest.fixture

@@ -148,8 +148,16 @@ def _au_bounded(k, left, right, s, d, memo) -> bool:
 # ---------------------------------------------------------------------------
 # Witness validation
 
+def edge_list(trace: WitnessTrace) -> list[tuple[int, int]]:
+    """The trace's transitions, a lasso's closing one last."""
+    edges = list(zip(trace.states, trace.states[1:]))
+    if trace.cycle_start is not None:
+        edges.append((trace.states[-1], trace.states[trace.cycle_start]))
+    return edges
+
+
 def edge_valid(k: KripkeStructure, trace: WitnessTrace) -> bool:
-    for a, b in trace.edge_list():
+    for a, b in edge_list(trace):
         if b not in k.succ[a]:
             return False
     return True

@@ -25,7 +25,7 @@ from ctl_lint.ctl import EF, EU, EX, And, Not, Or, Prop, check, is_witnessable, 
 from ctl_lint.engine import CacheDb, Counters, EngineConfig, analyze_unit
 from ctl_lint.cfg import KripkeStructure
 from ctl_lint.intervals import analyze as interval_analyze, iteration_cap
-from ctl_lint.speclang import CheckTask, load_builtin_checks, parse_check
+from ctl_lint.speclang import CheckTask, load_checkset, parse_check
 from fixtures_bugs import FIXTURES
 from minic_interp import Interpreter
 from oracle_ctl import (
@@ -33,7 +33,7 @@ from oracle_ctl import (
 )
 from program_gen import ProgramGen, generate_program
 
-CHECKS = load_builtin_checks()
+CHECKS, BUILTIN_TEXT = load_checkset()
 
 
 @contextmanager
@@ -253,7 +253,7 @@ def test_criterion_7_determinism_and_cache_transparency(tmp_path, capsys):
 
         # an edit re-analyzes only the edited function plus summary-dependent
         # callers
-        config = EngineConfig(checkset_text=open_checkset_text(), max_witnesses=5)
+        config = EngineConfig(checkset_text=BUILTIN_TEXT, max_witnesses=5)
         db2 = CacheDb(str(tmp_path / "e.db"))
 
         def analyze_stored(src, counters=None):
@@ -272,11 +272,6 @@ def test_criterion_7_determinism_and_cache_transparency(tmp_path, capsys):
         analyze_stored(edited2, c2)
         # helper changed and f depends on helper's summary; compute stays cached
         assert c2.cache_misses == 2 and c2.cache_hits == 1
-
-
-def open_checkset_text() -> str:
-    from importlib import resources
-    return resources.files("ctl_lint").joinpath("builtin.chk").read_text("utf-8")
 
 
 def _throughput_tasks() -> list[CheckTask]:

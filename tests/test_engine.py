@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import logging
 import os
 import pickle
@@ -13,9 +14,9 @@ from ctl_lint.engine import (
     CACHE_HEADER, CacheDb, Counters, EngineConfig, FunctionSummary,
     AnalysisError, analyze_unit, apply_summaries, cache_key, call_order,
 )
-from ctl_lint.speclang import SpecError, label_index, load_builtin_checks
+from ctl_lint.speclang import SpecError, label_index, load_checkset
 
-CHECKS = load_builtin_checks()
+CHECKS, _ = load_checkset()
 CONFIG = EngineConfig(checkset_text="builtin")
 
 
@@ -86,9 +87,28 @@ class TestSummaries:
                "int mid() { return leaf(); }\n"
                "int top() { return mid(); }\n")
         tu = F.parse(src, "a.c")
-        order, cyclic, _ = call_order({f.name: build_cfg(f) for f in tu.functions})
+        order, cyclic, _ = call_order(tu.functions)
         assert order.index("leaf") < order.index("mid") < order.index("top")
         assert cyclic == set()
+
+    def test_recorded_calls_match_the_cfg(self):
+        # the callees the parser records are the calls under the CFG nodes'
+        # roots, unreachable code, conditions and for headers included
+        from fixtures_bugs import FIXTURES
+        from program_gen import generate_program
+        sources = [generate_program(seed) for seed in range(200)]
+        sources += [fixture.source for fixture in FIXTURES]
+        sources.append("int g(int x) { return x; }\n"
+                       "int f(int n) { for (n = g(1); g(n) && !g(2); n = g(n)) { } "
+                       "return 0; g(3); while (g(4)) { } }\n")
+        for src in sources:
+            tu = F.parse(src, "a.c")
+            names = {f.name for f in tu.functions}
+            _, _, callees = call_order(tu.functions)
+            for f in tu.functions:
+                under_roots = {e.name for node in build_cfg(f).nodes for root in node.roots
+                               for e in F.walk(root) if isinstance(e, F.Call) and e.name in names}
+                assert callees[f.name] == sorted(under_roots), (src, f.name)
 
 
 class TestApplySummaries:
@@ -251,6 +271,59 @@ class TestCache:
         text = open(db_path).read()
         assert text.startswith(CACHE_HEADER)
 
+    def test_bad_header_file_is_replaced_by_a_valid_one(self, tmp_path):
+        db_file = tmp_path / "c.db"
+        db_file.write_text("not a cache\n")
+        inode = db_file.stat().st_ino
+        db = CacheDb(str(db_file))
+        db.put("a" * 64, {"x": 1})  # rewrites the store
+        db.put("b" * 64, {"x": 2})  # appends to the new one
+        assert db_file.stat().st_ino != inode  # renamed over, not truncated
+        assert db_file.read_bytes().startswith((CACHE_HEADER + "\n").encode())
+        loaded = CacheDb(str(db_file))
+        assert (loaded.get("a" * 64), loaded.get("b" * 64)) == ({"x": 1}, {"x": 2})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.db"]
+
+    def test_failed_rewrite_keeps_the_old_store(self, tmp_path, monkeypatch):
+        db_file = tmp_path / "c.db"
+        db = CacheDb(str(db_file))
+        db.put("a" * 64, {"x": 1})
+        db.put("b" * 64, {"x": 2})
+        with open(db_file, "ab") as fh:
+            fh.write(b"garbage\n")  # a corrupt tail: the next store rewrites
+        old = db_file.read_bytes()
+
+        class HalfWriter:
+            """A file that fails with a full disk halfway through a write."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            fh = open(path, mode, *args, **kwargs)
+            return HalfWriter(fh) if "w" in mode else fh
+
+        db = CacheDb(str(db_file))
+        monkeypatch.setattr(engine, "open", failing_open, raising=False)
+        with pytest.raises(OSError):
+            db.put("c" * 64, {"x": 3})
+        monkeypatch.undo()
+        assert db_file.read_bytes() == old
+        loaded = CacheDb(str(db_file))
+        assert (loaded.get("a" * 64), loaded.get("b" * 64)) == ({"x": 1}, {"x": 2})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.db"]
+
     def test_record_format(self, tmp_path):
         db_path = str(tmp_path / "c.db")
         analyze("int f() { return 1; }\n", CacheDb(db_path))
@@ -302,6 +375,34 @@ class TestAnalyzeUnit:
         db.put(*records[0])
         _, again = analyze_unit(F.parse(src, "a.c"), CHECKS, db, CONFIG)
         assert again == records[1:]
+
+    def test_cache_hits_build_no_cfg(self, monkeypatch, tmp_path):
+        built = []
+        real = engine.build_cfg
+
+        def counting(f):
+            built.append(f.name)
+            return real(f)
+
+        monkeypatch.setattr(engine, "build_cfg", counting)
+        src = ("int f() { return 1; }\nint g() { return f(); }\n"
+               "int h(int *p) { free(p); return g(); }\n")
+        db_path = str(tmp_path / "c.db")
+        analyze(src, CacheDb(db_path))
+        assert sorted(built) == ["f", "g", "h"]
+        built.clear()
+        c = Counters()
+        analyze(src, CacheDb(db_path), c)
+        assert built == [] and c.cache_hits == 3
+        c = Counters()
+        analyze(src.replace("return 1", "return 2"), CacheDb(db_path), c)
+        # a body edit that keeps f's summary: only f misses
+        assert built == ["f"] and c.cache_misses == 1
+        built.clear()
+        c = Counters()
+        analyze(src.replace("return 1", "return 0"), CacheDb(db_path), c)
+        # f may now return null, which changes the summaries g and h see
+        assert built == ["f", "g", "h"] and c.cache_misses == 3
 
     def test_label_index_built_once_per_function(self, monkeypatch):
         import ctl_lint.engine as engine

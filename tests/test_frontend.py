@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctl_lint import frontend as F
 from ctl_lint import speclang as S
+from fixtures_bugs import FIXTURES
 from program_gen import generate_program
 
 
@@ -95,6 +99,56 @@ class TestParse:
         with pytest.raises(F.ParseError) as exc:
             parse(src)
         assert needle in exc.value.message
+
+
+# the FunctionDef fields the digest covers; `calls` is pinned in test_engine
+_FUNCTION_FIELDS = ("name", "params", "return_type", "body", "loc", "end_loc", "source_text")
+
+
+def _dump(node):
+    """Every node's type, fields and location, locations typed as such."""
+    if isinstance(node, list):
+        return [_dump(x) for x in node]
+    if isinstance(node, F.SourceLocation):
+        return (type(node).__name__, *node)
+    if isinstance(node, (F.Expr, F.Stmt, F.Param, F.FunctionDef, F.TranslationUnit)):
+        names = [f.name for f in dataclasses.fields(node)]
+        if isinstance(node, F.FunctionDef):
+            names = [n for n in names if n in _FUNCTION_FIELDS]
+        return (type(node).__name__, *((n, _dump(getattr(node, n))) for n in names))
+    return node  # str, int, MiniCType or None
+
+
+class TestParserPin:
+    """The parser, pinned node for node: `structurally_equal` ignores
+    locations, so this digest is what holds every `loc` in place."""
+
+    def test_ast_digest(self):
+        sources = [generate_program(seed) for seed in range(200)]
+        sources += [fixture.source for fixture in FIXTURES]
+        rows = [repr(_dump(F.parse(src, "a.c"))) for src in sources]
+        digest = hashlib.sha256("\n".join(rows).encode("utf-8")).hexdigest()
+        assert digest == "0b3953cf866401f9b4d15a59809bf73b87ebf82291b329376c78ac260fd2b28c"
+
+    @pytest.mark.parametrize("src,error", [
+        ("int", "a.c:1:4: expected a name, found end of input"),
+        ("int *", "a.c:1:6: expected a name, found end of input"),
+        ("int f(", "a.c:1:7: expected 'int' in parameter, found end of input"),
+        ("int f(void", "a.c:1:7: expected 'int' in parameter, found 'void'"),
+        ("int f(int a", "a.c:1:12: expected ')', found end of input"),
+        ("int f() {", "a.c:1:10: expected '}' before end of input"),
+        ("int f() { return x", "a.c:1:19: expected ';', found end of input"),
+        ("int f() { a[1 }", "a.c:1:15: expected ']', found '}'"),
+        ("int f() { g(1,", "a.c:1:15: expected an expression, found end of input"),
+        ("int f() { int a[", "a.c:1:17: expected array size"),
+        ("int f() { for (;", "a.c:1:17: expected an expression, found end of input"),
+        ("int f() { x++", "a.c:1:14: expected ';', found end of input"),
+        ("int x =", "a.c:1:8: expected an expression, found end of input"),
+    ])
+    def test_rejections_at_end_of_input(self, src, error):
+        with pytest.raises(F.ParseError) as exc:
+            parse(src)
+        assert str(exc.value) == error
 
 
 class TestWellFormed:

@@ -13,11 +13,11 @@ from ctl_lint.refine import (
     FeasibilityVerdict, Infeasible, _constraint, enumerate_witnesses, feasible,
     path_constraints, refine_diagnostic,
 )
-from ctl_lint.speclang import instantiate, label_index, load_builtin_checks
+from ctl_lint.speclang import instantiate, label_index, load_checkset
 from fixtures_bugs import FIXTURES
 from program_gen import generate_program
 
-CHECKS = {c.id: c for c in load_builtin_checks()}
+CHECKS = {c.id: c for c in load_checkset()[0]}
 
 
 def cfg_of(src: str, idx: int = 0):
@@ -350,7 +350,7 @@ def pin_tasks():
     sources = ([(f"gen{seed}.c", generate_program(seed)) for seed in range(50)]
                + [(f"{fx.name}.c", fx.source) for fx in FIXTURES])
     config = engine.EngineConfig(checkset_text="builtin", max_witnesses=1)
-    checks = load_builtin_checks()
+    checks, _ = load_checkset()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "refine_diagnostic", recording)
         for name, src in sources:

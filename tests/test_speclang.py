@@ -7,7 +7,7 @@ from ctl_lint.cfg import build_cfg
 from ctl_lint.ctl import EF, EU, EX, And, Not, Prop, props_of
 from ctl_lint.speclang import (
     SpecError, candidate_variables, instantiate, label_index,
-    load_builtin_checks, node_facts, parse_check, parse_checks,
+    load_checkset, node_facts, parse_check, parse_checks,
 )
 
 DOUBLE_FREE = """
@@ -89,7 +89,7 @@ check t { severity: info forall $v: any
         assert spec.prop == want
 
     def test_builtin_catalog_loads(self):
-        checks = load_builtin_checks()
+        checks, _ = load_checkset()
         assert [c.id for c in checks] == [
             "null-deref", "memory-leak", "use-after-free", "double-free",
             "uninit-read", "dead-code"]

@@ -100,6 +100,16 @@ class Cfg:
         return out
 
     @cached_property
+    def kripke_succ(self) -> list[list[int]]:
+        """Sorted successor ids, with a self-loop where there is none
+        (the exit), which makes the relation total."""
+        return [sorted({b for b, _ in outs}) or [a] for a, outs in enumerate(self.succ)]
+
+    @cached_property
+    def kripke_pred(self) -> list[list[int]]:
+        return predecessors(self.kripke_succ)
+
+    @cached_property
     def unreachable(self) -> frozenset[int]:
         seen = {self.entry}
         stack = [self.entry]
@@ -275,59 +285,44 @@ def build_cfg(f: FunctionDef) -> Cfg:
 class KripkeStructure:
     """Finite transition system with a total transition relation.
 
-    States are the dense CFG node ids; `succ[s]` is the sorted successor
-    list and `labels[s]` the atomic propositions holding at s.
+    States are the dense ids 0..n-1; `succ[s]` and `pred[s]` are sorted id
+    lists, and `props[p]` is the set of states where proposition p holds
+    (absent means nowhere).  The structures of one CFG share its `succ` and
+    `pred` lists, so building one costs only its `props`.
     """
 
-    __slots__ = ("n", "succ", "labels", "_pred")
+    __slots__ = ("n", "succ", "pred", "props")
 
-    def __init__(self, n: int, succ: list[list[int]], labels: list[frozenset[str]]):
-        self.n = n
+    def __init__(self, succ: list[list[int]], pred: list[list[int]],
+                 props: dict[str, frozenset[int]]):
+        self.n = len(succ)
         self.succ = succ
-        self.labels = labels
-        self._pred: list[list[int]] | None = None
-        for s in range(n):
-            if not succ[s]:
-                raise ValueError(f"state {s} has no successors; transition relation must be total")
-
-    @property
-    def pred(self) -> list[list[int]]:
-        if self._pred is None:
-            pred: list[list[int]] = [[] for _ in range(self.n)]
-            for s in range(self.n):
-                for t in self.succ[s]:
-                    pred[t].append(s)
-            self._pred = pred
-        return self._pred
+        self.pred = pred
+        self.props = props
 
     def states(self) -> range:
         return range(self.n)
 
 
-def to_kripke(cfg: Cfg, labeling: dict[int, set[str]] | None = None) -> KripkeStructure:
-    """View a CFG as a Kripke structure, totalized with an exit self-loop."""
-    n = len(cfg.nodes)
-    succ: list[list[int]] = [sorted({b for b, _ in cfg.succ[a]}) for a in range(n)]
-    for s in range(n):
-        if not succ[s]:
-            succ[s] = [s]
-    labeling = labeling or {}
-    labels = [frozenset(labeling.get(s, ())) for s in range(n)]
-    return KripkeStructure(n, succ, labels)
+def predecessors(succ: list[list[int]]) -> list[list[int]]:
+    """The reversed relation, each list ascending."""
+    pred: list[list[int]] = [[] for _ in succ]
+    for s, outs in enumerate(succ):
+        for t in outs:
+            pred[t].append(s)
+    return pred
+
+
+def to_kripke(cfg: Cfg, props: dict[str, frozenset[int]] | None = None) -> KripkeStructure:
+    """View a CFG as a Kripke structure, totalized with an exit self-loop,
+    with `props` as its labeling."""
+    return KripkeStructure(cfg.kripke_succ, cfg.kripke_pred, props or {})
 
 
 def reverse(k: KripkeStructure) -> KripkeStructure:
     """Flip all transitions; self-loops keep the reversed relation total."""
-    succ: list[list[int]] = [[] for _ in range(k.n)]
-    for s in range(k.n):
-        for t in k.succ[s]:
-            succ[t].append(s)
-    for s in range(k.n):
-        if not succ[s]:
-            succ[s] = [s]
-        else:
-            succ[s] = sorted(set(succ[s]))
-    return KripkeStructure(k.n, succ, list(k.labels))
+    succ = [outs or [s] for s, outs in enumerate(k.pred)]
+    return KripkeStructure(succ, predecessors(succ), k.props)
 
 
 def to_dot(cfg: Cfg) -> str:

@@ -18,7 +18,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .cfg import build_cfg, to_dot
@@ -212,6 +211,8 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     workers = min(cfg.jobs, len(cfg.inputs))
     with contextlib.ExitStack() as stack:
         if workers > 1:
+            # imported here: it costs about 20 ms, which one-process runs skip
+            from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(ProcessPoolExecutor(
                 workers, initializer=_init_worker, initargs=(checks, config, db)))
             results = pool.map(_analyze_file, cfg.inputs)

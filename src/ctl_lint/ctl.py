@@ -19,22 +19,49 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .cfg import KripkeStructure
 
 
 class CtlFormula:
+    """A formula tree.  Every node is immutable and hashes its structure
+    once, when it is built (its children's hashes are already known), so
+    memo lookups keyed by formulas cost no tree walk."""
+
     __slots__ = ()
+    _field_names: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((type(self), *self._children())))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__: the hash of a str differs between processes
+        return type(self), self._children()
+
+    def _children(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._field_names)
 
 
-@dataclass(frozen=True)
+def _formula(cls):
+    """A frozen dataclass keeping CtlFormula's hash, which dataclass()
+    would replace with one that walks the tree on every call."""
+    cls = dataclass(frozen=True)(cls)
+    cls._field_names = tuple(f.name for f in fields(cls))
+    cls.__hash__ = CtlFormula.__hash__
+    return cls
+
+
+@_formula
 class TrueF(CtlFormula):
     def __str__(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True)
+@_formula
 class Prop(CtlFormula):
     name: str
 
@@ -42,7 +69,7 @@ class Prop(CtlFormula):
         return self.name
 
 
-@dataclass(frozen=True)
+@_formula
 class Not(CtlFormula):
     sub: CtlFormula
 
@@ -50,7 +77,7 @@ class Not(CtlFormula):
         return f"!{_wrap(self.sub)}"
 
 
-@dataclass(frozen=True)
+@_formula
 class And(CtlFormula):
     left: CtlFormula
     right: CtlFormula
@@ -59,7 +86,7 @@ class And(CtlFormula):
         return f"{_wrap(self.left)} & {_wrap(self.right)}"
 
 
-@dataclass(frozen=True)
+@_formula
 class Or(CtlFormula):
     left: CtlFormula
     right: CtlFormula
@@ -68,7 +95,7 @@ class Or(CtlFormula):
         return f"{_wrap(self.left)} | {_wrap(self.right)}"
 
 
-@dataclass(frozen=True)
+@_formula
 class Implies(CtlFormula):
     left: CtlFormula
     right: CtlFormula
@@ -77,7 +104,7 @@ class Implies(CtlFormula):
         return f"{_wrap(self.left)} -> {_wrap(self.right)}"
 
 
-@dataclass(frozen=True)
+@_formula
 class EX(CtlFormula):
     sub: CtlFormula
 
@@ -85,7 +112,7 @@ class EX(CtlFormula):
         return f"EX {_wrap(self.sub)}"
 
 
-@dataclass(frozen=True)
+@_formula
 class AX(CtlFormula):
     sub: CtlFormula
 
@@ -93,7 +120,7 @@ class AX(CtlFormula):
         return f"AX {_wrap(self.sub)}"
 
 
-@dataclass(frozen=True)
+@_formula
 class EF(CtlFormula):
     sub: CtlFormula
 
@@ -101,7 +128,7 @@ class EF(CtlFormula):
         return f"EF {_wrap(self.sub)}"
 
 
-@dataclass(frozen=True)
+@_formula
 class AF(CtlFormula):
     sub: CtlFormula
 
@@ -109,7 +136,7 @@ class AF(CtlFormula):
         return f"AF {_wrap(self.sub)}"
 
 
-@dataclass(frozen=True)
+@_formula
 class EG(CtlFormula):
     sub: CtlFormula
 
@@ -117,7 +144,7 @@ class EG(CtlFormula):
         return f"EG {_wrap(self.sub)}"
 
 
-@dataclass(frozen=True)
+@_formula
 class AG(CtlFormula):
     sub: CtlFormula
 
@@ -125,7 +152,7 @@ class AG(CtlFormula):
         return f"AG {_wrap(self.sub)}"
 
 
-@dataclass(frozen=True)
+@_formula
 class EU(CtlFormula):
     left: CtlFormula
     right: CtlFormula
@@ -134,7 +161,7 @@ class EU(CtlFormula):
         return f"E[{self.left} U {self.right}]"
 
 
-@dataclass(frozen=True)
+@_formula
 class AU(CtlFormula):
     left: CtlFormula
     right: CtlFormula
@@ -204,6 +231,9 @@ def normalize(f: CtlFormula) -> CtlFormula:
     raise TypeError(f"not a CTL formula: {f!r}")
 
 
+_NOWHERE: frozenset[int] = frozenset()
+
+
 class SatSets:
     """Satisfaction sets of a formula and its subformulas on one structure.
 
@@ -230,7 +260,7 @@ class SatSets:
         if isinstance(f, TrueF):
             result = self._all
         elif isinstance(f, Prop):
-            result = frozenset(s for s in range(k.n) if f.name in k.labels[s])
+            result = k.props.get(f.name, _NOWHERE)
         elif isinstance(f, Not):
             result = self._all - self._eval(f.sub)
         elif isinstance(f, And):

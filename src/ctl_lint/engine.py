@@ -149,14 +149,18 @@ def _return_nodes(cfg: Cfg) -> list[int]:
 
 
 def _labeling(index: dict[Fact, list[int]], var: str,
-              **labels: tuple[str, ...]) -> dict[int, set[str]]:
-    """Node id -> each label one of whose patterns holds there for `var`."""
-    out: dict[int, set[str]] = {}
-    for label, patterns in labels.items():
-        for p in patterns:
-            for n in index.get((p, var), ()):
-                out.setdefault(n, set()).add(label)
-    return out
+              **labels: tuple[str, ...]) -> dict[str, frozenset[int]]:
+    """Each label -> the node ids where one of its patterns holds for `var`."""
+    return {label: frozenset(n for p in patterns for n in index.get((p, var), ()))
+            for label, patterns in labels.items()}
+
+
+# a value reaching a return after a null/malloc assignment and no later write
+_RETURNS_NULLED = EU(TRUE, And(Prop("nulled"), EX(EU(Not(Prop("assign")), Prop("ret")))))
+# a path to the exit that frees nothing
+_ESCAPES = EU(Not(Prop("fre")), Prop("ext"))
+# a dereference with no null check before it
+_UNCHECKED_DEREF = EU(Not(Prop("chk")), Prop("drf"))
 
 
 def compute_summary(f: FunctionDef, cfg: Cfg, summaries: dict[str, FunctionSummary],
@@ -187,29 +191,25 @@ def compute_summary(f: FunctionDef, cfg: Cfg, summaries: dict[str, FunctionSumma
                 may_null = True
                 break
         if isinstance(value, ast.Var):
-            labeling = _labeling(index, value.name, nulled=("null_assign", "malloc_assign"),
-                                 assign=("assign_to",))
-            labeling.setdefault(rid, set()).add("ret")
-            k = to_kripke(cfg, labeling)
-            formula = EU(TRUE, And(Prop("nulled"),
-                                   EX(EU(Not(Prop("assign")), Prop("ret")))))
-            if check(k, formula).holds(formula, cfg.entry):
+            props = _labeling(index, value.name, nulled=("null_assign", "malloc_assign"),
+                              assign=("assign_to",))
+            props["ret"] = frozenset((rid,))
+            k = to_kripke(cfg, props)
+            if check(k, _RETURNS_NULLED).holds(_RETURNS_NULLED, cfg.entry):
                 may_null = True
                 break
 
     always_frees: set[int] = set()
     derefs_unchecked: set[int] = set()
     for i, prm in enumerate(f.params):
-        labeling = _labeling(index, prm.name, fre=("free_of",))
-        labeling.setdefault(cfg.exit, set()).add("ext")
-        k = to_kripke(cfg, labeling)
-        escape = EU(Not(Prop("fre")), Prop("ext"))
-        if not check(k, escape).holds(escape, cfg.entry):
+        props = _labeling(index, prm.name, fre=("free_of",))
+        props["ext"] = frozenset((cfg.exit,))
+        k = to_kripke(cfg, props)
+        if not check(k, _ESCAPES).holds(_ESCAPES, cfg.entry):
             always_frees.add(i)
 
         k = to_kripke(cfg, _labeling(index, prm.name, drf=("deref",), chk=("null_check",)))
-        unchecked = EU(Not(Prop("chk")), Prop("drf"))
-        if check(k, unchecked).holds(unchecked, cfg.entry):
+        if check(k, _UNCHECKED_DEREF).holds(_UNCHECKED_DEREF, cfg.entry):
             derefs_unchecked.add(i)
 
     return FunctionSummary(f.name, may_null, frozenset(always_frees),
@@ -436,8 +436,9 @@ def _trace_anchor(task: CheckTask, trace) -> int:
     other than the structural entry/exit ones."""
     structural = {name for name, pat in task.check.labels
                   if pat.name in ("at_entry", "at_exit")}
+    marked = [states for name, states in task.kripke.props.items() if name not in structural]
     for s in reversed(trace.states):
-        if task.kripke.labels[s] - structural:
+        if any(s in states for states in marked):
             return s
     return trace.states[0]
 
@@ -461,7 +462,7 @@ def analyze_function(f: FunctionDef, cfg: Cfg, checks: list[CheckSpec],
             diags.extend(_dead_code_diags(cfg, spec))
             continue
         bindings = candidate_variables(spec, cfg, globals_)
-        tasks = instantiate(spec, cfg, index, globals_)
+        tasks = instantiate(spec, cfg, index, bindings)
         created += len(bindings)
         skipped += len(bindings) - len(tasks)
         for task in tasks:
@@ -584,13 +585,14 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
         key = cache_key(funcs[name], config.checkset_text, callee_env,
                         globals_text, config.max_witnesses)
         keys[name] = key
-        entry = db.get(key) if db is not None else None
-        if entry is not None:
-            cached_entries[name] = entry
-            summaries[name] = FunctionSummary.from_json_obj(entry["summary"])
-            counters.cache_hits += 1
-            continue
-        counters.cache_misses += 1
+        if db is not None:  # without a store there is nothing to hit or miss
+            entry = db.get(key)
+            if entry is not None:
+                cached_entries[name] = entry
+                summaries[name] = FunctionSummary.from_json_obj(entry["summary"])
+                counters.cache_hits += 1
+                continue
+            counters.cache_misses += 1
         cfg = cfgs[name] = build_cfg(funcs[name])
         if name in cyclic:  # no index yet: its cycle is not summarized yet
             summaries[name] = pessimistic_summary(funcs[name])

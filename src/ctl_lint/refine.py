@@ -3,7 +3,10 @@
 A witness trace is compiled into linear path constraints: assignments
 introduce SSA-style fresh versions, branch guards add (in)equalities, and
 anything nonlinear or unknown havocs its target.  The conjunction is then
-tested for rational satisfiability by Fourier-Motzkin elimination.  An
+tested for rational satisfiability by Fourier-Motzkin elimination.
+Coefficients and constants are ints; a Fraction appears only where an
+equality's coefficient does not divide, and is an int again once it is
+whole (the two compare, hash and sort alike, so either may be given).  An
 Infeasible verdict is trusted (rational emptiness implies integer
 emptiness, and dropped constraints only over-approximate), so a diagnostic
 is suppressed only when every enumerated witness is infeasible and the
@@ -36,13 +39,16 @@ INFEASIBLE = "infeasible"
 UNKNOWN = "unknown"
 
 
+Number = int | Fraction
+
+
 @dataclass(frozen=True)
 class PathConstraint:
     """Sum of coeff*versioned-variable  (= | <= | <)  constant."""
 
-    terms: tuple[tuple[str, Fraction], ...]  # sorted by variable
+    terms: tuple[tuple[str, Number], ...]  # sorted by variable, no zero coefficient
     op: str  # EQ | LE | LT
-    rhs: Fraction
+    rhs: Number
 
     def __str__(self) -> str:
         if not self.terms:
@@ -62,9 +68,14 @@ Feasible = FeasibilityVerdict(FEASIBLE)
 Infeasible = FeasibilityVerdict(INFEASIBLE)
 
 
-def _constraint(terms: dict[str, Fraction], op: str, rhs: Fraction) -> PathConstraint:
-    clean = tuple(sorted((v, c) for v, c in terms.items() if c != 0))
-    return PathConstraint(clean, op, rhs)
+def _whole(x: Number) -> Number:
+    """`x` as an int when it is a whole Fraction."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def _constraint(terms: dict[str, Number], op: str, rhs: Number) -> PathConstraint:
+    clean = tuple(sorted((v, _whole(c)) for v, c in terms.items() if c != 0))
+    return PathConstraint(clean, op, _whole(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +93,12 @@ class _Versions:
         return f"{name}@{self.cur[name]}"
 
 
-def _linear(e: ast.Expr, v: _Versions) -> tuple[dict[str, Fraction], Fraction] | None:
+def _linear(e: ast.Expr, v: _Versions) -> tuple[dict[str, int], int] | None:
     """Affine form of an expression over current versions, or None."""
     if isinstance(e, ast.IntLit):
-        return {}, Fraction(e.value)
+        return {}, e.value
     if isinstance(e, ast.Var):
-        return {v.read(e.name): Fraction(1)}, Fraction(0)
+        return {v.read(e.name): 1}, 0
     if isinstance(e, ast.Unary) and e.op == "-":
         sub = _linear(e.operand, v)
         if sub is None:
@@ -104,7 +115,7 @@ def _linear(e: ast.Expr, v: _Versions) -> tuple[dict[str, Fraction], Fraction] |
         sign = 1 if e.op == "+" else -1
         out = dict(lt)
         for k, x in rt.items():
-            out[k] = out.get(k, Fraction(0)) + sign * x
+            out[k] = out.get(k, 0) + sign * x
         return out, lc + sign * rc
     if isinstance(e, ast.Binary) and e.op == "*":
         l = _linear(e.left, v)
@@ -162,7 +173,7 @@ def path_constraints(trace: WitnessTrace, cfg: Cfg,
             if lin is not None:
                 terms, c = lin
                 terms = dict(terms)
-                terms[fresh] = terms.get(fresh, Fraction(0)) - 1
+                terms[fresh] = terms.get(fresh, 0) - 1
                 # rhs - fresh = -c  i.e.  fresh = rhs
                 out.append(_constraint({k: -x for k, x in terms.items()}, EQ, c))
             # nonlinear/unknown: fresh version stays unconstrained
@@ -198,7 +209,7 @@ def _guard_constraint(e: ast.Expr, branch: str, v: _Versions) -> PathConstraint 
         rt, rc = r
         diff = dict(lt)
         for k, x in rt.items():
-            diff[k] = diff.get(k, Fraction(0)) - x
+            diff[k] = diff.get(k, 0) - x
         rhs = rc - lc
         if op == "==":
             return _constraint(diff, EQ, rhs)
@@ -216,7 +227,7 @@ def _guard_constraint(e: ast.Expr, branch: str, v: _Versions) -> PathConstraint 
         return _constraint(terms, EQ, -c)
     if not terms and c == 0:
         # constant-zero guard taken on its true edge: impossible path
-        return _constraint({}, LT, Fraction(0))
+        return _constraint({}, LT, 0)
     return None
 
 
@@ -224,35 +235,47 @@ def _guard_constraint(e: ast.Expr, branch: str, v: _Versions) -> PathConstraint 
 # Fourier-Motzkin over the rationals
 
 DEFAULT_FM_BUDGET = 20_000
-_ZERO = Fraction(0)
 
 
 def feasible(cs: list[PathConstraint], budget: int = DEFAULT_FM_BUDGET) -> FeasibilityVerdict:
     """Rational satisfiability of a constraint conjunction.
 
-    Equalities are removed by substitution, inequalities by pairwise
+    Equalities are removed by substitution, last first, into the
+    constraints that mention their variable; inequalities by pairwise
     variable elimination.  When the remaining variable-count x
     constraint-count product exceeds `budget`, gives up with
     Unknown(budget).
     """
-    eqs = [c for c in cs if c.op == EQ]
-    ineqs = [c for c in cs if c.op != EQ]
-
-    while eqs:
-        c = eqs.pop()
+    rows: list[PathConstraint | None] = list(cs)
+    occurs: dict[str, set[int]] = {}  # variable -> rows mentioning it
+    for i, c in enumerate(rows):
+        for v, _ in c.terms:
+            occurs.setdefault(v, set()).add(i)
+    pending = [i for i, c in enumerate(rows) if c.op == EQ]
+    while pending:
+        i = pending.pop()
+        c = rows[i]
+        rows[i] = None
         if not c.terms:
             if c.rhs != 0:
                 return Infeasible
             continue
+        for v, _ in c.terms:
+            occurs[v].discard(i)
         var, coef = c.terms[0]
         # var = (rhs - rest)/coef
-        rest = {k: x for k, x in c.terms[1:]}
-        sub_terms = {k: -x / coef for k, x in rest.items()}
-        sub_const = c.rhs / coef
-        eqs = [_substitute(o, var, sub_terms, sub_const) for o in eqs]
-        ineqs = [_substitute(o, var, sub_terms, sub_const) for o in ineqs]
+        sub_terms = {k: _div(-x, coef) for k, x in c.terms[1:]}
+        sub_const = _div(c.rhs, coef)
+        for j in occurs.pop(var, ()):
+            new = rows[j] = _substitute(rows[j], var, sub_terms, sub_const)
+            mentioned = {v for v, _ in new.terms}
+            for k in sub_terms:
+                if k in mentioned:
+                    occurs.setdefault(k, set()).add(j)
+                else:  # cancelled out
+                    occurs[k].discard(j)
 
-    ineqs = _dedup(ineqs)
+    ineqs = _dedup([c for c in rows if c is not None])
     while True:
         ground_bad = any(_ground_violated(c) for c in ineqs if not c.terms)
         if ground_bad:
@@ -274,21 +297,28 @@ def feasible(cs: list[PathConstraint], budget: int = DEFAULT_FM_BUDGET) -> Feasi
             a = _coef(p, var)
             for q in neg:
                 b = -_coef(q, var)
-                terms: dict[str, Fraction] = {}
+                terms: dict[str, Number] = {}
                 for k, x in p.terms:
-                    terms[k] = terms.get(k, Fraction(0)) + b * x
+                    terms[k] = terms.get(k, 0) + b * x
                 for k, x in q.terms:
-                    terms[k] = terms.get(k, Fraction(0)) + a * x
+                    terms[k] = terms.get(k, 0) + a * x
                 op = LT if LT in (p.op, q.op) else LE
                 rest.append(_constraint(terms, op, b * p.rhs + a * q.rhs))
         ineqs = _dedup(rest)
 
 
-def _coef(c: PathConstraint, var: str) -> Fraction:
+def _div(a: Number, b: Number) -> Number:
+    """a / b, an int when it divides."""
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
+    return Fraction(a, b)
+
+
+def _coef(c: PathConstraint, var: str) -> Number:
     for v, x in c.terms:
         if v == var:
             return x
-    return _ZERO
+    return 0
 
 
 def _elim_cost(cs: list[PathConstraint], var: str) -> int:
@@ -297,14 +327,12 @@ def _elim_cost(cs: list[PathConstraint], var: str) -> int:
     return pos * neg
 
 
-def _substitute(c: PathConstraint, var: str, sub_terms: dict[str, Fraction],
-                sub_const: Fraction) -> PathConstraint:
+def _substitute(c: PathConstraint, var: str, sub_terms: dict[str, Number],
+                sub_const: Number) -> PathConstraint:
     coef = _coef(c, var)
-    if coef == 0:
-        return c
     terms = {k: x for k, x in c.terms if k != var}
     for k, x in sub_terms.items():
-        terms[k] = terms.get(k, Fraction(0)) + coef * x
+        terms[k] = terms.get(k, 0) + coef * x
     return _constraint(terms, c.op, c.rhs - coef * sub_const)
 
 

@@ -4,11 +4,11 @@ A check declares named atomic propositions as syntactic patterns over one
 quantified program variable, plus a CTL property over those labels.  Each
 CFG node's facts, every (pattern, argument) pair that matches it, are
 computed once per function into a fact table (`node_facts`,
-`label_index`).  For every candidate variable of the quantified class, the
-labels are then looked up in that table to label a Kripke structure,
-producing one small model-checking task per binding.  Tasks whose trigger
-label (the first declared one) never matches are skipped before any
-checking happens.
+`label_index`).  For every candidate variable of the quantified class, each
+label's state set is then looked up in that table, producing one small
+model-checking task per binding over the CFG's shared Kripke skeleton.
+Tasks whose trigger label (the first declared one) never matches are
+skipped before any checking happens.
 
 Grammar of `.chk` files (# starts a line comment):
 
@@ -446,25 +446,20 @@ def candidate_variables(check: CheckSpec, cfg: Cfg,
 
 
 def instantiate(check: CheckSpec, cfg: Cfg, index: dict[Fact, list[int]],
-                globals_: list[ast.VarDecl] = ()) -> list[CheckTask]:
-    """One task per admissible binding whose trigger label matches somewhere.
+                candidates: list[str]) -> list[CheckTask]:
+    """One task per binding of `candidates` (the check's
+    `candidate_variables`) whose trigger label matches somewhere.
 
-    `index` is the function's `label_index`; labeling a binding is one
-    lookup per label.
+    `index` is the function's `label_index`: each label of a binding is
+    the state set of one lookup, and every task shares the CFG's
+    transition lists.
     """
-    base = to_kripke(cfg)
     tasks: list[CheckTask] = []
-    for var in candidate_variables(check, cfg, globals_):
-        hits = [(name, index.get(_fact(pattern, var), ())) for name, pattern in check.labels]
+    for var in candidates:
+        hits = [(name, index.get(_fact(pattern, var))) for name, pattern in check.labels]
         if not hits[0][1]:
             continue  # the trigger label matches nowhere
-        labeling: dict[int, set[str]] = {}
-        for name, nodes in hits:
-            for nid in nodes:
-                labeling.setdefault(nid, set()).add(name)
-        labels = [frozenset(labeling.get(s, ())) for s in range(base.n)]
-        k = KripkeStructure(base.n, base.succ, labels)
-        k._pred = base.pred  # share the adjacency across bindings
+        props = {name: frozenset(nodes) for name, nodes in hits if nodes}
         tasks.append(CheckTask(check, cfg.function, ((check.metavar, var),),
-                               k, check.prop))
+                               to_kripke(cfg, props), check.prop))
     return tasks

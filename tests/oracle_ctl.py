@@ -14,11 +14,22 @@ from __future__ import annotations
 
 import random
 
-from ctl_lint.cfg import KripkeStructure
+from ctl_lint.cfg import KripkeStructure, predecessors
 from ctl_lint.ctl import (
     AF, AG, AU, AX, And, CtlFormula, EF, EG, EU, EX, Implies, Not, Or, Prop,
     TrueF, WitnessTrace, is_propositional,
 )
+
+
+def kripke(succ: list[list[int]], labels) -> KripkeStructure:
+    """A structure from successor lists and each state's label names."""
+    assert all(succ), "the transition relation must be total"
+    props: dict[str, set[int]] = {}
+    for s, names in enumerate(labels):
+        for name in names:
+            props.setdefault(name, set()).add(s)
+    return KripkeStructure(succ, predecessors(succ),
+                           {name: frozenset(states) for name, states in props.items()})
 
 
 def sat_oracle(k: KripkeStructure, f: CtlFormula, s: int,
@@ -36,7 +47,7 @@ def _sat(k: KripkeStructure, f: CtlFormula, s: int, memo: dict) -> bool:
     if isinstance(f, TrueF):
         result = True
     elif isinstance(f, Prop):
-        result = f.name in k.labels[s]
+        result = s in k.props.get(f.name, ())
     elif isinstance(f, Not):
         result = not _sat(k, f.sub, s, memo)
     elif isinstance(f, And):
@@ -183,7 +194,7 @@ def trace_demonstrates(k: KripkeStructure, f: CtlFormula, trace: WitnessTrace) -
         if isinstance(g, TrueF):
             return True
         if isinstance(g, Prop):
-            return g.name in k.labels[state]
+            return state in k.props.get(g.name, ())
         if isinstance(g, Not):
             return not state_sat(g.sub, state)
         if isinstance(g, And):
@@ -240,7 +251,7 @@ def random_kripke(rng: random.Random, max_states: int = 8,
             outs = [s]  # keep the relation total
         succ.append(outs)
     labels = [frozenset(p for p in props if rng.random() < 0.4) for _ in range(n)]
-    return KripkeStructure(n, succ, labels)
+    return kripke(succ, labels)
 
 
 def random_formula(rng: random.Random, props: tuple[str, ...] = ("p", "q", "r"),

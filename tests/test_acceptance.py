@@ -23,13 +23,12 @@ from ctl_lint.cfg import build_cfg
 from ctl_lint.cli import _available_cpus, main as cli_main
 from ctl_lint.ctl import EF, EU, EX, And, Not, Or, Prop, check, is_witnessable, witness
 from ctl_lint.engine import CacheDb, Counters, EngineConfig, analyze_unit
-from ctl_lint.cfg import KripkeStructure
 from ctl_lint.intervals import analyze as interval_analyze, iteration_cap
 from ctl_lint.speclang import CheckTask, load_checkset, parse_check
 from fixtures_bugs import FIXTURES
 from minic_interp import Interpreter
 from oracle_ctl import (
-    edge_valid, random_formula, random_kripke, sat_oracle, trace_demonstrates,
+    edge_valid, kripke, random_formula, random_kripke, sat_oracle, trace_demonstrates,
 )
 from program_gen import ProgramGen, generate_program
 
@@ -58,7 +57,7 @@ def test_criterion_1_ctl_oracle_equivalence():
             memo: dict = {}
             for s in range(k.n):
                 assert sat.holds(f, s) == sat_oracle(k, f, s, memo), \
-                    (f, s, k.succ, k.labels)
+                    (f, s, k.succ, k.props)
                 pairs += 1
         elapsed = time.perf_counter() - start
         assert pairs > 1000
@@ -291,7 +290,7 @@ check t { severity: info forall $v: any
             outs = sorted({rng.randrange(n) for _ in range(rng.randint(1, 3))})
             succ.append(outs)
         labels = [frozenset(x for x in props if rng.random() < 0.25) for _ in range(n)]
-        return KripkeStructure(n, succ, labels)
+        return kripke(succ, labels)
 
     P, Q, R = Prop("p"), Prop("q"), Prop("r")
     base_shapes = [

@@ -6,6 +6,7 @@ from ctl_lint import frontend as F
 from ctl_lint.cfg import (
     COND, ENTRY, EXIT, FALSE, TRUE, build_cfg, reverse, to_dot, to_kripke,
 )
+from oracle_ctl import kripke
 from program_gen import generate_program
 
 
@@ -160,21 +161,25 @@ class TestKripke:
     def test_empty_labeling(self):
         g = cfg_of("int f() { return 0; }")
         k = to_kripke(g)
-        assert all(k.labels[s] == frozenset() for s in k.states())
+        assert k.props == {}
 
     def test_labeling_preserved(self):
         g = cfg_of("int f(int a) { a = 1; a = 2; a = 3; }")
-        k = to_kripke(g, {1: {"p"}})
-        assert k.labels[1] == frozenset({"p"})
-        assert all(k.labels[s] == frozenset() for s in k.states() if s != 1)
+        k = to_kripke(g, {"p": frozenset({1})})
+        assert k.props == {"p": frozenset({1})}
+
+    def test_structures_share_the_cfg_transitions(self):
+        g = cfg_of("int f(int c) { while (c) { c = c - 1; } return c; }")
+        a, b = to_kripke(g), to_kripke(g, {"p": frozenset({1})})
+        assert a.succ is b.succ is g.kripke_succ
+        assert a.pred is b.pred is g.kripke_pred
+        for s in a.states():
+            assert a.pred[s] == sorted(t for t in a.states() if s in a.succ[t])
 
 
 class TestReverse:
     def _mk(self, succ, labels=None):
-        from ctl_lint.cfg import KripkeStructure
-        n = len(succ)
-        labels = labels or [frozenset()] * n
-        return KripkeStructure(n, succ, labels)
+        return kripke(succ, labels or [()] * len(succ))
 
     def test_chain_reversal_adds_self_loop(self):
         k = self._mk([[1], [1]])  # s0 -> s1, s1 self-loop
@@ -201,8 +206,8 @@ class TestReverse:
         assert rr_edges - base_edges <= {(s, s) for s in k.states()}
 
     def test_labels_preserved(self):
-        k = self._mk([[1], [0]], [frozenset({"p"}), frozenset()])
-        assert reverse(k).labels[0] == frozenset({"p"})
+        k = self._mk([[1], [0]], [{"p"}, set()])
+        assert reverse(k).props == {"p": frozenset({0})}
 
 
 def test_dot_export_mentions_every_node():

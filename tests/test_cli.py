@@ -217,6 +217,13 @@ class TestSummaryReport:
         _, _, err = run(capsys, "analyze", path)
         assert "cache hits: 100%" in err
 
+    def test_no_cache_says_disabled(self, ws, capsys):
+        path = ws("bug.c", DOUBLE_FREE)
+        for jobs in ("1", "2"):
+            _, _, err = run(capsys, "analyze", "--no-cache", "--jobs", jobs, path, path)
+            assert err.splitlines()[-1] == "cache: disabled"
+            assert "cache hits" not in err
+
 
 class TestFlags:
     def test_checks_filter(self, ws, capsys):
@@ -375,6 +382,20 @@ class TestJobs:
             [sys.executable, "-c", script, "analyze", "--format", "json", "--no-cache",
              "--jobs", "2", *paths], capture_output=True, text=True, env=env, timeout=120)
         assert (proc.returncode, proc.stdout) == (code, expected), proc.stderr
+
+    def test_one_process_runs_import_no_pool(self, ws):
+        # the process pool's modules cost start-up time that only --jobs > 1 needs
+        path = ws("bug.c", DOUBLE_FREE)
+        script = ("import sys\n"
+                  "import ctl_lint.cli\n"
+                  "pool = 'concurrent.futures.process'\n"
+                  "assert pool not in sys.modules, 'imported by ctl_lint.cli'\n"
+                  "ctl_lint.cli.main(['analyze', '--no-cache', '--jobs', '1', sys.argv[1]])\n"
+                  "assert pool not in sys.modules, 'imported by a --jobs 1 run'\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", script, path], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_default_is_the_usable_cpus(self):
         expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \

@@ -4,21 +4,16 @@ import random
 
 import pytest
 
-from ctl_lint.cfg import KripkeStructure
 from ctl_lint.ctl import (
     AF, AG, AU, AX, And, EF, EG, EU, EX, Implies, Not, Or, Prop, TRUE,
     check, is_witnessable, normalize, witness,
 )
 from oracle_ctl import (
-    edge_valid, random_formula, random_kripke, sat_oracle, trace_demonstrates,
+    edge_valid, kripke as mk, random_formula, random_kripke, sat_oracle,
+    trace_demonstrates,
 )
 
 p, q = Prop("p"), Prop("q")
-
-
-def mk(succ, labels):
-    n = len(succ)
-    return KripkeStructure(n, succ, [frozenset(x) for x in labels])
 
 
 class TestNormalize:
@@ -97,7 +92,7 @@ class TestOracleEquivalence:
             sat = check(k, f)
             memo = {}
             for s in range(k.n):
-                assert sat.holds(f, s) == sat_oracle(k, f, s, memo), (f, s, k.succ, k.labels)
+                assert sat.holds(f, s) == sat_oracle(k, f, s, memo), (f, s, k.succ, k.props)
 
     def test_ag_ef_duality(self):
         rng = random.Random(11)

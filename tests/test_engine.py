@@ -164,7 +164,7 @@ class TestDeadCode:
             tu = F.parse(generate_program(seed), "g.c")
             for f in tu.functions:
                 g = build_cfg(f)
-                k = reverse(to_kripke(g, {g.entry: {"entry"}}))
+                k = reverse(to_kripke(g, {"entry": frozenset({g.entry})}))
                 sat = check(k, EF(Prop("entry")))
                 via_ctl = {n.id for n in g.nodes if not sat.holds(EF(Prop("entry")), n.id)}
                 assert via_ctl == set(g.unreachable)
@@ -403,6 +403,39 @@ class TestAnalyzeUnit:
         analyze(src.replace("return 1", "return 0"), CacheDb(db_path), c)
         # f may now return null, which changes the summaries g and h see
         assert built == ["f", "g", "h"] and c.cache_misses == 3
+
+    def test_structures_share_the_cfg_transitions(self, monkeypatch):
+        # every task and summary structure of a function is a labeling of
+        # one skeleton: its CFG's successor and predecessor lists
+        from program_gen import generate_program
+        built, checked, in_summary = [], [], []
+        real_build, real_check, real_summary = \
+            engine.build_cfg, engine.check, engine.compute_summary
+
+        def building(f):
+            built.append(real_build(f))
+            return built[-1]
+
+        def checking(k, formula):
+            checked.append(k)
+            return real_check(k, formula)
+
+        def summarizing(*args):
+            before = len(checked)
+            result = real_summary(*args)
+            in_summary.extend(checked[before:])
+            return result
+
+        monkeypatch.setattr(engine, "build_cfg", building)
+        monkeypatch.setattr(engine, "check", checking)
+        monkeypatch.setattr(engine, "compute_summary", summarizing)
+        for seed in range(5):
+            analyze(generate_program(seed))
+        assert in_summary and len(checked) > len(in_summary)
+        skeletons = {id(g.kripke_succ): g for g in built}
+        for k in checked:
+            g = skeletons[id(k.succ)]
+            assert k.pred is g.kripke_pred and k.n == len(g.nodes)
 
     def test_label_index_built_once_per_function(self, monkeypatch):
         import ctl_lint.engine as engine

@@ -10,8 +10,8 @@ from ctl_lint.cfg import FALSE, TRUE, build_cfg
 from ctl_lint.ctl import WitnessTrace, check, witness
 from ctl_lint.refine import (
     CONFIRMED, EQ, FEASIBLE, LE, LT, SUPPRESSED, UNCONFIRMED, UNKNOWN, Feasible,
-    FeasibilityVerdict, Infeasible, _constraint, enumerate_witnesses, feasible,
-    path_constraints, refine_diagnostic,
+    FeasibilityVerdict, Infeasible, PathConstraint, _constraint, enumerate_witnesses,
+    feasible, path_constraints, refine_diagnostic,
 )
 from ctl_lint.speclang import instantiate, label_index, load_checkset
 from fixtures_bugs import FIXTURES
@@ -202,7 +202,7 @@ class TestFourierMotzkin:
 def _satisfied_task(src, check_id, var="p"):
     g, tu = cfg_of(src)
     spec = CHECKS[check_id]
-    tasks = [t for t in instantiate(spec, g, label_index(g), tu.globals) if t.bound_var == var]
+    tasks = instantiate(spec, g, label_index(g), [var])
     assert tasks, "fixture must produce a task"
     task = tasks[0]
     sat = check(task.kripke, task.formula)
@@ -336,10 +336,20 @@ def _reference_refine(task, cfg, max_witnesses, global_names, sat, known):
     return SUPPRESSED, None
 
 
+def _analyze_pin_sources(max_witnesses: int) -> None:
+    """Analyze the first 50 generated programs and the 48 bug fixtures."""
+    sources = ([(f"gen{seed}.c", generate_program(seed)) for seed in range(50)]
+               + [(f"{fx.name}.c", fx.source) for fx in FIXTURES])
+    config = engine.EngineConfig(checkset_text="builtin", max_witnesses=max_witnesses)
+    checks, _ = load_checkset()
+    for name, src in sources:
+        engine.analyze_unit(F.parse(src, name), checks, None, config)
+
+
 @pytest.fixture(scope="module")
 def pin_tasks():
     """(task, cfg, global_names, sat) of every refine call the engine makes
-    on the first 50 generated programs and the 48 bug fixtures."""
+    on the pin sources."""
     calls = []
     real = engine.refine_diagnostic
 
@@ -347,15 +357,50 @@ def pin_tasks():
         calls.append((task, cfg, global_names, sat))
         return real(task, cfg, budget, global_names, sat)
 
-    sources = ([(f"gen{seed}.c", generate_program(seed)) for seed in range(50)]
-               + [(f"{fx.name}.c", fx.source) for fx in FIXTURES])
-    config = engine.EngineConfig(checkset_text="builtin", max_witnesses=1)
-    checks, _ = load_checkset()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "refine_diagnostic", recording)
-        for name, src in sources:
-            engine.analyze_unit(F.parse(src, name), checks, None, config)
+        _analyze_pin_sources(1)
     return calls
+
+
+@pytest.fixture(scope="module")
+def refinement_sets():
+    """Every constraint list `path_constraints` builds on the pin sources
+    at 300 witnesses, each with the verdict `feasible` gave it."""
+    verdicts = {}
+    real = refine.feasible
+
+    def recording(cs, *args):
+        verdict = verdicts[tuple(cs)] = real(cs, *args)
+        return verdict
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refine, "feasible", recording)
+        _analyze_pin_sources(300)
+    return verdicts
+
+
+def test_integer_programs_give_integer_constraints(refinement_sets):
+    values = [x for cs in refinement_sets for c in cs for x in (c.rhs, *(x for _, x in c.terms))]
+    assert len(values) > 10_000
+    assert {type(x) for x in values} == {int}
+
+
+def test_fraction_input_gives_the_same_verdict(refinement_sets):
+    for cs, verdict in refinement_sets.items():
+        as_fractions = [PathConstraint(tuple((v, Fr(x)) for v, x in c.terms), c.op, Fr(c.rhs))
+                        for c in cs]
+        assert feasible(as_fractions) == verdict, cs
+    assert set(refinement_sets.values()) == {Feasible, Infeasible}
+
+
+def test_equality_with_a_coefficient_that_does_not_divide():
+    # x = y/2 (2x - y = 0), y = 3, x >= 2: 3/2 >= 2 fails only over exact fractions
+    cs = [_constraint({"x": 2, "y": -1}, EQ, 0), _constraint({"y": 1}, EQ, 3),
+          _constraint({"x": -1}, LE, -2)]
+    assert feasible(cs) == Infeasible
+    cs[2] = _constraint({"x": -1}, LE, -1)  # x >= 1
+    assert feasible(cs) == Feasible
 
 
 @pytest.mark.parametrize("max_witnesses", [1, 5, 300])

@@ -4,7 +4,7 @@ import pytest
 
 from ctl_lint import frontend as F
 from ctl_lint.cfg import build_cfg
-from ctl_lint.ctl import EF, EU, EX, And, Not, Prop, props_of
+from ctl_lint.ctl import EF, EU, EX, And, Not, Prop, check, props_of
 from ctl_lint.speclang import (
     SpecError, candidate_variables, instantiate, label_index,
     load_checkset, node_facts, parse_check, parse_checks,
@@ -26,6 +26,10 @@ def cfg_of(src: str, idx: int = 0):
     tu = F.parse(src, "a.c")
     assert F.check_well_formed(tu) == []
     return build_cfg(tu.functions[idx]), tu
+
+
+def tasks_of(spec, g, tu):
+    return instantiate(spec, g, label_index(g), candidate_variables(spec, g, tu.globals))
 
 
 def node_matching(cfg, pred):
@@ -173,53 +177,68 @@ class TestInstantiate:
     def test_two_pointers_both_freed(self, builtin_checks):
         df = next(c for c in builtin_checks if c.id == "double-free")
         g, tu = cfg_of("int f(int *p, int *q) { free(p); free(q); return 0; }")
-        tasks = instantiate(df, g, label_index(g), tu.globals)
+        tasks = tasks_of(df, g, tu)
         assert [t.bound_var for t in tasks] == ["p", "q"]
 
     def test_trigger_skip(self, builtin_checks):
         df = next(c for c in builtin_checks if c.id == "double-free")
         g, tu = cfg_of("int f(int *p, int *q) { free(p); return 0; }")
-        tasks = instantiate(df, g, label_index(g), tu.globals)
+        tasks = tasks_of(df, g, tu)
         assert [t.bound_var for t in tasks] == ["p"]  # q never freed
 
     def test_no_pointers_no_tasks(self, builtin_checks):
         df = next(c for c in builtin_checks if c.id == "double-free")
         g, tu = cfg_of("int f(int x) { return x; }")
-        assert instantiate(df, g, label_index(g), tu.globals) == []
+        assert tasks_of(df, g, tu) == []
 
     def test_single_free_site_labels_one_node(self, builtin_checks):
         df = next(c for c in builtin_checks if c.id == "double-free")
         g, tu = cfg_of("int f(int *p) { free(p); return 0; }")
-        (task,) = instantiate(df, g, label_index(g), tu.globals)
-        freed_nodes = [s for s in task.kripke.states() if "freed" in task.kripke.labels[s]]
-        assert len(freed_nodes) == 1
-        assert isinstance(g.nodes[freed_nodes[0]].stmt, F.ExprStmt)
+        (task,) = tasks_of(df, g, tu)
+        (freed_node,) = task.kripke.props["freed"]
+        assert isinstance(g.nodes[freed_node].stmt, F.ExprStmt)
 
     def test_determinism(self, builtin_checks):
         src = "int f(int *p, int *q) { free(p); free(q); free(p); return 0; }"
         df = next(c for c in builtin_checks if c.id == "double-free")
         g, tu = cfg_of(src)
-        a = instantiate(df, g, label_index(g), tu.globals)
-        b = instantiate(df, g, label_index(g), tu.globals)
-        assert [(t.binding, [t.kripke.labels[s] for s in t.kripke.states()]) for t in a] \
-            == [(t.binding, [t.kripke.labels[s] for s in t.kripke.states()]) for t in b]
+        a = tasks_of(df, g, tu)
+        b = tasks_of(df, g, tu)
+        assert [(t.binding, t.kripke.props) for t in a] == [(t.binding, t.kripke.props) for t in b]
 
     def test_task_count_bound(self, builtin_checks):
         src = "int f(int *p, int *q, int x) { free(p); free(q); x = *p; return x; }"
         g, tu = cfg_of(src)
         for spec in builtin_checks:
-            tasks = instantiate(spec, g, label_index(g), tu.globals)
+            tasks = tasks_of(spec, g, tu)
             assert len(tasks) <= len(candidate_variables(spec, g, tu.globals))
 
     def test_alphabet_closure(self, builtin_checks):
         src = "int f(int *p) { int *q = 0; free(p); *q = 1; free(p); return 0; }"
         g, tu = cfg_of(src)
         for spec in builtin_checks:
-            for task in instantiate(spec, g, label_index(g), tu.globals):
+            for task in tasks_of(spec, g, tu):
                 declared = {name for name, _ in spec.labels}
                 assert props_of(task.formula) <= declared
-                for s in task.kripke.states():
-                    assert task.kripke.labels[s] <= declared
+                assert task.kripke.props.keys() <= declared
+
+    def test_prop_states_are_the_indexed_nodes(self, builtin_checks):
+        from program_gen import generate_program
+        from ctl_lint.speclang import _fact
+        checked = 0
+        for seed in range(20):
+            tu = F.parse(generate_program(seed), "g.c")
+            for f in tu.functions:
+                g = build_cfg(f)
+                index = label_index(g)
+                for spec in builtin_checks:
+                    for task in tasks_of(spec, g, tu):
+                        sat = check(task.kripke, task.formula)
+                        for name, pattern in spec.labels:
+                            want = frozenset(index.get(_fact(pattern, task.bound_var), ()))
+                            assert sat.states(Prop(name)) == want
+                            checked += 1
+        assert checked > 500
 
     def test_array_class_binding(self):
         spec = parse_check("""
@@ -228,5 +247,5 @@ check idx { severity: info forall $a: array
   property: EF touch
 }""")
         g, tu = cfg_of("int f() { int a[4]; int b[2]; a[1] = 0; return 0; }")
-        tasks = instantiate(spec, g, label_index(g), tu.globals)
+        tasks = tasks_of(spec, g, tu)
         assert [t.bound_var for t in tasks] == ["a"]

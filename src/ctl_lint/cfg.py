@@ -8,17 +8,23 @@ meaning: the `true` edge is taken when the node's expression is nonzero.
 
 Unreachable nodes are kept in the graph and flagged; the dead-code check
 needs to see them.
+
+Each CFG is scanned once into a node table (`Cfg.table`): every node's
+expression trees are walked a single time, and every later pass that
+needs syntax (labeling, summaries, intervals, refinement) reads the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
+from . import frontend
 from .frontend import (
-    Assign, Binary, Block, Break, Continue, Expr, ExprStmt, For, FunctionDef,
-    If, IntLit, Return, SourceLocation, Stmt, Unary, VarDecl, While,
-    calls_user_function,
+    BUILTIN_FUNCTIONS, ArrayInt, Assign, Binary, Block, Break, Call, Continue,
+    Expr, ExprStmt, For, FunctionDef, If, Index, IntLit, MiniCType, Return,
+    SourceLocation, Stmt, Unary, Var, VarDecl, While,
 )
 
 ENTRY = "entry"
@@ -55,11 +61,6 @@ class CfgNode:
         if isinstance(s, Return) and s.value is not None:
             return [s.value]
         return []
-
-    @cached_property
-    def calls_user_function(self) -> bool:
-        """Does evaluating this node call a function other than malloc/free?"""
-        return any(calls_user_function(e) for e in self.roots)
 
     def describe(self) -> str:
         if self.kind == ENTRY:
@@ -122,15 +123,126 @@ class Cfg:
         return frozenset(n.id for n in self.nodes if n.id not in seen)
 
     @cached_property
-    def node_of_fragment(self) -> dict[int, int]:
-        """Map id(ast node) -> cfg node id, for statements and cond expressions."""
-        out: dict[int, int] = {}
-        for n in self.nodes:
-            if n.stmt is not None:
-                out[id(n.stmt)] = n.id
-            if n.expr is not None:
-                out[id(n.expr)] = n.id
-        return out
+    def table(self) -> NodeTable:
+        return _scan(self)
+
+
+# ---------------------------------------------------------------------------
+# The node table
+
+Fact = tuple[str, str]  # (pattern name, argument)
+
+_COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
+
+
+class CallSite(NamedTuple):
+    node: int
+    callee: str
+    args: tuple[str | None, ...]  # each argument's variable, None if not a plain one
+    target: str | None  # v in `v = f(...)` and `int v = f(...)`
+
+
+@dataclass(eq=False)
+class NodeTable:
+    """What one walk of a CFG's expression trees finds.
+
+    `facts[n]` holds every pattern that matches node n, as (pattern name,
+    argument) facts.  The argument is the variable bound to the pattern's
+    metavariable, the callee name for `call`, and "" for `at_entry` and
+    `at_exit`.  A plain assignment's target and a declaration's own name
+    are writes, and `&v` takes an address without reading `v`; every other
+    variable mention is a `use`.
+    """
+
+    facts: list[set[Fact]]  # by node id
+    calls: list[CallSite]  # in node and walk order, malloc and free included
+    address_taken: set[str]  # every v of an `&v`
+    sites: list[tuple[int, Expr]]  # each index into a variable and each / and %
+    user_calls: set[int]  # nodes calling a function other than malloc and free
+    decls: dict[str, MiniCType]  # first declarations: params, then locals in node order
+    returns: list[int]  # return statements
+
+    @property
+    def arrays(self) -> frozenset[str]:
+        """Params and locals whose first declaration is an `int[N]` array."""
+        return frozenset(v for v, t in self.decls.items() if isinstance(t, ArrayInt))
+
+    def types(self, globals_: list[VarDecl] = ()) -> dict[str, MiniCType]:
+        """Each name in scope -> the type of its first declaration: params
+        first, then locals in node order, then globals."""
+        types = dict(self.decls)
+        for g in globals_:
+            types.setdefault(g.name, g.type)
+        return types
+
+
+def _scan(cfg: Cfg) -> NodeTable:
+    t = NodeTable([], [], set(), [], set(), {}, [])
+    for p in cfg.func.params:
+        t.decls.setdefault(p.name, p.type)
+    for node in cfg.nodes:
+        if node.kind in (ENTRY, EXIT):
+            t.facts.append({("at_entry" if node.kind == ENTRY else "at_exit", "")})
+            continue
+        nid = node.id
+        facts: set[Fact] = set()
+        t.facts.append(facts)
+        s = node.stmt
+        roots = node.roots
+        target = rhs = None
+        if isinstance(s, Assign) and isinstance(s.target, Var):
+            target, rhs = s.target.name, s.value
+            roots = roots[1:]  # the target is written, and a Var has no subexpressions
+        elif isinstance(s, VarDecl):
+            t.decls.setdefault(s.name, s.type)
+            target, rhs = s.name, s.init
+            if rhs is None and not isinstance(s.type, ArrayInt):
+                facts.add(("decl_uninit", target))
+        elif isinstance(s, Return):
+            t.returns.append(nid)
+        if rhs is not None:
+            facts.add(("assign_to", target))
+            if isinstance(rhs, Call) and rhs.name == "malloc":
+                facts.add(("malloc_assign", target))
+            elif isinstance(rhs, IntLit) and rhs.value == 0:
+                facts.add(("null_assign", target))
+        if node.kind == COND:
+            e = node.expr
+            if isinstance(e, Var):
+                facts.add(("null_check", e.name))
+            elif isinstance(e, Binary) and e.op in _COMPARISONS:
+                for a, b in ((e.left, e.right), (e.right, e.left)):
+                    if isinstance(a, Var) and isinstance(b, IntLit) and b.value == 0:
+                        facts.add(("null_check", a.name))
+        # id() of the Var under each `&v`; walk is pre-order, so `&v` comes first
+        address_of: set[int] = set()
+        for root in roots:
+            for e in frontend.walk(root):
+                if isinstance(e, Var):
+                    if id(e) not in address_of:
+                        facts.add(("use", e.name))
+                elif isinstance(e, Call):
+                    facts.add(("call", e.name))
+                    args = tuple(a.name if isinstance(a, Var) else None for a in e.args)
+                    if e.name == "free" and args[0] is not None:
+                        facts.add(("free_of", args[0]))
+                    if e.name not in BUILTIN_FUNCTIONS:
+                        t.user_calls.add(nid)
+                    t.calls.append(CallSite(nid, e.name, args, target if e is rhs else None))
+                elif isinstance(e, Unary) and isinstance(e.operand, Var):
+                    if e.op == "*":
+                        facts.add(("deref", e.operand.name))
+                    elif e.op == "&":
+                        address_of.add(id(e.operand))
+                        t.address_taken.add(e.operand.name)
+                elif isinstance(e, Index):
+                    if isinstance(e.base, Var):
+                        facts.add(("deref", e.base.name))
+                        facts.add(("index_of", e.base.name))
+                        t.sites.append((nid, e))
+                elif isinstance(e, Binary) and e.op in ("/", "%"):
+                    t.sites.append((nid, e))
+    return t
 
 
 class _Builder:
@@ -317,12 +429,6 @@ def to_kripke(cfg: Cfg, props: dict[str, frozenset[int]] | None = None) -> Kripk
     """View a CFG as a Kripke structure, totalized with an exit self-loop,
     with `props` as its labeling."""
     return KripkeStructure(cfg.kripke_succ, cfg.kripke_pred, props or {})
-
-
-def reverse(k: KripkeStructure) -> KripkeStructure:
-    """Flip all transitions; self-loops keep the reversed relation total."""
-    succ = [outs or [s] for s, outs in enumerate(k.pred)]
-    return KripkeStructure(succ, predecessors(succ), k.props)
 
 
 def to_dot(cfg: Cfg) -> str:

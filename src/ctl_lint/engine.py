@@ -144,10 +144,6 @@ def call_order(functions: list[FunctionDef]) -> tuple[list[str], set[str], dict[
     return order, cyclic, callees
 
 
-def _return_nodes(cfg: Cfg) -> list[int]:
-    return [n.id for n in cfg.nodes if isinstance(n.stmt, ast.Return)]
-
-
 def _labeling(index: dict[Fact, list[int]], var: str,
               **labels: tuple[str, ...]) -> dict[str, frozenset[int]]:
     """Each label -> the node ids where one of its patterns holds for `var`."""
@@ -175,7 +171,7 @@ def compute_summary(f: FunctionDef, cfg: Cfg, summaries: dict[str, FunctionSumma
     any null check of it.
     """
     may_null = False
-    for rid in _return_nodes(cfg):
+    for rid in cfg.table.returns:
         value = cfg.nodes[rid].stmt.value
         if value is None:
             continue
@@ -224,36 +220,20 @@ def apply_summaries(cfg: Cfg, summaries: dict[str, FunctionSummary]) -> dict[int
                         and deref(v) at an unchecked-deref position.
     """
     facts: dict[int, set[Fact]] = {}
-
-    def add(nid: int, pname: str, var: str):
-        facts.setdefault(nid, set()).add((pname, var))
-
-    for node in cfg.nodes:
-        s = node.stmt
-        target_var = None
-        call_rhs = None
-        if isinstance(s, ast.Assign) and isinstance(s.target, ast.Var) \
-                and isinstance(s.value, ast.Call):
-            target_var, call_rhs = s.target.name, s.value
-        elif isinstance(s, ast.VarDecl) and isinstance(s.init, ast.Call):
-            target_var, call_rhs = s.name, s.init
-        if call_rhs is not None:
-            summ = summaries.get(call_rhs.name)
-            if summ is not None and summ.may_return_null:
-                add(node.id, "null_assign", target_var)
-        for root in node.roots:
-            for e in ast.walk(root):
-                if not isinstance(e, ast.Call):
-                    continue
-                summ = summaries.get(e.name)
-                if summ is None:
-                    continue
-                for i in summ.always_frees:
-                    if i < len(e.args) and isinstance(e.args[i], ast.Var):
-                        add(node.id, "free_of", e.args[i].name)
-                for i in summ.derefs_param_unchecked:
-                    if i < len(e.args) and isinstance(e.args[i], ast.Var):
-                        add(node.id, "deref", e.args[i].name)
+    for site in cfg.table.calls:
+        summ = summaries.get(site.callee)
+        if summ is None:
+            continue
+        found = set()
+        if site.target is not None and summ.may_return_null:
+            found.add(("null_assign", site.target))
+        for pname, positions in (("free_of", summ.always_frees),
+                                 ("deref", summ.derefs_param_unchecked)):
+            for i in positions:
+                if i < len(site.args) and site.args[i] is not None:
+                    found.add((pname, site.args[i]))
+        if found:
+            facts.setdefault(site.node, set()).update(found)
     return facts
 
 

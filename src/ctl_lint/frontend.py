@@ -104,7 +104,7 @@ VOID = Void()
 # AST
 #
 # Nodes use identity equality (eq=False): analysis passes key tables by the
-# node object itself.  Structural comparison lives in `structurally_equal`.
+# node object itself.
 
 @dataclass(eq=False)
 class Expr:
@@ -739,11 +739,6 @@ def walk(e: Expr):
             stack.extend(reversed(e.args))
 
 
-def calls_user_function(e: Expr) -> bool:
-    """Does evaluating `e` call a function other than malloc and free?"""
-    return any(isinstance(x, Call) and x.name not in BUILTIN_FUNCTIONS for x in walk(e))
-
-
 # ---------------------------------------------------------------------------
 # Well-formedness
 
@@ -856,120 +851,10 @@ def _check_expr(e: Expr, scopes, funcs, errors) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Pretty printer (round-trips through parse up to locations)
-
-def pretty(tu: TranslationUnit) -> str:
-    parts: list[str] = []
-    for g in tu.globals:
-        parts.append(_pp_decl(g) + ";")
-    if tu.globals:
-        parts.append("")
-    for f in tu.functions:
-        ret = {INT: "int", PTR_INT: "int *", VOID: "void"}[f.return_type]
-        params = ", ".join(_pp_param(p) for p in f.params)
-        parts.append(f"{ret} {f.name}({params}) " + _pp_stmt(f.body, 0).lstrip())
-        parts.append("")
-    return "\n".join(parts).rstrip() + "\n"
-
-
-def _pp_param(p: Param) -> str:
-    if isinstance(p.type, PtrInt):
-        return f"int *{p.name}"
-    if isinstance(p.type, ArrayInt):
-        return f"int {p.name}[{p.type.size}]"
-    return f"int {p.name}"
-
-
-def _pp_decl(d: VarDecl) -> str:
-    if isinstance(d.type, ArrayInt):
-        return f"int {d.name}[{d.type.size}]"
-    head = f"int *{d.name}" if isinstance(d.type, PtrInt) else f"int {d.name}"
-    if d.init is not None:
-        return f"{head} = {_pp_expr(d.init, 0)}"
-    return head
-
-
-def _pp_stmt(s: Stmt, indent: int) -> str:
-    pad = "  " * indent
-    if isinstance(s, Block):
-        inner = "".join(_pp_stmt(c, indent + 1) for c in s.stmts)
-        return f"{pad}{{\n{inner}{pad}}}\n"
-    if isinstance(s, VarDecl):
-        return f"{pad}{_pp_decl(s)};\n"
-    if isinstance(s, Assign):
-        return f"{pad}{_pp_expr(s.target, 0)} = {_pp_expr(s.value, 0)};\n"
-    if isinstance(s, If):
-        out = f"{pad}if ({_pp_expr(s.cond, 0)})\n{_pp_stmt(s.then, indent + 1)}"
-        if s.orelse is not None:
-            out += f"{pad}else\n{_pp_stmt(s.orelse, indent + 1)}"
-        return out
-    if isinstance(s, While):
-        return f"{pad}while ({_pp_expr(s.cond, 0)})\n{_pp_stmt(s.body, indent + 1)}"
-    if isinstance(s, For):
-        init = _pp_for_part(s.init)
-        cond = _pp_expr(s.cond, 0) if s.cond is not None else ""
-        step = _pp_for_part(s.step)
-        return f"{pad}for ({init}; {cond}; {step})\n{_pp_stmt(s.body, indent + 1)}"
-    if isinstance(s, Return):
-        if s.value is None:
-            return f"{pad}return;\n"
-        return f"{pad}return {_pp_expr(s.value, 0)};\n"
-    if isinstance(s, ExprStmt):
-        return f"{pad}{_pp_expr(s.expr, 0)};\n"
-    if isinstance(s, Break):
-        return f"{pad}break;\n"
-    if isinstance(s, Continue):
-        return f"{pad}continue;\n"
-    raise AssertionError(f"unhandled statement {s!r}")
-
-
-def _pp_for_part(s: Stmt | None) -> str:
-    if s is None:
-        return ""
-    if isinstance(s, VarDecl):
-        return _pp_decl(s)
-    if isinstance(s, Assign):
-        return f"{_pp_expr(s.target, 0)} = {_pp_expr(s.value, 0)}"
-    if isinstance(s, ExprStmt):
-        return _pp_expr(s.expr, 0)
-    raise AssertionError(f"unhandled for-part {s!r}")
-
-
-_UNARY_PREC = 7
-
-
-def _pp_expr(e: Expr, parent_prec: int) -> str:
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Unary):
-        inner = _pp_expr(e.operand, _UNARY_PREC)
-        # parenthesize nested unaries: "--x"/"&&x" would re-lex as one token
-        if isinstance(e.operand, Unary):
-            inner = f"({inner})"
-        out = f"{e.op}{inner}"
-        return f"({out})" if parent_prec > _UNARY_PREC else out
-    if isinstance(e, Binary):
-        prec = _BINARY_PREC[e.op]
-        left = _pp_expr(e.left, prec)
-        right = _pp_expr(e.right, prec + 1)
-        out = f"{left} {e.op} {right}"
-        return f"({out})" if parent_prec > prec else out
-    if isinstance(e, Index):
-        return f"{_pp_expr(e.base, _UNARY_PREC + 1)}[{_pp_expr(e.index, 0)}]"
-    if isinstance(e, Call):
-        args = ", ".join(_pp_expr(a, 0) for a in e.args)
-        return f"{e.name}({args})"
-    raise AssertionError(f"unhandled expression {e!r}")
-
-
-def structurally_equal(a, b) -> bool:
-    """AST equality ignoring source locations."""
-    return _sig(a) == _sig(b)
-
+# Structural signatures
 
 def _sig(node):
+    """A location-free tuple of `node`'s structure, for content hashing."""
     if isinstance(node, TranslationUnit):
         return ("unit", tuple(_sig(g) for g in node.globals),
                 tuple(_sig(f) for f in node.functions))

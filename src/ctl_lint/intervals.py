@@ -7,12 +7,16 @@ integers are unbounded, so machine wraparound is out of scope.
 
 Backs the buffer-overrun and division-by-zero checks: a definitely-bad
 operation escalates to an error, a possibly-bad one stays a warning.
+Everything syntactic comes from the CFG's node table (`Cfg.table`): the
+variables a user call may modify (globals and address-taken names), the
+nodes that call a user function, the declared arrays (first declaration
+wins) and the index and `/`/`%` sites the checks report on.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Set
 from dataclasses import dataclass
 
 from . import frontend as ast
@@ -453,17 +457,19 @@ def _refine_guard(expr: ast.Expr, env: IntervalEnv, branch: str) -> IntervalEnv:
 
 def transfer(node: CfgNode, env: IntervalEnv, branch: str | None = None,
              call_havoc: frozenset[str] = frozenset(),
-             array_vars: frozenset[str] = frozenset()) -> IntervalEnv:
+             array_vars: frozenset[str] = frozenset(),
+             user_calls: Set[int] = frozenset()) -> IntervalEnv:
     """Abstract effect of executing `node`, leaving along `branch`.
 
     `call_havoc` names the variables any user call may modify (globals and
-    address-taken locals); they drop to Top whenever such a call appears in
-    the node.  `array_vars` names declared arrays: writes indexed through
-    them touch only untracked cells and havoc nothing.
+    address-taken locals); they drop to Top whenever `node` is one of
+    `user_calls`, the nodes that call a user function.  `array_vars` names
+    declared arrays: writes indexed through them touch only untracked
+    cells and havoc nothing.
     """
     if env.is_bottom:
         return BOTTOM_ENV
-    has_call = node.calls_user_function
+    has_call = node.id in user_calls
     if node.kind == COND:
         if has_call:
             env = env.drop(call_havoc)
@@ -511,16 +517,6 @@ class AbsResult:
 _WIDEN_DELAY = 3
 
 
-def _call_havoc_set(cfg: Cfg, global_names: frozenset[str]) -> frozenset[str]:
-    taken: set[str] = set(global_names)
-    for node in cfg.nodes:
-        for root in node.roots:
-            for e in ast.walk(root):
-                if isinstance(e, ast.Unary) and e.op == "&" and isinstance(e.operand, ast.Var):
-                    taken.add(e.operand.name)
-    return frozenset(taken)
-
-
 def iteration_cap(n_nodes: int, n_vars: int, n_heads: int) -> int:
     """Hard bound on worklist pops: the 3-per-head plain phase plus a
     widening-bounded tail. Exceeding it is a bug, not an input property."""
@@ -531,17 +527,14 @@ def analyze(cfg: Cfg, global_names: frozenset[str] = frozenset()) -> AbsResult:
     """Worklist fixpoint with widening at loop heads after three plain
     joins per head, then one meet-based narrowing pass in reverse postorder."""
     n = len(cfg.nodes)
-    havoc = _call_havoc_set(cfg, global_names)
-    arrays = _array_var_names(cfg)
+    table = cfg.table
+    havoc = global_names | table.address_taken
+    arrays = table.arrays
+    users = table.user_calls
     envs: list[IntervalEnv] = [BOTTOM_ENV] * n
     envs[cfg.entry] = IntervalEnv()
-    var_names: set[str] = set(global_names)
-    for node in cfg.nodes:
-        if isinstance(node.stmt, ast.VarDecl):
-            var_names.add(node.stmt.name)
-    var_names.update(p.name for p in cfg.func.params)
 
-    cap = iteration_cap(n, len(var_names), len(cfg.loop_heads))
+    cap = iteration_cap(n, len(global_names.union(table.decls)), len(cfg.loop_heads))
     update_count = [0] * n
     work = deque([cfg.entry])
     queued = [False] * n
@@ -555,7 +548,7 @@ def analyze(cfg: Cfg, global_names: frozenset[str] = frozenset()) -> AbsResult:
             raise RuntimeError(
                 f"interval fixpoint exceeded its iteration cap ({cap}) in '{cfg.function}'")
         for t, label in cfg.succ[m]:
-            out = transfer(cfg.nodes[m], envs[m], label, havoc, arrays)
+            out = transfer(cfg.nodes[m], envs[m], label, havoc, arrays, users)
             if env_leq(out, envs[t]):
                 continue
             update_count[t] += 1
@@ -573,17 +566,10 @@ def analyze(cfg: Cfg, global_names: frozenset[str] = frozenset()) -> AbsResult:
             continue
         inflow = BOTTOM_ENV
         for m, label in cfg.pred[t]:
-            inflow = env_join(inflow, transfer(cfg.nodes[m], envs[m], label, havoc, arrays))
+            inflow = env_join(inflow, transfer(cfg.nodes[m], envs[m], label, havoc, arrays,
+                                               users))
         envs[t] = env_meet(envs[t], inflow)
     return AbsResult(envs, pops)
-
-
-def _array_var_names(cfg: Cfg) -> frozenset[str]:
-    names = {p.name for p in cfg.func.params if isinstance(p.type, ast.ArrayInt)}
-    for node in cfg.nodes:
-        if isinstance(node.stmt, ast.VarDecl) and isinstance(node.stmt.type, ast.ArrayInt):
-            names.add(node.stmt.name)
-    return frozenset(names)
 
 
 def _reverse_postorder(cfg: Cfg) -> list[int]:
@@ -618,37 +604,18 @@ BUFFER_OVERRUN = "buffer-overrun"
 DIV_BY_ZERO = "div-by-zero"
 
 
-def declared_types(cfg: Cfg, globals_: list[ast.VarDecl] = ()) -> dict[str, ast.MiniCType]:
-    """Name -> type map; locals and params shadow globals. Same-name
-    declarations inside one function are conflated (first wins)."""
-    types: dict[str, ast.MiniCType] = {g.name: g.type for g in globals_}
-    local: set[str] = set()
-    for p in cfg.func.params:
-        types[p.name] = p.type
-        local.add(p.name)
-    for node in cfg.nodes:
-        d = node.stmt
-        if isinstance(d, ast.VarDecl) and d.name not in local:
-            types[d.name] = d.type
-            local.add(d.name)
-    return types
-
-
 def check_sites(cfg: Cfg, globals_: list[ast.VarDecl] = (),
                 ) -> Iterator[tuple[CfgNode, ast.Expr, int | None]]:
     """(node, expression, array size) for each expression `interval_checks`
-    reports on, in node and walk order: an index into a declared `int[N]`
-    array, with size N, and a `/` or `%`, with size None."""
-    types = declared_types(cfg, globals_)
-    for node in cfg.nodes:
-        for root in node.roots:
-            for e in ast.walk(root):
-                if isinstance(e, ast.Index) and isinstance(e.base, ast.Var):
-                    ty = types.get(e.base.name)
-                    if isinstance(ty, ast.ArrayInt):
-                        yield node, e, ty.size
-                elif isinstance(e, ast.Binary) and e.op in ("/", "%"):
-                    yield node, e, None
+    reports on, in node and walk order: an index into a variable whose
+    first declaration is `int[N]`, with size N, and a `/` or `%`, with
+    size None."""
+    types = cfg.table.types(globals_)
+    for nid, e in cfg.table.sites:
+        if isinstance(e, ast.Binary):
+            yield cfg.nodes[nid], e, None
+        elif isinstance(ty := types.get(e.base.name), ast.ArrayInt):
+            yield cfg.nodes[nid], e, ty.size
 
 
 def interval_checks(cfg: Cfg, result: AbsResult,
@@ -659,13 +626,13 @@ def interval_checks(cfg: Cfg, result: AbsResult,
     possibly-failing ones are warnings left unconfirmed.  Nodes with a
     Bottom environment are unreachable and produce nothing.
     """
-    havoc = _call_havoc_set(cfg, frozenset(g.name for g in globals_))
+    havoc = frozenset(g.name for g in globals_) | cfg.table.address_taken
     out: list[Diagnostic] = []
     for node, e, size in check_sites(cfg, globals_):
         env = result.at(node.id)
         if env.is_bottom:
             continue
-        if node.calls_user_function:
+        if node.id in cfg.table.user_calls:
             env = env.drop(havoc)
         if size is not None:
             idx = eval_expr(e.index, env)

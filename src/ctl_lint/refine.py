@@ -157,7 +157,7 @@ def path_constraints(trace: WitnessTrace, cfg: Cfg,
     for i, sid in enumerate(states):
         node = cfg.nodes[sid]
         nxt = states[i + 1] if i + 1 < len(states) else None
-        if node.calls_user_function:  # the callee may write any global
+        if sid in cfg.table.user_calls:  # the callee may write any global
             for g in sorted(global_names):
                 v.fresh(g)
         if node.kind == STMT:

@@ -2,11 +2,13 @@
 
 A check declares named atomic propositions as syntactic patterns over one
 quantified program variable, plus a CTL property over those labels.  Each
-CFG node's facts, every (pattern, argument) pair that matches it, are
-computed once per function into a fact table (`node_facts`,
-`label_index`).  For every candidate variable of the quantified class, each
-label's state set is then looked up in that table, producing one small
-model-checking task per binding over the CFG's shared Kripke skeleton.
+CFG node's facts, every (pattern, argument) pair that matches it, come
+from the CFG's node table (`Cfg.table`); `label_index` merges them with
+the facts callee summaries imply into one index per function.  For every
+candidate variable of the quantified class, read from the table's
+declarations, each label's state set is then looked up in that index,
+producing one small model-checking task per binding over the CFG's shared
+Kripke skeleton.
 Tasks whose trigger label (the first declared one) never matches are
 skipped before any checking happens.
 
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import frontend as ast
-from .cfg import COND, Cfg, CfgNode, ENTRY, EXIT, KripkeStructure, to_kripke
+from .cfg import Cfg, Fact, KripkeStructure, to_kripke
 from .ctl import (
     AF, AG, AU, AX, And, CtlFormula, EF, EG, EU, EX, Implies, Not, Or, Prop,
     props_of,
@@ -300,14 +302,6 @@ def parse_checks(text: str, file: str = "<checks>") -> list[CheckSpec]:
     return _ChkParser(text, file).parse_file()
 
 
-def parse_check(text: str, file: str = "<checks>") -> CheckSpec:
-    """Parse a .chk source containing exactly one check."""
-    checks = parse_checks(text, file)
-    if len(checks) != 1:
-        raise SpecError(checks[1].loc, "expected exactly one check")
-    return checks[0]
-
-
 def load_checkset(spec_paths: Sequence[str] = ()) -> tuple[list[CheckSpec], str]:
     """The builtin checks followed by those of each spec file, and the text
     of all of them, which cache keys hash.  Check ids must be unique."""
@@ -327,86 +321,20 @@ def load_checkset(spec_paths: Sequence[str] = ()) -> tuple[list[CheckSpec], str]
 
 
 # ---------------------------------------------------------------------------
-# Node facts
-
-Fact = tuple[str, str]  # (pattern name, argument)
-
-_COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
-
-
-def node_facts(node: CfgNode) -> set[Fact]:
-    """Every pattern that matches `node`, as (pattern name, argument) facts.
-
-    The argument is the variable bound to the pattern's metavariable, the
-    callee name for `call`, and "" for `at_entry` and `at_exit`.  A plain
-    assignment's target and a declaration's own name are writes, and `&v`
-    takes an address without reading `v`; every other variable mention is
-    a `use`.
-    """
-    if node.kind == ENTRY:
-        return {("at_entry", "")}
-    if node.kind == EXIT:
-        return {("at_exit", "")}
-    facts: set[Fact] = set()
-    s = node.stmt
-    roots = node.roots
-    target = rhs = None
-    if isinstance(s, ast.Assign) and isinstance(s.target, ast.Var):
-        target, rhs = s.target.name, s.value
-        roots = roots[1:]  # the target is written, and a Var has no subexpressions
-    elif isinstance(s, ast.VarDecl):
-        target, rhs = s.name, s.init
-        if rhs is None and not isinstance(s.type, ast.ArrayInt):
-            facts.add(("decl_uninit", target))
-    if rhs is not None:
-        facts.add(("assign_to", target))
-        if isinstance(rhs, ast.Call) and rhs.name == "malloc":
-            facts.add(("malloc_assign", target))
-        elif isinstance(rhs, ast.IntLit) and rhs.value == 0:
-            facts.add(("null_assign", target))
-    if node.kind == COND:
-        e = node.expr
-        if isinstance(e, ast.Var):
-            facts.add(("null_check", e.name))
-        elif isinstance(e, ast.Binary) and e.op in _COMPARISONS:
-            for a, b in ((e.left, e.right), (e.right, e.left)):
-                if isinstance(a, ast.Var) and isinstance(b, ast.IntLit) and b.value == 0:
-                    facts.add(("null_check", a.name))
-    # id() of the Var under each `&v`; walk is pre-order, so `&v` comes first
-    address_taken: set[int] = set()
-    for root in roots:
-        for e in ast.walk(root):
-            if isinstance(e, ast.Var):
-                if id(e) not in address_taken:
-                    facts.add(("use", e.name))
-            elif isinstance(e, ast.Call):
-                facts.add(("call", e.name))
-                if e.name == "free" and isinstance(e.args[0], ast.Var):
-                    facts.add(("free_of", e.args[0].name))
-            elif isinstance(e, ast.Unary) and isinstance(e.operand, ast.Var):
-                if e.op == "*":
-                    facts.add(("deref", e.operand.name))
-                elif e.op == "&":
-                    address_taken.add(id(e.operand))
-            elif isinstance(e, ast.Index) and isinstance(e.base, ast.Var):
-                facts.add(("deref", e.base.name))
-                facts.add(("index_of", e.base.name))
-    return facts
-
+# Label index
 
 def label_index(cfg: Cfg, extra: dict[int, set[Fact]] | None = None) -> dict[Fact, list[int]]:
-    """Map each fact holding somewhere in `cfg` to its node ids, ascending.
+    """Map each fact of `cfg`'s node table to its node ids, ascending.
 
     `extra` adds facts per node id, such as those implied by callee
     summaries at call sites.
     """
     index: dict[Fact, list[int]] = {}
-    for node in cfg.nodes:
-        facts = node_facts(node)
-        if extra and node.id in extra:
-            facts |= extra[node.id]
+    for nid, facts in enumerate(cfg.table.facts):
+        if extra and nid in extra:
+            facts = facts | extra[nid]
         for fact in facts:
-            index.setdefault(fact, []).append(node.id)
+            index.setdefault(fact, []).append(nid)
     return index
 
 
@@ -423,26 +351,12 @@ def candidate_variables(check: CheckSpec, cfg: Cfg,
                         globals_: list[ast.VarDecl] = ()) -> list[str]:
     """In-scope variables matching the check's quantified class, in
     declaration order: params, then locals, then globals."""
-    ordered: list[tuple[str, ast.MiniCType]] = []
-    seen: set[str] = set()
-    for prm in cfg.func.params:
-        if prm.name not in seen:
-            ordered.append((prm.name, prm.type))
-            seen.add(prm.name)
-    for node in cfg.nodes:
-        d = node.stmt
-        if isinstance(d, ast.VarDecl) and d.name not in seen:
-            ordered.append((d.name, d.type))
-            seen.add(d.name)
-    for g in globals_:
-        if g.name not in seen:
-            ordered.append((g.name, g.type))
-            seen.add(g.name)
+    types = cfg.table.types(globals_)
     if check.var_class == "pointer":
-        return [n for n, t in ordered if isinstance(t, ast.PtrInt)]
+        return [n for n, t in types.items() if isinstance(t, ast.PtrInt)]
     if check.var_class == "array":
-        return [n for n, t in ordered if isinstance(t, ast.ArrayInt)]
-    return [n for n, _ in ordered]
+        return [n for n, t in types.items() if isinstance(t, ast.ArrayInt)]
+    return list(types)
 
 
 def instantiate(check: CheckSpec, cfg: Cfg, index: dict[Fact, list[int]],

@@ -93,10 +93,21 @@ def tmod(a: int, b: int) -> int:
     return a - b * tdiv(a, b)
 
 
+def node_of_fragment(cfg: Cfg) -> dict[int, int]:
+    """Map id(ast node) -> cfg node id, for statements and cond expressions."""
+    out: dict[int, int] = {}
+    for n in cfg.nodes:
+        if n.stmt is not None:
+            out[id(n.stmt)] = n.id
+        if n.expr is not None:
+            out[id(n.expr)] = n.id
+    return out
+
+
 @dataclass
 class _Frame:
     function: str
-    cfg: Cfg | None
+    fragments: dict[int, int] | None  # node_of_fragment of its CFG
     scopes: list = field(default_factory=lambda: [{}])
     allocs: list = field(default_factory=list)  # (varname|None, Block, loc)
 
@@ -106,7 +117,7 @@ class Interpreter:
                  observer=None):
         self.tu = tu
         self.funcs = {f.name: f for f in tu.functions}
-        self.cfgs: dict[str, Cfg] = {f.name: build_cfg(f) for f in tu.functions}
+        self.fragments = {f.name: node_of_fragment(build_cfg(f)) for f in tu.functions}
         self.step_budget = step_budget
         self.observer = observer
         self.events: list[Event] = []
@@ -150,7 +161,7 @@ class Interpreter:
             raise InterpError("call depth exceeded")
         if len(args) != len(f.params):
             raise InterpError(f"arity mismatch calling {name}")
-        frame = _Frame(name, self.cfgs[name])
+        frame = _Frame(name, self.fragments[name])
         for prm, value in zip(f.params, args):
             frame.scopes[-1][prm.name] = Scalar(value)
         self.depth += 1
@@ -168,9 +179,9 @@ class Interpreter:
         return result
 
     def _observe(self, frame: _Frame, fragment) -> None:
-        if self.observer is None or frame.cfg is None:
+        if self.observer is None or frame.fragments is None:
             return
-        node = frame.cfg.node_of_fragment.get(id(fragment))
+        node = frame.fragments.get(id(fragment))
         if node is None:
             return
         snapshot: dict[str, int] = {}

@@ -32,6 +32,12 @@ def kripke(succ: list[list[int]], labels) -> KripkeStructure:
                            {name: frozenset(states) for name, states in props.items()})
 
 
+def reverse(k: KripkeStructure) -> KripkeStructure:
+    """Flip all transitions; self-loops keep the reversed relation total."""
+    succ = [outs or [s] for s, outs in enumerate(k.pred)]
+    return KripkeStructure(succ, predecessors(succ), k.props)
+
+
 def sat_oracle(k: KripkeStructure, f: CtlFormula, s: int,
                memo: dict | None = None) -> bool:
     memo = memo if memo is not None else {}

@@ -24,13 +24,14 @@ from ctl_lint.cli import _available_cpus, main as cli_main
 from ctl_lint.ctl import EF, EU, EX, And, Not, Or, Prop, check, is_witnessable, witness
 from ctl_lint.engine import CacheDb, Counters, EngineConfig, analyze_unit
 from ctl_lint.intervals import analyze as interval_analyze, iteration_cap
-from ctl_lint.speclang import CheckTask, load_checkset, parse_check
+from ctl_lint.speclang import CheckTask, load_checkset
 from fixtures_bugs import FIXTURES
 from minic_interp import Interpreter
 from oracle_ctl import (
     edge_valid, kripke, random_formula, random_kripke, sat_oracle, trace_demonstrates,
 )
 from program_gen import ProgramGen, generate_program
+from syntax_helpers import parse_check
 
 CHECKS, BUILTIN_TEXT = load_checkset()
 

@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from ctl_lint import frontend as F
 from ctl_lint.cfg import (
-    COND, ENTRY, EXIT, FALSE, TRUE, build_cfg, reverse, to_dot, to_kripke,
+    COND, ENTRY, EXIT, FALSE, TRUE, build_cfg, to_dot, to_kripke,
 )
-from oracle_ctl import kripke
+from minic_interp import node_of_fragment
+from oracle_ctl import kripke, reverse
 from program_gen import generate_program
 
 
@@ -140,9 +141,10 @@ def test_node_count_linear_in_program_size(seed):
         g = build_cfg(f)
         stmts, conds = _count_stmts_and_conds(f.body)
         assert len(g.nodes) <= 2 * (stmts + conds) + 2
+        fragments = node_of_fragment(g)
         for s in f.body.stmts:  # every leaf statement owns at least one node
             if not isinstance(s, (F.Block, F.If, F.While, F.For)):
-                assert id(s) in g.node_of_fragment
+                assert id(s) in fragments
 
 
 class TestKripke:

@@ -158,7 +158,8 @@ class TestDeadCode:
 
     def test_matches_graph_reachability(self):
         from program_gen import generate_program
-        from ctl_lint.cfg import reverse, to_kripke
+        from ctl_lint.cfg import to_kripke
+        from oracle_ctl import reverse
         from ctl_lint.ctl import EF, Prop, check
         for seed in range(30):
             tu = F.parse(generate_program(seed), "g.c")
@@ -450,6 +451,26 @@ class TestAnalyzeUnit:
         analyze("int f() { return 1; }\nint g() { return f(); }\n"
                 "int r(int n) { if (n) { return r(n - 1); } return 0; }\n")
         assert sorted(built) == ["f", "g", "r"]
+
+    def test_each_expression_tree_walked_once(self, monkeypatch):
+        # every pass reads the CFG's node table, so no pass walks a node's
+        # expression trees again
+        from fixtures_bugs import FIXTURES
+        from program_gen import generate_program
+        walked: dict[int, list] = {}  # id(root) -> [root, walks]; holding root keeps its id
+        real_walk = F.walk
+
+        def counting(root):
+            walked.setdefault(id(root), [root, 0])[1] += 1
+            return real_walk(root)
+
+        monkeypatch.setattr(F, "walk", counting)
+        sources = [fixture.source for fixture in FIXTURES]
+        sources += [generate_program(seed) for seed in range(20)]
+        for src in sources:
+            analyze(src)
+        assert walked
+        assert max(walks for _, walks in walked.values()) == 1
 
     def test_errors_survive_pickling(self):
         loc = F.SourceLocation("a.c", 3, 4)

@@ -10,6 +10,7 @@ from ctl_lint import frontend as F
 from ctl_lint import speclang as S
 from fixtures_bugs import FIXTURES
 from program_gen import generate_program
+from syntax_helpers import pretty, structurally_equal
 
 
 def parse(src: str):
@@ -194,18 +195,18 @@ class TestRoundTrip:
     ])
     def test_fixed_programs(self, src):
         tu = parse(src)
-        printed = F.pretty(tu)
+        printed = pretty(tu)
         tu2 = F.parse(printed, "a.c")
-        assert F.structurally_equal(tu, tu2), printed
+        assert structurally_equal(tu, tu2), printed
 
     @given(st.integers(0, 400))
     @settings(max_examples=60, deadline=None)
     def test_generated_programs(self, seed):
         src = generate_program(seed)
         tu = F.parse(src, "g.c")
-        printed = F.pretty(tu)
+        printed = pretty(tu)
         tu2 = F.parse(printed, "g.c")
-        assert F.structurally_equal(tu, tu2)
+        assert structurally_equal(tu, tu2)
 
 
 class TestScanner:

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctl_lint import frontend as F
 from ctl_lint.cfg import FALSE, TRUE, build_cfg
 from ctl_lint.intervals import (
-    BOTTOM, BOTTOM_ENV, Interval, IntervalEnv, add, analyze, const, div,
+    BOTTOM, BOTTOM_ENV, Interval, IntervalEnv, add, analyze, check_sites, const, div,
     env_leq, eval_expr, interval_checks, interval_leq, iteration_cap, join,
     meet, mod, mul, sub, transfer, widen,
 )
@@ -116,7 +117,7 @@ class TestTransfer:
         cfg = build_cfg(tu.functions[1])
         call_node = next(n for n in cfg.nodes if isinstance(n.stmt, F.ExprStmt))
         out = transfer(call_node, IntervalEnv({"g": const(5)}),
-                       call_havoc=frozenset({"g"}))
+                       call_havoc=frozenset({"g"}), user_calls=cfg.table.user_calls)
         assert out.get("g").is_top()
 
 
@@ -195,11 +196,10 @@ class TestAnalyze:
             for f in tu.functions:
                 g = build_cfg(f)
                 r = analyze(g, gnames)
-                from ctl_lint.intervals import _array_var_names, _call_havoc_set
-                havoc = _call_havoc_set(g, gnames)
-                arrays = _array_var_names(g)
+                havoc = gnames | g.table.address_taken
                 for a, b, label in g.edges:
-                    out = transfer(g.nodes[a], r.at(a), label, havoc, arrays)
+                    out = transfer(g.nodes[a], r.at(a), label, havoc, g.table.arrays,
+                                   g.table.user_calls)
                     assert env_leq(out, r.at(b)), (seed, f.name, a, b)
 
     def test_iteration_cap_never_hit_on_corpus(self):
@@ -254,6 +254,31 @@ class TestChecks:
         ds = self._diags(
             "int f(int i) { int a[5]; if (i >= 0 && i < 5) { a[i] = 1; } return 0; }")
         assert ds == []
+
+    @pytest.mark.parametrize("first, second, is_array", [
+        ("int *a = q;", "int a[4];", False),
+        ("int a[4];", "int *a = q;", True),
+    ])
+    def test_first_declaration_governs(self, first, second, is_array):
+        # a name declared twice takes the type of its first declaration in
+        # the check sites and in the interval transfer alike
+        g, tu = cfg_of(f"int f(int i) {{ int x = 1; int *q = &x; "
+                       f"if (i) {{ {first} a[i] = 1; a[7] = 1; }} "
+                       f"else {{ {second} a[i] = 1; a[7] = 1; }} return x; }}")
+        assert isinstance(g.table.types(tu.globals)["a"], F.ArrayInt) == is_array
+        assert ("a" in g.table.arrays) == is_array
+        sizes = [size for _, e, size in check_sites(g, tu.globals) if isinstance(e, F.Index)]
+        assert sizes == ([4] * 4 if is_array else [])
+        # an array write leaves the address-taken x alone; a pointer write may hit it
+        r = analyze(g)
+        stores = [n.id for n in g.nodes if isinstance(n.stmt, F.Assign)
+                  and isinstance(n.stmt.target, F.Index)
+                  and isinstance(n.stmt.target.index, F.IntLit)]
+        assert len(stores) == 2
+        for sid in stores:
+            assert r.at(sid).get("x") == (const(1) if is_array else iv(None, None))
+        overruns = [d for d in interval_checks(g, r, tu.globals) if d.severity == "error"]
+        assert len(overruns) == (2 if is_array else 0)
 
 
 class TestInterpreterAgreement:

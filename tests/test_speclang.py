@@ -7,8 +7,9 @@ from ctl_lint.cfg import build_cfg
 from ctl_lint.ctl import EF, EU, EX, And, Not, Prop, check, props_of
 from ctl_lint.speclang import (
     SpecError, candidate_variables, instantiate, label_index,
-    load_checkset, node_facts, parse_check, parse_checks,
+    load_checkset, parse_checks,
 )
+from syntax_helpers import parse_check
 
 DOUBLE_FREE = """
 check double-free {
@@ -106,71 +107,71 @@ class TestMatchPattern:
     def test_malloc_assign(self):
         g, _ = cfg_of("int f() { int *p; p = malloc(4); return 0; }")
         node = node_matching(g, lambda n: isinstance(n.stmt, F.Assign))
-        assert ("malloc_assign", "p") in node_facts(node)
-        assert ("malloc_assign", "q") not in node_facts(node)
+        assert ("malloc_assign", "p") in g.table.facts[node.id]
+        assert ("malloc_assign", "q") not in g.table.facts[node.id]
 
     def test_malloc_assign_decl_form(self):
         g, _ = cfg_of("int f() { int *p = malloc(4); return 0; }")
         node = node_matching(g, lambda n: isinstance(n.stmt, F.VarDecl))
-        assert ("malloc_assign", "p") in node_facts(node)
+        assert ("malloc_assign", "p") in g.table.facts[node.id]
 
     def test_null_assign(self):
         g, _ = cfg_of("int f() { int *p; int *q = NULL; p = 0; p = q; return 0; }")
         _, decl_q, zero, copy = [n for n in g.nodes if isinstance(n.stmt, (F.VarDecl, F.Assign))]
-        assert ("null_assign", "q") in node_facts(decl_q)
-        assert ("null_assign", "p") in node_facts(zero)
-        assert ("null_assign", "p") not in node_facts(copy)
-        assert ("assign_to", "p") in node_facts(copy)
+        assert ("null_assign", "q") in g.table.facts[decl_q.id]
+        assert ("null_assign", "p") in g.table.facts[zero.id]
+        assert ("null_assign", "p") not in g.table.facts[copy.id]
+        assert ("assign_to", "p") in g.table.facts[copy.id]
 
     def test_free_of_name_mismatch(self):
         g, _ = cfg_of("int f(int *p, int *q) { free(p); return 0; }")
         node = node_matching(g, lambda n: isinstance(n.stmt, F.ExprStmt))
-        assert ("free_of", "p") in node_facts(node)
-        assert ("free_of", "q") not in node_facts(node)
+        assert ("free_of", "p") in g.table.facts[node.id]
+        assert ("free_of", "q") not in g.table.facts[node.id]
 
     def test_null_check_forms(self):
         g, _ = cfg_of("int f(int *p) { if (p != 0) { return 1; } if (p) { return 2; } return 0; }")
         conds = [n for n in g.nodes if n.kind == "cond"]
         for node in conds:
-            assert ("null_check", "p") in node_facts(node)
+            assert ("null_check", "p") in g.table.facts[node.id]
 
     def test_deref_and_use(self):
         g, _ = cfg_of("int f(int *p) { int x = *p + p[2]; return x; }")
         node = node_matching(g, lambda n: isinstance(n.stmt, F.VarDecl))
-        assert ("deref", "p") in node_facts(node)
-        assert ("use", "p") in node_facts(node)
+        assert ("deref", "p") in g.table.facts[node.id]
+        assert ("use", "p") in g.table.facts[node.id]
 
     def test_assignment_target_is_not_a_use(self):
         g, _ = cfg_of("int f() { int x; x = 1; return x; }")
         node = node_matching(g, lambda n: isinstance(n.stmt, F.Assign))
-        assert ("use", "x") not in node_facts(node)
-        assert ("assign_to", "x") in node_facts(node)
+        assert ("use", "x") not in g.table.facts[node.id]
+        assert ("assign_to", "x") in g.table.facts[node.id]
 
     def test_address_of_is_not_a_use(self):
         g, _ = cfg_of("int f() { int x = 1; int *p = &x; return 0; }")
         node = g.nodes[2]
         assert isinstance(node.stmt, F.VarDecl) and node.stmt.name == "p"
-        assert ("use", "x") not in node_facts(node)
+        assert ("use", "x") not in g.table.facts[node.id]
 
     def test_decl_uninit(self):
         g, _ = cfg_of("int f() { int x; int y = 1; int a[3]; return y; }")
         decls = {n.stmt.name: n for n in g.nodes if isinstance(n.stmt, F.VarDecl)}
-        assert ("decl_uninit", "x") in node_facts(decls["x"])
-        assert ("decl_uninit", "y") not in node_facts(decls["y"])
-        assert ("decl_uninit", "a") not in node_facts(decls["a"])  # arrays excluded
+        assert ("decl_uninit", "x") in g.table.facts[decls["x"].id]
+        assert ("decl_uninit", "y") not in g.table.facts[decls["y"].id]
+        assert ("decl_uninit", "a") not in g.table.facts[decls["a"].id]  # arrays excluded
 
     def test_entry_exit_and_call(self):
         g, _ = cfg_of("int cb() { return 0; } int f() { cb(); return 0; }", idx=1)
-        assert ("at_entry", "") in node_facts(g.nodes[g.entry])
-        assert ("at_exit", "") in node_facts(g.nodes[g.exit])
+        assert ("at_entry", "") in g.table.facts[g.entry]
+        assert ("at_exit", "") in g.table.facts[g.exit]
         call = node_matching(g, lambda n: isinstance(n.stmt, F.ExprStmt))
-        assert ("call", "cb") in node_facts(call)
-        assert ("call", "other") not in node_facts(call)
+        assert ("call", "cb") in g.table.facts[call.id]
+        assert ("call", "other") not in g.table.facts[call.id]
 
     def test_index_of(self):
         g, _ = cfg_of("int f(int *p) { p[3] = 1; return 0; }")
         node = node_matching(g, lambda n: isinstance(n.stmt, F.Assign))
-        assert ("index_of", "p") in node_facts(node)
+        assert ("index_of", "p") in g.table.facts[node.id]
 
 
 class TestInstantiate:

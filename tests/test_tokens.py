@@ -15,6 +15,7 @@ from ctl_lint import frontend as F
 from ctl_lint import speclang as S
 from fixtures_bugs import FIXTURES
 from program_gen import generate_program
+from syntax_helpers import parse_check
 
 
 def _digest(rows) -> str:
@@ -94,4 +95,4 @@ def test_chk_rejections(text, error):
 
 @pytest.mark.parametrize("check_id", ["é-x", "x²", "a_1-b"])
 def test_chk_unicode_check_ids(check_id):
-    assert S.parse_check(f"check {check_id} {_CHECK_BODY}", "c.chk").id == check_id
+    assert parse_check(f"check {check_id} {_CHECK_BODY}", "c.chk").id == check_id

@@ -162,10 +162,9 @@ class NodeTable:
     decls: dict[str, MiniCType]  # first declarations: params, then locals in node order
     returns: list[int]  # return statements
 
-    @property
-    def arrays(self) -> frozenset[str]:
-        """Params and locals whose first declaration is an `int[N]` array."""
-        return frozenset(v for v, t in self.decls.items() if isinstance(t, ArrayInt))
+    def arrays(self, globals_: list[VarDecl] = ()) -> frozenset[str]:
+        """Names in scope whose first declaration is an `int[N]` array."""
+        return frozenset(v for v, t in self.types(globals_).items() if isinstance(t, ArrayInt))
 
     def types(self, globals_: list[VarDecl] = ()) -> dict[str, MiniCType]:
         """Each name in scope -> the type of its first declaration: params

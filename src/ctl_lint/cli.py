@@ -7,7 +7,8 @@ applied at render time only; the analysis itself always runs the whole
 active check set so cache entries stay filter-independent.
 
 `--jobs N` maps whole files over N worker processes, which only read the
-cache; this process writes every new record, in input order.
+cache; this process writes every new record, in input order, and compacts
+the cache at the end of a run.
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ def _init_worker(checks: list[CheckSpec], config: EngineConfig,
     _worker = (checks, config, db)
 
 
-def _analyze_file(path: str) -> tuple[list[Diagnostic], Counters, list[tuple[str, dict]]]:
+def _analyze_file(path: str) -> tuple[list[Diagnostic], Counters, list[tuple[str, list]]]:
     checks, config, db = _worker
     counters = Counters()
     diagnostics, records = analyze_unit(_parse_file(path), checks, db, config, counters)
@@ -225,8 +226,9 @@ def _cmd_analyze(cfg: RunConfig) -> int:
             diagnostics.extend(diags)
             counters.add(file_counters)
             if db is not None:
-                for key, record in records:
-                    db.put(key, record)
+                db.put_all(records)
+    if db is not None:
+        db.compact()
     diagnostics.sort(key=Diagnostic.sort_key)
 
     rendered = [d for d in diagnostics

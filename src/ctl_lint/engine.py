@@ -9,19 +9,25 @@ diagnostic list.
 Per-function results are cached in a single append-friendly store keyed by
 content: the function's source text, the active check-set text, the callee
 summary environment, relevant config and the tool version.  Cached
-diagnostics are stored with function-relative line numbers so entries
-survive moves within and across files.  `analyze_unit` only reads the
-store and returns the records it would add; its caller writes them.
+diagnostics are stored positionally with function-relative line numbers so
+entries survive moves within and across files.  Each input file also gets
+an index record listing its functions' keys; the records no index lists
+are dead, and `CacheDb.compact` drops them once they take more than a
+quarter of the bytes the live ones take.  `analyze_unit` only reads the
+store and returns the records it would add, its index record last; its
+caller writes them.
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import hashlib
 import json
 import logging
 import os
 import re
+import zlib
 from dataclasses import dataclass
 
 from . import __version__
@@ -42,7 +48,7 @@ logger = logging.getLogger("ctl_lint")
 
 DEAD_CODE_ID = "dead-code"
 
-CACHE_HEADER = "ctl-lint-cache v1"
+CACHE_HEADER = "ctl-lint-cache v2"
 
 
 class AnalysisError(Exception):
@@ -73,12 +79,6 @@ class FunctionSummary:
             "always_frees": sorted(self.always_frees),
             "derefs_param_unchecked": sorted(self.derefs_param_unchecked),
         }
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> FunctionSummary:
-        return FunctionSummary(obj["function"], obj["may_return_null"],
-                               frozenset(obj["always_frees"]),
-                               frozenset(obj["derefs_param_unchecked"]))
 
 
 def pessimistic_summary(f: FunctionDef) -> FunctionSummary:
@@ -240,61 +240,155 @@ def apply_summaries(cfg: Cfg, summaries: dict[str, FunctionSummary]) -> dict[int
 # ---------------------------------------------------------------------------
 # Cache store
 
-_RECORD_HEAD = re.compile(rb"([0-9a-f]{64}) ([0-9]+)")
+_HEADER_LINE = (CACHE_HEADER + "\n").encode("ascii")
+_RECORD_HEAD = re.compile(rb"([0-9a-f]{64}) ([0-9]+) ([0-9a-f]{8})")
+
+
+def _frame(key: str, payload: bytes) -> bytes:
+    """One record: `<key> <payload length> <crc32 of key and payload>`,
+    a newline, the payload and a newline."""
+    kb = key.encode("ascii")
+    return b"%s %d %08x\n%s\n" % (kb, len(payload), zlib.crc32(payload, zlib.crc32(kb)),
+                                   payload)
+
+
+def _parse(blob: bytes) -> tuple[dict[str, bytes], str | None]:
+    """The records of a store's bytes, each key at its last occurrence,
+    and the first problem found, if any."""
+    entries: dict[str, bytes] = {}
+    if not blob:
+        return entries, None
+    if not blob.startswith(_HEADER_LINE):
+        return entries, "bad header, starting fresh"
+    problem = None
+    pos = len(_HEADER_LINE)
+    while pos < len(blob):
+        nl = blob.find(b"\n", pos)
+        head = _RECORD_HEAD.fullmatch(blob, pos, nl) if nl >= 0 else None
+        if head is None:
+            return entries, f"corrupt record header at byte {pos}; dropping remainder"
+        key = head[1]
+        start = nl + 1
+        end = start + int(head[2])
+        payload = blob[start:end]
+        if blob[end:end + 1] != b"\n":
+            return entries, f"corrupt payload for {key[:12].decode()}; dropping remainder"
+        pos = end + 1
+        if zlib.crc32(payload, zlib.crc32(key)) != int(head[3], 16):
+            problem = problem or f"corrupt record {key[:12].decode()} (checksum mismatch)"
+            continue
+        k = key.decode("ascii")
+        entries.pop(k, None)
+        entries[k] = payload
+    return entries, problem
+
+
+def _is_index(payload: bytes) -> bool:
+    """An index record's payload is a list of keys; a function record's
+    starts with its diagnostics list."""
+    return payload.startswith(b'["') or payload == b"[]"
+
+
+def _live(entries: dict[str, bytes]) -> dict[str, bytes]:
+    """The index records and the records they list, in store order."""
+    keep: set[str] = set()
+    for key, payload in entries.items():
+        if _is_index(payload):
+            keep.add(key)
+            with contextlib.suppress(ValueError):
+                keep.update(json.loads(payload))
+    return {k: v for k, v in entries.items() if k in keep}
+
+
+def _compaction_due(entries: dict[str, bytes], size: int) -> bool:
+    """Whether the dead records of a `size`-byte store holding `entries`
+    take more than a quarter of the bytes its live records take."""
+    live = sum(len(_frame(k, v)) for k, v in _live(entries).items())
+    return (size - len(_HEADER_LINE) - live) * 4 > live
 
 
 class CacheDb:
-    """Single-file append-friendly store.
+    """Single-file append-friendly store, shared by concurrent runs.
 
-    Format: header line `ctl-lint-cache v1`, then records of
-    `<64-hex key> <byte-length>\\n<payload>\\n` with the payload being
-    canonical JSON.  A record whose framing or length does not match is
-    corrupt: it and everything after it are treated as misses and the file
-    is rewritten on the next store.
+    Format: header line `ctl-lint-cache v2`, then records of
+    `<64-hex key> <byte-length> <8-hex crc32>\\n<payload>\\n`, the CRC
+    taken over the key and the payload, which is canonical JSON.  A later
+    record for a key supersedes an earlier one.  A function record's
+    payload is `[diagnostics, [may_return_null, always_frees,
+    derefs_param_unchecked], tasks, skipped]`; an index record's is the
+    keys of one input file's functions, in source order.
+
+    A record whose checksum does not match is skipped; one whose framing or
+    length does not match is corrupt, and everything after it is dropped.
+    Either way the lost records are misses, and the next store rewrites the
+    file.  A file with another header (a v1 store, say) starts fresh.
+
+    `compact` rewrites the store with only its live records (the index
+    records and the keys they list) once the dead ones take more than a
+    quarter of the bytes the live ones take.
+
+    Loading holds a shared `flock` on the store, appending and rewriting an
+    exclusive one.  After taking a lock the store is reopened if a rewrite
+    renamed a new file over the one it locked.
     """
 
     def __init__(self, path: str):
         self.path = path
         self._entries: dict[str, bytes] = {}
+        self._size = 0  # bytes of the store as this object last saw or wrote it
         self._needs_rewrite = False
+        self._fh = None  # the exclusively locked store while writing
         self._load()
 
     def _load(self) -> None:
         try:
-            with open(self.path, "rb") as fh:
+            with self._open_locked("rb", fcntl.LOCK_SH) as fh:
                 blob = fh.read()
         except FileNotFoundError:
             return
-        lines = blob.split(b"\n", 1)
-        if lines[0].decode("utf-8", "replace") != CACHE_HEADER:
-            logger.warning("cache %s: bad header, starting fresh", self.path)
+        self._entries, problem = _parse(blob)
+        self._size = len(blob)
+        if problem is not None:
+            logger.warning("cache %s: %s", self.path, problem)
             self._needs_rewrite = True
-            return
-        rest = lines[1] if len(lines) > 1 else b""
-        pos = 0
-        while pos < len(rest):
-            nl = rest.find(b"\n", pos)
-            if nl < 0:
-                break
-            head = _RECORD_HEAD.fullmatch(rest, pos, nl)
-            if head is None:
-                logger.warning("cache %s: corrupt record header at byte %d; "
-                               "dropping remainder", self.path, pos)
-                self._needs_rewrite = True
-                return
-            key = head[1].decode("ascii")
-            length = int(head[2])
-            start = nl + 1
-            payload = rest[start:start + length]
-            if len(payload) != length or rest[start + length:start + length + 1] != b"\n":
-                logger.warning("cache %s: corrupt payload for %s; dropping remainder",
-                               self.path, key[:12])
-                self._needs_rewrite = True
-                return
-            self._entries[key] = payload
-            pos = start + length + 1
 
-    def get(self, key: str) -> dict | None:
+    def _open_locked(self, mode: str, op: int):
+        """The store opened in `mode` and locked with `op`, reopened until
+        the locked file is the one at the path."""
+        while True:
+            fh = open(self.path, mode, buffering=0)
+            try:
+                fcntl.flock(fh.fileno(), op)
+                held = os.fstat(fh.fileno())
+                now = os.stat(self.path)
+            except FileNotFoundError:
+                fh.close()
+                continue
+            except BaseException:
+                fh.close()
+                raise
+            if (held.st_dev, held.st_ino) == (now.st_dev, now.st_ino):
+                return fh
+            fh.close()
+
+    @contextlib.contextmanager
+    def _writing(self):
+        """Hold the store exclusively locked for appending; nested uses
+        share one lock."""
+        if self._fh is not None:
+            yield
+            return
+        try:
+            self._fh = self._open_locked("a+b", fcntl.LOCK_EX)
+        except FileNotFoundError:
+            raise OSError(f"cache path is not writable: {self.path}")
+        try:
+            yield
+        finally:
+            self._fh.close()
+            self._fh = None
+
+    def get(self, key: str) -> list | None:
         raw = self._entries.get(key)
         if raw is None:
             return None
@@ -303,46 +397,83 @@ class CacheDb:
         except (UnicodeDecodeError, json.JSONDecodeError):
             logger.warning("cache %s: undecodable entry %s treated as miss",
                            self.path, key[:12])
+            del self._entries[key]
+            self._needs_rewrite = True
             return None
 
-    def put(self, key: str, obj: dict) -> None:
+    def put(self, key: str, obj) -> None:
         """Store a record; one the store already holds byte for byte is not
         appended again."""
         payload = canonical_json(obj).encode("utf-8")
         if self._entries.get(key) == payload:
             return
+        self._entries.pop(key, None)
         self._entries[key] = payload
-        if self._needs_rewrite:
-            self._rewrite()
-            self._needs_rewrite = False
-            return
-        record = f"{key} {len(payload)}\n".encode("utf-8") + payload + b"\n"
-        try:
-            with open(self.path, "ab") as fh:
-                if fh.tell() == 0:
-                    fh.write((CACHE_HEADER + "\n").encode("utf-8"))
-                fh.write(record)
-        except FileNotFoundError:
-            raise OSError(f"cache path is not writable: {self.path}")
+        with self._writing():
+            if self._needs_rewrite:
+                self._rewrite(self._entries)
+                self._needs_rewrite = False
+                return
+            record = _frame(key, payload)
+            if os.fstat(self._fh.fileno()).st_size == 0:
+                record = _HEADER_LINE + record
+            self._fh.write(record)
+            self._size += len(record)
 
-    def _rewrite(self) -> None:
-        """Replace the store with every held record.  The records go to a
-        temporary file in the same directory, which is synced and then
-        renamed over the store, so a crash leaves the old file or the new
-        one, never a truncated one."""
+    def put_all(self, records: list[tuple[str, object]]) -> None:
+        """Store one input file's records under one lock, so that a
+        compaction in another run never sees its function records without
+        the index record that lists them."""
+        with self._writing():
+            for key, obj in records:
+                self.put(key, obj)
+
+    def compact(self) -> bool:
+        """Rewrite the store with only its live records when its dead
+        records take more than a quarter of the bytes the live ones take,
+        or when it is corrupt.  The store is read again under the lock, so
+        records other runs appended since this one loaded are kept.
+        Returns whether the store was rewritten."""
+        if not self._needs_rewrite and not _compaction_due(self._entries, self._size):
+            return False
+        with self._writing():
+            self._fh.seek(0)
+            blob = self._fh.read()
+            entries, problem = _parse(blob)
+            if problem is None and not _compaction_due(entries, len(blob)):
+                return False
+            self._entries = _live(entries)
+            self._rewrite(self._entries)
+            self._needs_rewrite = False
+        return True
+
+    def _rewrite(self, entries: dict[str, bytes]) -> None:
+        """Replace the store, which this object holds locked, with
+        `entries`.  The records go to a temporary file in the same
+        directory, which is synced, locked and then renamed over the store,
+        so a crash leaves the old file or the new one, never a truncated
+        one, and a run waiting for the lock finds the new file."""
         tmp = f"{self.path}.{os.getpid()}.tmp"
+        blob = _HEADER_LINE + b"".join(_frame(k, v) for k, v in entries.items())
         try:
             with open(tmp, "wb") as fh:
-                fh.write((CACHE_HEADER + "\n").encode("utf-8") + b"".join(
-                    f"{k} {len(v)}\n".encode("utf-8") + v + b"\n"
-                    for k, v in self._entries.items()))
+                fh.write(blob)
                 fh.flush()
                 os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
+            new = open(tmp, "a+b", buffering=0)
+            try:
+                fcntl.flock(new.fileno(), fcntl.LOCK_EX)
+                os.replace(tmp, self.path)
+            except BaseException:
+                new.close()
+                raise
         except BaseException:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
             raise
+        self._fh.close()
+        self._fh = new
+        self._size = len(blob)
 
 
 def canonical_json(obj) -> str:
@@ -368,6 +499,12 @@ def cache_key(func: FunctionDef, checkset_text: str, callee_summaries: dict,
         f"ctl-lint/{__version__}",
     ]
     return _sha256("\n".join(parts))
+
+
+def index_key(file: str, checkset_text: str, max_witnesses: int) -> str:
+    """Key of the index record of input file `file` (the path as given)."""
+    return _sha256("\n".join(["index", file, _sha256(checkset_text),
+                              f"max_witnesses={max_witnesses}", f"ctl-lint/{__version__}"]))
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +601,7 @@ def analyze_function(f: FunctionDef, cfg: Cfg, checks: list[CheckSpec],
                 _message_for(spec.id, task.bound_var), cfg.function, confidence,
                 tuple(cfg.nodes[s].loc for s in trace.states)))
     if any(check_sites(cfg, globals_)):
-        result = interval_analyze(cfg, global_names)
+        result = interval_analyze(cfg, globals_)
         diags.extend(interval_checks(cfg, result, globals_))
     diags.sort(key=Diagnostic.sort_key)
     return diags, created, skipped
@@ -509,43 +646,35 @@ def _dead_regions(cfg: Cfg, dead: frozenset[int]) -> list[set[int]]:
 # ---------------------------------------------------------------------------
 # Unit analysis with caching
 
-def _relativize(diags: list[Diagnostic], f: FunctionDef) -> list[dict]:
+def _relativize(diags: list[Diagnostic], f: FunctionDef) -> list[list]:
+    """Positional cache form of a function's diagnostics: `[check, severity,
+    rel_line, column, message, confirmed, [l0, c0, l1, c1, ...]]`, lines
+    relative to the function's own."""
     base = f.loc.line
-    out = []
-    for d in diags:
-        out.append({
-            "check": d.check_id,
-            "severity": d.severity,
-            "rel_line": d.loc.line - base,
-            "column": d.loc.column,
-            "message": d.message,
-            "confidence": d.confidence,
-            "trace": [{"rel_line": t.line - base, "column": t.column} for t in d.trace],
-        })
-    return out
+    return [[d.check_id, d.severity, d.loc.line - base, d.loc.column, d.message,
+             d.confidence == CONFIRMED,
+             [n for t in d.trace for n in (t.line - base, t.column)]]
+            for d in diags]
 
 
-def _rehydrate(rel: list[dict], f: FunctionDef, file: str) -> list[Diagnostic]:
+def _rehydrate(rel: list[list], f: FunctionDef, file: str) -> list[Diagnostic]:
     base = f.loc.line
-    out = []
-    for r in rel:
-        out.append(Diagnostic(
-            r["check"], r["severity"],
-            SourceLocation(file, base + r["rel_line"], r["column"]),
-            r["message"], f.name, r["confidence"],
-            tuple(SourceLocation(file, base + t["rel_line"], t["column"])
-                  for t in r["trace"])))
-    return out
+    return [Diagnostic(check, severity, SourceLocation(file, base + line, column), message,
+                       f.name, CONFIRMED if confirmed else UNCONFIRMED,
+                       tuple(SourceLocation(file, base + trace[i], trace[i + 1])
+                             for i in range(0, len(trace), 2)))
+            for check, severity, line, column, message, confirmed, trace in rel]
 
 
 def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
                  db: CacheDb | None, config: EngineConfig,
                  counters: Counters | None = None,
-                 ) -> tuple[list[Diagnostic], list[tuple[str, dict]]]:
+                 ) -> tuple[list[Diagnostic], list[tuple[str, list]]]:
     """Analyze one translation unit.  Returns its diagnostics, deduplicated,
     sorted and cache-transparent (byte-identical with and without `db`),
-    and, when there is a `db`, the (key, record) pairs of the functions
-    analyzed fresh, in source order, for the caller to store.  `db` is only
+    and, when there is a `db`, the (key, record) pairs for the caller to
+    store: those of the functions analyzed fresh, in source order, then the
+    unit's index record, which lists every function's key.  `db` is only
     read."""
     errors = check_well_formed(tu)
     if errors:
@@ -558,7 +687,7 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
     cfgs: dict[str, Cfg] = {}  # only functions the cache misses need one
     summaries: dict[str, FunctionSummary] = {}
     keys: dict[str, str] = {}
-    cached_entries: dict[str, dict] = {}
+    cached_entries: dict[str, list] = {}
     indexes: dict[str, dict[Fact, list[int]]] = {}
     for name in order:
         callee_env = {c: summaries[c] for c in callees[name] if c in summaries}
@@ -569,7 +698,9 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
             entry = db.get(key)
             if entry is not None:
                 cached_entries[name] = entry
-                summaries[name] = FunctionSummary.from_json_obj(entry["summary"])
+                may_null, frees, derefs = entry[1]
+                summaries[name] = FunctionSummary(name, may_null, frozenset(frees),
+                                                  frozenset(derefs))
                 counters.cache_hits += 1
                 continue
             counters.cache_misses += 1
@@ -581,25 +712,28 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
             summaries[name] = compute_summary(funcs[name], cfg, summaries, indexes[name])
 
     all_diags: list[Diagnostic] = []
-    records: list[tuple[str, dict]] = []
+    records: list[tuple[str, list]] = []
     for f in tu.functions:
         counters.functions += 1
         if f.name in cached_entries:
-            entry = cached_entries[f.name]
-            counters.merge_content(entry["tasks"], entry["skipped"])
-            all_diags.extend(_rehydrate(entry["diagnostics"], f, tu.file))
+            rel, _, tasks, skipped = cached_entries[f.name]
+            counters.merge_content(tasks, skipped)
+            all_diags.extend(_rehydrate(rel, f, tu.file))
             continue
         diags, created, skipped = analyze_function(
             f, cfgs[f.name], checks, summaries, tu.globals, config, indexes.get(f.name))
         counters.merge_content(created, skipped)
         if db is not None:
-            records.append((keys[f.name], {
-                "diagnostics": _relativize(diags, f),
-                "summary": summaries[f.name].to_json_obj(),
-                "tasks": created,
-                "skipped": skipped,
-            }))
+            summary = summaries[f.name]
+            records.append((keys[f.name], [
+                _relativize(diags, f),
+                [summary.may_return_null, sorted(summary.always_frees),
+                 sorted(summary.derefs_param_unchecked)],
+                created, skipped]))
         all_diags.extend(diags)
+    if db is not None:
+        records.append((index_key(tu.file, config.checkset_text, config.max_witnesses),
+                        [keys[f.name] for f in tu.functions]))
 
     return _finalize(all_diags), records
 

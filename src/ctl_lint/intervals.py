@@ -9,8 +9,8 @@ Backs the buffer-overrun and division-by-zero checks: a definitely-bad
 operation escalates to an error, a possibly-bad one stays a warning.
 Everything syntactic comes from the CFG's node table (`Cfg.table`): the
 variables a user call may modify (globals and address-taken names), the
-nodes that call a user function, the declared arrays (first declaration
-wins) and the index and `/`/`%` sites the checks report on.
+nodes that call a user function, the declared arrays, globals included
+(first declaration wins), and the index and `/`/`%` sites the checks report on.
 """
 
 from __future__ import annotations
@@ -523,13 +523,14 @@ def iteration_cap(n_nodes: int, n_vars: int, n_heads: int) -> int:
     return 64 + 6 * n_nodes * (n_vars + 2) * (n_heads + 2)
 
 
-def analyze(cfg: Cfg, global_names: frozenset[str] = frozenset()) -> AbsResult:
+def analyze(cfg: Cfg, globals_: list[ast.VarDecl] = ()) -> AbsResult:
     """Worklist fixpoint with widening at loop heads after three plain
     joins per head, then one meet-based narrowing pass in reverse postorder."""
     n = len(cfg.nodes)
     table = cfg.table
+    global_names = frozenset(g.name for g in globals_)
     havoc = global_names | table.address_taken
-    arrays = table.arrays
+    arrays = table.arrays(globals_)
     users = table.user_calls
     envs: list[IntervalEnv] = [BOTTOM_ENV] * n
     envs[cfg.entry] = IntervalEnv()

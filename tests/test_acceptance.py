@@ -100,12 +100,11 @@ def test_criterion_3_and_4_interval_soundness_and_termination():
         for seed, src in _interval_corpus():
             tu = F.parse(src, f"s{seed}.c")
             assert F.check_well_formed(tu) == []
-            gnames = frozenset(g.name for g in tu.globals)
             cfgs = {f.name: build_cfg(f) for f in tu.functions}
             t0 = time.perf_counter()
             results = {}
             for name, cfg in cfgs.items():
-                r = interval_analyze(cfg, gnames)  # raises on cap violation
+                r = interval_analyze(cfg, tu.globals)  # raises on cap violation
                 caps_ok &= r.iterations <= iteration_cap(
                     len(cfg.nodes), 64, len(cfg.loop_heads))
                 results[name] = r

@@ -1,0 +1,242 @@
+"""The v2 cache store: corruption, concurrent runs, liveness and compaction."""
+
+from __future__ import annotations
+
+import fcntl
+import os
+import re
+import subprocess
+import sys
+
+import pytest
+
+from ctl_lint import cli, engine
+from ctl_lint import frontend as F
+from ctl_lint.cli import main
+from ctl_lint.engine import CACHE_HEADER, CacheDb, EngineConfig, analyze_unit, canonical_json
+from ctl_lint.speclang import load_checkset
+
+CHECKS, CHECKSET_TEXT = load_checkset()
+CLI_CONFIG = EngineConfig(checkset_text=CHECKSET_TEXT, max_witnesses=5)  # the CLI's defaults
+
+SOURCES = {
+    "a.c": "int gcfg = 1;\nint f(int *p) { free(p); free(p); return gcfg; }\n"
+           "int g(int *q) { return *q; }\nint h() { int *r = 0; return g(r); }\n",
+    "b.c": "int gcfg = 1;\nint m() { int *p = malloc(4); return gcfg; }\n"
+           "int n(int c) { int x; if (c) { x = 1; } return x; }\n",
+    "c.c": "int gcfg = 1;\nint d(int x) { return 10 / x; }\nint e() { return d(0); }\n",
+}
+
+
+@pytest.fixture
+def ws(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CTL_LINT_DB", raising=False)
+    for name, text in SOURCES.items():
+        (tmp_path / name).write_text(text)
+    return tmp_path
+
+
+def run(capsys, *args):
+    code = main(["analyze", "--jobs", "1", *args])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def hits(err: str) -> tuple[int, int]:
+    m = re.search(r"cache hits: \d+% \((\d+)/(\d+)\)", err)
+    return int(m[1]), int(m[2])
+
+
+def edit_global(path, value: int) -> None:
+    """A new initializer for the file's global, which every key of the
+    file's functions covers."""
+    text = path.read_text()
+    path.write_text(re.sub(r"int gcfg = -?\d+;", f"int gcfg = {value};", text, count=1))
+
+
+def func_record(n: int = 0, pad: str = "") -> list:
+    """A function record (as the engine writes them) with `n` tasks."""
+    return [[], [False, [], []], n, 0] if not pad else [[[pad]], [False, [], []], n, 0]
+
+
+def framed(key: str, obj) -> int:
+    return len(engine._frame(key, canonical_json(obj).encode()))
+
+
+class TestCorruption:
+    def test_truncated_or_flipped_store_never_changes_the_report(self, ws, capsys,
+                                                                 monkeypatch):
+        # every prefix of the store, and the store with any one byte changed,
+        # gives the report of an uncached run and no internal error.  For
+        # speed, every run reuses one loaded check set, and rewrites skip
+        # the disk flush, which no in-process run can observe.
+        monkeypatch.setattr(cli, "load_checkset", lambda paths: (CHECKS, CHECKSET_TEXT))
+        monkeypatch.setattr(os, "fsync", lambda fd: None)
+        (ws / "s.c").write_text("int f() { int x; return x; }\nint g() { return f(); }\n")
+        expected = run(capsys, "--format", "json", "--no-cache", "s.c")[:2]
+        db = ws / "c.db"
+        assert run(capsys, "--format", "json", "--db", str(db), "s.c")[:2] == expected
+        good = db.read_bytes()
+        assert good.count(b"\n") == 1 + 2 * 3  # two functions and the index
+        stores = [good[:n] for n in range(len(good))]
+        stores += [good[:i] + bytes([good[i] ^ 1]) + good[i + 1:] for i in range(len(good))]
+        for blob in stores:
+            db.write_bytes(blob)
+            code, out, err = run(capsys, "--format", "json", "--db", str(db), "s.c")
+            assert (code, out) == expected, blob
+            assert "internal error" not in err
+            # repaired: every record is back, the store rewritten or completed
+            assert engine._parse(db.read_bytes()) == (engine._parse(good)[0], None)
+
+    def test_checksum_mismatch_skips_only_its_record(self, tmp_path, caplog):
+        path = tmp_path / "c.db"
+        db = CacheDb(str(path))
+        db.put_all([("a" * 64, func_record(1)), ("b" * 64, func_record(2))])
+        blob = bytearray(path.read_bytes())
+        blob[blob.index(b"[[]", len(CACHE_HEADER))] ^= 1  # inside a's payload
+        path.write_bytes(bytes(blob))
+        with caplog.at_level("WARNING", logger="ctl_lint"):
+            loaded = CacheDb(str(path))
+        assert (loaded.get("a" * 64), loaded.get("b" * 64)) == (None, func_record(2))
+        assert any("checksum" in r.message for r in caplog.records)
+        loaded.put("a" * 64, func_record(1))  # the next store rewrites the file
+        again = CacheDb(str(path))
+        assert (again.get("a" * 64), again.get("b" * 64)) == (func_record(1), func_record(2))
+        assert path.read_bytes().count(b"\n") == 1 + 2 * 2
+
+    def test_undecodable_payload_is_a_miss_and_rewritten(self, tmp_path, caplog):
+        path = tmp_path / "c.db"
+        path.write_bytes(engine._HEADER_LINE + engine._frame("a" * 64, b"[[")
+                         + engine._frame("b" * 64, canonical_json(func_record(2)).encode()))
+        db = CacheDb(str(path))
+        with caplog.at_level("WARNING", logger="ctl_lint"):
+            assert db.get("a" * 64) is None
+        assert any("undecodable" in r.message for r in caplog.records)
+        db.put("a" * 64, func_record(1))  # rewrites the store without the bad record
+        assert path.read_bytes().count(b"\n") == 1 + 2 * 2
+        fresh = CacheDb(str(path))
+        assert (fresh.get("a" * 64), fresh.get("b" * 64)) == (func_record(1), func_record(2))
+
+    def test_v1_store_starts_fresh(self, tmp_path, caplog):
+        path = tmp_path / "c.db"
+        path.write_bytes(b"ctl-lint-cache v1\n" + b"a" * 64 + b" 2\n{}\n")
+        with caplog.at_level("WARNING", logger="ctl_lint"):
+            db = CacheDb(str(path))
+        assert db.get("a" * 64) is None
+        assert any("bad header, starting fresh" in r.message for r in caplog.records)
+        db.put("b" * 64, func_record())
+        assert path.read_bytes().startswith((CACHE_HEADER + "\n").encode())
+
+
+class TestConcurrency:
+    def test_rewrite_while_waiting_for_the_lock_loses_no_record(self, tmp_path, monkeypatch):
+        # A loads; B appends and compacts while A waits for its lock; A
+        # appends to the file B renamed into place, then compacts itself
+        path = str(tmp_path / "c.db")
+        ka, kb1, kb2, ia, ib = (c * 64 for c in "abcde")
+        CacheDb(path).put_all([(kb1, func_record(1)), (ib, [kb1])])
+        a = CacheDb(path)
+        b = CacheDb(path)
+        real_flock = fcntl.flock
+        interleaved = []
+
+        def flock(fd, op):
+            if op == fcntl.LOCK_EX and not interleaved:
+                interleaved.append(True)
+                b.put_all([(kb2, func_record(2)), (ib, [kb2])])  # kb1 is now dead
+                assert b.compact()
+            real_flock(fd, op)
+
+        monkeypatch.setattr(fcntl, "flock", flock)
+        a.put_all([(ka, func_record(3)), (ia, [ka])])
+        monkeypatch.undo()
+        assert interleaved
+        assert not a.compact()  # nothing is dead in what A holds
+        fresh = CacheDb(path)
+        assert [fresh.get(k) for k in (ka, kb1, kb2, ia, ib)] == \
+            [func_record(3), None, func_record(2), [ka], [kb2]]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.db"]
+
+    def test_compaction_keeps_records_appended_after_load(self, tmp_path):
+        path = str(tmp_path / "c.db")
+        ka1, ka2, kb, ia, ib = (c * 64 for c in "abcde")
+        a = CacheDb(path)
+        a.put_all([(ka1, func_record(1)), (ia, [ka1])])
+        CacheDb(path).put_all([(kb, func_record(2)), (ib, [kb])])  # after A loaded
+        a.put_all([(ka2, func_record(3)), (ia, [ka2])])
+        assert a.compact()
+        fresh = CacheDb(path)
+        assert [fresh.get(k) for k in (ka1, ka2, kb, ia, ib)] == \
+            [None, func_record(3), func_record(2), [ka2], [kb]]
+
+    def test_concurrent_cli_runs_lose_no_records(self, ws, capsys):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        for value in (2, 3, 4):  # every round makes the last round's records dead
+            for name in ("a.c", "b.c"):
+                edit_global(ws / name, value)
+            procs = [subprocess.Popen([sys.executable, "-m", "ctl_lint.cli", "analyze",
+                                       "--db", "c.db", "--jobs", "1", name], cwd=ws, env=env,
+                                      stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+                     for name in ("a.c", "b.c")]
+            for proc in procs:
+                _, err = proc.communicate(timeout=120)
+                assert proc.returncode == 1, err
+            code, _, err = run(capsys, "--db", "c.db", "a.c", "b.c")
+            assert hits(err) == (5, 5)
+
+
+class TestLiveness:
+    def test_a_run_over_one_file_keeps_the_others_live(self, ws, capsys):
+        db = ws / "c.db"
+        run(capsys, "--db", str(db), "a.c", "b.c", "c.c")
+        edit_global(ws / "a.c", 7)  # all three of a.c's records go dead
+        inode = db.stat().st_ino
+        run(capsys, "--db", str(db), "a.c")
+        assert db.stat().st_ino != inode  # compacted: renamed over
+        assert hits(run(capsys, "--db", str(db), "b.c", "c.c")[2]) == (4, 4)
+        assert hits(run(capsys, "--db", str(db), "a.c", "b.c", "c.c")[2]) == (7, 7)
+
+    def test_compacted_store_gives_the_same_hits(self, ws, capsys):
+        db = ws / "c.db"
+        run(capsys, "--db", str(db), "a.c", "b.c", "c.c")
+        for value in (5, 6):
+            edit_global(ws / "c.c", value)
+            stale = CacheDb(str(db))  # appends what a run would, without compacting
+            stale.put_all(analyze_unit(F.parse((ws / "c.c").read_text(), "c.c"),
+                                       CHECKS, stale, CLI_CONFIG)[1])
+        before = db.read_bytes()
+        assert CacheDb(str(db)).compact()
+        assert len(db.read_bytes()) < len(before)
+        compacted = db.read_bytes()
+        results = []
+        for blob in (before, compacted):
+            db.write_bytes(blob)
+            results.append(run(capsys, "--format", "json", "--db", str(db),
+                               "a.c", "b.c", "c.c"))
+        assert results[0] == results[1]
+        db.write_bytes(compacted)
+        assert hits(run(capsys, "--db", str(db), "a.c", "b.c", "c.c")[2]) == (7, 7)
+
+    @pytest.mark.parametrize("extra, due", [(0, False), (1, True)])
+    def test_compaction_when_dead_bytes_exceed_a_quarter_of_live(self, tmp_path, extra, due):
+        path = str(tmp_path / "c.db")
+        key, index, dead = (c * 64 for c in "abc")
+        # the live bytes are a multiple of 4, so that the dead bytes can be
+        # exactly a quarter of them (each pad character adds one byte)
+        live_pad = 600 + (-(framed(key, func_record(1, "y" * 600)) + framed(index, [key]))) % 4
+        record = func_record(1, "y" * live_pad)
+        live = framed(key, record) + framed(index, [key])
+        assert live % 4 == 0
+        dead_pad = 100 + live // 4 + extra - framed(dead, func_record(0, "x" * 100))
+        dead_record = func_record(0, "x" * dead_pad)
+        assert framed(dead, dead_record) == live // 4 + extra
+        db = CacheDb(path)
+        db.put_all([(key, record), (index, [key])])
+        db.put(dead, dead_record)
+        size = os.path.getsize(path)
+        assert CacheDb(path).compact() is due
+        fresh = CacheDb(path)
+        assert os.path.getsize(path) == (size - live // 4 - extra if due else size)
+        assert (fresh.get(key), fresh.get(index)) == (record, [key])
+        assert (fresh.get(dead) is None) is due

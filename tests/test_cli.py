@@ -344,7 +344,8 @@ class TestJobs:
             assert code == 1
             blobs.append(db.read_bytes())
         assert blobs[0] == blobs[1]
-        assert blobs[0].count(b"\n") == 1 + 2 * 4  # header, then 4 of 5 functions
+        # header, 4 of 5 functions, one index per file
+        assert blobs[0].count(b"\n") == 1 + 2 * 4 + 2 * 3
         # a warm run in either mode hits every function and appends nothing
         for jobs in ("1", "2"):
             code, out, err = run(capsys, "analyze", "--db", str(tmp_path / "jobs1.db"),

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import errno
+import json
 import logging
 import os
 import pickle
+import zlib
 
 import pytest
 
@@ -40,11 +42,14 @@ class TestSummaries:
 
     def _summaries(self, src):
         """Each function's summary from its cache record; records come in
-        source order, and every function is fresh in an empty db."""
+        source order, every function is fresh in an empty db, and the
+        unit's index record comes last."""
         tu = F.parse(src, "a.c")
         _, records = analyze_unit(tu, CHECKS, self.db, CONFIG)
-        return {f.name: FunctionSummary.from_json_obj(record["summary"])
-                for f, (_, record) in zip(tu.functions, records, strict=True)}
+        *fresh, _ = records
+        return {f.name: FunctionSummary(f.name, may_null, frozenset(frees), frozenset(derefs))
+                for f, (_, (_, (may_null, frees, derefs), _, _))
+                in zip(tu.functions, fresh, strict=True)}
 
     def test_return_zero_may_be_null(self):
         s = self._summaries("int *f() { return 0; }")
@@ -222,7 +227,8 @@ class TestCache:
         db_path = str(tmp_path / "c.db")
         analyze(src, CacheDb(db_path))
         blob = open(db_path, "rb").read()
-        open(db_path, "wb").write(blob[:-5])  # truncate inside the payload
+        head_end = blob.index(b"\n", len(CACHE_HEADER) + 1)
+        open(db_path, "wb").write(blob[:head_end + 5])  # truncate inside f's payload
         with caplog.at_level(logging.WARNING, logger="ctl_lint"):
             c = Counters()
             d = analyze(src, CacheDb(db_path), c)
@@ -240,7 +246,9 @@ class TestCache:
         db_path = str(db_file)
         analyze(src, CacheDb(db_path))
         header, head, rest = db_file.read_bytes().split(b"\n", 2)
-        db_file.write_bytes(header + b"\n" + head[:-1] + "²".encode() + b"\n" + rest)
+        key, length, crc = head.split(b" ")
+        head = b" ".join([key, length[:-1] + "²".encode(), crc])
+        db_file.write_bytes(header + b"\n" + head + b"\n" + rest)
         with caplog.at_level(logging.WARNING, logger="ctl_lint"):
             c = Counters()
             analyze(src, CacheDb(db_path), c)
@@ -330,9 +338,16 @@ class TestCache:
         analyze("int f() { return 1; }\n", CacheDb(db_path))
         lines = open(db_path, "rb").read().split(b"\n")
         assert lines[0].decode() == CACHE_HEADER
-        key, length = lines[1].decode().split(" ")
-        assert len(key) == 64 and all(c in "0123456789abcdef" for c in key)
-        assert int(length) == len(lines[2])
+        assert len(lines) == 6  # header, f's record, the index record, ""
+        for head, payload in (lines[1:3], lines[3:5]):
+            key, length, crc = head.decode().split(" ")
+            assert len(key) == 64 and all(c in "0123456789abcdef" for c in key)
+            assert int(length) == len(payload)
+            assert int(crc, 16) == zlib.crc32(key.encode() + payload)
+        # [diagnostics, [may_return_null, always_frees, derefs_param_unchecked],
+        #  tasks, skipped], then the keys of the file's functions
+        assert json.loads(lines[2]) == [[], [False, [], []], 0, 0]
+        assert json.loads(lines[4]) == [lines[1].decode()[:64]]
 
     def test_key_depends_on_config_and_checkset(self):
         tu = F.parse("int f() { return 1; }", "a.c")
@@ -371,7 +386,9 @@ class TestAnalyzeUnit:
         src = "int f() { return 1; }\nint g() { return f(); }\n"
         db = CacheDb(str(tmp_path / "c.db"))
         _, records = analyze_unit(F.parse(src, "a.c"), CHECKS, db, CONFIG)
-        assert [r["summary"]["function"] for _, r in records] == ["f", "g"]
+        # f's and g's records in source order, then the index listing both
+        assert len(records) == 3
+        assert records[2][1] == [key for key, _ in records[:2]]
         assert not os.path.exists(db.path)  # analyze_unit only reads the store
         db.put(*records[0])
         _, again = analyze_unit(F.parse(src, "a.c"), CHECKS, db, CONFIG)

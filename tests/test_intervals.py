@@ -195,20 +195,19 @@ class TestAnalyze:
             gnames = frozenset(g.name for g in tu.globals)
             for f in tu.functions:
                 g = build_cfg(f)
-                r = analyze(g, gnames)
+                r = analyze(g, tu.globals)
                 havoc = gnames | g.table.address_taken
                 for a, b, label in g.edges:
-                    out = transfer(g.nodes[a], r.at(a), label, havoc, g.table.arrays,
-                                   g.table.user_calls)
+                    out = transfer(g.nodes[a], r.at(a), label, havoc,
+                                   g.table.arrays(tu.globals), g.table.user_calls)
                     assert env_leq(out, r.at(b)), (seed, f.name, a, b)
 
     def test_iteration_cap_never_hit_on_corpus(self):
         for seed in range(60):
             tu = F.parse(generate_program(seed), "g.c")
-            gnames = frozenset(g.name for g in tu.globals)
             for f in tu.functions:
                 g = build_cfg(f)
-                r = analyze(g, gnames)  # raises if the cap is exceeded
+                r = analyze(g, tu.globals)  # raises if the cap is exceeded
                 assert r.iterations <= iteration_cap(
                     len(g.nodes), 64, len(g.loop_heads))
 
@@ -218,8 +217,7 @@ class TestChecks:
         tu = F.parse(src, "a.c")
         assert F.check_well_formed(tu) == []
         g = build_cfg(tu.functions[0])
-        return interval_checks(g, analyze(g, frozenset(x.name for x in tu.globals)),
-                               tu.globals)
+        return interval_checks(g, analyze(g, tu.globals), tu.globals)
 
     def test_definite_overrun_is_error(self):
         ds = self._diags("int f() { int a[10]; a[12] = 0; return 0; }")
@@ -255,6 +253,17 @@ class TestChecks:
             "int f(int i) { int a[5]; if (i >= 0 && i < 5) { a[i] = 1; } return 0; }")
         assert ds == []
 
+    @pytest.mark.parametrize("src", [
+        "int g[4]; int f() { int x = 0; int *p = &x; g[1] = 5; return 10 / x; }",
+        "int f() { int a[4]; int x = 0; int *p = &x; a[1] = 5; return 10 / x; }",
+    ], ids=["global-array", "local-array"])
+    def test_array_write_havocs_nothing(self, src):
+        # a write into a declared array, global or local, cannot reach the
+        # address-taken x, so the division is by a definite zero
+        ds = self._diags(src)
+        assert [(d.check_id, d.severity, d.confidence) for d in ds] == [
+            ("div-by-zero", "error", "confirmed")]
+
     @pytest.mark.parametrize("first, second, is_array", [
         ("int *a = q;", "int a[4];", False),
         ("int a[4];", "int *a = q;", True),
@@ -266,7 +275,7 @@ class TestChecks:
                        f"if (i) {{ {first} a[i] = 1; a[7] = 1; }} "
                        f"else {{ {second} a[i] = 1; a[7] = 1; }} return x; }}")
         assert isinstance(g.table.types(tu.globals)["a"], F.ArrayInt) == is_array
-        assert ("a" in g.table.arrays) == is_array
+        assert ("a" in g.table.arrays(tu.globals)) == is_array
         sizes = [size for _, e, size in check_sites(g, tu.globals) if isinstance(e, F.Index)]
         assert sizes == ([4] * 4 if is_array else [])
         # an array write leaves the address-taken x alone; a pointer write may hit it
@@ -287,9 +296,8 @@ class TestInterpreterAgreement:
         for seed in range(80):
             src = generate_program(seed)
             tu = F.parse(src, "g.c")
-            gnames = frozenset(x.name for x in tu.globals)
             cfgs = {f.name: build_cfg(f) for f in tu.functions}
-            results = {name: analyze(g, gnames) for name, g in cfgs.items()}
+            results = {name: analyze(g, tu.globals) for name, g in cfgs.items()}
 
             def observer(fn, node, snapshot):
                 env = results[fn].at(node)

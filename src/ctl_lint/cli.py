@@ -7,8 +7,8 @@ applied at render time only; the analysis itself always runs the whole
 active check set so cache entries stay filter-independent.
 
 `--jobs N` maps whole files over N worker processes, which only read the
-cache; this process writes every new record, in input order, and compacts
-the cache at the end of a run.
+cache; this process writes each file's record, in input order, and
+compacts the cache at the end of a run.
 """
 
 from __future__ import annotations
@@ -82,7 +82,8 @@ def render_json(ds: list[Diagnostic], counters: Counters) -> str:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
 
 
-def render_summary(ds: list[Diagnostic], counters: Counters) -> str:
+def render_summary(ds: list[Diagnostic], counters: Counters, cached: bool) -> str:
+    """The stderr summary; `cached` tells whether a cache store was in use."""
     errors = sum(1 for d in ds if d.severity == "error")
     warnings = sum(1 for d in ds if d.severity == "warning")
     infos = sum(1 for d in ds if d.severity == "info")
@@ -96,8 +97,8 @@ def render_summary(ds: list[Diagnostic], counters: Counters) -> str:
     lines.append(f"tasks: {counters.content_tasks} created, "
                  f"{counters.content_skipped} skipped by trigger filter")
     looked_up = counters.cache_hits + counters.cache_misses
-    if looked_up:
-        pct = 100 * counters.cache_hits // looked_up
+    if cached:
+        pct = 100 * counters.cache_hits // looked_up if looked_up else 0
         lines.append(f"cache hits: {pct}% ({counters.cache_hits}/{looked_up})")
     else:
         lines.append("cache: disabled")
@@ -185,11 +186,11 @@ def _init_worker(checks: list[CheckSpec], config: EngineConfig,
     _worker = (checks, config, db)
 
 
-def _analyze_file(path: str) -> tuple[list[Diagnostic], Counters, list[tuple[str, list]]]:
+def _analyze_file(path: str) -> tuple[list[Diagnostic], Counters, tuple[str, list] | None]:
     checks, config, db = _worker
     counters = Counters()
-    diagnostics, records = analyze_unit(_parse_file(path), checks, db, config, counters)
-    return diagnostics, counters, records
+    diagnostics, record = analyze_unit(_parse_file(path), checks, db, config, counters)
+    return diagnostics, counters, record
 
 
 def _cmd_analyze(cfg: RunConfig) -> int:
@@ -222,11 +223,11 @@ def _cmd_analyze(cfg: RunConfig) -> int:
             results = map(_analyze_file, cfg.inputs)
         # results come in input order: the first failing file raises first,
         # and records are stored as a one-process run would store them
-        for diags, file_counters, records in results:
+        for diags, file_counters, record in results:
             diagnostics.extend(diags)
             counters.add(file_counters)
-            if db is not None:
-                db.put_all(records)
+            if record is not None:
+                db.put(*record)
     if db is not None:
         db.compact()
     diagnostics.sort(key=Diagnostic.sort_key)
@@ -239,7 +240,7 @@ def _cmd_analyze(cfg: RunConfig) -> int:
         sys.stdout.write(render_json(rendered, counters) + "\n")
     else:
         sys.stdout.write(render_text(rendered))
-        sys.stderr.write(render_summary(rendered, counters))
+        sys.stderr.write(render_summary(rendered, counters, db is not None))
     return 1 if rendered else 0
 
 

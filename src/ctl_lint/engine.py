@@ -6,16 +6,18 @@ labeling, CTL checking, witness refinement, interval checks and the
 structural dead-code check.  Results are aggregated into a deterministic
 diagnostic list.
 
-Per-function results are cached in a single append-friendly store keyed by
-content: the function's source text, the active check-set text, the callee
-summary environment, relevant config and the tool version.  Cached
-diagnostics are stored positionally with function-relative line numbers so
-entries survive moves within and across files.  Each input file also gets
-an index record listing its functions' keys; the records no index lists
-are dead, and `CacheDb.compact` drops them once they take more than a
+Per-function results are cached in a single append-friendly store, one
+record per input file, which holds each of the file's functions under a
+content key: the function's source text, the active check-set text, the
+callee summary environment, the globals' source text, relevant config and
+the tool version.  Cached diagnostics are stored positionally with
+function-relative line numbers, and a function is looked up by its key in
+every file's record, so it still hits after it moves within a file or to
+another file.  A later record for a file supersedes the earlier one, and
+`CacheDb.compact` drops the superseded records once they take more than a
 quarter of the bytes the live ones take.  `analyze_unit` only reads the
-store and returns the records it would add, its index record last; its
-caller writes them.
+store and returns the file's record, unless the store already holds it;
+its caller writes it.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ logger = logging.getLogger("ctl_lint")
 
 DEAD_CODE_ID = "dead-code"
 
-CACHE_HEADER = "ctl-lint-cache v2"
+CACHE_HEADER = "ctl-lint-cache v3"
 
 
 class AnalysisError(Exception):
@@ -252,80 +254,64 @@ def _frame(key: str, payload: bytes) -> bytes:
                                    payload)
 
 
-def _parse(blob: bytes) -> tuple[dict[str, bytes], str | None]:
-    """The records of a store's bytes, each key at its last occurrence,
-    and the first problem found, if any."""
-    entries: dict[str, bytes] = {}
-    if not blob:
-        return entries, None
-    if not blob.startswith(_HEADER_LINE):
-        return entries, "bad header, starting fresh"
+def _framed_size(payload: bytes) -> int:
+    """The length of the record `_frame` makes of `payload`."""
+    return len(payload) + len(str(len(payload))) + 76
+
+
+def _parse(blob: bytes) -> tuple[list[tuple[str, bytes]], str | None]:
+    """The (key, payload) records of a store's bytes, in order, and the
+    first problem found, if any."""
+    records: list[tuple[str, bytes]] = []
     problem = None
     pos = len(_HEADER_LINE)
+    if not blob.startswith(_HEADER_LINE):
+        problem = "bad header, starting fresh" if blob else None
+        pos = len(blob)
     while pos < len(blob):
         nl = blob.find(b"\n", pos)
         head = _RECORD_HEAD.fullmatch(blob, pos, nl) if nl >= 0 else None
         if head is None:
-            return entries, f"corrupt record header at byte {pos}; dropping remainder"
+            problem = problem or f"corrupt record header at byte {pos}; dropping remainder"
+            break
         key = head[1]
         start = nl + 1
         end = start + int(head[2])
         payload = blob[start:end]
         if blob[end:end + 1] != b"\n":
-            return entries, f"corrupt payload for {key[:12].decode()}; dropping remainder"
+            problem = problem or f"corrupt payload for {key[:12].decode()}; dropping remainder"
+            break
         pos = end + 1
         if zlib.crc32(payload, zlib.crc32(key)) != int(head[3], 16):
             problem = problem or f"corrupt record {key[:12].decode()} (checksum mismatch)"
             continue
-        k = key.decode("ascii")
-        entries.pop(k, None)
-        entries[k] = payload
-    return entries, problem
-
-
-def _is_index(payload: bytes) -> bool:
-    """An index record's payload is a list of keys; a function record's
-    starts with its diagnostics list."""
-    return payload.startswith(b'["') or payload == b"[]"
-
-
-def _live(entries: dict[str, bytes]) -> dict[str, bytes]:
-    """The index records and the records they list, in store order."""
-    keep: set[str] = set()
-    for key, payload in entries.items():
-        if _is_index(payload):
-            keep.add(key)
-            with contextlib.suppress(ValueError):
-                keep.update(json.loads(payload))
-    return {k: v for k, v in entries.items() if k in keep}
-
-
-def _compaction_due(entries: dict[str, bytes], size: int) -> bool:
-    """Whether the dead records of a `size`-byte store holding `entries`
-    take more than a quarter of the bytes its live records take."""
-    live = sum(len(_frame(k, v)) for k, v in _live(entries).items())
-    return (size - len(_HEADER_LINE) - live) * 4 > live
+        records.append((key.decode("ascii"), payload))
+    return records, problem
 
 
 class CacheDb:
     """Single-file append-friendly store, shared by concurrent runs.
 
-    Format: header line `ctl-lint-cache v2`, then records of
+    Format: header line `ctl-lint-cache v3`, then records of
     `<64-hex key> <byte-length> <8-hex crc32>\\n<payload>\\n`, the CRC
-    taken over the key and the payload, which is canonical JSON.  A later
-    record for a key supersedes an earlier one.  A function record's
-    payload is `[diagnostics, [may_return_null, always_frees,
-    derefs_param_unchecked], tasks, skipped]`; an index record's is the
-    keys of one input file's functions, in source order.
+    taken over the key and the payload, which is canonical JSON.  There is
+    one kind of record: one per input file, keyed by `file_key`, whose
+    payload is the file's functions in source order, `[[function key,
+    [diagnostics, [may_return_null, always_frees, derefs_param_unchecked],
+    tasks, skipped]], ...]`.  `get` finds a function by its key in any
+    record the store holds, through a map decoded once, on first use.
+
+    A later record for a key supersedes an earlier one, and that is the
+    whole liveness rule: the live records are the last one for each key,
+    and the others are dead.  `compact` rewrites the store with only its
+    live records once the dead ones take more than a quarter of the bytes
+    the live ones take; this object keeps a running total of the live
+    bytes, so deciding that decodes nothing.
 
     A record whose checksum does not match is skipped; one whose framing or
     length does not match is corrupt, and everything after it is dropped.
     Either way the lost records are misses, and the next store rewrites the
-    file.  A file with another header (a v1 store, say) starts fresh.
-
-    `compact` rewrites the store with only its live records (the index
-    records and the keys they list) once the dead ones take more than a
-    quarter of the bytes the live ones take.
+    file.  A file with another header (a v1 or v2 store, say) starts fresh.
 
     Loading holds a shared `flock` on the store, appending and rewriting an
     exclusive one.  After taking a lock the store is reopened if a rewrite
@@ -334,10 +320,14 @@ class CacheDb:
 
     def __init__(self, path: str):
         self.path = path
-        self._entries: dict[str, bytes] = {}
+        self._records: list[tuple[str, bytes]] = []  # every record read or written
+        self._entries: dict[str, bytes] = {}  # the live records: the last for each key
         self._size = 0  # bytes of the store as this object last saw or wrote it
+        self._live = 0  # bytes of the live records
         self._needs_rewrite = False
-        self._fh = None  # the exclusively locked store while writing
+        self._undecodable: dict[str, bytes] = {}  # payloads to drop at the rewrite
+        self._functions: dict[str, list] | None = None  # function key -> record
+        self._files: dict[str, list[str]] = {}  # file key -> its function keys
         self._load()
 
     def _load(self) -> None:
@@ -346,7 +336,9 @@ class CacheDb:
                 blob = fh.read()
         except FileNotFoundError:
             return
-        self._entries, problem = _parse(blob)
+        self._records, problem = _parse(blob)
+        self._entries = dict(self._records)
+        self._live = sum(map(_framed_size, self._entries.values()))
         self._size = len(blob)
         if problem is not None:
             logger.warning("cache %s: %s", self.path, problem)
@@ -371,109 +363,114 @@ class CacheDb:
                 return fh
             fh.close()
 
-    @contextlib.contextmanager
-    def _writing(self):
-        """Hold the store exclusively locked for appending; nested uses
-        share one lock."""
-        if self._fh is not None:
-            yield
-            return
+    def _open_for_writing(self):
+        """The store opened for appending and locked exclusively."""
         try:
-            self._fh = self._open_locked("a+b", fcntl.LOCK_EX)
+            return self._open_locked("a+b", fcntl.LOCK_EX)
         except FileNotFoundError:
-            raise OSError(f"cache path is not writable: {self.path}")
-        try:
-            yield
-        finally:
-            self._fh.close()
-            self._fh = None
+            raise OSError(f"cache path is not writable: {self.path}") from None
+
+    def _decode(self) -> None:
+        """Build the function map from every record, superseded ones too;
+        a record that does not decode is a miss for its functions, and is
+        dropped at the next rewrite."""
+        self._functions = {}
+        for key, payload in self._records:
+            try:
+                functions = dict(json.loads(payload))
+            except (ValueError, TypeError):
+                logger.warning("cache %s: undecodable entry %s treated as miss",
+                               self.path, key[:12])
+                self._files.pop(key, None)
+                self._undecodable[key] = payload
+                self._needs_rewrite = True
+                continue
+            self._functions.update(functions)
+            self._files[key] = list(functions)
 
     def get(self, key: str) -> list | None:
-        raw = self._entries.get(key)
-        if raw is None:
-            return None
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            logger.warning("cache %s: undecodable entry %s treated as miss",
-                           self.path, key[:12])
-            del self._entries[key]
-            self._needs_rewrite = True
-            return None
+        """The record of the function with content key `key`, from whichever
+        record holds it."""
+        if self._functions is None:
+            self._decode()
+        return self._functions.get(key)
 
-    def put(self, key: str, obj) -> None:
-        """Store a record; one the store already holds byte for byte is not
+    def holds(self, key: str, function_keys: list[str]) -> bool:
+        """Whether the record for file key `key` lists exactly
+        `function_keys`, in that order."""
+        if self._functions is None:
+            self._decode()
+        return self._files.get(key) == function_keys
+
+    def put(self, key: str, obj: list) -> None:
+        """Store `obj` as the record for file key `key`, superseding any
+        earlier one; one the store already holds byte for byte is not
         appended again."""
         payload = canonical_json(obj).encode("utf-8")
-        if self._entries.get(key) == payload:
+        old = self._entries.get(key)
+        if old == payload:
             return
-        self._entries.pop(key, None)
-        self._entries[key] = payload
-        with self._writing():
-            if self._needs_rewrite:
-                self._rewrite(self._entries)
-                self._needs_rewrite = False
-                return
+        if self._needs_rewrite:
+            self._rewrite(key, payload)
+        else:
             record = _frame(key, payload)
-            if os.fstat(self._fh.fileno()).st_size == 0:
-                record = _HEADER_LINE + record
-            self._fh.write(record)
+            with self._open_for_writing() as fh:
+                if os.fstat(fh.fileno()).st_size == 0:
+                    record = _HEADER_LINE + record
+                fh.write(record)
             self._size += len(record)
-
-    def put_all(self, records: list[tuple[str, object]]) -> None:
-        """Store one input file's records under one lock, so that a
-        compaction in another run never sees its function records without
-        the index record that lists them."""
-        with self._writing():
-            for key, obj in records:
-                self.put(key, obj)
+            self._live += _framed_size(payload) - (_framed_size(old) if old is not None else 0)
+            self._records.append((key, payload))
+            self._entries[key] = payload
+        if self._functions is not None:
+            functions = dict(obj)
+            self._functions.update(functions)
+            self._files[key] = list(functions)
 
     def compact(self) -> bool:
         """Rewrite the store with only its live records when its dead
         records take more than a quarter of the bytes the live ones take,
-        or when it is corrupt.  The store is read again under the lock, so
-        records other runs appended since this one loaded are kept.
-        Returns whether the store was rewritten."""
-        if not self._needs_rewrite and not _compaction_due(self._entries, self._size):
+        or when it is corrupt.  Returns whether the store was rewritten."""
+        dead = self._size - len(_HEADER_LINE) - self._live
+        if not self._needs_rewrite and dead * 4 <= self._live:
             return False
-        with self._writing():
-            self._fh.seek(0)
-            blob = self._fh.read()
-            entries, problem = _parse(blob)
-            if problem is None and not _compaction_due(entries, len(blob)):
-                return False
-            self._entries = _live(entries)
-            self._rewrite(self._entries)
-            self._needs_rewrite = False
+        self._rewrite()
         return True
 
-    def _rewrite(self, entries: dict[str, bytes]) -> None:
-        """Replace the store, which this object holds locked, with
-        `entries`.  The records go to a temporary file in the same
-        directory, which is synced, locked and then renamed over the store,
-        so a crash leaves the old file or the new one, never a truncated
-        one, and a run waiting for the lock finds the new file."""
-        tmp = f"{self.path}.{os.getpid()}.tmp"
-        blob = _HEADER_LINE + b"".join(_frame(k, v) for k, v in entries.items())
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
-            new = open(tmp, "a+b", buffering=0)
+    def _rewrite(self, key: str | None = None, payload: bytes = b"") -> None:
+        """Replace the store with the live records it holds, plus `key`'s
+        `payload` when there is a `key`.  The store is read again under an
+        exclusive lock, so records other runs appended since this one
+        loaded are kept.  The records go to a temporary file in the same
+        directory, which is synced and then renamed over the store, so a
+        crash leaves the old file or the new one, never a truncated one, and
+        a run waiting for the lock finds the new file."""
+        with self._open_for_writing() as fh:
+            fh.seek(0)
+            entries = dict(_parse(fh.read())[0])
+            for k, v in self._undecodable.items():
+                if entries.get(k) == v:
+                    del entries[k]
+            if key is not None:
+                entries[key] = payload
+            blob = _HEADER_LINE + b"".join(_frame(k, v) for k, v in entries.items())
+            tmp = f"{self.path}.{os.getpid()}.tmp"
             try:
-                fcntl.flock(new.fileno(), fcntl.LOCK_EX)
+                with open(tmp, "wb") as out:
+                    out.write(blob)
+                    out.flush()
+                    os.fsync(out.fileno())
                 os.replace(tmp, self.path)
             except BaseException:
-                new.close()
+                with contextlib.suppress(OSError):
+                    os.remove(tmp)
                 raise
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
-            raise
-        self._fh.close()
-        self._fh = new
+        self._records = list(entries.items())
+        self._entries = entries
         self._size = len(blob)
+        self._live = len(blob) - len(_HEADER_LINE)
+        self._undecodable = {}
+        self._needs_rewrite = False
 
 
 def canonical_json(obj) -> str:
@@ -501,8 +498,8 @@ def cache_key(func: FunctionDef, checkset_text: str, callee_summaries: dict,
     return _sha256("\n".join(parts))
 
 
-def index_key(file: str, checkset_text: str, max_witnesses: int) -> str:
-    """Key of the index record of input file `file` (the path as given)."""
+def file_key(file: str, checkset_text: str, max_witnesses: int) -> str:
+    """Key of the record of input file `file` (the path as given)."""
     return _sha256("\n".join(["index", file, _sha256(checkset_text),
                               f"max_witnesses={max_witnesses}", f"ctl-lint/{__version__}"]))
 
@@ -669,25 +666,23 @@ def _rehydrate(rel: list[list], f: FunctionDef, file: str) -> list[Diagnostic]:
 def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
                  db: CacheDb | None, config: EngineConfig,
                  counters: Counters | None = None,
-                 ) -> tuple[list[Diagnostic], list[tuple[str, list]]]:
+                 ) -> tuple[list[Diagnostic], tuple[str, list] | None]:
     """Analyze one translation unit.  Returns its diagnostics, deduplicated,
     sorted and cache-transparent (byte-identical with and without `db`),
-    and, when there is a `db`, the (key, record) pairs for the caller to
-    store: those of the functions analyzed fresh, in source order, then the
-    unit's index record, which lists every function's key.  `db` is only
-    read."""
+    and, when there is a `db` that does not already hold it, the unit's
+    (file key, record) pair for the caller to store.  `db` is only read."""
     errors = check_well_formed(tu)
     if errors:
         raise AnalysisError(errors)
     counters = counters if counters is not None else Counters()
     funcs = {f.name: f for f in tu.functions}
-    globals_text = canonical_json([_global_sig(g) for g in tu.globals])
+    globals_text = canonical_json(tu.global_texts)
     order, cyclic, callees = call_order(tu.functions)
 
     cfgs: dict[str, Cfg] = {}  # only functions the cache misses need one
     summaries: dict[str, FunctionSummary] = {}
     keys: dict[str, str] = {}
-    cached_entries: dict[str, list] = {}
+    entries: dict[str, list] = {}  # function records: cached, or fresh with a store
     indexes: dict[str, dict[Fact, list[int]]] = {}
     for name in order:
         callee_env = {c: summaries[c] for c in callees[name] if c in summaries}
@@ -697,7 +692,7 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
         if db is not None:  # without a store there is nothing to hit or miss
             entry = db.get(key)
             if entry is not None:
-                cached_entries[name] = entry
+                entries[name] = entry
                 may_null, frees, derefs = entry[1]
                 summaries[name] = FunctionSummary(name, may_null, frozenset(frees),
                                                   frozenset(derefs))
@@ -712,11 +707,10 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
             summaries[name] = compute_summary(funcs[name], cfg, summaries, indexes[name])
 
     all_diags: list[Diagnostic] = []
-    records: list[tuple[str, list]] = []
     for f in tu.functions:
         counters.functions += 1
-        if f.name in cached_entries:
-            rel, _, tasks, skipped = cached_entries[f.name]
+        if f.name in entries:
+            rel, _, tasks, skipped = entries[f.name]
             counters.merge_content(tasks, skipped)
             all_diags.extend(_rehydrate(rel, f, tu.file))
             continue
@@ -725,22 +719,19 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
         counters.merge_content(created, skipped)
         if db is not None:
             summary = summaries[f.name]
-            records.append((keys[f.name], [
+            entries[f.name] = [
                 _relativize(diags, f),
                 [summary.may_return_null, sorted(summary.always_frees),
                  sorted(summary.derefs_param_unchecked)],
-                created, skipped]))
+                created, skipped]
         all_diags.extend(diags)
+
+    record = None
     if db is not None:
-        records.append((index_key(tu.file, config.checkset_text, config.max_witnesses),
-                        [keys[f.name] for f in tu.functions]))
-
-    return _finalize(all_diags), records
-
-
-def _global_sig(g: ast.VarDecl) -> list:
-    return ["global", g.name, str(g.type), ast._sig(g.init)] if g.init is not None \
-        else ["global", g.name, str(g.type), None]
+        key = file_key(tu.file, config.checkset_text, config.max_witnesses)
+        if not db.holds(key, [keys[f.name] for f in tu.functions]):
+            record = key, [[keys[f.name], entries[f.name]] for f in tu.functions]
+    return _finalize(all_diags), record
 
 
 def _finalize(diags: list[Diagnostic]) -> list[Diagnostic]:

@@ -234,6 +234,7 @@ class TranslationUnit:
     file: str
     functions: list[FunctionDef]
     globals: list[VarDecl]
+    global_texts: list[str]  # each global's exact source slice, for content hashing
 
 
 def _at(node, loc: SourceLocation):
@@ -417,6 +418,7 @@ class _Parser:
     def parse_unit(self, file: str) -> TranslationUnit:
         functions: list[FunctionDef] = []
         globals_: list[VarDecl] = []
+        global_texts: list[str] = []
         seen_funcs: set[str] = set()
         while self.peek().kind != "eof":
             self.calls = set()
@@ -440,8 +442,9 @@ class _Parser:
                 if start_tok.text == "void":
                     raise ParseError(start_tok.loc, "'void' variables are not allowed")
                 globals_.append(self._decl_rest(start_tok, is_ptr, name_tok))
-                self.expect(";")
-        return TranslationUnit(file, functions, globals_)
+                end_tok = self.expect(";")
+                global_texts.append(self.source[start_tok.offset:end_tok.offset + 1])
+        return TranslationUnit(file, functions, globals_, global_texts)
 
     def _function_rest(self, start_tok: Token, name_tok: Token, ret: MiniCType) -> FunctionDef:
         self.expect("(")
@@ -848,51 +851,3 @@ def _check_expr(e: Expr, scopes, funcs, errors) -> None:
             errors.append(SemanticError(e.loc, f"call to undeclared function '{e.name}'"))
         for a in e.args:
             _check_expr(a, scopes, funcs, errors)
-
-
-# ---------------------------------------------------------------------------
-# Structural signatures
-
-def _sig(node):
-    """A location-free tuple of `node`'s structure, for content hashing."""
-    if isinstance(node, TranslationUnit):
-        return ("unit", tuple(_sig(g) for g in node.globals),
-                tuple(_sig(f) for f in node.functions))
-    if isinstance(node, FunctionDef):
-        return ("func", node.name, tuple((p.name, p.type) for p in node.params),
-                node.return_type, _sig(node.body))
-    if isinstance(node, Block):
-        return ("block", tuple(_sig(s) for s in node.stmts))
-    if isinstance(node, VarDecl):
-        return ("decl", node.name, node.type, _sig(node.init))
-    if isinstance(node, Assign):
-        return ("assign", _sig(node.target), _sig(node.value))
-    if isinstance(node, If):
-        return ("if", _sig(node.cond), _sig(node.then), _sig(node.orelse))
-    if isinstance(node, While):
-        return ("while", _sig(node.cond), _sig(node.body))
-    if isinstance(node, For):
-        return ("for", _sig(node.init), _sig(node.cond), _sig(node.step), _sig(node.body))
-    if isinstance(node, Return):
-        return ("return", _sig(node.value))
-    if isinstance(node, ExprStmt):
-        return ("exprstmt", _sig(node.expr))
-    if isinstance(node, Break):
-        return ("break",)
-    if isinstance(node, Continue):
-        return ("continue",)
-    if isinstance(node, IntLit):
-        return ("int", node.value)
-    if isinstance(node, Var):
-        return ("var", node.name)
-    if isinstance(node, Unary):
-        return ("unary", node.op, _sig(node.operand))
-    if isinstance(node, Binary):
-        return ("binary", node.op, _sig(node.left), _sig(node.right))
-    if isinstance(node, Index):
-        return ("index", _sig(node.base), _sig(node.index))
-    if isinstance(node, Call):
-        return ("call", node.name, tuple(_sig(a) for a in node.args))
-    if node is None:
-        return None
-    raise AssertionError(f"unhandled node {node!r}")

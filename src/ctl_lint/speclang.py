@@ -35,7 +35,7 @@ from . import frontend as ast
 from .cfg import Cfg, Fact, KripkeStructure, to_kripke
 from .ctl import (
     AF, AG, AU, AX, And, CtlFormula, EF, EG, EU, EX, Implies, Not, Or, Prop,
-    props_of,
+    is_witnessable, props_of,
 )
 from .frontend import LocatedError, SourceLocation, Token, tokenize
 
@@ -304,7 +304,9 @@ def parse_checks(text: str, file: str = "<checks>") -> list[CheckSpec]:
 
 def load_checkset(spec_paths: Sequence[str] = ()) -> tuple[list[CheckSpec], str]:
     """The builtin checks followed by those of each spec file, and the text
-    of all of them, which cache keys hash.  Check ids must be unique."""
+    of all of them, which cache keys hash.  Check ids must be unique, and
+    each property must have single-path witnesses, which every finding
+    reports as its trace."""
     builtin_text = resources.files(__package__).joinpath("builtin.chk").read_text("utf-8")
     texts = [builtin_text]
     checks = parse_checks(builtin_text, "builtin.chk")
@@ -317,6 +319,8 @@ def load_checkset(spec_paths: Sequence[str] = ()) -> tuple[list[CheckSpec], str]
     for c in checks:
         if ids.count(c.id) > 1:
             raise SpecError(c.loc, f"duplicate check id '{c.id}' across spec files")
+        if not is_witnessable(c.prop):
+            raise SpecError(c.loc, f"the property of '{c.id}' has no single-path witness")
     return checks, "\n\x00\n".join(texts)
 
 

@@ -20,10 +20,9 @@ def analyze(builtin_checks):
             counters: Counters | None = None):
         tu = frontend.parse(source, file)
         config = EngineConfig(checkset_text="builtin", max_witnesses=max_witnesses)
-        diags, records = analyze_unit(tu, builtin_checks, db, config, counters)
-        if db is not None:
-            for key, record in records:
-                db.put(key, record)
+        diags, record = analyze_unit(tu, builtin_checks, db, config, counters)
+        if record is not None:
+            db.put(*record)
         return diags
 
     return run

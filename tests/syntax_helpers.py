@@ -124,4 +124,49 @@ def _pp_expr(e: F.Expr, parent_prec: int) -> str:
 
 def structurally_equal(a, b) -> bool:
     """AST equality ignoring source locations."""
-    return F._sig(a) == F._sig(b)
+    return _sig(a) == _sig(b)
+
+
+def _sig(node):
+    """A location-free tuple of `node`'s structure."""
+    if isinstance(node, F.TranslationUnit):
+        return ("unit", tuple(_sig(g) for g in node.globals),
+                tuple(_sig(f) for f in node.functions))
+    if isinstance(node, F.FunctionDef):
+        return ("func", node.name, tuple((p.name, p.type) for p in node.params),
+                node.return_type, _sig(node.body))
+    if isinstance(node, F.Block):
+        return ("block", tuple(_sig(s) for s in node.stmts))
+    if isinstance(node, F.VarDecl):
+        return ("decl", node.name, node.type, _sig(node.init))
+    if isinstance(node, F.Assign):
+        return ("assign", _sig(node.target), _sig(node.value))
+    if isinstance(node, F.If):
+        return ("if", _sig(node.cond), _sig(node.then), _sig(node.orelse))
+    if isinstance(node, F.While):
+        return ("while", _sig(node.cond), _sig(node.body))
+    if isinstance(node, F.For):
+        return ("for", _sig(node.init), _sig(node.cond), _sig(node.step), _sig(node.body))
+    if isinstance(node, F.Return):
+        return ("return", _sig(node.value))
+    if isinstance(node, F.ExprStmt):
+        return ("exprstmt", _sig(node.expr))
+    if isinstance(node, F.Break):
+        return ("break",)
+    if isinstance(node, F.Continue):
+        return ("continue",)
+    if isinstance(node, F.IntLit):
+        return ("int", node.value)
+    if isinstance(node, F.Var):
+        return ("var", node.name)
+    if isinstance(node, F.Unary):
+        return ("unary", node.op, _sig(node.operand))
+    if isinstance(node, F.Binary):
+        return ("binary", node.op, _sig(node.left), _sig(node.right))
+    if isinstance(node, F.Index):
+        return ("index", _sig(node.base), _sig(node.index))
+    if isinstance(node, F.Call):
+        return ("call", node.name, tuple(_sig(a) for a in node.args))
+    if node is None:
+        return None
+    raise AssertionError(f"unhandled node {node!r}")

@@ -256,9 +256,9 @@ def test_criterion_7_determinism_and_cache_transparency(tmp_path, capsys):
         db2 = CacheDb(str(tmp_path / "e.db"))
 
         def analyze_stored(src, counters=None):
-            _, records = analyze_unit(F.parse(src, "d.c"), CHECKS, db2, config, counters)
-            for key, record in records:
-                db2.put(key, record)
+            _, record = analyze_unit(F.parse(src, "d.c"), CHECKS, db2, config, counters)
+            if record is not None:
+                db2.put(*record)
 
         analyze_stored(DETERMINISM_SRC)
         edited = DETERMINISM_SRC.replace("total + i", "total + i + 0")

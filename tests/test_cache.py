@@ -1,4 +1,4 @@
-"""The v2 cache store: corruption, concurrent runs, liveness and compaction."""
+"""The v3 cache store: corruption, concurrent runs, liveness and compaction."""
 
 from __future__ import annotations
 
@@ -60,6 +60,11 @@ def func_record(n: int = 0, pad: str = "") -> list:
     return [[], [False, [], []], n, 0] if not pad else [[[pad]], [False, [], []], n, 0]
 
 
+def file_record(*functions: tuple[str, list]) -> list:
+    """A file record listing (function key, function record) pairs."""
+    return [[key, record] for key, record in functions]
+
+
 def framed(key: str, obj) -> int:
     return len(engine._frame(key, canonical_json(obj).encode()))
 
@@ -78,7 +83,7 @@ class TestCorruption:
         db = ws / "c.db"
         assert run(capsys, "--format", "json", "--db", str(db), "s.c")[:2] == expected
         good = db.read_bytes()
-        assert good.count(b"\n") == 1 + 2 * 3  # two functions and the index
+        assert good.count(b"\n") == 1 + 2 * 1  # the file's one record
         stores = [good[:n] for n in range(len(good))]
         stores += [good[:i] + bytes([good[i] ^ 1]) + good[i + 1:] for i in range(len(good))]
         for blob in stores:
@@ -87,55 +92,70 @@ class TestCorruption:
             assert (code, out) == expected, blob
             assert "internal error" not in err
             # repaired: every record is back, the store rewritten or completed
-            assert engine._parse(db.read_bytes()) == (engine._parse(good)[0], None)
+            assert engine._parse(db.read_bytes()) == engine._parse(good)
 
     def test_checksum_mismatch_skips_only_its_record(self, tmp_path, caplog):
         path = tmp_path / "c.db"
+        fa, fb, ka, kb = (c * 64 for c in "abcd")
         db = CacheDb(str(path))
-        db.put_all([("a" * 64, func_record(1)), ("b" * 64, func_record(2))])
+        db.put(fa, file_record((ka, func_record(1))))
+        db.put(fb, file_record((kb, func_record(2))))
         blob = bytearray(path.read_bytes())
-        blob[blob.index(b"[[]", len(CACHE_HEADER))] ^= 1  # inside a's payload
+        blob[blob.index(b"[[]", len(CACHE_HEADER))] ^= 1  # inside fa's payload
         path.write_bytes(bytes(blob))
         with caplog.at_level("WARNING", logger="ctl_lint"):
             loaded = CacheDb(str(path))
-        assert (loaded.get("a" * 64), loaded.get("b" * 64)) == (None, func_record(2))
+        assert (loaded.get(ka), loaded.get(kb)) == (None, func_record(2))
         assert any("checksum" in r.message for r in caplog.records)
-        loaded.put("a" * 64, func_record(1))  # the next store rewrites the file
+        loaded.put(fa, file_record((ka, func_record(1))))  # the next store rewrites the file
         again = CacheDb(str(path))
-        assert (again.get("a" * 64), again.get("b" * 64)) == (func_record(1), func_record(2))
+        assert (again.get(ka), again.get(kb)) == (func_record(1), func_record(2))
         assert path.read_bytes().count(b"\n") == 1 + 2 * 2
 
     def test_undecodable_payload_is_a_miss_and_rewritten(self, tmp_path, caplog):
         path = tmp_path / "c.db"
-        path.write_bytes(engine._HEADER_LINE + engine._frame("a" * 64, b"[[")
-                         + engine._frame("b" * 64, canonical_json(func_record(2)).encode()))
+        fa, fb, fc, ka, kb, kc = (c * 64 for c in "abcdef")
+        good = canonical_json(file_record((kb, func_record(2)))).encode()
+        path.write_bytes(engine._HEADER_LINE + engine._frame(fa, b"[[")
+                         + engine._frame(fb, good))
         db = CacheDb(str(path))
         with caplog.at_level("WARNING", logger="ctl_lint"):
-            assert db.get("a" * 64) is None
+            assert db.get(ka) is None
         assert any("undecodable" in r.message for r in caplog.records)
-        db.put("a" * 64, func_record(1))  # rewrites the store without the bad record
+        assert db.get(kb) == func_record(2)
+        db.put(fc, file_record((kc, func_record(3))))  # rewrites without the bad record
         assert path.read_bytes().count(b"\n") == 1 + 2 * 2
         fresh = CacheDb(str(path))
-        assert (fresh.get("a" * 64), fresh.get("b" * 64)) == (func_record(1), func_record(2))
+        fresh.put(fa, file_record((ka, func_record(1))))
+        assert [fresh.get(k) for k in (ka, kb, kc)] == \
+            [func_record(1), func_record(2), func_record(3)]
 
     def test_v1_store_starts_fresh(self, tmp_path, caplog):
+        # and so does a v2 store: a record of either is never read as v3's
         path = tmp_path / "c.db"
-        path.write_bytes(b"ctl-lint-cache v1\n" + b"a" * 64 + b" 2\n{}\n")
-        with caplog.at_level("WARNING", logger="ctl_lint"):
-            db = CacheDb(str(path))
-        assert db.get("a" * 64) is None
-        assert any("bad header, starting fresh" in r.message for r in caplog.records)
-        db.put("b" * 64, func_record())
-        assert path.read_bytes().startswith((CACHE_HEADER + "\n").encode())
+        record = file_record(("c" * 64, func_record()))
+        for old in (b"ctl-lint-cache v1\n" + b"a" * 64 + b" 2\n{}\n",
+                    b"ctl-lint-cache v2\n"
+                    + engine._frame("a" * 64, canonical_json(func_record()).encode())):
+            path.write_bytes(old)
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="ctl_lint"):
+                db = CacheDb(str(path))
+            assert db.get("a" * 64) is None
+            assert any("bad header, starting fresh" in r.message for r in caplog.records)
+            db.put("b" * 64, record)
+            assert path.read_bytes() == \
+                engine._HEADER_LINE + engine._frame("b" * 64, canonical_json(record).encode())
 
 
 class TestConcurrency:
     def test_rewrite_while_waiting_for_the_lock_loses_no_record(self, tmp_path, monkeypatch):
-        # A loads; B appends and compacts while A waits for its lock; A
-        # appends to the file B renamed into place, then compacts itself
+        # A loads; B supersedes its file's record and compacts while A waits
+        # for its lock; A appends to the file B renamed into place, then
+        # compacts itself
         path = str(tmp_path / "c.db")
-        ka, kb1, kb2, ia, ib = (c * 64 for c in "abcde")
-        CacheDb(path).put_all([(kb1, func_record(1)), (ib, [kb1])])
+        ka, kb1, kb2, fa, fb = (c * 64 for c in "abcde")
+        CacheDb(path).put(fb, file_record((kb1, func_record(1))))
         a = CacheDb(path)
         b = CacheDb(path)
         real_flock = fcntl.flock
@@ -144,31 +164,52 @@ class TestConcurrency:
         def flock(fd, op):
             if op == fcntl.LOCK_EX and not interleaved:
                 interleaved.append(True)
-                b.put_all([(kb2, func_record(2)), (ib, [kb2])])  # kb1 is now dead
+                b.put(fb, file_record((kb2, func_record(2))))  # kb1's record is now dead
                 assert b.compact()
             real_flock(fd, op)
 
         monkeypatch.setattr(fcntl, "flock", flock)
-        a.put_all([(ka, func_record(3)), (ia, [ka])])
+        a.put(fa, file_record((ka, func_record(3))))
         monkeypatch.undo()
         assert interleaved
         assert not a.compact()  # nothing is dead in what A holds
         fresh = CacheDb(path)
-        assert [fresh.get(k) for k in (ka, kb1, kb2, ia, ib)] == \
-            [func_record(3), None, func_record(2), [ka], [kb2]]
+        assert [fresh.get(k) for k in (ka, kb1, kb2)] == [func_record(3), None, func_record(2)]
+        assert fresh.holds(fa, [ka]) and fresh.holds(fb, [kb2])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.db"]
 
     def test_compaction_keeps_records_appended_after_load(self, tmp_path):
         path = str(tmp_path / "c.db")
-        ka1, ka2, kb, ia, ib = (c * 64 for c in "abcde")
+        ka1, ka2, kb, fa, fb = (c * 64 for c in "abcde")
         a = CacheDb(path)
-        a.put_all([(ka1, func_record(1)), (ia, [ka1])])
-        CacheDb(path).put_all([(kb, func_record(2)), (ib, [kb])])  # after A loaded
-        a.put_all([(ka2, func_record(3)), (ia, [ka2])])
+        a.put(fa, file_record((ka1, func_record(1))))
+        CacheDb(path).put(fb, file_record((kb, func_record(2))))  # after A loaded
+        a.put(fa, file_record((ka2, func_record(3))))
         assert a.compact()
         fresh = CacheDb(path)
-        assert [fresh.get(k) for k in (ka1, ka2, kb, ia, ib)] == \
-            [None, func_record(3), func_record(2), [ka2], [kb]]
+        assert [fresh.get(k) for k in (ka1, ka2, kb)] == [None, func_record(3), func_record(2)]
+        assert fresh.holds(fa, [ka2]) and fresh.holds(fb, [kb])
+
+    def test_repair_keeps_records_appended_after_load(self, tmp_path):
+        # A and B load a store with a bad checksum; B's store repairs it, C
+        # appends, and A's store, which rewrites too, keeps both
+        path = tmp_path / "c.db"
+        fa, fb, fc, fx = (c * 64 for c in "abcd")
+        CacheDb(str(path)).put(fx, file_record(("e" * 64, func_record())))
+        blob = bytearray(path.read_bytes())
+        blob[-2] ^= 1  # inside fx's payload
+        path.write_bytes(bytes(blob))
+        a = CacheDb(str(path))
+        b = CacheDb(str(path))
+        stored = {fb: file_record(("f" * 64, func_record(2))),
+                  fc: file_record(("0" * 64, func_record(3))),
+                  fa: file_record(("1" * 64, func_record(1)))}
+        b.put(fb, stored[fb])
+        CacheDb(str(path)).put(fc, stored[fc])
+        a.put(fa, stored[fa])
+        blob = path.read_bytes()
+        assert [key for key, record in stored.items()
+                if engine._frame(key, canonical_json(record).encode()) not in blob] == []
 
     def test_concurrent_cli_runs_lose_no_records(self, ws, capsys):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -190,7 +231,7 @@ class TestLiveness:
     def test_a_run_over_one_file_keeps_the_others_live(self, ws, capsys):
         db = ws / "c.db"
         run(capsys, "--db", str(db), "a.c", "b.c", "c.c")
-        edit_global(ws / "a.c", 7)  # all three of a.c's records go dead
+        edit_global(ws / "a.c", 7)  # a.c's record is superseded
         inode = db.stat().st_ino
         run(capsys, "--db", str(db), "a.c")
         assert db.stat().st_ino != inode  # compacted: renamed over
@@ -202,9 +243,9 @@ class TestLiveness:
         run(capsys, "--db", str(db), "a.c", "b.c", "c.c")
         for value in (5, 6):
             edit_global(ws / "c.c", value)
-            stale = CacheDb(str(db))  # appends what a run would, without compacting
-            stale.put_all(analyze_unit(F.parse((ws / "c.c").read_text(), "c.c"),
-                                       CHECKS, stale, CLI_CONFIG)[1])
+            stale = CacheDb(str(db))  # stores what a run would, without compacting
+            stale.put(*analyze_unit(F.parse((ws / "c.c").read_text(), "c.c"),
+                                    CHECKS, stale, CLI_CONFIG)[1])
         before = db.read_bytes()
         assert CacheDb(str(db)).compact()
         assert len(db.read_bytes()) < len(before)
@@ -220,23 +261,24 @@ class TestLiveness:
 
     @pytest.mark.parametrize("extra, due", [(0, False), (1, True)])
     def test_compaction_when_dead_bytes_exceed_a_quarter_of_live(self, tmp_path, extra, due):
-        path = str(tmp_path / "c.db")
-        key, index, dead = (c * 64 for c in "abc")
+        path = tmp_path / "c.db"
+        key, dead_key, file = (c * 64 for c in "abc")
         # the live bytes are a multiple of 4, so that the dead bytes can be
         # exactly a quarter of them (each pad character adds one byte)
-        live_pad = 600 + (-(framed(key, func_record(1, "y" * 600)) + framed(index, [key]))) % 4
-        record = func_record(1, "y" * live_pad)
-        live = framed(key, record) + framed(index, [key])
+        live_pad = 600 + (-framed(file, file_record((key, func_record(1, "y" * 600))))) % 4
+        record = file_record((key, func_record(1, "y" * live_pad)))
+        live = framed(file, record)
         assert live % 4 == 0
-        dead_pad = 100 + live // 4 + extra - framed(dead, func_record(0, "x" * 100))
-        dead_record = func_record(0, "x" * dead_pad)
-        assert framed(dead, dead_record) == live // 4 + extra
-        db = CacheDb(path)
-        db.put_all([(key, record), (index, [key])])
-        db.put(dead, dead_record)
+        dead_pad = 100 + live // 4 + extra - framed(
+            file, file_record((dead_key, func_record(0, "x" * 100))))
+        dead_record = file_record((dead_key, func_record(0, "x" * dead_pad)))
+        assert framed(file, dead_record) == live // 4 + extra
+        db = CacheDb(str(path))
+        db.put(file, dead_record)
+        db.put(file, record)  # supersedes the first record
         size = os.path.getsize(path)
-        assert CacheDb(path).compact() is due
-        fresh = CacheDb(path)
+        assert CacheDb(str(path)).compact() is due
+        fresh = CacheDb(str(path))
         assert os.path.getsize(path) == (size - live // 4 - extra if due else size)
-        assert (fresh.get(key), fresh.get(index)) == (record, [key])
-        assert (fresh.get(dead) is None) is due
+        assert fresh.get(key) == func_record(1, "y" * live_pad)
+        assert (fresh.get(dead_key) is None) is due  # a superseded record answers until then

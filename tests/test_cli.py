@@ -205,17 +205,25 @@ class TestSummaryReport:
             Diagnostic("memory-leak", "warning", locs[1], "m", "f"),
             Diagnostic("null-deref", "warning", locs[2], "m", "f"),
         ]
-        text = render_summary(ds, Counters())
+        text = render_summary(ds, Counters(), False)
         assert text.splitlines()[0] == "1 errors, 2 warnings, 0 infos"
 
     def test_clean_line(self):
-        assert render_summary([], Counters()).splitlines()[0] == "0 errors, 0 warnings, 0 infos"
+        assert render_summary([], Counters(), False).splitlines()[0] == \
+            "0 errors, 0 warnings, 0 infos"
 
     def test_cache_percentage(self, ws, capsys):
         path = ws("bug.c", DOUBLE_FREE)
         run(capsys, "analyze", path)
         _, _, err = run(capsys, "analyze", path)
         assert "cache hits: 100%" in err
+
+    @pytest.mark.parametrize("source", ["", "int g = 1;\n"], ids=["empty", "globals-only"])
+    def test_no_functions_with_a_cache_is_not_disabled(self, ws, capsys, source):
+        path = ws("none.c", source)
+        for _ in range(2):
+            _, _, err = run(capsys, "analyze", path)
+            assert err.splitlines()[-1] == "cache hits: 0% (0/0)"
 
     def test_no_cache_says_disabled(self, ws, capsys):
         path = ws("bug.c", DOUBLE_FREE)
@@ -299,6 +307,30 @@ check double-free {
         code, _, err = run(capsys, "analyze", "--specs", chk, path)
         assert code == 2 and "duplicate check id" in err
 
+    @pytest.mark.parametrize("refine", ["on", "off"])
+    def test_user_spec_without_single_path_witnesses_rejected(self, ws, capsys, refine):
+        chk = ws("af.chk", f"""
+check eventually-deref {{
+  severity: warning
+  forall $v: pointer
+  label d := deref($v)
+  property: AF d
+  refine: {refine}
+}}
+""")
+        path = ws("g.c", "int g(int *p) { return *p; }\n")
+        message = f"{chk}:2:1: the property of 'eventually-deref' has no single-path witness"
+        for args in (["analyze", "--specs", chk, path],
+                     ["analyze", "--specs", chk, "--max-witnesses", "0", path],
+                     ["--list-checks", "--specs", chk]):
+            code, out, err = run(capsys, *args)
+            assert (code, out, err) == (2, "", f"ctl-lint: error: {message}\n")
+
+    def test_unwritable_db_path_is_an_error(self, ws, capsys):
+        path = ws("bug.c", DOUBLE_FREE)
+        code, _, err = run(capsys, "analyze", "--db", "missing/c.db", path)
+        assert (code, err) == (2, "ctl-lint: error: cache path is not writable: missing/c.db\n")
+
     def test_max_witnesses_zero_unconfirmed(self, ws, capsys):
         path = ws("bug.c", DOUBLE_FREE)
         code, out, _ = run(capsys, "analyze", "--max-witnesses", "0", "--no-cache", path)
@@ -344,8 +376,8 @@ class TestJobs:
             assert code == 1
             blobs.append(db.read_bytes())
         assert blobs[0] == blobs[1]
-        # header, 4 of 5 functions, one index per file
-        assert blobs[0].count(b"\n") == 1 + 2 * 4 + 2 * 3
+        # header, one record per file
+        assert blobs[0].count(b"\n") == 1 + 2 * 3
         # a warm run in either mode hits every function and appends nothing
         for jobs in ("1", "2"):
             code, out, err = run(capsys, "analyze", "--db", str(tmp_path / "jobs1.db"),

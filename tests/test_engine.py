@@ -23,11 +23,10 @@ CONFIG = EngineConfig(checkset_text="builtin")
 
 
 def analyze(src, db=None, counters=None, config=CONFIG, file="test.c"):
-    """Analyze one unit and store its new cache records, as the CLI does."""
-    diags, records = analyze_unit(F.parse(src, file), CHECKS, db, config, counters)
-    if db is not None:
-        for key, record in records:
-            db.put(key, record)
+    """Analyze one unit and store its cache record, as the CLI does."""
+    diags, record = analyze_unit(F.parse(src, file), CHECKS, db, config, counters)
+    if record is not None:
+        db.put(*record)
     return diags
 
 
@@ -41,15 +40,13 @@ class TestSummaries:
         self.db = CacheDb(str(tmp_path / "c.db"))
 
     def _summaries(self, src):
-        """Each function's summary from its cache record; records come in
-        source order, every function is fresh in an empty db, and the
-        unit's index record comes last."""
+        """Each function's summary from the unit's cache record, which
+        lists the functions in source order."""
         tu = F.parse(src, "a.c")
-        _, records = analyze_unit(tu, CHECKS, self.db, CONFIG)
-        *fresh, _ = records
+        _, (_, functions) = analyze_unit(tu, CHECKS, self.db, CONFIG)
         return {f.name: FunctionSummary(f.name, may_null, frozenset(frees), frozenset(derefs))
                 for f, (_, (_, (may_null, frees, derefs), _, _))
-                in zip(tu.functions, fresh, strict=True)}
+                in zip(tu.functions, functions, strict=True)}
 
     def test_return_zero_may_be_null(self):
         s = self._summaries("int *f() { return 0; }")
@@ -262,13 +259,13 @@ class TestCache:
         db_file = tmp_path / "c.db"
         db_path = str(db_file)
         db = CacheDb(db_path)
-        db.put("a" * 64, {"x": 1})
+        db.put("a" * 64, [["b" * 64, [1]]])
         size = db_file.stat().st_size
-        db.put("a" * 64, {"x": 1})
-        CacheDb(db_path).put("a" * 64, {"x": 1})
+        db.put("a" * 64, [["b" * 64, [1]]])
+        CacheDb(db_path).put("a" * 64, [["b" * 64, [1]]])
         assert db_file.stat().st_size == size
-        db.put("a" * 64, {"x": 2})  # a changed record is appended
-        assert CacheDb(db_path).get("a" * 64) == {"x": 2}
+        db.put("a" * 64, [["b" * 64, [2]]])  # a changed record is appended
+        assert CacheDb(db_path).get("b" * 64) == [2]
 
     def test_bad_header_starts_fresh(self, tmp_path, caplog):
         db_path = str(tmp_path / "c.db")
@@ -285,19 +282,19 @@ class TestCache:
         db_file.write_text("not a cache\n")
         inode = db_file.stat().st_ino
         db = CacheDb(str(db_file))
-        db.put("a" * 64, {"x": 1})  # rewrites the store
-        db.put("b" * 64, {"x": 2})  # appends to the new one
+        db.put("a" * 64, [["c" * 64, [1]]])  # rewrites the store
+        db.put("b" * 64, [["d" * 64, [2]]])  # appends to the new one
         assert db_file.stat().st_ino != inode  # renamed over, not truncated
         assert db_file.read_bytes().startswith((CACHE_HEADER + "\n").encode())
         loaded = CacheDb(str(db_file))
-        assert (loaded.get("a" * 64), loaded.get("b" * 64)) == ({"x": 1}, {"x": 2})
+        assert (loaded.get("c" * 64), loaded.get("d" * 64)) == ([1], [2])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.db"]
 
     def test_failed_rewrite_keeps_the_old_store(self, tmp_path, monkeypatch):
         db_file = tmp_path / "c.db"
         db = CacheDb(str(db_file))
-        db.put("a" * 64, {"x": 1})
-        db.put("b" * 64, {"x": 2})
+        db.put("a" * 64, [["c" * 64, [1]]])
+        db.put("b" * 64, [["d" * 64, [2]]])
         with open(db_file, "ab") as fh:
             fh.write(b"garbage\n")  # a corrupt tail: the next store rewrites
         old = db_file.read_bytes()
@@ -326,11 +323,11 @@ class TestCache:
         db = CacheDb(str(db_file))
         monkeypatch.setattr(engine, "open", failing_open, raising=False)
         with pytest.raises(OSError):
-            db.put("c" * 64, {"x": 3})
+            db.put("e" * 64, [["f" * 64, [3]]])
         monkeypatch.undo()
         assert db_file.read_bytes() == old
         loaded = CacheDb(str(db_file))
-        assert (loaded.get("a" * 64), loaded.get("b" * 64)) == ({"x": 1}, {"x": 2})
+        assert (loaded.get("c" * 64), loaded.get("d" * 64)) == ([1], [2])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.db"]
 
     def test_record_format(self, tmp_path):
@@ -338,16 +335,26 @@ class TestCache:
         analyze("int f() { return 1; }\n", CacheDb(db_path))
         lines = open(db_path, "rb").read().split(b"\n")
         assert lines[0].decode() == CACHE_HEADER
-        assert len(lines) == 6  # header, f's record, the index record, ""
-        for head, payload in (lines[1:3], lines[3:5]):
-            key, length, crc = head.decode().split(" ")
-            assert len(key) == 64 and all(c in "0123456789abcdef" for c in key)
-            assert int(length) == len(payload)
-            assert int(crc, 16) == zlib.crc32(key.encode() + payload)
-        # [diagnostics, [may_return_null, always_frees, derefs_param_unchecked],
-        #  tasks, skipped], then the keys of the file's functions
-        assert json.loads(lines[2]) == [[], [False, [], []], 0, 0]
-        assert json.loads(lines[4]) == [lines[1].decode()[:64]]
+        assert len(lines) == 4  # header, the file's record, ""
+        key, length, crc = lines[1].decode().split(" ")
+        assert key == engine.file_key("test.c", CONFIG.checkset_text, CONFIG.max_witnesses)
+        assert int(length) == len(lines[2])
+        assert int(crc, 16) == zlib.crc32(key.encode() + lines[2])
+        # [[function key, [diagnostics, [may_return_null, always_frees,
+        #   derefs_param_unchecked], tasks, skipped]], ...]
+        [[function_key, record]] = json.loads(lines[2])
+        assert len(function_key) == 64 and all(c in "0123456789abcdef" for c in function_key)
+        assert record == [[], [False, [], []], 0, 0]
+
+    def test_new_path_hits_every_function(self, tmp_path):
+        src = "int f(int *p) { free(p); free(p); return 0; }\nint g() { return f(0); }\n"
+        db_path = str(tmp_path / "c.db")
+        d1 = analyze(src, CacheDb(db_path), file="a.c")
+        c = Counters()
+        d2 = analyze(src, CacheDb(db_path), c, file="moved/b.c")
+        assert (c.cache_hits, c.cache_misses) == (2, 0)
+        assert d2 == analyze(src, None, file="moved/b.c") != d1
+        assert {d.loc.file for d in d2} == {"moved/b.c"}
 
     def test_key_depends_on_config_and_checkset(self):
         tu = F.parse("int f() { return 1; }", "a.c")
@@ -382,17 +389,23 @@ class TestAnalyzeUnit:
         analyze(src)
         assert len(calls) == runs
 
-    def test_records_only_for_fresh_functions(self, tmp_path):
+    def test_record_only_when_the_store_lacks_it(self, tmp_path):
         src = "int f() { return 1; }\nint g() { return f(); }\n"
         db = CacheDb(str(tmp_path / "c.db"))
-        _, records = analyze_unit(F.parse(src, "a.c"), CHECKS, db, CONFIG)
-        # f's and g's records in source order, then the index listing both
-        assert len(records) == 3
-        assert records[2][1] == [key for key, _ in records[:2]]
+
+        def record(src, file="a.c"):
+            return analyze_unit(F.parse(src, file), CHECKS, db, CONFIG)[1]
+
+        key, functions = record(src)
+        assert key == engine.file_key("a.c", CONFIG.checkset_text, CONFIG.max_witnesses)
+        assert len(functions) == 2  # f's and g's, in source order
         assert not os.path.exists(db.path)  # analyze_unit only reads the store
-        db.put(*records[0])
-        _, again = analyze_unit(F.parse(src, "a.c"), CHECKS, db, CONFIG)
-        assert again == records[1:]
+        db.put(key, functions)
+        assert record(src) is None  # every function hit, and the store lists them
+        # every function hits, but the path or the function list is new
+        assert record(src, "b.c") == (
+            engine.file_key("b.c", CONFIG.checkset_text, CONFIG.max_witnesses), functions)
+        assert record(src.split("\n")[0]) == (key, functions[:1])
 
     def test_cache_hits_build_no_cfg(self, monkeypatch, tmp_path):
         built = []

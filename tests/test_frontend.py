@@ -129,7 +129,7 @@ class TestParserPin:
         sources += [fixture.source for fixture in FIXTURES]
         rows = [repr(_dump(F.parse(src, "a.c"))) for src in sources]
         digest = hashlib.sha256("\n".join(rows).encode("utf-8")).hexdigest()
-        assert digest == "0b3953cf866401f9b4d15a59809bf73b87ebf82291b329376c78ac260fd2b28c"
+        assert digest == "b1cbe79f6b8ea5a281fbe0b2e3ed564c14294d1aa6aae9d05d21d2b89818fddb"
 
     @pytest.mark.parametrize("src,error", [
         ("int", "a.c:1:4: expected a name, found end of input"),

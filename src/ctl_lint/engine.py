@@ -50,7 +50,7 @@ logger = logging.getLogger("ctl_lint")
 
 DEAD_CODE_ID = "dead-code"
 
-CACHE_HEADER = "ctl-lint-cache v3"
+CACHE_HEADER = "ctl-lint-cache v4"
 
 
 class AnalysisError(Exception):
@@ -254,6 +254,13 @@ def _frame(key: str, payload: bytes) -> bytes:
                                    payload)
 
 
+def _encode(obj) -> bytes:
+    """The payload of a record holding `obj`: its canonical JSON, compressed.
+    `zlib.compress` is deterministic, so an unchanged record encodes to the
+    bytes the store already holds."""
+    return zlib.compress(canonical_json(obj).encode("ascii"))
+
+
 def _framed_size(payload: bytes) -> int:
     """The length of the record `_frame` makes of `payload`."""
     return len(payload) + len(str(len(payload))) + 76
@@ -292,14 +299,15 @@ def _parse(blob: bytes) -> tuple[list[tuple[str, bytes]], str | None]:
 class CacheDb:
     """Single-file append-friendly store, shared by concurrent runs.
 
-    Format: header line `ctl-lint-cache v3`, then records of
+    Format: header line `ctl-lint-cache v4`, then records of
     `<64-hex key> <byte-length> <8-hex crc32>\\n<payload>\\n`, the CRC
-    taken over the key and the payload, which is canonical JSON.  There is
-    one kind of record: one per input file, keyed by `file_key`, whose
-    payload is the file's functions in source order, `[[function key,
-    [diagnostics, [may_return_null, always_frees, derefs_param_unchecked],
-    tasks, skipped]], ...]`.  `get` finds a function by its key in any
-    record the store holds, through a map decoded once, on first use.
+    taken over the key and the payload, which is zlib-compressed canonical
+    JSON (`_encode`).  There is one kind of record: one per input file,
+    keyed by `file_key`, whose payload inflates to the file's functions in
+    source order, `[[function key, [diagnostics, [may_return_null,
+    always_frees, derefs_param_unchecked], tasks, skipped]], ...]`.  `get`
+    finds a function by its key in any record the store holds, through a
+    map decoded once, on first use.
 
     A later record for a key supersedes an earlier one, and that is the
     whole liveness rule: the live records are the last one for each key,
@@ -310,8 +318,10 @@ class CacheDb:
 
     A record whose checksum does not match is skipped; one whose framing or
     length does not match is corrupt, and everything after it is dropped.
-    Either way the lost records are misses, and the next store rewrites the
-    file.  A file with another header (a v1 or v2 store, say) starts fresh.
+    A record whose payload does not inflate to a file record is found when
+    the store is first decoded.  In all three cases the lost records are
+    misses, and the next store rewrites the file without them.  A file with another
+    header (a v1, v2 or v3 store, say) starts fresh.
 
     Loading holds a shared `flock` on the store, appending and rewriting an
     exclusive one.  After taking a lock the store is reopened if a rewrite
@@ -377,8 +387,8 @@ class CacheDb:
         self._functions = {}
         for key, payload in self._records:
             try:
-                functions = dict(json.loads(payload))
-            except (ValueError, TypeError):
+                functions = dict(json.loads(zlib.decompress(payload)))
+            except (ValueError, TypeError, zlib.error):
                 logger.warning("cache %s: undecodable entry %s treated as miss",
                                self.path, key[:12])
                 self._files.pop(key, None)
@@ -406,7 +416,7 @@ class CacheDb:
         """Store `obj` as the record for file key `key`, superseding any
         earlier one; one the store already holds byte for byte is not
         appended again."""
-        payload = canonical_json(obj).encode("utf-8")
+        payload = _encode(obj)
         old = self._entries.get(key)
         if old == payload:
             return

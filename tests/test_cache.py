@@ -1,20 +1,25 @@
-"""The v3 cache store: corruption, concurrent runs, liveness and compaction."""
+"""The v4 cache store: corruption, concurrent runs, liveness and compaction."""
 
 from __future__ import annotations
 
 import fcntl
+import json
 import os
+import random
 import re
+import string
 import subprocess
 import sys
+import zlib
 
 import pytest
 
 from ctl_lint import cli, engine
 from ctl_lint import frontend as F
 from ctl_lint.cli import main
-from ctl_lint.engine import CACHE_HEADER, CacheDb, EngineConfig, analyze_unit, canonical_json
+from ctl_lint.engine import CacheDb, EngineConfig, analyze_unit, canonical_json
 from ctl_lint.speclang import load_checkset
+from fixtures_bugs import FIXTURES
 
 CHECKS, CHECKSET_TEXT = load_checkset()
 CLI_CONFIG = EngineConfig(checkset_text=CHECKSET_TEXT, max_witnesses=5)  # the CLI's defaults
@@ -66,7 +71,12 @@ def file_record(*functions: tuple[str, list]) -> list:
 
 
 def framed(key: str, obj) -> int:
-    return len(engine._frame(key, canonical_json(obj).encode()))
+    return len(engine._frame(key, engine._encode(obj)))
+
+
+# deterministic padding that zlib barely shrinks: a record padded with a
+# prefix of it grows by about three bytes for every four characters
+NOISE = "".join(random.Random(0).choices(string.ascii_letters + string.digits, k=4000))
 
 
 class TestCorruption:
@@ -83,7 +93,7 @@ class TestCorruption:
         db = ws / "c.db"
         assert run(capsys, "--format", "json", "--db", str(db), "s.c")[:2] == expected
         good = db.read_bytes()
-        assert good.count(b"\n") == 1 + 2 * 1  # the file's one record
+        assert len(engine._parse(good)[0]) == 1  # the file's one record
         stores = [good[:n] for n in range(len(good))]
         stores += [good[:i] + bytes([good[i] ^ 1]) + good[i + 1:] for i in range(len(good))]
         for blob in stores:
@@ -101,7 +111,7 @@ class TestCorruption:
         db.put(fa, file_record((ka, func_record(1))))
         db.put(fb, file_record((kb, func_record(2))))
         blob = bytearray(path.read_bytes())
-        blob[blob.index(b"[[]", len(CACHE_HEADER))] ^= 1  # inside fa's payload
+        blob[blob.index(b"\n", len(engine._HEADER_LINE)) + 1] ^= 1  # fa's payload
         path.write_bytes(bytes(blob))
         with caplog.at_level("WARNING", logger="ctl_lint"):
             loaded = CacheDb(str(path))
@@ -110,42 +120,96 @@ class TestCorruption:
         loaded.put(fa, file_record((ka, func_record(1))))  # the next store rewrites the file
         again = CacheDb(str(path))
         assert (again.get(ka), again.get(kb)) == (func_record(1), func_record(2))
-        assert path.read_bytes().count(b"\n") == 1 + 2 * 2
+        assert len(engine._parse(path.read_bytes())[0]) == 2
 
-    def test_undecodable_payload_is_a_miss_and_rewritten(self, tmp_path, caplog):
+    @staticmethod
+    def undecodable_is_a_miss_and_rewritten(tmp_path, caplog, bad: bytes) -> None:
+        """A store whose first record has the CRC-valid payload `bad` loses
+        that record alone, and the next store rewrites the file without it."""
         path = tmp_path / "c.db"
         fa, fb, fc, ka, kb, kc = (c * 64 for c in "abcdef")
-        good = canonical_json(file_record((kb, func_record(2)))).encode()
-        path.write_bytes(engine._HEADER_LINE + engine._frame(fa, b"[[")
-                         + engine._frame(fb, good))
+        good = engine._encode(file_record((kb, func_record(2))))
+        path.write_bytes(engine._HEADER_LINE + engine._frame(fa, bad) + engine._frame(fb, good))
         db = CacheDb(str(path))
         with caplog.at_level("WARNING", logger="ctl_lint"):
             assert db.get(ka) is None
         assert any("undecodable" in r.message for r in caplog.records)
         assert db.get(kb) == func_record(2)
         db.put(fc, file_record((kc, func_record(3))))  # rewrites without the bad record
-        assert path.read_bytes().count(b"\n") == 1 + 2 * 2
+        assert engine._parse(path.read_bytes()) == \
+            ([(fb, good), (fc, engine._encode(file_record((kc, func_record(3)))))], None)
         fresh = CacheDb(str(path))
         fresh.put(fa, file_record((ka, func_record(1))))
         assert [fresh.get(k) for k in (ka, kb, kc)] == \
             [func_record(1), func_record(2), func_record(3)]
 
+    def test_undecodable_payload_is_a_miss_and_rewritten(self, tmp_path, caplog):
+        # the payload inflates, but not to JSON
+        self.undecodable_is_a_miss_and_rewritten(tmp_path, caplog, zlib.compress(b"[["))
+
+    def test_payload_that_is_not_zlib_data_is_a_miss_and_rewritten(self, tmp_path, caplog):
+        # a v3 payload: uncompressed canonical JSON
+        bad = canonical_json(file_record(("a" * 64, func_record(1)))).encode()
+        self.undecodable_is_a_miss_and_rewritten(tmp_path, caplog, bad)
+
+    def test_payload_inflating_to_another_shape_is_a_miss_and_rewritten(self, tmp_path,
+                                                                        caplog):
+        self.undecodable_is_a_miss_and_rewritten(tmp_path, caplog, zlib.compress(b"5"))
+
     def test_v1_store_starts_fresh(self, tmp_path, caplog):
-        # and so does a v2 store: a record of either is never read as v3's
+        # and so do v2 and v3 stores: a record of any is never read as v4's
         path = tmp_path / "c.db"
         record = file_record(("c" * 64, func_record()))
+        v3_record = file_record(("d" * 64, func_record(4)))
         for old in (b"ctl-lint-cache v1\n" + b"a" * 64 + b" 2\n{}\n",
                     b"ctl-lint-cache v2\n"
-                    + engine._frame("a" * 64, canonical_json(func_record()).encode())):
+                    + engine._frame("a" * 64, canonical_json(func_record()).encode()),
+                    b"ctl-lint-cache v3\n"
+                    + engine._frame("a" * 64, canonical_json(v3_record).encode())):
             path.write_bytes(old)
+            inode = path.stat().st_ino
             caplog.clear()
             with caplog.at_level("WARNING", logger="ctl_lint"):
                 db = CacheDb(str(path))
-            assert db.get("a" * 64) is None
+            assert db.get("a" * 64) is None and db.get("d" * 64) is None
+            assert not db.holds("a" * 64, ["d" * 64])
             assert any("bad header, starting fresh" in r.message for r in caplog.records)
+            assert not any("undecodable" in r.message for r in caplog.records)
             db.put("b" * 64, record)
+            assert path.stat().st_ino != inode  # replaced, not appended to
             assert path.read_bytes() == \
-                engine._HEADER_LINE + engine._frame("b" * 64, canonical_json(record).encode())
+                engine._HEADER_LINE + engine._frame("b" * 64, engine._encode(record))
+            assert CacheDb(str(path)).get("c" * 64) == func_record()
+
+
+class TestFormat:
+    def test_fixture_store_is_the_same_at_any_jobs_and_compressed(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        paths = []
+        for fx in FIXTURES:
+            (tmp_path / f"{fx.name}.c").write_text(fx.source)
+            paths.append(f"{fx.name}.c")
+        blobs = []
+        for jobs in ("1", "2"):
+            assert main(["analyze", "--db", f"jobs{jobs}.db", "--jobs", jobs, *paths]) == 1
+            blobs.append((tmp_path / f"jobs{jobs}.db").read_bytes())
+        capsys.readouterr()
+        assert blobs[0] == blobs[1]
+        records, problem = engine._parse(blobs[0])
+        assert (len(records), problem) == (len(FIXTURES), None)
+        # each fixture's record is one or two small functions, mostly hex
+        # keys and framing, so the store is smaller than the same records
+        # framed as plain canonical JSON, but not by half
+        plain = engine._HEADER_LINE + b"".join(
+            engine._frame(key, canonical_json(json.loads(zlib.decompress(payload))).encode())
+            for key, payload in records)
+        assert len(blobs[0]) < len(plain)
+
+    @pytest.mark.parametrize("n", [9, 10, 99, 100])
+    def test_framed_size_across_length_digits(self, n):
+        payload = bytes(range(n))
+        assert engine._framed_size(payload) == len(engine._frame("a" * 64, payload))
 
 
 class TestConcurrency:
@@ -209,7 +273,7 @@ class TestConcurrency:
         a.put(fa, stored[fa])
         blob = path.read_bytes()
         assert [key for key, record in stored.items()
-                if engine._frame(key, canonical_json(record).encode()) not in blob] == []
+                if engine._frame(key, engine._encode(record)) not in blob] == []
 
     def test_concurrent_cli_runs_lose_no_records(self, ws, capsys):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -263,22 +327,33 @@ class TestLiveness:
     def test_compaction_when_dead_bytes_exceed_a_quarter_of_live(self, tmp_path, extra, due):
         path = tmp_path / "c.db"
         key, dead_key, file = (c * 64 for c in "abc")
+
+        def live_record(n: int) -> list:
+            return file_record((key, func_record(1, NOISE[:n])))
+
+        def dead_record(n: int) -> list:
+            return file_record((dead_key, func_record(0, NOISE[:n])))
+
+        def sized(make, target: int) -> list | None:
+            """`make(n)` for the least `n` whose record frames to `target`
+            bytes; compressed sizes skip some values, so there may be none."""
+            return next((r for n in range(len(NOISE))
+                         if framed(file, r := make(n)) == target), None)
+
         # the live bytes are a multiple of 4, so that the dead bytes can be
-        # exactly a quarter of them (each pad character adds one byte)
-        live_pad = 600 + (-framed(file, file_record((key, func_record(1, "y" * 600))))) % 4
-        record = file_record((key, func_record(1, "y" * live_pad)))
+        # exactly a quarter of them, and one byte more
+        record = next(r for n in range(600, len(NOISE))
+                      if (live := framed(file, r := live_record(n))) % 4 == 0
+                      and all(sized(dead_record, live // 4 + e) for e in (0, 1)))
         live = framed(file, record)
-        assert live % 4 == 0
-        dead_pad = 100 + live // 4 + extra - framed(
-            file, file_record((dead_key, func_record(0, "x" * 100))))
-        dead_record = file_record((dead_key, func_record(0, "x" * dead_pad)))
-        assert framed(file, dead_record) == live // 4 + extra
+        dead = sized(dead_record, live // 4 + extra)
+        assert framed(file, dead) == live // 4 + extra
         db = CacheDb(str(path))
-        db.put(file, dead_record)
+        db.put(file, dead)
         db.put(file, record)  # supersedes the first record
         size = os.path.getsize(path)
         assert CacheDb(str(path)).compact() is due
         fresh = CacheDb(str(path))
         assert os.path.getsize(path) == (size - live // 4 - extra if due else size)
-        assert fresh.get(key) == func_record(1, "y" * live_pad)
+        assert fresh.get(key) == record[0][1]
         assert (fresh.get(dead_key) is None) is due  # a superseded record answers until then

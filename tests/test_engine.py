@@ -221,11 +221,12 @@ class TestCache:
 
     def test_corrupt_record_treated_as_miss(self, tmp_path, caplog):
         src = "int f() { return 1; }\n"
-        db_path = str(tmp_path / "c.db")
+        db_file = tmp_path / "c.db"
+        db_path = str(db_file)
         analyze(src, CacheDb(db_path))
-        blob = open(db_path, "rb").read()
+        blob = db_file.read_bytes()
         head_end = blob.index(b"\n", len(CACHE_HEADER) + 1)
-        open(db_path, "wb").write(blob[:head_end + 5])  # truncate inside f's payload
+        db_file.write_bytes(blob[:head_end + 5])  # truncate inside f's payload
         with caplog.at_level(logging.WARNING, logger="ctl_lint"):
             c = Counters()
             d = analyze(src, CacheDb(db_path), c)
@@ -268,14 +269,13 @@ class TestCache:
         assert CacheDb(db_path).get("b" * 64) == [2]
 
     def test_bad_header_starts_fresh(self, tmp_path, caplog):
-        db_path = str(tmp_path / "c.db")
-        open(db_path, "w").write("not a cache\n")
+        db_file = tmp_path / "c.db"
+        db_file.write_text("not a cache\n")
         with caplog.at_level(logging.WARNING, logger="ctl_lint"):
             c = Counters()
-            analyze("int f() { return 1; }\n", CacheDb(db_path), c)
+            analyze("int f() { return 1; }\n", CacheDb(str(db_file)), c)
         assert c.cache_misses == 1
-        text = open(db_path).read()
-        assert text.startswith(CACHE_HEADER)
+        assert db_file.read_bytes().startswith((CACHE_HEADER + "\n").encode())
 
     def test_bad_header_file_is_replaced_by_a_valid_one(self, tmp_path):
         db_file = tmp_path / "c.db"
@@ -331,18 +331,21 @@ class TestCache:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.db"]
 
     def test_record_format(self, tmp_path):
-        db_path = str(tmp_path / "c.db")
-        analyze("int f() { return 1; }\n", CacheDb(db_path))
-        lines = open(db_path, "rb").read().split(b"\n")
-        assert lines[0].decode() == CACHE_HEADER
-        assert len(lines) == 4  # header, the file's record, ""
-        key, length, crc = lines[1].decode().split(" ")
+        db_file = tmp_path / "c.db"
+        analyze("int f() { return 1; }\n", CacheDb(str(db_file)))
+        header, head, rest = db_file.read_bytes().split(b"\n", 2)
+        assert header.decode() == CACHE_HEADER
+        key, length, crc = head.decode().split(" ")
+        payload = rest[:int(length)]
+        assert rest == payload + b"\n"  # the file's one record, then the end
         assert key == engine.file_key("test.c", CONFIG.checkset_text, CONFIG.max_witnesses)
-        assert int(length) == len(lines[2])
-        assert int(crc, 16) == zlib.crc32(key.encode() + lines[2])
-        # [[function key, [diagnostics, [may_return_null, always_frees,
-        #   derefs_param_unchecked], tasks, skipped]], ...]
-        [[function_key, record]] = json.loads(lines[2])
+        assert int(crc, 16) == zlib.crc32(key.encode() + payload)  # of the compressed bytes
+        # zlib-compressed canonical JSON: [[function key, [diagnostics,
+        #   [may_return_null, always_frees, derefs_param_unchecked], tasks,
+        #   skipped]], ...]
+        text = zlib.decompress(payload)
+        assert text == engine.canonical_json(json.loads(text)).encode()
+        [[function_key, record]] = json.loads(text)
         assert len(function_key) == 64 and all(c in "0123456789abcdef" for c in function_key)
         assert record == [[], [False, [], []], 0, 0]
 

@@ -22,10 +22,9 @@ import sys
 from dataclasses import dataclass
 
 from .cfg import build_cfg, to_dot
+from .cache import CacheDb
 from .diagnostics import Diagnostic, diagnostic_to_json_obj, meets_min_severity
-from .engine import (
-    AnalysisError, CacheDb, Counters, EngineConfig, analyze_unit,
-)
+from .engine import AnalysisError, Counters, EngineConfig, analyze_unit
 from .frontend import ParseError, TranslationUnit, parse_bytes
 from .intervals import BUFFER_OVERRUN, DIV_BY_ZERO
 from .speclang import CheckSpec, SpecError, load_checkset

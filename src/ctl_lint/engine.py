@@ -4,40 +4,24 @@ Functions are summarized bottom-up over the call graph (recursion falls
 back to pessimistic summaries), then analyzed independently: pattern
 labeling, CTL checking, witness refinement, interval checks and the
 structural dead-code check.  Results are aggregated into a deterministic
-diagnostic list.
-
-Per-function results are cached in a single append-friendly store, one
-record per input file, which holds each of the file's functions under a
-content key: the function's source text, the active check-set text, the
-callee summary environment, the globals' source text, relevant config and
-the tool version.  Cached diagnostics are stored positionally with
-function-relative line numbers, and a function is looked up by its key in
-every file's record, so it still hits after it moves within a file or to
-another file.  A later record for a file supersedes the earlier one, and
-`CacheDb.compact` drops the superseded records once they take more than a
-quarter of the bytes the live ones take.  `analyze_unit` only reads the
-store and returns the file's record, unless the store already holds it;
-its caller writes it.
+diagnostic list.  A function the store (`cache`) holds under its content
+key is not analyzed again; `analyze_unit` only reads the store and
+returns the file's record, unless the store already holds it; its caller
+writes it.
 """
 
 from __future__ import annotations
 
-import contextlib
-import fcntl
-import hashlib
-import json
-import logging
-import os
-import re
-import zlib
 from dataclasses import dataclass
 
-from . import __version__
 from . import frontend as ast
+from .cache import (
+    CacheDb, CachedFunction, cache_key, canonical_json, file_key, pack_function, unpack_function,
+)
 from .cfg import Cfg, build_cfg, to_kripke
 from .ctl import And, EU, EX, Not, Prop, TRUE, check, witness
 from .diagnostics import CONFIRMED, Diagnostic, UNCONFIRMED
-from .frontend import FunctionDef, SourceLocation, TranslationUnit, check_well_formed
+from .frontend import FunctionDef, TranslationUnit, check_well_formed
 from .intervals import analyze as interval_analyze, check_sites, interval_checks
 from .refine import (
     CONFIRMED as R_CONFIRMED, SUPPRESSED, refine_diagnostic,
@@ -46,11 +30,7 @@ from .speclang import (
     CheckSpec, CheckTask, Fact, candidate_variables, instantiate, label_index,
 )
 
-logger = logging.getLogger("ctl_lint")
-
 DEAD_CODE_ID = "dead-code"
-
-CACHE_HEADER = "ctl-lint-cache v4"
 
 
 class AnalysisError(Exception):
@@ -240,281 +220,6 @@ def apply_summaries(cfg: Cfg, summaries: dict[str, FunctionSummary]) -> dict[int
 
 
 # ---------------------------------------------------------------------------
-# Cache store
-
-_HEADER_LINE = (CACHE_HEADER + "\n").encode("ascii")
-_RECORD_HEAD = re.compile(rb"([0-9a-f]{64}) ([0-9]+) ([0-9a-f]{8})")
-
-
-def _frame(key: str, payload: bytes) -> bytes:
-    """One record: `<key> <payload length> <crc32 of key and payload>`,
-    a newline, the payload and a newline."""
-    kb = key.encode("ascii")
-    return b"%s %d %08x\n%s\n" % (kb, len(payload), zlib.crc32(payload, zlib.crc32(kb)),
-                                   payload)
-
-
-def _encode(obj) -> bytes:
-    """The payload of a record holding `obj`: its canonical JSON, compressed.
-    `zlib.compress` is deterministic, so an unchanged record encodes to the
-    bytes the store already holds."""
-    return zlib.compress(canonical_json(obj).encode("ascii"))
-
-
-def _framed_size(payload: bytes) -> int:
-    """The length of the record `_frame` makes of `payload`."""
-    return len(payload) + len(str(len(payload))) + 76
-
-
-def _parse(blob: bytes) -> tuple[list[tuple[str, bytes]], str | None]:
-    """The (key, payload) records of a store's bytes, in order, and the
-    first problem found, if any."""
-    records: list[tuple[str, bytes]] = []
-    problem = None
-    pos = len(_HEADER_LINE)
-    if not blob.startswith(_HEADER_LINE):
-        problem = "bad header, starting fresh" if blob else None
-        pos = len(blob)
-    while pos < len(blob):
-        nl = blob.find(b"\n", pos)
-        head = _RECORD_HEAD.fullmatch(blob, pos, nl) if nl >= 0 else None
-        if head is None:
-            problem = problem or f"corrupt record header at byte {pos}; dropping remainder"
-            break
-        key = head[1]
-        start = nl + 1
-        end = start + int(head[2])
-        payload = blob[start:end]
-        if blob[end:end + 1] != b"\n":
-            problem = problem or f"corrupt payload for {key[:12].decode()}; dropping remainder"
-            break
-        pos = end + 1
-        if zlib.crc32(payload, zlib.crc32(key)) != int(head[3], 16):
-            problem = problem or f"corrupt record {key[:12].decode()} (checksum mismatch)"
-            continue
-        records.append((key.decode("ascii"), payload))
-    return records, problem
-
-
-class CacheDb:
-    """Single-file append-friendly store, shared by concurrent runs.
-
-    Format: header line `ctl-lint-cache v4`, then records of
-    `<64-hex key> <byte-length> <8-hex crc32>\\n<payload>\\n`, the CRC
-    taken over the key and the payload, which is zlib-compressed canonical
-    JSON (`_encode`).  There is one kind of record: one per input file,
-    keyed by `file_key`, whose payload inflates to the file's functions in
-    source order, `[[function key, [diagnostics, [may_return_null,
-    always_frees, derefs_param_unchecked], tasks, skipped]], ...]`.  `get`
-    finds a function by its key in any record the store holds, through a
-    map decoded once, on first use.
-
-    A later record for a key supersedes an earlier one, and that is the
-    whole liveness rule: the live records are the last one for each key,
-    and the others are dead.  `compact` rewrites the store with only its
-    live records once the dead ones take more than a quarter of the bytes
-    the live ones take; this object keeps a running total of the live
-    bytes, so deciding that decodes nothing.
-
-    A record whose checksum does not match is skipped; one whose framing or
-    length does not match is corrupt, and everything after it is dropped.
-    A record whose payload does not inflate to a file record is found when
-    the store is first decoded.  In all three cases the lost records are
-    misses, and the next store rewrites the file without them.  A file with another
-    header (a v1, v2 or v3 store, say) starts fresh.
-
-    Loading holds a shared `flock` on the store, appending and rewriting an
-    exclusive one.  After taking a lock the store is reopened if a rewrite
-    renamed a new file over the one it locked.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self._records: list[tuple[str, bytes]] = []  # every record read or written
-        self._entries: dict[str, bytes] = {}  # the live records: the last for each key
-        self._size = 0  # bytes of the store as this object last saw or wrote it
-        self._live = 0  # bytes of the live records
-        self._needs_rewrite = False
-        self._undecodable: dict[str, bytes] = {}  # payloads to drop at the rewrite
-        self._functions: dict[str, list] | None = None  # function key -> record
-        self._files: dict[str, list[str]] = {}  # file key -> its function keys
-        self._load()
-
-    def _load(self) -> None:
-        try:
-            with self._open_locked("rb", fcntl.LOCK_SH) as fh:
-                blob = fh.read()
-        except FileNotFoundError:
-            return
-        self._records, problem = _parse(blob)
-        self._entries = dict(self._records)
-        self._live = sum(map(_framed_size, self._entries.values()))
-        self._size = len(blob)
-        if problem is not None:
-            logger.warning("cache %s: %s", self.path, problem)
-            self._needs_rewrite = True
-
-    def _open_locked(self, mode: str, op: int):
-        """The store opened in `mode` and locked with `op`, reopened until
-        the locked file is the one at the path."""
-        while True:
-            fh = open(self.path, mode, buffering=0)
-            try:
-                fcntl.flock(fh.fileno(), op)
-                held = os.fstat(fh.fileno())
-                now = os.stat(self.path)
-            except FileNotFoundError:
-                fh.close()
-                continue
-            except BaseException:
-                fh.close()
-                raise
-            if (held.st_dev, held.st_ino) == (now.st_dev, now.st_ino):
-                return fh
-            fh.close()
-
-    def _open_for_writing(self):
-        """The store opened for appending and locked exclusively."""
-        try:
-            return self._open_locked("a+b", fcntl.LOCK_EX)
-        except FileNotFoundError:
-            raise OSError(f"cache path is not writable: {self.path}") from None
-
-    def _decode(self) -> None:
-        """Build the function map from every record, superseded ones too;
-        a record that does not decode is a miss for its functions, and is
-        dropped at the next rewrite."""
-        self._functions = {}
-        for key, payload in self._records:
-            try:
-                functions = dict(json.loads(zlib.decompress(payload)))
-            except (ValueError, TypeError, zlib.error):
-                logger.warning("cache %s: undecodable entry %s treated as miss",
-                               self.path, key[:12])
-                self._files.pop(key, None)
-                self._undecodable[key] = payload
-                self._needs_rewrite = True
-                continue
-            self._functions.update(functions)
-            self._files[key] = list(functions)
-
-    def get(self, key: str) -> list | None:
-        """The record of the function with content key `key`, from whichever
-        record holds it."""
-        if self._functions is None:
-            self._decode()
-        return self._functions.get(key)
-
-    def holds(self, key: str, function_keys: list[str]) -> bool:
-        """Whether the record for file key `key` lists exactly
-        `function_keys`, in that order."""
-        if self._functions is None:
-            self._decode()
-        return self._files.get(key) == function_keys
-
-    def put(self, key: str, obj: list) -> None:
-        """Store `obj` as the record for file key `key`, superseding any
-        earlier one; one the store already holds byte for byte is not
-        appended again."""
-        payload = _encode(obj)
-        old = self._entries.get(key)
-        if old == payload:
-            return
-        if self._needs_rewrite:
-            self._rewrite(key, payload)
-        else:
-            record = _frame(key, payload)
-            with self._open_for_writing() as fh:
-                if os.fstat(fh.fileno()).st_size == 0:
-                    record = _HEADER_LINE + record
-                fh.write(record)
-            self._size += len(record)
-            self._live += _framed_size(payload) - (_framed_size(old) if old is not None else 0)
-            self._records.append((key, payload))
-            self._entries[key] = payload
-        if self._functions is not None:
-            functions = dict(obj)
-            self._functions.update(functions)
-            self._files[key] = list(functions)
-
-    def compact(self) -> bool:
-        """Rewrite the store with only its live records when its dead
-        records take more than a quarter of the bytes the live ones take,
-        or when it is corrupt.  Returns whether the store was rewritten."""
-        dead = self._size - len(_HEADER_LINE) - self._live
-        if not self._needs_rewrite and dead * 4 <= self._live:
-            return False
-        self._rewrite()
-        return True
-
-    def _rewrite(self, key: str | None = None, payload: bytes = b"") -> None:
-        """Replace the store with the live records it holds, plus `key`'s
-        `payload` when there is a `key`.  The store is read again under an
-        exclusive lock, so records other runs appended since this one
-        loaded are kept.  The records go to a temporary file in the same
-        directory, which is synced and then renamed over the store, so a
-        crash leaves the old file or the new one, never a truncated one, and
-        a run waiting for the lock finds the new file."""
-        with self._open_for_writing() as fh:
-            fh.seek(0)
-            entries = dict(_parse(fh.read())[0])
-            for k, v in self._undecodable.items():
-                if entries.get(k) == v:
-                    del entries[k]
-            if key is not None:
-                entries[key] = payload
-            blob = _HEADER_LINE + b"".join(_frame(k, v) for k, v in entries.items())
-            tmp = f"{self.path}.{os.getpid()}.tmp"
-            try:
-                with open(tmp, "wb") as out:
-                    out.write(blob)
-                    out.flush()
-                    os.fsync(out.fileno())
-                os.replace(tmp, self.path)
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.remove(tmp)
-                raise
-        self._records = list(entries.items())
-        self._entries = entries
-        self._size = len(blob)
-        self._live = len(blob) - len(_HEADER_LINE)
-        self._undecodable = {}
-        self._needs_rewrite = False
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"), sort_keys=False, ensure_ascii=True)
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def cache_key(func: FunctionDef, checkset_text: str, callee_summaries: dict,
-              globals_text: str, max_witnesses: int) -> str:
-    """Content key: function source, check set, callee summary environment,
-    globals, refinement budget and tool version."""
-    summary_env = canonical_json(
-        {name: callee_summaries[name].to_json_obj() for name in sorted(callee_summaries)})
-    parts = [
-        _sha256(func.source_text),
-        _sha256(checkset_text),
-        _sha256(summary_env),
-        _sha256(globals_text),
-        f"max_witnesses={max_witnesses}",
-        f"ctl-lint/{__version__}",
-    ]
-    return _sha256("\n".join(parts))
-
-
-def file_key(file: str, checkset_text: str, max_witnesses: int) -> str:
-    """Key of the record of input file `file` (the path as given)."""
-    return _sha256("\n".join(["index", file, _sha256(checkset_text),
-                              f"max_witnesses={max_witnesses}", f"ctl-lint/{__version__}"]))
-
-
-# ---------------------------------------------------------------------------
 # Per-function analysis
 
 _MESSAGES = {
@@ -653,26 +358,6 @@ def _dead_regions(cfg: Cfg, dead: frozenset[int]) -> list[set[int]]:
 # ---------------------------------------------------------------------------
 # Unit analysis with caching
 
-def _relativize(diags: list[Diagnostic], f: FunctionDef) -> list[list]:
-    """Positional cache form of a function's diagnostics: `[check, severity,
-    rel_line, column, message, confirmed, [l0, c0, l1, c1, ...]]`, lines
-    relative to the function's own."""
-    base = f.loc.line
-    return [[d.check_id, d.severity, d.loc.line - base, d.loc.column, d.message,
-             d.confidence == CONFIRMED,
-             [n for t in d.trace for n in (t.line - base, t.column)]]
-            for d in diags]
-
-
-def _rehydrate(rel: list[list], f: FunctionDef, file: str) -> list[Diagnostic]:
-    base = f.loc.line
-    return [Diagnostic(check, severity, SourceLocation(file, base + line, column), message,
-                       f.name, CONFIRMED if confirmed else UNCONFIRMED,
-                       tuple(SourceLocation(file, base + trace[i], trace[i + 1])
-                             for i in range(0, len(trace), 2)))
-            for check, severity, line, column, message, confirmed, trace in rel]
-
-
 def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
                  db: CacheDb | None, config: EngineConfig,
                  counters: Counters | None = None,
@@ -692,20 +377,21 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
     cfgs: dict[str, Cfg] = {}  # only functions the cache misses need one
     summaries: dict[str, FunctionSummary] = {}
     keys: dict[str, str] = {}
-    entries: dict[str, list] = {}  # function records: cached, or fresh with a store
+    records: dict[str, list] = {}  # function records: cached, or fresh with a store
+    hits: dict[str, CachedFunction] = {}
     indexes: dict[str, dict[Fact, list[int]]] = {}
     for name in order:
-        callee_env = {c: summaries[c] for c in callees[name] if c in summaries}
-        key = cache_key(funcs[name], config.checkset_text, callee_env,
-                        globals_text, config.max_witnesses)
-        keys[name] = key
+        summary_env = canonical_json(
+            {c: summaries[c].to_json_obj() for c in callees[name] if c in summaries})
+        key = keys[name] = cache_key(funcs[name].source_text, config.checkset_text,
+                                     summary_env, globals_text, config.max_witnesses)
         if db is not None:  # without a store there is nothing to hit or miss
-            entry = db.get(key)
-            if entry is not None:
-                entries[name] = entry
-                may_null, frees, derefs = entry[1]
-                summaries[name] = FunctionSummary(name, may_null, frozenset(frees),
-                                                  frozenset(derefs))
+            cached = db.get(key)
+            if cached is not None:
+                records[name] = cached
+                hit = hits[name] = unpack_function(cached, name, funcs[name].loc.line, tu.file)
+                summaries[name] = FunctionSummary(name, hit.may_return_null, hit.always_frees,
+                                                  hit.derefs_param_unchecked)
                 counters.cache_hits += 1
                 continue
             counters.cache_misses += 1
@@ -719,28 +405,26 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
     all_diags: list[Diagnostic] = []
     for f in tu.functions:
         counters.functions += 1
-        if f.name in entries:
-            rel, _, tasks, skipped = entries[f.name]
-            counters.merge_content(tasks, skipped)
-            all_diags.extend(_rehydrate(rel, f, tu.file))
+        if f.name in hits:
+            hit = hits[f.name]
+            counters.merge_content(hit.tasks, hit.skipped)
+            all_diags.extend(hit.diagnostics)
             continue
         diags, created, skipped = analyze_function(
             f, cfgs[f.name], checks, summaries, tu.globals, config, indexes.get(f.name))
         counters.merge_content(created, skipped)
         if db is not None:
-            summary = summaries[f.name]
-            entries[f.name] = [
-                _relativize(diags, f),
-                [summary.may_return_null, sorted(summary.always_frees),
-                 sorted(summary.derefs_param_unchecked)],
-                created, skipped]
+            s = summaries[f.name]
+            records[f.name] = pack_function(diags, f.loc.line, s.may_return_null,
+                                            s.always_frees, s.derefs_param_unchecked,
+                                            created, skipped)
         all_diags.extend(diags)
 
     record = None
     if db is not None:
         key = file_key(tu.file, config.checkset_text, config.max_witnesses)
         if not db.holds(key, [keys[f.name] for f in tu.functions]):
-            record = key, [[keys[f.name], entries[f.name]] for f in tu.functions]
+            record = key, [[keys[f.name], records[f.name]] for f in tu.functions]
     return _finalize(all_diags), record
 
 

@@ -14,10 +14,11 @@ import zlib
 
 import pytest
 
-from ctl_lint import cli, engine
+from ctl_lint import cache, cli
 from ctl_lint import frontend as F
 from ctl_lint.cli import main
-from ctl_lint.engine import CacheDb, EngineConfig, analyze_unit, canonical_json
+from ctl_lint.cache import CacheDb, canonical_json
+from ctl_lint.engine import EngineConfig, analyze_unit
 from ctl_lint.speclang import load_checkset
 from fixtures_bugs import FIXTURES
 
@@ -71,7 +72,7 @@ def file_record(*functions: tuple[str, list]) -> list:
 
 
 def framed(key: str, obj) -> int:
-    return len(engine._frame(key, engine._encode(obj)))
+    return len(cache._frame(key, cache._encode(obj)))
 
 
 # deterministic padding that zlib barely shrinks: a record padded with a
@@ -93,7 +94,7 @@ class TestCorruption:
         db = ws / "c.db"
         assert run(capsys, "--format", "json", "--db", str(db), "s.c")[:2] == expected
         good = db.read_bytes()
-        assert len(engine._parse(good)[0]) == 1  # the file's one record
+        assert len(cache._parse(good)[0]) == 1  # the file's one record
         stores = [good[:n] for n in range(len(good))]
         stores += [good[:i] + bytes([good[i] ^ 1]) + good[i + 1:] for i in range(len(good))]
         for blob in stores:
@@ -102,7 +103,7 @@ class TestCorruption:
             assert (code, out) == expected, blob
             assert "internal error" not in err
             # repaired: every record is back, the store rewritten or completed
-            assert engine._parse(db.read_bytes()) == engine._parse(good)
+            assert cache._parse(db.read_bytes()) == cache._parse(good)
 
     def test_checksum_mismatch_skips_only_its_record(self, tmp_path, caplog):
         path = tmp_path / "c.db"
@@ -111,7 +112,7 @@ class TestCorruption:
         db.put(fa, file_record((ka, func_record(1))))
         db.put(fb, file_record((kb, func_record(2))))
         blob = bytearray(path.read_bytes())
-        blob[blob.index(b"\n", len(engine._HEADER_LINE)) + 1] ^= 1  # fa's payload
+        blob[blob.index(b"\n", len(cache._HEADER_LINE)) + 1] ^= 1  # fa's payload
         path.write_bytes(bytes(blob))
         with caplog.at_level("WARNING", logger="ctl_lint"):
             loaded = CacheDb(str(path))
@@ -120,7 +121,7 @@ class TestCorruption:
         loaded.put(fa, file_record((ka, func_record(1))))  # the next store rewrites the file
         again = CacheDb(str(path))
         assert (again.get(ka), again.get(kb)) == (func_record(1), func_record(2))
-        assert len(engine._parse(path.read_bytes())[0]) == 2
+        assert len(cache._parse(path.read_bytes())[0]) == 2
 
     @staticmethod
     def undecodable_is_a_miss_and_rewritten(tmp_path, caplog, bad: bytes) -> None:
@@ -128,16 +129,16 @@ class TestCorruption:
         that record alone, and the next store rewrites the file without it."""
         path = tmp_path / "c.db"
         fa, fb, fc, ka, kb, kc = (c * 64 for c in "abcdef")
-        good = engine._encode(file_record((kb, func_record(2))))
-        path.write_bytes(engine._HEADER_LINE + engine._frame(fa, bad) + engine._frame(fb, good))
+        good = cache._encode(file_record((kb, func_record(2))))
+        path.write_bytes(cache._HEADER_LINE + cache._frame(fa, bad) + cache._frame(fb, good))
         db = CacheDb(str(path))
         with caplog.at_level("WARNING", logger="ctl_lint"):
             assert db.get(ka) is None
         assert any("undecodable" in r.message for r in caplog.records)
         assert db.get(kb) == func_record(2)
         db.put(fc, file_record((kc, func_record(3))))  # rewrites without the bad record
-        assert engine._parse(path.read_bytes()) == \
-            ([(fb, good), (fc, engine._encode(file_record((kc, func_record(3)))))], None)
+        assert cache._parse(path.read_bytes()) == \
+            ([(fb, good), (fc, cache._encode(file_record((kc, func_record(3)))))], None)
         fresh = CacheDb(str(path))
         fresh.put(fa, file_record((ka, func_record(1))))
         assert [fresh.get(k) for k in (ka, kb, kc)] == \
@@ -163,9 +164,9 @@ class TestCorruption:
         v3_record = file_record(("d" * 64, func_record(4)))
         for old in (b"ctl-lint-cache v1\n" + b"a" * 64 + b" 2\n{}\n",
                     b"ctl-lint-cache v2\n"
-                    + engine._frame("a" * 64, canonical_json(func_record()).encode()),
+                    + cache._frame("a" * 64, canonical_json(func_record()).encode()),
                     b"ctl-lint-cache v3\n"
-                    + engine._frame("a" * 64, canonical_json(v3_record).encode())):
+                    + cache._frame("a" * 64, canonical_json(v3_record).encode())):
             path.write_bytes(old)
             inode = path.stat().st_ino
             caplog.clear()
@@ -178,7 +179,7 @@ class TestCorruption:
             db.put("b" * 64, record)
             assert path.stat().st_ino != inode  # replaced, not appended to
             assert path.read_bytes() == \
-                engine._HEADER_LINE + engine._frame("b" * 64, engine._encode(record))
+                cache._HEADER_LINE + cache._frame("b" * 64, cache._encode(record))
             assert CacheDb(str(path)).get("c" * 64) == func_record()
 
 
@@ -196,20 +197,20 @@ class TestFormat:
             blobs.append((tmp_path / f"jobs{jobs}.db").read_bytes())
         capsys.readouterr()
         assert blobs[0] == blobs[1]
-        records, problem = engine._parse(blobs[0])
+        records, problem = cache._parse(blobs[0])
         assert (len(records), problem) == (len(FIXTURES), None)
         # each fixture's record is one or two small functions, mostly hex
         # keys and framing, so the store is smaller than the same records
         # framed as plain canonical JSON, but not by half
-        plain = engine._HEADER_LINE + b"".join(
-            engine._frame(key, canonical_json(json.loads(zlib.decompress(payload))).encode())
+        plain = cache._HEADER_LINE + b"".join(
+            cache._frame(key, canonical_json(json.loads(zlib.decompress(payload))).encode())
             for key, payload in records)
         assert len(blobs[0]) < len(plain)
 
     @pytest.mark.parametrize("n", [9, 10, 99, 100])
     def test_framed_size_across_length_digits(self, n):
         payload = bytes(range(n))
-        assert engine._framed_size(payload) == len(engine._frame("a" * 64, payload))
+        assert cache._framed_size(payload) == len(cache._frame("a" * 64, payload))
 
 
 class TestConcurrency:
@@ -273,7 +274,7 @@ class TestConcurrency:
         a.put(fa, stored[fa])
         blob = path.read_bytes()
         assert [key for key, record in stored.items()
-                if engine._frame(key, engine._encode(record)) not in blob] == []
+                if cache._frame(key, cache._encode(record)) not in blob] == []
 
     def test_concurrent_cli_runs_lose_no_records(self, ws, capsys):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

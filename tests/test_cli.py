@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from ctl_lint import engine
+from ctl_lint import cache
 from ctl_lint.cli import _parse_analyze_args, main, render_summary, render_text
 from ctl_lint.diagnostics import Diagnostic
 from ctl_lint.engine import Counters
@@ -377,7 +377,7 @@ class TestJobs:
             assert code == 1
             blobs.append(db.read_bytes())
         assert blobs[0] == blobs[1]
-        records, problem = engine._parse(blobs[0])
+        records, problem = cache._parse(blobs[0])
         assert (len(records), problem) == (3, None)  # one record per file
         # a warm run in either mode hits every function and appends nothing
         for jobs in ("1", "2"):

@@ -9,12 +9,13 @@ import zlib
 
 import pytest
 
-from ctl_lint import engine
+from ctl_lint import cache, engine
 from ctl_lint import frontend as F
 from ctl_lint.cfg import build_cfg
+from ctl_lint.cache import CACHE_HEADER, CacheDb, cache_key, canonical_json
 from ctl_lint.engine import (
-    CACHE_HEADER, CacheDb, Counters, EngineConfig, FunctionSummary,
-    AnalysisError, analyze_unit, apply_summaries, cache_key, call_order,
+    Counters, EngineConfig, FunctionSummary, AnalysisError, analyze_unit, apply_summaries,
+    call_order,
 )
 from ctl_lint.speclang import SpecError, label_index, load_checkset
 
@@ -321,7 +322,7 @@ class TestCache:
             return HalfWriter(fh) if "w" in mode else fh
 
         db = CacheDb(str(db_file))
-        monkeypatch.setattr(engine, "open", failing_open, raising=False)
+        monkeypatch.setattr(cache, "open", failing_open, raising=False)
         with pytest.raises(OSError):
             db.put("e" * 64, [["f" * 64, [3]]])
         monkeypatch.undo()
@@ -338,13 +339,13 @@ class TestCache:
         key, length, crc = head.decode().split(" ")
         payload = rest[:int(length)]
         assert rest == payload + b"\n"  # the file's one record, then the end
-        assert key == engine.file_key("test.c", CONFIG.checkset_text, CONFIG.max_witnesses)
+        assert key == cache.file_key("test.c", CONFIG.checkset_text, CONFIG.max_witnesses)
         assert int(crc, 16) == zlib.crc32(key.encode() + payload)  # of the compressed bytes
         # zlib-compressed canonical JSON: [[function key, [diagnostics,
         #   [may_return_null, always_frees, derefs_param_unchecked], tasks,
         #   skipped]], ...]
         text = zlib.decompress(payload)
-        assert text == engine.canonical_json(json.loads(text)).encode()
+        assert text == canonical_json(json.loads(text)).encode()
         [[function_key, record]] = json.loads(text)
         assert len(function_key) == 64 and all(c in "0123456789abcdef" for c in function_key)
         assert record == [[], [False, [], []], 0, 0]
@@ -361,12 +362,13 @@ class TestCache:
 
     def test_key_depends_on_config_and_checkset(self):
         tu = F.parse("int f() { return 1; }", "a.c")
-        f = tu.functions[0]
-        base = cache_key(f, "checks-a", {}, "[]", 5)
-        assert base != cache_key(f, "checks-b", {}, "[]", 5)
-        assert base != cache_key(f, "checks-a", {}, "[]", 6)
-        assert base != cache_key(f, "checks-a", {"g": FunctionSummary("g")}, "[]", 5)
-        assert base == cache_key(f, "checks-a", {}, "[]", 5)
+        text = tu.functions[0].source_text
+        base = cache_key(text, "checks-a", "{}", "[]", 5)
+        assert base != cache_key(text, "checks-b", "{}", "[]", 5)
+        assert base != cache_key(text, "checks-a", "{}", "[]", 6)
+        env = canonical_json({"g": FunctionSummary("g").to_json_obj()})
+        assert base != cache_key(text, "checks-a", env, "[]", 5)
+        assert base == cache_key(text, "checks-a", "{}", "[]", 5)
 
 
 class TestAnalyzeUnit:
@@ -400,14 +402,14 @@ class TestAnalyzeUnit:
             return analyze_unit(F.parse(src, file), CHECKS, db, CONFIG)[1]
 
         key, functions = record(src)
-        assert key == engine.file_key("a.c", CONFIG.checkset_text, CONFIG.max_witnesses)
+        assert key == cache.file_key("a.c", CONFIG.checkset_text, CONFIG.max_witnesses)
         assert len(functions) == 2  # f's and g's, in source order
         assert not os.path.exists(db.path)  # analyze_unit only reads the store
         db.put(key, functions)
         assert record(src) is None  # every function hit, and the store lists them
         # every function hits, but the path or the function list is new
         assert record(src, "b.c") == (
-            engine.file_key("b.c", CONFIG.checkset_text, CONFIG.max_witnesses), functions)
+            cache.file_key("b.c", CONFIG.checkset_text, CONFIG.max_witnesses), functions)
         assert record(src.split("\n")[0]) == (key, functions[:1])
 
     def test_cache_hits_build_no_cfg(self, monkeypatch, tmp_path):

@@ -10,7 +10,8 @@ whole (the two compare, hash and sort alike, so either may be given).  An
 Infeasible verdict is trusted (rational emptiness implies integer
 emptiness, and dropped constraints only over-approximate), so a diagnostic
 is suppressed only when every enumerated witness is infeasible and the
-enumeration ran to exhaustion or the configured witness budget.
+enumeration ran to exhaustion: a search cut short by the witness budget
+may have missed a feasible witness, so it leaves the diagnostic unconfirmed.
 
 Feasible verdicts over-approximate twice, by design: havocked values are
 unconstrained, and integer tightening is not performed, so a path that is
@@ -520,9 +521,9 @@ def refine_diagnostic(task: CheckTask, cfg: Cfg, max_witnesses: int,
     Enumerates up to `max_witnesses` distinct traces shortest-first and
     tests each as it is found: the first feasible one confirms the
     diagnostic and ends the search; if every enumerated trace is
-    infeasible and enumeration was exhaustive or hit the witness budget,
-    the diagnostic is suppressed; any Unknown (or an aborted enumeration)
-    downgrades to unconfirmed instead.
+    infeasible and enumeration was exhaustive, the diagnostic is
+    suppressed; any Unknown, or an enumeration cut short by the witness
+    budget or the expansion budget, leaves it unconfirmed instead.
     """
     sat = sat or check(task.kripke, task.formula)
     assert sat.holds(task.formula, cfg.entry), "refine requires a satisfied task"
@@ -540,6 +541,6 @@ def refine_diagnostic(task: CheckTask, cfg: Cfg, max_witnesses: int,
         return UNCONFIRMED, witness(task.kripke, task.formula, cfg.entry, sat)
     if kinds[-1] == FEASIBLE:
         return CONFIRMED, traces[-1]
-    if UNKNOWN in kinds or (not exhausted and len(traces) < max_witnesses):
+    if UNKNOWN in kinds or not exhausted:
         return UNCONFIRMED, traces[0]
     return SUPPRESSED, None

@@ -26,7 +26,7 @@ from ctl_lint.engine import CacheDb, Counters, EngineConfig, analyze_unit
 from ctl_lint.intervals import analyze as interval_analyze, iteration_cap
 from ctl_lint.speclang import CheckTask, load_checkset
 from fixtures_bugs import FIXTURES
-from minic_interp import Interpreter
+from minic_interp import Interpreter, StepBudgetExceeded
 from oracle_ctl import (
     edge_valid, kripke, random_formula, random_kripke, sat_oracle, trace_demonstrates,
 )
@@ -188,17 +188,54 @@ def test_criterion_6_suppression_soundness():
                 interp = Interpreter(tu)
                 interp.run(fixture.entry, args)
                 for event in interp.events:
-                    check_id = _EVENT_TO_CHECK.get(event.kind)
-                    if check_id is None or event.function != fixture.entry:
+                    if event.kind not in _EVENT_TO_CHECK or event.function != fixture.entry:
                         continue
-                    matching = [d for d in diags if d.check_id == check_id
-                                and d.function == fixture.entry]
-                    if event.var is not None:
-                        matching = [d for d in matching if f"'{event.var}'" in d.message
-                                    or d.check_id in ("buffer-overrun", "div-by-zero")]
-                    assert matching, (fixture.name, args, event)
+                    assert _matching(diags, event), (fixture.name, args, event)
                     checked_events += 1
         assert checked_events >= 5
+
+
+def _matching(diags, event) -> list:
+    """The findings that report `event`: same function and check, and the
+    event's variable named in the message."""
+    check_id = _EVENT_TO_CHECK[event.kind]
+    matching = [d for d in diags if d.check_id == check_id and d.function == event.function]
+    if event.var is not None:
+        matching = [d for d in matching if f"'{event.var}'" in d.message
+                    or d.check_id in ("buffer-overrun", "div-by-zero")]
+    return matching
+
+
+def test_default_budget_reports_every_observed_bug():
+    # criterion 6 at the CLI's default witness budget: a finding whose
+    # witness search was cut short by the budget is unconfirmed, never
+    # suppressed, so every bug the interpreter observes is still reported
+    sources = ([(f"{fx.name}.c", fx.source) for fx in FIXTURES]
+               + [(f"gen{seed}.c", generate_program(seed)) for seed in range(50)])
+    events, unmatched, looping = 0, [], set()
+    for name, source in sources:
+        tu = F.parse(source, name)
+        diags = analyze_unit(tu, CHECKS, None, EngineConfig(checkset_text="builtin"))[0]
+        for seed in (0, 1):
+            rng = random.Random(f"{seed}:{name}")
+            for f in [f for f in tu.functions if all(isinstance(p.type, F.Int) for p in f.params)]:
+                for _ in range(4):
+                    args = tuple(rng.randint(-8, 8) for _ in f.params)
+                    # a run still going after 50,000 steps loops forever on these
+                    # arguments and never reaches the events after its loop
+                    interp = Interpreter(tu, step_budget=50_000)
+                    try:
+                        interp.run(f.name, args)
+                    except StepBudgetExceeded:
+                        looping.add((name, f.name))
+                        continue
+                    for event in interp.events:
+                        if event.kind in _EVENT_TO_CHECK and event.function == f.name:
+                            events += 1
+                            if not _matching(diags, event):
+                                unmatched.append((name, args, event))
+    assert looping == {("dead-none-after-loop.c", "f")}
+    assert events > 2000 and unmatched == []
 
 
 DETERMINISM_SRC = """\

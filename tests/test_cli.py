@@ -338,6 +338,16 @@ check eventually-deref {{
         assert code == 1
         assert "(unconfirmed)" in out
 
+    def test_leak_in_a_counted_loop_is_unconfirmed_at_the_default_budget(self, ws, capsys):
+        # the shortest witnesses skip the loop and are infeasible; the search
+        # stops at the budget before a feasible one, so it cannot suppress
+        path = ws("loop.c", "int f() { int i; for (i = 0; i < 7; i++) "
+                            "{ int *p = malloc(4); *p = i; } return 0; }\n")
+        code, out, _ = run(capsys, "analyze", "--no-cache", path)
+        assert code == 1
+        assert ("warning [memory-leak] allocation of 'p' may reach function exit without "
+                "free (unconfirmed)") in out
+
     def test_multiple_files_sorted_merge(self, ws, capsys):
         p1 = ws("a.c", DOUBLE_FREE)
         p2 = ws("b.c", LEAK)

@@ -23,7 +23,7 @@ GENERATED = 50
 # max_witnesses -> (sha256 of stdout, its length in characters)
 DIGESTS = {
     0: ("a564e94dbd9a6ca58596876330529398651a86bbbe8954f1b3c5455d3f7d1fb2", 29911),
-    5: ("c81c403d7063db8ac792d207c47ba416c843856e9f57245859c4da4c1d4bb3d2", 22543),
+    5: ("84ce8737c01bc2dd416447b4d2e29c988ca807b495608893453c7abdb8ada974", 28299),
     300: ("b4862fd1717d6abd465a5370a5bea589be338efbbf8c717e4d45c4674046b7f0", 30144),
 }
 

@@ -1,18 +1,10 @@
-"""The result store: its file format, its keys and its function records.
+"""The result store: its file format (`CacheDb`), its keys (`cache_key`,
+`file_key`) and its function records (`pack_function`, `unpack_function`).
 
-Per-function results are cached in a single append-friendly store, one
-record per input file (`CacheDb`), which holds each of the file's
-functions under a content key (`cache_key`): the function's source text,
-the active check-set text, the callee summary environment, the globals'
-source text, the refinement budget and the tool version.  A function is
-looked up by its key in every file's record, so it still hits after it
-moves within a file or to another file.  A function record
-(`pack_function`, `unpack_function`) holds the function's diagnostics
-positionally, with lines relative to the function's own, its summary and
-its task counts.
-
-This module imports nothing of the analyzer, so reading the store does not
-load it.
+A function's content key covers its source text, the check set, the callee
+summary environment, the globals' source text, the refinement budget and
+the tool version.  This module imports nothing of the analyzer, so reading
+the store does not load it.
 """
 
 from __future__ import annotations
@@ -310,8 +302,8 @@ def file_key(file: str, checkset_text: str, max_witnesses: int) -> str:
 # ---------------------------------------------------------------------------
 # Function records
 
-class CachedFunction(NamedTuple):
-    """One function's results, as `unpack_function` reads them back."""
+class FunctionResult(NamedTuple):
+    """One function's results, as a function record holds them."""
     diagnostics: list[Diagnostic]
     may_return_null: bool
     always_frees: frozenset[int]
@@ -320,38 +312,27 @@ class CachedFunction(NamedTuple):
     skipped: int
 
 
-def pack_function(diags: list[Diagnostic], line: int, may_return_null: bool,
-                  always_frees: frozenset[int], derefs_param_unchecked: frozenset[int],
-                  tasks: int, skipped: int) -> list:
+def pack_function(result: FunctionResult, line: int) -> list:
     """The record of a function starting at `line`: `[diagnostics,
     [may_return_null, always_frees, derefs_param_unchecked], tasks,
-    skipped]`, its diagnostics as `_relativize` stores them."""
-    return [_relativize(diags, line),
-            [may_return_null, sorted(always_frees), sorted(derefs_param_unchecked)],
-            tasks, skipped]
+    skipped]`, each diagnostic as `[check, severity, rel_line, column,
+    message, confirmed, [l0, c0, l1, c1, ...]]`, lines relative to `line`."""
+    diagnostics = [[d.check_id, d.severity, d.loc.line - line, d.loc.column, d.message,
+                    d.confidence == CONFIRMED,
+                    [n for t in d.trace for n in (t.line - line, t.column)]]
+                   for d in result.diagnostics]
+    return [diagnostics, [result.may_return_null, sorted(result.always_frees),
+                          sorted(result.derefs_param_unchecked)], result.tasks, result.skipped]
 
 
-def unpack_function(record: list, function: str, line: int, file: str) -> CachedFunction:
+def unpack_function(record: list, function: str, line: int, file: str) -> FunctionResult:
     """The results `record` holds for `function`, now starting at `line`
     of `file`."""
     rel, (may_null, frees, derefs), tasks, skipped = record
-    return CachedFunction(_rehydrate(rel, function, line, file), may_null, frozenset(frees),
-                          frozenset(derefs), tasks, skipped)
-
-
-def _relativize(diags: list[Diagnostic], base: int) -> list[list]:
-    """Positional form of a function's diagnostics: `[check, severity,
-    rel_line, column, message, confirmed, [l0, c0, l1, c1, ...]]`, lines
-    relative to `base`, the function's own."""
-    return [[d.check_id, d.severity, d.loc.line - base, d.loc.column, d.message,
-             d.confidence == CONFIRMED,
-             [n for t in d.trace for n in (t.line - base, t.column)]]
-            for d in diags]
-
-
-def _rehydrate(rel: list[list], function: str, base: int, file: str) -> list[Diagnostic]:
-    return [Diagnostic(check, severity, SourceLocation(file, base + line, column), message,
-                       function, CONFIRMED if confirmed else UNCONFIRMED,
-                       tuple(SourceLocation(file, base + trace[i], trace[i + 1])
-                             for i in range(0, len(trace), 2)))
-            for check, severity, line, column, message, confirmed, trace in rel]
+    diagnostics = [Diagnostic(check, severity, SourceLocation(file, line + rel_line, column),
+                              message, function, CONFIRMED if confirmed else UNCONFIRMED,
+                              tuple(SourceLocation(file, line + trace[i], trace[i + 1])
+                                    for i in range(0, len(trace), 2)))
+                   for check, severity, rel_line, column, message, confirmed, trace in rel]
+    return FunctionResult(diagnostics, may_null, frozenset(frees), frozenset(derefs), tasks,
+                          skipped)

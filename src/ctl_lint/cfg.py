@@ -411,9 +411,6 @@ class KripkeStructure:
         self.pred = pred
         self.props = props
 
-    def states(self) -> range:
-        return range(self.n)
-
 
 def predecessors(succ: list[list[int]]) -> list[list[int]]:
     """The reversed relation, each list ascending."""

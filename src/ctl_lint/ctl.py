@@ -335,10 +335,6 @@ class WitnessTrace:
     states: tuple[int, ...]
     cycle_start: int | None = None
 
-    @property
-    def kind(self) -> str:
-        return "lasso" if self.cycle_start is not None else "finite-path"
-
 
 def is_propositional(f: CtlFormula) -> bool:
     if isinstance(f, (TrueF, Prop)):

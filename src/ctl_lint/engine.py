@@ -4,10 +4,8 @@ Functions are summarized bottom-up over the call graph (recursion falls
 back to pessimistic summaries), then analyzed independently: pattern
 labeling, CTL checking, witness refinement, interval checks and the
 structural dead-code check.  Results are aggregated into a deterministic
-diagnostic list.  A function the store (`cache`) holds under its content
-key is not analyzed again; `analyze_unit` only reads the store and
-returns the file's record, unless the store already holds it; its caller
-writes it.
+diagnostic list.  A function found in the store (`cache`) is not analyzed
+again; `analyze_unit` only reads the store, and its caller writes it.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from dataclasses import dataclass
 
 from . import frontend as ast
 from .cache import (
-    CacheDb, CachedFunction, cache_key, canonical_json, file_key, pack_function, unpack_function,
+    CacheDb, FunctionResult, cache_key, canonical_json, file_key, pack_function, unpack_function,
 )
 from .cfg import Cfg, build_cfg, to_kripke
 from .ctl import And, EU, EX, Not, Prop, TRUE, check, witness
@@ -362,8 +360,8 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
                  db: CacheDb | None, config: EngineConfig,
                  counters: Counters | None = None,
                  ) -> tuple[list[Diagnostic], tuple[str, list] | None]:
-    """Analyze one translation unit.  Returns its diagnostics, deduplicated,
-    sorted and cache-transparent (byte-identical with and without `db`),
+    """Analyze one translation unit.  Returns its diagnostics, sorted and
+    cache-transparent (byte-identical with and without `db`),
     and, when there is a `db` that does not already hold it, the unit's
     (file key, record) pair for the caller to store.  `db` is only read."""
     errors = check_well_formed(tu)
@@ -377,8 +375,7 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
     cfgs: dict[str, Cfg] = {}  # only functions the cache misses need one
     summaries: dict[str, FunctionSummary] = {}
     keys: dict[str, str] = {}
-    records: dict[str, list] = {}  # function records: cached, or fresh with a store
-    hits: dict[str, CachedFunction] = {}
+    results: dict[str, FunctionResult] = {}  # cached, or fresh with a store
     indexes: dict[str, dict[Fact, list[int]]] = {}
     for name in order:
         summary_env = canonical_json(
@@ -388,8 +385,7 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
         if db is not None:  # without a store there is nothing to hit or miss
             cached = db.get(key)
             if cached is not None:
-                records[name] = cached
-                hit = hits[name] = unpack_function(cached, name, funcs[name].loc.line, tu.file)
+                hit = results[name] = unpack_function(cached, name, funcs[name].loc.line, tu.file)
                 summaries[name] = FunctionSummary(name, hit.may_return_null, hit.always_frees,
                                                   hit.derefs_param_unchecked)
                 counters.cache_hits += 1
@@ -405,8 +401,8 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
     all_diags: list[Diagnostic] = []
     for f in tu.functions:
         counters.functions += 1
-        if f.name in hits:
-            hit = hits[f.name]
+        if f.name in results:
+            hit = results[f.name]
             counters.merge_content(hit.tasks, hit.skipped)
             all_diags.extend(hit.diagnostics)
             continue
@@ -415,25 +411,15 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
         counters.merge_content(created, skipped)
         if db is not None:
             s = summaries[f.name]
-            records[f.name] = pack_function(diags, f.loc.line, s.may_return_null,
-                                            s.always_frees, s.derefs_param_unchecked,
-                                            created, skipped)
+            results[f.name] = FunctionResult(diags, s.may_return_null, s.always_frees,
+                                             s.derefs_param_unchecked, created, skipped)
         all_diags.extend(diags)
 
     record = None
     if db is not None:
         key = file_key(tu.file, config.checkset_text, config.max_witnesses)
         if not db.holds(key, [keys[f.name] for f in tu.functions]):
-            record = key, [[keys[f.name], records[f.name]] for f in tu.functions]
-    return _finalize(all_diags), record
+            record = key, [[keys[f.name], pack_function(results[f.name], f.loc.line)]
+                           for f in tu.functions]
+    return sorted(all_diags, key=Diagnostic.sort_key), record
 
-
-def _finalize(diags: list[Diagnostic]) -> list[Diagnostic]:
-    best: dict[tuple, Diagnostic] = {}
-    for d in diags:
-        key = (d.check_id, d.loc, d.function, d.message)
-        cur = best.get(key)
-        if cur is None or (cur.confidence != CONFIRMED and d.confidence == CONFIRMED):
-            best[key] = d
-    out = sorted(best.values(), key=Diagnostic.sort_key)
-    return out

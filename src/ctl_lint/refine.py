@@ -9,9 +9,8 @@ equality's coefficient does not divide, and is an int again once it is
 whole (the two compare, hash and sort alike, so either may be given).  An
 Infeasible verdict is trusted (rational emptiness implies integer
 emptiness, and dropped constraints only over-approximate), so a diagnostic
-is suppressed only when every enumerated witness is infeasible and the
-enumeration ran to exhaustion: a search cut short by the witness budget
-may have missed a feasible witness, so it leaves the diagnostic unconfirmed.
+is suppressed only when the enumeration ran to exhaustion and every
+witness it found is infeasible; a search cut short leaves it unconfirmed.
 
 Feasible verdicts over-approximate twice, by design: havocked values are
 unconstrained, and integer tightening is not performed, so a path that is

@@ -212,6 +212,17 @@ class TestFormat:
         payload = bytes(range(n))
         assert cache._framed_size(payload) == len(cache._frame("a" * 64, payload))
 
+    def test_reading_the_store_loads_no_analyzer(self):
+        script = ("import sys\n"
+                  "import ctl_lint.cache\n"
+                  "analyzer = {'ctl_lint.' + m for m in\n"
+                  "            ('engine', 'cfg', 'ctl', 'refine', 'intervals', 'speclang')}\n"
+                  "assert not analyzer & set(sys.modules), sorted(analyzer & set(sys.modules))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestConcurrency:
     def test_rewrite_while_waiting_for_the_lock_loses_no_record(self, tmp_path, monkeypatch):

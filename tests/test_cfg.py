@@ -158,7 +158,7 @@ class TestKripke:
             tu = F.parse(generate_program(seed), "g.c")
             for f in tu.functions:
                 k = to_kripke(build_cfg(f))
-                assert all(len(k.succ[s]) >= 1 for s in k.states())
+                assert all(len(k.succ[s]) >= 1 for s in range(k.n))
 
     def test_empty_labeling(self):
         g = cfg_of("int f() { return 0; }")
@@ -175,8 +175,8 @@ class TestKripke:
         a, b = to_kripke(g), to_kripke(g, {"p": frozenset({1})})
         assert a.succ is b.succ is g.kripke_succ
         assert a.pred is b.pred is g.kripke_pred
-        for s in a.states():
-            assert a.pred[s] == sorted(t for t in a.states() if s in a.succ[t])
+        for s in range(a.n):
+            assert a.pred[s] == sorted(t for t in range(a.n) if s in a.succ[t])
 
 
 class TestReverse:
@@ -202,10 +202,10 @@ class TestReverse:
     def test_double_reverse_on_totalized_graph(self):
         k = self._mk([[1, 2], [2], [2]])
         rr = reverse(reverse(k))
-        base_edges = {(a, b) for a in k.states() for b in k.succ[a]}
-        rr_edges = {(a, b) for a in rr.states() for b in rr.succ[a]}
+        base_edges = {(a, b) for a in range(k.n) for b in k.succ[a]}
+        rr_edges = {(a, b) for a in range(rr.n) for b in rr.succ[a]}
         assert base_edges <= rr_edges
-        assert rr_edges - base_edges <= {(s, s) for s in k.states()}
+        assert rr_edges - base_edges <= {(s, s) for s in range(k.n)}
 
     def test_labels_preserved(self):
         k = self._mk([[1], [0]], [{"p"}, set()])

@@ -146,7 +146,7 @@ class TestWitness:
         k = mk([[1, 2], [3], [3], [3]], [set(), set(), set(), {"p"}])
         w = witness(k, EF(p), 0)
         assert w.states == (0, 1, 3)  # shortest, lowest-id tie-break
-        assert w.kind == "finite-path"
+        assert w.cycle_start is None  # a finite path
 
     def test_ex_direct_successor(self):
         k = mk([[1], [1]], [set(), {"p"}])
@@ -160,7 +160,6 @@ class TestWitness:
     def test_eg_gives_lasso(self):
         k = mk([[1], [2], [1]], [{"p"}, {"p"}, {"p"}])
         w = witness(k, EG(p), 0)
-        assert w.kind == "lasso"
         assert w.states == (0, 1, 2)
         assert w.cycle_start == 1
 

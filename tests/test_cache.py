@@ -206,6 +206,11 @@ class TestFormat:
             cache._frame(key, canonical_json(json.loads(zlib.decompress(payload))).encode())
             for key, payload in records)
         assert len(blobs[0]) < len(plain)
+        # a hit is stored again, in a new file's record, as it was read
+        for _, payload in records:
+            for _, record in json.loads(zlib.decompress(payload)):
+                assert cache.pack_function(cache.unpack_function(record, "f", 7, "x.c"), 7) \
+                    == record
 
     @pytest.mark.parametrize("n", [9, 10, 99, 100])
     def test_framed_size_across_length_digits(self, n):

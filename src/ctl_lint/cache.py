@@ -17,6 +17,7 @@ import logging
 import os
 import re
 import zlib
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import __version__
@@ -302,12 +303,26 @@ def file_key(file: str, checkset_text: str, max_witnesses: int) -> str:
 # ---------------------------------------------------------------------------
 # Function records
 
+@dataclass(frozen=True)
+class FunctionSummary:
+    function: str
+    may_return_null: bool = False
+    always_frees: frozenset[int] = frozenset()
+    derefs_param_unchecked: frozenset[int] = frozenset()
+
+    def to_json_obj(self) -> dict:
+        return {
+            "function": self.function,
+            "may_return_null": self.may_return_null,
+            "always_frees": sorted(self.always_frees),
+            "derefs_param_unchecked": sorted(self.derefs_param_unchecked),
+        }
+
+
 class FunctionResult(NamedTuple):
     """One function's results, as a function record holds them."""
     diagnostics: list[Diagnostic]
-    may_return_null: bool
-    always_frees: frozenset[int]
-    derefs_param_unchecked: frozenset[int]
+    summary: FunctionSummary
     tasks: int
     skipped: int
 
@@ -321,8 +336,9 @@ def pack_function(result: FunctionResult, line: int) -> list:
                     d.confidence == CONFIRMED,
                     [n for t in d.trace for n in (t.line - line, t.column)]]
                    for d in result.diagnostics]
-    return [diagnostics, [result.may_return_null, sorted(result.always_frees),
-                          sorted(result.derefs_param_unchecked)], result.tasks, result.skipped]
+    s = result.summary
+    return [diagnostics, [s.may_return_null, sorted(s.always_frees),
+                          sorted(s.derefs_param_unchecked)], result.tasks, result.skipped]
 
 
 def unpack_function(record: list, function: str, line: int, file: str) -> FunctionResult:
@@ -334,5 +350,5 @@ def unpack_function(record: list, function: str, line: int, file: str) -> Functi
                               tuple(SourceLocation(file, line + trace[i], trace[i + 1])
                                     for i in range(0, len(trace), 2)))
                    for check, severity, rel_line, column, message, confirmed, trace in rel]
-    return FunctionResult(diagnostics, may_null, frozenset(frees), frozenset(derefs), tasks,
-                          skipped)
+    summary = FunctionSummary(function, may_null, frozenset(frees), frozenset(derefs))
+    return FunctionResult(diagnostics, summary, tasks, skipped)

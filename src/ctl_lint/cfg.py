@@ -192,6 +192,8 @@ def _scan(cfg: Cfg) -> NodeTable:
         if isinstance(s, Assign) and isinstance(s.target, Var):
             target, rhs = s.target.name, s.value
             roots = roots[1:]  # the target is written, and a Var has no subexpressions
+        elif isinstance(s, Assign) and isinstance(s.value, Binary) and s.value.left is s.target:
+            roots = roots[1:]  # `a[i]++` shares its target with the value: walk it once
         elif isinstance(s, VarDecl):
             t.decls.setdefault(s.name, s.type)
             target, rhs = s.name, s.init

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from . import frontend as ast
 from .cache import (
-    CacheDb, FunctionResult, cache_key, canonical_json, file_key, pack_function, unpack_function,
+    CacheDb, FunctionResult, FunctionSummary, cache_key, canonical_json, file_key, pack_function,
+    unpack_function,
 )
 from .cfg import Cfg, build_cfg, to_kripke
 from .ctl import And, EU, EX, Not, Prop, TRUE, check, witness
@@ -44,22 +45,6 @@ class AnalysisError(Exception):
 
 # ---------------------------------------------------------------------------
 # Summaries
-
-@dataclass(frozen=True)
-class FunctionSummary:
-    function: str
-    may_return_null: bool = False
-    always_frees: frozenset[int] = frozenset()
-    derefs_param_unchecked: frozenset[int] = frozenset()
-
-    def to_json_obj(self) -> dict:
-        return {
-            "function": self.function,
-            "may_return_null": self.may_return_null,
-            "always_frees": sorted(self.always_frees),
-            "derefs_param_unchecked": sorted(self.derefs_param_unchecked),
-        }
-
 
 def pessimistic_summary(f: FunctionDef) -> FunctionSummary:
     return FunctionSummary(f.name, may_return_null=True)
@@ -386,8 +371,7 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
             cached = db.get(key)
             if cached is not None:
                 hit = results[name] = unpack_function(cached, name, funcs[name].loc.line, tu.file)
-                summaries[name] = FunctionSummary(name, hit.may_return_null, hit.always_frees,
-                                                  hit.derefs_param_unchecked)
+                summaries[name] = hit.summary
                 counters.cache_hits += 1
                 continue
             counters.cache_misses += 1
@@ -410,9 +394,7 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
             f, cfgs[f.name], checks, summaries, tu.globals, config, indexes.get(f.name))
         counters.merge_content(created, skipped)
         if db is not None:
-            s = summaries[f.name]
-            results[f.name] = FunctionResult(diags, s.may_return_null, s.always_frees,
-                                             s.derefs_param_unchecked, created, skipped)
+            results[f.name] = FunctionResult(diags, summaries[f.name], created, skipped)
         all_diags.extend(diags)
 
     record = None

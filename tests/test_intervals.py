@@ -244,6 +244,16 @@ class TestChecks:
             "int f(int c) { int d = 0; if (c) { d = 2; } return 8 / d; }")
         assert [(d.check_id, d.severity) for d in ds] == [("div-by-zero", "warning")]
 
+    @pytest.mark.parametrize("stmt, checks", [
+        ("a[i]++;", ["buffer-overrun"]),
+        ("--a[i];", ["buffer-overrun"]),
+        ("a[x / y]++;", ["buffer-overrun", "div-by-zero"]),
+    ])
+    def test_incdec_of_element_reports_each_site_once(self, stmt, checks):
+        # `a[i]++` desugars to `a[i] = a[i] + 1` with one shared `a[i]`
+        ds = self._diags(f"int f(int i, int x, int y) {{ int a[4]; {stmt} return 0; }}")
+        assert sorted(d.check_id for d in ds) == checks
+
     def test_unreachable_node_produces_nothing(self):
         ds = self._diags("int f() { while (1) { } int a[2]; a[9] = 1; return 0; }")
         assert ds == []

@@ -229,12 +229,19 @@ class FunctionDef:
     calls: set[str]  # every name the body calls, builtins and unknown names too
 
 
+# A scope problem the parser saw: (loc, message, kind, name).  `kind` is
+# "global" or "function" when a declaration further down the unit can still
+# resolve `name`, and None when nothing can.
+ScopeProblem = tuple[SourceLocation, str, str | None, str]
+
+
 @dataclass(eq=False)
 class TranslationUnit:
     file: str
     functions: list[FunctionDef]
     globals: list[VarDecl]
     global_texts: list[str]  # each global's exact source slice, for content hashing
+    scope_problems: list[ScopeProblem]  # those of the globals first; see check_well_formed
 
 
 def _at(node, loc: SourceLocation):
@@ -360,6 +367,7 @@ _BINARY_PREC = {
 }
 
 _FIXED_ARITY_CALLS = {"malloc": 1, "free": 1}
+BUILTIN_FUNCTIONS = frozenset(_FIXED_ARITY_CALLS)
 
 MAX_NESTING = 100  # deepest syntax tree accepted; see the module docstring
 
@@ -372,6 +380,10 @@ class _Parser:
         self.loop_depth = 0
         self.depth = 0  # syntax-tree levels open above the current token
         self.calls: set[str] = set()  # names called in the current top-level declaration
+        # the globals declared so far, then the open local scopes
+        self.scopes: list[set[str]] = [set()]
+        self.funcs = set(BUILTIN_FUNCTIONS)  # and the functions defined so far
+        self.problems: list[ScopeProblem] = []  # where the current declaration's go
 
     # `next` never moves past the final `eof` token, so the current token
     # is always `self.tokens[self.pos]`.
@@ -419,7 +431,8 @@ class _Parser:
         functions: list[FunctionDef] = []
         globals_: list[VarDecl] = []
         global_texts: list[str] = []
-        seen_funcs: set[str] = set()
+        global_problems: list[ScopeProblem] = []
+        function_problems: list[ScopeProblem] = []
         while self.peek().kind != "eof":
             self.calls = set()
             tok = self.peek()
@@ -433,18 +446,21 @@ class _Parser:
             if self.at("("):
                 if name_tok.text in _FIXED_ARITY_CALLS:
                     raise ParseError(name_tok.loc, f"'{name_tok.text}' is a builtin and cannot be defined")
-                if name_tok.text in seen_funcs:
+                if name_tok.text in self.funcs:
                     raise ParseError(name_tok.loc, f"duplicate function '{name_tok.text}'")
-                seen_funcs.add(name_tok.text)
+                self.funcs.add(name_tok.text)
                 ret = PTR_INT if is_ptr else (VOID if start_tok.text == "void" else INT)
+                self.problems = function_problems
                 functions.append(self._function_rest(start_tok, name_tok, ret))
             else:
                 if start_tok.text == "void":
                     raise ParseError(start_tok.loc, "'void' variables are not allowed")
+                self.problems = global_problems
                 globals_.append(self._decl_rest(start_tok, is_ptr, name_tok))
                 end_tok = self.expect(";")
                 global_texts.append(self.source[start_tok.offset:end_tok.offset + 1])
-        return TranslationUnit(file, functions, globals_, global_texts)
+        return TranslationUnit(file, functions, globals_, global_texts,
+                               global_problems + function_problems)
 
     def _function_rest(self, start_tok: Token, name_tok: Token, ret: MiniCType) -> FunctionDef:
         self.expect("(")
@@ -462,7 +478,7 @@ class _Parser:
                 if not self.accept(","):
                     break
         self.expect(")")
-        body = self._block()
+        body = self._block(seen)  # the parameters share the body's top-level scope
         end_tok = self.tokens[self.pos - 1]  # closing brace of the body
         src = self.source[start_tok.offset:end_tok.offset + 1]
         return FunctionDef(name_tok.text, params, ret, body, loc=start_tok.loc,
@@ -493,23 +509,56 @@ class _Parser:
 
     def _decl_rest(self, start_tok: Token, is_ptr: bool, name_tok: Token) -> VarDecl:
         ty = self._var_type(is_ptr)
+        # a global's initializer sees the global itself, a local's does not
+        is_global = len(self.scopes) == 1
+        if is_global:
+            self._declare(name_tok.text, start_tok.loc)
         init = None
         if self.accept("="):
             if isinstance(ty, ArrayInt):
                 raise ParseError(name_tok.loc, "array initializers are not supported")
             init = self.expr()
+        if not is_global:
+            self._declare(name_tok.text, start_tok.loc)
         return _at(VarDecl(name_tok.text, ty, init), start_tok.loc)
+
+    # -- scopes
+
+    def _declare(self, name: str, loc: SourceLocation) -> None:
+        scope = self.scopes[-1]
+        if name in scope:
+            self.problems.append((loc, f"duplicate declaration of '{name}'", None, name))
+        scope.add(name)
+
+    def _use(self, tok: Token) -> None:
+        for scope in self.scopes:
+            if tok.text in scope:
+                return
+        # in a function, a global declared further down can still resolve it
+        kind = "global" if len(self.scopes) > 1 else None
+        self.problems.append((tok.loc, f"undeclared '{tok.text}'", kind, tok.text))
+
+    def _scoped_stmt(self) -> Stmt:
+        """An if/else branch or a loop body: a scope of its own, even when
+        it is not a block."""
+        self.scopes.append(set())
+        s = self.stmt()
+        self.scopes.pop()
+        return s
 
     # -- statements
 
-    def _block(self) -> Block:
+    def _block(self, scope: set[str] | None = None) -> Block:
+        """A block, in `scope` if given, else in a new scope."""
         open_tok = self.expect("{")
+        self.scopes.append(set() if scope is None else scope)
         stmts: list[Stmt] = []
         while not self.at("}"):
             if self.peek().kind == "eof":
                 raise ParseError(self.peek().loc, "expected '}' before end of input")
             stmts.append(self.stmt())
         self.expect("}")
+        self.scopes.pop()
         return _at(Block(stmts), open_tok.loc)
 
     def stmt(self) -> Stmt:
@@ -533,8 +582,8 @@ class _Parser:
             self.expect("(")
             cond = self.expr()
             self.expect(")")
-            then = self.stmt()
-            orelse = self.stmt() if self.accept("else") else None
+            then = self._scoped_stmt()
+            orelse = self._scoped_stmt() if self.accept("else") else None
             return _at(If(cond, then, orelse), tok.loc)
         if tok.text == "while":
             self.next()
@@ -542,7 +591,7 @@ class _Parser:
             cond = self.expr()
             self.expect(")")
             self.loop_depth += 1
-            body = self.stmt()
+            body = self._scoped_stmt()
             self.loop_depth -= 1
             return _at(While(cond, body), tok.loc)
         if tok.text == "for":
@@ -611,6 +660,7 @@ class _Parser:
     def _for(self) -> For:
         tok = self.expect("for")
         self.expect("(")
+        self.scopes.append(set())  # the init's scope
         init: Stmt | None = None
         if not self.at(";"):
             init = self._local_decl() if self.at("int") else self._simple_stmt()
@@ -624,8 +674,9 @@ class _Parser:
                 raise ParseError(step.loc, "declarations are not allowed in the for step")
         self.expect(")")
         self.loop_depth += 1
-        body = self.stmt()
+        body = self._scoped_stmt()
         self.loop_depth -= 1
+        self.scopes.pop()
         return _at(For(init, cond, step, body), tok.loc)
 
     # -- expressions (precedence climbing)
@@ -691,6 +742,9 @@ class _Parser:
             self.next()
             if self.at("("):
                 self.next()
+                if tok.text not in self.funcs:  # a function further down can still define it
+                    self.problems.append(
+                        (tok.loc, f"call to undeclared function '{tok.text}'", "function", tok.text))
                 args: list[Expr] = []
                 if not self.at(")"):
                     while True:
@@ -703,6 +757,7 @@ class _Parser:
                     raise ParseError(tok.loc, f"'{tok.text}' takes exactly {want} argument")
                 self.calls.add(tok.text)
                 return _at(Call(tok.text, args), tok.loc)
+            self._use(tok)
             return _at(Var(tok.text), tok.loc)
         found = repr(tok.text) if tok.kind != "eof" else "end of input"
         raise ParseError(tok.loc, f"expected an expression, found {found}")
@@ -745,109 +800,18 @@ def walk(e: Expr):
 # ---------------------------------------------------------------------------
 # Well-formedness
 
-BUILTIN_FUNCTIONS = frozenset(_FIXED_ARITY_CALLS)
-
-
 def check_well_formed(tu: TranslationUnit) -> list[SemanticError]:
     """Scope-check a parsed unit.
 
     Reports undeclared variable uses, calls to undeclared functions
-    (malloc/free excepted) and duplicate declarations within one scope.
-    An empty result means the unit is analyzable.
+    (malloc/free excepted) and duplicate declarations within one scope,
+    those in global initializers first, each group in source order.  An
+    empty result means the unit is analyzable.  The parser resolved every
+    name it could as it read the unit; this drops the problems that a
+    declaration further down resolves, since a function sees every global
+    and every function of its unit.
     """
-    errors: list[SemanticError] = []
-    func_names = {f.name for f in tu.functions}
-
-    global_scope: dict[str, VarDecl] = {}
-    for g in tu.globals:
-        if g.name in global_scope:
-            errors.append(SemanticError(g.loc, f"duplicate declaration of '{g.name}'"))
-        else:
-            global_scope[g.name] = g
-        if g.init is not None:
-            _check_expr(g.init, [set(global_scope)], func_names, errors)
-
-    for f in tu.functions:
-        scopes: list[set[str]] = [set(global_scope), set()]
-        for p in f.params:
-            if p.name in scopes[1]:
-                errors.append(SemanticError(p.loc, f"duplicate declaration of '{p.name}'"))
-            scopes[1].add(p.name)
-        _check_block(f.body, scopes, func_names, errors, new_scope=False)
-    return errors
-
-
-def _check_block(block: Block, scopes, funcs, errors, new_scope: bool = True) -> None:
-    if new_scope:
-        scopes.append(set())
-    for s in block.stmts:
-        _check_stmt(s, scopes, funcs, errors)
-    if new_scope:
-        scopes.pop()
-
-
-def _check_stmt(s: Stmt, scopes, funcs, errors) -> None:
-    if isinstance(s, VarDecl):
-        if s.init is not None:
-            _check_expr(s.init, scopes, funcs, errors)
-        if s.name in scopes[-1]:
-            errors.append(SemanticError(s.loc, f"duplicate declaration of '{s.name}'"))
-        else:
-            scopes[-1].add(s.name)
-    elif isinstance(s, Assign):
-        _check_expr(s.target, scopes, funcs, errors)
-        _check_expr(s.value, scopes, funcs, errors)
-    elif isinstance(s, If):
-        _check_expr(s.cond, scopes, funcs, errors)
-        _check_stmt_scoped(s.then, scopes, funcs, errors)
-        if s.orelse is not None:
-            _check_stmt_scoped(s.orelse, scopes, funcs, errors)
-    elif isinstance(s, While):
-        _check_expr(s.cond, scopes, funcs, errors)
-        _check_stmt_scoped(s.body, scopes, funcs, errors)
-    elif isinstance(s, For):
-        scopes.append(set())
-        if s.init is not None:
-            _check_stmt(s.init, scopes, funcs, errors)
-        if s.cond is not None:
-            _check_expr(s.cond, scopes, funcs, errors)
-        if s.step is not None:
-            _check_stmt(s.step, scopes, funcs, errors)
-        _check_stmt_scoped(s.body, scopes, funcs, errors)
-        scopes.pop()
-    elif isinstance(s, Return):
-        if s.value is not None:
-            _check_expr(s.value, scopes, funcs, errors)
-    elif isinstance(s, ExprStmt):
-        _check_expr(s.expr, scopes, funcs, errors)
-    elif isinstance(s, Block):
-        _check_block(s, scopes, funcs, errors)
-    # Break/Continue: nothing to check
-
-
-def _check_stmt_scoped(s: Stmt, scopes, funcs, errors) -> None:
-    if isinstance(s, Block):
-        _check_block(s, scopes, funcs, errors)
-    else:
-        scopes.append(set())
-        _check_stmt(s, scopes, funcs, errors)
-        scopes.pop()
-
-
-def _check_expr(e: Expr, scopes, funcs, errors) -> None:
-    if isinstance(e, Var):
-        if not any(e.name in sc for sc in scopes):
-            errors.append(SemanticError(e.loc, f"undeclared '{e.name}'"))
-    elif isinstance(e, Unary):
-        _check_expr(e.operand, scopes, funcs, errors)
-    elif isinstance(e, Binary):
-        _check_expr(e.left, scopes, funcs, errors)
-        _check_expr(e.right, scopes, funcs, errors)
-    elif isinstance(e, Index):
-        _check_expr(e.base, scopes, funcs, errors)
-        _check_expr(e.index, scopes, funcs, errors)
-    elif isinstance(e, Call):
-        if e.name not in funcs and e.name not in BUILTIN_FUNCTIONS:
-            errors.append(SemanticError(e.loc, f"call to undeclared function '{e.name}'"))
-        for a in e.args:
-            _check_expr(a, scopes, funcs, errors)
+    later = {"global": {g.name for g in tu.globals},
+             "function": {f.name for f in tu.functions}}
+    return [SemanticError(loc, message) for loc, message, kind, name in tu.scope_problems
+            if kind is None or name not in later[kind]]

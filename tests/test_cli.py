@@ -69,6 +69,24 @@ class TestExitCodes:
         assert code == 2
         assert "undeclared 'y'" in err
 
+    def test_undeclared_incdec_target_is_reported_once(self, ws, capsys):
+        path = ws("x.c", "int f() { y++; return 0; }\n")
+        code, out, err = run(capsys, "analyze", path)
+        assert code == 2
+        assert err.count("undeclared 'y'") == 1
+
+    def test_syntax_error_wins_over_scope_error(self, ws, capsys):
+        path = ws("x.c", "int f() { return y; } int g( {\n")
+        code, out, err = run(capsys, "analyze", path)
+        assert (code, out) == (2, "")
+        assert "expected" in err and "undeclared" not in err
+
+    def test_dump_cfg_of_an_ill_scoped_unit(self, ws, capsys):
+        path = ws("x.c", "int f() { return y; }\n")
+        code, out, _ = run(capsys, "analyze", "--dump-cfg", path)
+        assert code == 0
+        assert out.startswith('digraph "f"')
+
     def test_no_arguments_exits_two(self, capsys):
         code, out, err = run(capsys)
         assert code == 2

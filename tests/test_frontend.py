@@ -104,6 +104,8 @@ class TestParse:
 
 # the FunctionDef fields the digest covers; `calls` is pinned in test_engine
 _FUNCTION_FIELDS = ("name", "params", "return_type", "body", "loc", "end_loc", "source_text")
+# the TranslationUnit fields it covers; `scope_problems` is pinned in TestWellFormed
+_UNIT_FIELDS = ("file", "functions", "globals", "global_texts")
 
 
 def _dump(node):
@@ -116,6 +118,8 @@ def _dump(node):
         names = [f.name for f in dataclasses.fields(node)]
         if isinstance(node, F.FunctionDef):
             names = [n for n in names if n in _FUNCTION_FIELDS]
+        elif isinstance(node, F.TranslationUnit):
+            names = [n for n in names if n in _UNIT_FIELDS]
         return (type(node).__name__, *((n, _dump(getattr(node, n))) for n in names))
     return node  # str, int, MiniCType or None
 
@@ -182,6 +186,35 @@ class TestWellFormed:
     def test_use_before_declaration(self):
         errs = F.check_well_formed(parse("int f() { x = 1; int x; return x; }"))
         assert errs and errs[0].message == "undeclared 'x'"
+
+    @pytest.mark.parametrize("src,errors", [
+        # each branch of an if, and a while body, is a scope of its own
+        ("int f(int c){ if (c) int x; int x; return 0; }", []),
+        # a global's initializer sees the globals before it and itself
+        ("int g = g;", []),
+        ("int a = b; int b;", ["a.c:1:9: undeclared 'b'"]),
+        # a function sees every global and every function of the unit
+        ("int f(){return h;} int h;", []),
+        ("int f(){ return y + k(); } int q = z; int k(){ return 0; }",
+         ["a.c:1:36: undeclared 'z'", "a.c:1:17: undeclared 'y'"]),
+        # parameters share a scope with the top level of the body
+        ("int f(int a){ int a; return 0; }", ["a.c:1:15: duplicate declaration of 'a'"]),
+        ("int f(){ for (int i = 0; i < 2; i++) { int i; } return i; }",
+         ["a.c:1:56: undeclared 'i'"]),
+        # a local's initializer does not see the local being declared
+        ("int f(){ int x = x; return 0; }", ["a.c:1:18: undeclared 'x'"]),
+        ("int g; int g;", ["a.c:1:8: duplicate declaration of 'g'"]),
+        # the target of ++ and -- is one name use, reported once
+        ("int f(){ y++; return 0; }", ["a.c:1:10: undeclared 'y'"]),
+        ("int f(){ int a[2]; --a[i]; return 0; }", ["a.c:1:24: undeclared 'i'"]),
+    ])
+    def test_scope_rules(self, src, errors):
+        assert [str(e) for e in F.check_well_formed(parse(src))] == errors
+
+    def test_scope_errors_do_not_stop_the_parse(self):
+        tu = parse("int f(){ return y; }")
+        assert [f.name for f in tu.functions] == ["f"]
+        assert [str(e) for e in F.check_well_formed(tu)] == ["a.c:1:17: undeclared 'y'"]
 
 
 class TestRoundTrip:

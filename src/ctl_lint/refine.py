@@ -444,9 +444,12 @@ def enumerate_witnesses(task_kripke, formula: CtlFormula, start: int, limit: int
                         ) -> tuple[list[WitnessTrace], bool]:
     """Up to `limit` distinct finite witnesses, shortest first with
     lowest-state-id tie-breaks; second result reports whether enumeration
-    ran to exhaustion.  Distinct means differing in at least one edge;
-    idling on self-loops is not a distinct witness.  `stop(trace)` is
-    called on each witness as it is found; when it returns true, the
+    ran to exhaustion, that is whether no further distinct witness
+    exists.  Once `limit` are found the search goes on without recording,
+    and ends unexhausted at the next distinct witness or when the
+    expansion budget runs out.  Distinct means differing in at least one
+    edge; idling on self-loops is not a distinct witness.  `stop(trace)`
+    is called on each witness as it is found; when it returns true, the
     search ends with that witness last.
     """
     phases: list = []
@@ -461,7 +464,7 @@ def enumerate_witnesses(task_kripke, formula: CtlFormula, start: int, limit: int
     heap: list[tuple[int, tuple[int, ...], int]] = [(0, (start,), entry)]
     visited: set[tuple[tuple[int, ...], int]] = set()
     expansions = 0
-    while heap and len(found) < limit:
+    while heap:
         steps, states, ph = heapq.heappop(heap)
         key = (states, ph)
         if key in visited:
@@ -474,6 +477,8 @@ def enumerate_witnesses(task_kripke, formula: CtlFormula, start: int, limit: int
         phase = phases[ph]
         if isinstance(phase, _Accept):
             if state in holding[ph] and states not in seen_traces:
+                if len(found) >= limit:
+                    return found, False
                 seen_traces.add(states)
                 found.append(WitnessTrace(states))
                 if stop is not None and stop(found[-1]):

@@ -422,9 +422,25 @@ def test_refine_matches_full_enumeration_reference(pin_tasks, monkeypatch, max_w
         want = _reference_refine(task, cfg, max_witnesses, global_names, sat, known)
         assert got == want, (cfg.function, task.check.id, task.bound_var)
         verdicts.add(got[0])
-    # one witness leaves the search short of exhaustion on every pin task,
-    # so a budget of 1 never suppresses
-    assert verdicts >= {CONFIRMED, UNCONFIRMED if max_witnesses == 1 else SUPPRESSED}, verdicts
+    # every budget both confirms and suppresses on the pin tasks; at 1 the
+    # tasks with a single, infeasible witness are the ones suppressed
+    assert verdicts >= {CONFIRMED, SUPPRESSED}, verdicts
+
+
+@pytest.mark.parametrize("max_witnesses", [1, 2, 5])
+def test_budget_covering_every_witness_gives_the_full_verdict(pin_tasks, max_witnesses):
+    # a search that has found every distinct witness there is has run to
+    # exhaustion, whatever the budget, so it decides as a large budget does
+    covered = 0
+    for task, cfg, global_names, sat in pin_tasks:
+        traces, exhausted = enumerate_witnesses(task.kripke, task.formula, cfg.entry, 300, sat)
+        if not exhausted or len(traces) > max_witnesses:
+            continue
+        covered += 1
+        assert (refine_diagnostic(task, cfg, max_witnesses, global_names, sat)
+                == refine_diagnostic(task, cfg, 300, global_names, sat)), \
+            (cfg.function, task.check.id, task.bound_var)
+    assert covered
 
 
 def test_refine_stops_at_first_feasible_witness(monkeypatch):

@@ -1,5 +1,10 @@
 """Scanner, parser and well-formedness checks for the MiniC input language.
 
+The parser resolves names against a scope stack as it reads a unit and
+records each scope problem in the unit; `check_well_formed` then drops
+those a declaration further down resolves.  A scope error is never
+raised by `parse`, so a syntax error anywhere in the file wins.
+
 `tokenize` is the one scanner of both input languages: MiniC here and the
 check language in `speclang`, each described by one regular expression.
 
@@ -380,8 +385,7 @@ class _Parser:
         self.loop_depth = 0
         self.depth = 0  # syntax-tree levels open above the current token
         self.calls: set[str] = set()  # names called in the current top-level declaration
-        # the globals declared so far, then the open local scopes
-        self.scopes: list[set[str]] = [set()]
+        self.scopes: list[set[str]] = [set()]  # the globals so far, then the open local scopes
         self.funcs = set(BUILTIN_FUNCTIONS)  # and the functions defined so far
         self.problems: list[ScopeProblem] = []  # where the current declaration's go
 
@@ -456,6 +460,7 @@ class _Parser:
                 if start_tok.text == "void":
                     raise ParseError(start_tok.loc, "'void' variables are not allowed")
                 self.problems = global_problems
+                self._declare(name_tok.text, start_tok.loc)  # its initializer sees it
                 globals_.append(self._decl_rest(start_tok, is_ptr, name_tok))
                 end_tok = self.expect(";")
                 global_texts.append(self.source[start_tok.offset:end_tok.offset + 1])
@@ -509,17 +514,11 @@ class _Parser:
 
     def _decl_rest(self, start_tok: Token, is_ptr: bool, name_tok: Token) -> VarDecl:
         ty = self._var_type(is_ptr)
-        # a global's initializer sees the global itself, a local's does not
-        is_global = len(self.scopes) == 1
-        if is_global:
-            self._declare(name_tok.text, start_tok.loc)
         init = None
         if self.accept("="):
             if isinstance(ty, ArrayInt):
                 raise ParseError(name_tok.loc, "array initializers are not supported")
             init = self.expr()
-        if not is_global:
-            self._declare(name_tok.text, start_tok.loc)
         return _at(VarDecl(name_tok.text, ty, init), start_tok.loc)
 
     # -- scopes
@@ -621,7 +620,9 @@ class _Parser:
         start_tok = self.expect("int")
         is_ptr = self.accept("*") is not None
         name_tok = self.expect_ident("a variable name")
-        return self._decl_rest(start_tok, is_ptr, name_tok)
+        decl = self._decl_rest(start_tok, is_ptr, name_tok)
+        self._declare(decl.name, decl.loc)  # its initializer does not see it
+        return decl
 
     def _simple_stmt(self) -> Stmt:
         """Assignment, call/expression statement, or ++/-- sugar."""
@@ -801,16 +802,12 @@ def walk(e: Expr):
 # Well-formedness
 
 def check_well_formed(tu: TranslationUnit) -> list[SemanticError]:
-    """Scope-check a parsed unit.
-
-    Reports undeclared variable uses, calls to undeclared functions
+    """The unit's undeclared variable uses, calls to undeclared functions
     (malloc/free excepted) and duplicate declarations within one scope,
-    those in global initializers first, each group in source order.  An
-    empty result means the unit is analyzable.  The parser resolved every
-    name it could as it read the unit; this drops the problems that a
-    declaration further down resolves, since a function sees every global
-    and every function of its unit.
-    """
+    those in global initializers first, each group in source order.  It
+    visits no AST: a function sees every global and function of its unit,
+    so this only drops the problems the parser saw that a later
+    declaration resolves.  An empty result means the unit is analyzable."""
     later = {"global": {g.name for g in tu.globals},
              "function": {f.name for f in tu.functions}}
     return [SemanticError(loc, message) for loc, message, kind, name in tu.scope_problems

@@ -444,13 +444,12 @@ def enumerate_witnesses(task_kripke, formula: CtlFormula, start: int, limit: int
                         ) -> tuple[list[WitnessTrace], bool]:
     """Up to `limit` distinct finite witnesses, shortest first with
     lowest-state-id tie-breaks; second result reports whether enumeration
-    ran to exhaustion, that is whether no further distinct witness
-    exists.  Once `limit` are found the search goes on without recording,
-    and ends unexhausted at the next distinct witness or when the
-    expansion budget runs out.  Distinct means differing in at least one
-    edge; idling on self-loops is not a distinct witness.  `stop(trace)`
-    is called on each witness as it is found; when it returns true, the
-    search ends with that witness last.
+    ran to exhaustion: past `limit` the search goes on, unrecorded, until
+    another distinct witness or the expansion budget ends it unexhausted.
+    Distinct means differing in at least one edge; idling on self-loops
+    is not a distinct witness.  `stop(trace)` is called on each witness
+    as it is found; when it returns true, the search ends with that
+    witness last.
     """
     phases: list = []
     entry = _compile_obligations(formula, phases)

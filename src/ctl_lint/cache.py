@@ -25,7 +25,7 @@ from .diagnostics import CONFIRMED, Diagnostic, SourceLocation, UNCONFIRMED
 
 logger = logging.getLogger("ctl_lint")
 
-CACHE_HEADER = "ctl-lint-cache v4"
+CACHE_HEADER = "ctl-lint-cache v5"
 
 _HEADER_LINE = (CACHE_HEADER + "\n").encode("ascii")
 _RECORD_HEAD = re.compile(rb"([0-9a-f]{64}) ([0-9]+) ([0-9a-f]{8})")
@@ -84,14 +84,16 @@ def _parse(blob: bytes) -> tuple[list[tuple[str, bytes]], str | None]:
 class CacheDb:
     """Single-file append-friendly store, shared by concurrent runs.
 
-    Format: header line `ctl-lint-cache v4`, then records of
+    Format: header line `ctl-lint-cache v5`, then records of
     `<64-hex key> <byte-length> <8-hex crc32>\\n<payload>\\n`, the CRC
     taken over the key and the payload, which is zlib-compressed canonical
     JSON (`_encode`).  There is one kind of record: one per input file,
-    keyed by `file_key`, whose payload inflates to the file's functions in
-    source order, `[[function key, function record], ...]`, each function
-    record as `pack_function` makes it.  `get` finds a function by its key
-    in any record the store holds, through a map decoded once, on first use.
+    keyed by `file_key`, whose payload inflates to `[digest, starts,
+    functions]`: the file's `source_digest`, then each function's start
+    offset and `[function key, function record]` (as `pack_function`
+    makes it), in source order.  `file_hit` returns the record of a file
+    whose bytes are unchanged; `get` finds a function by its key in any
+    record the store holds, through a map decoded once, on first use.
 
     A later record for a key supersedes an earlier one, and that is the
     whole liveness rule: the live records are the last one for each key,
@@ -102,10 +104,11 @@ class CacheDb:
 
     A record whose checksum does not match is skipped; one whose framing or
     length does not match is corrupt, and everything after it is dropped.
-    A record whose payload does not inflate to a file record is found when
-    the store is first decoded.  In all three cases the lost records are
-    misses, and the next store rewrites the file without them.  A file with another
-    header (a v1, v2 or v3 store, say) starts fresh.
+    A record whose payload does not inflate to a file record, or whose
+    function records do not unpack, is found when it is first read.  In
+    all three cases the lost records are misses, and the next store
+    rewrites the file without them.  A file with another header (a v1 to
+    v4 store, say) starts fresh.
 
     Loading holds a shared `flock` on the store, appending and rewriting an
     exclusive one.  After taking a lock the store is reopened if a rewrite
@@ -121,7 +124,6 @@ class CacheDb:
         self._needs_rewrite = False
         self._undecodable: dict[str, bytes] = {}  # payloads to drop at the rewrite
         self._functions: dict[str, list] | None = None  # function key -> record
-        self._files: dict[str, list[str]] = {}  # file key -> its function keys
         self._load()
 
     def _load(self) -> None:
@@ -164,23 +166,38 @@ class CacheDb:
         except FileNotFoundError:
             raise OSError(f"cache path is not writable: {self.path}") from None
 
-    def _decode(self) -> None:
-        """Build the function map from every record, superseded ones too;
-        a record that does not decode is a miss for its functions, and is
-        dropped at the next rewrite."""
-        self._functions = {}
-        for key, payload in self._records:
-            try:
-                functions = dict(json.loads(zlib.decompress(payload)))
-            except (ValueError, TypeError, zlib.error):
+    def _inflate(self, key: str, payload: bytes) -> list | None:
+        """The file record `payload` holds, or None when it holds none: then
+        it is a miss for its functions, and is dropped at the next rewrite."""
+        try:
+            digest, starts, functions = record = json.loads(zlib.decompress(payload))
+            if not (isinstance(digest, str) and len(starts) == len(functions)
+                    and all(type(s) is int for s in starts)
+                    and all(type(k) is str and _readable(f) for k, f in functions)):
+                raise ValueError("not a file record")
+            return record
+        except (ValueError, TypeError, zlib.error):
+            if self._undecodable.get(key) != payload:
                 logger.warning("cache %s: undecodable entry %s treated as miss",
                                self.path, key[:12])
-                self._files.pop(key, None)
                 self._undecodable[key] = payload
                 self._needs_rewrite = True
-                continue
-            self._functions.update(functions)
-            self._files[key] = list(functions)
+            return None
+
+    def _decode(self) -> None:
+        """Build the function map from every record, superseded ones too."""
+        self._functions = {}
+        for key, payload in self._records:
+            record = self._inflate(key, payload)
+            if record is not None:
+                self._functions.update(record[2])
+
+    def file_hit(self, key: str, digest: str) -> list | None:
+        """The record for file key `key` when it was stored for bytes whose
+        `source_digest` is `digest`.  It inflates that record alone."""
+        payload = self._entries.get(key)
+        record = self._inflate(key, payload) if payload is not None else None
+        return record if record is not None and record[0] == digest else None
 
     def get(self, key: str) -> list | None:
         """The record of the function with content key `key`, from whichever
@@ -188,13 +205,6 @@ class CacheDb:
         if self._functions is None:
             self._decode()
         return self._functions.get(key)
-
-    def holds(self, key: str, function_keys: list[str]) -> bool:
-        """Whether the record for file key `key` lists exactly
-        `function_keys`, in that order."""
-        if self._functions is None:
-            self._decode()
-        return self._files.get(key) == function_keys
 
     def put(self, key: str, obj: list) -> None:
         """Store `obj` as the record for file key `key`, superseding any
@@ -217,9 +227,7 @@ class CacheDb:
             self._records.append((key, payload))
             self._entries[key] = payload
         if self._functions is not None:
-            functions = dict(obj)
-            self._functions.update(functions)
-            self._files[key] = list(functions)
+            self._functions.update(obj[2])
 
     def compact(self) -> bool:
         """Rewrite the store with only its live records when its dead
@@ -339,6 +347,18 @@ def pack_function(result: FunctionResult, line: int) -> list:
     s = result.summary
     return [diagnostics, [s.may_return_null, sorted(s.always_frees),
                           sorted(s.derefs_param_unchecked)], result.tasks, result.skipped]
+
+
+def _readable(record: list) -> bool:
+    """Whether `unpack_function` reads `record` without an error.  A record
+    of the wrong shape raises ValueError or TypeError instead."""
+    rel, (_, frees, derefs), tasks, skipped = record
+    ints = [tasks, skipped, *frees, *derefs]
+    for _, _, rel_line, column, _, _, trace in rel:
+        if len(trace) % 2:
+            return False
+        ints += rel_line, column, *trace
+    return all(type(n) is int for n in ints)
 
 
 def unpack_function(record: list, function: str, line: int, file: str) -> FunctionResult:

@@ -22,10 +22,10 @@ import sys
 from dataclasses import dataclass
 
 from .cfg import build_cfg, to_dot
-from .cache import CacheDb
+from .cache import CacheDb, file_key, unpack_function
 from .diagnostics import Diagnostic, diagnostic_to_json_obj, meets_min_severity
 from .engine import AnalysisError, Counters, EngineConfig, analyze_unit
-from .frontend import ParseError, TranslationUnit, parse_bytes
+from .frontend import ParseError, functions_at, parse_bytes, source_digest
 from .intervals import BUFFER_OVERRUN, DIV_BY_ZERO
 from .speclang import CheckSpec, SpecError, load_checkset
 
@@ -170,9 +170,9 @@ def _cmd_list_checks(spec_paths: list[str]) -> int:
     return 0
 
 
-def _parse_file(path: str) -> TranslationUnit:
+def _read(path: str) -> bytes:
     with open(path, "rb") as fh:
-        return parse_bytes(fh.read(), path)
+        return fh.read()
 
 
 # (checks, config, db) of the files this process analyzes
@@ -186,10 +186,25 @@ def _init_worker(checks: list[CheckSpec], config: EngineConfig,
 
 
 def _analyze_file(path: str) -> tuple[list[Diagnostic], Counters, tuple[str, list] | None]:
+    """One file's diagnostics, counters and record to store.  A file whose
+    bytes match its record is answered from the record, with no parsing."""
     checks, config, db = _worker
     counters = Counters()
-    diagnostics, record = analyze_unit(_parse_file(path), checks, db, config, counters)
-    return diagnostics, counters, record
+    data = _read(path)
+    hit = db and db.file_hit(file_key(path, config.checkset_text, config.max_witnesses),
+                             source_digest(data))
+    if hit is None:
+        diagnostics, record = analyze_unit(parse_bytes(data, path), checks, db, config, counters)
+        return diagnostics, counters, record
+    _, starts, functions = hit
+    diagnostics = []
+    for (name, line), (_, function) in zip(functions_at(data.decode("utf-8"), starts),
+                                           functions):
+        result = unpack_function(function, name, line, path)
+        diagnostics.extend(result.diagnostics)
+        counters.merge_content(result.tasks, result.skipped)
+    counters.functions = counters.cache_hits = len(functions)
+    return sorted(diagnostics, key=Diagnostic.sort_key), counters, None
 
 
 def _cmd_analyze(cfg: RunConfig) -> int:
@@ -200,7 +215,7 @@ def _cmd_analyze(cfg: RunConfig) -> int:
             raise UsageError(f"unknown check ids: {', '.join(sorted(unknown))}")
 
     if cfg.dump_cfg:
-        for tu in [_parse_file(path) for path in cfg.inputs]:
+        for tu in [parse_bytes(_read(path), path) for path in cfg.inputs]:
             for f in tu.functions:
                 sys.stdout.write(to_dot(build_cfg(f)))
         return 0

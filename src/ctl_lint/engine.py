@@ -346,9 +346,9 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
                  counters: Counters | None = None,
                  ) -> tuple[list[Diagnostic], tuple[str, list] | None]:
     """Analyze one translation unit.  Returns its diagnostics, sorted and
-    cache-transparent (byte-identical with and without `db`),
-    and, when there is a `db` that does not already hold it, the unit's
-    (file key, record) pair for the caller to store.  `db` is only read."""
+    cache-transparent (byte-identical with and without `db`), and, when
+    there is a `db`, the unit's (file key, record) pair for the caller to
+    store.  `db` is only read."""
     errors = check_well_formed(tu)
     if errors:
         raise AnalysisError(errors)
@@ -399,9 +399,8 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
 
     record = None
     if db is not None:
-        key = file_key(tu.file, config.checkset_text, config.max_witnesses)
-        if not db.holds(key, [keys[f.name] for f in tu.functions]):
-            record = key, [[keys[f.name], pack_function(results[f.name], f.loc.line)]
-                           for f in tu.functions]
+        record = file_key(tu.file, config.checkset_text, config.max_witnesses), [
+            tu.digest, [f.offset for f in tu.functions],
+            [[keys[f.name], pack_function(results[f.name], f.loc.line)] for f in tu.functions]]
     return sorted(all_diags, key=Diagnostic.sort_key), record
 

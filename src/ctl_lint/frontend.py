@@ -26,6 +26,7 @@ expression and one for each operator of its left-deep chain.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -232,6 +233,7 @@ class FunctionDef:
     end_loc: SourceLocation  # closing brace
     source_text: str  # exact source slice, used for content hashing
     calls: set[str]  # every name the body calls, builtins and unknown names too
+    offset: int  # where its `int`/`void` token starts in the unit's text
 
 
 # A scope problem the parser saw: (loc, message, kind, name).  `kind` is
@@ -247,6 +249,7 @@ class TranslationUnit:
     globals: list[VarDecl]
     global_texts: list[str]  # each global's exact source slice, for content hashing
     scope_problems: list[ScopeProblem]  # those of the globals first; see check_well_formed
+    digest: str  # `source_digest` of the text's UTF-8 bytes
 
 
 def _at(node, loc: SourceLocation):
@@ -465,7 +468,8 @@ class _Parser:
                 end_tok = self.expect(";")
                 global_texts.append(self.source[start_tok.offset:end_tok.offset + 1])
         return TranslationUnit(file, functions, globals_, global_texts,
-                               global_problems + function_problems)
+                               global_problems + function_problems,
+                               source_digest(self.source.encode("utf-8")))
 
     def _function_rest(self, start_tok: Token, name_tok: Token, ret: MiniCType) -> FunctionDef:
         self.expect("(")
@@ -487,7 +491,8 @@ class _Parser:
         end_tok = self.tokens[self.pos - 1]  # closing brace of the body
         src = self.source[start_tok.offset:end_tok.offset + 1]
         return FunctionDef(name_tok.text, params, ret, body, loc=start_tok.loc,
-                           end_loc=end_tok.loc, source_text=src, calls=self.calls)
+                           end_loc=end_tok.loc, source_text=src, calls=self.calls,
+                           offset=start_tok.offset)
 
     def _param(self) -> Param:
         tok = self.expect("int", "in parameter")
@@ -767,6 +772,27 @@ class _Parser:
 def parse(source: str, file: str = "<input>") -> TranslationUnit:
     """Parse MiniC source text. Raises ParseError on any rejection."""
     return _Parser(source, file).parse_unit(file)
+
+
+def source_digest(data: bytes) -> str:
+    """The digest of a unit's bytes that the cache stores: the first 32
+    hex characters of their sha256."""
+    return hashlib.sha256(data).hexdigest()[:32]
+
+
+def functions_at(source: str, offsets: list[int]) -> list[tuple[str, int]]:
+    """The name and line `parse` gives each function whose `int`/`void`
+    token starts at one of `offsets`, which increase: the first identifier
+    scanned from the offset, and 1 plus the newlines before it."""
+    found = []
+    line, pos = 1, 0
+    for offset in offsets:
+        line += source.count("\n", pos, offset)
+        pos = offset
+        name = next(m[0] for m in _MINIC_TOKENS.finditer(source, offset)
+                    if m.lastgroup == "ident")
+        found.append((name, line))
+    return found
 
 
 def parse_bytes(data: bytes, file: str = "<input>") -> TranslationUnit:

@@ -1,4 +1,5 @@
-"""The v4 cache store: corruption, concurrent runs, liveness and compaction."""
+"""The v5 cache store: corruption, concurrent runs, liveness, compaction and
+the file tier."""
 
 from __future__ import annotations
 
@@ -62,13 +63,19 @@ def edit_global(path, value: int) -> None:
 
 
 def func_record(n: int = 0, pad: str = "") -> list:
-    """A function record (as the engine writes them) with `n` tasks."""
-    return [[], [False, [], []], n, 0] if not pad else [[[pad]], [False, [], []], n, 0]
+    """A function record (as the engine writes them) with `n` tasks, and
+    with one diagnostic whose message is `pad` when there is a `pad`."""
+    diagnostics = [["c", "error", 0, 1, pad, False, []]] if pad else []
+    return [diagnostics, [False, [], []], n, 0]
+
+
+DIGEST = "0" * 32  # the digest `file_record` stores
 
 
 def file_record(*functions: tuple[str, list]) -> list:
-    """A file record listing (function key, function record) pairs."""
-    return [[key, record] for key, record in functions]
+    """A file record listing (function key, function record) pairs, for
+    bytes with `DIGEST`, the functions starting at offsets 0, 1, ..."""
+    return [DIGEST, list(range(len(functions))), [[key, record] for key, record in functions]]
 
 
 def framed(key: str, obj) -> int:
@@ -133,9 +140,12 @@ class TestCorruption:
         path.write_bytes(cache._HEADER_LINE + cache._frame(fa, bad) + cache._frame(fb, good))
         db = CacheDb(str(path))
         with caplog.at_level("WARNING", logger="ctl_lint"):
+            assert db.file_hit(fa, DIGEST) is None
             assert db.get(ka) is None
-        assert any("undecodable" in r.message for r in caplog.records)
+        # logged once, whichever tier reads the record first
+        assert sum("undecodable" in r.message for r in caplog.records) == 1
         assert db.get(kb) == func_record(2)
+        assert db.file_hit(fb, DIGEST) == file_record((kb, func_record(2)))
         db.put(fc, file_record((kc, func_record(3))))  # rewrites without the bad record
         assert cache._parse(path.read_bytes()) == \
             ([(fb, good), (fc, cache._encode(file_record((kc, func_record(3)))))], None)
@@ -150,15 +160,52 @@ class TestCorruption:
 
     def test_payload_that_is_not_zlib_data_is_a_miss_and_rewritten(self, tmp_path, caplog):
         # a v3 payload: uncompressed canonical JSON
-        bad = canonical_json(file_record(("a" * 64, func_record(1)))).encode()
+        bad = canonical_json(file_record(("a" * 64, func_record(1)))[2]).encode()
         self.undecodable_is_a_miss_and_rewritten(tmp_path, caplog, bad)
 
     def test_payload_inflating_to_another_shape_is_a_miss_and_rewritten(self, tmp_path,
                                                                         caplog):
         self.undecodable_is_a_miss_and_rewritten(tmp_path, caplog, zlib.compress(b"5"))
 
+    @pytest.mark.parametrize("bad", [
+        [["d" * 64, [1]]],
+        file_record(("d" * 64, [1])),
+        file_record(("d" * 64, [[["c", "error", 0]], [False, [], []], 1, 0])),
+        file_record(("d" * 64, [[["c", "error", 0, 1, "m", False, [3]]], [False, [], []], 1, 0])),
+        file_record(("d" * 64, [[], [False, [[]], []], 1, 0])),
+        [DIGEST, [], [["d" * 64, func_record(1)]]],
+        [DIGEST, ["0"], [["d" * 64, func_record(1)]]],
+        [0, [0], [["d" * 64, func_record(1)]]],
+        [DIGEST, [0], [[0, func_record(1)]]],
+    ], ids=["v4-layout", "short-function", "short-diagnostic", "odd-trace",
+            "unhashable-frees", "starts-missing", "start-not-int", "digest-not-str",
+            "key-not-str"])
+    def test_record_that_does_not_unpack_is_a_miss_and_rewritten(self, tmp_path, caplog,
+                                                                 bad):
+        # well framed and valid JSON, but not a file record unpack_function reads
+        self.undecodable_is_a_miss_and_rewritten(tmp_path, caplog, cache._encode(bad))
+
+    @pytest.mark.parametrize("reshape", [
+        lambda record: [[key, [1]] for key, _ in record[2]],
+        lambda record: [record[0], record[1], [[key, [1]] for key, _ in record[2]]],
+    ], ids=["v4-layout", "digest-matches"])
+    def test_cli_run_over_a_record_that_does_not_unpack(self, ws, capsys, reshape):
+        # the record's digest may match the file: the file tier must not
+        # answer from it, and the function tier must not either
+        expected = run(capsys, "--format", "json", "--no-cache", "c.c")[:2]
+        db = ws / "c.db"
+        run(capsys, "--db", str(db), "c.c")
+        [(key, payload)] = cache._parse(db.read_bytes())[0]
+        good = db.read_bytes()
+        db.write_bytes(cache._HEADER_LINE
+                       + cache._frame(key, cache._encode(reshape(json.loads(
+                           zlib.decompress(payload))))))
+        code, out, err = run(capsys, "--format", "json", "--db", str(db), "c.c")
+        assert (code, out) == expected and "internal error" not in err
+        assert db.read_bytes() == good  # rewritten without the bad record
+
     def test_v1_store_starts_fresh(self, tmp_path, caplog):
-        # and so do v2 and v3 stores: a record of any is never read as v4's
+        # and so do v2 to v4 stores: a record of any is never read as v5's
         path = tmp_path / "c.db"
         record = file_record(("c" * 64, func_record()))
         v3_record = file_record(("d" * 64, func_record(4)))
@@ -166,14 +213,16 @@ class TestCorruption:
                     b"ctl-lint-cache v2\n"
                     + cache._frame("a" * 64, canonical_json(func_record()).encode()),
                     b"ctl-lint-cache v3\n"
-                    + cache._frame("a" * 64, canonical_json(v3_record).encode())):
+                    + cache._frame("a" * 64, canonical_json(v3_record[2]).encode()),
+                    b"ctl-lint-cache v4\n"
+                    + cache._frame("a" * 64, cache._encode(v3_record[2]))):
             path.write_bytes(old)
             inode = path.stat().st_ino
             caplog.clear()
             with caplog.at_level("WARNING", logger="ctl_lint"):
                 db = CacheDb(str(path))
             assert db.get("a" * 64) is None and db.get("d" * 64) is None
-            assert not db.holds("a" * 64, ["d" * 64])
+            assert db.file_hit("a" * 64, DIGEST) is None
             assert any("bad header, starting fresh" in r.message for r in caplog.records)
             assert not any("undecodable" in r.message for r in caplog.records)
             db.put("b" * 64, record)
@@ -208,7 +257,7 @@ class TestFormat:
         assert len(blobs[0]) < len(plain)
         # a hit is stored again, in a new file's record, as it was read
         for _, payload in records:
-            for _, record in json.loads(zlib.decompress(payload)):
+            for _, record in json.loads(zlib.decompress(payload))[2]:
                 assert cache.pack_function(cache.unpack_function(record, "f", 7, "x.c"), 7) \
                     == record
 
@@ -256,7 +305,8 @@ class TestConcurrency:
         assert not a.compact()  # nothing is dead in what A holds
         fresh = CacheDb(path)
         assert [fresh.get(k) for k in (ka, kb1, kb2)] == [func_record(3), None, func_record(2)]
-        assert fresh.holds(fa, [ka]) and fresh.holds(fb, [kb2])
+        assert fresh.file_hit(fa, DIGEST) == file_record((ka, func_record(3)))
+        assert fresh.file_hit(fb, DIGEST) == file_record((kb2, func_record(2)))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.db"]
 
     def test_compaction_keeps_records_appended_after_load(self, tmp_path):
@@ -269,7 +319,8 @@ class TestConcurrency:
         assert a.compact()
         fresh = CacheDb(path)
         assert [fresh.get(k) for k in (ka1, ka2, kb)] == [None, func_record(3), func_record(2)]
-        assert fresh.holds(fa, [ka2]) and fresh.holds(fb, [kb])
+        assert fresh.file_hit(fa, DIGEST) == file_record((ka2, func_record(3)))
+        assert fresh.file_hit(fb, DIGEST) == file_record((kb, func_record(2)))
 
     def test_repair_keeps_records_appended_after_load(self, tmp_path):
         # A and B load a store with a bad checksum; B's store repairs it, C
@@ -372,5 +423,107 @@ class TestLiveness:
         assert CacheDb(str(path)).compact() is due
         fresh = CacheDb(str(path))
         assert os.path.getsize(path) == (size - live // 4 - extra if due else size)
-        assert fresh.get(key) == record[0][1]
+        assert fresh.get(key) == record[2][0][1]
         assert (fresh.get(dead_key) is None) is due  # a superseded record answers until then
+
+
+class TestFileTier:
+    """A file whose bytes match its record is answered from the record,
+    with no lexing or parsing."""
+
+    FILES = ("a.c", "b.c", "c.c")
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The paths `cli` parses from now on."""
+        parsed = []
+        real = cli.parse_bytes
+
+        def counting(data, path):
+            parsed.append(path)
+            return real(data, path)
+
+        monkeypatch.setattr(cli, "parse_bytes", counting)
+        return parsed
+
+    def test_all_hit_run_parses_nothing(self, ws, capsys, monkeypatch):
+        expected = run(capsys, "--format", "json", "--no-cache", *self.FILES)[:2]
+        run(capsys, "--db", "c.db", *self.FILES)
+
+        def refuse(*args):
+            raise AssertionError("a file-tier hit parsed its file")
+
+        monkeypatch.setattr(cli, "parse_bytes", refuse)
+        monkeypatch.setattr(F, "parse", refuse)
+        monkeypatch.setattr(F, "_lex", refuse)
+        assert run(capsys, "--format", "json", "--db", "c.db", *self.FILES)[:2] == expected
+        code, _, err = run(capsys, "--db", "c.db", *self.FILES)
+        assert hits(err) == (7, 7) and "cache hits: 100% (7/7)" in err
+
+    def test_whitespace_edit_misses_only_the_file_tier(self, ws, capsys, parses, monkeypatch):
+        db = ws / "c.db"
+        run(capsys, "--db", str(db), "a.c")
+        [(key, old)] = cache._parse(db.read_bytes())[0]
+        (ws / "a.c").write_text(SOURCES["a.c"].replace("}\nint g", "}\n\n  \nint g"))
+        stored = []
+        real_put = CacheDb.put
+        monkeypatch.setattr(CacheDb, "put", lambda db, *record: (stored.append(record),
+                                                                 real_put(db, *record)))
+        parses.clear()
+        assert hits(run(capsys, "--db", str(db), "a.c")[2]) == (3, 3)
+        assert parses == ["a.c"]  # a file-tier miss; every function hit
+        [(again, new)] = stored  # one record, superseding the old one
+        old = json.loads(zlib.decompress(old))
+        assert again == key and cache._parse(db.read_bytes())[0] == [(key, cache._encode(new))]
+        assert old[0] != new[0] and old[1] != new[1]  # digest and starts
+        assert [k for k, _ in old[2]] == [k for k, _ in new[2]]  # the function keys
+        blob = db.read_bytes()
+        stored.clear()
+        parses.clear()
+        assert hits(run(capsys, "--db", str(db), "a.c")[2]) == (3, 3)
+        # a file-tier hit, which stores nothing
+        assert parses == [] and stored == [] and db.read_bytes() == blob
+
+    @pytest.mark.parametrize("source", [
+        "int *f(int *p) { free(p); free(p); return p; } "
+        "int g(int *q) { int x; if (*q) { x = 1; } return x; }\n"
+        "int /* c */ * // d\n  /* e */ h() { int *r = 0; return g(r); }\n"
+        "int k(int n) { int *p = malloc(4); int i = 0; while (i < n) { i = i + 1; }"
+        " if (n) { free(p); } return 10 / n; }\n",
+        *[fx.source for fx in FIXTURES],
+    ], ids=["one-line-and-comments", *[fx.name for fx in FIXTURES]])
+    def test_a_hit_rebuilds_what_the_miss_stored(self, tmp_path, monkeypatch, source):
+        # every Diagnostic field, `function`, `loc` and `trace` included,
+        # and every counter but the hits and misses
+        (tmp_path / "s.c").write_text("\n// a comment before the first function\n" + source)
+        path = str(tmp_path / "s.c")
+        db = CacheDb(str(tmp_path / "c.db"))
+        cli._init_worker(CHECKS, CLI_CONFIG, db)
+        stored, miss, record = cli._analyze_file(path)
+        db.put(*record)
+        monkeypatch.setattr(cli, "parse_bytes", None)  # a hit must not call it
+        diagnostics, hit, again = cli._analyze_file(path)
+        assert diagnostics == stored and again is None
+        assert all(d.loc.file == path and d.function for d in diagnostics)
+        assert (hit.functions, hit.content_tasks, hit.content_skipped) == \
+            (miss.functions, miss.content_tasks, miss.content_skipped)
+        assert (hit.cache_hits, hit.cache_misses) == (miss.functions, 0)
+
+    def test_digest_mismatch_is_a_miss_never_a_stale_report(self, ws, capsys, parses):
+        db = ws / "c.db"
+        run(capsys, "--db", str(db), *self.FILES)
+        # same length, so every function starts where it did
+        (ws / "c.c").write_text(SOURCES["c.c"].replace("10 / x", "10 + x"))
+        expected = run(capsys, "--format", "json", "--no-cache", *self.FILES)[:2]
+        parses.clear()
+        assert run(capsys, "--format", "json", "--db", str(db), *self.FILES)[:2] == expected
+        assert parses == ["c.c"]
+
+    def test_file_hit_needs_the_digest_it_stored(self, tmp_path):
+        db = CacheDb(str(tmp_path / "c.db"))
+        record = file_record(("b" * 64, func_record(1)), ("c" * 64, func_record(2)))
+        db.put("a" * 64, record)
+        assert db.file_hit("a" * 64, DIGEST) == record
+        assert db.file_hit("a" * 64, "1" * 32) is None
+        assert db.file_hit("d" * 64, DIGEST) is None
+        assert db._functions is None  # the function map was never built

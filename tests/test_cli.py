@@ -440,10 +440,16 @@ class TestJobs:
                   "from ctl_lint.cli import main\n"
                   "sys.exit(main(sys.argv[1:]))\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "analyze", "--format", "json", "--no-cache",
-             "--jobs", "2", *paths], capture_output=True, text=True, env=env, timeout=120)
-        assert (proc.returncode, proc.stdout) == (code, expected), proc.stderr
+        db = str(tmp_path / "c.db")
+        # uncached, then a cold and a warm run, whose workers answer every
+        # file from the store they were pickled with
+        for cache_args in (["--no-cache"], ["--db", db], ["--db", db]):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "analyze", "--format", "json", *cache_args,
+                 "--jobs", "2", *paths], capture_output=True, text=True, env=env, timeout=120)
+            assert (proc.returncode, proc.stdout) == (code, expected), proc.stderr
+        assert "cache hits: 100% (5/5)" in run(capsys, "analyze", "--db", db, "--jobs", "1",
+                                               *paths)[2]
 
     def test_one_process_runs_import_no_pool(self, ws):
         # the process pool's modules cost start-up time that only --jobs > 1 needs

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import logging
 import os
@@ -35,6 +36,16 @@ def ids(diags):
     return sorted(d.check_id for d in diags)
 
 
+def clean(tasks: int) -> list:
+    """The record of a clean function with `tasks` tasks."""
+    return [[], [False, [], []], tasks, 0]
+
+
+def file_record(function_key: str, tasks: int) -> list:
+    """A v5 file record of one `clean` function."""
+    return ["0" * 32, [0], [[function_key, clean(tasks)]]]
+
+
 class TestSummaries:
     @pytest.fixture(autouse=True)
     def _db(self, tmp_path):
@@ -44,7 +55,7 @@ class TestSummaries:
         """Each function's summary from the unit's cache record, which
         lists the functions in source order."""
         tu = F.parse(src, "a.c")
-        _, (_, functions) = analyze_unit(tu, CHECKS, self.db, CONFIG)
+        _, (_, (_, _, functions)) = analyze_unit(tu, CHECKS, self.db, CONFIG)
         return {f.name: FunctionSummary(f.name, may_null, frozenset(frees), frozenset(derefs))
                 for f, (_, (_, (may_null, frees, derefs), _, _))
                 in zip(tu.functions, functions, strict=True)}
@@ -261,13 +272,13 @@ class TestCache:
         db_file = tmp_path / "c.db"
         db_path = str(db_file)
         db = CacheDb(db_path)
-        db.put("a" * 64, [["b" * 64, [1]]])
+        db.put("a" * 64, file_record("b" * 64, 1))
         size = db_file.stat().st_size
-        db.put("a" * 64, [["b" * 64, [1]]])
-        CacheDb(db_path).put("a" * 64, [["b" * 64, [1]]])
+        db.put("a" * 64, file_record("b" * 64, 1))
+        CacheDb(db_path).put("a" * 64, file_record("b" * 64, 1))
         assert db_file.stat().st_size == size
-        db.put("a" * 64, [["b" * 64, [2]]])  # a changed record is appended
-        assert CacheDb(db_path).get("b" * 64) == [2]
+        db.put("a" * 64, file_record("b" * 64, 2))  # a changed record is appended
+        assert CacheDb(db_path).get("b" * 64) == clean(2)
 
     def test_bad_header_starts_fresh(self, tmp_path, caplog):
         db_file = tmp_path / "c.db"
@@ -283,19 +294,19 @@ class TestCache:
         db_file.write_text("not a cache\n")
         inode = db_file.stat().st_ino
         db = CacheDb(str(db_file))
-        db.put("a" * 64, [["c" * 64, [1]]])  # rewrites the store
-        db.put("b" * 64, [["d" * 64, [2]]])  # appends to the new one
+        db.put("a" * 64, file_record("c" * 64, 1))  # rewrites the store
+        db.put("b" * 64, file_record("d" * 64, 2))  # appends to the new one
         assert db_file.stat().st_ino != inode  # renamed over, not truncated
         assert db_file.read_bytes().startswith((CACHE_HEADER + "\n").encode())
         loaded = CacheDb(str(db_file))
-        assert (loaded.get("c" * 64), loaded.get("d" * 64)) == ([1], [2])
+        assert (loaded.get("c" * 64), loaded.get("d" * 64)) == (clean(1), clean(2))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.db"]
 
     def test_failed_rewrite_keeps_the_old_store(self, tmp_path, monkeypatch):
         db_file = tmp_path / "c.db"
         db = CacheDb(str(db_file))
-        db.put("a" * 64, [["c" * 64, [1]]])
-        db.put("b" * 64, [["d" * 64, [2]]])
+        db.put("a" * 64, file_record("c" * 64, 1))
+        db.put("b" * 64, file_record("d" * 64, 2))
         with open(db_file, "ab") as fh:
             fh.write(b"garbage\n")  # a corrupt tail: the next store rewrites
         old = db_file.read_bytes()
@@ -324,16 +335,17 @@ class TestCache:
         db = CacheDb(str(db_file))
         monkeypatch.setattr(cache, "open", failing_open, raising=False)
         with pytest.raises(OSError):
-            db.put("e" * 64, [["f" * 64, [3]]])
+            db.put("e" * 64, file_record("f" * 64, 3))
         monkeypatch.undo()
         assert db_file.read_bytes() == old
         loaded = CacheDb(str(db_file))
-        assert (loaded.get("c" * 64), loaded.get("d" * 64)) == ([1], [2])
+        assert (loaded.get("c" * 64), loaded.get("d" * 64)) == (clean(1), clean(2))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.db"]
 
     def test_record_format(self, tmp_path):
         db_file = tmp_path / "c.db"
-        analyze("int f() { return 1; }\n", CacheDb(str(db_file)))
+        src = "// f starts after this line\nint f() { return 1; }\n"
+        analyze(src, CacheDb(str(db_file)))
         header, head, rest = db_file.read_bytes().split(b"\n", 2)
         assert header.decode() == CACHE_HEADER
         key, length, crc = head.decode().split(" ")
@@ -341,12 +353,14 @@ class TestCache:
         assert rest == payload + b"\n"  # the file's one record, then the end
         assert key == cache.file_key("test.c", CONFIG.checkset_text, CONFIG.max_witnesses)
         assert int(crc, 16) == zlib.crc32(key.encode() + payload)  # of the compressed bytes
-        # zlib-compressed canonical JSON: [[function key, [diagnostics,
-        #   [may_return_null, always_frees, derefs_param_unchecked], tasks,
-        #   skipped]], ...]
+        # zlib-compressed canonical JSON: [digest, [start offset, ...],
+        #   [[function key, [diagnostics, [may_return_null, always_frees,
+        #   derefs_param_unchecked], tasks, skipped]], ...]]
         text = zlib.decompress(payload)
         assert text == canonical_json(json.loads(text)).encode()
-        [[function_key, record]] = json.loads(text)
+        digest, starts, [[function_key, record]] = json.loads(text)
+        assert digest == hashlib.sha256(src.encode()).hexdigest()[:32]
+        assert starts == [src.index("int f")]
         assert len(function_key) == 64 and all(c in "0123456789abcdef" for c in function_key)
         assert record == [[], [False, [], []], 0, 0]
 
@@ -401,16 +415,27 @@ class TestAnalyzeUnit:
         def record(src, file="a.c"):
             return analyze_unit(F.parse(src, file), CHECKS, db, CONFIG)[1]
 
-        key, functions = record(src)
+        key, stored = record(src)
+        digest, starts, functions = stored
         assert key == cache.file_key("a.c", CONFIG.checkset_text, CONFIG.max_witnesses)
         assert len(functions) == 2  # f's and g's, in source order
+        assert digest == F.source_digest(src.encode())
+        assert starts == [0, src.index("int g")]
         assert not os.path.exists(db.path)  # analyze_unit only reads the store
-        db.put(key, functions)
-        assert record(src) is None  # every function hit, and the store lists them
-        # every function hits, but the path or the function list is new
+        db.put(key, stored)
+        size = os.path.getsize(db.path)
+        # every function hits: the same record, which the store holds byte for byte
+        assert record(src) == (key, stored)
+        db.put(key, stored)
+        assert os.path.getsize(db.path) == size
+        # every function hits, but the path, the bytes or the function list is new
         assert record(src, "b.c") == (
-            cache.file_key("b.c", CONFIG.checkset_text, CONFIG.max_witnesses), functions)
-        assert record(src.split("\n")[0]) == (key, functions[:1])
+            cache.file_key("b.c", CONFIG.checkset_text, CONFIG.max_witnesses), stored)
+        spaced = src.replace("\n", "\n\n")
+        assert record(spaced) == (key, [F.source_digest(spaced.encode()),
+                                        [0, spaced.index("int g")], functions])
+        one = src.split("\n")[0]
+        assert record(one) == (key, [F.source_digest(one.encode()), [0], functions[:1]])
 
     def test_cache_hits_build_no_cfg(self, monkeypatch, tmp_path):
         built = []

@@ -124,6 +124,7 @@ class CacheDb:
         self._needs_rewrite = False
         self._undecodable: dict[str, bytes] = {}  # payloads to drop at the rewrite
         self._functions: dict[str, list] | None = None  # function key -> record
+        self._hits: dict[str, tuple[bytes, list]] = {}  # what file_hit inflated, for _decode
         self._load()
 
     def _load(self) -> None:
@@ -188,7 +189,8 @@ class CacheDb:
         """Build the function map from every record, superseded ones too."""
         self._functions = {}
         for key, payload in self._records:
-            record = self._inflate(key, payload)
+            kept = self._hits.get(key)
+            record = kept[1] if kept and kept[0] == payload else self._inflate(key, payload)
             if record is not None:
                 self._functions.update(record[2])
 
@@ -197,6 +199,8 @@ class CacheDb:
         `source_digest` is `digest`.  It inflates that record alone."""
         payload = self._entries.get(key)
         record = self._inflate(key, payload) if payload is not None else None
+        if record is not None:
+            self._hits[key] = payload, record
         return record if record is not None and record[0] == digest else None
 
     def get(self, key: str) -> list | None:

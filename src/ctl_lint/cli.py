@@ -6,9 +6,10 @@ crash never reads as "findings".  Severity and check-id filters are
 applied at render time only; the analysis itself always runs the whole
 active check set so cache entries stay filter-independent.
 
-`--jobs N` maps whole files over N worker processes, which only read the
-cache; this process writes each file's record, in input order, and
-compacts the cache at the end of a run.
+This process answers the files that hit the cache, and `--jobs N` maps
+the others over up to N worker processes, which only read the cache; this
+process writes each file's record, in input order, and compacts the cache
+at the end of a run.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ options:
   --no-cache            do not read or write the cache database
   --max-witnesses N     counterexamples examined per diagnostic (default 5)
   --min-severity S      error|warning|info rendering threshold (default info)
-  --jobs N              worker processes, one file each at a time
+  --jobs N              worker processes for the files the cache misses
                         (default: the CPUs this process may run on)
   --dump-cfg            print each function's CFG as DOT and exit
   --specs FILE.chk      extra check specifications (repeatable)
@@ -175,7 +176,7 @@ def _read(path: str) -> bytes:
         return fh.read()
 
 
-# (checks, config, db) of the files this process analyzes
+# (checks, config, db) of the files this process answers or analyzes
 _worker: tuple[list[CheckSpec], EngineConfig, CacheDb | None] | None = None
 
 
@@ -186,17 +187,28 @@ def _init_worker(checks: list[CheckSpec], config: EngineConfig,
 
 
 def _analyze_file(path: str) -> tuple[list[Diagnostic], Counters, tuple[str, list] | None]:
-    """One file's diagnostics, counters and record to store.  A file whose
-    bytes match its record is answered from the record, with no parsing."""
+    """One missed file's diagnostics, counters and record to store."""
     checks, config, db = _worker
     counters = Counters()
-    data = _read(path)
-    hit = db and db.file_hit(file_key(path, config.checkset_text, config.max_witnesses),
-                             source_digest(data))
+    diagnostics, record = analyze_unit(parse_bytes(_read(path), path), checks, db, config,
+                                       counters)
+    return diagnostics, counters, record
+
+
+def _file_hit(path: str) -> tuple[list[Diagnostic], Counters, None] | None:
+    """What `_analyze_file` gives for a file whose bytes match its record,
+    answered from the record with no parsing, or None for a miss."""
+    _, config, db = _worker
+    try:
+        data = _read(path)
+    except OSError:  # a miss, whose worker raises the error in input order
+        return None
+    hit = db.file_hit(file_key(path, config.checkset_text, config.max_witnesses),
+                      source_digest(data))
     if hit is None:
-        diagnostics, record = analyze_unit(parse_bytes(data, path), checks, db, config, counters)
-        return diagnostics, counters, record
+        return None
     _, starts, functions = hit
+    counters = Counters()
     diagnostics = []
     for (name, line), (_, function) in zip(functions_at(data.decode("utf-8"), starts),
                                            functions):
@@ -224,20 +236,23 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     config = EngineConfig(checkset_text=checkset_text, max_witnesses=cfg.max_witnesses)
     counters = Counters()
     diagnostics: list[Diagnostic] = []
-    workers = min(cfg.jobs, len(cfg.inputs))
+    _init_worker(checks, config, db)
+    hits = [db and _file_hit(path) for path in cfg.inputs]
+    missed = [path for path, hit in zip(cfg.inputs, hits) if hit is None]
+    workers = min(cfg.jobs, len(missed))
     with contextlib.ExitStack() as stack:
         if workers > 1:
             # imported here: it costs about 20 ms, which one-process runs skip
             from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(ProcessPoolExecutor(
                 workers, initializer=_init_worker, initargs=(checks, config, db)))
-            results = pool.map(_analyze_file, cfg.inputs)
+            results = pool.map(_analyze_file, missed)
         else:
-            _init_worker(checks, config, db)
-            results = map(_analyze_file, cfg.inputs)
-        # results come in input order: the first failing file raises first,
-        # and records are stored as a one-process run would store them
-        for diags, file_counters, record in results:
+            results = map(_analyze_file, missed)
+        # results are merged in input order: the first failing file raises
+        # first, and records are stored as a one-process run would store them
+        for hit in hits:
+            diags, file_counters, record = hit or next(results)
             diagnostics.extend(diags)
             counters.add(file_counters)
             if record is not None:

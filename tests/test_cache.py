@@ -502,7 +502,7 @@ class TestFileTier:
         stored, miss, record = cli._analyze_file(path)
         db.put(*record)
         monkeypatch.setattr(cli, "parse_bytes", None)  # a hit must not call it
-        diagnostics, hit, again = cli._analyze_file(path)
+        diagnostics, hit, again = cli._file_hit(path)
         assert diagnostics == stored and again is None
         assert all(d.loc.file == path and d.function for d in diagnostics)
         assert (hit.functions, hit.content_tasks, hit.content_skipped) == \
@@ -527,3 +527,20 @@ class TestFileTier:
         assert db.file_hit("a" * 64, "1" * 32) is None
         assert db.file_hit("d" * 64, DIGEST) is None
         assert db._functions is None  # the function map was never built
+
+    def test_a_record_file_hit_inflated_is_not_inflated_again(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "c.db")
+        fa, fb, ka, kb = (c * 64 for c in "abcd")
+        db = CacheDb(path)
+        db.put(fa, file_record((ka, func_record(1))))
+        db.put(fb, file_record((kb, func_record(2))))
+        db.put(fa, file_record((ka, func_record(3))))  # supersedes fa's first record
+        fresh = CacheDb(path)
+        assert fresh.file_hit(fa, "1" * 32) is None  # a digest mismatch keeps it too
+        inflated = []
+        real = CacheDb._inflate
+        monkeypatch.setattr(CacheDb, "_inflate",
+                            lambda db, key, payload: (inflated.append(key),
+                                                      real(db, key, payload))[1])
+        assert [fresh.get(k) for k in (ka, kb)] == [func_record(3), func_record(2)]
+        assert inflated == [fa, fb]  # the superseded record of fa, and fb's

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -430,26 +431,80 @@ class TestJobs:
         assert err.startswith(f"ctl-lint: error: {paths[1]}:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("names", [
+        ["ok.c", "bad_syntax.c", "ok2.c"], ["ok.c", "missing.c", "bad_syntax.c"],
+        ["ok.c", "dir", "bad_syntax.c"], ["ok.c", "bad_syntax.c", "missing.c"]],
+        ids=["hit-bad-hit", "hit-missing-bad", "hit-dir-bad", "hit-bad-missing"])
+    def test_errors_among_hits_reported_in_input_order(self, ws, capsys, tmp_path, names):
+        # this process answers the hits; the first failing file, in input
+        # order, is still the one reported
+        ok = [ws("ok.c", DOUBLE_FREE), ws("ok2.c", LEAK)]
+        ws("bad_syntax.c", "int f( {\n")
+        (tmp_path / "dir").mkdir()
+        paths = [str(tmp_path / name) for name in names]
+        expected = run(capsys, "analyze", "--no-cache", "--jobs", "1", *paths)
+        code, out, err = expected
+        assert code == 2 and out == "" and err.count("\n") == 1 and paths[1] in err
+        db = str(tmp_path / "c.db")
+        assert run(capsys, "analyze", "--db", db, "--jobs", "1", *ok)[0] == 1
+        for jobs in ("1", "2"):
+            assert run(capsys, "analyze", "--db", db, "--jobs", jobs, *paths) == expected
+
+    def test_hits_and_one_miss_start_no_pool(self, ws, capsys, tmp_path):
+        # only missed files go to workers: an all-hit run, or one that misses
+        # a single file, starts no pool whatever --jobs says
+        paths = self._paths(ws)
+        run(capsys, "analyze", "--db", str(tmp_path / "c.db"), "--jobs", "1", *paths)
+        script = ("import sys\n"
+                  "import ctl_lint.cli\n"
+                  "code = ctl_lint.cli.main(sys.argv[1:])\n"
+                  "sys.exit(3 if 'concurrent.futures.process' in sys.modules else code)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        # an all-hit run, then one after a function is appended to one file
+        for appended, hit_line in (("", "cache hits: 100% (5/5)"),
+                                   ("int k() { return 0; }\n", "cache hits: 83% (5/6)")):
+            with open(paths[1], "a") as fh:
+                fh.write(appended)
+            shutil.copy(tmp_path / "c.db", tmp_path / "c1.db")
+            expected = run(capsys, "analyze", "--db", str(tmp_path / "c1.db"), "--jobs", "1",
+                           *paths)
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "analyze", "--db", str(tmp_path / "c.db"),
+                 "--jobs", "2", *paths], capture_output=True, text=True, env=env, timeout=120)
+            assert (proc.returncode, proc.stdout, proc.stderr) == expected
+            assert hit_line in expected[2]
+
     def test_spawned_workers_match(self, ws, capsys, tmp_path):
         # workers get their state from the pool initializer, not from fork
         paths = self._paths(ws)
-        code, expected, _ = run(capsys, "analyze", "--format", "json", "--no-cache",
-                                "--jobs", "1", *paths)
         script = ("import multiprocessing, sys\n"
                   "multiprocessing.set_start_method('spawn')\n"
                   "from ctl_lint.cli import main\n"
                   "sys.exit(main(sys.argv[1:]))\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         db = str(tmp_path / "c.db")
-        # uncached, then a cold and a warm run, whose workers answer every
-        # file from the store they were pickled with
+
+        def spawned(*args):
+            proc = subprocess.run([sys.executable, "-c", script, "analyze", *args, "--jobs", "2",
+                                   *paths], capture_output=True, text=True, env=env, timeout=120)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        # uncached, cold and warm; a warm run answers every file in the parent
+        expected = run(capsys, "analyze", "--format", "json", "--no-cache", "--jobs", "1",
+                       *paths)[:2]
         for cache_args in (["--no-cache"], ["--db", db], ["--db", db]):
-            proc = subprocess.run(
-                [sys.executable, "-c", script, "analyze", "--format", "json", *cache_args,
-                 "--jobs", "2", *paths], capture_output=True, text=True, env=env, timeout=120)
-            assert (proc.returncode, proc.stdout) == (code, expected), proc.stderr
-        assert "cache hits: 100% (5/5)" in run(capsys, "analyze", "--db", db, "--jobs", "1",
-                                               *paths)[2]
+            code, out, err = spawned("--format", "json", *cache_args)
+            assert (code, out) == expected, err
+        # a whitespace-only edit to two files: each misses the file tier, and
+        # the workers answer their functions from the store they were pickled with
+        for path in paths[:2]:
+            with open(path) as fh:
+                text = fh.read()
+            with open(path, "w") as fh:
+                fh.write("\n" + text)
+        expected = run(capsys, "analyze", "--no-cache", "--jobs", "1", *paths)[:2]
+        code, out, err = spawned("--db", db)
+        assert (code, out) == expected and "cache hits: 100% (5/5)" in err, err
 
     def test_one_process_runs_import_no_pool(self, ws):
         # the process pool's modules cost start-up time that only --jobs > 1 needs

@@ -190,7 +190,8 @@ class CacheDb:
         self._functions = {}
         for key, payload in self._records:
             kept = self._hits.get(key)
-            record = kept[1] if kept and kept[0] == payload else self._inflate(key, payload)
+            record = (self._hits.pop(key)[1] if kept and kept[0] == payload
+                      else self._inflate(key, payload))
             if record is not None:
                 self._functions.update(record[2])
 
@@ -236,7 +237,9 @@ class CacheDb:
     def compact(self) -> bool:
         """Rewrite the store with only its live records when its dead
         records take more than a quarter of the bytes the live ones take,
-        or when it is corrupt.  Returns whether the store was rewritten."""
+        or when it is corrupt.  Returns whether the store was rewritten.
+        A run ends with this, so it also drops the records `file_hit` kept."""
+        self._hits = {}
         dead = self._size - len(_HEADER_LINE) - self._live
         if not self._needs_rewrite and dead * 4 <= self._live:
             return False

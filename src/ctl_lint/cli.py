@@ -10,6 +10,13 @@ This process answers the files that hit the cache, and `--jobs N` maps
 the others over up to N worker processes, which only read the cache; this
 process writes each file's record, in input order, and compacts the cache
 at the end of a run.
+
+A run whose files all hit imports `cache`, `diagnostics` and `frontend`
+besides this module, and no analysis module: the file keys hash the text of
+the check set, which is read but not parsed.  The check set is parsed, and
+`engine` imported with the modules it uses, only when a file misses (before
+any pool forks, so workers inherit them), for `--checks`, `--dump-cfg` and
+`--list-checks`.
 """
 
 from __future__ import annotations
@@ -21,14 +28,15 @@ import logging
 import os
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .cfg import build_cfg, to_dot
 from .cache import CacheDb, file_key, unpack_function
-from .diagnostics import Diagnostic, diagnostic_to_json_obj, meets_min_severity
-from .engine import AnalysisError, Counters, EngineConfig, analyze_unit
-from .frontend import ParseError, functions_at, parse_bytes, source_digest
-from .intervals import BUFFER_OVERRUN, DIV_BY_ZERO
-from .speclang import CheckSpec, SpecError, load_checkset
+from .diagnostics import AnalysisError, Counters, Diagnostic, EngineConfig, read_checkset
+from .diagnostics import diagnostic_to_json_obj, meets_min_severity
+from .frontend import LocatedError, functions_at, parse_bytes, source_digest
+
+if TYPE_CHECKING:
+    from .speclang import CheckSpec
 
 DEFAULT_DB = ".ctl-lint.db"
 DB_ENV_VAR = "CTL_LINT_DB"
@@ -105,10 +113,6 @@ def render_summary(ds: list[Diagnostic], counters: Counters, cached: bool) -> st
     return "\n".join(lines) + "\n"
 
 
-def _known_check_ids(checks: list[CheckSpec]) -> set[str]:
-    return {c.id for c in checks} | {BUFFER_OVERRUN, DIV_BY_ZERO}
-
-
 @dataclass
 class RunConfig:
     inputs: list[str]
@@ -162,6 +166,8 @@ class UsageError(Exception):
 
 
 def _cmd_list_checks(spec_paths: list[str]) -> int:
+    from .intervals import BUFFER_OVERRUN, DIV_BY_ZERO
+    from .speclang import load_checkset
     checks, _ = load_checkset(spec_paths)
     for c in checks:
         refine = "refine" if c.refine else "no-refine"
@@ -176,11 +182,19 @@ def _read(path: str) -> bytes:
         return fh.read()
 
 
+def _checkset(sources: list[tuple[str, str]]) -> list[CheckSpec]:
+    """The check set parsed from `sources`, with the analyzer imported before
+    any pool forks.  Only a miss, `--checks` and `--dump-cfg` need them."""
+    from . import engine  # noqa: F401
+    from .speclang import parse_checkset
+    return parse_checkset(sources)
+
+
 # (checks, config, db) of the files this process answers or analyzes
-_worker: tuple[list[CheckSpec], EngineConfig, CacheDb | None] | None = None
+_worker: tuple[list[CheckSpec] | None, EngineConfig, CacheDb | None] | None = None
 
 
-def _init_worker(checks: list[CheckSpec], config: EngineConfig,
+def _init_worker(checks: list[CheckSpec] | None, config: EngineConfig,
                  db: CacheDb | None) -> None:
     global _worker
     _worker = (checks, config, db)
@@ -188,6 +202,7 @@ def _init_worker(checks: list[CheckSpec], config: EngineConfig,
 
 def _analyze_file(path: str) -> tuple[list[Diagnostic], Counters, tuple[str, list] | None]:
     """One missed file's diagnostics, counters and record to store."""
+    from .engine import analyze_unit
     checks, config, db = _worker
     counters = Counters()
     diagnostics, record = analyze_unit(parse_bytes(_read(path), path), checks, db, config,
@@ -220,13 +235,16 @@ def _file_hit(path: str) -> tuple[list[Diagnostic], Counters, None] | None:
 
 
 def _cmd_analyze(cfg: RunConfig) -> int:
-    checks, checkset_text = load_checkset(cfg.spec_paths)
+    sources, checkset_text = read_checkset(cfg.spec_paths)
+    checks = _checkset(sources) if cfg.check_ids is not None or cfg.dump_cfg else None
     if cfg.check_ids is not None:
-        unknown = cfg.check_ids - _known_check_ids(checks)
+        from .intervals import BUFFER_OVERRUN, DIV_BY_ZERO
+        unknown = cfg.check_ids - {c.id for c in checks} - {BUFFER_OVERRUN, DIV_BY_ZERO}
         if unknown:
             raise UsageError(f"unknown check ids: {', '.join(sorted(unknown))}")
 
     if cfg.dump_cfg:
+        from .cfg import build_cfg, to_dot
         for tu in [parse_bytes(_read(path), path) for path in cfg.inputs]:
             for f in tu.functions:
                 sys.stdout.write(to_dot(build_cfg(f)))
@@ -239,13 +257,15 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     _init_worker(checks, config, db)
     hits = [db and _file_hit(path) for path in cfg.inputs]
     missed = [path for path, hit in zip(cfg.inputs, hits) if hit is None]
+    if missed:
+        _init_worker(checks or _checkset(sources), config, db)
     workers = min(cfg.jobs, len(missed))
     with contextlib.ExitStack() as stack:
         if workers > 1:
             # imported here: it costs about 20 ms, which one-process runs skip
             from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(ProcessPoolExecutor(
-                workers, initializer=_init_worker, initargs=(checks, config, db)))
+                workers, initializer=_init_worker, initargs=_worker))
             results = pool.map(_analyze_file, missed)
         else:
             results = map(_analyze_file, missed)
@@ -293,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"ctl-lint: error: {exc}\n{_USAGE}")
         return 2
-    except (ParseError, SpecError, AnalysisError) as exc:
+    except (LocatedError, AnalysisError) as exc:
         sys.stderr.write(f"ctl-lint: error: {exc}\n")
         return 2
     except OSError as exc:

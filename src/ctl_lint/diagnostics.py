@@ -1,8 +1,10 @@
-"""Diagnostic records shared by the analysis engines and the reporters."""
+"""What the analysis engines and the reporters share, and all a cache hit needs of them."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from importlib import resources
 
 from .frontend import SourceLocation
 
@@ -43,3 +45,49 @@ def diagnostic_to_json_obj(d: Diagnostic) -> dict:
         "confidence": d.confidence,
         "trace": [{"line": t.line, "column": t.column} for t in d.trace],
     }
+
+
+def read_checkset(spec_paths: Sequence[str] = ()) -> tuple[list[tuple[str, str]], str]:
+    """The (file, text) of the builtin checks and of each spec file, in
+    order, and the text of all of them, which cache keys hash."""
+    sources = [("builtin.chk",
+                resources.files(__package__).joinpath("builtin.chk").read_text("utf-8"))]
+    for path in spec_paths:
+        with open(path, "r", encoding="utf-8") as fh:
+            sources.append((path, fh.read()))
+    return sources, "\n\x00\n".join(text for _, text in sources)
+
+
+class AnalysisError(Exception):
+    """The unit is not analyzable (well-formedness failures)."""
+
+    def __init__(self, errors):
+        super().__init__("; ".join(str(e) for e in errors))
+        self.errors = list(errors)
+
+    def __reduce__(self):
+        return type(self), (self.errors,)
+
+
+@dataclass
+class EngineConfig:
+    checkset_text: str = ""
+    max_witnesses: int = 5
+
+
+@dataclass
+class Counters:
+    functions: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    # content view: totals a fresh analysis of the same sources would report
+    content_tasks: int = 0
+    content_skipped: int = 0
+
+    def merge_content(self, tasks: int, skipped: int) -> None:
+        self.content_tasks += tasks
+        self.content_skipped += skipped
+
+    def add(self, other: Counters) -> None:
+        for name, value in vars(other).items():
+            setattr(self, name, getattr(self, name) + value)

@@ -10,8 +10,6 @@ again; `analyze_unit` only reads the store, and its caller writes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import frontend as ast
 from .cache import (
     CacheDb, FunctionResult, FunctionSummary, cache_key, canonical_json, file_key, pack_function,
@@ -19,7 +17,7 @@ from .cache import (
 )
 from .cfg import Cfg, build_cfg, to_kripke
 from .ctl import And, EU, EX, Not, Prop, TRUE, check, witness
-from .diagnostics import CONFIRMED, Diagnostic, UNCONFIRMED
+from .diagnostics import AnalysisError, CONFIRMED, Counters, Diagnostic, EngineConfig, UNCONFIRMED
 from .frontend import FunctionDef, TranslationUnit, check_well_formed
 from .intervals import analyze as interval_analyze, check_sites, interval_checks
 from .refine import (
@@ -30,17 +28,6 @@ from .speclang import (
 )
 
 DEAD_CODE_ID = "dead-code"
-
-
-class AnalysisError(Exception):
-    """The unit is not analyzable (well-formedness failures)."""
-
-    def __init__(self, errors):
-        super().__init__("; ".join(str(e) for e in errors))
-        self.errors = list(errors)
-
-    def __reduce__(self):
-        return type(self), (self.errors,)
 
 
 # ---------------------------------------------------------------------------
@@ -217,30 +204,6 @@ _MESSAGES = {
 def _message_for(check_id: str, var: str) -> str:
     template = _MESSAGES.get(check_id, "check '{id}' matched for '{var}'")
     return template.format(var=var, id=check_id)
-
-
-@dataclass
-class EngineConfig:
-    checkset_text: str = ""
-    max_witnesses: int = 5
-
-
-@dataclass
-class Counters:
-    functions: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    # content view: totals a fresh analysis of the same sources would report
-    content_tasks: int = 0
-    content_skipped: int = 0
-
-    def merge_content(self, tasks: int, skipped: int) -> None:
-        self.content_tasks += tasks
-        self.content_skipped += skipped
-
-    def add(self, other: Counters) -> None:
-        for name, value in vars(other).items():
-            setattr(self, name, getattr(self, name) + value)
 
 
 def _trace_anchor(task: CheckTask, trace) -> int:

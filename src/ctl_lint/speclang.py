@@ -29,7 +29,6 @@ from __future__ import annotations
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
-from importlib import resources
 
 from . import frontend as ast
 from .cfg import Cfg, Fact, KripkeStructure, to_kripke
@@ -37,6 +36,7 @@ from .ctl import (
     AF, AG, AU, AX, And, CtlFormula, EF, EG, EU, EX, Implies, Not, Or, Prop,
     is_witnessable, props_of,
 )
+from .diagnostics import read_checkset
 from .frontend import LocatedError, SourceLocation, Token, tokenize
 
 
@@ -303,25 +303,23 @@ def parse_checks(text: str, file: str = "<checks>") -> list[CheckSpec]:
 
 
 def load_checkset(spec_paths: Sequence[str] = ()) -> tuple[list[CheckSpec], str]:
-    """The builtin checks followed by those of each spec file, and the text
-    of all of them, which cache keys hash.  Check ids must be unique, and
-    each property must have single-path witnesses, which every finding
-    reports as its trace."""
-    builtin_text = resources.files(__package__).joinpath("builtin.chk").read_text("utf-8")
-    texts = [builtin_text]
-    checks = parse_checks(builtin_text, "builtin.chk")
-    for path in spec_paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        texts.append(text)
-        checks.extend(parse_checks(text, path))
+    """The checks `read_checkset` reads, parsed, and the text it gives."""
+    sources, text = read_checkset(spec_paths)
+    return parse_checkset(sources), text
+
+
+def parse_checkset(sources: list[tuple[str, str]]) -> list[CheckSpec]:
+    """The checks of each (file, text) of `read_checkset`, in order.  Check
+    ids must be unique, and each property must have single-path witnesses,
+    which every finding reports as its trace."""
+    checks = [c for file, text in sources for c in parse_checks(text, file)]
     ids = [c.id for c in checks]
     for c in checks:
         if ids.count(c.id) > 1:
             raise SpecError(c.loc, f"duplicate check id '{c.id}' across spec files")
         if not is_witnessable(c.prop):
             raise SpecError(c.loc, f"the property of '{c.id}' has no single-path witness")
-    return checks, "\n\x00\n".join(texts)
+    return checks
 
 
 # ---------------------------------------------------------------------------

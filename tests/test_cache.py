@@ -94,7 +94,7 @@ class TestCorruption:
         # gives the report of an uncached run and no internal error.  For
         # speed, every run reuses one loaded check set, and rewrites skip
         # the disk flush, which no in-process run can observe.
-        monkeypatch.setattr(cli, "load_checkset", lambda paths: (CHECKS, CHECKSET_TEXT))
+        monkeypatch.setattr(cli, "_checkset", lambda sources: CHECKS)
         monkeypatch.setattr(os, "fsync", lambda fd: None)
         (ws / "s.c").write_text("int f() { int x; return x; }\nint g() { return f(); }\n")
         expected = run(capsys, "--format", "json", "--no-cache", "s.c")[:2]
@@ -527,6 +527,25 @@ class TestFileTier:
         assert db.file_hit("a" * 64, "1" * 32) is None
         assert db.file_hit("d" * 64, DIGEST) is None
         assert db._functions is None  # the function map was never built
+
+    def test_an_all_hit_run_keeps_no_inflated_record(self, ws, capsys, monkeypatch):
+        # what `file_hit` inflated serves only `get`, which an all-hit run never calls
+        run(capsys, "--db", "c.db", *self.FILES)
+        stores = []
+        monkeypatch.setattr(cli, "CacheDb",
+                            lambda path: stores.append(CacheDb(path)) or stores[-1])
+        assert hits(run(capsys, "--db", "c.db", *self.FILES)[2]) == (7, 7)
+        [db] = stores
+        assert db._hits == {} and db._functions is None
+
+    def test_a_reused_record_is_not_kept(self, tmp_path):
+        db = CacheDb(str(tmp_path / "c.db"))
+        db.put("a" * 64, file_record(("b" * 64, func_record(1))))
+        db.put("c" * 64, file_record(("d" * 64, func_record(2))))
+        fresh = CacheDb(str(tmp_path / "c.db"))
+        assert fresh.file_hit("a" * 64, DIGEST) and fresh.file_hit("c" * 64, DIGEST)
+        assert fresh.get("d" * 64) == func_record(2)
+        assert fresh._hits == {}  # `_decode` reused both, and dropped them
 
     def test_a_record_file_hit_inflated_is_not_inflated_again(self, tmp_path, monkeypatch):
         path = str(tmp_path / "c.db")

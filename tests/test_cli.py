@@ -376,6 +376,62 @@ check eventually-deref {{
         assert files == sorted(files)
 
 
+class TestCheckSetOnHits:
+    """A run whose files all hit reads the check set without parsing it;
+    every check-set error and `--checks` filter still behaves as uncached."""
+
+    @pytest.fixture
+    def warm(self, ws, capsys, tmp_path):
+        """The paths of two files, and `--db` for a store they all hit."""
+        paths = [ws("a.c", DOUBLE_FREE), ws("b.c", "int *g() { int *p = 0; return *p; }\n")]
+        db = ["--db", str(tmp_path / "c.db")]
+        run(capsys, "analyze", *db, *paths)
+        assert "cache hits: 100% (2/2)" in run(capsys, "analyze", *db, *paths)[2]
+        return paths, db
+
+    def test_checks(self, warm, capsys):
+        paths, db = warm
+        for checks in ("nosuch", "null-deref,nosuch"):
+            expected = run(capsys, "analyze", "--no-cache", "--checks", checks, *paths)
+            assert expected[0] == 2 and "unknown check ids: nosuch" in expected[2]
+            assert run(capsys, "analyze", *db, "--checks", checks, *paths) == expected
+        code, out, err = run(capsys, "analyze", "--no-cache", "--checks", "null-deref", *paths)
+        assert code == 1 and "[null-deref]" in out and "[double-free]" not in out
+        assert run(capsys, "analyze", *db, "--checks", "null-deref", *paths)[:2] == (code, out)
+
+    def test_spec_file_errors(self, warm, ws, capsys):
+        paths, db = warm
+        chk = ws("my.chk", "check seen {\n  severity: info\n  forall $v: pointer\n"
+                           "  label f := free_of($v)\n  property: EF f\n}\n")
+        run(capsys, "analyze", *db, "--specs", chk, *paths)
+        assert "100%" in run(capsys, "analyze", *db, "--specs", chk, *paths)[2]
+        ws("my.chk", "check seen {\n")  # malformed after a warm run
+        missing = chk + ".missing"
+        for specs in ([chk], [missing], [chk, missing]):
+            args = [a for spec in specs for a in ("--specs", spec)]
+            expected = run(capsys, "analyze", "--no-cache", *args, *paths)
+            assert expected[0] == 2 and expected[2].startswith("ctl-lint: error: ")
+            assert run(capsys, "analyze", *db, *args, *paths) == expected
+        # every spec file is read before any is parsed: a missing one is
+        # reported before a malformed one named ahead of it
+        assert "No such file" in expected[2]
+
+    def test_undeclared_name_after_a_hit(self, warm, ws, capsys):
+        paths, db = warm
+        bad = ws("undeclared.c", "int f() { return y; }\n")
+        expected = run(capsys, "analyze", "--no-cache", paths[0], bad)
+        assert expected == (2, "", f"ctl-lint: error: {bad}:1:18: undeclared 'y'\n")
+        assert run(capsys, "analyze", *db, paths[0], bad) == expected
+
+    def test_dump_cfg_and_list_checks(self, warm, capsys):
+        paths, db = warm
+        expected = run(capsys, "analyze", "--no-cache", "--dump-cfg", *paths)
+        assert expected[0] == 0 and expected[1].startswith('digraph "f"')
+        assert run(capsys, "analyze", *db, "--dump-cfg", *paths) == expected
+        code, out, _ = run(capsys, "--list-checks")
+        assert code == 0 and out.splitlines()[-1].startswith("div-by-zero")
+
+
 class TestJobs:
     """`--jobs N` maps whole files over N worker processes; nothing a run
     prints or stores may depend on N."""
@@ -473,6 +529,44 @@ class TestJobs:
                  "--jobs", "2", *paths], capture_output=True, text=True, env=env, timeout=120)
             assert (proc.returncode, proc.stdout, proc.stderr) == expected
             assert hit_line in expected[2]
+
+    def test_hits_import_no_analysis_module(self, ws, capsys, tmp_path):
+        # a file-tier hit needs the check set's text, not its parse, and no
+        # analysis module; a miss imports them in the parent, before a pool forks
+        paths = self._paths(ws)
+        db = str(tmp_path / "c.db")
+        run(capsys, "analyze", "--db", db, "--jobs", "1", *paths)
+        script = ("import json, sys\n"
+                  "import ctl_lint.cli\n"
+                  "code = ctl_lint.cli.main(sys.argv[2:])\n"
+                  "with open(sys.argv[1], 'w') as fh:\n"
+                  "    json.dump(sorted(m for m in sys.modules if m.startswith('ctl_lint')), fh)\n"
+                  "sys.exit(code)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        loaded = tmp_path / "loaded.json"
+
+        def fresh(*args):
+            proc = subprocess.run([sys.executable, "-c", script, str(loaded), "analyze", *args],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            return (proc.returncode, proc.stdout, proc.stderr), json.loads(loaded.read_text())
+
+        hit_modules = ["ctl_lint", "ctl_lint.cache", "ctl_lint.cli", "ctl_lint.diagnostics",
+                       "ctl_lint.frontend"]
+        for fmt in ("text", "json"):
+            expected = run(capsys, "analyze", "--format", fmt, "--db", db, "--jobs", "1", *paths)
+            assert fmt == "json" or "cache hits: 100% (5/5)" in expected[2]
+            for jobs in ("1", "2"):
+                assert fresh("--format", fmt, "--db", db, "--jobs", jobs, *paths) == \
+                    (expected, hit_modules)
+        # two edited files miss, and go to a pool of two workers
+        for i, path in enumerate(paths[:2]):
+            with open(path, "a") as fh:
+                fh.write(f"int k{i}() {{ return {i}; }}\n")
+        shutil.copy(db, tmp_path / "c1.db")
+        expected = run(capsys, "analyze", "--db", str(tmp_path / "c1.db"), "--jobs", "1", *paths)
+        assert "cache hits: 71% (5/7)" in expected[2]
+        outcome, modules = fresh("--db", db, "--jobs", "2", *paths)
+        assert outcome == expected and "ctl_lint.engine" in modules
 
     def test_spawned_workers_match(self, ws, capsys, tmp_path):
         # workers get their state from the pool initializer, not from fork

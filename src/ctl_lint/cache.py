@@ -93,7 +93,7 @@ class CacheDb:
     offset and `[function key, function record]` (as `pack_function`
     makes it), in source order.  `file_hit` returns the record of a file
     whose bytes are unchanged; `get` finds a function by its key in any
-    record the store holds, through a map decoded once, on first use.
+    record the store held at its first call; a later `put` is not seen.
 
     A later record for a key supersedes an earlier one, and that is the
     whole liveness rule: the live records are the last one for each key,
@@ -206,7 +206,7 @@ class CacheDb:
 
     def get(self, key: str) -> list | None:
         """The record of the function with content key `key`, from whichever
-        record holds it."""
+        record the store held when `get` was first called."""
         if self._functions is None:
             self._decode()
         return self._functions.get(key)
@@ -231,8 +231,6 @@ class CacheDb:
             self._live += _framed_size(payload) - (_framed_size(old) if old is not None else 0)
             self._records.append((key, payload))
             self._entries[key] = payload
-        if self._functions is not None:
-            self._functions.update(obj[2])
 
     def compact(self) -> bool:
         """Rewrite the store with only its live records when its dead

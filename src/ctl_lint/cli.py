@@ -6,10 +6,10 @@ crash never reads as "findings".  Severity and check-id filters are
 applied at render time only; the analysis itself always runs the whole
 active check set so cache entries stay filter-independent.
 
-This process answers the files that hit the cache, and `--jobs N` maps
-the others over up to N worker processes, which only read the cache; this
-process writes each file's record, in input order, and compacts the cache
-at the end of a run.
+This process answers the files that hit the cache and maps the others over
+at most `--jobs` workers, one per missed file and per `POOL_BYTES` of their
+source, or analyzes them itself when that allows fewer than two.  Workers
+only read the cache; this process writes it, in input order, and compacts it.
 
 A run whose files all hit imports `cache`, `diagnostics` and `frontend`
 besides this module, and no analysis module: the file keys hash the text of
@@ -40,6 +40,7 @@ if TYPE_CHECKING:
 
 DEFAULT_DB = ".ctl-lint.db"
 DB_ENV_VAR = "CTL_LINT_DB"
+POOL_BYTES = 16 * 1024  # missed source per worker: less is cheaper in-process
 
 _USAGE = """\
 usage: ctl-lint analyze [options] FILE...
@@ -53,8 +54,8 @@ options:
   --no-cache            do not read or write the cache database
   --max-witnesses N     counterexamples examined per diagnostic (default 5)
   --min-severity S      error|warning|info rendering threshold (default info)
-  --jobs N              worker processes for the files the cache misses
-                        (default: the CPUs this process may run on)
+  --jobs N              at most N worker processes for the files the cache
+                        misses (default: the CPUs this process may run on)
   --dump-cfg            print each function's CFG as DOT and exit
   --specs FILE.chk      extra check specifications (repeatable)
 """
@@ -210,18 +211,19 @@ def _analyze_file(path: str) -> tuple[list[Diagnostic], Counters, tuple[str, lis
     return diagnostics, counters, record
 
 
-def _file_hit(path: str) -> tuple[list[Diagnostic], Counters, None] | None:
-    """What `_analyze_file` gives for a file whose bytes match its record,
-    answered from the record with no parsing, or None for a miss."""
+def _file_hit(path: str) -> tuple[int, tuple[list[Diagnostic], Counters, None] | None]:
+    """The file's size, 0 when it cannot be read, and what `_analyze_file`
+    gives for it when its bytes match its record, answered from the record
+    with no parsing, or None for a miss."""
     _, config, db = _worker
     try:
         data = _read(path)
     except OSError:  # a miss, whose worker raises the error in input order
-        return None
+        return 0, None
     hit = db.file_hit(file_key(path, config.checkset_text, config.max_witnesses),
                       source_digest(data))
     if hit is None:
-        return None
+        return len(data), None
     _, starts, functions = hit
     counters = Counters()
     diagnostics = []
@@ -231,7 +233,19 @@ def _file_hit(path: str) -> tuple[list[Diagnostic], Counters, None] | None:
         diagnostics.extend(result.diagnostics)
         counters.merge_content(result.tasks, result.skipped)
     counters.functions = counters.cache_hits = len(functions)
-    return sorted(diagnostics, key=Diagnostic.sort_key), counters, None
+    return len(data), (sorted(diagnostics, key=Diagnostic.sort_key), counters, None)
+
+
+def _size(path: str) -> int:
+    try:
+        return os.path.getsize(path) if os.path.isfile(path) else 0
+    except OSError:  # counted as empty; its worker raises the error in input order
+        return 0
+
+
+def pool_workers(jobs: int, files: int, source_bytes: int) -> int:
+    """Workers for the missed files; fewer than two means no pool."""
+    return min(jobs, files, source_bytes // POOL_BYTES)
 
 
 def _cmd_analyze(cfg: RunConfig) -> int:
@@ -255,11 +269,12 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     counters = Counters()
     diagnostics: list[Diagnostic] = []
     _init_worker(checks, config, db)
-    hits = [db and _file_hit(path) for path in cfg.inputs]
+    sizes, hits = zip(*(_file_hit(path) if db else (_size(path), None) for path in cfg.inputs))
     missed = [path for path, hit in zip(cfg.inputs, hits) if hit is None]
     if missed:
         _init_worker(checks or _checkset(sources), config, db)
-    workers = min(cfg.jobs, len(missed))
+    missed_bytes = sum(size for size, hit in zip(sizes, hits) if hit is None)
+    workers = pool_workers(cfg.jobs, len(missed), missed_bytes)
     with contextlib.ExitStack() as stack:
         if workers > 1:
             # imported here: it costs about 20 ms, which one-process runs skip

@@ -13,6 +13,21 @@ def builtin_checks():
 
 
 @pytest.fixture
+def pools(monkeypatch):
+    """The worker count of each process pool the test's in-process runs start."""
+    import concurrent.futures
+    started: list[int] = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, workers, *args, **kwargs):
+            started.append(workers)
+            super().__init__(workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return started
+
+
+@pytest.fixture
 def analyze(builtin_checks):
     """Parse and analyze a source snippet with the builtin catalog."""
 

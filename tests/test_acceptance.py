@@ -20,7 +20,7 @@ import pytest
 
 from ctl_lint import frontend as F
 from ctl_lint.cfg import build_cfg
-from ctl_lint.cli import _available_cpus, main as cli_main
+from ctl_lint.cli import _available_cpus, main as cli_main, pool_workers
 from ctl_lint.ctl import EF, EU, EX, And, Not, Or, Prop, check, is_witnessable, witness
 from ctl_lint.engine import CacheDb, Counters, EngineConfig, analyze_unit
 from ctl_lint.intervals import analyze as interval_analyze, iteration_cap
@@ -288,11 +288,11 @@ def test_criterion_7_determinism_and_cache_transparency(tmp_path, capsys):
         assert "cache hits: 100%" in err
 
         # an edit re-analyzes only the edited function plus summary-dependent
-        # callers
+        # callers; each call opens the store afresh, as a CLI run does
         config = EngineConfig(checkset_text=BUILTIN_TEXT, max_witnesses=5)
-        db2 = CacheDb(str(tmp_path / "e.db"))
 
         def analyze_stored(src, counters=None):
+            db2 = CacheDb(str(tmp_path / "e.db"))
             _, record = analyze_unit(F.parse(src, "d.c"), CHECKS, db2, config, counters)
             if record is not None:
                 db2.put(*record)
@@ -373,6 +373,9 @@ def test_criterion_8_many_small_tasks_throughput(tmp_path, capsys):
         code1, out1, one = run("1")
         code4, out4, quad = run("4")
         assert (code4, out4) == (code1, out1)  # scheduling never changes results
+        # enough source for four workers, so a host with 4 CPUs measures four
+        source_bytes = sum(os.path.getsize(p) for p in paths)
+        assert pool_workers(4, len(paths), source_bytes) == 4, source_bytes
 
     cpus = _available_cpus()
     if cpus < 4:

@@ -17,7 +17,7 @@ import pytest
 
 from ctl_lint import cache, cli
 from ctl_lint import frontend as F
-from ctl_lint.cli import main
+from ctl_lint.cli import POOL_BYTES, main
 from ctl_lint.cache import CacheDb, canonical_json
 from ctl_lint.engine import EngineConfig, analyze_unit
 from ctl_lint.speclang import load_checkset
@@ -234,18 +234,20 @@ class TestCorruption:
 
 class TestFormat:
     def test_fixture_store_is_the_same_at_any_jobs_and_compressed(self, tmp_path, capsys,
-                                                                   monkeypatch):
+                                                                   monkeypatch, pools):
         monkeypatch.chdir(tmp_path)
+        # a trailing comment gives the fixtures source enough for two workers
+        pad = "//" + "." * (2 * POOL_BYTES // len(FIXTURES)) + "\n"
         paths = []
         for fx in FIXTURES:
-            (tmp_path / f"{fx.name}.c").write_text(fx.source)
+            (tmp_path / f"{fx.name}.c").write_text(fx.source + pad)
             paths.append(f"{fx.name}.c")
         blobs = []
         for jobs in ("1", "2"):
             assert main(["analyze", "--db", f"jobs{jobs}.db", "--jobs", jobs, *paths]) == 1
             blobs.append((tmp_path / f"jobs{jobs}.db").read_bytes())
         capsys.readouterr()
-        assert blobs[0] == blobs[1]
+        assert blobs[0] == blobs[1] and pools == [2]
         records, problem = cache._parse(blobs[0])
         assert (len(records), problem) == (len(FIXTURES), None)
         # each fixture's record is one or two small functions, mostly hex
@@ -502,8 +504,9 @@ class TestFileTier:
         stored, miss, record = cli._analyze_file(path)
         db.put(*record)
         monkeypatch.setattr(cli, "parse_bytes", None)  # a hit must not call it
-        diagnostics, hit, again = cli._file_hit(path)
+        size, (diagnostics, hit, again) = cli._file_hit(path)
         assert diagnostics == stored and again is None
+        assert size == len((tmp_path / "s.c").read_bytes())
         assert all(d.loc.file == path and d.function for d in diagnostics)
         assert (hit.functions, hit.content_tasks, hit.content_skipped) == \
             (miss.functions, miss.content_tasks, miss.content_skipped)

@@ -5,11 +5,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from typing import NamedTuple
 
 import pytest
 
 from ctl_lint import cache
-from ctl_lint.cli import _parse_analyze_args, main, render_summary, render_text
+from ctl_lint.cli import POOL_BYTES, _parse_analyze_args, main, pool_workers, render_summary
+from ctl_lint.cli import render_text
 from ctl_lint.diagnostics import Diagnostic
 from ctl_lint.engine import Counters
 from ctl_lint.frontend import MAX_NESTING, SourceLocation
@@ -17,6 +20,9 @@ from ctl_lint.frontend import MAX_NESTING, SourceLocation
 CLEAN = "int add(int a, int b) { return a + b; }\n"
 DOUBLE_FREE = "int f(int *p) { free(p); free(p); return 0; }\n"
 LEAK = "int f() { int *p = malloc(4); return 0; }\n"
+# a comment block of at least POOL_BYTES: two padded files that miss are
+# source enough for a pool of two workers
+PAD = ("//" + "." * 77 + "\n") * -(-POOL_BYTES // 80)
 
 
 @pytest.fixture
@@ -36,6 +42,42 @@ def run(capsys, *args):
     code = main(list(args))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+class Fresh(NamedTuple):
+    code: int
+    out: str
+    err: str
+    modules: list[str]  # the ctl_lint modules the process loaded
+    pool: bool  # whether it imported the process pool
+
+
+_FRESH_SCRIPT = """\
+import json, sys
+if sys.argv[2] == "spawn":
+    import multiprocessing
+    multiprocessing.set_start_method("spawn")
+import ctl_lint.cli
+code = ctl_lint.cli.main(sys.argv[3:])
+with open(sys.argv[1], "w") as fh:
+    json.dump([sorted(m for m in sys.modules if m.startswith("ctl_lint")),
+               "concurrent.futures.process" in sys.modules], fh)
+sys.exit(code)
+"""
+
+
+def fresh(*args: str, spawn: bool = False) -> Fresh:
+    """`ctl-lint *args` in a new interpreter, which has loaded nothing yet;
+    with `spawn`, its workers start from a fresh import too."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded = os.path.join(tmp, "loaded.json")
+        proc = subprocess.run(
+            [sys.executable, "-c", _FRESH_SCRIPT, loaded, "spawn" if spawn else "fork", *args],
+            capture_output=True, text=True, env=env, timeout=120)
+        with open(loaded) as fh:
+            modules, pool = json.load(fh)
+    return Fresh(proc.returncode, proc.stdout, proc.stderr, modules, pool)
 
 
 class TestExitCodes:
@@ -433,8 +475,8 @@ class TestCheckSetOnHits:
 
 
 class TestJobs:
-    """`--jobs N` maps whole files over N worker processes; nothing a run
-    prints or stores may depend on N."""
+    """`--jobs N` maps whole files over at most N worker processes; nothing
+    a run prints or stores may depend on N, or on whether a pool started."""
 
     FILES = {
         "a.c": DOUBLE_FREE,
@@ -442,18 +484,19 @@ class TestJobs:
         "c.c": CLEAN + DOUBLE_FREE,  # f is a.c's f: one cache key, stored once
     }
 
-    def _paths(self, ws):
-        return [ws(name, text) for name, text in self.FILES.items()]
+    def _paths(self, ws, pad=PAD):
+        return [ws(name, text + pad) for name, text in self.FILES.items()]
 
-    def test_jobs_do_not_change_output(self, ws, capsys):
+    def test_jobs_do_not_change_output(self, ws, capsys, pools):
         paths = self._paths(ws)
         for fmt in ("text", "json"):
             runs = [run(capsys, "analyze", "--format", fmt, "--no-cache",
                         "--jobs", jobs, *paths)[:2] for jobs in ("1", "2")]
             assert runs[0] == runs[1]
             assert runs[0][0] == 1 and runs[0][1]
+        assert pools == [2, 2]
 
-    def test_parallel_cache_equals_sequential(self, ws, capsys, tmp_path):
+    def test_parallel_cache_equals_sequential(self, ws, capsys, tmp_path, pools):
         paths = self._paths(ws)
         blobs = []
         for jobs in ("1", "2"):
@@ -470,13 +513,35 @@ class TestJobs:
                                  "--jobs", jobs, *paths)
             assert "cache hits: 100% (5/5)" in err
         assert (tmp_path / "jobs1.db").read_bytes() == blobs[0]
+        assert pools == [2]  # the cold --jobs 2 run; a warm one starts none
+
+    @pytest.mark.parametrize("pad, pool", [("", []), (PAD, [2])], ids=["below", "above"])
+    def test_a_function_two_misses_share_hits_alike_at_any_jobs(self, ws, capsys, tmp_path,
+                                                                 pools, pad, pool):
+        # the second file's k is not answered from the record this run stored
+        # for the first: every lookup of a run sees the store as it was loaded
+        paths = [ws("a.c", CLEAN + pad), ws("b.c", LEAK + pad)]
+        db = tmp_path / "c.db"
+        run(capsys, "analyze", "--db", str(db), "--jobs", "1", *paths)
+        for path in paths:
+            with open(path, "a") as fh:
+                fh.write("int k() { return 7; }\n")
+        runs, blobs = [], []
+        for jobs in ("1", "2"):
+            shutil.copy(db, tmp_path / f"jobs{jobs}.db")
+            runs.append(run(capsys, "analyze", "--db", str(tmp_path / f"jobs{jobs}.db"),
+                            "--jobs", jobs, *paths))
+            blobs.append((tmp_path / f"jobs{jobs}.db").read_bytes())
+        assert runs[0] == runs[1] and blobs[0] == blobs[1]
+        assert "cache hits: 50% (2/4)" in runs[0][2]
+        assert pools == pool
 
     @pytest.mark.parametrize("bad", [
         ["bad_syntax.c"], ["undeclared.c"], ["undeclared.c", "bad_syntax.c"],
         ["bad_syntax.c", "undeclared.c"]],
         ids=["syntax", "undeclared", "undeclared-then-syntax", "syntax-then-undeclared"])
-    def test_errors_reported_in_input_order(self, ws, capsys, bad):
-        sources = {"ok.c": DOUBLE_FREE, "bad_syntax.c": "int f( {\n",
+    def test_errors_reported_in_input_order(self, ws, capsys, pools, bad):
+        sources = {"ok.c": DOUBLE_FREE + 2 * PAD, "bad_syntax.c": "int f( {\n",
                    "undeclared.c": "int f() { return y; }\n"}
         paths = [ws(name, sources[name]) for name in ["ok.c", *bad]]
         runs = [run(capsys, "analyze", "--no-cache", "--jobs", jobs, *paths)
@@ -486,16 +551,19 @@ class TestJobs:
         assert code == 2 and out == ""
         assert err.startswith(f"ctl-lint: error: {paths[1]}:")
         assert err.count("\n") == 1
+        assert pools == [2]
 
     @pytest.mark.parametrize("names", [
         ["ok.c", "bad_syntax.c", "ok2.c"], ["ok.c", "missing.c", "bad_syntax.c"],
         ["ok.c", "dir", "bad_syntax.c"], ["ok.c", "bad_syntax.c", "missing.c"]],
         ids=["hit-bad-hit", "hit-missing-bad", "hit-dir-bad", "hit-bad-missing"])
-    def test_errors_among_hits_reported_in_input_order(self, ws, capsys, tmp_path, names):
+    def test_errors_among_hits_reported_in_input_order(self, ws, capsys, tmp_path, pools,
+                                                       names):
         # this process answers the hits; the first failing file, in input
-        # order, is still the one reported
+        # order, is still the one reported.  A path that cannot be read
+        # counts no bytes, so the pool rests on bad_syntax.c's
         ok = [ws("ok.c", DOUBLE_FREE), ws("ok2.c", LEAK)]
-        ws("bad_syntax.c", "int f( {\n")
+        ws("bad_syntax.c", "int f( {\n" + 2 * PAD)
         (tmp_path / "dir").mkdir()
         paths = [str(tmp_path / name) for name in names]
         expected = run(capsys, "analyze", "--no-cache", "--jobs", "1", *paths)
@@ -505,17 +573,34 @@ class TestJobs:
         assert run(capsys, "analyze", "--db", db, "--jobs", "1", *ok)[0] == 1
         for jobs in ("1", "2"):
             assert run(capsys, "analyze", "--db", db, "--jobs", jobs, *paths) == expected
+        misses = [name for name in names if not name.startswith("ok")]
+        assert pools == ([2] if len(misses) > 1 else [])
+
+    @pytest.mark.parametrize("pad, pool", [("", False), (PAD, True)], ids=["below", "above"])
+    def test_missed_source_sizes_the_pool(self, ws, capsys, tmp_path, pad, pool):
+        # three files miss; a pool starts only with two POOL_BYTES of their source
+        paths = self._paths(ws, pad)
+        expected = run(capsys, "analyze", "--db", str(tmp_path / "jobs1.db"), "--jobs", "1",
+                       *paths)
+        outcome = fresh("analyze", "--db", str(tmp_path / "jobs2.db"), "--jobs", "2", *paths)
+        assert outcome[:3] == expected and outcome.pool == pool
+        assert (tmp_path / "jobs1.db").read_bytes() == (tmp_path / "jobs2.db").read_bytes()
+
+    def test_pool_workers_at_its_edges(self):
+        assert pool_workers(2, 3, 0) == 0
+        assert pool_workers(2, 3, POOL_BYTES - 1) == 0
+        assert pool_workers(2, 3, POOL_BYTES) == 1
+        assert pool_workers(2, 3, 2 * POOL_BYTES - 1) == 1
+        assert pool_workers(2, 3, 2 * POOL_BYTES) == 2
+        assert pool_workers(8, 3, 8 * POOL_BYTES) == 3
+        assert pool_workers(8, 1, 10**9) == 1  # one huge file
+        assert pool_workers(1, 3, 10**9) == 1
 
     def test_hits_and_one_miss_start_no_pool(self, ws, capsys, tmp_path):
         # only missed files go to workers: an all-hit run, or one that misses
-        # a single file, starts no pool whatever --jobs says
-        paths = self._paths(ws)
+        # a single file, starts no pool whatever --jobs and its size say
+        paths = self._paths(ws, 2 * PAD)
         run(capsys, "analyze", "--db", str(tmp_path / "c.db"), "--jobs", "1", *paths)
-        script = ("import sys\n"
-                  "import ctl_lint.cli\n"
-                  "code = ctl_lint.cli.main(sys.argv[1:])\n"
-                  "sys.exit(3 if 'concurrent.futures.process' in sys.modules else code)\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         # an all-hit run, then one after a function is appended to one file
         for appended, hit_line in (("", "cache hits: 100% (5/5)"),
                                    ("int k() { return 0; }\n", "cache hits: 83% (5/6)")):
@@ -524,10 +609,8 @@ class TestJobs:
             shutil.copy(tmp_path / "c.db", tmp_path / "c1.db")
             expected = run(capsys, "analyze", "--db", str(tmp_path / "c1.db"), "--jobs", "1",
                            *paths)
-            proc = subprocess.run(
-                [sys.executable, "-c", script, "analyze", "--db", str(tmp_path / "c.db"),
-                 "--jobs", "2", *paths], capture_output=True, text=True, env=env, timeout=120)
-            assert (proc.returncode, proc.stdout, proc.stderr) == expected
+            outcome = fresh("analyze", "--db", str(tmp_path / "c.db"), "--jobs", "2", *paths)
+            assert outcome[:3] == expected and not outcome.pool
             assert hit_line in expected[2]
 
     def test_hits_import_no_analysis_module(self, ws, capsys, tmp_path):
@@ -536,28 +619,15 @@ class TestJobs:
         paths = self._paths(ws)
         db = str(tmp_path / "c.db")
         run(capsys, "analyze", "--db", db, "--jobs", "1", *paths)
-        script = ("import json, sys\n"
-                  "import ctl_lint.cli\n"
-                  "code = ctl_lint.cli.main(sys.argv[2:])\n"
-                  "with open(sys.argv[1], 'w') as fh:\n"
-                  "    json.dump(sorted(m for m in sys.modules if m.startswith('ctl_lint')), fh)\n"
-                  "sys.exit(code)\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        loaded = tmp_path / "loaded.json"
-
-        def fresh(*args):
-            proc = subprocess.run([sys.executable, "-c", script, str(loaded), "analyze", *args],
-                                  capture_output=True, text=True, env=env, timeout=120)
-            return (proc.returncode, proc.stdout, proc.stderr), json.loads(loaded.read_text())
-
         hit_modules = ["ctl_lint", "ctl_lint.cache", "ctl_lint.cli", "ctl_lint.diagnostics",
                        "ctl_lint.frontend"]
         for fmt in ("text", "json"):
             expected = run(capsys, "analyze", "--format", fmt, "--db", db, "--jobs", "1", *paths)
             assert fmt == "json" or "cache hits: 100% (5/5)" in expected[2]
             for jobs in ("1", "2"):
-                assert fresh("--format", fmt, "--db", db, "--jobs", jobs, *paths) == \
-                    (expected, hit_modules)
+                outcome = fresh("analyze", "--format", fmt, "--db", db, "--jobs", jobs, *paths)
+                assert (outcome[:3], outcome.modules) == (expected, hit_modules)
+                assert not outcome.pool
         # two edited files miss, and go to a pool of two workers
         for i, path in enumerate(paths[:2]):
             with open(path, "a") as fh:
@@ -565,30 +635,26 @@ class TestJobs:
         shutil.copy(db, tmp_path / "c1.db")
         expected = run(capsys, "analyze", "--db", str(tmp_path / "c1.db"), "--jobs", "1", *paths)
         assert "cache hits: 71% (5/7)" in expected[2]
-        outcome, modules = fresh("--db", db, "--jobs", "2", *paths)
-        assert outcome == expected and "ctl_lint.engine" in modules
+        outcome = fresh("analyze", "--db", db, "--jobs", "2", *paths)
+        assert outcome[:3] == expected and "ctl_lint.engine" in outcome.modules
+        assert outcome.pool
 
     def test_spawned_workers_match(self, ws, capsys, tmp_path):
         # workers get their state from the pool initializer, not from fork
         paths = self._paths(ws)
-        script = ("import multiprocessing, sys\n"
-                  "multiprocessing.set_start_method('spawn')\n"
-                  "from ctl_lint.cli import main\n"
-                  "sys.exit(main(sys.argv[1:]))\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         db = str(tmp_path / "c.db")
 
         def spawned(*args):
-            proc = subprocess.run([sys.executable, "-c", script, "analyze", *args, "--jobs", "2",
-                                   *paths], capture_output=True, text=True, env=env, timeout=120)
-            return proc.returncode, proc.stdout, proc.stderr
+            return fresh("analyze", *args, "--jobs", "2", *paths, spawn=True)
 
         # uncached, cold and warm; a warm run answers every file in the parent
         expected = run(capsys, "analyze", "--format", "json", "--no-cache", "--jobs", "1",
                        *paths)[:2]
-        for cache_args in (["--no-cache"], ["--db", db], ["--db", db]):
-            code, out, err = spawned("--format", "json", *cache_args)
-            assert (code, out) == expected, err
+        for cache_args, pool in ((["--no-cache"], True), (["--db", db], True),
+                                 (["--db", db], False)):
+            outcome = spawned("--format", "json", *cache_args)
+            assert outcome[:2] == expected, outcome.err
+            assert outcome.pool == pool
         # a whitespace-only edit to two files: each misses the file tier, and
         # the workers answer their functions from the store they were pickled with
         for path in paths[:2]:
@@ -597,22 +663,16 @@ class TestJobs:
             with open(path, "w") as fh:
                 fh.write("\n" + text)
         expected = run(capsys, "analyze", "--no-cache", "--jobs", "1", *paths)[:2]
-        code, out, err = spawned("--db", db)
-        assert (code, out) == expected and "cache hits: 100% (5/5)" in err, err
+        outcome = spawned("--db", db)
+        assert outcome[:2] == expected and "cache hits: 100% (5/5)" in outcome.err, outcome.err
+        assert outcome.pool
 
     def test_one_process_runs_import_no_pool(self, ws):
-        # the process pool's modules cost start-up time that only --jobs > 1 needs
-        path = ws("bug.c", DOUBLE_FREE)
-        script = ("import sys\n"
-                  "import ctl_lint.cli\n"
-                  "pool = 'concurrent.futures.process'\n"
-                  "assert pool not in sys.modules, 'imported by ctl_lint.cli'\n"
-                  "ctl_lint.cli.main(['analyze', '--no-cache', '--jobs', '1', sys.argv[1]])\n"
-                  "assert pool not in sys.modules, 'imported by a --jobs 1 run'\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        proc = subprocess.run([sys.executable, "-c", script, path], capture_output=True,
-                              text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        # the process pool's modules cost start-up time that only --jobs > 1
+        # needs, however much source misses
+        paths = [ws("bug.c", DOUBLE_FREE + 2 * PAD), ws("leak.c", LEAK + 2 * PAD)]
+        outcome = fresh("analyze", "--no-cache", "--jobs", "1", *paths)
+        assert outcome.code == 1 and not outcome.pool, outcome.err
 
     def test_default_is_the_usable_cpus(self):
         expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \

@@ -211,19 +211,18 @@ def _analyze_file(path: str) -> tuple[list[Diagnostic], Counters, tuple[str, lis
     return diagnostics, counters, record
 
 
-def _file_hit(path: str) -> tuple[int, tuple[list[Diagnostic], Counters, None] | None]:
-    """The file's size, 0 when it cannot be read, and what `_analyze_file`
-    gives for it when its bytes match its record, answered from the record
-    with no parsing, or None for a miss."""
+def _file_hit(path: str) -> tuple[list[Diagnostic], Counters, None] | None:
+    """What `_analyze_file` gives for a file whose bytes match its record,
+    answered from the record with no parsing, or None for a miss."""
     _, config, db = _worker
     try:
         data = _read(path)
     except OSError:  # a miss, whose worker raises the error in input order
-        return 0, None
+        return None
     hit = db.file_hit(file_key(path, config.checkset_text, config.max_witnesses),
                       source_digest(data))
     if hit is None:
-        return len(data), None
+        return None
     _, starts, functions = hit
     counters = Counters()
     diagnostics = []
@@ -233,7 +232,7 @@ def _file_hit(path: str) -> tuple[int, tuple[list[Diagnostic], Counters, None] |
         diagnostics.extend(result.diagnostics)
         counters.merge_content(result.tasks, result.skipped)
     counters.functions = counters.cache_hits = len(functions)
-    return len(data), (sorted(diagnostics, key=Diagnostic.sort_key), counters, None)
+    return sorted(diagnostics, key=Diagnostic.sort_key), counters, None
 
 
 def _size(path: str) -> int:
@@ -269,12 +268,11 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     counters = Counters()
     diagnostics: list[Diagnostic] = []
     _init_worker(checks, config, db)
-    sizes, hits = zip(*(_file_hit(path) if db else (_size(path), None) for path in cfg.inputs))
+    hits = [db and _file_hit(path) for path in cfg.inputs]
     missed = [path for path, hit in zip(cfg.inputs, hits) if hit is None]
     if missed:
         _init_worker(checks or _checkset(sources), config, db)
-    missed_bytes = sum(size for size, hit in zip(sizes, hits) if hit is None)
-    workers = pool_workers(cfg.jobs, len(missed), missed_bytes)
+    workers = pool_workers(cfg.jobs, len(missed), sum(map(_size, missed)))
     with contextlib.ExitStack() as stack:
         if workers > 1:
             # imported here: it costs about 20 ms, which one-process runs skip

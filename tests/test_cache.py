@@ -504,9 +504,8 @@ class TestFileTier:
         stored, miss, record = cli._analyze_file(path)
         db.put(*record)
         monkeypatch.setattr(cli, "parse_bytes", None)  # a hit must not call it
-        size, (diagnostics, hit, again) = cli._file_hit(path)
+        diagnostics, hit, again = cli._file_hit(path)
         assert diagnostics == stored and again is None
-        assert size == len((tmp_path / "s.c").read_bytes())
         assert all(d.loc.file == path and d.function for d in diagnostics)
         assert (hit.functions, hit.content_tasks, hit.content_skipped) == \
             (miss.functions, miss.content_tasks, miss.content_skipped)

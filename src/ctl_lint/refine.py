@@ -360,7 +360,6 @@ def _dedup(cs: list[PathConstraint]) -> list[PathConstraint]:
 
 @dataclass(frozen=True)
 class _Gate:
-    prop: CtlFormula
     nxt: int
 
 
@@ -383,55 +382,52 @@ class _Split:
 
 @dataclass(frozen=True)
 class _Accept:
-    prop: CtlFormula
+    pass
 
 
-def _compile_obligations(f: CtlFormula, phases: list) -> int | None:
+def _compile_obligations(f: CtlFormula, phases: list, forms: list[CtlFormula]) -> int | None:
     """Obligation automaton for linear EX/EU/EF chains; None if the formula
-    needs branching or lasso witnesses (EG, two temporal conjuncts, ...)."""
+    needs branching or lasso witnesses (EG, two temporal conjuncts, ...).
+    `forms[i]` is the sub-formula phase `phases[i]` must complete."""
     if is_propositional(f):
-        phases.append(_Accept(f))
-        return len(phases) - 1
-    if isinstance(f, And):
+        phase = _Accept()
+    elif isinstance(f, And):
         if is_propositional(f.left):
-            prop, temporal = f.left, f.right
+            temporal = f.right
         elif is_propositional(f.right):
-            prop, temporal = f.right, f.left
+            temporal = f.left
         else:
             return None
-        nxt = _compile_obligations(temporal, phases)
+        nxt = _compile_obligations(temporal, phases, forms)
         if nxt is None:
             return None
-        phases.append(_Gate(prop, nxt))
-        return len(phases) - 1
-    if isinstance(f, Or):
-        a = _compile_obligations(f.left, phases)
-        b = _compile_obligations(f.right, phases)
+        phase = _Gate(nxt)
+    elif isinstance(f, Or):
+        a = _compile_obligations(f.left, phases, forms)
+        b = _compile_obligations(f.right, phases, forms)
         if a is None or b is None:
             return None
-        phases.append(_Split(a, b))
-        return len(phases) - 1
-    if isinstance(f, EX):
-        nxt = _compile_obligations(f.sub, phases)
+        phase = _Split(a, b)
+    elif isinstance(f, EX):
+        nxt = _compile_obligations(f.sub, phases, forms)
         if nxt is None:
             return None
-        phases.append(_Step(nxt))
-        return len(phases) - 1
-    if isinstance(f, EF):
-        nxt = _compile_obligations(f.sub, phases)
+        phase = _Step(nxt)
+    elif isinstance(f, EF):
+        nxt = _compile_obligations(f.sub, phases, forms)
         if nxt is None:
             return None
-        phases.append(_Stay(TrueF(), nxt))
-        return len(phases) - 1
-    if isinstance(f, EU):
-        if not is_propositional(f.left):
-            return None
-        nxt = _compile_obligations(f.right, phases)
+        phase = _Stay(TrueF(), nxt)
+    elif isinstance(f, EU) and is_propositional(f.left):
+        nxt = _compile_obligations(f.right, phases, forms)
         if nxt is None:
             return None
-        phases.append(_Stay(f.left, nxt))
-        return len(phases) - 1
-    return None
+        phase = _Stay(f.left, nxt)
+    else:
+        return None
+    phases.append(phase)
+    forms.append(f)
+    return len(phases) - 1
 
 
 DEFAULT_ENUM_BUDGET = 4_000
@@ -446,21 +442,30 @@ def enumerate_witnesses(task_kripke, formula: CtlFormula, start: int, limit: int
     lowest-state-id tie-breaks; second result reports whether enumeration
     ran to exhaustion: past `limit` the search goes on, unrecorded, until
     another distinct witness or the expansion budget ends it unexhausted.
+    Only live entries are pushed, so only they count toward `budget`
+    (`DEFAULT_ENUM_BUDGET` expansions): a path whose last state satisfies
+    its phase's sub-formula, from where the phase can still be completed.
+    Exhaustion thus means every such path was tried; a loop that can never
+    end in a witness does not keep the search from ending.
     Distinct means differing in at least one edge; idling on self-loops
     is not a distinct witness.  `stop(trace)` is called on each witness
     as it is found; when it returns true, the search ends with that
     witness last.
     """
     phases: list = []
-    entry = _compile_obligations(formula, phases)
+    forms: list[CtlFormula] = []
+    entry = _compile_obligations(formula, phases, forms)
     if entry is None:
         return [], False
     sat = sat or check(task_kripke, formula)
-    holding = [sat.states(p.prop) if isinstance(p, (_Gate, _Stay, _Accept)) else None
-               for p in phases]
+    # live[i]: where phase i can still be completed; it lies within what
+    # an _Accept or _Gate phase tests, so neither tests again
+    live = [sat.states(f) for f in forms]
+    holding = [sat.states(p.prop) if isinstance(p, _Stay) else None for p in phases]
     found: list[WitnessTrace] = []
     seen_traces: set[tuple[int, ...]] = set()
-    heap: list[tuple[int, tuple[int, ...], int]] = [(0, (start,), entry)]
+    heap: list[tuple[int, tuple[int, ...], int]] = (
+        [(0, (start,), entry)] if start in live[entry] else [])
     visited: set[tuple[tuple[int, ...], int]] = set()
     expansions = 0
     while heap:
@@ -475,7 +480,7 @@ def enumerate_witnesses(task_kripke, formula: CtlFormula, start: int, limit: int
         state = states[-1]
         phase = phases[ph]
         if isinstance(phase, _Accept):
-            if state in holding[ph] and states not in seen_traces:
+            if states not in seen_traces:
                 if len(found) >= limit:
                     return found, False
                 seen_traces.add(states)
@@ -484,24 +489,26 @@ def enumerate_witnesses(task_kripke, formula: CtlFormula, start: int, limit: int
                     break
             continue
         if isinstance(phase, _Gate):
-            if state in holding[ph]:
-                heapq.heappush(heap, (steps, states, phase.nxt))
+            heapq.heappush(heap, (steps, states, phase.nxt))
             continue
         if isinstance(phase, _Split):
-            heapq.heappush(heap, (steps, states, phase.a))
-            heapq.heappush(heap, (steps, states, phase.b))
+            for nxt in (phase.a, phase.b):
+                if state in live[nxt]:
+                    heapq.heappush(heap, (steps, states, nxt))
             continue
         if isinstance(phase, _Step):
             for t in task_kripke.succ[state]:
-                heapq.heappush(heap, (steps + 1, states + (t,), phase.nxt))
+                if t in live[phase.nxt]:
+                    heapq.heappush(heap, (steps + 1, states + (t,), phase.nxt))
             continue
         if isinstance(phase, _Stay):
-            heapq.heappush(heap, (steps, states, phase.nxt))
+            if state in live[phase.nxt]:
+                heapq.heappush(heap, (steps, states, phase.nxt))
             if state in holding[ph]:
                 for t in task_kripke.succ[state]:
-                    if t == state:
-                        continue  # product self-loop: idling adds nothing
-                    heapq.heappush(heap, (steps + 1, states + (t,), ph))
+                    # a product self-loop is idling and adds nothing
+                    if t != state and t in live[ph]:
+                        heapq.heappush(heap, (steps + 1, states + (t,), ph))
             continue
         raise AssertionError(phase)
     return found, not heap

@@ -361,6 +361,27 @@ class TestConcurrency:
             assert hits(err) == (5, 5)
 
 
+class TestVersion:
+    def test_a_store_from_another_version_is_never_replayed(self, ws, capsys, monkeypatch):
+        # every key hashes the tool version, so verdicts an older release
+        # stored are analyzed afresh, never answered from its records
+        expected = run(capsys, "--no-cache", "a.c", "b.c", "c.c")[:2]
+        run(capsys, "a.c", "b.c", "c.c")
+        assert hits(run(capsys, "a.c", "b.c", "c.c")[2]) == (7, 7)
+        monkeypatch.setattr(cache, "__version__", "0.0.0")
+        code, out, err = run(capsys, "a.c", "b.c", "c.c")
+        assert hits(err) == (0, 7)
+        assert (code, out) == expected
+
+    def test_package_version_is_the_project_version(self):
+        import tomllib
+
+        from ctl_lint import __version__
+        pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+        with open(pyproject, "rb") as f:
+            assert tomllib.load(f)["project"]["version"] == __version__
+
+
 class TestLiveness:
     def test_a_run_over_one_file_keeps_the_others_live(self, ws, capsys):
         db = ws / "c.db"

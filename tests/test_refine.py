@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction as Fr
 
 import pytest
@@ -7,11 +8,12 @@ import pytest
 from ctl_lint import engine, refine
 from ctl_lint import frontend as F
 from ctl_lint.cfg import FALSE, TRUE, build_cfg
-from ctl_lint.ctl import WitnessTrace, check, witness
+from ctl_lint.ctl import WitnessTrace, check, is_propositional, witness
 from ctl_lint.refine import (
     CONFIRMED, EQ, FEASIBLE, LE, LT, SUPPRESSED, UNCONFIRMED, UNKNOWN, Feasible,
-    FeasibilityVerdict, Infeasible, PathConstraint, _constraint, enumerate_witnesses,
-    feasible, path_constraints, refine_diagnostic,
+    FeasibilityVerdict, Infeasible, PathConstraint, _Accept, _compile_obligations,
+    _constraint, _Gate, _Split, _Stay, _Step, enumerate_witnesses, feasible,
+    path_constraints, refine_diagnostic,
 )
 from ctl_lint.speclang import instantiate, label_index, load_checkset
 from fixtures_bugs import FIXTURES
@@ -466,3 +468,81 @@ def test_refine_stops_at_first_feasible_witness(monkeypatch):
     assert refine_diagnostic(task, g, 5, sat=sat) == (CONFIRMED, traces[0])
     assert enumerated == [1]
     assert len(fm_calls) == 1
+
+
+def _unpruned_witnesses(task_kripke, formula, start, limit, sat,
+                        budget=refine.DEFAULT_ENUM_BUDGET):
+    """`enumerate_witnesses` as it was before it searched only live
+    entries: every `(path, phase)` is pushed and popped, and a phase tests
+    its own proposition when it is popped."""
+    phases, forms = [], []
+    entry = _compile_obligations(formula, phases, forms)
+    assert entry is not None
+    holding = []
+    for phase, form in zip(phases, forms):
+        if isinstance(phase, _Gate):
+            form = form.left if is_propositional(form.left) else form.right
+        elif isinstance(phase, _Stay):
+            form = phase.prop
+        holding.append(sat.states(form) if isinstance(phase, (_Accept, _Gate, _Stay)) else None)
+    found, seen_traces, visited = [], set(), set()
+    heap = [(0, (start,), entry)]
+    expansions = 0
+    while heap:
+        steps, states, ph = heapq.heappop(heap)
+        if (states, ph) in visited:
+            continue
+        visited.add((states, ph))
+        expansions += 1
+        if expansions > budget:
+            return found, False
+        state, phase = states[-1], phases[ph]
+        if isinstance(phase, _Accept):
+            if state in holding[ph] and states not in seen_traces:
+                if len(found) >= limit:
+                    return found, False
+                seen_traces.add(states)
+                found.append(WitnessTrace(states))
+        elif isinstance(phase, _Gate):
+            if state in holding[ph]:
+                heapq.heappush(heap, (steps, states, phase.nxt))
+        elif isinstance(phase, _Split):
+            heapq.heappush(heap, (steps, states, phase.a))
+            heapq.heappush(heap, (steps, states, phase.b))
+        elif isinstance(phase, _Step):
+            for t in task_kripke.succ[state]:
+                heapq.heappush(heap, (steps + 1, states + (t,), phase.nxt))
+        else:
+            heapq.heappush(heap, (steps, states, phase.nxt))
+            if state in holding[ph]:
+                for t in task_kripke.succ[state]:
+                    if t != state:
+                        heapq.heappush(heap, (steps + 1, states + (t,), ph))
+    return found, True
+
+
+@pytest.mark.parametrize("limit", [1, 5, 300])
+def test_live_search_extends_the_unpruned_search(pin_tasks, limit):
+    # live entries pop in the order they did among all entries, so the
+    # witnesses of the unpruned search come first and in the same order;
+    # pruning only frees budget, so it finds more or ends sooner
+    exhausted_only_when_pruned = 0
+    for task, cfg, _, sat in pin_tasks:
+        want, want_exhausted = _unpruned_witnesses(
+            task.kripke, task.formula, cfg.entry, limit, sat)
+        got, exhausted = enumerate_witnesses(task.kripke, task.formula, cfg.entry, limit, sat)
+        where = (cfg.function, task.check.id, task.bound_var)
+        assert got[:len(want)] == want, where
+        if want_exhausted:
+            assert (got, exhausted) == (want, True), where
+        exhausted_only_when_pruned += exhausted and not want_exhausted
+    assert exhausted_only_when_pruned
+
+
+@pytest.mark.parametrize("max_witnesses", [1, 5, 300])
+def test_a_leak_only_a_dead_loop_could_reach_is_suppressed(max_witnesses):
+    # every path through the loop frees p, and the one that skips it needs
+    # 0 >= 2; the loop cannot end in a witness, so the search exhausts
+    source = next(fx.source for fx in FIXTURES if fx.name == "df-in-loop")
+    task, g, sat = _satisfied_task(source, "memory-leak")
+    assert refine_diagnostic(task, g, max_witnesses, sat=sat) == (SUPPRESSED, None)

@@ -23,8 +23,8 @@ GENERATED = 50
 # max_witnesses -> (sha256 of stdout, its length in characters)
 DIGESTS = {
     0: ("a564e94dbd9a6ca58596876330529398651a86bbbe8954f1b3c5455d3f7d1fb2", 29911),
-    5: ("84ce8737c01bc2dd416447b4d2e29c988ca807b495608893453c7abdb8ada974", 28299),
-    300: ("b4862fd1717d6abd465a5370a5bea589be338efbbf8c717e4d45c4674046b7f0", 30144),
+    5: ("509394cd80925185a0834a1d323b7bf75e9739d0028c55f1a361eb13dda01972", 27947),
+    300: ("00ded2ae646ff42f7c11a10ad1ab42ec0e6fbef44936732c448e6a4101274fce", 29792),
 }
 
 

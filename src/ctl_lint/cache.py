@@ -13,22 +13,23 @@ import contextlib
 import fcntl
 import hashlib
 import json
-import logging
 import os
 import re
 import zlib
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import __version__
 from .diagnostics import CONFIRMED, Diagnostic, SourceLocation, UNCONFIRMED
 
-logger = logging.getLogger("ctl_lint")
-
 CACHE_HEADER = "ctl-lint-cache v5"
 
 _HEADER_LINE = (CACHE_HEADER + "\n").encode("ascii")
 _RECORD_HEAD = re.compile(rb"([0-9a-f]{64}) ([0-9]+) ([0-9a-f]{8})")
+
+
+def _warn(message: str, *args) -> None:
+    import logging  # loaded only when there is something to log
+    logging.getLogger("ctl_lint").warning(message, *args)
 
 
 def _frame(key: str, payload: bytes) -> bytes:
@@ -138,7 +139,7 @@ class CacheDb:
         self._live = sum(map(_framed_size, self._entries.values()))
         self._size = len(blob)
         if problem is not None:
-            logger.warning("cache %s: %s", self.path, problem)
+            _warn("cache %s: %s", self.path, problem)
             self._needs_rewrite = True
 
     def _open_locked(self, mode: str, op: int):
@@ -179,8 +180,7 @@ class CacheDb:
             return record
         except (ValueError, TypeError, zlib.error):
             if self._undecodable.get(key) != payload:
-                logger.warning("cache %s: undecodable entry %s treated as miss",
-                               self.path, key[:12])
+                _warn("cache %s: undecodable entry %s treated as miss", self.path, key[:12])
                 self._undecodable[key] = payload
                 self._needs_rewrite = True
             return None
@@ -316,8 +316,7 @@ def file_key(file: str, checkset_text: str, max_witnesses: int) -> str:
 # ---------------------------------------------------------------------------
 # Function records
 
-@dataclass(frozen=True)
-class FunctionSummary:
+class FunctionSummary(NamedTuple):
     function: str
     may_return_null: bool = False
     always_frees: frozenset[int] = frozenset()

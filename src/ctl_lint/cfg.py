@@ -16,7 +16,6 @@ needs syntax (labeling, summaries, intervals, refinement) reads the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -37,13 +36,16 @@ TRUE = "true"
 FALSE = "false"
 
 
-@dataclass(eq=False)
 class CfgNode:
-    id: int
-    kind: str  # ENTRY | EXIT | STMT | COND
-    loc: SourceLocation
-    stmt: Stmt | None = None  # for STMT nodes
-    expr: Expr | None = None  # for COND nodes
+    __slots__ = ("id", "kind", "loc", "stmt", "expr")
+
+    def __init__(self, id: int, kind: str, loc: SourceLocation, stmt: Stmt | None = None,
+                 expr: Expr | None = None):
+        self.id = id
+        self.kind = kind  # ENTRY | EXIT | STMT | COND
+        self.loc = loc
+        self.stmt = stmt  # for STMT nodes
+        self.expr = expr  # for COND nodes
 
     @property
     def roots(self) -> list[Expr]:
@@ -72,15 +74,20 @@ class CfgNode:
         return f"{type(self.stmt).__name__.lower()} @ {self.loc.line}:{self.loc.column}"
 
 
-@dataclass(eq=False)
 class Cfg:
-    function: str
-    func: FunctionDef
-    nodes: list[CfgNode]
-    edges: list[tuple[int, int, str]]  # (from, to, label)
-    entry: int
-    exit: int
-    loop_heads: frozenset[int]
+    """A function's CFG.  Its derived views are cached properties, kept in
+    the instance's `__dict__`."""
+
+    def __init__(self, function: str, func: FunctionDef, nodes: list[CfgNode],
+                 edges: list[tuple[int, int, str]], entry: int, exit: int,
+                 loop_heads: frozenset[int]):
+        self.function = function
+        self.func = func
+        self.nodes = nodes
+        self.edges = edges  # (from, to, label)
+        self.entry = entry
+        self.exit = exit
+        self.loop_heads = loop_heads
 
     @cached_property
     def succ(self) -> list[list[tuple[int, str]]]:
@@ -142,7 +149,6 @@ class CallSite(NamedTuple):
     target: str | None  # v in `v = f(...)` and `int v = f(...)`
 
 
-@dataclass(eq=False)
 class NodeTable:
     """What one walk of a CFG's expression trees finds.
 
@@ -154,13 +160,17 @@ class NodeTable:
     variable mention is a `use`.
     """
 
-    facts: list[set[Fact]]  # by node id
-    calls: list[CallSite]  # in node and walk order, malloc and free included
-    address_taken: set[str]  # every v of an `&v`
-    sites: list[tuple[int, Expr]]  # each index into a variable and each / and %
-    user_calls: set[int]  # nodes calling a function other than malloc and free
-    decls: dict[str, MiniCType]  # first declarations: params, then locals in node order
-    returns: list[int]  # return statements
+    __slots__ = ("facts", "calls", "address_taken", "sites", "user_calls", "decls", "returns")
+
+    def __init__(self):
+        self.facts: list[set[Fact]] = []  # by node id
+        self.calls: list[CallSite] = []  # in node and walk order, malloc and free included
+        self.address_taken: set[str] = set()  # every v of an `&v`
+        self.sites: list[tuple[int, Expr]] = []  # each index into a variable and each / and %
+        self.user_calls: set[int] = set()  # nodes calling a function other than malloc and free
+        # first declarations: params, then locals in node order
+        self.decls: dict[str, MiniCType] = {}
+        self.returns: list[int] = []  # return statements
 
     def arrays(self, globals_: list[VarDecl] = ()) -> frozenset[str]:
         """Names in scope whose first declaration is an `int[N]` array."""
@@ -176,7 +186,7 @@ class NodeTable:
 
 
 def _scan(cfg: Cfg) -> NodeTable:
-    t = NodeTable([], [], set(), [], set(), {}, [])
+    t = NodeTable()
     for p in cfg.func.params:
         t.decls.setdefault(p.name, p.type)
     for node in cfg.nodes:

@@ -24,10 +24,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import logging
 import os
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .cache import CacheDb, file_key, unpack_function
@@ -114,17 +112,22 @@ def render_summary(ds: list[Diagnostic], counters: Counters, cached: bool) -> st
     return "\n".join(lines) + "\n"
 
 
-@dataclass
 class RunConfig:
-    inputs: list[str]
-    check_ids: set[str] | None
-    format: str
-    db_path: str | None  # None = caching disabled
-    max_witnesses: int
-    min_severity: str
-    jobs: int
-    dump_cfg: bool
-    spec_paths: list[str]
+    __slots__ = ("inputs", "check_ids", "format", "db_path", "max_witnesses", "min_severity",
+                 "jobs", "dump_cfg", "spec_paths")
+
+    def __init__(self, inputs: list[str], check_ids: set[str] | None, format: str,
+                 db_path: str | None, max_witnesses: int, min_severity: str, jobs: int,
+                 dump_cfg: bool, spec_paths: list[str]):
+        self.inputs = inputs
+        self.check_ids = check_ids
+        self.format = format
+        self.db_path = db_path  # None = caching disabled
+        self.max_witnesses = max_witnesses
+        self.min_severity = min_severity
+        self.jobs = jobs
+        self.dump_cfg = dump_cfg
+        self.spec_paths = spec_paths
 
 
 def _parse_analyze_args(args: list[str]) -> RunConfig:
@@ -310,7 +313,8 @@ def main(argv: list[str] | None = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     try:
         if "--list-checks" in args:
-            rest = [a for a in args if a not in ("--list-checks", "analyze")]
+            rest = args[1:] if args[0] == "analyze" else args
+            rest = [a for a in rest if a != "--list-checks"]
             p = argparse.ArgumentParser(prog="ctl-lint", add_help=False)
             p.add_argument("--specs", action="append", default=[])
             ns, leftover = p.parse_known_args(rest)
@@ -339,6 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"ctl-lint: error: {code}\n")
         return 2
     except Exception as exc:
+        import logging  # loaded only when there is something to log
         logging.getLogger("ctl_lint").debug("internal error", exc_info=True)
         sys.stderr.write(f"ctl-lint: internal error: {type(exc).__name__}: {exc}\n")
         return 2

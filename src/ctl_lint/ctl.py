@@ -19,152 +19,120 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .cfg import KripkeStructure
+from .frontend import Value
 
 
-class CtlFormula:
+class CtlFormula(Value):
     """A formula tree.  Every node is immutable and hashes its structure
     once, when it is built (its children's hashes are already known), so
     memo lookups keyed by formulas cost no tree walk."""
 
-    __slots__ = ()
-    _field_names: tuple[str, ...] = ()
+    __slots__ = ("_hash",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((type(self), *self._children())))
+    def __init__(self, *values) -> None:
+        super().__init__(*values)
+        self._hash = hash((type(self), *values))
 
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self):
-        # rebuild through __init__: the hash of a str differs between processes
-        return type(self), self._children()
 
-    def _children(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._field_names)
-
-
-def _formula(cls):
-    """A frozen dataclass keeping CtlFormula's hash, which dataclass()
-    would replace with one that walks the tree on every call."""
-    cls = dataclass(frozen=True)(cls)
-    cls._field_names = tuple(f.name for f in fields(cls))
-    cls.__hash__ = CtlFormula.__hash__
-    return cls
-
-
-@_formula
 class TrueF(CtlFormula):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "true"
 
 
-@_formula
 class Prop(CtlFormula):
-    name: str
+    __slots__ = _fields = ("name",)
 
     def __str__(self) -> str:
         return self.name
 
 
-@_formula
 class Not(CtlFormula):
-    sub: CtlFormula
+    __slots__ = _fields = ("sub",)
 
     def __str__(self) -> str:
         return f"!{_wrap(self.sub)}"
 
 
-@_formula
 class And(CtlFormula):
-    left: CtlFormula
-    right: CtlFormula
+    __slots__ = _fields = ("left", "right")
 
     def __str__(self) -> str:
         return f"{_wrap(self.left)} & {_wrap(self.right)}"
 
 
-@_formula
 class Or(CtlFormula):
-    left: CtlFormula
-    right: CtlFormula
+    __slots__ = _fields = ("left", "right")
 
     def __str__(self) -> str:
         return f"{_wrap(self.left)} | {_wrap(self.right)}"
 
 
-@_formula
 class Implies(CtlFormula):
-    left: CtlFormula
-    right: CtlFormula
+    __slots__ = _fields = ("left", "right")
 
     def __str__(self) -> str:
         return f"{_wrap(self.left)} -> {_wrap(self.right)}"
 
 
-@_formula
 class EX(CtlFormula):
-    sub: CtlFormula
+    __slots__ = _fields = ("sub",)
 
     def __str__(self) -> str:
         return f"EX {_wrap(self.sub)}"
 
 
-@_formula
 class AX(CtlFormula):
-    sub: CtlFormula
+    __slots__ = _fields = ("sub",)
 
     def __str__(self) -> str:
         return f"AX {_wrap(self.sub)}"
 
 
-@_formula
 class EF(CtlFormula):
-    sub: CtlFormula
+    __slots__ = _fields = ("sub",)
 
     def __str__(self) -> str:
         return f"EF {_wrap(self.sub)}"
 
 
-@_formula
 class AF(CtlFormula):
-    sub: CtlFormula
+    __slots__ = _fields = ("sub",)
 
     def __str__(self) -> str:
         return f"AF {_wrap(self.sub)}"
 
 
-@_formula
 class EG(CtlFormula):
-    sub: CtlFormula
+    __slots__ = _fields = ("sub",)
 
     def __str__(self) -> str:
         return f"EG {_wrap(self.sub)}"
 
 
-@_formula
 class AG(CtlFormula):
-    sub: CtlFormula
+    __slots__ = _fields = ("sub",)
 
     def __str__(self) -> str:
         return f"AG {_wrap(self.sub)}"
 
 
-@_formula
 class EU(CtlFormula):
-    left: CtlFormula
-    right: CtlFormula
+    __slots__ = _fields = ("left", "right")
 
     def __str__(self) -> str:
         return f"E[{self.left} U {self.right}]"
 
 
-@_formula
 class AU(CtlFormula):
-    left: CtlFormula
-    right: CtlFormula
+    __slots__ = _fields = ("left", "right")
 
     def __str__(self) -> str:
         return f"A[{self.left} U {self.right}]"
@@ -324,8 +292,7 @@ def check(k: KripkeStructure, f: CtlFormula) -> SatSets:
 # ---------------------------------------------------------------------------
 # Witness extraction
 
-@dataclass(frozen=True)
-class WitnessTrace:
+class WitnessTrace(NamedTuple):
     """A path demonstrating an existential formula from its first state.
 
     `cycle_start` marks the state the final transition loops back to when

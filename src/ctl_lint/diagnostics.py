@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import os
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from importlib import resources
+from typing import NamedTuple
 
 from .frontend import SourceLocation
 
@@ -14,15 +14,14 @@ CONFIRMED = "confirmed"
 UNCONFIRMED = "unconfirmed"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     check_id: str
     severity: str  # error | warning | info
     loc: SourceLocation
     message: str
     function: str
     confidence: str = CONFIRMED
-    trace: tuple[SourceLocation, ...] = field(default_factory=tuple)
+    trace: tuple[SourceLocation, ...] = ()
 
     def sort_key(self):
         return (self.loc.file, self.loc.line, self.loc.column, self.check_id,
@@ -50,8 +49,8 @@ def diagnostic_to_json_obj(d: Diagnostic) -> dict:
 def read_checkset(spec_paths: Sequence[str] = ()) -> tuple[list[tuple[str, str]], str]:
     """The (file, text) of the builtin checks and of each spec file, in
     order, and the text of all of them, which cache keys hash."""
-    sources = [("builtin.chk",
-                resources.files(__package__).joinpath("builtin.chk").read_text("utf-8"))]
+    with open(os.path.join(os.path.dirname(__file__), "builtin.chk"), encoding="utf-8") as fh:
+        sources = [("builtin.chk", fh.read())]
     for path in spec_paths:
         with open(path, "r", encoding="utf-8") as fh:
             sources.append((path, fh.read()))
@@ -69,20 +68,19 @@ class AnalysisError(Exception):
         return type(self), (self.errors,)
 
 
-@dataclass
 class EngineConfig:
-    checkset_text: str = ""
-    max_witnesses: int = 5
+    __slots__ = ("checkset_text", "max_witnesses")
+
+    def __init__(self, checkset_text: str = "", max_witnesses: int = 5):
+        self.checkset_text = checkset_text
+        self.max_witnesses = max_witnesses
 
 
-@dataclass
 class Counters:
-    functions: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    # content view: totals a fresh analysis of the same sources would report
-    content_tasks: int = 0
-    content_skipped: int = 0
+    def __init__(self):
+        self.functions = self.cache_hits = self.cache_misses = 0
+        # content view: totals a fresh analysis of the same sources would report
+        self.content_tasks = self.content_skipped = 0
 
     def merge_content(self, tasks: int, skipped: int) -> None:
         self.content_tasks += tasks

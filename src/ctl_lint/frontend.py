@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 
@@ -58,8 +57,7 @@ class ParseError(LocatedError):
     """Syntax or subset violation, with the location it was detected at."""
 
 
-@dataclass
-class SemanticError:
+class SemanticError(NamedTuple):
     loc: SourceLocation
     message: str
 
@@ -67,36 +65,67 @@ class SemanticError:
         return f"{self.loc}: {self.message}"
 
 
+class Value:
+    """An immutable value that compares, hashes and prints as its type and
+    the fields `_fields` names, so values of two types are never equal.
+    Each subclass lists its fields once: `__slots__ = _fields = (...)`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            setattr(self, name, value)
+
+    def __reduce__(self):
+        # rebuilt through __init__: a hash a subclass keeps differs between processes
+        return type(self), self._key()[1:]
+
+    def _key(self) -> tuple:
+        return (type(self), *[getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
 # ---------------------------------------------------------------------------
 # Types
 
-@dataclass(frozen=True)
-class MiniCType:
-    pass
+class MiniCType(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Int(MiniCType):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "int"
 
 
-@dataclass(frozen=True)
 class PtrInt(MiniCType):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "int *"
 
 
-@dataclass(frozen=True)
 class ArrayInt(MiniCType):
-    size: int  # >= 1
+    __slots__ = _fields = ("size",)  # size >= 1
 
     def __str__(self) -> str:
         return f"int [{self.size}]"
 
 
-@dataclass(frozen=True)
 class Void(MiniCType):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "void"
 
@@ -109,131 +138,148 @@ VOID = Void()
 # ---------------------------------------------------------------------------
 # AST
 #
-# Nodes use identity equality (eq=False): analysis passes key tables by the
-# node object itself.
+# Nodes use identity equality: analysis passes key tables by the node object
+# itself.  A node's fields are its classes' `__slots__`, base class first;
+# `loc` is set by `_at` once the node is built.
 
-@dataclass(eq=False)
 class Expr:
-    loc: SourceLocation = field(init=False, repr=False)
+    __slots__ = ("loc",)
 
 
-@dataclass(eq=False)
 class IntLit(Expr):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
 
 
-@dataclass(eq=False)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(eq=False)
 class Unary(Expr):
-    op: str  # - ! * &
-    operand: Expr
+    __slots__ = ("op", "operand")  # op: - ! * &
+
+    def __init__(self, op: str, operand: Expr):
+        self.op, self.operand = op, operand
 
 
-@dataclass(eq=False)
 class Binary(Expr):
-    op: str  # + - * / % < <= > >= == != && ||
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")  # op: + - * / % < <= > >= == != && ||
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        self.op, self.left, self.right = op, left, right
 
 
-@dataclass(eq=False)
 class Index(Expr):
-    base: Expr
-    index: Expr
+    __slots__ = ("base", "index")
+
+    def __init__(self, base: Expr, index: Expr):
+        self.base, self.index = base, index
 
 
-@dataclass(eq=False)
 class Call(Expr):
-    name: str
-    args: list[Expr]
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: list[Expr]):
+        self.name, self.args = name, args
 
 
-@dataclass(eq=False)
 class Stmt:
-    loc: SourceLocation = field(init=False, repr=False)
+    __slots__ = ("loc",)
 
 
-@dataclass(eq=False)
 class VarDecl(Stmt):
-    name: str
-    type: MiniCType
-    init: Expr | None
+    __slots__ = ("name", "type", "init")
+
+    def __init__(self, name: str, type: MiniCType, init: Expr | None):
+        self.name, self.type, self.init = name, type, init
 
 
-@dataclass(eq=False)
 class Assign(Stmt):
-    target: Expr  # Var, Unary(*) or Index
-    value: Expr
+    __slots__ = ("target", "value")  # target: Var, Unary(*) or Index
+
+    def __init__(self, target: Expr, value: Expr):
+        self.target, self.value = target, value
 
 
-@dataclass(eq=False)
 class If(Stmt):
-    cond: Expr
-    then: Stmt
-    orelse: Stmt | None
+    __slots__ = ("cond", "then", "orelse")
+
+    def __init__(self, cond: Expr, then: Stmt, orelse: Stmt | None):
+        self.cond, self.then, self.orelse = cond, then, orelse
 
 
-@dataclass(eq=False)
 class While(Stmt):
-    cond: Expr
-    body: Stmt
+    __slots__ = ("cond", "body")
+
+    def __init__(self, cond: Expr, body: Stmt):
+        self.cond, self.body = cond, body
 
 
-@dataclass(eq=False)
 class For(Stmt):
-    init: Stmt | None  # VarDecl, Assign or ExprStmt
-    cond: Expr | None
-    step: Stmt | None  # Assign or ExprStmt
-    body: Stmt
+    # init: VarDecl, Assign or ExprStmt; step: Assign or ExprStmt
+    __slots__ = ("init", "cond", "step", "body")
+
+    def __init__(self, init: Stmt | None, cond: Expr | None, step: Stmt | None, body: Stmt):
+        self.init, self.cond, self.step, self.body = init, cond, step, body
 
 
-@dataclass(eq=False)
 class Return(Stmt):
-    value: Expr | None
+    __slots__ = ("value",)
+
+    def __init__(self, value: Expr | None):
+        self.value = value
 
 
-@dataclass(eq=False)
 class ExprStmt(Stmt):
-    expr: Expr
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: Expr):
+        self.expr = expr
 
 
-@dataclass(eq=False)
 class Block(Stmt):
-    stmts: list[Stmt]
+    __slots__ = ("stmts",)
+
+    def __init__(self, stmts: list[Stmt]):
+        self.stmts = stmts
 
 
-@dataclass(eq=False)
 class Break(Stmt):
-    pass
+    __slots__ = ()
 
 
-@dataclass(eq=False)
 class Continue(Stmt):
-    pass
+    __slots__ = ()
 
 
-@dataclass(eq=False)
 class Param:
-    name: str
-    type: MiniCType
-    loc: SourceLocation
+    __slots__ = ("name", "type", "loc")
+
+    def __init__(self, name: str, type: MiniCType, loc: SourceLocation):
+        self.name, self.type, self.loc = name, type, loc
 
 
-@dataclass(eq=False)
 class FunctionDef:
-    name: str
-    params: list[Param]
-    return_type: MiniCType
-    body: Block
-    loc: SourceLocation
-    end_loc: SourceLocation  # closing brace
-    source_text: str  # exact source slice, used for content hashing
-    calls: set[str]  # every name the body calls, builtins and unknown names too
-    offset: int  # where its `int`/`void` token starts in the unit's text
+    __slots__ = ("name", "params", "return_type", "body", "loc", "end_loc", "source_text",
+                 "calls", "offset")
+
+    def __init__(self, name: str, params: list[Param], return_type: MiniCType, body: Block,
+                 loc: SourceLocation, end_loc: SourceLocation, source_text: str,
+                 calls: set[str], offset: int):
+        self.name = name
+        self.params = params
+        self.return_type = return_type
+        self.body = body
+        self.loc = loc
+        self.end_loc = end_loc  # closing brace
+        self.source_text = source_text  # exact source slice, used for content hashing
+        self.calls = calls  # every name the body calls, builtins and unknown names too
+        self.offset = offset  # where its `int`/`void` token starts in the unit's text
 
 
 # A scope problem the parser saw: (loc, message, kind, name).  `kind` is
@@ -242,14 +288,17 @@ class FunctionDef:
 ScopeProblem = tuple[SourceLocation, str, str | None, str]
 
 
-@dataclass(eq=False)
 class TranslationUnit:
-    file: str
-    functions: list[FunctionDef]
-    globals: list[VarDecl]
-    global_texts: list[str]  # each global's exact source slice, for content hashing
-    scope_problems: list[ScopeProblem]  # those of the globals first; see check_well_formed
-    digest: str  # `source_digest` of the text's UTF-8 bytes
+    __slots__ = ("file", "functions", "globals", "global_texts", "scope_problems", "digest")
+
+    def __init__(self, file: str, functions: list[FunctionDef], globals: list[VarDecl],
+                 global_texts: list[str], scope_problems: list[ScopeProblem], digest: str):
+        self.file = file
+        self.functions = functions
+        self.globals = globals
+        self.global_texts = global_texts  # each global's exact source slice, for content hashing
+        self.scope_problems = scope_problems  # those of the globals first; see check_well_formed
+        self.digest = digest  # `source_digest` of the text's UTF-8 bytes
 
 
 def _at(node, loc: SourceLocation):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator, Set
-from dataclasses import dataclass
 
 from . import frontend as ast
 from .cfg import COND, Cfg, CfgNode, FALSE, STMT, TRUE
@@ -40,15 +39,15 @@ def tmod(a: int, b: int) -> int:
     return a - b * tdiv(a, b)
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: int | None  # None = -oo
-    hi: int | None  # None = +oo
-    empty: bool = False
+class Interval(ast.Value):
+    __slots__ = _fields = ("lo", "hi", "empty")
 
-    def __post_init__(self):
-        if not self.empty and self.lo is not None and self.hi is not None:
-            assert self.lo <= self.hi, f"malformed interval [{self.lo}, {self.hi}]"
+    def __init__(self, lo: int | None, hi: int | None, empty: bool = False):
+        if not empty and lo is not None and hi is not None:
+            assert lo <= hi, f"malformed interval [{lo}, {hi}]"
+        self.lo = lo  # None = -oo
+        self.hi = hi  # None = +oo
+        self.empty = empty
 
     def __repr__(self) -> str:
         if self.empty:

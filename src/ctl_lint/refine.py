@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import frontend as ast
 from .cfg import COND, Cfg, FALSE, STMT, TRUE
@@ -42,8 +42,7 @@ UNKNOWN = "unknown"
 Number = int | Fraction
 
 
-@dataclass(frozen=True)
-class PathConstraint:
+class PathConstraint(NamedTuple):
     """Sum of coeff*versioned-variable  (= | <= | <)  constant."""
 
     terms: tuple[tuple[str, Number], ...]  # sorted by variable, no zero coefficient
@@ -58,8 +57,7 @@ class PathConstraint:
         return f"{lhs} {self.op} {self.rhs}"
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
+class FeasibilityVerdict(NamedTuple):
     kind: str  # FEASIBLE | INFEASIBLE | UNKNOWN
     reason: str | None = None  # for UNKNOWN: "budget"
 
@@ -358,31 +356,31 @@ def _dedup(cs: list[PathConstraint]) -> list[PathConstraint]:
 # ---------------------------------------------------------------------------
 # Witness enumeration
 
-@dataclass(frozen=True)
-class _Gate:
-    nxt: int
+class _Phase(ast.Value):
+    """A state of the obligation automaton `_compile_obligations` builds;
+    `nxt`, `a` and `b` are the indices of the phases that follow it."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class _Step:
-    nxt: int
+class _Gate(_Phase):
+    __slots__ = _fields = ("nxt",)
 
 
-@dataclass(frozen=True)
-class _Stay:
-    prop: CtlFormula
-    nxt: int
+class _Step(_Phase):
+    __slots__ = _fields = ("nxt",)
 
 
-@dataclass(frozen=True)
-class _Split:
-    a: int
-    b: int
+class _Stay(_Phase):
+    __slots__ = _fields = ("prop", "nxt")
 
 
-@dataclass(frozen=True)
-class _Accept:
-    pass
+class _Split(_Phase):
+    __slots__ = _fields = ("a", "b")
+
+
+class _Accept(_Phase):
+    __slots__ = ()
 
 
 def _compile_obligations(f: CtlFormula, phases: list, forms: list[CtlFormula]) -> int | None:

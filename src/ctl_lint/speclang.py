@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import frontend as ast
 from .cfg import Cfg, Fact, KripkeStructure, to_kripke
@@ -64,8 +64,7 @@ _RESERVED = {"AX", "EX", "AF", "EF", "AG", "EG", "A", "E", "U"}
 VAR_CLASSES = ("pointer", "array", "any")
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(NamedTuple):
     name: str
     args: tuple[str, ...]  # metavariables ($v), identifiers, or "_"
 
@@ -73,8 +72,7 @@ class Pattern:
         return f"{self.name}({', '.join(self.args)})"
 
 
-@dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(NamedTuple):
     id: str
     severity: str
     metavar: str
@@ -85,8 +83,7 @@ class CheckSpec:
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
-class CheckTask:
+class CheckTask(NamedTuple):
     check: CheckSpec
     function: str
     binding: tuple[tuple[str, str], ...]  # metavar -> variable

@@ -374,7 +374,7 @@ class TestVersion:
         assert (code, out) == expected
 
     def test_package_version_is_the_project_version(self):
-        import tomllib
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
 
         from ctl_lint import __version__
         pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")

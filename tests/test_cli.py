@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -15,7 +16,8 @@ from ctl_lint.cli import POOL_BYTES, _parse_analyze_args, main, pool_workers, re
 from ctl_lint.cli import render_text
 from ctl_lint.diagnostics import Diagnostic
 from ctl_lint.engine import Counters
-from ctl_lint.frontend import MAX_NESTING, SourceLocation
+from ctl_lint.frontend import MAX_NESTING, LocatedError, SourceLocation
+from ctl_lint.speclang import load_checkset
 
 CLEAN = "int add(int a, int b) { return a + b; }\n"
 DOUBLE_FREE = "int f(int *p) { free(p); free(p); return 0; }\n"
@@ -50,6 +52,7 @@ class Fresh(NamedTuple):
     err: str
     modules: list[str]  # the ctl_lint modules the process loaded
     pool: bool  # whether it imported the process pool
+    stdlib: list[str]  # which of dataclasses, inspect and logging it loaded
 
 
 _FRESH_SCRIPT = """\
@@ -61,7 +64,8 @@ import ctl_lint.cli
 code = ctl_lint.cli.main(sys.argv[3:])
 with open(sys.argv[1], "w") as fh:
     json.dump([sorted(m for m in sys.modules if m.startswith("ctl_lint")),
-               "concurrent.futures.process" in sys.modules], fh)
+               "concurrent.futures.process" in sys.modules,
+               [m for m in ("dataclasses", "inspect", "logging") if m in sys.modules]], fh)
 sys.exit(code)
 """
 
@@ -76,8 +80,22 @@ def fresh(*args: str, spawn: bool = False) -> Fresh:
             [sys.executable, "-c", _FRESH_SCRIPT, loaded, "spawn" if spawn else "fork", *args],
             capture_output=True, text=True, env=env, timeout=120)
         with open(loaded) as fh:
-            modules, pool = json.load(fh)
-    return Fresh(proc.returncode, proc.stdout, proc.stderr, modules, pool)
+            modules, pool, stdlib = json.load(fh)
+    return Fresh(proc.returncode, proc.stdout, proc.stderr, modules, pool, stdlib)
+
+
+def test_what_crosses_the_pool_pickles():
+    # diagnostics come back from workers, a spawned worker gets the check
+    # set, and errors raised in a worker reach this process
+    check = load_checkset([])[0][0]
+    loc = SourceLocation("a.c", 3, 4)
+    diagnostic = Diagnostic("double-free", "error", loc, "m", "f", "unconfirmed", (loc,))
+    for value in (diagnostic, check, check.prop):
+        assert pickle.loads(pickle.dumps(value)) == value
+    assert hash(pickle.loads(pickle.dumps(check.prop))) == hash(check.prop)
+    error = pickle.loads(pickle.dumps(LocatedError(loc, "bad")))
+    assert (type(error), error.loc, error.message, str(error)) == \
+        (LocatedError, loc, "bad", "a.c:3:4: bad")
 
 
 class TestExitCodes:
@@ -355,6 +373,21 @@ check free-call-seen {
                            "free-call-seen", path)
         assert code == 1
         assert "[free-call-seen]" in out
+
+    @pytest.mark.parametrize("lead", [[], ["analyze"]])
+    def test_list_checks_keeps_a_spec_named_analyze(self, ws, capsys, lead):
+        # only a leading `analyze` is dropped, not a spec path that reads so
+        ws("analyze", """
+check free-call-seen {
+  severity: info
+  forall $v: pointer
+  label f := free_of($v)
+  property: EF f
+}
+""")
+        code, out, err = run(capsys, *lead, "--list-checks", "--specs", "analyze")
+        assert (code, err) == (0, "")
+        assert "free-call-seen" in out and "double-free" in out
 
     def test_user_spec_duplicate_id_rejected(self, ws, capsys):
         chk = ws("dup.chk", """
@@ -673,6 +706,19 @@ class TestJobs:
         paths = [ws("bug.c", DOUBLE_FREE + 2 * PAD), ws("leak.c", LEAK + 2 * PAD)]
         outcome = fresh("analyze", "--no-cache", "--jobs", "1", *paths)
         assert outcome.code == 1 and not outcome.pool, outcome.err
+
+    def test_one_process_runs_load_no_class_generator_or_logging(self, ws, tmp_path):
+        # no module generates classes at import, and `logging` loads only
+        # when something is logged: a run that misses, one whose files all
+        # hit and one without the cache load none of them
+        paths = self._paths(ws)
+        db = str(tmp_path / "c.db")
+        for args, hit_line in ((["--db", db], "cache hits: 0% (0/5)"),
+                               (["--db", db], "cache hits: 100% (5/5)"),
+                               (["--no-cache"], "cache: disabled")):
+            outcome = fresh("analyze", *args, "--jobs", "1", *paths)
+            assert outcome.code == 1 and hit_line in outcome.err, outcome.err
+            assert outcome.stdlib == [] and not outcome.pool
 
     def test_default_is_the_usable_cpus(self):
         expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \

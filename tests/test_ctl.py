@@ -59,6 +59,19 @@ class TestNormalize:
             assert sat.states(f) == sat.states(normalize(f))
 
 
+class TestFormulaValues:
+    def test_operators_tell_formulas_apart(self):
+        assert And(p, q) != Or(p, q) and EX(p) != AX(p)
+
+    def test_a_formula_built_twice_is_equal(self):
+        def build():
+            return EU(Not(Prop("p")), And(Prop("q"), EX(TRUE)))
+
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert repr(And(p, q)) == "And(left=Prop(name='p'), right=Prop(name='q'))"
+
+
 class TestCheck:
     def test_single_state_self_loop(self):
         k = mk([[0]], [{"p"}])

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 
 import pytest
@@ -56,7 +55,7 @@ class TestParse:
 
         def walk(node):
             assert node.loc.line >= 1 and node.loc.column >= 1
-            for child in vars(node).values():
+            for child in (getattr(node, name) for name in _fields(node)):
                 if isinstance(child, (F.Stmt, F.Expr)):
                     walk(child)
                 elif isinstance(child, list):
@@ -102,10 +101,32 @@ class TestParse:
         assert needle in exc.value.message
 
 
+class TestTypes:
+    """MiniC types are values of their kind and size; their reprs feed the
+    AST digest below."""
+
+    def test_kinds_differ(self):
+        assert F.Int() != F.Void() and F.PtrInt() != F.Int()
+        assert F.Int() == F.INT and hash(F.Int()) == hash(F.INT)
+
+    def test_arrays(self):
+        assert F.ArrayInt(3) == F.ArrayInt(3) and hash(F.ArrayInt(3)) == hash(F.ArrayInt(3))
+        assert F.ArrayInt(3) != F.ArrayInt(4)
+        assert (repr(F.ArrayInt(3)), repr(F.INT), str(F.ArrayInt(3))) == \
+            ("ArrayInt(size=3)", "Int()", "int [3]")
+
+
 # the FunctionDef fields the digest covers; `calls` is pinned in test_engine
 _FUNCTION_FIELDS = ("name", "params", "return_type", "body", "loc", "end_loc", "source_text")
 # the TranslationUnit fields it covers; `scope_problems` is pinned in TestWellFormed
 _UNIT_FIELDS = ("file", "functions", "globals", "global_texts")
+
+
+def _fields(node) -> list[str]:
+    """A node's fields in declared order: its classes' `__slots__`, base
+    class first, so an Expr's or a Stmt's `loc` comes first."""
+    return [name for cls in reversed(type(node).__mro__)
+            for name in cls.__dict__.get("__slots__", ())]
 
 
 def _dump(node):
@@ -115,7 +136,7 @@ def _dump(node):
     if isinstance(node, F.SourceLocation):
         return (type(node).__name__, *node)
     if isinstance(node, (F.Expr, F.Stmt, F.Param, F.FunctionDef, F.TranslationUnit)):
-        names = [f.name for f in dataclasses.fields(node)]
+        names = _fields(node)
         if isinstance(node, F.FunctionDef):
             names = [n for n in names if n in _FUNCTION_FIELDS]
         elif isinstance(node, F.TranslationUnit):

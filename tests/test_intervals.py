@@ -27,6 +27,14 @@ def expr_of(src: str):
     return tu.functions[0].body.stmts[0].value
 
 
+class TestIntervalValue:
+    def test_equality_and_repr(self):
+        assert iv(1, 2) == iv(1, 2) and hash(iv(1, 2)) == hash(iv(1, 2))
+        assert iv(1, 2) != iv(1, 3) and BOTTOM != iv(None, None)
+        assert [repr(i) for i in (iv(1, 2), iv(None, 5), iv(-3, None), BOTTOM)] == \
+            ["[1, 2]", "[-oo, 5]", "[-3, +oo]", "<empty>"]
+
+
 class TestArithmetic:
     def test_literal(self):
         assert eval_expr(expr_of("5"), IntervalEnv()) == const(5)

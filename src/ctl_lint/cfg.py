@@ -34,6 +34,8 @@ COND = "cond"
 UNCOND = "uncond"
 TRUE = "true"
 FALSE = "false"
+# the comparison a guard's FALSE branch takes
+NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
 
 
 class CfgNode:

@@ -112,25 +112,9 @@ def render_summary(ds: list[Diagnostic], counters: Counters, cached: bool) -> st
     return "\n".join(lines) + "\n"
 
 
-class RunConfig:
-    __slots__ = ("inputs", "check_ids", "format", "db_path", "max_witnesses", "min_severity",
-                 "jobs", "dump_cfg", "spec_paths")
-
-    def __init__(self, inputs: list[str], check_ids: set[str] | None, format: str,
-                 db_path: str | None, max_witnesses: int, min_severity: str, jobs: int,
-                 dump_cfg: bool, spec_paths: list[str]):
-        self.inputs = inputs
-        self.check_ids = check_ids
-        self.format = format
-        self.db_path = db_path  # None = caching disabled
-        self.max_witnesses = max_witnesses
-        self.min_severity = min_severity
-        self.jobs = jobs
-        self.dump_cfg = dump_cfg
-        self.spec_paths = spec_paths
-
-
-def _parse_analyze_args(args: list[str]) -> RunConfig:
+def _parse_analyze_args(args: list[str]) -> argparse.Namespace:
+    """The parsed options, with `jobs`, `db` (None = caching disabled) and
+    `checks` (a set of ids, or None) validated."""
     p = argparse.ArgumentParser(prog="ctl-lint analyze", add_help=False)
     p.add_argument("files", nargs="+")
     p.add_argument("--checks", default=None)
@@ -145,19 +129,16 @@ def _parse_analyze_args(args: list[str]) -> RunConfig:
     ns = p.parse_args(args)
     if ns.max_witnesses < 0:
         raise UsageError("--max-witnesses must be >= 0")
-    jobs = ns.jobs if ns.jobs is not None else _available_cpus()
-    if jobs < 1:
+    if ns.jobs is None:
+        ns.jobs = _available_cpus()
+    if ns.jobs < 1:
         raise UsageError("--jobs must be >= 1")
-    db_path = None
-    if not ns.no_cache:
-        db_path = ns.db or os.environ.get(DB_ENV_VAR) or DEFAULT_DB
-    check_ids = None
+    ns.db = None if ns.no_cache else ns.db or os.environ.get(DB_ENV_VAR) or DEFAULT_DB
     if ns.checks is not None:
-        check_ids = {c.strip() for c in ns.checks.split(",") if c.strip()}
-        if not check_ids:
+        ns.checks = {c.strip() for c in ns.checks.split(",") if c.strip()}
+        if not ns.checks:
             raise UsageError("--checks needs at least one check id")
-    return RunConfig(ns.files, check_ids, ns.format, db_path, ns.max_witnesses,
-                     ns.min_severity, jobs, ns.dump_cfg, ns.specs)
+    return ns
 
 
 def _available_cpus() -> int:
@@ -250,32 +231,32 @@ def pool_workers(jobs: int, files: int, source_bytes: int) -> int:
     return min(jobs, files, source_bytes // POOL_BYTES)
 
 
-def _cmd_analyze(cfg: RunConfig) -> int:
-    sources, checkset_text = read_checkset(cfg.spec_paths)
-    checks = _checkset(sources) if cfg.check_ids is not None or cfg.dump_cfg else None
-    if cfg.check_ids is not None:
+def _cmd_analyze(ns: argparse.Namespace) -> int:
+    sources, checkset_text = read_checkset(ns.specs)
+    checks = _checkset(sources) if ns.checks is not None or ns.dump_cfg else None
+    if ns.checks is not None:
         from .intervals import BUFFER_OVERRUN, DIV_BY_ZERO
-        unknown = cfg.check_ids - {c.id for c in checks} - {BUFFER_OVERRUN, DIV_BY_ZERO}
+        unknown = ns.checks - {c.id for c in checks} - {BUFFER_OVERRUN, DIV_BY_ZERO}
         if unknown:
             raise UsageError(f"unknown check ids: {', '.join(sorted(unknown))}")
 
-    if cfg.dump_cfg:
+    if ns.dump_cfg:
         from .cfg import build_cfg, to_dot
-        for tu in [parse_bytes(_read(path), path) for path in cfg.inputs]:
+        for tu in [parse_bytes(_read(path), path) for path in ns.files]:
             for f in tu.functions:
                 sys.stdout.write(to_dot(build_cfg(f)))
         return 0
 
-    db = CacheDb(cfg.db_path) if cfg.db_path is not None else None
-    config = EngineConfig(checkset_text=checkset_text, max_witnesses=cfg.max_witnesses)
+    db = CacheDb(ns.db) if ns.db is not None else None
+    config = EngineConfig(checkset_text=checkset_text, max_witnesses=ns.max_witnesses)
     counters = Counters()
     diagnostics: list[Diagnostic] = []
     _init_worker(checks, config, db)
-    hits = [db and _file_hit(path) for path in cfg.inputs]
-    missed = [path for path, hit in zip(cfg.inputs, hits) if hit is None]
+    hits = [db and _file_hit(path) for path in ns.files]
+    missed = [path for path, hit in zip(ns.files, hits) if hit is None]
     if missed:
         _init_worker(checks or _checkset(sources), config, db)
-    workers = pool_workers(cfg.jobs, len(missed), sum(map(_size, missed)))
+    workers = pool_workers(ns.jobs, len(missed), sum(map(_size, missed)))
     with contextlib.ExitStack() as stack:
         if workers > 1:
             # imported here: it costs about 20 ms, which one-process runs skip
@@ -298,10 +279,10 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     diagnostics.sort(key=Diagnostic.sort_key)
 
     rendered = [d for d in diagnostics
-                if meets_min_severity(d.severity, cfg.min_severity)
-                and (cfg.check_ids is None or d.check_id in cfg.check_ids)]
+                if meets_min_severity(d.severity, ns.min_severity)
+                and (ns.checks is None or d.check_id in ns.checks)]
 
-    if cfg.format == "json":
+    if ns.format == "json":
         sys.stdout.write(render_json(rendered, counters) + "\n")
     else:
         sys.stdout.write(render_text(rendered))

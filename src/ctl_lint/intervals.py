@@ -3,7 +3,11 @@
 Classic integer intervals with widening at loop heads and a single
 meet-based narrowing pass.  Division and modulo follow C semantics
 (truncation toward zero, remainder takes the dividend's sign); analysis
-integers are unbounded, so machine wraparound is out of scope.
+integers are unbounded, so machine wraparound is out of scope.  A bound is
+a Python int, or `-INF`/`INF` where that end is unbounded.  Bound arithmetic
+returns an infinite operand before any `+` or `*`, because Python would
+turn the int into a float, and one past about 1e308 does not convert;
+comparisons between an int and `INF` are exact.
 
 Backs the buffer-overrun and division-by-zero checks: a definitely-bad
 operation escalates to an error, a possibly-bad one stays a warning.
@@ -19,11 +23,11 @@ from collections import deque
 from collections.abc import Iterator, Set
 
 from . import frontend as ast
-from .cfg import COND, Cfg, CfgNode, FALSE, STMT, TRUE
+from .cfg import COND, Cfg, CfgNode, FALSE, NEGATED, STMT, TRUE
 from .diagnostics import CONFIRMED, Diagnostic, UNCONFIRMED
 
-_NEG_INF = float("-inf")
-_POS_INF = float("inf")
+INF = float("inf")  # the bound of an end that is unbounded, as -INF or INF
+_INFS = (-INF, INF)
 
 
 def tdiv(a: int, b: int) -> int:
@@ -42,52 +46,36 @@ def tmod(a: int, b: int) -> int:
 class Interval(ast.Value):
     __slots__ = _fields = ("lo", "hi", "empty")
 
-    def __init__(self, lo: int | None, hi: int | None, empty: bool = False):
-        if not empty and lo is not None and hi is not None:
-            assert lo <= hi, f"malformed interval [{lo}, {hi}]"
-        self.lo = lo  # None = -oo
-        self.hi = hi  # None = +oo
+    def __init__(self, lo: int | float, hi: int | float, empty: bool = False):
+        assert empty or lo <= hi, f"malformed interval [{lo}, {hi}]"
+        self.lo = lo  # an int, or -INF
+        self.hi = hi  # an int, or INF
         self.empty = empty
 
     def __repr__(self) -> str:
         if self.empty:
             return "<empty>"
-        lo = "-oo" if self.lo is None else str(self.lo)
-        hi = "+oo" if self.hi is None else str(self.hi)
+        lo = "-oo" if self.lo == -INF else str(self.lo)
+        hi = "+oo" if self.hi == INF else str(self.hi)
         return f"[{lo}, {hi}]"
 
     def is_top(self) -> bool:
-        return not self.empty and self.lo is None and self.hi is None
+        return not self.empty and self.lo == -INF and self.hi == INF
 
     def is_const(self) -> bool:
-        return not self.empty and self.lo is not None and self.lo == self.hi
+        return not self.empty and self.lo == self.hi
 
     def contains(self, v: int) -> bool:
-        if self.empty:
-            return False
-        if self.lo is not None and v < self.lo:
-            return False
-        if self.hi is not None and v > self.hi:
-            return False
-        return True
-
-    def _bounds(self) -> tuple[float, float]:
-        lo = _NEG_INF if self.lo is None else self.lo
-        hi = _POS_INF if self.hi is None else self.hi
-        return lo, hi
+        return not self.empty and self.lo <= v <= self.hi
 
 
-TOP = Interval(None, None)
-BOTTOM = Interval(None, None, empty=True)
+TOP = Interval(-INF, INF)
+BOTTOM = Interval(INF, -INF, empty=True)
 BOOL = Interval(0, 1)
 
 
 def _mk(lo, hi) -> Interval:
-    lo = None if lo == _NEG_INF else int(lo)
-    hi = None if hi == _POS_INF else int(hi)
-    if lo is not None and hi is not None and lo > hi:
-        return BOTTOM
-    return Interval(lo, hi)
+    return BOTTOM if lo > hi else Interval(lo, hi)
 
 
 def const(v: int) -> Interval:
@@ -99,17 +87,13 @@ def join(a: Interval, b: Interval) -> Interval:
         return b
     if b.empty:
         return a
-    alo, ahi = a._bounds()
-    blo, bhi = b._bounds()
-    return _mk(min(alo, blo), max(ahi, bhi))
+    return Interval(min(a.lo, b.lo), max(a.hi, b.hi))
 
 
 def meet(a: Interval, b: Interval) -> Interval:
     if a.empty or b.empty:
         return BOTTOM
-    alo, ahi = a._bounds()
-    blo, bhi = b._bounds()
-    return _mk(max(alo, blo), min(ahi, bhi))
+    return _mk(max(a.lo, b.lo), min(a.hi, b.hi))
 
 
 def widen(old: Interval, new: Interval) -> Interval:
@@ -118,9 +102,7 @@ def widen(old: Interval, new: Interval) -> Interval:
         return new
     if new.empty:
         return old
-    alo, ahi = old._bounds()
-    blo, bhi = new._bounds()
-    return _mk(_NEG_INF if blo < alo else alo, _POS_INF if bhi > ahi else ahi)
+    return Interval(-INF if new.lo < old.lo else old.lo, INF if new.hi > old.hi else old.hi)
 
 
 def interval_leq(a: Interval, b: Interval) -> bool:
@@ -128,55 +110,49 @@ def interval_leq(a: Interval, b: Interval) -> bool:
         return True
     if b.empty:
         return False
-    alo, ahi = a._bounds()
-    blo, bhi = b._bounds()
-    return blo <= alo and ahi <= bhi
+    return b.lo <= a.lo and a.hi <= b.hi
+
+
+def _bsum(x, y):
+    """x + y for two lower bounds or two upper bounds."""
+    return x if x in _INFS else y if y in _INFS else x + y
 
 
 def add(a: Interval, b: Interval) -> Interval:
     if a.empty or b.empty:
         return BOTTOM
-    alo, ahi = a._bounds()
-    blo, bhi = b._bounds()
-    return _mk(alo + blo, ahi + bhi)
+    return Interval(_bsum(a.lo, b.lo), _bsum(a.hi, b.hi))
 
 
 def sub(a: Interval, b: Interval) -> Interval:
-    if a.empty or b.empty:
-        return BOTTOM
-    alo, ahi = a._bounds()
-    blo, bhi = b._bounds()
-    return _mk(alo - bhi, ahi - blo)
+    return add(a, neg(b))
 
 
 def neg(a: Interval) -> Interval:
-    if a.empty:
-        return BOTTOM
-    alo, ahi = a._bounds()
-    return _mk(-ahi, -alo)
+    return BOTTOM if a.empty else Interval(-a.hi, -a.lo)
 
 
-def _bmul(x: float, y: float) -> float:
+def _bmul(x, y):
     if x == 0 or y == 0:
         return 0
+    if x in _INFS or y in _INFS:
+        return INF if (x > 0) == (y > 0) else -INF
     return x * y
 
 
 def mul(a: Interval, b: Interval) -> Interval:
     if a.empty or b.empty:
         return BOTTOM
-    alo, ahi = a._bounds()
-    blo, bhi = b._bounds()
-    corners = [_bmul(x, y) for x in (alo, ahi) for y in (blo, bhi)]
-    return _mk(min(corners), max(corners))
+    corners = [_bmul(x, y) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+    return Interval(min(corners), max(corners))
 
 
-def _bdiv(x: float, y: float) -> float:
-    if x in (_NEG_INF, _POS_INF):
+def _bdiv(x, y):
+    if x in _INFS:
         return x if y > 0 else -x
-    if y in (_NEG_INF, _POS_INF):
+    if y in _INFS:
         return 0
-    return tdiv(int(x), int(y))
+    return tdiv(x, y)
 
 
 def div(a: Interval, b: Interval) -> Interval:
@@ -185,10 +161,8 @@ def div(a: Interval, b: Interval) -> Interval:
         return BOTTOM
     if b.contains(0):
         return TOP
-    alo, ahi = a._bounds()
-    blo, bhi = b._bounds()
-    corners = [_bdiv(x, y) for x in (alo, ahi) for y in (blo, bhi)]
-    return _mk(min(corners), max(corners))
+    corners = [_bdiv(x, y) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+    return Interval(min(corners), max(corners))
 
 
 def mod(a: Interval, b: Interval) -> Interval:
@@ -199,28 +173,22 @@ def mod(a: Interval, b: Interval) -> Interval:
         return TOP
     if a.is_const() and b.is_const():
         return const(tmod(a.lo, b.lo))
-    alo, ahi = a._bounds()
-    blo, bhi = b._bounds()
-    mag = min(max(abs(alo), abs(ahi)), max(abs(blo), abs(bhi)) - 1)
-    lo = 0 if alo >= 0 else -mag
-    hi = 0 if ahi <= 0 else mag
-    return _mk(lo, hi)
+    mag = min(max(-a.lo, a.hi), max(-b.lo, b.hi) - 1)
+    return Interval(0 if a.lo >= 0 else -mag, 0 if a.hi <= 0 else mag)
 
 
 def _cmp(op: str, a: Interval, b: Interval) -> Interval:
     if a.empty or b.empty:
         return BOTTOM
-    alo, ahi = a._bounds()
-    blo, bhi = b._bounds()
     if op == "<":
-        if ahi < blo:
+        if a.hi < b.lo:
             return const(1)
-        if alo >= bhi:
+        if a.lo >= b.hi:
             return const(0)
     elif op == "<=":
-        if ahi <= blo:
+        if a.hi <= b.lo:
             return const(1)
-        if alo > bhi:
+        if a.lo > b.hi:
             return const(0)
     elif op == ">":
         return _cmp("<", b, a)
@@ -229,7 +197,7 @@ def _cmp(op: str, a: Interval, b: Interval) -> Interval:
     elif op == "==":
         if a.is_const() and b.is_const() and a.lo == b.lo:
             return const(1)
-        if ahi < blo or bhi < alo:
+        if a.hi < b.lo or b.hi < a.lo:
             return const(0)
     elif op == "!=":
         r = _cmp("==", a, b)
@@ -401,30 +369,20 @@ def eval_expr(e: ast.Expr, env: IntervalEnv) -> Interval:
 
 def _refine_by_cmp(iv: Interval, op: str, c: int) -> Interval:
     if op == "<":
-        return meet(iv, Interval(None, c - 1))
+        return meet(iv, Interval(-INF, c - 1))
     if op == "<=":
-        return meet(iv, Interval(None, c))
+        return meet(iv, Interval(-INF, c))
     if op == ">":
-        return meet(iv, Interval(c + 1, None))
+        return meet(iv, Interval(c + 1, INF))
     if op == ">=":
-        return meet(iv, Interval(c, None))
+        return meet(iv, Interval(c, INF))
     if op == "==":
         return meet(iv, const(c))
     if op == "!=":
-        if iv.empty:
-            return iv
-        if iv.is_const() and iv.lo == c:
-            return BOTTOM
-        lo, hi = iv.lo, iv.hi
-        if lo is not None and lo == c:
-            lo = c + 1
-        if hi is not None and hi == c:
-            hi = c - 1
-        return _mk(_NEG_INF if lo is None else lo, _POS_INF if hi is None else hi)
+        return _mk(c + 1 if iv.lo == c else iv.lo, c - 1 if iv.hi == c else iv.hi)
     raise AssertionError(op)
 
 
-_NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
 _FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
 
 
@@ -439,8 +397,8 @@ def _refine_guard(expr: ast.Expr, env: IntervalEnv, branch: str) -> IntervalEnv:
         iv = env.get(expr.name)
         iv = _refine_by_cmp(iv, "!=" if branch == TRUE else "==", 0)
         return env.set(expr.name, iv)
-    if isinstance(expr, ast.Binary) and expr.op in _NEGATED:
-        op = expr.op if branch == TRUE else _NEGATED[expr.op]
+    if isinstance(expr, ast.Binary) and expr.op in NEGATED:
+        op = expr.op if branch == TRUE else NEGATED[expr.op]
         out = env
         lv = eval_expr(expr.left, env)
         rv = eval_expr(expr.right, env)
@@ -468,23 +426,18 @@ def transfer(node: CfgNode, env: IntervalEnv, branch: str | None = None,
     """
     if env.is_bottom:
         return BOTTOM_ENV
-    has_call = node.id in user_calls
+    # calls may run before sibling operands are read, so havoc first
+    if node.id in user_calls:
+        env = env.drop(call_havoc)
     if node.kind == COND:
-        if has_call:
-            env = env.drop(call_havoc)
         return _refine_guard(node.expr, env, branch if branch is not None else TRUE)
     if node.kind != STMT:
         return env
     s = node.stmt
-    # calls may run before sibling operands are read, so havoc first
     if isinstance(s, ast.VarDecl):
-        if has_call:
-            env = env.drop(call_havoc)
         value = eval_expr(s.init, env) if s.init is not None else TOP
         return env.set(s.name, value)
     if isinstance(s, ast.Assign):
-        if has_call:
-            env = env.drop(call_havoc)
         value = eval_expr(s.value, env)
         if isinstance(s.target, ast.Var):
             return env.set(s.target.name, value)
@@ -493,9 +446,6 @@ def transfer(node: CfgNode, env: IntervalEnv, branch: str | None = None,
         if isinstance(s.target, ast.Unary) or not isinstance(s.target.base, ast.Var) \
                 or s.target.base.name not in array_vars:
             return env.drop(call_havoc)
-        return env
-    if has_call:
-        env = env.drop(call_havoc)
     return env
 
 

@@ -4,9 +4,9 @@ A witness trace is compiled into linear path constraints: assignments
 introduce SSA-style fresh versions, branch guards add (in)equalities, and
 anything nonlinear or unknown havocs its target.  The conjunction is then
 tested for rational satisfiability by Fourier-Motzkin elimination.
-Coefficients and constants are ints; a Fraction appears only where an
-equality's coefficient does not divide, and is an int again once it is
-whole (the two compare, hash and sort alike, so either may be given).  An
+Coefficients and constants are ints, and stay ints: an equality is
+eliminated by cross-multiplying, never by dividing by its coefficient.  The
+arithmetic is generic, so rational (`Fraction`) input works alike.  An
 Infeasible verdict is trusted (rational emptiness implies integer
 emptiness, and dropped constraints only over-approximate), so a diagnostic
 is suppressed only when the enumeration ran to exhaustion and every
@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import frontend as ast
-from .cfg import COND, Cfg, FALSE, STMT, TRUE
+from .cfg import COND, Cfg, FALSE, NEGATED, STMT, TRUE
 from .ctl import (
     And, CtlFormula, EF, EU, EX, Or, SatSets, TrueF, WitnessTrace, check,
     is_propositional, witness,
@@ -39,15 +38,12 @@ INFEASIBLE = "infeasible"
 UNKNOWN = "unknown"
 
 
-Number = int | Fraction
-
-
 class PathConstraint(NamedTuple):
     """Sum of coeff*versioned-variable  (= | <= | <)  constant."""
 
-    terms: tuple[tuple[str, Number], ...]  # sorted by variable, no zero coefficient
+    terms: tuple[tuple[str, int], ...]  # sorted by variable, no zero coefficient
     op: str  # EQ | LE | LT
-    rhs: Number
+    rhs: int
 
     def __str__(self) -> str:
         if not self.terms:
@@ -66,14 +62,8 @@ Feasible = FeasibilityVerdict(FEASIBLE)
 Infeasible = FeasibilityVerdict(INFEASIBLE)
 
 
-def _whole(x: Number) -> Number:
-    """`x` as an int when it is a whole Fraction."""
-    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
-
-
-def _constraint(terms: dict[str, Number], op: str, rhs: Number) -> PathConstraint:
-    clean = tuple(sorted((v, _whole(c)) for v, c in terms.items() if c != 0))
-    return PathConstraint(clean, op, _whole(rhs))
+def _constraint(terms: dict[str, int], op: str, rhs: int) -> PathConstraint:
+    return PathConstraint(tuple(sorted((v, c) for v, c in terms.items() if c != 0)), op, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +124,6 @@ _CMP_TRUE = {
     # l ? r rewritten as (l - r) op 0
     "<": (LT, False), "<=": (LE, False), ">": (LT, True), ">=": (LE, True),
 }
-_NEGATE = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
 
 
 def path_constraints(trace: WitnessTrace, cfg: Cfg,
@@ -196,7 +185,7 @@ def _edge_label(cfg: Cfg, a: int, b: int) -> str | None:
 
 def _guard_constraint(e: ast.Expr, branch: str, v: _Versions) -> PathConstraint | None:
     if isinstance(e, ast.Binary) and e.op in ("<", "<=", ">", ">=", "==", "!="):
-        op = e.op if branch == TRUE else _NEGATE[e.op]
+        op = e.op if branch == TRUE else NEGATED[e.op]
         if op == "!=":
             return None  # not expressible as a convex constraint
         l = _linear(e.left, v)
@@ -238,11 +227,10 @@ DEFAULT_FM_BUDGET = 20_000
 def feasible(cs: list[PathConstraint], budget: int = DEFAULT_FM_BUDGET) -> FeasibilityVerdict:
     """Rational satisfiability of a constraint conjunction.
 
-    Equalities are removed by substitution, last first, into the
-    constraints that mention their variable; inequalities by pairwise
-    variable elimination.  When the remaining variable-count x
-    constraint-count product exceeds `budget`, gives up with
-    Unknown(budget).
+    Equalities are removed last first, each from the constraints that
+    mention its variable (`_eliminate`); inequalities by pairwise variable
+    elimination.  When the remaining variable-count x constraint-count
+    product exceeds `budget`, gives up with Unknown(budget).
     """
     rows: list[PathConstraint | None] = list(cs)
     occurs: dict[str, set[int]] = {}  # variable -> rows mentioning it
@@ -260,14 +248,11 @@ def feasible(cs: list[PathConstraint], budget: int = DEFAULT_FM_BUDGET) -> Feasi
             continue
         for v, _ in c.terms:
             occurs[v].discard(i)
-        var, coef = c.terms[0]
-        # var = (rhs - rest)/coef
-        sub_terms = {k: _div(-x, coef) for k, x in c.terms[1:]}
-        sub_const = _div(c.rhs, coef)
+        var = c.terms[0][0]
         for j in occurs.pop(var, ()):
-            new = rows[j] = _substitute(rows[j], var, sub_terms, sub_const)
+            new = rows[j] = _eliminate(rows[j], var, c)
             mentioned = {v for v, _ in new.terms}
-            for k in sub_terms:
+            for k, _ in c.terms[1:]:
                 if k in mentioned:
                     occurs.setdefault(k, set()).add(j)
                 else:  # cancelled out
@@ -295,7 +280,7 @@ def feasible(cs: list[PathConstraint], budget: int = DEFAULT_FM_BUDGET) -> Feasi
             a = _coef(p, var)
             for q in neg:
                 b = -_coef(q, var)
-                terms: dict[str, Number] = {}
+                terms: dict[str, int] = {}
                 for k, x in p.terms:
                     terms[k] = terms.get(k, 0) + b * x
                 for k, x in q.terms:
@@ -305,14 +290,7 @@ def feasible(cs: list[PathConstraint], budget: int = DEFAULT_FM_BUDGET) -> Feasi
         ineqs = _dedup(rest)
 
 
-def _div(a: Number, b: Number) -> Number:
-    """a / b, an int when it divides."""
-    if type(a) is int and type(b) is int and a % b == 0:
-        return a // b
-    return Fraction(a, b)
-
-
-def _coef(c: PathConstraint, var: str) -> Number:
+def _coef(c: PathConstraint, var: str) -> int:
     for v, x in c.terms:
         if v == var:
             return x
@@ -325,13 +303,16 @@ def _elim_cost(cs: list[PathConstraint], var: str) -> int:
     return pos * neg
 
 
-def _substitute(c: PathConstraint, var: str, sub_terms: dict[str, Number],
-                sub_const: Number) -> PathConstraint:
-    coef = _coef(c, var)
-    terms = {k: x for k, x in c.terms if k != var}
-    for k, x in sub_terms.items():
-        terms[k] = terms.get(k, 0) + coef * x
-    return _constraint(terms, c.op, c.rhs - coef * sub_const)
+def _eliminate(row: PathConstraint, var: str, eq: PathConstraint) -> PathConstraint:
+    """`row` without `var`, by the equality `eq`: |a|*row - sign(a)*k*eq, where
+    `eq` holds `var` with coefficient a and `row` with k.  That is a positive
+    multiple of `row` with `eq` substituted, so it keeps `row`'s direction."""
+    a = _coef(eq, var)
+    m, n = abs(a), _coef(row, var) * (1 if a > 0 else -1)
+    terms = {v: m * x for v, x in row.terms}
+    for v, x in eq.terms:
+        terms[v] = terms.get(v, 0) - n * x
+    return _constraint(terms, row.op, m * row.rhs - n * eq.rhs)
 
 
 def _ground_violated(c: PathConstraint) -> bool:

@@ -52,7 +52,7 @@ class Fresh(NamedTuple):
     err: str
     modules: list[str]  # the ctl_lint modules the process loaded
     pool: bool  # whether it imported the process pool
-    stdlib: list[str]  # which of dataclasses, inspect and logging it loaded
+    stdlib: list[str]  # which of dataclasses, inspect, logging and fractions it loaded
 
 
 _FRESH_SCRIPT = """\
@@ -65,7 +65,8 @@ code = ctl_lint.cli.main(sys.argv[3:])
 with open(sys.argv[1], "w") as fh:
     json.dump([sorted(m for m in sys.modules if m.startswith("ctl_lint")),
                "concurrent.futures.process" in sys.modules,
-               [m for m in ("dataclasses", "inspect", "logging") if m in sys.modules]], fh)
+               [m for m in ("dataclasses", "inspect", "logging", "fractions")
+                if m in sys.modules]], fh)
 sys.exit(code)
 """
 
@@ -123,6 +124,20 @@ class TestExitCodes:
     def test_missing_file_exits_two(self, ws, capsys):
         code, out, err = run(capsys, "analyze", "no-such-file.c")
         assert code == 2
+
+    @pytest.mark.parametrize("body, check", [
+        ("return 7 / ({x} + z);", "div-by-zero"),
+        ("return 7 / ({x} - z);", "div-by-zero"),
+        ("return 7 / ({x} * z);", "div-by-zero"),
+        ("int a[4]; a[{x} + z] = 1; return 0;", "buffer-overrun"),
+    ], ids=["add", "sub", "mul", "index"])
+    def test_a_literal_too_long_for_a_float_is_analyzed(self, ws, capsys, body, check):
+        # interval bounds meet this literal and an infinite bound together
+        path = ws("x.c", f"int f(int z) {{ {body.format(x='9' * 310)} }}\n")
+        code, out, err = run(capsys, "analyze", "--no-cache", path)
+        assert code == 1, err
+        assert f"warning [{check}]" in out
+        assert "internal error" not in err
 
     def test_semantic_error_exits_two(self, ws, capsys):
         path = ws("x.c", "int f() { return y; }\n")
@@ -708,9 +723,10 @@ class TestJobs:
         assert outcome.code == 1 and not outcome.pool, outcome.err
 
     def test_one_process_runs_load_no_class_generator_or_logging(self, ws, tmp_path):
-        # no module generates classes at import, and `logging` loads only
-        # when something is logged: a run that misses, one whose files all
-        # hit and one without the cache load none of them
+        # no module generates classes at import, `logging` loads only when
+        # something is logged, and the value analyses compute with ints, not
+        # `Fraction`s: a run that misses, one whose files all hit and one
+        # without the cache load none of them
         paths = self._paths(ws)
         db = str(tmp_path / "c.db")
         for args, hit_line in ((["--db", db], "cache hits: 0% (0/5)"),

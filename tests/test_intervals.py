@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ctl_lint import frontend as F
 from ctl_lint.cfg import FALSE, TRUE, build_cfg
 from ctl_lint.intervals import (
-    BOTTOM, BOTTOM_ENV, Interval, IntervalEnv, add, analyze, check_sites, const, div,
+    BOTTOM, BOTTOM_ENV, INF, Interval, IntervalEnv, add, analyze, check_sites, const, div,
     env_leq, eval_expr, interval_checks, interval_leq, iteration_cap, join,
     meet, mod, mul, sub, transfer, widen,
 )
@@ -30,8 +30,8 @@ def expr_of(src: str):
 class TestIntervalValue:
     def test_equality_and_repr(self):
         assert iv(1, 2) == iv(1, 2) and hash(iv(1, 2)) == hash(iv(1, 2))
-        assert iv(1, 2) != iv(1, 3) and BOTTOM != iv(None, None)
-        assert [repr(i) for i in (iv(1, 2), iv(None, 5), iv(-3, None), BOTTOM)] == \
+        assert iv(1, 2) != iv(1, 3) and BOTTOM != iv(-INF, INF)
+        assert [repr(i) for i in (iv(1, 2), iv(-INF, 5), iv(-3, INF), BOTTOM)] == \
             ["[1, 2]", "[-oo, 5]", "[-3, +oo]", "<empty>"]
 
 
@@ -56,8 +56,8 @@ class TestArithmetic:
         assert div(iv(1, 1), iv(-1, 1)).is_top()
 
     def test_div_with_unbounded_divisor(self):
-        assert interval_leq(const(5 // 3), div(iv(5, 5), iv(2, None)))
-        assert div(iv(5, 5), iv(2, None)) == iv(0, 2)
+        assert interval_leq(const(5 // 3), div(iv(5, 5), iv(2, INF)))
+        assert div(iv(5, 5), iv(2, INF)) == iv(0, 2)
 
     def test_mod_sign_follows_dividend(self):
         assert mod(iv(-7, -7), iv(3, 3)) == const(tmod(-7, 3)) == const(-1)
@@ -80,8 +80,8 @@ class TestArithmetic:
         assert join(iv(0, 1), iv(5, 6)) == iv(0, 6)
         assert meet(iv(0, 5), iv(3, 9)) == iv(3, 5)
         assert meet(iv(0, 1), iv(5, 6)) == BOTTOM
-        assert widen(iv(0, 3), iv(0, 4)) == iv(0, None)
-        assert widen(iv(0, 3), iv(-1, 3)) == iv(None, 3)
+        assert widen(iv(0, 3), iv(0, 4)) == iv(0, INF)
+        assert widen(iv(0, 3), iv(-1, 3)) == iv(-INF, 3)
         assert join(BOTTOM, iv(1, 2)) == iv(1, 2)
 
 
@@ -100,7 +100,7 @@ class TestTransfer:
         g, node = self._node("int f(int x) { if (x < 10) { x = 1; } }",
                              lambda n: n.kind == "cond")
         out = transfer(node, IntervalEnv(), TRUE)
-        assert out.get("x") == iv(None, 9)
+        assert out.get("x") == iv(-INF, 9)
 
     def test_contradictory_guard_gives_bottom(self):
         g, node = self._node("int f(int x) { if (x < 10) { x = 1; } }",
@@ -112,21 +112,26 @@ class TestTransfer:
         g, node = self._node("int f(int x) { if (x < 10) { x = 1; } }",
                              lambda n: n.kind == "cond")
         out = transfer(node, IntervalEnv(), FALSE)
-        assert out.get("x") == iv(10, None)
+        assert out.get("x") == iv(10, INF)
 
     def test_bottom_propagates(self):
         g, node = self._node("int f(int x) { x = 5; }",
                              lambda n: isinstance(n.stmt, F.Assign))
         assert transfer(node, BOTTOM_ENV).is_bottom
 
-    def test_call_havocs_globals(self):
-        src = "int g;\nint h() { g = 1; return 0; }\nint f() { g = 5; h(); return g; }"
+    @pytest.mark.parametrize("call", [
+        "h();", "if (h()) { y = 1; }", "int x = h();", "y = h();", "return h();",
+    ], ids=["statement", "condition", "declaration", "assignment", "return"])
+    def test_call_havocs_globals(self, call):
+        src = ("int g;\nint h() { g = 1; return 0; }\n"
+               f"int f(int y) {{ g = 5; {call} return g; }}")
         tu = F.parse(src, "a.c")
         cfg = build_cfg(tu.functions[1])
-        call_node = next(n for n in cfg.nodes if isinstance(n.stmt, F.ExprStmt))
-        out = transfer(call_node, IntervalEnv({"g": const(5)}),
-                       call_havoc=frozenset({"g"}), user_calls=cfg.table.user_calls)
-        assert out.get("g").is_top()
+        call_node, = (n for n in cfg.nodes if n.id in cfg.table.user_calls)
+        for branch in (TRUE, FALSE) if call_node.kind == "cond" else (None,):
+            out = transfer(call_node, IntervalEnv({"g": const(5)}), branch,
+                           call_havoc=frozenset({"g"}), user_calls=cfg.table.user_calls)
+            assert out.get("g").is_top()
 
 
 @st.composite
@@ -136,16 +141,16 @@ def env_pairs(draw):
     small: dict[str, Interval] = {}
     for name in names:
         if draw(st.booleans()):
-            lo = draw(st.one_of(st.none(), st.integers(-20, 20)))
-            hi = draw(st.one_of(st.none(), st.integers(-20, 20)))
-            if lo is not None and hi is not None and lo > hi:
+            lo = draw(st.one_of(st.just(-INF), st.integers(-20, 20)))
+            hi = draw(st.one_of(st.just(INF), st.integers(-20, 20)))
+            if lo > hi:
                 lo, hi = hi, lo
             big[name] = Interval(lo, hi)
     e2 = IntervalEnv(dict(big))
     for name, val in big.items():
-        lo = draw(st.one_of(st.none(), st.integers(-20, 20)))
-        hi = draw(st.one_of(st.none(), st.integers(-20, 20)))
-        if lo is not None and hi is not None and lo > hi:
+        lo = draw(st.one_of(st.just(-INF), st.integers(-20, 20)))
+        hi = draw(st.one_of(st.just(INF), st.integers(-20, 20)))
+        if lo > hi:
             lo, hi = hi, lo
         shrunk = meet(val, Interval(lo, hi)) if draw(st.booleans()) else val
         if shrunk.empty:
@@ -303,7 +308,7 @@ class TestChecks:
                   and isinstance(n.stmt.target.index, F.IntLit)]
         assert len(stores) == 2
         for sid in stores:
-            assert r.at(sid).get("x") == (const(1) if is_array else iv(None, None))
+            assert r.at(sid).get("x") == (const(1) if is_array else iv(-INF, INF))
         overruns = [d for d in interval_checks(g, r, tu.globals) if d.severity == "error"]
         assert len(overruns) == (2 if is_array else 0)
 

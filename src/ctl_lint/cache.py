@@ -19,7 +19,7 @@ import zlib
 from typing import NamedTuple
 
 from . import __version__
-from .diagnostics import CONFIRMED, Diagnostic, SourceLocation, UNCONFIRMED
+from .diagnostics import CONFIRMED, SEVERITY_RANK, UNCONFIRMED, Diagnostic, SourceLocation
 
 CACHE_HEADER = "ctl-lint-cache v5"
 
@@ -354,15 +354,18 @@ def pack_function(result: FunctionResult, line: int) -> list:
 
 
 def _readable(record: list) -> bool:
-    """Whether `unpack_function` reads `record` without an error.  A record
-    of the wrong shape raises ValueError or TypeError instead."""
+    """Whether `unpack_function` reads `record`, and `cli.render_row`
+    renders its diagnostics, without an error or a field of another type.
+    A record of the wrong shape raises ValueError or TypeError instead."""
     rel, (_, frees, derefs), tasks, skipped = record
     ints = [tasks, skipped, *frees, *derefs]
-    for _, _, rel_line, column, _, _, trace in rel:
-        if len(trace) % 2:
+    strings = []
+    for check, severity, rel_line, column, message, confirmed, trace in rel:
+        if len(trace) % 2 or severity not in SEVERITY_RANK or type(confirmed) is not bool:
             return False
         ints += rel_line, column, *trace
-    return all(type(n) is int for n in ints)
+        strings += check, severity, message
+    return set(map(type, ints)) <= {int} and set(map(type, strings)) <= {str}
 
 
 def unpack_function(record: list, function: str, line: int, file: str) -> FunctionResult:

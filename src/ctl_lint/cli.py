@@ -10,12 +10,15 @@ This process answers the files that hit the cache and maps the others over
 at most `--jobs` workers, one per missed file and per `POOL_BYTES` of their
 source, or analyzes them itself when that allows fewer than two.  Workers
 only read the cache; this process writes it, in input order, and compacts it.
+Each file comes back as its report rows, already rendered in the run's
+format (`render_row`), which this process sorts, filters and joins.
 
-A run whose files all hit imports `cache`, `diagnostics` and `frontend`
-besides this module, and no analysis module: the file keys hash the text of
-the check set, which is read but not parsed.  The check set is parsed, and
-`engine` imported with the modules it uses, only when a file misses (before
-any pool forks, so workers inherit them), for `--checks`, `--dump-cfg` and
+A run whose files all hit imports `cache`, `diagnostics` and `source`
+besides this module, and no parser or analysis module: a hit's rows are
+rendered from its record, and the file keys hash the text of the check set,
+which is read but not parsed.  The check set is parsed, and `engine`
+imported with the modules it uses, only when a file misses (before any pool
+forks, so workers inherit them), for `--checks`, `--dump-cfg` and
 `--list-checks`.
 """
 
@@ -23,15 +26,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 from typing import TYPE_CHECKING
 
-from .cache import CacheDb, file_key, unpack_function
-from .diagnostics import AnalysisError, Counters, Diagnostic, EngineConfig, read_checkset
-from .diagnostics import diagnostic_to_json_obj, meets_min_severity
-from .frontend import LocatedError, functions_at, parse_bytes, source_digest
+from .cache import CacheDb, file_key
+from .diagnostics import CONFIRMED, UNCONFIRMED, AnalysisError, Counters, EngineConfig
+from .diagnostics import meets_min_severity, read_checkset
+from .source import LocatedError, functions_at, parse_bytes, source_digest
 
 if TYPE_CHECKING:
     from .speclang import CheckSpec
@@ -59,45 +62,58 @@ options:
 """
 
 
-def render_text(ds: list[Diagnostic]) -> str:
+Row = tuple  # (sort key, severity, check id, text): one diagnostic as the report shows it
+
+
+def render_row(fmt: str, file: str, function: str, base: int, check: str, severity: str,
+               line: int, column: int, message: str, confirmed: bool, trace: list[int]) -> Row:
+    """One diagnostic as a report row, its text in format `fmt`: a JSON
+    object, or a line plus its `trace:` line.  The fields are in the order
+    a function record lists them, and lines count from `base`: the
+    diagnostic is at line `base + line`, and `trace` is `[l0, c0, l1, c1,
+    ...]` with each `l` counted from `base` too.  Strings are escaped and
+    ints printed as `json.dumps(..., ensure_ascii=True)` does, so the JSON
+    report is the bytes it would dump."""
+    line += base
+    confidence = CONFIRMED if confirmed else UNCONFIRMED
+    pairs = zip(trace[::2], trace[1::2])
+    if fmt == "json":
+        text = ('{"check":%s,"severity":%s,"file":%s,"line":%d,"column":%d,"message":%s,'
+                '"confidence":"%s","trace":[%s]}') % (
+            _escape(check), _escape(severity), _escape(file), line, column, _escape(message),
+            confidence, ",".join(['{"line":%d,"column":%d}' % (base + t, c) for t, c in pairs]))
+    else:
+        text = f"{file}:{line}:{column}: {severity} [{check}] {message} ({confidence})"
+        if trace:
+            text += "\n  trace: " + " -> ".join(["%d:%d" % (base + t, c) for t, c in pairs])
+    return (file, line, column, check, function, message), severity, check, text
+
+
+def render_text(rows: list[Row]) -> str:
     """Compiler-style lines, one per diagnostic, plus indented traces."""
-    lines = []
-    for d in ds:
-        lines.append(f"{d.loc.file}:{d.loc.line}:{d.loc.column}: {d.severity} "
-                     f"[{d.check_id}] {d.message} ({d.confidence})")
-        if d.trace:
-            lines.append("  trace: " + " -> ".join(f"{t.line}:{t.column}" for t in d.trace))
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join([row[3] + "\n" for row in rows])
 
 
-def render_json(ds: list[Diagnostic], counters: Counters) -> str:
+def render_json(rows: list[Row], counters: Counters) -> str:
     """Canonical JSON report; byte-identical for identical sources and
     config regardless of cache state or worker count."""
-    obj = {
-        "version": "1",
-        "diagnostics": [diagnostic_to_json_obj(d) for d in ds],
-        "summary": {
-            "error": sum(1 for d in ds if d.severity == "error"),
-            "warning": sum(1 for d in ds if d.severity == "warning"),
-            "info": sum(1 for d in ds if d.severity == "info"),
-            "tasks": counters.content_tasks,
-            # content view: what a fresh run reports; live hit-rate is in
-            # the stderr summary
-            "cache_hits": 0,
-        },
-    }
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
+    severities = [row[1] for row in rows]
+    # the content view: "cache_hits" is what a fresh run reports, and the
+    # live hit rate is in the stderr summary
+    return ('{"version":"1","diagnostics":[%s],"summary":{"error":%d,"warning":%d,"info":%d,'
+            '"tasks":%d,"cache_hits":0}}') % (
+        ",".join([row[3] for row in rows]), severities.count("error"),
+        severities.count("warning"), severities.count("info"), counters.content_tasks)
 
 
-def render_summary(ds: list[Diagnostic], counters: Counters, cached: bool) -> str:
+def render_summary(rows: list[Row], counters: Counters, cached: bool) -> str:
     """The stderr summary; `cached` tells whether a cache store was in use."""
-    errors = sum(1 for d in ds if d.severity == "error")
-    warnings = sum(1 for d in ds if d.severity == "warning")
-    infos = sum(1 for d in ds if d.severity == "info")
-    lines = [f"{errors} errors, {warnings} warnings, {infos} infos"]
+    severities = [row[1] for row in rows]
+    lines = [f"{severities.count('error')} errors, {severities.count('warning')} warnings, "
+             f"{severities.count('info')} infos"]
     by_check: dict[str, int] = {}
-    for d in ds:
-        by_check[d.check_id] = by_check.get(d.check_id, 0) + 1
+    for row in rows:
+        by_check[row[2]] = by_check.get(row[2], 0) + 1
     for check_id in sorted(by_check):
         lines.append(f"  {check_id}: {by_check[check_id]}")
     lines.append(f"functions analyzed: {counters.functions}")
@@ -175,30 +191,36 @@ def _checkset(sources: list[tuple[str, str]]) -> list[CheckSpec]:
     return parse_checkset(sources)
 
 
-# (checks, config, db) of the files this process answers or analyzes
-_worker: tuple[list[CheckSpec] | None, EngineConfig, CacheDb | None] | None = None
+# (checks, config, db, report format) of the files this process answers or analyzes
+_worker: tuple[list[CheckSpec] | None, EngineConfig, CacheDb | None, str] | None = None
 
 
 def _init_worker(checks: list[CheckSpec] | None, config: EngineConfig,
-                 db: CacheDb | None) -> None:
+                 db: CacheDb | None, fmt: str) -> None:
     global _worker
-    _worker = (checks, config, db)
+    _worker = (checks, config, db, fmt)
 
 
-def _analyze_file(path: str) -> tuple[list[Diagnostic], Counters, tuple[str, list] | None]:
-    """One missed file's diagnostics, counters and record to store."""
+def _analyze_file(path: str) -> tuple[list[Row], Counters, tuple[str, list] | None]:
+    """One missed file's rows, counters and record to store."""
     from .engine import analyze_unit
-    checks, config, db = _worker
+    checks, config, db, fmt = _worker
     counters = Counters()
     diagnostics, record = analyze_unit(parse_bytes(_read(path), path), checks, db, config,
                                        counters)
-    return diagnostics, counters, record
+    rows = [render_row(fmt, d.loc.file, d.function, 0, d.check_id, d.severity, d.loc.line,
+                       d.loc.column, d.message, d.confidence == CONFIRMED,
+                       [n for t in d.trace for n in (t.line, t.column)])
+            for d in diagnostics]
+    return rows, counters, record
 
 
-def _file_hit(path: str) -> tuple[list[Diagnostic], Counters, None] | None:
+def _file_hit(path: str) -> tuple[list[Row], Counters, None] | None:
     """What `_analyze_file` gives for a file whose bytes match its record,
-    answered from the record with no parsing, or None for a miss."""
-    _, config, db = _worker
+    rendered from the record with no parsing, or None for a miss.  Its rows
+    are in record order, which the caller's stable sort makes the order of
+    a miss."""
+    _, config, db, fmt = _worker
     try:
         data = _read(path)
     except OSError:  # a miss, whose worker raises the error in input order
@@ -209,14 +231,13 @@ def _file_hit(path: str) -> tuple[list[Diagnostic], Counters, None] | None:
         return None
     _, starts, functions = hit
     counters = Counters()
-    diagnostics = []
-    for (name, line), (_, function) in zip(functions_at(data.decode("utf-8"), starts),
-                                           functions):
-        result = unpack_function(function, name, line, path)
-        diagnostics.extend(result.diagnostics)
-        counters.merge_content(result.tasks, result.skipped)
+    rows = []
+    for (name, line), (_, (diagnostics, _, tasks, skipped)) in zip(
+            functions_at(data.decode("utf-8"), starts), functions):
+        rows += [render_row(fmt, path, name, line, *d) for d in diagnostics]
+        counters.merge_content(tasks, skipped)
     counters.functions = counters.cache_hits = len(functions)
-    return sorted(diagnostics, key=Diagnostic.sort_key), counters, None
+    return rows, counters, None
 
 
 def _size(path: str) -> int:
@@ -250,12 +271,12 @@ def _cmd_analyze(ns: argparse.Namespace) -> int:
     db = CacheDb(ns.db) if ns.db is not None else None
     config = EngineConfig(checkset_text=checkset_text, max_witnesses=ns.max_witnesses)
     counters = Counters()
-    diagnostics: list[Diagnostic] = []
-    _init_worker(checks, config, db)
+    rows: list[Row] = []
+    _init_worker(checks, config, db, ns.format)
     hits = [db and _file_hit(path) for path in ns.files]
     missed = [path for path, hit in zip(ns.files, hits) if hit is None]
     if missed:
-        _init_worker(checks or _checkset(sources), config, db)
+        _init_worker(checks or _checkset(sources), config, db, ns.format)
     workers = pool_workers(ns.jobs, len(missed), sum(map(_size, missed)))
     with contextlib.ExitStack() as stack:
         if workers > 1:
@@ -269,18 +290,18 @@ def _cmd_analyze(ns: argparse.Namespace) -> int:
         # results are merged in input order: the first failing file raises
         # first, and records are stored as a one-process run would store them
         for hit in hits:
-            diags, file_counters, record = hit or next(results)
-            diagnostics.extend(diags)
+            file_rows, file_counters, record = hit or next(results)
+            rows += file_rows
             counters.add(file_counters)
             if record is not None:
                 db.put(*record)
     if db is not None:
         db.compact()
-    diagnostics.sort(key=Diagnostic.sort_key)
+    rows.sort(key=lambda row: row[0])  # stable: a path named twice interleaves
 
-    rendered = [d for d in diagnostics
-                if meets_min_severity(d.severity, ns.min_severity)
-                and (ns.checks is None or d.check_id in ns.checks)]
+    rendered = [row for row in rows
+                if meets_min_severity(row[1], ns.min_severity)
+                and (ns.checks is None or row[2] in ns.checks)]
 
     if ns.format == "json":
         sys.stdout.write(render_json(rendered, counters) + "\n")

@@ -6,9 +6,9 @@ import os
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .frontend import SourceLocation
+from .source import SourceLocation
 
-_SEVERITY_RANK = {"error": 0, "warning": 1, "info": 2}
+SEVERITY_RANK = {"error": 0, "warning": 1, "info": 2}
 
 CONFIRMED = "confirmed"
 UNCONFIRMED = "unconfirmed"
@@ -29,21 +29,7 @@ class Diagnostic(NamedTuple):
 
 
 def meets_min_severity(severity: str, min_severity: str) -> bool:
-    return _SEVERITY_RANK[severity] <= _SEVERITY_RANK[min_severity]
-
-
-def diagnostic_to_json_obj(d: Diagnostic) -> dict:
-    """Fixed-key-order JSON object for the report format."""
-    return {
-        "check": d.check_id,
-        "severity": d.severity,
-        "file": d.loc.file,
-        "line": d.loc.line,
-        "column": d.loc.column,
-        "message": d.message,
-        "confidence": d.confidence,
-        "trace": [{"line": t.line, "column": t.column} for t in d.trace],
-    }
+    return SEVERITY_RANK[severity] <= SEVERITY_RANK[min_severity]
 
 
 def read_checkset(spec_paths: Sequence[str] = ()) -> tuple[list[tuple[str, str]], str]:

@@ -37,7 +37,7 @@ from .ctl import (
     is_witnessable, props_of,
 )
 from .diagnostics import read_checkset
-from .frontend import LocatedError, SourceLocation, Token, tokenize
+from .source import LocatedError, SourceLocation, Token, tokenize
 
 
 class SpecError(LocatedError):

@@ -177,18 +177,26 @@ class TestCorruption:
         [DIGEST, ["0"], [["d" * 64, func_record(1)]]],
         [0, [0], [["d" * 64, func_record(1)]]],
         [DIGEST, [0], [[0, func_record(1)]]],
+        file_record(("d" * 64, [[["c", "fatal", 0, 1, "m", False, []]], [False, [], []], 1, 0])),
+        file_record(("d" * 64, [[[[1], "error", 0, 1, "m", False, []]], [False, [], []], 1, 0])),
+        file_record(("d" * 64, [[["c", "error", 0, 1, 5, False, []]], [False, [], []], 1, 0])),
+        file_record(("d" * 64, [[["c", "error", 0, 1, "m", 1, []]], [False, [], []], 1, 0])),
     ], ids=["v4-layout", "short-function", "short-diagnostic", "odd-trace",
             "unhashable-frees", "starts-missing", "start-not-int", "digest-not-str",
-            "key-not-str"])
+            "key-not-str", "unknown-severity", "check-not-str", "message-not-str",
+            "confirmed-not-bool"])
     def test_record_that_does_not_unpack_is_a_miss_and_rewritten(self, tmp_path, caplog,
                                                                  bad):
-        # well framed and valid JSON, but not a file record unpack_function reads
+        # well framed and valid JSON, but not a file record whose diagnostics
+        # unpack_function reads and cli.render_row renders
         self.undecodable_is_a_miss_and_rewritten(tmp_path, caplog, cache._encode(bad))
 
     @pytest.mark.parametrize("reshape", [
         lambda record: [[key, [1]] for key, _ in record[2]],
         lambda record: [record[0], record[1], [[key, [1]] for key, _ in record[2]]],
-    ], ids=["v4-layout", "digest-matches"])
+        lambda record: [record[0], record[1], [[key, [[[d[0], "fatal", *d[2:]] for d in f[0]],
+                                                      *f[1:]]] for key, f in record[2]]],
+    ], ids=["v4-layout", "digest-matches", "unknown-severity"])
     def test_cli_run_over_a_record_that_does_not_unpack(self, ws, capsys, reshape):
         # the record's digest may match the file: the file tier must not
         # answer from it, and the function tier must not either
@@ -197,9 +205,9 @@ class TestCorruption:
         run(capsys, "--db", str(db), "c.c")
         [(key, payload)] = cache._parse(db.read_bytes())[0]
         good = db.read_bytes()
-        db.write_bytes(cache._HEADER_LINE
-                       + cache._frame(key, cache._encode(reshape(json.loads(
-                           zlib.decompress(payload))))))
+        record = json.loads(zlib.decompress(payload))
+        assert reshape(record) != record
+        db.write_bytes(cache._HEADER_LINE + cache._frame(key, cache._encode(reshape(record))))
         code, out, err = run(capsys, "--format", "json", "--db", str(db), "c.c")
         assert (code, out) == expected and "internal error" not in err
         assert db.read_bytes() == good  # rewritten without the bad record
@@ -516,21 +524,24 @@ class TestFileTier:
         *[fx.source for fx in FIXTURES],
     ], ids=["one-line-and-comments", *[fx.name for fx in FIXTURES]])
     def test_a_hit_rebuilds_what_the_miss_stored(self, tmp_path, monkeypatch, source):
-        # every Diagnostic field, `function`, `loc` and `trace` included,
+        # every row of either format, whose sort key holds the `function`,
         # and every counter but the hits and misses
         (tmp_path / "s.c").write_text("\n// a comment before the first function\n" + source)
         path = str(tmp_path / "s.c")
-        db = CacheDb(str(tmp_path / "c.db"))
-        cli._init_worker(CHECKS, CLI_CONFIG, db)
-        stored, miss, record = cli._analyze_file(path)
-        db.put(*record)
-        monkeypatch.setattr(cli, "parse_bytes", None)  # a hit must not call it
-        diagnostics, hit, again = cli._file_hit(path)
-        assert diagnostics == stored and again is None
-        assert all(d.loc.file == path and d.function for d in diagnostics)
-        assert (hit.functions, hit.content_tasks, hit.content_skipped) == \
-            (miss.functions, miss.content_tasks, miss.content_skipped)
-        assert (hit.cache_hits, hit.cache_misses) == (miss.functions, 0)
+        for fmt in ("text", "json"):
+            db = CacheDb(str(tmp_path / f"{fmt}.db"))
+            cli._init_worker(CHECKS, CLI_CONFIG, db, fmt)
+            stored, miss, record = cli._analyze_file(path)
+            db.put(*record)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "parse_bytes", None)  # a hit must not call it
+                rows, hit, again = cli._file_hit(path)
+            # in record order, which the caller's stable sort makes the miss's
+            assert sorted(rows, key=lambda row: row[0]) == stored and again is None
+            assert all(row[0][0] == path and row[0][4] for row in rows)
+            assert (hit.functions, hit.content_tasks, hit.content_skipped) == \
+                (miss.functions, miss.content_tasks, miss.content_skipped)
+            assert (hit.cache_hits, hit.cache_misses) == (miss.functions, 0)
 
     def test_digest_mismatch_is_a_miss_never_a_stale_report(self, ws, capsys, parses):
         db = ws / "c.db"

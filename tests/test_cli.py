@@ -12,11 +12,13 @@ from typing import NamedTuple
 import pytest
 
 from ctl_lint import cache
-from ctl_lint.cli import POOL_BYTES, _parse_analyze_args, main, pool_workers, render_summary
-from ctl_lint.cli import render_text
-from ctl_lint.diagnostics import Diagnostic
+from ctl_lint.cli import POOL_BYTES, _parse_analyze_args, main, pool_workers, render_row
+from ctl_lint.cli import render_summary, render_text
+from ctl_lint.diagnostics import CONFIRMED, Diagnostic
 from ctl_lint.engine import Counters
-from ctl_lint.frontend import MAX_NESTING, LocatedError, SourceLocation
+from ctl_lint.frontend import MAX_NESTING
+from ctl_lint.source import LocatedError, SourceLocation
+from fixtures_bugs import FIXTURES
 from ctl_lint.speclang import load_checkset
 
 CLEAN = "int add(int a, int b) { return a + b; }\n"
@@ -44,6 +46,13 @@ def run(capsys, *args):
     code = main(list(args))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def rows_of(ds: list[Diagnostic], fmt: str = "text") -> list[tuple]:
+    """The report rows of `ds`, as a missed file renders them."""
+    return [render_row(fmt, d.loc.file, d.function, 0, d.check_id, d.severity, d.loc.line,
+                       d.loc.column, d.message, d.confidence == CONFIRMED,
+                       [n for t in d.trace for n in (t.line, t.column)]) for d in ds]
 
 
 class Fresh(NamedTuple):
@@ -86,12 +95,18 @@ def fresh(*args: str, spawn: bool = False) -> Fresh:
 
 
 def test_what_crosses_the_pool_pickles():
-    # diagnostics come back from workers, a spawned worker gets the check
-    # set, and errors raised in a worker reach this process
+    # rows, plain tuples of strings and ints, come back from workers, a
+    # spawned worker gets the check set, and errors raised in a worker
+    # reach this process
     check = load_checkset([])[0][0]
     loc = SourceLocation("a.c", 3, 4)
     diagnostic = Diagnostic("double-free", "error", loc, "m", "f", "unconfirmed", (loc,))
-    for value in (diagnostic, check, check.prop):
+    for fmt in ("text", "json"):
+        [row] = rows_of([diagnostic], fmt)
+        assert row[:3] == (diagnostic.sort_key(), "error", "double-free")
+        assert {type(v) for v in (*row[0], *row[1:])} == {str, int}
+        assert pickle.loads(pickle.dumps(row)) == row
+    for value in (check, check.prop):
         assert pickle.loads(pickle.dumps(value)) == value
     assert hash(pickle.loads(pickle.dumps(check.prop))) == hash(check.prop)
     error = pickle.loads(pickle.dumps(LocatedError(loc, "bad")))
@@ -230,7 +245,7 @@ class TestRenderText:
                        "allocation of 'p' may reach function exit without free",
                        "f", "confirmed",
                        (SourceLocation("a.c", 1, 1), loc, SourceLocation("a.c", 6, 1)))
-        text = render_text([d])
+        text = render_text(rows_of([d]))
         assert text.splitlines()[0] == (
             "a.c:4:3: warning [memory-leak] allocation of 'p' may reach "
             "function exit without free (confirmed)")
@@ -300,7 +315,7 @@ class TestSummaryReport:
             Diagnostic("memory-leak", "warning", locs[1], "m", "f"),
             Diagnostic("null-deref", "warning", locs[2], "m", "f"),
         ]
-        text = render_summary(ds, Counters(), False)
+        text = render_summary(rows_of(ds), Counters(), False)
         assert text.splitlines()[0] == "1 errors, 2 warnings, 0 infos"
 
     def test_clean_line(self):
@@ -634,6 +649,44 @@ class TestJobs:
         assert outcome[:3] == expected and outcome.pool == pool
         assert (tmp_path / "jobs1.db").read_bytes() == (tmp_path / "jobs2.db").read_bytes()
 
+    @pytest.mark.parametrize("filters", [[], ["--min-severity", "warning"],
+                                         ["--checks", "memory-leak,div-by-zero"]],
+                             ids=["unfiltered", "min-severity", "checks"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_hits_render_as_misses(self, ws, capsys, tmp_path, pools, fmt, filters):
+        # a file answered from its record prints what its analysis prints:
+        # every run, cold, warm and after an edit, at any --jobs, equals an
+        # uncached one-process run but for the stderr line on the cache.  A
+        # path that needs escaping, and is named twice, and an empty file
+        # ride along; the padded path alone is source enough for a pool
+        (tmp_path / "dir with space").mkdir()
+        odd = ws('dir with space/é"q\\.c', FIXTURES[0].source + PAD)
+        paths = [ws(f"{fx.name}.c", fx.source) for fx in FIXTURES]
+        paths[1:1] = [odd, ws("empty.c", ""), odd]
+
+        def analyze(*args):
+            code, out, err = run(capsys, "analyze", "--format", fmt, *args, *filters, *paths)
+            if fmt == "json":  # json's own escaping, and one sort over all files
+                report = json.loads(out)
+                assert json.dumps(report, separators=(",", ":")) + "\n" == out
+                keys = [(d["file"], d["line"], d["column"], d["check"])
+                        for d in report["diagnostics"]]
+                assert keys == sorted(keys)
+            return code, out, err.splitlines()[:-1]
+
+        expected = analyze("--no-cache", "--jobs", "1")
+        assert expected[0] == 1
+        dbs = [("1", str(tmp_path / "j1.db")), ("2", str(tmp_path / "j2.db"))]
+        for jobs, db in dbs:
+            assert analyze("--db", db, "--jobs", jobs) == expected  # cold
+            assert analyze("--db", db, "--jobs", jobs) == expected  # warm
+        with open(paths[-1], "a") as fh:
+            fh.write(LEAK.replace("int f", "int edited"))
+        expected = analyze("--no-cache", "--jobs", "1")
+        for jobs, db in dbs:
+            assert analyze("--db", db, "--jobs", jobs) == expected
+        assert pools == [2]  # the cold --jobs 2 run
+
     def test_pool_workers_at_its_edges(self):
         assert pool_workers(2, 3, 0) == 0
         assert pool_workers(2, 3, POOL_BYTES - 1) == 0
@@ -668,7 +721,7 @@ class TestJobs:
         db = str(tmp_path / "c.db")
         run(capsys, "analyze", "--db", db, "--jobs", "1", *paths)
         hit_modules = ["ctl_lint", "ctl_lint.cache", "ctl_lint.cli", "ctl_lint.diagnostics",
-                       "ctl_lint.frontend"]
+                       "ctl_lint.source"]
         for fmt in ("text", "json"):
             expected = run(capsys, "analyze", "--format", fmt, "--db", db, "--jobs", "1", *paths)
             assert fmt == "json" or "cache hits: 100% (5/5)" in expected[2]
@@ -684,8 +737,8 @@ class TestJobs:
         expected = run(capsys, "analyze", "--db", str(tmp_path / "c1.db"), "--jobs", "1", *paths)
         assert "cache hits: 71% (5/7)" in expected[2]
         outcome = fresh("analyze", "--db", db, "--jobs", "2", *paths)
-        assert outcome[:3] == expected and "ctl_lint.engine" in outcome.modules
-        assert outcome.pool
+        assert outcome[:3] == expected and outcome.pool
+        assert {"ctl_lint.engine", "ctl_lint.frontend"} <= set(outcome.modules)
 
     def test_spawned_workers_match(self, ws, capsys, tmp_path):
         # workers get their state from the pool initializer, not from fork

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctl_lint import frontend as F
+from ctl_lint import source
 from ctl_lint import speclang as S
 from fixtures_bugs import FIXTURES
 from program_gen import generate_program
@@ -278,7 +279,7 @@ class TestScanner:
     ])
     def test_end_of_input_after_a_trailing_line_comment(self, parse_one, text, error):
         # end of input is where the text ends, after the comment
-        with pytest.raises(F.LocatedError) as exc:
+        with pytest.raises(source.LocatedError) as exc:
             parse_one(text, "a")
         assert str(exc.value) == error
 
@@ -296,7 +297,7 @@ class TestTotality:
     @settings(max_examples=150, deadline=None)
     def test_parse_never_crashes_on_bytes(self, data):
         try:
-            F.parse_bytes(data, "fuzz.c")
+            source.parse_bytes(data, "fuzz.c")
         except F.ParseError:
             pass
 

@@ -1,10 +1,10 @@
 """The result store: its file format (`CacheDb`), its keys (`cache_key`,
-`file_key`) and its function records (`pack_function`, `unpack_function`).
+`file_key`) and its function records (`pack_function`, `record_summary`).
 
 A function's content key covers its source text, the check set, the callee
-summary environment, the globals' source text, the refinement budget and
-the tool version.  This module imports nothing of the analyzer, so reading
-the store does not load it.
+summary environment, the globals' names and types, the refinement budget
+and the tool version.  This module imports nothing of the analyzer, so
+reading the store does not load it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import zlib
 from typing import NamedTuple
 
 from . import __version__
-from .diagnostics import CONFIRMED, SEVERITY_RANK, UNCONFIRMED, Diagnostic, SourceLocation
+from .diagnostics import CONFIRMED, SEVERITY_RANK, Diagnostic
 
 CACHE_HEADER = "ctl-lint-cache v5"
 
@@ -106,7 +106,7 @@ class CacheDb:
     A record whose checksum does not match is skipped; one whose framing or
     length does not match is corrupt, and everything after it is dropped.
     A record whose payload does not inflate to a file record, or whose
-    function records do not unpack, is found when it is first read.  In
+    function records do not render, is found when it is first read.  In
     all three cases the lost records are misses, and the next store
     rewrites the file without them.  A file with another header (a v1 to
     v4 store, say) starts fresh.
@@ -292,15 +292,17 @@ def _sha256(text: str) -> str:
 
 
 def cache_key(source_text: str, checkset_text: str, summary_env: str,
-              globals_text: str, max_witnesses: int) -> str:
+              globals_env: str, max_witnesses: int) -> str:
     """Content key of a function: its source text, the check set, the
-    callee summary environment as canonical JSON, the globals' source text,
-    the refinement budget and the tool version."""
+    callee summary environment as canonical JSON, the globals' `[[name,
+    type], ...]` in declaration order as canonical JSON, the refinement
+    budget and the tool version.  No analysis reads a global's initializer:
+    globals are havocked, so only their names, types and order count."""
     parts = [
         _sha256(source_text),
         _sha256(checkset_text),
         _sha256(summary_env),
-        _sha256(globals_text),
+        _sha256(globals_env),
         f"max_witnesses={max_witnesses}",
         f"ctl-lint/{__version__}",
     ]
@@ -308,9 +310,11 @@ def cache_key(source_text: str, checkset_text: str, summary_env: str,
 
 
 def file_key(file: str, checkset_text: str, max_witnesses: int) -> str:
-    """Key of the record of input file `file` (the path as given)."""
-    return _sha256("\n".join(["index", file, _sha256(checkset_text),
-                              f"max_witnesses={max_witnesses}", f"ctl-lint/{__version__}"]))
+    """Key of the record of input file `file` (the path as given).  It
+    hashes the path's file-system bytes, which for a UTF-8 path are its
+    UTF-8 encoding and for any other are the bytes the system gave."""
+    rest = f"{_sha256(checkset_text)}\nmax_witnesses={max_witnesses}\nctl-lint/{__version__}"
+    return hashlib.sha256(b"index\n%s\n%s" % (os.fsencode(file), rest.encode())).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -331,30 +335,21 @@ class FunctionSummary(NamedTuple):
         }
 
 
-class FunctionResult(NamedTuple):
-    """One function's results, as a function record holds them."""
-    diagnostics: list[Diagnostic]
-    summary: FunctionSummary
-    tasks: int
-    skipped: int
-
-
-def pack_function(result: FunctionResult, line: int) -> list:
+def pack_function(diagnostics: list[Diagnostic], summary: FunctionSummary, tasks: int,
+                  skipped: int, line: int) -> list:
     """The record of a function starting at `line`: `[diagnostics,
     [may_return_null, always_frees, derefs_param_unchecked], tasks,
     skipped]`, each diagnostic as `[check, severity, rel_line, column,
     message, confirmed, [l0, c0, l1, c1, ...]]`, lines relative to `line`."""
-    diagnostics = [[d.check_id, d.severity, d.loc.line - line, d.loc.column, d.message,
-                    d.confidence == CONFIRMED,
-                    [n for t in d.trace for n in (t.line - line, t.column)]]
-                   for d in result.diagnostics]
-    s = result.summary
-    return [diagnostics, [s.may_return_null, sorted(s.always_frees),
-                          sorted(s.derefs_param_unchecked)], result.tasks, result.skipped]
+    rel = [[d.check_id, d.severity, d.loc.line - line, d.loc.column, d.message,
+            d.confidence == CONFIRMED, [n for t in d.trace for n in (t.line - line, t.column)]]
+           for d in diagnostics]
+    return [rel, [summary.may_return_null, sorted(summary.always_frees),
+                  sorted(summary.derefs_param_unchecked)], tasks, skipped]
 
 
 def _readable(record: list) -> bool:
-    """Whether `unpack_function` reads `record`, and `cli.render_row`
+    """Whether `record_summary` reads `record`, and `cli.render_row`
     renders its diagnostics, without an error or a field of another type.
     A record of the wrong shape raises ValueError or TypeError instead."""
     rel, (_, frees, derefs), tasks, skipped = record
@@ -368,14 +363,7 @@ def _readable(record: list) -> bool:
     return set(map(type, ints)) <= {int} and set(map(type, strings)) <= {str}
 
 
-def unpack_function(record: list, function: str, line: int, file: str) -> FunctionResult:
-    """The results `record` holds for `function`, now starting at `line`
-    of `file`."""
-    rel, (may_null, frees, derefs), tasks, skipped = record
-    diagnostics = [Diagnostic(check, severity, SourceLocation(file, line + rel_line, column),
-                              message, function, CONFIRMED if confirmed else UNCONFIRMED,
-                              tuple(SourceLocation(file, line + trace[i], trace[i + 1])
-                                    for i in range(0, len(trace), 2)))
-                   for check, severity, rel_line, column, message, confirmed, trace in rel]
-    summary = FunctionSummary(function, may_null, frozenset(frees), frozenset(derefs))
-    return FunctionResult(diagnostics, summary, tasks, skipped)
+def record_summary(record: list, function: str) -> FunctionSummary:
+    """The summary `record` holds for `function`."""
+    may_null, frees, derefs = record[1]
+    return FunctionSummary(function, may_null, frozenset(frees), frozenset(derefs))

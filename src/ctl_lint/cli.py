@@ -10,8 +10,9 @@ This process answers the files that hit the cache and maps the others over
 at most `--jobs` workers, one per missed file and per `POOL_BYTES` of their
 source, or analyzes them itself when that allows fewer than two.  Workers
 only read the cache; this process writes it, in input order, and compacts it.
-Each file comes back as its report rows, already rendered in the run's
-format (`render_row`), which this process sorts, filters and joins.
+Each file comes back as its report rows, which `_rows` renders in the run's
+format from the file's record, a stored one or one the analysis returned,
+and which this process sorts, filters and joins.
 
 A run whose files all hit imports `cache`, `diagnostics` and `source`
 besides this module, and no parser or analysis module: a hit's rows are
@@ -201,42 +202,45 @@ def _init_worker(checks: list[CheckSpec] | None, config: EngineConfig,
     _worker = (checks, config, db, fmt)
 
 
-def _analyze_file(path: str) -> tuple[list[Row], Counters, tuple[str, list] | None]:
-    """One missed file's rows, counters and record to store."""
-    from .engine import analyze_unit
-    checks, config, db, fmt = _worker
-    counters = Counters()
-    diagnostics, record = analyze_unit(parse_bytes(_read(path), path), checks, db, config,
-                                       counters)
-    rows = [render_row(fmt, d.loc.file, d.function, 0, d.check_id, d.severity, d.loc.line,
-                       d.loc.column, d.message, d.confidence == CONFIRMED,
-                       [n for t in d.trace for n in (t.line, t.column)])
-            for d in diagnostics]
-    return rows, counters, record
-
-
-def _file_hit(path: str) -> tuple[list[Row], Counters, None] | None:
-    """What `_analyze_file` gives for a file whose bytes match its record,
-    rendered from the record with no parsing, or None for a miss.  Its rows
-    are in record order, which the caller's stable sort makes the order of
-    a miss."""
-    _, config, db, fmt = _worker
-    try:
-        data = _read(path)
-    except OSError:  # a miss, whose worker raises the error in input order
-        return None
-    hit = db.file_hit(file_key(path, config.checkset_text, config.max_witnesses),
-                      source_digest(data))
-    if hit is None:
-        return None
-    _, starts, functions = hit
+def _rows(fmt: str, path: str, data: bytes, record: list) -> tuple[list[Row], Counters]:
+    """The report rows of file `path`, whose bytes are `data`, and the
+    content it counts, from its file record, hit or missed alike.  The rows
+    are in record order, which the caller's stable sort makes report order."""
+    _, starts, functions = record
     counters = Counters()
     rows = []
     for (name, line), (_, (diagnostics, _, tasks, skipped)) in zip(
             functions_at(data.decode("utf-8"), starts), functions):
         rows += [render_row(fmt, path, name, line, *d) for d in diagnostics]
         counters.merge_content(tasks, skipped)
-    counters.functions = counters.cache_hits = len(functions)
+    counters.functions = len(functions)
+    return rows, counters
+
+
+def _analyze_file(path: str) -> tuple[list[Row], Counters, list]:
+    """One missed file's rows, counters and record to store."""
+    from .engine import analyze_unit
+    checks, config, db, fmt = _worker
+    data = _read(path)
+    counters = Counters()
+    record = analyze_unit(parse_bytes(data, path), checks, db, config, counters)
+    return _rows(fmt, path, data, record)[0], counters, record
+
+
+def _file_hit(path: str) -> tuple[list[Row], Counters, None] | None:
+    """What `_analyze_file` gives for a file whose bytes match its record,
+    with no parsing, or None for a miss; there is nothing to store."""
+    _, config, db, fmt = _worker
+    try:
+        data = _read(path)
+    except OSError:  # a miss, whose worker raises the error in input order
+        return None
+    record = db.file_hit(file_key(path, config.checkset_text, config.max_witnesses),
+                         source_digest(data))
+    if record is None:
+        return None
+    rows, counters = _rows(fmt, path, data, record)
+    counters.cache_hits = counters.functions
     return rows, counters, None
 
 
@@ -289,12 +293,12 @@ def _cmd_analyze(ns: argparse.Namespace) -> int:
             results = map(_analyze_file, missed)
         # results are merged in input order: the first failing file raises
         # first, and records are stored as a one-process run would store them
-        for hit in hits:
+        for path, hit in zip(ns.files, hits):
             file_rows, file_counters, record = hit or next(results)
             rows += file_rows
             counters.add(file_counters)
-            if record is not None:
-                db.put(*record)
+            if db is not None and record is not None:
+                db.put(file_key(path, checkset_text, ns.max_witnesses), record)
     if db is not None:
         db.compact()
     rows.sort(key=lambda row: row[0])  # stable: a path named twice interleaves

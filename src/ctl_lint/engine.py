@@ -3,17 +3,16 @@
 Functions are summarized bottom-up over the call graph (recursion falls
 back to pessimistic summaries), then analyzed independently: pattern
 labeling, CTL checking, witness refinement, interval checks and the
-structural dead-code check.  Results are aggregated into a deterministic
-diagnostic list.  A function found in the store (`cache`) is not analyzed
-again; `analyze_unit` only reads the store, and its caller writes it.
+structural dead-code check.  A unit's result is its file record: a function
+found in the store (`cache`) is its stored record, and any other is packed
+once analyzed.  `analyze_unit` only reads the store, and its caller writes it.
 """
 
 from __future__ import annotations
 
 from . import frontend as ast
 from .cache import (
-    CacheDb, FunctionResult, FunctionSummary, cache_key, canonical_json, file_key, pack_function,
-    unpack_function,
+    CacheDb, FunctionSummary, cache_key, canonical_json, pack_function, record_summary,
 )
 from .cfg import Cfg, build_cfg, to_kripke
 from .ctl import And, EU, EX, Not, Prop, TRUE, check, witness
@@ -306,35 +305,34 @@ def _dead_regions(cfg: Cfg, dead: frozenset[int]) -> list[set[int]]:
 
 def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
                  db: CacheDb | None, config: EngineConfig,
-                 counters: Counters | None = None,
-                 ) -> tuple[list[Diagnostic], tuple[str, list] | None]:
-    """Analyze one translation unit.  Returns its diagnostics, sorted and
-    cache-transparent (byte-identical with and without `db`), and, when
-    there is a `db`, the unit's (file key, record) pair for the caller to
-    store.  `db` is only read."""
+                 counters: Counters | None = None) -> list:
+    """Analyze one translation unit.  Returns its file record, `[digest,
+    starts, [[function key, function record], ...]]` in source order, the
+    same with and without `db`: a function `db` holds is its stored record,
+    and any other is packed once analyzed.  `db` is only read."""
     errors = check_well_formed(tu)
     if errors:
         raise AnalysisError(errors)
     counters = counters if counters is not None else Counters()
     funcs = {f.name: f for f in tu.functions}
-    globals_text = canonical_json(tu.global_texts)
+    globals_env = canonical_json([[g.name, str(g.type)] for g in tu.globals])
     order, cyclic, callees = call_order(tu.functions)
 
     cfgs: dict[str, Cfg] = {}  # only functions the cache misses need one
     summaries: dict[str, FunctionSummary] = {}
     keys: dict[str, str] = {}
-    results: dict[str, FunctionResult] = {}  # cached, or fresh with a store
+    records: dict[str, list] = {}  # the function records the store holds
     indexes: dict[str, dict[Fact, list[int]]] = {}
     for name in order:
         summary_env = canonical_json(
             {c: summaries[c].to_json_obj() for c in callees[name] if c in summaries})
         key = keys[name] = cache_key(funcs[name].source_text, config.checkset_text,
-                                     summary_env, globals_text, config.max_witnesses)
+                                     summary_env, globals_env, config.max_witnesses)
         if db is not None:  # without a store there is nothing to hit or miss
             cached = db.get(key)
             if cached is not None:
-                hit = results[name] = unpack_function(cached, name, funcs[name].loc.line, tu.file)
-                summaries[name] = hit.summary
+                records[name] = cached
+                summaries[name] = record_summary(cached, name)
                 counters.cache_hits += 1
                 continue
             counters.cache_misses += 1
@@ -345,25 +343,14 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
             indexes[name] = label_index(cfg, apply_summaries(cfg, summaries))
             summaries[name] = compute_summary(funcs[name], cfg, summaries, indexes[name])
 
-    all_diags: list[Diagnostic] = []
+    functions = []
     for f in tu.functions:
         counters.functions += 1
-        if f.name in results:
-            hit = results[f.name]
-            counters.merge_content(hit.tasks, hit.skipped)
-            all_diags.extend(hit.diagnostics)
-            continue
-        diags, created, skipped = analyze_function(
-            f, cfgs[f.name], checks, summaries, tu.globals, config, indexes.get(f.name))
-        counters.merge_content(created, skipped)
-        if db is not None:
-            results[f.name] = FunctionResult(diags, summaries[f.name], created, skipped)
-        all_diags.extend(diags)
-
-    record = None
-    if db is not None:
-        record = file_key(tu.file, config.checkset_text, config.max_witnesses), [
-            tu.digest, [f.offset for f in tu.functions],
-            [[keys[f.name], pack_function(results[f.name], f.loc.line)] for f in tu.functions]]
-    return sorted(all_diags, key=Diagnostic.sort_key), record
-
+        record = records.get(f.name)
+        if record is None:
+            diags, created, skipped = analyze_function(
+                f, cfgs[f.name], checks, summaries, tu.globals, config, indexes.get(f.name))
+            record = pack_function(diags, summaries[f.name], created, skipped, f.loc.line)
+        counters.merge_content(record[2], record[3])
+        functions.append([keys[f.name], record])
+    return [tu.digest, [f.offset for f in tu.functions], functions]

@@ -21,7 +21,10 @@ passes walk statements and expressions recursively, and a deeper tree
 would overflow the interpreter's stack.  Each statement, expression,
 operator and subscript on one path down from a function body adds a
 level, so the expression `a + b + c` is three levels deep: one for the
-expression and one for each operator of its left-deep chain.
+expression and one for each operator of its left-deep chain.  So is an
+integer literal of more than MAX_DIGITS digits.  That is below 640, the
+least limit an interpreter may put on int/str conversion, so neither
+reading a literal nor printing an interval bound depends on the interpreter.
 """
 
 from __future__ import annotations
@@ -264,14 +267,13 @@ ScopeProblem = tuple[SourceLocation, str, str | None, str]
 
 
 class TranslationUnit:
-    __slots__ = ("file", "functions", "globals", "global_texts", "scope_problems", "digest")
+    __slots__ = ("file", "functions", "globals", "scope_problems", "digest")
 
     def __init__(self, file: str, functions: list[FunctionDef], globals: list[VarDecl],
-                 global_texts: list[str], scope_problems: list[ScopeProblem], digest: str):
+                 scope_problems: list[ScopeProblem], digest: str):
         self.file = file
         self.functions = functions
         self.globals = globals
-        self.global_texts = global_texts  # each global's exact source slice, for content hashing
         self.scope_problems = scope_problems  # those of the globals first; see check_well_formed
         self.digest = digest  # `source_digest` of the text's UTF-8 bytes
 
@@ -322,6 +324,13 @@ _FIXED_ARITY_CALLS = {"malloc": 1, "free": 1}
 BUILTIN_FUNCTIONS = frozenset(_FIXED_ARITY_CALLS)
 
 MAX_NESTING = 100  # deepest syntax tree accepted; see the module docstring
+MAX_DIGITS = 600  # longest integer literal accepted; see the module docstring
+
+
+def _number(tok: Token) -> int:
+    if len(tok.text) > MAX_DIGITS:
+        raise ParseError(tok.loc, f"integer literal longer than {MAX_DIGITS} digits")
+    return int(tok.text)
 
 
 class _Parser:
@@ -381,7 +390,6 @@ class _Parser:
     def parse_unit(self, file: str) -> TranslationUnit:
         functions: list[FunctionDef] = []
         globals_: list[VarDecl] = []
-        global_texts: list[str] = []
         global_problems: list[ScopeProblem] = []
         function_problems: list[ScopeProblem] = []
         while self.peek().kind != "eof":
@@ -409,10 +417,8 @@ class _Parser:
                 self.problems = global_problems
                 self._declare(name_tok.text, start_tok.loc)  # its initializer sees it
                 globals_.append(self._decl_rest(start_tok, is_ptr, name_tok))
-                end_tok = self.expect(";")
-                global_texts.append(self.source[start_tok.offset:end_tok.offset + 1])
-        return TranslationUnit(file, functions, globals_, global_texts,
-                               global_problems + function_problems,
+                self.expect(";")
+        return TranslationUnit(file, functions, globals_, global_problems + function_problems,
                                source_digest(self.source.encode("utf-8")))
 
     def _function_rest(self, start_tok: Token, name_tok: Token, ret: MiniCType) -> FunctionDef:
@@ -456,7 +462,7 @@ class _Parser:
             raise ParseError(size_tok.loc, "expected array size")
         self.next()
         self.expect("]")
-        size = int(size_tok.text)
+        size = _number(size_tok)
         if size < 1:
             raise ParseError(size_tok.loc, "array size must be >= 1")
         return ArrayInt(size)
@@ -679,7 +685,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.next()
-            return _at(IntLit(int(tok.text)), tok.loc)
+            return _at(IntLit(_number(tok)), tok.loc)
         if tok.text == "NULL":
             self.next()
             return _at(IntLit(0), tok.loc)

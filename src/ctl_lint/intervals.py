@@ -7,7 +7,9 @@ integers are unbounded, so machine wraparound is out of scope.  A bound is
 a Python int, or `-INF`/`INF` where that end is unbounded.  Bound arithmetic
 returns an infinite operand before any `+` or `*`, because Python would
 turn the int into a float, and one past about 1e308 does not convert;
-comparisons between an int and `INF` are exact.
+comparisons between an int and `INF` are exact.  A sum or product bound
+past `_CAP` in magnitude widens outward to `-INF`/`INF`, so every finite
+bound prints, and a chain of squarings stays cheap.
 
 Backs the buffer-overrun and division-by-zero checks: a definitely-bad
 operation escalates to an error, a possibly-bad one stays a warning.
@@ -28,6 +30,7 @@ from .diagnostics import CONFIRMED, Diagnostic, UNCONFIRMED
 
 INF = float("inf")  # the bound of an end that is unbounded, as -INF or INF
 _INFS = (-INF, INF)
+_CAP = 10 ** ast.MAX_DIGITS  # the largest literal's magnitude, rounded up
 
 
 def tdiv(a: int, b: int) -> int:
@@ -113,6 +116,10 @@ def interval_leq(a: Interval, b: Interval) -> bool:
     return b.lo <= a.lo and a.hi <= b.hi
 
 
+def _capped(lo, hi) -> Interval:
+    return Interval(lo if abs(lo) <= _CAP else -INF, hi if abs(hi) <= _CAP else INF)
+
+
 def _bsum(x, y):
     """x + y for two lower bounds or two upper bounds."""
     return x if x in _INFS else y if y in _INFS else x + y
@@ -121,7 +128,7 @@ def _bsum(x, y):
 def add(a: Interval, b: Interval) -> Interval:
     if a.empty or b.empty:
         return BOTTOM
-    return Interval(_bsum(a.lo, b.lo), _bsum(a.hi, b.hi))
+    return _capped(_bsum(a.lo, b.lo), _bsum(a.hi, b.hi))
 
 
 def sub(a: Interval, b: Interval) -> Interval:
@@ -144,7 +151,7 @@ def mul(a: Interval, b: Interval) -> Interval:
     if a.empty or b.empty:
         return BOTTOM
     corners = [_bmul(x, y) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
-    return Interval(min(corners), max(corners))
+    return _capped(min(corners), max(corners))
 
 
 def _bdiv(x, y):

@@ -3,8 +3,10 @@ from __future__ import annotations
 import pytest
 
 from ctl_lint import frontend
+from ctl_lint.cache import file_key
 from ctl_lint.engine import Counters, EngineConfig, analyze_unit
 from ctl_lint.speclang import load_checkset
+from unit_results import diagnostics_of
 
 
 @pytest.fixture(scope="session")
@@ -35,9 +37,9 @@ def analyze(builtin_checks):
             counters: Counters | None = None):
         tu = frontend.parse(source, file)
         config = EngineConfig(checkset_text="builtin", max_witnesses=max_witnesses)
-        diags, record = analyze_unit(tu, builtin_checks, db, config, counters)
-        if record is not None:
-            db.put(*record)
-        return diags
+        record = analyze_unit(tu, builtin_checks, db, config, counters)
+        if db is not None:
+            db.put(file_key(file, config.checkset_text, max_witnesses), record)
+        return diagnostics_of(tu, record)
 
     return run

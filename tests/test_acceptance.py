@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from ctl_lint import frontend as F
+from ctl_lint.cache import file_key
 from ctl_lint.cfg import build_cfg
 from ctl_lint.cli import _available_cpus, main as cli_main, pool_workers
 from ctl_lint.ctl import EF, EU, EX, And, Not, Or, Prop, check, is_witnessable, witness
@@ -32,6 +33,7 @@ from oracle_ctl import (
 )
 from program_gen import ProgramGen, generate_program
 from syntax_helpers import parse_check
+from unit_results import diagnostics_of
 
 CHECKS, BUILTIN_TEXT = load_checkset()
 
@@ -133,7 +135,7 @@ def test_criterion_3_and_4_interval_soundness_and_termination():
 def _analyze_fixture(fixture, max_witnesses=5):
     tu = F.parse(fixture.source, f"{fixture.name}.c")
     config = EngineConfig(checkset_text="builtin", max_witnesses=max_witnesses)
-    return analyze_unit(tu, CHECKS, None, config)[0]
+    return diagnostics_of(tu, analyze_unit(tu, CHECKS, None, config))
 
 
 def test_criterion_5_seeded_bug_corpus():
@@ -215,7 +217,8 @@ def test_default_budget_reports_every_observed_bug():
     events, unmatched, looping = 0, [], set()
     for name, source in sources:
         tu = F.parse(source, name)
-        diags = analyze_unit(tu, CHECKS, None, EngineConfig(checkset_text="builtin"))[0]
+        diags = diagnostics_of(tu, analyze_unit(tu, CHECKS, None,
+                                                EngineConfig(checkset_text="builtin")))
         for seed in (0, 1):
             rng = random.Random(f"{seed}:{name}")
             for f in [f for f in tu.functions if all(isinstance(p.type, F.Int) for p in f.params)]:
@@ -293,9 +296,8 @@ def test_criterion_7_determinism_and_cache_transparency(tmp_path, capsys):
 
         def analyze_stored(src, counters=None):
             db2 = CacheDb(str(tmp_path / "e.db"))
-            _, record = analyze_unit(F.parse(src, "d.c"), CHECKS, db2, config, counters)
-            if record is not None:
-                db2.put(*record)
+            record = analyze_unit(F.parse(src, "d.c"), CHECKS, db2, config, counters)
+            db2.put(file_key("d.c", config.checkset_text, config.max_witnesses), record)
 
         analyze_stored(DETERMINISM_SRC)
         edited = DETERMINISM_SRC.replace("total + i", "total + i + 0")

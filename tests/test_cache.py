@@ -22,6 +22,7 @@ from ctl_lint.cache import CacheDb, canonical_json
 from ctl_lint.engine import EngineConfig, analyze_unit
 from ctl_lint.speclang import load_checkset
 from fixtures_bugs import FIXTURES
+from unit_results import diagnostics_of, function_diagnostics, rows_of
 
 CHECKS, CHECKSET_TEXT = load_checkset()
 CLI_CONFIG = EngineConfig(checkset_text=CHECKSET_TEXT, max_witnesses=5)  # the CLI's defaults
@@ -56,8 +57,8 @@ def hits(err: str) -> tuple[int, int]:
 
 
 def edit_global(path, value: int) -> None:
-    """A new initializer for the file's global, which every key of the
-    file's functions covers."""
+    """A new initializer for the file's global: the file's bytes, and so
+    its record, change, and no function's key does."""
     text = path.read_text()
     path.write_text(re.sub(r"int gcfg = -?\d+;", f"int gcfg = {value};", text, count=1))
 
@@ -187,8 +188,8 @@ class TestCorruption:
             "confirmed-not-bool"])
     def test_record_that_does_not_unpack_is_a_miss_and_rewritten(self, tmp_path, caplog,
                                                                  bad):
-        # well framed and valid JSON, but not a file record whose diagnostics
-        # unpack_function reads and cli.render_row renders
+        # well framed and valid JSON, but not a file record whose summaries
+        # record_summary reads and whose diagnostics cli.render_row renders
         self.undecodable_is_a_miss_and_rewritten(tmp_path, caplog, cache._encode(bad))
 
     @pytest.mark.parametrize("reshape", [
@@ -265,11 +266,13 @@ class TestFormat:
             cache._frame(key, canonical_json(json.loads(zlib.decompress(payload))).encode())
             for key, payload in records)
         assert len(blobs[0]) < len(plain)
-        # a hit is stored again, in a new file's record, as it was read
+        # a hit is stored again, in a new file's record, as it was read:
+        # packing loses nothing of what a record holds
         for _, payload in records:
             for _, record in json.loads(zlib.decompress(payload))[2]:
-                assert cache.pack_function(cache.unpack_function(record, "f", 7, "x.c"), 7) \
-                    == record
+                assert cache.pack_function(function_diagnostics(record, "f", 7, "x.c"),
+                                           cache.record_summary(record, "f"), *record[2:],
+                                           7) == record
 
     @pytest.mark.parametrize("n", [9, 10, 99, 100])
     def test_framed_size_across_length_digits(self, n):
@@ -390,6 +393,74 @@ class TestVersion:
             assert tomllib.load(f)["project"]["version"] == __version__
 
 
+class TestKeys:
+    # f's division and g's index read the globals `n` and `a`; h reads none
+    GLOBALS = "int n = 1;\nint a[4];\n"
+    FUNCTIONS = ("int f(int x) { return x / n; }\nint g(int i) { a[i] = 1; return 0; }\n"
+                 "int h() { return f(2) + g(1); }\n")
+
+    @pytest.mark.parametrize("edited", [
+        "int n = 0;\nint a[4];\n",
+        "int n = 1 + 2 * n;\nint a[4];\n",
+    ], ids=["value", "expression"])
+    def test_an_initializer_edit_hits_every_function(self, ws, capsys, edited):
+        # globals are havocked, so no analysis reads an initializer
+        (ws / "k.c").write_text(self.GLOBALS + self.FUNCTIONS)
+        run(capsys, "--db", "c.db", "k.c")
+        (ws / "k.c").write_text(edited + self.FUNCTIONS)
+        for fmt in ("text", "json"):  # a new file record, then a file-tier hit
+            expected = run(capsys, "--format", fmt, "--no-cache", "k.c")[:2]
+            code, out, err = run(capsys, "--format", fmt, "--db", "c.db", "k.c")
+            assert (code, out) == expected and code == 1
+            if fmt == "text":
+                assert hits(err) == (3, 3)
+
+    @pytest.mark.parametrize("edited", [
+        "int *n = 0;\nint a[4];\n",
+        "int n = 1;\nint a[8];\n",
+        "int m = 1;\nint n = 1;\nint a[4];\n",
+        "int a[4];\nint n = 1;\n",
+    ], ids=["type", "array-size", "added-name", "order"])
+    def test_a_declaration_edit_misses_every_function(self, ws, capsys, edited):
+        (ws / "k.c").write_text(self.GLOBALS + self.FUNCTIONS)
+        run(capsys, "--db", "c.db", "k.c")
+        (ws / "k.c").write_text(edited + self.FUNCTIONS)
+        expected = run(capsys, "--no-cache", "k.c")[:2]
+        code, out, err = run(capsys, "--db", "c.db", "k.c")
+        assert (code, out) == expected and hits(err) == (0, 3)
+
+    @pytest.mark.parametrize("path, key", [
+        ("a.c", "f9ba3906d0ef7702141e68744730e5b8199d4ddd64516320cd47ecfd73908a75"),
+        ("dir/\u00e9.c", "e140552afdc7146b93c92ab040a949bf0dbb4895389957f994a2bfddfe42675c"),
+    ], ids=["ascii", "utf8"])
+    def test_a_utf8_path_keeps_its_file_key(self, monkeypatch, path, key):
+        # the key of 0.2.2, which hashed the path's UTF-8 text
+        monkeypatch.setattr(cache, "__version__", "0.2.2")
+        assert cache.file_key(path, "builtin", 5) == key
+
+    def test_a_path_that_is_not_utf8_hits_like_any_other(self, ws):
+        # the name reaches the CLI as the system gives it, with a surrogate
+        # escape; stdout escapes it back, as it does in a C or UTF-8 mode
+        name = b"leak\xff.c"
+        (ws / os.fsdecode(name)).write_text("int f() { int *p = malloc(4); return 0; }\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   PYTHONIOENCODING="utf-8:surrogateescape")
+
+        def cli_run(*args):
+            proc = subprocess.run([sys.executable, "-m", "ctl_lint.cli", "analyze", "--jobs",
+                                   "1", *args, name], cwd=ws, env=env, capture_output=True,
+                                  timeout=120)
+            return proc.returncode, proc.stdout, proc.stderr.decode("utf-8", "replace")
+
+        for fmt in ("text", "json"):
+            expected = cli_run("--format", fmt, "--no-cache")
+            assert expected[0] == 1 and b"memory-leak" in expected[1], expected[2]
+            for warm in (False, True):
+                code, out, err = cli_run("--format", fmt, "--db", f"{fmt}.db")
+                assert (code, out) == expected[:2] and "internal error" not in err
+                assert fmt == "json" or hits(err) == (warm, 1)
+
+
 class TestLiveness:
     def test_a_run_over_one_file_keeps_the_others_live(self, ws, capsys):
         db = ws / "c.db"
@@ -407,8 +478,9 @@ class TestLiveness:
         for value in (5, 6):
             edit_global(ws / "c.c", value)
             stale = CacheDb(str(db))  # stores what a run would, without compacting
-            stale.put(*analyze_unit(F.parse((ws / "c.c").read_text(), "c.c"),
-                                    CHECKS, stale, CLI_CONFIG)[1])
+            stale.put(cache.file_key("c.c", CHECKSET_TEXT, 5),
+                      analyze_unit(F.parse((ws / "c.c").read_text(), "c.c"),
+                                   CHECKS, stale, CLI_CONFIG))
         before = db.read_bytes()
         assert CacheDb(str(db)).compact()
         assert len(db.read_bytes()) < len(before)
@@ -532,12 +604,16 @@ class TestFileTier:
             db = CacheDb(str(tmp_path / f"{fmt}.db"))
             cli._init_worker(CHECKS, CLI_CONFIG, db, fmt)
             stored, miss, record = cli._analyze_file(path)
-            db.put(*record)
+            db.put(cache.file_key(path, CHECKSET_TEXT, 5), record)
             with monkeypatch.context() as m:
                 m.setattr(cli, "parse_bytes", None)  # a hit must not call it
                 rows, hit, again = cli._file_hit(path)
-            # in record order, which the caller's stable sort makes the miss's
-            assert sorted(rows, key=lambda row: row[0]) == stored and again is None
+            # rendered alike from the record, in record order, with the
+            # names and lines the parser gives
+            assert rows == stored and again is None
+            tu = F.parse((tmp_path / "s.c").read_text(), path)
+            assert sorted(rows, key=lambda row: row[0]) == \
+                rows_of(diagnostics_of(tu, record), fmt)
             assert all(row[0][0] == path and row[0][4] for row in rows)
             assert (hit.functions, hit.content_tasks, hit.content_skipped) == \
                 (miss.functions, miss.content_tasks, miss.content_skipped)

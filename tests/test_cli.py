@@ -7,19 +7,21 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from typing import NamedTuple
 
 import pytest
 
-from ctl_lint import cache
-from ctl_lint.cli import POOL_BYTES, _parse_analyze_args, main, pool_workers, render_row
+from ctl_lint import cache, cli
+from ctl_lint.cli import POOL_BYTES, _parse_analyze_args, main, pool_workers
 from ctl_lint.cli import render_summary, render_text
-from ctl_lint.diagnostics import CONFIRMED, Diagnostic
+from ctl_lint.diagnostics import Diagnostic
 from ctl_lint.engine import Counters
 from ctl_lint.frontend import MAX_NESTING
 from ctl_lint.source import LocatedError, SourceLocation
 from fixtures_bugs import FIXTURES
 from ctl_lint.speclang import load_checkset
+from unit_results import rows_of
 
 CLEAN = "int add(int a, int b) { return a + b; }\n"
 DOUBLE_FREE = "int f(int *p) { free(p); free(p); return 0; }\n"
@@ -46,13 +48,6 @@ def run(capsys, *args):
     code = main(list(args))
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def rows_of(ds: list[Diagnostic], fmt: str = "text") -> list[tuple]:
-    """The report rows of `ds`, as a missed file renders them."""
-    return [render_row(fmt, d.loc.file, d.function, 0, d.check_id, d.severity, d.loc.line,
-                       d.loc.column, d.message, d.confidence == CONFIRMED,
-                       [n for t in d.trace for n in (t.line, t.column)]) for d in ds]
 
 
 class Fresh(NamedTuple):
@@ -140,19 +135,28 @@ class TestExitCodes:
         code, out, err = run(capsys, "analyze", "no-such-file.c")
         assert code == 2
 
-    @pytest.mark.parametrize("body, check", [
-        ("return 7 / ({x} + z);", "div-by-zero"),
-        ("return 7 / ({x} - z);", "div-by-zero"),
-        ("return 7 / ({x} * z);", "div-by-zero"),
-        ("int a[4]; a[{x} + z] = 1; return 0;", "buffer-overrun"),
-    ], ids=["add", "sub", "mul", "index"])
-    def test_a_literal_too_long_for_a_float_is_analyzed(self, ws, capsys, body, check):
-        # interval bounds meet this literal and an infinite bound together
-        path = ws("x.c", f"int f(int z) {{ {body.format(x='9' * 310)} }}\n")
-        code, out, err = run(capsys, "analyze", "--no-cache", path)
-        assert code == 1, err
-        assert f"warning [{check}]" in out
-        assert "internal error" not in err
+    @pytest.mark.parametrize("body, code, expected", [
+        ("return 7 / ({x} + z);", 1, "warning [div-by-zero]"),
+        ("return 7 / ({x} - z);", 1, "warning [div-by-zero]"),
+        ("return 7 / ({x} * z);", 1, "warning [div-by-zero]"),
+        ("int a[4]; a[{x} + z] = 1; return 0;", 1, "warning [buffer-overrun]"),
+        ("return {huge} + z;", 2, "x.c:1:23: integer literal longer than 600 digits"),
+        *[("int y = 12345678901;" + " y = y * y;" * n + " int a[4]; a[y] = 1; return 0;", 1,
+           "warning [buffer-overrun] index [-oo, +oo] may fall outside") for n in (9, 17, 22)],
+    ], ids=["add", "sub", "mul", "index", "5000-digits", "9-squarings", "17-squarings",
+            "22-squarings"])
+    def test_a_literal_too_long_for_a_float_is_analyzed(self, ws, capsys, body, code,
+                                                        expected):
+        # interval bounds meet this literal and an infinite bound together;
+        # a literal past the digit limit is a located error, and a bound
+        # past its cap widens, so it prints and squaring it stays cheap
+        path = ws("x.c", f"int f(int z) {{ {body.format(x='9' * 310, huge='9' * 5000)} }}\n")
+        start = time.monotonic()
+        result = run(capsys, "analyze", "--no-cache", path)
+        assert time.monotonic() - start < 5
+        assert result[0] == code, result[2]
+        assert expected in (result[1] if code == 1 else result[2])
+        assert "internal error" not in result[2]
 
     def test_semantic_error_exits_two(self, ws, capsys):
         path = ws("x.c", "int f() { return y; }\n")
@@ -185,6 +189,39 @@ class TestExitCodes:
     def test_unknown_command_exits_two(self, capsys):
         code, out, err = run(capsys, "frobnicate")
         assert code == 2
+
+    ARGPARSE_USAGE = """\
+usage: ctl-lint analyze [--checks CHECKS] [--format {text,json}] [--db DB]
+                        [--no-cache] [--max-witnesses MAX_WITNESSES]
+                        [--min-severity {error,warning,info}] [--jobs JOBS]
+                        [--dump-cfg] [--specs SPECS]
+                        files [files ...]
+"""
+
+    @pytest.mark.parametrize("args, error", [
+        (["analyze", "--bogus", "x.c"], "unrecognized arguments: --bogus"),
+        (["analyze", "--format", "xml", "x.c"],
+         "argument --format: invalid choice: 'xml' (choose from 'text', 'json')"),
+        (["analyze", "--jobs", "x", "x.c"], "argument --jobs: invalid int value: 'x'"),
+        (["analyze", "--min-severity", "bad", "x.c"], "argument --min-severity: invalid "
+         "choice: 'bad' (choose from 'error', 'warning', 'info')"),
+        (["analyze"], "the following arguments are required: files"),
+    ], ids=["unknown-option", "format", "jobs-not-int", "min-severity", "no-files"])
+    def test_an_argument_the_parser_rejects(self, capsys, monkeypatch, args, error):
+        # what the option parser prints, pinned before anything replaces it;
+        # COLUMNS fixes the width its usage lines wrap at
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, *args) == \
+            (2, "", f"{self.ARGPARSE_USAGE}ctl-lint analyze: error: {error}\n")
+
+    @pytest.mark.parametrize("args, error", [
+        (["analyze", "--jobs", "0", "x.c"], "--jobs must be >= 1"),
+        (["analyze", "--max-witnesses", "-1", "x.c"], "--max-witnesses must be >= 0"),
+        (["analyze", "--checks", ",", "x.c"], "--checks needs at least one check id"),
+        (["--list-checks", "stray"], "unexpected arguments: stray"),
+    ], ids=["jobs-zero", "max-witnesses-negative", "checks-empty", "list-checks-stray"])
+    def test_an_argument_the_cli_rejects(self, capsys, args, error):
+        assert run(capsys, *args) == (2, "", f"ctl-lint: error: {error}\n{cli._USAGE}")
 
     def test_unicode_digit_is_a_parse_error(self, ws, capsys):
         path = ws("x.c", "int f(int x) { return x + \u00b2; }\n")

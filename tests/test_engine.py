@@ -19,6 +19,7 @@ from ctl_lint.engine import (
     call_order,
 )
 from ctl_lint.speclang import SpecError, label_index, load_checkset
+from unit_results import diagnostics_of
 
 CHECKS, _ = load_checkset()
 CONFIG = EngineConfig(checkset_text="builtin")
@@ -26,10 +27,11 @@ CONFIG = EngineConfig(checkset_text="builtin")
 
 def analyze(src, db=None, counters=None, config=CONFIG, file="test.c"):
     """Analyze one unit and store its cache record, as the CLI does."""
-    diags, record = analyze_unit(F.parse(src, file), CHECKS, db, config, counters)
-    if record is not None:
-        db.put(*record)
-    return diags
+    tu = F.parse(src, file)
+    record = analyze_unit(tu, CHECKS, db, config, counters)
+    if db is not None:
+        db.put(cache.file_key(file, config.checkset_text, config.max_witnesses), record)
+    return diagnostics_of(tu, record)
 
 
 def ids(diags):
@@ -55,7 +57,7 @@ class TestSummaries:
         """Each function's summary from the unit's cache record, which
         lists the functions in source order."""
         tu = F.parse(src, "a.c")
-        _, (_, (_, _, functions)) = analyze_unit(tu, CHECKS, self.db, CONFIG)
+        _, _, functions = analyze_unit(tu, CHECKS, self.db, CONFIG)
         return {f.name: FunctionSummary(f.name, may_null, frozenset(frees), frozenset(derefs))
                 for f, (_, (_, (may_null, frees, derefs), _, _))
                 in zip(tu.functions, functions, strict=True)}
@@ -413,29 +415,29 @@ class TestAnalyzeUnit:
         db = CacheDb(str(tmp_path / "c.db"))
 
         def record(src, file="a.c"):
-            return analyze_unit(F.parse(src, file), CHECKS, db, CONFIG)[1]
+            return analyze_unit(F.parse(src, file), CHECKS, db, CONFIG)
 
-        key, stored = record(src)
+        key = cache.file_key("a.c", CONFIG.checkset_text, CONFIG.max_witnesses)
+        stored = record(src)
         digest, starts, functions = stored
-        assert key == cache.file_key("a.c", CONFIG.checkset_text, CONFIG.max_witnesses)
         assert len(functions) == 2  # f's and g's, in source order
         assert digest == F.source_digest(src.encode())
         assert starts == [0, src.index("int g")]
         assert not os.path.exists(db.path)  # analyze_unit only reads the store
+        assert stored == analyze_unit(F.parse(src, "a.c"), CHECKS, None, CONFIG)
         db.put(key, stored)
         size = os.path.getsize(db.path)
         # every function hits: the same record, which the store holds byte for byte
-        assert record(src) == (key, stored)
+        assert record(src) == stored
         db.put(key, stored)
         assert os.path.getsize(db.path) == size
         # every function hits, but the path, the bytes or the function list is new
-        assert record(src, "b.c") == (
-            cache.file_key("b.c", CONFIG.checkset_text, CONFIG.max_witnesses), stored)
+        assert record(src, "b.c") == stored
         spaced = src.replace("\n", "\n\n")
-        assert record(spaced) == (key, [F.source_digest(spaced.encode()),
-                                        [0, spaced.index("int g")], functions])
+        assert record(spaced) == [F.source_digest(spaced.encode()),
+                                  [0, spaced.index("int g")], functions]
         one = src.split("\n")[0]
-        assert record(one) == (key, [F.source_digest(one.encode()), [0], functions[:1]])
+        assert record(one) == [F.source_digest(one.encode()), [0], functions[:1]]
 
     def test_cache_hits_build_no_cfg(self, monkeypatch, tmp_path):
         built = []

@@ -9,9 +9,11 @@ meaning: the `true` edge is taken when the node's expression is nonzero.
 Unreachable nodes are kept in the graph and flagged; the dead-code check
 needs to see them.
 
-Each CFG is scanned once into a node table (`Cfg.table`): every node's
-expression trees are walked a single time, and every later pass that
-needs syntax (labeling, summaries, intervals, refinement) reads the table.
+A CFG is built with its unit's globals, and scanned once into a node table
+(`Cfg.table`): every node's expression trees are walked a single time, and
+the function's whole scope is folded in, so every later pass that needs
+syntax or scope (labeling, summaries, intervals, refinement) reads the
+table and none takes the globals itself.
 """
 
 from __future__ import annotations
@@ -77,14 +79,15 @@ class CfgNode:
 
 
 class Cfg:
-    """A function's CFG.  Its derived views are cached properties, kept in
-    the instance's `__dict__`."""
+    """A function's CFG, with the globals of its unit.  Its derived views are
+    cached properties, kept in the instance's `__dict__`."""
 
-    def __init__(self, function: str, func: FunctionDef, nodes: list[CfgNode],
-                 edges: list[tuple[int, int, str]], entry: int, exit: int,
-                 loop_heads: frozenset[int]):
+    def __init__(self, function: str, func: FunctionDef, globals_: list[VarDecl],
+                 nodes: list[CfgNode], edges: list[tuple[int, int, str]], entry: int,
+                 exit: int, loop_heads: frozenset[int]):
         self.function = function
         self.func = func
+        self.globals = globals_
         self.nodes = nodes
         self.edges = edges  # (from, to, label)
         self.entry = entry
@@ -152,7 +155,8 @@ class CallSite(NamedTuple):
 
 
 class NodeTable:
-    """What one walk of a CFG's expression trees finds.
+    """What one walk of a CFG's expression trees finds, with the function's
+    scope.
 
     `facts[n]` holds every pattern that matches node n, as (pattern name,
     argument) facts.  The argument is the variable bound to the pattern's
@@ -160,37 +164,37 @@ class NodeTable:
     `at_exit`.  A plain assignment's target and a declaration's own name
     are writes, and `&v` takes an address without reading `v`; every other
     variable mention is a `use`.
+
+    A node in `clobbers` may change any `escaped` name: it calls a user
+    function, or it writes through `*p` or through an index whose base is
+    not a declared array.
     """
 
-    __slots__ = ("facts", "calls", "address_taken", "sites", "user_calls", "decls", "returns")
+    __slots__ = ("facts", "calls", "sites", "user_calls", "types", "arrays", "writes",
+                 "escaped", "clobbers", "returns")
 
     def __init__(self):
         self.facts: list[set[Fact]] = []  # by node id
         self.calls: list[CallSite] = []  # in node and walk order, malloc and free included
-        self.address_taken: set[str] = set()  # every v of an `&v`
         self.sites: list[tuple[int, Expr]] = []  # each index into a variable and each / and %
         self.user_calls: set[int] = set()  # nodes calling a function other than malloc and free
-        # first declarations: params, then locals in node order
-        self.decls: dict[str, MiniCType] = {}
+        # each name in scope -> the type of its first declaration: params,
+        # then locals in node order, then globals
+        self.types: dict[str, MiniCType] = {}
+        self.arrays: frozenset[str] = frozenset()  # names whose first declaration is `int[N]`
+        # node -> (v, e) for each `v = e` and `int v = e`, (v, None) for `int v`
+        self.writes: dict[int, tuple[str, Expr | None]] = {}
+        self.escaped: frozenset[str] = frozenset()  # the globals and every v of an `&v`
+        self.clobbers: frozenset[int] = frozenset()
         self.returns: list[int] = []  # return statements
-
-    def arrays(self, globals_: list[VarDecl] = ()) -> frozenset[str]:
-        """Names in scope whose first declaration is an `int[N]` array."""
-        return frozenset(v for v, t in self.types(globals_).items() if isinstance(t, ArrayInt))
-
-    def types(self, globals_: list[VarDecl] = ()) -> dict[str, MiniCType]:
-        """Each name in scope -> the type of its first declaration: params
-        first, then locals in node order, then globals."""
-        types = dict(self.decls)
-        for g in globals_:
-            types.setdefault(g.name, g.type)
-        return types
 
 
 def _scan(cfg: Cfg) -> NodeTable:
     t = NodeTable()
+    address_taken: set[str] = set()
+    indirect: list[tuple[int, str | None]] = []  # each `*p = e` and `b[i] = e`: (node, b)
     for p in cfg.func.params:
-        t.decls.setdefault(p.name, p.type)
+        t.types.setdefault(p.name, p.type)
     for node in cfg.nodes:
         if node.kind in (ENTRY, EXIT):
             t.facts.append({("at_entry" if node.kind == ENTRY else "at_exit", "")})
@@ -202,13 +206,16 @@ def _scan(cfg: Cfg) -> NodeTable:
         roots = node.roots
         target = rhs = None
         if isinstance(s, Assign) and isinstance(s.target, Var):
-            target, rhs = s.target.name, s.value
+            target, rhs = t.writes[nid] = s.target.name, s.value
             roots = roots[1:]  # the target is written, and a Var has no subexpressions
-        elif isinstance(s, Assign) and isinstance(s.value, Binary) and s.value.left is s.target:
-            roots = roots[1:]  # `a[i]++` shares its target with the value: walk it once
+        elif isinstance(s, Assign):
+            base = s.target.base if isinstance(s.target, Index) else None
+            indirect.append((nid, base.name if isinstance(base, Var) else None))
+            if isinstance(s.value, Binary) and s.value.left is s.target:
+                roots = roots[1:]  # `a[i]++` shares its target with the value: walk it once
         elif isinstance(s, VarDecl):
-            t.decls.setdefault(s.name, s.type)
-            target, rhs = s.name, s.init
+            t.types.setdefault(s.name, s.type)
+            target, rhs = t.writes[nid] = s.name, s.init
             if rhs is None and not isinstance(s.type, ArrayInt):
                 facts.add(("decl_uninit", target))
         elif isinstance(s, Return):
@@ -247,7 +254,7 @@ def _scan(cfg: Cfg) -> NodeTable:
                         facts.add(("deref", e.operand.name))
                     elif e.op == "&":
                         address_of.add(id(e.operand))
-                        t.address_taken.add(e.operand.name)
+                        address_taken.add(e.operand.name)
                 elif isinstance(e, Index):
                     if isinstance(e.base, Var):
                         facts.add(("deref", e.base.name))
@@ -255,6 +262,11 @@ def _scan(cfg: Cfg) -> NodeTable:
                         t.sites.append((nid, e))
                 elif isinstance(e, Binary) and e.op in ("/", "%"):
                     t.sites.append((nid, e))
+    for g in cfg.globals:
+        t.types.setdefault(g.name, g.type)
+    t.arrays = frozenset(v for v, ty in t.types.items() if isinstance(ty, ArrayInt))
+    t.escaped = frozenset(g.name for g in cfg.globals).union(address_taken)
+    t.clobbers = frozenset(t.user_calls).union(n for n, b in indirect if b not in t.arrays)
     return t
 
 
@@ -384,7 +396,7 @@ class _Builder:
             return head, after
         raise AssertionError(f"unhandled statement {s!r}")
 
-    def build(self) -> Cfg:
+    def build(self, globals_: list[VarDecl]) -> Cfg:
         entry = self.new_node(ENTRY, self.f.loc)
         body_entry, outs = self.seq(self.f.body.stmts, None, None)
         exit_ = self.new_node(EXIT, self.f.end_loc)
@@ -395,13 +407,14 @@ class _Builder:
             self.resolve(outs, exit_)
         for r in self.return_nodes:
             self.edges.append((r, exit_, UNCOND))
-        return Cfg(self.f.name, self.f, self.nodes, self.edges, entry, exit_,
+        return Cfg(self.f.name, self.f, globals_, self.nodes, self.edges, entry, exit_,
                    frozenset(self.loop_heads))
 
 
-def build_cfg(f: FunctionDef) -> Cfg:
-    """Build the statement-level control-flow graph of a well-formed function."""
-    return _Builder(f).build()
+def build_cfg(f: FunctionDef, globals_: list[VarDecl]) -> Cfg:
+    """Build the statement-level control-flow graph of a well-formed
+    function of a unit whose globals are `globals_`."""
+    return _Builder(f).build(globals_)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ from json.encoder import encode_basestring_ascii as _escape
 from typing import TYPE_CHECKING
 
 from .cache import CacheDb, file_key
-from .diagnostics import CONFIRMED, UNCONFIRMED, AnalysisError, Counters, EngineConfig
-from .diagnostics import meets_min_severity, read_checkset
+from .diagnostics import CONFIRMED, INTERVAL_CHECK_IDS, UNCONFIRMED, AnalysisError, Counters
+from .diagnostics import EngineConfig, meets_min_severity, read_checkset
 from .source import LocatedError, functions_at, parse_bytes, source_digest
 
 if TYPE_CHECKING:
@@ -168,14 +168,13 @@ class UsageError(Exception):
 
 
 def _cmd_list_checks(spec_paths: list[str]) -> int:
-    from .intervals import BUFFER_OVERRUN, DIV_BY_ZERO
     from .speclang import load_checkset
     checks, _ = load_checkset(spec_paths)
     for c in checks:
         refine = "refine" if c.refine else "no-refine"
         print(f"{c.id:<16} {c.severity:<8} forall {c.metavar}: {c.var_class:<8} {refine}")
-    print(f"{BUFFER_OVERRUN:<16} {'error':<8} interval check (warning when only possible)")
-    print(f"{DIV_BY_ZERO:<16} {'error':<8} interval check (warning when only possible)")
+    for check_id in INTERVAL_CHECK_IDS:
+        print(f"{check_id:<16} {'error':<8} interval check (warning when only possible)")
     return 0
 
 
@@ -260,8 +259,7 @@ def _cmd_analyze(ns: argparse.Namespace) -> int:
     sources, checkset_text = read_checkset(ns.specs)
     checks = _checkset(sources) if ns.checks is not None or ns.dump_cfg else None
     if ns.checks is not None:
-        from .intervals import BUFFER_OVERRUN, DIV_BY_ZERO
-        unknown = ns.checks - {c.id for c in checks} - {BUFFER_OVERRUN, DIV_BY_ZERO}
+        unknown = ns.checks - {c.id for c in checks} - set(INTERVAL_CHECK_IDS)
         if unknown:
             raise UsageError(f"unknown check ids: {', '.join(sorted(unknown))}")
 
@@ -269,7 +267,7 @@ def _cmd_analyze(ns: argparse.Namespace) -> int:
         from .cfg import build_cfg, to_dot
         for tu in [parse_bytes(_read(path), path) for path in ns.files]:
             for f in tu.functions:
-                sys.stdout.write(to_dot(build_cfg(f)))
+                sys.stdout.write(to_dot(build_cfg(f, tu.globals)))
         return 0
 
     db = CacheDb(ns.db) if ns.db is not None else None
@@ -310,7 +308,11 @@ def _cmd_analyze(ns: argparse.Namespace) -> int:
     if ns.format == "json":
         sys.stdout.write(render_json(rendered, counters) + "\n")
     else:
-        sys.stdout.write(render_text(rendered))
+        text = render_text(rendered)
+        if hasattr(sys.stdout, "buffer"):  # bytes: a non-UTF-8 path prints to a strict stdout
+            sys.stdout.buffer.write(text.encode(sys.stdout.encoding, "surrogateescape"))
+        else:  # an in-memory stream that an in-process caller put in place
+            sys.stdout.write(text)
         sys.stderr.write(render_summary(rendered, counters, db is not None))
     return 1 if rendered else 0
 

@@ -13,6 +13,10 @@ SEVERITY_RANK = {"error": 0, "warning": 1, "info": 2}
 CONFIRMED = "confirmed"
 UNCONFIRMED = "unconfirmed"
 
+BUFFER_OVERRUN = "buffer-overrun"
+DIV_BY_ZERO = "div-by-zero"
+INTERVAL_CHECK_IDS = (BUFFER_OVERRUN, DIV_BY_ZERO)  # reserved: no spec check may take them
+
 
 class Diagnostic(NamedTuple):
     check_id: str

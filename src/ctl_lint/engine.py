@@ -19,9 +19,7 @@ from .ctl import And, EU, EX, Not, Prop, TRUE, check, witness
 from .diagnostics import AnalysisError, CONFIRMED, Counters, Diagnostic, EngineConfig, UNCONFIRMED
 from .frontend import FunctionDef, TranslationUnit, check_well_formed
 from .intervals import analyze as interval_analyze, check_sites, interval_checks
-from .refine import (
-    CONFIRMED as R_CONFIRMED, SUPPRESSED, refine_diagnostic,
-)
+from .refine import SUPPRESSED, refine_diagnostic
 from .speclang import (
     CheckSpec, CheckTask, Fact, candidate_variables, instantiate, label_index,
 )
@@ -110,7 +108,7 @@ _ESCAPES = EU(Not(Prop("fre")), Prop("ext"))
 _UNCHECKED_DEREF = EU(Not(Prop("chk")), Prop("drf"))
 
 
-def compute_summary(f: FunctionDef, cfg: Cfg, summaries: dict[str, FunctionSummary],
+def compute_summary(cfg: Cfg, summaries: dict[str, FunctionSummary],
                     index: dict[Fact, list[int]]) -> FunctionSummary:
     """Summarize one function given its callees' summaries and its
     `label_index`, summary facts included.
@@ -148,7 +146,7 @@ def compute_summary(f: FunctionDef, cfg: Cfg, summaries: dict[str, FunctionSumma
 
     always_frees: set[int] = set()
     derefs_unchecked: set[int] = set()
-    for i, prm in enumerate(f.params):
+    for i, prm in enumerate(cfg.func.params):
         props = _labeling(index, prm.name, fre=("free_of",))
         props["ext"] = frozenset((cfg.exit,))
         k = to_kripke(cfg, props)
@@ -159,7 +157,7 @@ def compute_summary(f: FunctionDef, cfg: Cfg, summaries: dict[str, FunctionSumma
         if check(k, _UNCHECKED_DEREF).holds(_UNCHECKED_DEREF, cfg.entry):
             derefs_unchecked.add(i)
 
-    return FunctionSummary(f.name, may_null, frozenset(always_frees),
+    return FunctionSummary(cfg.function, may_null, frozenset(always_frees),
                            frozenset(derefs_unchecked))
 
 
@@ -217,9 +215,8 @@ def _trace_anchor(task: CheckTask, trace) -> int:
     return trace.states[0]
 
 
-def analyze_function(f: FunctionDef, cfg: Cfg, checks: list[CheckSpec],
-                     summaries: dict[str, FunctionSummary],
-                     globals_: list[ast.VarDecl], config: EngineConfig,
+def analyze_function(cfg: Cfg, checks: list[CheckSpec],
+                     summaries: dict[str, FunctionSummary], config: EngineConfig,
                      index: dict[Fact, list[int]] | None = None,
                      ) -> tuple[list[Diagnostic], int, int]:
     """All diagnostics of one function plus (tasks_created, tasks_skipped).
@@ -227,7 +224,6 @@ def analyze_function(f: FunctionDef, cfg: Cfg, checks: list[CheckSpec],
     when not given."""
     if index is None:
         index = label_index(cfg, apply_summaries(cfg, summaries))
-    global_names = frozenset(g.name for g in globals_)
     diags: list[Diagnostic] = []
     created = 0
     skipped = 0
@@ -235,7 +231,7 @@ def analyze_function(f: FunctionDef, cfg: Cfg, checks: list[CheckSpec],
         if spec.id == DEAD_CODE_ID:
             diags.extend(_dead_code_diags(cfg, spec))
             continue
-        bindings = candidate_variables(spec, cfg, globals_)
+        bindings = candidate_variables(spec, cfg)
         tasks = instantiate(spec, cfg, index, bindings)
         created += len(bindings)
         skipped += len(bindings) - len(tasks)
@@ -244,11 +240,9 @@ def analyze_function(f: FunctionDef, cfg: Cfg, checks: list[CheckSpec],
             if not sat.holds(task.formula, cfg.entry):
                 continue
             if spec.refine:
-                verdict, trace = refine_diagnostic(
-                    task, cfg, config.max_witnesses, global_names, sat)
-                if verdict == SUPPRESSED:
+                confidence, trace = refine_diagnostic(task, cfg, config.max_witnesses, sat)
+                if confidence == SUPPRESSED:
                     continue
-                confidence = CONFIRMED if verdict == R_CONFIRMED else UNCONFIRMED
             else:
                 confidence = UNCONFIRMED
                 trace = witness(task.kripke, task.formula, cfg.entry, sat)
@@ -257,9 +251,8 @@ def analyze_function(f: FunctionDef, cfg: Cfg, checks: list[CheckSpec],
                 spec.id, spec.severity, cfg.nodes[anchor].loc,
                 _message_for(spec.id, task.bound_var), cfg.function, confidence,
                 tuple(cfg.nodes[s].loc for s in trace.states)))
-    if any(check_sites(cfg, globals_)):
-        result = interval_analyze(cfg, globals_)
-        diags.extend(interval_checks(cfg, result, globals_))
+    if any(check_sites(cfg)):
+        diags.extend(interval_checks(cfg, interval_analyze(cfg)))
     diags.sort(key=Diagnostic.sort_key)
     return diags, created, skipped
 
@@ -336,12 +329,12 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
                 counters.cache_hits += 1
                 continue
             counters.cache_misses += 1
-        cfg = cfgs[name] = build_cfg(funcs[name])
+        cfg = cfgs[name] = build_cfg(funcs[name], tu.globals)
         if name in cyclic:  # no index yet: its cycle is not summarized yet
             summaries[name] = pessimistic_summary(funcs[name])
         else:
             indexes[name] = label_index(cfg, apply_summaries(cfg, summaries))
-            summaries[name] = compute_summary(funcs[name], cfg, summaries, indexes[name])
+            summaries[name] = compute_summary(cfg, summaries, indexes[name])
 
     functions = []
     for f in tu.functions:
@@ -349,7 +342,7 @@ def analyze_unit(tu: TranslationUnit, checks: list[CheckSpec],
         record = records.get(f.name)
         if record is None:
             diags, created, skipped = analyze_function(
-                f, cfgs[f.name], checks, summaries, tu.globals, config, indexes.get(f.name))
+                cfgs[f.name], checks, summaries, config, indexes.get(f.name))
             record = pack_function(diags, summaries[f.name], created, skipped, f.loc.line)
         counters.merge_content(record[2], record[3])
         functions.append([keys[f.name], record])

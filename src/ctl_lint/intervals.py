@@ -13,20 +13,22 @@ bound prints, and a chain of squarings stays cheap.
 
 Backs the buffer-overrun and division-by-zero checks: a definitely-bad
 operation escalates to an error, a possibly-bad one stays a warning.
-Everything syntactic comes from the CFG's node table (`Cfg.table`): the
-variables a user call may modify (globals and address-taken names), the
-nodes that call a user function, the declared arrays, globals included
-(first declaration wins), and the index and `/`/`%` sites the checks report on.
+Everything syntactic and the whole scope come from the CFG's node table
+(`Cfg.table`): each node's write, the declared types (globals included,
+first declaration wins), and the index and `/`/`%` sites the checks report
+on.  At a `clobbers` node (a user call, or a write through a pointer) every
+`escaped` name (globals and address-taken names) drops to Top; refinement
+renews the same names at the same nodes.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator, Set
+from collections.abc import Iterator
 
 from . import frontend as ast
-from .cfg import COND, Cfg, CfgNode, FALSE, NEGATED, STMT, TRUE
-from .diagnostics import CONFIRMED, Diagnostic, UNCONFIRMED
+from .cfg import COND, Cfg, CfgNode, FALSE, NEGATED, NodeTable, TRUE
+from .diagnostics import BUFFER_OVERRUN, CONFIRMED, DIV_BY_ZERO, Diagnostic, UNCONFIRMED
 
 INF = float("inf")  # the bound of an end that is unbounded, as -INF or INF
 _INFS = (-INF, INF)
@@ -419,40 +421,24 @@ def _refine_guard(expr: ast.Expr, env: IntervalEnv, branch: str) -> IntervalEnv:
     return env
 
 
-def transfer(node: CfgNode, env: IntervalEnv, branch: str | None = None,
-             call_havoc: frozenset[str] = frozenset(),
-             array_vars: frozenset[str] = frozenset(),
-             user_calls: Set[int] = frozenset()) -> IntervalEnv:
-    """Abstract effect of executing `node`, leaving along `branch`.
+def transfer(node: CfgNode, env: IntervalEnv, table: NodeTable,
+             branch: str | None = None) -> IntervalEnv:
+    """Abstract effect of executing `node` of the CFG whose node table is
+    `table`, leaving along `branch`.
 
-    `call_havoc` names the variables any user call may modify (globals and
-    address-taken locals); they drop to Top whenever `node` is one of
-    `user_calls`, the nodes that call a user function.  `array_vars` names
-    declared arrays: writes indexed through them touch only untracked
-    cells and havoc nothing.
+    At a `clobbers` node every `escaped` name drops to Top first, since a
+    call may run before sibling operands are read.  A write into a declared
+    array touches only untracked cells and drops nothing.
     """
     if env.is_bottom:
         return BOTTOM_ENV
-    # calls may run before sibling operands are read, so havoc first
-    if node.id in user_calls:
-        env = env.drop(call_havoc)
+    if node.id in table.clobbers:
+        env = env.drop(table.escaped)
     if node.kind == COND:
         return _refine_guard(node.expr, env, branch if branch is not None else TRUE)
-    if node.kind != STMT:
-        return env
-    s = node.stmt
-    if isinstance(s, ast.VarDecl):
-        value = eval_expr(s.init, env) if s.init is not None else TOP
-        return env.set(s.name, value)
-    if isinstance(s, ast.Assign):
-        value = eval_expr(s.value, env)
-        if isinstance(s.target, ast.Var):
-            return env.set(s.target.name, value)
-        # writes through *p (or an index over a non-array base) may alias
-        # any variable whose address escapes
-        if isinstance(s.target, ast.Unary) or not isinstance(s.target.base, ast.Var) \
-                or s.target.base.name not in array_vars:
-            return env.drop(call_havoc)
+    if node.id in table.writes:
+        name, value = table.writes[node.id]
+        return env.set(name, eval_expr(value, env) if value is not None else TOP)
     return env
 
 
@@ -479,19 +465,15 @@ def iteration_cap(n_nodes: int, n_vars: int, n_heads: int) -> int:
     return 64 + 6 * n_nodes * (n_vars + 2) * (n_heads + 2)
 
 
-def analyze(cfg: Cfg, globals_: list[ast.VarDecl] = ()) -> AbsResult:
+def analyze(cfg: Cfg) -> AbsResult:
     """Worklist fixpoint with widening at loop heads after three plain
     joins per head, then one meet-based narrowing pass in reverse postorder."""
     n = len(cfg.nodes)
     table = cfg.table
-    global_names = frozenset(g.name for g in globals_)
-    havoc = global_names | table.address_taken
-    arrays = table.arrays(globals_)
-    users = table.user_calls
     envs: list[IntervalEnv] = [BOTTOM_ENV] * n
     envs[cfg.entry] = IntervalEnv()
 
-    cap = iteration_cap(n, len(global_names.union(table.decls)), len(cfg.loop_heads))
+    cap = iteration_cap(n, len(table.types), len(cfg.loop_heads))
     update_count = [0] * n
     work = deque([cfg.entry])
     queued = [False] * n
@@ -505,7 +487,7 @@ def analyze(cfg: Cfg, globals_: list[ast.VarDecl] = ()) -> AbsResult:
             raise RuntimeError(
                 f"interval fixpoint exceeded its iteration cap ({cap}) in '{cfg.function}'")
         for t, label in cfg.succ[m]:
-            out = transfer(cfg.nodes[m], envs[m], label, havoc, arrays, users)
+            out = transfer(cfg.nodes[m], envs[m], table, label)
             if env_leq(out, envs[t]):
                 continue
             update_count[t] += 1
@@ -523,8 +505,7 @@ def analyze(cfg: Cfg, globals_: list[ast.VarDecl] = ()) -> AbsResult:
             continue
         inflow = BOTTOM_ENV
         for m, label in cfg.pred[t]:
-            inflow = env_join(inflow, transfer(cfg.nodes[m], envs[m], label, havoc, arrays,
-                                               users))
+            inflow = env_join(inflow, transfer(cfg.nodes[m], envs[m], table, label))
         envs[t] = env_meet(envs[t], inflow)
     return AbsResult(envs, pops)
 
@@ -557,17 +538,12 @@ def _reverse_postorder(cfg: Cfg) -> list[int]:
 # ---------------------------------------------------------------------------
 # Checks
 
-BUFFER_OVERRUN = "buffer-overrun"
-DIV_BY_ZERO = "div-by-zero"
-
-
-def check_sites(cfg: Cfg, globals_: list[ast.VarDecl] = (),
-                ) -> Iterator[tuple[CfgNode, ast.Expr, int | None]]:
+def check_sites(cfg: Cfg) -> Iterator[tuple[CfgNode, ast.Expr, int | None]]:
     """(node, expression, array size) for each expression `interval_checks`
     reports on, in node and walk order: an index into a variable whose
     first declaration is `int[N]`, with size N, and a `/` or `%`, with
     size None."""
-    types = cfg.table.types(globals_)
+    types = cfg.table.types
     for nid, e in cfg.table.sites:
         if isinstance(e, ast.Binary):
             yield cfg.nodes[nid], e, None
@@ -575,22 +551,24 @@ def check_sites(cfg: Cfg, globals_: list[ast.VarDecl] = (),
             yield cfg.nodes[nid], e, ty.size
 
 
-def interval_checks(cfg: Cfg, result: AbsResult,
-                    globals_: list[ast.VarDecl] = ()) -> list[Diagnostic]:
+def interval_checks(cfg: Cfg, result: AbsResult) -> list[Diagnostic]:
     """Array-bound and divisor checks from the interval fixpoint.
 
     Certainly-failing operations are errors with confirmed confidence;
     possibly-failing ones are warnings left unconfirmed.  Nodes with a
-    Bottom environment are unreachable and produce nothing.
+    Bottom environment are unreachable and produce nothing.  A site is read
+    with the `escaped` names dropped at a user-call node, as `transfer`
+    drops them, but not at a write through a pointer, which happens after
+    its operands are read.
     """
-    havoc = frozenset(g.name for g in globals_) | cfg.table.address_taken
+    table = cfg.table
     out: list[Diagnostic] = []
-    for node, e, size in check_sites(cfg, globals_):
+    for node, e, size in check_sites(cfg):
         env = result.at(node.id)
         if env.is_bottom:
             continue
-        if node.id in cfg.table.user_calls:
-            env = env.drop(havoc)
+        if node.id in table.user_calls:
+            env = env.drop(table.escaped)
         if size is not None:
             idx = eval_expr(e.index, env)
             if idx.empty:

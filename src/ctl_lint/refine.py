@@ -2,7 +2,11 @@
 
 A witness trace is compiled into linear path constraints: assignments
 introduce SSA-style fresh versions, branch guards add (in)equalities, and
-anything nonlinear or unknown havocs its target.  The conjunction is then
+anything nonlinear or unknown havocs its target.  A node that may change
+variables it does not name, one of the node table's `clobbers` (a user
+call, or a write through a pointer), gives every `escaped` name (the
+globals and the address-taken names) a fresh, unconstrained version, as
+the interval analysis drops the same names there.  The conjunction is then
 tested for rational satisfiability by Fourier-Motzkin elimination.
 Coefficients and constants are ints, and stay ints: an equality is
 eliminated by cross-multiplying, never by dividing by its coefficient.  The
@@ -24,11 +28,12 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 from . import frontend as ast
-from .cfg import COND, Cfg, FALSE, NEGATED, STMT, TRUE
+from .cfg import COND, Cfg, FALSE, NEGATED, TRUE
 from .ctl import (
     And, CtlFormula, EF, EU, EX, Or, SatSets, TrueF, WitnessTrace, check,
     is_propositional, witness,
 )
+from .diagnostics import CONFIRMED, UNCONFIRMED
 from .speclang import CheckTask
 
 EQ, LE, LT = "=", "<=", "<"
@@ -126,8 +131,7 @@ _CMP_TRUE = {
 }
 
 
-def path_constraints(trace: WitnessTrace, cfg: Cfg,
-                     global_names: frozenset[str] = frozenset()) -> list[PathConstraint]:
+def path_constraints(trace: WitnessTrace, cfg: Cfg) -> list[PathConstraint]:
     """Linear constraints implied by walking the trace.
 
     Only the stem of a lasso is encoded: loop iterations would multiply
@@ -139,22 +143,17 @@ def path_constraints(trace: WitnessTrace, cfg: Cfg,
     if trace.cycle_start is not None:
         last = trace.cycle_start  # guard of the stem->cycle edge still applies
         states = states[:last + 1]
+    table = cfg.table
     v = _Versions()
     out: list[PathConstraint] = []
     for i, sid in enumerate(states):
         node = cfg.nodes[sid]
         nxt = states[i + 1] if i + 1 < len(states) else None
-        if sid in cfg.table.user_calls:  # the callee may write any global
-            for g in sorted(global_names):
-                v.fresh(g)
-        if node.kind == STMT:
-            s = node.stmt
-            if isinstance(s, ast.VarDecl):
-                target, rhs = s.name, s.init
-            elif isinstance(s, ast.Assign) and isinstance(s.target, ast.Var):
-                target, rhs = s.target.name, s.value
-            else:
-                continue  # no write, or through *p / arr[i]: tracked vars unchanged
+        if sid in table.clobbers:
+            for name in table.escaped:
+                v.fresh(name)
+        if sid in table.writes:
+            target, rhs = table.writes[sid]
             lin = _linear(rhs, v) if rhs is not None else None
             fresh = v.fresh(target)
             if lin is not None:
@@ -496,16 +495,13 @@ def enumerate_witnesses(task_kripke, formula: CtlFormula, start: int, limit: int
 # ---------------------------------------------------------------------------
 # The refinement loop
 
-CONFIRMED = "confirmed"
-UNCONFIRMED = "unconfirmed"
 SUPPRESSED = "suppressed"
 
 
 def refine_diagnostic(task: CheckTask, cfg: Cfg, max_witnesses: int,
-                      global_names: frozenset[str] = frozenset(),
-                      sat: SatSets | None = None,
-                      ) -> tuple[str, WitnessTrace | None]:
-    """Feasibility-filter a satisfied check task.
+                      sat: SatSets | None = None) -> tuple[str, WitnessTrace | None]:
+    """Feasibility-filter a satisfied check task: the verdict is the
+    diagnostic's confidence, `CONFIRMED` or `UNCONFIRMED`, or `SUPPRESSED`.
 
     Enumerates up to `max_witnesses` distinct traces shortest-first and
     tests each as it is found: the first feasible one confirms the
@@ -521,7 +517,7 @@ def refine_diagnostic(task: CheckTask, cfg: Cfg, max_witnesses: int,
     kinds: list[str] = []
 
     def is_feasible(trace: WitnessTrace) -> bool:
-        kinds.append(feasible(path_constraints(trace, cfg, global_names)).kind)
+        kinds.append(feasible(path_constraints(trace, cfg)).kind)
         return kinds[-1] == FEASIBLE
 
     traces, exhausted = enumerate_witnesses(

@@ -5,10 +5,10 @@ quantified program variable, plus a CTL property over those labels.  Each
 CFG node's facts, every (pattern, argument) pair that matches it, come
 from the CFG's node table (`Cfg.table`); `label_index` merges them with
 the facts callee summaries imply into one index per function.  For every
-candidate variable of the quantified class, read from the table's
-declarations, each label's state set is then looked up in that index,
-producing one small model-checking task per binding over the CFG's shared
-Kripke skeleton.
+candidate variable of the quantified class, read from the table's scope
+(params, locals and the unit's globals), each label's state set is then
+looked up in that index, producing one small model-checking task per
+binding over the CFG's shared Kripke skeleton.
 Tasks whose trigger label (the first declared one) never matches are
 skipped before any checking happens.
 
@@ -36,7 +36,7 @@ from .ctl import (
     AF, AG, AU, AX, And, CtlFormula, EF, EG, EU, EX, Implies, Not, Or, Prop,
     is_witnessable, props_of,
 )
-from .diagnostics import read_checkset
+from .diagnostics import INTERVAL_CHECK_IDS, read_checkset
 from .source import LocatedError, SourceLocation, Token, tokenize
 
 
@@ -307,10 +307,11 @@ def load_checkset(spec_paths: Sequence[str] = ()) -> tuple[list[CheckSpec], str]
 
 def parse_checkset(sources: list[tuple[str, str]]) -> list[CheckSpec]:
     """The checks of each (file, text) of `read_checkset`, in order.  Check
-    ids must be unique, and each property must have single-path witnesses,
-    which every finding reports as its trace."""
+    ids must be unique, also against the interval checks' ids, and each
+    property must have single-path witnesses, which every finding reports
+    as its trace."""
     checks = [c for file, text in sources for c in parse_checks(text, file)]
-    ids = [c.id for c in checks]
+    ids = [c.id for c in checks] + list(INTERVAL_CHECK_IDS)
     for c in checks:
         if ids.count(c.id) > 1:
             raise SpecError(c.loc, f"duplicate check id '{c.id}' across spec files")
@@ -346,11 +347,10 @@ def _fact(p: Pattern, var: str) -> Fact:
 # ---------------------------------------------------------------------------
 # Task instantiation
 
-def candidate_variables(check: CheckSpec, cfg: Cfg,
-                        globals_: list[ast.VarDecl] = ()) -> list[str]:
+def candidate_variables(check: CheckSpec, cfg: Cfg) -> list[str]:
     """In-scope variables matching the check's quantified class, in
     declaration order: params, then locals, then globals."""
-    types = cfg.table.types(globals_)
+    types = cfg.table.types
     if check.var_class == "pointer":
         return [n for n, t in types.items() if isinstance(t, ast.PtrInt)]
     if check.var_class == "array":

@@ -222,6 +222,15 @@ FIXTURES = [
        clean=["div-by-zero"]),
 ]
 
+# g(&x) and *q = 1 set x to 1, so p is freed twice in f and in h.  Kept out
+# of FIXTURES: the pinned report digests cover that list.
+ALIASING_SRC = """\
+void g(int *q) { *q = 1; }
+int f() { int x = 0; int *p = malloc(4); g(&x); if (x == 1) { free(p); } free(p); return 0; }
+int h() { int x = 0; int *q = &x; int *p = malloc(4); *q = 1;
+  if (x == 1) { free(p); } free(p); return 0; }
+"""
+
 
 def summary_mediated_names():
     return [f.name for f in FIXTURES if "wrapper" in f.name or "summary" in f.name]

@@ -117,7 +117,8 @@ class Interpreter:
                  observer=None):
         self.tu = tu
         self.funcs = {f.name: f for f in tu.functions}
-        self.fragments = {f.name: node_of_fragment(build_cfg(f)) for f in tu.functions}
+        self.fragments = {f.name: node_of_fragment(build_cfg(f, tu.globals))
+                          for f in tu.functions}
         self.step_budget = step_budget
         self.observer = observer
         self.events: list[Event] = []

@@ -26,7 +26,7 @@ from ctl_lint.ctl import EF, EU, EX, And, Not, Or, Prop, check, is_witnessable, 
 from ctl_lint.engine import CacheDb, Counters, EngineConfig, analyze_unit
 from ctl_lint.intervals import analyze as interval_analyze, iteration_cap
 from ctl_lint.speclang import CheckTask, load_checkset
-from fixtures_bugs import FIXTURES
+from fixtures_bugs import ALIASING_SRC, FIXTURES
 from minic_interp import Interpreter, StepBudgetExceeded
 from oracle_ctl import (
     edge_valid, kripke, random_formula, random_kripke, sat_oracle, trace_demonstrates,
@@ -102,11 +102,11 @@ def test_criterion_3_and_4_interval_soundness_and_termination():
         for seed, src in _interval_corpus():
             tu = F.parse(src, f"s{seed}.c")
             assert F.check_well_formed(tu) == []
-            cfgs = {f.name: build_cfg(f) for f in tu.functions}
+            cfgs = {f.name: build_cfg(f, tu.globals) for f in tu.functions}
             t0 = time.perf_counter()
             results = {}
             for name, cfg in cfgs.items():
-                r = interval_analyze(cfg, tu.globals)  # raises on cap violation
+                r = interval_analyze(cfg)  # raises on cap violation
                 caps_ok &= r.iterations <= iteration_cap(
                     len(cfg.nodes), 64, len(cfg.loop_heads))
                 results[name] = r
@@ -239,6 +239,25 @@ def test_default_budget_reports_every_observed_bug():
                                 unmatched.append((name, args, event))
     assert looping == {("dead-none-after-loop.c", "f")}
     assert events > 2000 and unmatched == []
+
+
+def test_a_write_through_an_alias_keeps_its_bugs():
+    # g(&x) and *q = 1 set x to 1, so p is freed twice; refinement must let
+    # a call or a pointer write change x, or it suppresses both findings
+    tu = F.parse(ALIASING_SRC, "alias.c")
+    record = analyze_unit(tu, CHECKS, None, EngineConfig(checkset_text="builtin"))
+    diags = diagnostics_of(tu, record)
+    reported = {(d.function, d.check_id) for d in diags
+                if "'p'" in d.message and d.confidence == "confirmed"}
+    observed = set()
+    for name in ("f", "h"):
+        interp = Interpreter(tu)
+        interp.run(name, ())
+        for event in interp.events:
+            assert event.var == "p" and _matching(diags, event), event
+            observed.add((event.function, _EVENT_TO_CHECK[event.kind]))
+    assert reported == observed == {(f, c) for f in ("f", "h")
+                                    for c in ("double-free", "use-after-free")}
 
 
 DETERMINISM_SRC = """\

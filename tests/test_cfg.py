@@ -14,7 +14,7 @@ from program_gen import generate_program
 def cfg_of(src: str, idx: int = 0):
     tu = F.parse(src, "a.c")
     assert F.check_well_formed(tu) == []
-    return build_cfg(tu.functions[idx])
+    return build_cfg(tu.functions[idx], tu.globals)
 
 
 def test_three_statement_chain():
@@ -138,7 +138,7 @@ def _count_stmts_and_conds(node) -> tuple[int, int]:
 def test_node_count_linear_in_program_size(seed):
     tu = F.parse(generate_program(seed), "g.c")
     for f in tu.functions:
-        g = build_cfg(f)
+        g = build_cfg(f, tu.globals)
         stmts, conds = _count_stmts_and_conds(f.body)
         assert len(g.nodes) <= 2 * (stmts + conds) + 2
         fragments = node_of_fragment(g)
@@ -157,7 +157,7 @@ class TestKripke:
         for seed in range(20):
             tu = F.parse(generate_program(seed), "g.c")
             for f in tu.functions:
-                k = to_kripke(build_cfg(f))
+                k = to_kripke(build_cfg(f, tu.globals))
                 assert all(len(k.succ[s]) >= 1 for s in range(k.n))
 
     def test_empty_labeling(self):

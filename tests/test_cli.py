@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import pickle
@@ -19,7 +21,7 @@ from ctl_lint.diagnostics import Diagnostic
 from ctl_lint.engine import Counters
 from ctl_lint.frontend import MAX_NESTING
 from ctl_lint.source import LocatedError, SourceLocation
-from fixtures_bugs import FIXTURES
+from fixtures_bugs import ALIASING_SRC, FIXTURES
 from ctl_lint.speclang import load_checkset
 from unit_results import rows_of
 
@@ -295,6 +297,53 @@ class TestRenderText:
         code, out, _ = run(capsys, "analyze", "--min-severity", "warning", path)
         assert out == "" and code == 0
 
+    def test_a_path_that_is_not_utf8_prints_its_bytes_under_a_strict_stdout(self, ws):
+        # the report goes out as bytes: a strict error handler on stdout
+        # prints what a C.UTF-8 run does, cold, warm and without a store
+        name = b"leak\xff.c"
+        ws(os.fsdecode(name), LEAK)
+
+        def cli_run(*args, **env):
+            env = dict({k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"},
+                       PYTHONPATH=os.pathsep.join(sys.path), **env)
+            proc = subprocess.run([sys.executable, "-m", "ctl_lint.cli", "analyze", "--jobs",
+                                   "1", *args, name], env=env, capture_output=True, timeout=120)
+            return proc.returncode, proc.stdout
+
+        expected = cli_run("--no-cache", LC_ALL="C.UTF-8")
+        assert expected[0] == 1 and expected[1].startswith(name + b":1:")
+        for args in (["--no-cache"], ["--db", "c.db"], ["--db", "c.db"]):
+            assert cli_run(*args, PYTHONIOENCODING="utf-8:strict") == expected, args
+        assert cli_run("--db", "c.db", LC_ALL="C.UTF-8") == expected
+        # a valid non-ASCII path prints in stdout's own encoding
+        name = "caf\u00e9.c".encode("utf-8")
+        ws(os.fsdecode(name), LEAK)
+        code, out = cli_run("--no-cache", LC_ALL="C.UTF-8")
+        expected = code, out.decode("utf-8").encode("latin-1")
+        assert expected[1].startswith(b"caf\xe9.c:1:")
+        for args in (["--no-cache"], ["--db", "l.db"], ["--db", "l.db"]):
+            assert cli_run(*args, LC_ALL="C.UTF-8", PYTHONIOENCODING="latin-1") == expected, args
+
+    def test_aliased_writes_report_the_same_bugs_cold_warm_and_without_a_store(self, ws, capsys):
+        # the warm run answers from the store the cold run made
+        path = ws("alias.c", ALIASING_SRC)
+        cold = run(capsys, "analyze", path)
+        assert cold[0] == 1 and os.path.exists(".ctl-lint.db")
+        confirmed = {(line.split("[")[1].split("]")[0], line.split(":")[1])
+                     for line in cold[1].splitlines()
+                     if "'p'" in line and line.endswith("(confirmed)")}
+        assert confirmed == {(c, n) for c in ("double-free", "use-after-free") for n in ("2", "4")}
+        assert run(capsys, "analyze", path)[:2] == cold[:2]
+        assert run(capsys, "analyze", "--no-cache", path)[:2] == cold[:2]
+
+    def test_text_report_to_an_in_memory_stdout(self, ws):
+        # an in-process caller may put a text stream with no bytes layer in place
+        path = ws("leak.c", LEAK)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["analyze", "--no-cache", path])
+        assert code == 1 and out.getvalue().startswith(f"{path}:1:")
+
 
 class TestRenderJson:
     def test_schema_and_fields(self, ws, capsys):
@@ -468,6 +517,21 @@ check double-free {
         path = ws("bug.c", DOUBLE_FREE)
         code, _, err = run(capsys, "analyze", "--specs", chk, path)
         assert code == 2 and "duplicate check id" in err
+
+    @pytest.mark.parametrize("check_id", ["buffer-overrun", "div-by-zero"])
+    def test_user_spec_taking_an_interval_check_id_rejected(self, ws, capsys, check_id):
+        # one id, one check: an interval check's id is taken like a spec's
+        chk = ws("dup.chk", f"""
+check {check_id} {{
+  severity: info
+  forall $v: pointer
+  label f := free_of($v)
+  property: EF f
+}}
+""")
+        message = f"ctl-lint: error: {chk}:2:1: duplicate check id '{check_id}' across spec files\n"
+        assert run(capsys, "analyze", "--specs", chk, ws("bug.c", DOUBLE_FREE)) == (2, "", message)
+        assert run(capsys, "--list-checks", "--specs", chk) == (2, "", message)
 
     @pytest.mark.parametrize("refine", ["on", "off"])
     def test_user_spec_without_single_path_witnesses_rejected(self, ws, capsys, refine):

@@ -122,8 +122,9 @@ class TestSummaries:
             names = {f.name for f in tu.functions}
             _, _, callees = call_order(tu.functions)
             for f in tu.functions:
-                under_roots = {e.name for node in build_cfg(f).nodes for root in node.roots
-                               for e in F.walk(root) if isinstance(e, F.Call) and e.name in names}
+                under_roots = {e.name for node in build_cfg(f, tu.globals).nodes
+                               for root in node.roots for e in F.walk(root)
+                               if isinstance(e, F.Call) and e.name in names}
                 assert callees[f.name] == sorted(under_roots), (src, f.name)
 
 
@@ -145,7 +146,7 @@ class TestApplySummaries:
 
     def test_unknown_callee_no_augmentation(self):
         tu = F.parse("int f(int *p) { helper(p); return 0; }\nint helper(int *q) { return 1; }", "a.c")
-        cfg = build_cfg(tu.functions[0])
+        cfg = build_cfg(tu.functions[0], tu.globals)
         assert apply_summaries(cfg, {}) == {}
 
     def test_facts_limited_to_var_args(self):
@@ -180,7 +181,7 @@ class TestDeadCode:
         for seed in range(30):
             tu = F.parse(generate_program(seed), "g.c")
             for f in tu.functions:
-                g = build_cfg(f)
+                g = build_cfg(f, tu.globals)
                 k = reverse(to_kripke(g, {"entry": frozenset({g.entry})}))
                 sat = check(k, EF(Prop("entry")))
                 via_ctl = {n.id for n in g.nodes if not sat.holds(EF(Prop("entry")), n.id)}
@@ -443,9 +444,9 @@ class TestAnalyzeUnit:
         built = []
         real = engine.build_cfg
 
-        def counting(f):
+        def counting(f, globals_):
             built.append(f.name)
-            return real(f)
+            return real(f, globals_)
 
         monkeypatch.setattr(engine, "build_cfg", counting)
         src = ("int f() { return 1; }\nint g() { return f(); }\n"
@@ -475,8 +476,8 @@ class TestAnalyzeUnit:
         real_build, real_check, real_summary = \
             engine.build_cfg, engine.check, engine.compute_summary
 
-        def building(f):
-            built.append(real_build(f))
+        def building(f, globals_):
+            built.append(real_build(f, globals_))
             return built[-1]
 
         def checking(k, formula):

@@ -19,7 +19,7 @@ iv = Interval
 def cfg_of(src: str, idx: int = 0):
     tu = F.parse(src, "a.c")
     assert F.check_well_formed(tu) == []
-    return build_cfg(tu.functions[idx]), tu
+    return build_cfg(tu.functions[idx], tu.globals), tu
 
 
 def expr_of(src: str):
@@ -93,31 +93,31 @@ class TestTransfer:
     def test_assignment_updates_target(self):
         g, node = self._node("int f(int x) { x = 5; }",
                              lambda n: isinstance(n.stmt, F.Assign))
-        out = transfer(node, IntervalEnv())
+        out = transfer(node, IntervalEnv(), g.table)
         assert out.get("x") == const(5)
 
     def test_true_branch_guard_refines(self):
         g, node = self._node("int f(int x) { if (x < 10) { x = 1; } }",
                              lambda n: n.kind == "cond")
-        out = transfer(node, IntervalEnv(), TRUE)
+        out = transfer(node, IntervalEnv(), g.table, TRUE)
         assert out.get("x") == iv(-INF, 9)
 
     def test_contradictory_guard_gives_bottom(self):
         g, node = self._node("int f(int x) { if (x < 10) { x = 1; } }",
                              lambda n: n.kind == "cond")
-        out = transfer(node, IntervalEnv({"x": iv(20, 30)}), TRUE)
+        out = transfer(node, IntervalEnv({"x": iv(20, 30)}), g.table, TRUE)
         assert out.is_bottom
 
     def test_false_branch_negates(self):
         g, node = self._node("int f(int x) { if (x < 10) { x = 1; } }",
                              lambda n: n.kind == "cond")
-        out = transfer(node, IntervalEnv(), FALSE)
+        out = transfer(node, IntervalEnv(), g.table, FALSE)
         assert out.get("x") == iv(10, INF)
 
     def test_bottom_propagates(self):
         g, node = self._node("int f(int x) { x = 5; }",
                              lambda n: isinstance(n.stmt, F.Assign))
-        assert transfer(node, BOTTOM_ENV).is_bottom
+        assert transfer(node, BOTTOM_ENV, g.table).is_bottom
 
     @pytest.mark.parametrize("call", [
         "h();", "if (h()) { y = 1; }", "int x = h();", "y = h();", "return h();",
@@ -126,11 +126,10 @@ class TestTransfer:
         src = ("int g;\nint h() { g = 1; return 0; }\n"
                f"int f(int y) {{ g = 5; {call} return g; }}")
         tu = F.parse(src, "a.c")
-        cfg = build_cfg(tu.functions[1])
+        cfg = build_cfg(tu.functions[1], tu.globals)
         call_node, = (n for n in cfg.nodes if n.id in cfg.table.user_calls)
         for branch in (TRUE, FALSE) if call_node.kind == "cond" else (None,):
-            out = transfer(call_node, IntervalEnv({"g": const(5)}), branch,
-                           call_havoc=frozenset({"g"}), user_calls=cfg.table.user_calls)
+            out = transfer(call_node, IntervalEnv({"g": const(5)}), cfg.table, branch)
             assert out.get("g").is_top()
 
 
@@ -170,8 +169,8 @@ class TestMonotonicity:
         nodes = [n for n in g.nodes if n.kind in ("stmt", "cond")]
         node = nodes[node_pick % len(nodes)]
         branch = TRUE if branch_true else FALSE
-        out_small = transfer(node, small, branch)
-        out_big = transfer(node, big, branch)
+        out_small = transfer(node, small, g.table, branch)
+        out_big = transfer(node, big, g.table, branch)
         assert env_leq(out_small, out_big)
 
 
@@ -205,22 +204,19 @@ class TestAnalyze:
     def test_narrowing_preserves_fixpoint_containment(self):
         for seed in range(40):
             tu = F.parse(generate_program(seed), "g.c")
-            gnames = frozenset(g.name for g in tu.globals)
             for f in tu.functions:
-                g = build_cfg(f)
-                r = analyze(g, tu.globals)
-                havoc = gnames | g.table.address_taken
+                g = build_cfg(f, tu.globals)
+                r = analyze(g)
                 for a, b, label in g.edges:
-                    out = transfer(g.nodes[a], r.at(a), label, havoc,
-                                   g.table.arrays(tu.globals), g.table.user_calls)
+                    out = transfer(g.nodes[a], r.at(a), g.table, label)
                     assert env_leq(out, r.at(b)), (seed, f.name, a, b)
 
     def test_iteration_cap_never_hit_on_corpus(self):
         for seed in range(60):
             tu = F.parse(generate_program(seed), "g.c")
             for f in tu.functions:
-                g = build_cfg(f)
-                r = analyze(g, tu.globals)  # raises if the cap is exceeded
+                g = build_cfg(f, tu.globals)
+                r = analyze(g)  # raises if the cap is exceeded
                 assert r.iterations <= iteration_cap(
                     len(g.nodes), 64, len(g.loop_heads))
 
@@ -229,8 +225,8 @@ class TestChecks:
     def _diags(self, src):
         tu = F.parse(src, "a.c")
         assert F.check_well_formed(tu) == []
-        g = build_cfg(tu.functions[0])
-        return interval_checks(g, analyze(g, tu.globals), tu.globals)
+        g = build_cfg(tu.functions[0], tu.globals)
+        return interval_checks(g, analyze(g))
 
     def test_definite_overrun_is_error(self):
         ds = self._diags("int f() { int a[10]; a[12] = 0; return 0; }")
@@ -294,12 +290,12 @@ class TestChecks:
     def test_first_declaration_governs(self, first, second, is_array):
         # a name declared twice takes the type of its first declaration in
         # the check sites and in the interval transfer alike
-        g, tu = cfg_of(f"int f(int i) {{ int x = 1; int *q = &x; "
+        g, _ = cfg_of(f"int f(int i) {{ int x = 1; int *q = &x; "
                        f"if (i) {{ {first} a[i] = 1; a[7] = 1; }} "
                        f"else {{ {second} a[i] = 1; a[7] = 1; }} return x; }}")
-        assert isinstance(g.table.types(tu.globals)["a"], F.ArrayInt) == is_array
-        assert ("a" in g.table.arrays(tu.globals)) == is_array
-        sizes = [size for _, e, size in check_sites(g, tu.globals) if isinstance(e, F.Index)]
+        assert isinstance(g.table.types["a"], F.ArrayInt) == is_array
+        assert ("a" in g.table.arrays) == is_array
+        sizes = [size for _, e, size in check_sites(g) if isinstance(e, F.Index)]
         assert sizes == ([4] * 4 if is_array else [])
         # an array write leaves the address-taken x alone; a pointer write may hit it
         r = analyze(g)
@@ -309,7 +305,7 @@ class TestChecks:
         assert len(stores) == 2
         for sid in stores:
             assert r.at(sid).get("x") == (const(1) if is_array else iv(-INF, INF))
-        overruns = [d for d in interval_checks(g, r, tu.globals) if d.severity == "error"]
+        overruns = [d for d in interval_checks(g, r) if d.severity == "error"]
         assert len(overruns) == (2 if is_array else 0)
 
 
@@ -319,8 +315,8 @@ class TestInterpreterAgreement:
         for seed in range(80):
             src = generate_program(seed)
             tu = F.parse(src, "g.c")
-            cfgs = {f.name: build_cfg(f) for f in tu.functions}
-            results = {name: analyze(g, tu.globals) for name, g in cfgs.items()}
+            cfgs = {f.name: build_cfg(f, tu.globals) for f in tu.functions}
+            results = {name: analyze(g) for name, g in cfgs.items()}
 
             def observer(fn, node, snapshot):
                 env = results[fn].at(node)

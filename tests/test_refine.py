@@ -9,6 +9,7 @@ from ctl_lint import engine, refine
 from ctl_lint import frontend as F
 from ctl_lint.cfg import FALSE, TRUE, build_cfg
 from ctl_lint.ctl import WitnessTrace, check, is_propositional, witness
+from ctl_lint.intervals import IntervalEnv, transfer
 from ctl_lint.refine import (
     CONFIRMED, EQ, FEASIBLE, LE, LT, SUPPRESSED, UNCONFIRMED, UNKNOWN, Feasible,
     FeasibilityVerdict, Infeasible, PathConstraint, _Accept, _compile_obligations,
@@ -25,7 +26,7 @@ CHECKS = {c.id: c for c in load_checkset()[0]}
 def cfg_of(src: str, idx: int = 0):
     tu = F.parse(src, "a.c")
     assert F.check_well_formed(tu) == []
-    return build_cfg(tu.functions[idx]), tu
+    return build_cfg(tu.functions[idx], tu.globals), tu
 
 
 def follow(cfg, branches):
@@ -113,6 +114,36 @@ int f(int y) {
         cs = path_constraints(follow(g, [TRUE]), g)
         assert [str(c) for c in cs] == ["x@1 < 0"]
         assert feasible(cs) == Feasible
+
+    @pytest.mark.parametrize("setup, write, clobbers", [
+        ("", "g(&x);", True),
+        ("int *q = &x;", "*q = 1;", True),
+        ("int *p = &x;", "p[i] = 1;", True),
+        ("int *q = &x; int a[4];", "a[i] = 1;", False),
+    ], ids=["call", "deref", "pointer-index", "array-index"])
+    def test_a_clobber_renews_what_the_intervals_drop(self, setup, write, clobbers):
+        # one rule for both analyses: after `int x = 0`, node n lets
+        # `x == 1` hold in the interval transfer exactly when it gives x a
+        # fresh version in the path constraints
+        g, _ = cfg_of("void g(int *q) { *q = 1; }\n"
+                      f"int f(int i) {{ int x = 0; {setup} {write} "
+                      "if (x == 1) { return 1; } return 0; }", idx=1)
+        decl, = (n.id for n in g.nodes if isinstance(n.stmt, F.VarDecl) and n.stmt.name == "x")
+        guard, = (n for n in g.nodes if n.kind == "cond")
+        taken, = (t for t, lab in g.succ[guard.id] if lab == TRUE)
+        renewed, dropped = set(), set()
+        for n in g.nodes:
+            if n.kind != "stmt" or n.id == decl:
+                continue
+            trace = WitnessTrace((decl, n.id, guard.id, taken))
+            if feasible(path_constraints(trace, g)) == Feasible:
+                renewed.add(n.id)
+            env = transfer(n, transfer(g.nodes[decl], IntervalEnv(), g.table), g.table)
+            if not transfer(guard, env, g.table, TRUE).is_bottom:
+                dropped.add(n.id)
+        # setup declares only, so `write` is the one assignment or call statement
+        node, = (n.id for n in g.nodes if isinstance(n.stmt, (F.Assign, F.ExprStmt)))
+        assert renewed == dropped == ({node} if clobbers else set())
 
 
     @pytest.mark.parametrize("call", ["a[k()] = 1;", "if (k()) { }"],
@@ -202,7 +233,7 @@ class TestFourierMotzkin:
 
 
 def _satisfied_task(src, check_id, var="p"):
-    g, tu = cfg_of(src)
+    g, _ = cfg_of(src)
     spec = CHECKS[check_id]
     tasks = instantiate(spec, g, label_index(g), [var])
     assert tasks, "fixture must produce a task"
@@ -317,7 +348,7 @@ class TestEnumeration:
         assert len(traces) == 1  # idling on the exit loop is not a new witness
 
 
-def _reference_refine(task, cfg, max_witnesses, global_names, sat, known):
+def _reference_refine(task, cfg, max_witnesses, sat, known):
     """The verdict rule applied to the full `enumerate_witnesses` list: the
     first feasible trace confirms; all infeasible suppresses unless some
     verdict was Unknown or the search did not run to exhaustion.
@@ -328,7 +359,7 @@ def _reference_refine(task, cfg, max_witnesses, global_names, sat, known):
         return UNCONFIRMED, witness(task.kripke, task.formula, cfg.entry, sat)
     saw_unknown = False
     for trace in traces:
-        cs = tuple(path_constraints(trace, cfg, global_names))
+        cs = tuple(path_constraints(trace, cfg))
         kind = (known[cs] if cs in known else feasible(list(cs))).kind
         if kind == FEASIBLE:
             return CONFIRMED, trace
@@ -350,14 +381,14 @@ def _analyze_pin_sources(max_witnesses: int) -> None:
 
 @pytest.fixture(scope="module")
 def pin_tasks():
-    """(task, cfg, global_names, sat) of every refine call the engine makes
+    """(task, cfg, sat) of every refine call the engine makes
     on the pin sources."""
     calls = []
     real = engine.refine_diagnostic
 
-    def recording(task, cfg, budget, global_names, sat):
-        calls.append((task, cfg, global_names, sat))
-        return real(task, cfg, budget, global_names, sat)
+    def recording(task, cfg, budget, sat):
+        calls.append((task, cfg, sat))
+        return real(task, cfg, budget, sat)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "refine_diagnostic", recording)
@@ -419,9 +450,9 @@ def test_refine_matches_full_enumeration_reference(pin_tasks, monkeypatch, max_w
 
     monkeypatch.setattr(refine, "feasible", recording)
     verdicts = set()
-    for task, cfg, global_names, sat in pin_tasks:
-        got = refine_diagnostic(task, cfg, max_witnesses, global_names, sat)
-        want = _reference_refine(task, cfg, max_witnesses, global_names, sat, known)
+    for task, cfg, sat in pin_tasks:
+        got = refine_diagnostic(task, cfg, max_witnesses, sat)
+        want = _reference_refine(task, cfg, max_witnesses, sat, known)
         assert got == want, (cfg.function, task.check.id, task.bound_var)
         verdicts.add(got[0])
     # every budget both confirms and suppresses on the pin tasks; at 1 the
@@ -434,13 +465,13 @@ def test_budget_covering_every_witness_gives_the_full_verdict(pin_tasks, max_wit
     # a search that has found every distinct witness there is has run to
     # exhaustion, whatever the budget, so it decides as a large budget does
     covered = 0
-    for task, cfg, global_names, sat in pin_tasks:
+    for task, cfg, sat in pin_tasks:
         traces, exhausted = enumerate_witnesses(task.kripke, task.formula, cfg.entry, 300, sat)
         if not exhausted or len(traces) > max_witnesses:
             continue
         covered += 1
-        assert (refine_diagnostic(task, cfg, max_witnesses, global_names, sat)
-                == refine_diagnostic(task, cfg, 300, global_names, sat)), \
+        assert (refine_diagnostic(task, cfg, max_witnesses, sat)
+                == refine_diagnostic(task, cfg, 300, sat)), \
             (cfg.function, task.check.id, task.bound_var)
     assert covered
 
@@ -527,7 +558,7 @@ def test_live_search_extends_the_unpruned_search(pin_tasks, limit):
     # witnesses of the unpruned search come first and in the same order;
     # pruning only frees budget, so it finds more or ends sooner
     exhausted_only_when_pruned = 0
-    for task, cfg, _, sat in pin_tasks:
+    for task, cfg, sat in pin_tasks:
         want, want_exhausted = _unpruned_witnesses(
             task.kripke, task.formula, cfg.entry, limit, sat)
         got, exhausted = enumerate_witnesses(task.kripke, task.formula, cfg.entry, limit, sat)

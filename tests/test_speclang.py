@@ -26,11 +26,11 @@ check double-free {
 def cfg_of(src: str, idx: int = 0):
     tu = F.parse(src, "a.c")
     assert F.check_well_formed(tu) == []
-    return build_cfg(tu.functions[idx]), tu
+    return build_cfg(tu.functions[idx], tu.globals), tu
 
 
-def tasks_of(spec, g, tu):
-    return instantiate(spec, g, label_index(g), candidate_variables(spec, g, tu.globals))
+def tasks_of(spec, g):
+    return instantiate(spec, g, label_index(g), candidate_variables(spec, g))
 
 
 def node_matching(cfg, pred):
@@ -177,48 +177,48 @@ class TestMatchPattern:
 class TestInstantiate:
     def test_two_pointers_both_freed(self, builtin_checks):
         df = next(c for c in builtin_checks if c.id == "double-free")
-        g, tu = cfg_of("int f(int *p, int *q) { free(p); free(q); return 0; }")
-        tasks = tasks_of(df, g, tu)
+        g, _ = cfg_of("int f(int *p, int *q) { free(p); free(q); return 0; }")
+        tasks = tasks_of(df, g)
         assert [t.bound_var for t in tasks] == ["p", "q"]
 
     def test_trigger_skip(self, builtin_checks):
         df = next(c for c in builtin_checks if c.id == "double-free")
-        g, tu = cfg_of("int f(int *p, int *q) { free(p); return 0; }")
-        tasks = tasks_of(df, g, tu)
+        g, _ = cfg_of("int f(int *p, int *q) { free(p); return 0; }")
+        tasks = tasks_of(df, g)
         assert [t.bound_var for t in tasks] == ["p"]  # q never freed
 
     def test_no_pointers_no_tasks(self, builtin_checks):
         df = next(c for c in builtin_checks if c.id == "double-free")
-        g, tu = cfg_of("int f(int x) { return x; }")
-        assert tasks_of(df, g, tu) == []
+        g, _ = cfg_of("int f(int x) { return x; }")
+        assert tasks_of(df, g) == []
 
     def test_single_free_site_labels_one_node(self, builtin_checks):
         df = next(c for c in builtin_checks if c.id == "double-free")
-        g, tu = cfg_of("int f(int *p) { free(p); return 0; }")
-        (task,) = tasks_of(df, g, tu)
+        g, _ = cfg_of("int f(int *p) { free(p); return 0; }")
+        (task,) = tasks_of(df, g)
         (freed_node,) = task.kripke.props["freed"]
         assert isinstance(g.nodes[freed_node].stmt, F.ExprStmt)
 
     def test_determinism(self, builtin_checks):
         src = "int f(int *p, int *q) { free(p); free(q); free(p); return 0; }"
         df = next(c for c in builtin_checks if c.id == "double-free")
-        g, tu = cfg_of(src)
-        a = tasks_of(df, g, tu)
-        b = tasks_of(df, g, tu)
+        g, _ = cfg_of(src)
+        a = tasks_of(df, g)
+        b = tasks_of(df, g)
         assert [(t.binding, t.kripke.props) for t in a] == [(t.binding, t.kripke.props) for t in b]
 
     def test_task_count_bound(self, builtin_checks):
         src = "int f(int *p, int *q, int x) { free(p); free(q); x = *p; return x; }"
-        g, tu = cfg_of(src)
+        g, _ = cfg_of(src)
         for spec in builtin_checks:
-            tasks = tasks_of(spec, g, tu)
-            assert len(tasks) <= len(candidate_variables(spec, g, tu.globals))
+            tasks = tasks_of(spec, g)
+            assert len(tasks) <= len(candidate_variables(spec, g))
 
     def test_alphabet_closure(self, builtin_checks):
         src = "int f(int *p) { int *q = 0; free(p); *q = 1; free(p); return 0; }"
-        g, tu = cfg_of(src)
+        g, _ = cfg_of(src)
         for spec in builtin_checks:
-            for task in tasks_of(spec, g, tu):
+            for task in tasks_of(spec, g):
                 declared = {name for name, _ in spec.labels}
                 assert props_of(task.formula) <= declared
                 assert task.kripke.props.keys() <= declared
@@ -230,10 +230,10 @@ class TestInstantiate:
         for seed in range(20):
             tu = F.parse(generate_program(seed), "g.c")
             for f in tu.functions:
-                g = build_cfg(f)
+                g = build_cfg(f, tu.globals)
                 index = label_index(g)
                 for spec in builtin_checks:
-                    for task in tasks_of(spec, g, tu):
+                    for task in tasks_of(spec, g):
                         sat = check(task.kripke, task.formula)
                         for name, pattern in spec.labels:
                             want = frozenset(index.get(_fact(pattern, task.bound_var), ()))
@@ -247,6 +247,6 @@ check idx { severity: info forall $a: array
   label touch := index_of($a, _)
   property: EF touch
 }""")
-        g, tu = cfg_of("int f() { int a[4]; int b[2]; a[1] = 0; return 0; }")
-        tasks = tasks_of(spec, g, tu)
+        g, _ = cfg_of("int f() { int a[4]; int b[2]; a[1] = 0; return 0; }")
+        tasks = tasks_of(spec, g)
         assert [t.bound_var for t in tasks] == ["a"]

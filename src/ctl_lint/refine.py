@@ -1,22 +1,25 @@
 """Counterexample feasibility refinement.
 
-A witness trace is compiled into linear path constraints: assignments
-introduce SSA-style fresh versions, branch guards add (in)equalities, and
-anything nonlinear or unknown havocs its target.  A node that may change
-variables it does not name, one of the node table's `clobbers` (a user
-call, or a write through a pointer), gives every `escaped` name (the
-globals and the address-taken names) a fresh, unconstrained version, as
-the interval analysis drops the same names there.  The conjunction is then
-tested for rational satisfiability by Fourier-Motzkin elimination.
-Coefficients and constants are ints, and stay ints: an equality is
-eliminated by cross-multiplying, never by dividing by its coefficient.  The
-arithmetic is generic, so rational (`Fraction`) input works alike.  An
-Infeasible verdict is trusted (rational emptiness implies integer
-emptiness, and dropped constraints only over-approximate), so a diagnostic
-is suppressed only when the enumeration ran to exhaustion and every
-witness it found is infeasible; a search cut short leaves it unconfirmed.
+A witness trace is compiled into linear path constraints by symbolic
+execution: a store maps each variable to an affine form over symbols.  A
+name never written is its own symbol (its value on entry); a linear write
+sets its target's form, and anything nonlinear or unknown gives the target
+a fresh symbol.  A node that may change variables it does not name, one of
+the node table's `clobbers` (a user call, or a write through a pointer),
+gives every `escaped` name (the globals and the address-taken names) a
+fresh symbol, as the interval analysis drops the same names there.  Only
+branch guards add constraints: comparisons substituted through the store,
+with equalities only from `==` and from the false edge of a truth-value
+guard.  The conjunction is then tested for rational satisfiability by
+Fourier-Motzkin elimination.  Coefficients and constants are ints, and
+stay ints; the arithmetic is generic, so rational (`Fraction`) input works
+alike.  An Infeasible verdict is trusted (rational emptiness implies
+integer emptiness, and dropped constraints only over-approximate), so a
+diagnostic is suppressed only when the enumeration ran to exhaustion and
+every witness it found is infeasible; a search cut short leaves it
+unconfirmed.
 
-Feasible verdicts over-approximate twice, by design: havocked values are
+Feasible verdicts over-approximate twice, by design: fresh symbols are
 unconstrained, and integer tightening is not performed, so a path that is
 rationally but not integrally satisfiable still confirms its diagnostic.
 """
@@ -44,7 +47,9 @@ UNKNOWN = "unknown"
 
 
 class PathConstraint(NamedTuple):
-    """Sum of coeff*versioned-variable  (= | <= | <)  constant."""
+    """Sum of coeff*symbol  (= | <= | <)  constant.  A symbol is a
+    variable's value on entry (`x`), or a fresh value given at trace
+    position i by a nonlinear write (`x@i`) or a clobber (`x@i'`)."""
 
     terms: tuple[tuple[str, int], ...]  # sorted by variable, no zero coefficient
     op: str  # EQ | LE | LT
@@ -74,33 +79,25 @@ def _constraint(terms: dict[str, int], op: str, rhs: int) -> PathConstraint:
 # ---------------------------------------------------------------------------
 # Trace -> constraints
 
-class _Versions:
-    def __init__(self):
-        self.cur: dict[str, int] = {}
-
-    def read(self, name: str) -> str:
-        return f"{name}@{self.cur.get(name, 0)}"
-
-    def fresh(self, name: str) -> str:
-        self.cur[name] = self.cur.get(name, 0) + 1
-        return f"{name}@{self.cur[name]}"
+Form = tuple[dict[str, int], int]  # sum of coeff*symbol, plus a constant
 
 
-def _linear(e: ast.Expr, v: _Versions) -> tuple[dict[str, int], int] | None:
-    """Affine form of an expression over current versions, or None."""
+def _linear(e: ast.Expr, store: dict[str, Form]) -> Form | None:
+    """Affine form of an expression over the store's symbols, or None.
+    A name the store does not hold is its own symbol."""
     if isinstance(e, ast.IntLit):
         return {}, e.value
     if isinstance(e, ast.Var):
-        return {v.read(e.name): 1}, 0
+        return store[e.name] if e.name in store else ({e.name: 1}, 0)
     if isinstance(e, ast.Unary) and e.op == "-":
-        sub = _linear(e.operand, v)
+        sub = _linear(e.operand, store)
         if sub is None:
             return None
         terms, c = sub
         return {k: -x for k, x in terms.items()}, -c
     if isinstance(e, ast.Binary) and e.op in ("+", "-"):
-        l = _linear(e.left, v)
-        r = _linear(e.right, v)
+        l = _linear(e.left, store)
+        r = _linear(e.right, store)
         if l is None or r is None:
             return None
         lt, lc = l
@@ -109,18 +106,18 @@ def _linear(e: ast.Expr, v: _Versions) -> tuple[dict[str, int], int] | None:
         out = dict(lt)
         for k, x in rt.items():
             out[k] = out.get(k, 0) + sign * x
-        return out, lc + sign * rc
+        return {k: x for k, x in out.items() if x}, lc + sign * rc
     if isinstance(e, ast.Binary) and e.op == "*":
-        l = _linear(e.left, v)
-        r = _linear(e.right, v)
+        l = _linear(e.left, store)
+        r = _linear(e.right, store)
         if l is None or r is None:
             return None
         lt, lc = l
         rt, rc = r
         if not lt:
-            return {k: lc * x for k, x in rt.items()}, lc * rc
+            return ({k: lc * x for k, x in rt.items()} if lc else {}), lc * rc
         if not rt:
-            return {k: rc * x for k, x in lt.items()}, rc * lc
+            return ({k: rc * x for k, x in lt.items()} if rc else {}), rc * lc
         return None
     return None  # division, modulo, comparisons, calls, derefs: nonlinear
 
@@ -132,7 +129,8 @@ _CMP_TRUE = {
 
 
 def path_constraints(trace: WitnessTrace, cfg: Cfg) -> list[PathConstraint]:
-    """Linear constraints implied by walking the trace.
+    """Linear constraints implied by walking the trace, one at most per
+    labelled guard edge, over the symbols of the store.
 
     Only the stem of a lasso is encoded: loop iterations would multiply
     constraints without bound, and dropping them only widens feasibility,
@@ -144,30 +142,23 @@ def path_constraints(trace: WitnessTrace, cfg: Cfg) -> list[PathConstraint]:
         last = trace.cycle_start  # guard of the stem->cycle edge still applies
         states = states[:last + 1]
     table = cfg.table
-    v = _Versions()
+    store: dict[str, Form] = {}
     out: list[PathConstraint] = []
     for i, sid in enumerate(states):
         node = cfg.nodes[sid]
         nxt = states[i + 1] if i + 1 < len(states) else None
         if sid in table.clobbers:
             for name in table.escaped:
-                v.fresh(name)
+                store[name] = {f"{name}@{i}'": 1}, 0
         if sid in table.writes:
             target, rhs = table.writes[sid]
-            lin = _linear(rhs, v) if rhs is not None else None
-            fresh = v.fresh(target)
-            if lin is not None:
-                terms, c = lin
-                terms = dict(terms)
-                terms[fresh] = terms.get(fresh, 0) - 1
-                # rhs - fresh = -c  i.e.  fresh = rhs
-                out.append(_constraint({k: -x for k, x in terms.items()}, EQ, c))
-            # nonlinear/unknown: fresh version stays unconstrained
+            lin = _linear(rhs, store) if rhs is not None else None
+            store[target] = lin if lin is not None else ({f"{target}@{i}": 1}, 0)
         elif node.kind == COND and nxt is not None:
             label = _edge_label(cfg, sid, nxt)
             if label is None:
                 continue
-            c = _guard_constraint(node.expr, label, v)
+            c = _guard_constraint(node.expr, label, store)
             if c is not None:
                 out.append(c)
     return out
@@ -182,13 +173,13 @@ def _edge_label(cfg: Cfg, a: int, b: int) -> str | None:
     return labels[0]
 
 
-def _guard_constraint(e: ast.Expr, branch: str, v: _Versions) -> PathConstraint | None:
+def _guard_constraint(e: ast.Expr, branch: str, store: dict[str, Form]) -> PathConstraint | None:
     if isinstance(e, ast.Binary) and e.op in ("<", "<=", ">", ">=", "==", "!="):
         op = e.op if branch == TRUE else NEGATED[e.op]
         if op == "!=":
             return None  # not expressible as a convex constraint
-        l = _linear(e.left, v)
-        r = _linear(e.right, v)
+        l = _linear(e.left, store)
+        r = _linear(e.right, store)
         if l is None or r is None:
             return None
         lt, lc = l
@@ -205,7 +196,7 @@ def _guard_constraint(e: ast.Expr, branch: str, v: _Versions) -> PathConstraint 
             rhs = -rhs
         return _constraint(diff, cmp_op, rhs)
     # truth-value guard: the false branch pins a linear expression to 0
-    lin = _linear(e, v)
+    lin = _linear(e, store)
     if lin is None:
         return None
     terms, c = lin
@@ -226,38 +217,18 @@ DEFAULT_FM_BUDGET = 20_000
 def feasible(cs: list[PathConstraint], budget: int = DEFAULT_FM_BUDGET) -> FeasibilityVerdict:
     """Rational satisfiability of a constraint conjunction.
 
-    Equalities are removed last first, each from the constraints that
-    mention its variable (`_eliminate`); inequalities by pairwise variable
-    elimination.  When the remaining variable-count x constraint-count
-    product exceeds `budget`, gives up with Unknown(budget).
+    An equality is split into two `<=` rows; then variables are
+    eliminated pairwise, cheapest first.  When the remaining
+    variable-count x constraint-count product exceeds `budget`, gives up
+    with Unknown(budget).
     """
-    rows: list[PathConstraint | None] = list(cs)
-    occurs: dict[str, set[int]] = {}  # variable -> rows mentioning it
-    for i, c in enumerate(rows):
-        for v, _ in c.terms:
-            occurs.setdefault(v, set()).add(i)
-    pending = [i for i, c in enumerate(rows) if c.op == EQ]
-    while pending:
-        i = pending.pop()
-        c = rows[i]
-        rows[i] = None
-        if not c.terms:
-            if c.rhs != 0:
-                return Infeasible
-            continue
-        for v, _ in c.terms:
-            occurs[v].discard(i)
-        var = c.terms[0][0]
-        for j in occurs.pop(var, ()):
-            new = rows[j] = _eliminate(rows[j], var, c)
-            mentioned = {v for v, _ in new.terms}
-            for k, _ in c.terms[1:]:
-                if k in mentioned:
-                    occurs.setdefault(k, set()).add(j)
-                else:  # cancelled out
-                    occurs[k].discard(j)
-
-    ineqs = _dedup([c for c in rows if c is not None])
+    ineqs = []
+    for c in cs:
+        if c.op == EQ:
+            ineqs.append(PathConstraint(c.terms, LE, c.rhs))
+            c = PathConstraint(tuple((v, -x) for v, x in c.terms), LE, -c.rhs)
+        ineqs.append(c)
+    ineqs = _dedup(ineqs)
     while True:
         ground_bad = any(_ground_violated(c) for c in ineqs if not c.terms)
         if ground_bad:
@@ -302,26 +273,6 @@ def _elim_cost(cs: list[PathConstraint], var: str) -> int:
     return pos * neg
 
 
-def _eliminate(row: PathConstraint, var: str, eq: PathConstraint) -> PathConstraint:
-    """`row` without `var`, by the equality `eq`: |a|*row - sign(a)*k*eq, where
-    `eq` holds `var` with coefficient a and `row` with k.  That is a positive
-    multiple of `row` with `eq` substituted, so it keeps `row`'s direction."""
-    a = _coef(eq, var)
-    m, n = abs(a), _coef(row, var) * (1 if a > 0 else -1)
-    terms = {v: m * x for v, x in row.terms}
-    for v, x in eq.terms:
-        terms[v] = terms.get(v, 0) - n * x
-    return _constraint(terms, row.op, m * row.rhs - n * eq.rhs)
-
-
-def _ground_violated(c: PathConstraint) -> bool:
-    if c.op == LE:
-        return c.rhs < 0
-    if c.op == LT:
-        return c.rhs <= 0
-    return c.rhs != 0
-
-
 def _dedup(cs: list[PathConstraint]) -> list[PathConstraint]:
     seen = set()
     out = []
@@ -331,6 +282,10 @@ def _dedup(cs: list[PathConstraint]) -> list[PathConstraint]:
             seen.add(key)
             out.append(c)
     return out
+
+
+def _ground_violated(c: PathConstraint) -> bool:
+    return c.rhs < 0 if c.op == LE else c.rhs <= 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import heapq
 from fractions import Fraction as Fr
 
@@ -7,7 +8,7 @@ import pytest
 
 from ctl_lint import engine, refine
 from ctl_lint import frontend as F
-from ctl_lint.cfg import FALSE, TRUE, build_cfg
+from ctl_lint.cfg import COND, FALSE, TRUE, build_cfg
 from ctl_lint.ctl import WitnessTrace, check, is_propositional, witness
 from ctl_lint.intervals import IntervalEnv, transfer
 from ctl_lint.refine import (
@@ -18,6 +19,7 @@ from ctl_lint.refine import (
 )
 from ctl_lint.speclang import instantiate, label_index, load_checkset
 from fixtures_bugs import FIXTURES
+from minic_interp import Interpreter
 from program_gen import generate_program
 
 CHECKS = {c.id: c for c in load_checkset()[0]}
@@ -44,7 +46,7 @@ def follow(cfg, branches):
 
 
 class TestPathConstraints:
-    def test_ssa_walk_with_guards(self):
+    def test_store_substitutes_writes_into_guards(self):
         src = """
 int f(int y) {
   int x;
@@ -63,9 +65,8 @@ int f(int y) {
         cs = path_constraints(WitnessTrace(trace.states[:trace.states.index(ret1) + 1]), g)
         rendered = sorted(str(c) for c in cs)
         assert rendered == [
-            "-1*y@0 <= 0",          # y >= 0
-            "x@2 + -1*y@0 = 1",     # x@2 = y@0 + 1
-            "x@2 <= 0",
+            "-1*y <= 0",    # y >= 0
+            "y <= -1",      # x <= 0, with x = y + 1
         ]
         assert feasible(cs) == Infeasible
 
@@ -74,7 +75,8 @@ int f(int y) {
         g, _ = cfg_of(src)
         trace = follow(g, [TRUE])
         cs = path_constraints(trace, g)
-        # no equality ties x@1 to anything; only the guard on the fresh version
+        # x gets the fresh symbol of trace position 1, which nothing ties
+        # to the entry value; only the guard constrains it
         assert [str(c) for c in cs] == ["x@1 < 0"]
         assert feasible(cs) == Feasible
 
@@ -86,7 +88,7 @@ int f(int y) {
         src = "int f(int x) { if (x == 3) { return 1; } return 0; }"
         g, _ = cfg_of(src)
         cs_true = path_constraints(follow(g, [TRUE]), g)
-        assert [str(c) for c in cs_true] == ["x@0 = 3"]
+        assert [str(c) for c in cs_true] == ["x = 3"]
         cs_false = path_constraints(follow(g, [FALSE]), g)
         assert cs_false == []  # x != 3 is not convex; dropped
 
@@ -94,37 +96,41 @@ int f(int y) {
         src = "int f(int x) { if (x) { return 1; } return 0; }"
         g, _ = cfg_of(src)
         cs = path_constraints(follow(g, [FALSE]), g)
-        assert [str(c) for c in cs] == ["x@0 = 0"]
+        assert [str(c) for c in cs] == ["x = 0"]
 
     def test_lasso_encodes_stem_only(self):
-        src = "int f(int x) { x = 1; while (x < 5) { x = x + 1; } return x; }"
+        src = ("int f(int y) { int x = y + 1; if (x < 0) { return 1; }"
+               " while (x < 5) { x = x + 1; } return x; }")
         g, _ = cfg_of(src)
         head = min(g.loop_heads)
-        assign = next(n.id for n in g.nodes if isinstance(n.stmt, F.Assign)
-                      and isinstance(n.stmt.value, F.IntLit))
         body = next(t for t, lab in g.succ[head] if lab == TRUE)
-        trace = WitnessTrace((g.entry, assign, head, body), cycle_start=2)
+        stem = follow(g, [FALSE, FALSE]).states
+        stem = stem[:stem.index(head) + 1]
+        trace = WitnessTrace(stem + (body,), cycle_start=len(stem) - 1)
         cs = path_constraints(trace, g)
-        # stem effects only: the in-cycle guard and body never contribute
-        assert [str(c) for c in cs] == ["x@1 = 1"]
+        # stem effects only: the stem's guard x >= 0 is over y + 1, and the
+        # in-cycle guard and body never contribute
+        assert [str(c) for c in cs] == ["-1*y <= 1"]
 
     def test_uninit_decl_is_unconstrained(self):
         src = "int f() { int x; if (x < 0) { return 1; } return 0; }"
         g, _ = cfg_of(src)
         cs = path_constraints(follow(g, [TRUE]), g)
+        # the declaration at trace position 1 gives x a fresh symbol
         assert [str(c) for c in cs] == ["x@1 < 0"]
         assert feasible(cs) == Feasible
 
     @pytest.mark.parametrize("setup, write, clobbers", [
         ("", "g(&x);", True),
+        ("", "x = g(&x);", True),
         ("int *q = &x;", "*q = 1;", True),
         ("int *p = &x;", "p[i] = 1;", True),
         ("int *q = &x; int a[4];", "a[i] = 1;", False),
-    ], ids=["call", "deref", "pointer-index", "array-index"])
+    ], ids=["call", "call-writing-its-argument", "deref", "pointer-index", "array-index"])
     def test_a_clobber_renews_what_the_intervals_drop(self, setup, write, clobbers):
         # one rule for both analyses: after `int x = 0`, node n lets
         # `x == 1` hold in the interval transfer exactly when it gives x a
-        # fresh version in the path constraints
+        # fresh symbol in the path constraints
         g, _ = cfg_of("void g(int *q) { *q = 1; }\n"
                       f"int f(int i) {{ int x = 0; {setup} {write} "
                       "if (x == 1) { return 1; } return 0; }", idx=1)
@@ -157,6 +163,23 @@ int f(int y) {
         leaks = [d for d in analyze(src) if d.check_id == "memory-leak"]
         assert [(d.function, d.message) for d in leaks] == [
             ("f", "allocation of 'p' may reach function exit without free")]
+
+    @pytest.mark.parametrize("params, setup, guard", [
+        ("int x", "", "x - x"),
+        ("", "int g = 1;", "g - 1"),
+    ], ids=["cancelled", "constant-folded"])
+    def test_a_guard_that_is_always_zero_has_an_infeasible_true_edge(
+            self, analyze, params, setup, guard):
+        # the guard's form has no terms and a zero constant, so the path
+        # that frees p twice is infeasible, and no run ever takes it
+        src = (f"int f({params}) {{ {setup} int *p = malloc(4); "
+               f"if ({guard}) {{ free(p); }} free(p); return 0; }}")
+        assert [d.check_id for d in analyze(src)
+                if d.check_id in ("double-free", "use-after-free")] == []
+        interp = Interpreter(F.parse(src, "a.c"))
+        for arg in range(-3, 4):
+            interp.run("f", (arg,) if params else ())
+        assert interp.event_kinds().isdisjoint({"double-free", "use-after-free"})
 
 
 class TestFourierMotzkin:
@@ -397,20 +420,54 @@ def pin_tasks():
 
 
 @pytest.fixture(scope="module")
-def refinement_sets():
-    """Every constraint list `path_constraints` builds on the pin sources
-    at 300 witnesses, each with the verdict `feasible` gave it."""
-    verdicts = {}
-    real = refine.feasible
+def refinement_runs():
+    """What refinement does on the pin sources at 300 witnesses: the
+    (trace, cfg, constraints) of each `path_constraints` call, and each
+    constraint list with the verdict `feasible` gave it."""
+    walks, verdicts = [], {}
+    real_walk, real_feasible = refine.path_constraints, refine.feasible
+
+    def walking(trace, cfg):
+        cs = real_walk(trace, cfg)
+        walks.append((trace, cfg, cs))
+        return cs
 
     def recording(cs, *args):
-        verdict = verdicts[tuple(cs)] = real(cs, *args)
+        verdict = verdicts[tuple(cs)] = real_feasible(cs, *args)
         return verdict
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refine, "path_constraints", walking)
         mp.setattr(refine, "feasible", recording)
         _analyze_pin_sources(300)
-    return verdicts
+    return walks, verdicts
+
+
+@pytest.fixture(scope="module")
+def refinement_sets(refinement_runs):
+    """Every constraint list `path_constraints` builds on the pin sources
+    at 300 witnesses, each with the verdict `feasible` gave it."""
+    return refinement_runs[1]
+
+
+def test_each_constraint_comes_from_its_own_guard_edge(refinement_runs):
+    # without the edges that leave conditions a trace gives no constraint,
+    # and with them it gives at most one per labelled guard edge it takes
+    walks, _ = refinement_runs
+    blind = {}
+    guards = 0
+    for trace, cfg, cs in walks:
+        if id(cfg) not in blind:
+            blind[id(cfg)] = copy.copy(cfg)
+            blind[id(cfg)].succ = [[] if n.kind == COND else outs
+                                   for n, outs in zip(cfg.nodes, cfg.succ)]
+        assert path_constraints(trace, blind[id(cfg)]) == []
+        states = trace.states
+        taken = sum(1 for a, b in zip(states, states[1:]) if cfg.nodes[a].kind == COND
+                    and len({lab for t, lab in cfg.succ[a] if t == b}) == 1)
+        assert len(cs) <= taken, (cfg.function, states)
+        guards += taken
+    assert guards > len(walks)
 
 
 def test_integer_programs_give_integer_constraints(refinement_sets):

@@ -33,7 +33,7 @@ from json.encoder import encode_basestring_ascii as _escape
 from typing import TYPE_CHECKING
 
 from .cache import CacheDb, file_key
-from .diagnostics import CONFIRMED, INTERVAL_CHECK_IDS, UNCONFIRMED, AnalysisError, Counters
+from .diagnostics import ANALYSIS_CHECKS, CONFIRMED, UNCONFIRMED, AnalysisError, Counters
 from .diagnostics import EngineConfig, meets_min_severity, read_checkset
 from .source import LocatedError, functions_at, parse_bytes, source_digest
 
@@ -171,10 +171,9 @@ def _cmd_list_checks(spec_paths: list[str]) -> int:
     from .speclang import load_checkset
     checks, _ = load_checkset(spec_paths)
     for c in checks:
-        refine = "refine" if c.refine else "no-refine"
-        print(f"{c.id:<16} {c.severity:<8} forall {c.metavar}: {c.var_class:<8} {refine}")
-    for check_id in INTERVAL_CHECK_IDS:
-        print(f"{check_id:<16} {'error':<8} interval check (warning when only possible)")
+        print(f"{c.id:<16} {c.severity:<8} forall {c.metavar}: {c.var_class}")
+    for check_id, (severity, analysis) in ANALYSIS_CHECKS.items():
+        print(f"{check_id:<16} {severity:<8} {analysis}")
     return 0
 
 
@@ -186,7 +185,7 @@ def _read(path: str) -> bytes:
 def _checkset(sources: list[tuple[str, str]]) -> list[CheckSpec]:
     """The check set parsed from `sources`, with the analyzer imported before
     any pool forks.  Only a miss, `--checks` and `--dump-cfg` need them."""
-    from . import engine  # noqa: F401
+    from . import engine  # noqa: F401 (imported here so that forked workers inherit it)
     from .speclang import parse_checkset
     return parse_checkset(sources)
 
@@ -259,7 +258,7 @@ def _cmd_analyze(ns: argparse.Namespace) -> int:
     sources, checkset_text = read_checkset(ns.specs)
     checks = _checkset(sources) if ns.checks is not None or ns.dump_cfg else None
     if ns.checks is not None:
-        unknown = ns.checks - {c.id for c in checks} - set(INTERVAL_CHECK_IDS)
+        unknown = ns.checks - {c.id for c in checks} - set(ANALYSIS_CHECKS)
         if unknown:
             raise UsageError(f"unknown check ids: {', '.join(sorted(unknown))}")
 

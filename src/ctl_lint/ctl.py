@@ -1,11 +1,14 @@
 """Explicit-state CTL model checker.
 
-Formulas are rewritten into the adequate set {True, Prop, Not, And, EX,
-EU, EG} and evaluated by global fixed-point labeling: least fixpoint with
-a backward worklist for EU, greatest fixpoint by successor counting for
-EG.  Each (sub)formula is labeled once per structure; results are memoized
-by structural identity, so repeated queries on the same structure are
-cheap.
+Formulas are built from propositions, the Boolean connectives and the
+existential operators EX, EF, EG and E[p U q].  There are no universal
+ones: every finding shows one path as its trace, and a universal property
+has no single-path witness.  Formulas are rewritten into the adequate set
+{True, Prop, Not, And, EX, EU, EG} and evaluated by global fixed-point
+labeling: least fixpoint with a backward worklist for EU, greatest
+fixpoint by successor counting for EG.  Each (sub)formula is labeled once
+per structure; results are memoized by structural identity, so repeated
+queries on the same structure are cheap.
 
 Witness extraction covers the existential-positive fragment used by the
 check catalog: EF / EX / EU / EG nesting over propositional cores, with
@@ -89,25 +92,11 @@ class EX(CtlFormula):
         return f"EX {_wrap(self.sub)}"
 
 
-class AX(CtlFormula):
-    __slots__ = _fields = ("sub",)
-
-    def __str__(self) -> str:
-        return f"AX {_wrap(self.sub)}"
-
-
 class EF(CtlFormula):
     __slots__ = _fields = ("sub",)
 
     def __str__(self) -> str:
         return f"EF {_wrap(self.sub)}"
-
-
-class AF(CtlFormula):
-    __slots__ = _fields = ("sub",)
-
-    def __str__(self) -> str:
-        return f"AF {_wrap(self.sub)}"
 
 
 class EG(CtlFormula):
@@ -117,13 +106,6 @@ class EG(CtlFormula):
         return f"EG {_wrap(self.sub)}"
 
 
-class AG(CtlFormula):
-    __slots__ = _fields = ("sub",)
-
-    def __str__(self) -> str:
-        return f"AG {_wrap(self.sub)}"
-
-
 class EU(CtlFormula):
     __slots__ = _fields = ("left", "right")
 
@@ -131,18 +113,11 @@ class EU(CtlFormula):
         return f"E[{self.left} U {self.right}]"
 
 
-class AU(CtlFormula):
-    __slots__ = _fields = ("left", "right")
-
-    def __str__(self) -> str:
-        return f"A[{self.left} U {self.right}]"
-
-
 TRUE = TrueF()
 
 
 def _wrap(f: CtlFormula) -> str:
-    if isinstance(f, (TrueF, Prop, Not, EX, AX, EF, AF, EG, AG, EU, AU)):
+    if isinstance(f, (TrueF, Prop, Not, EX, EF, EG, EU)):
         return str(f)
     return f"({f})"
 
@@ -152,7 +127,7 @@ def props_of(f: CtlFormula) -> frozenset[str]:
         return frozenset((f.name,))
     if isinstance(f, (TrueF,)):
         return frozenset()
-    if isinstance(f, (Not, EX, AX, EF, AF, EG, AG)):
+    if isinstance(f, (Not, EX, EF, EG)):
         return props_of(f.sub)
     return props_of(f.left) | props_of(f.right)
 
@@ -161,9 +136,8 @@ def props_of(f: CtlFormula) -> frozenset[str]:
 def normalize(f: CtlFormula) -> CtlFormula:
     """Rewrite into the adequate set {True, Prop, Not, And, EX, EU, EG}.
 
-    EF p = E[true U p];  AX p = !EX !p;  AG p = !E[true U !p];
-    AF p = !EG !p;  A[p U q] = !(E[!q U (!p & !q)] | EG !q), with Or and
-    Implies removed by De Morgan.  Double negations are collapsed.
+    EF p = E[true U p], with Or and Implies removed by De Morgan.  Double
+    negations are collapsed.
     """
     if isinstance(f, (TrueF, Prop)):
         return f
@@ -180,22 +154,12 @@ def normalize(f: CtlFormula) -> CtlFormula:
         return normalize(Not(And(f.left, Not(f.right))))
     if isinstance(f, EX):
         return EX(normalize(f.sub))
-    if isinstance(f, AX):
-        return normalize(Not(EX(Not(f.sub))))
     if isinstance(f, EF):
         return EU(TRUE, normalize(f.sub))
-    if isinstance(f, AG):
-        return normalize(Not(EU(TRUE, Not(f.sub))))
-    if isinstance(f, AF):
-        return normalize(Not(EG(Not(f.sub))))
     if isinstance(f, EG):
         return EG(normalize(f.sub))
     if isinstance(f, EU):
         return EU(normalize(f.left), normalize(f.right))
-    if isinstance(f, AU):
-        # !(E[!q U (!p & !q)] | EG !q) == !E[...] & !EG !q
-        return normalize(And(Not(EU(Not(f.right), And(Not(f.left), Not(f.right)))),
-                             Not(EG(Not(f.right)))))
     raise TypeError(f"not a CTL formula: {f!r}")
 
 

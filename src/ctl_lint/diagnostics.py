@@ -13,9 +13,17 @@ SEVERITY_RANK = {"error": 0, "warning": 1, "info": 2}
 CONFIRMED = "confirmed"
 UNCONFIRMED = "unconfirmed"
 
+DEAD_CODE = "dead-code"
 BUFFER_OVERRUN = "buffer-overrun"
 DIV_BY_ZERO = "div-by-zero"
-INTERVAL_CHECK_IDS = (BUFFER_OVERRUN, DIV_BY_ZERO)  # reserved: no spec check may take them
+_INTERVALS = "interval check (warning when only possible)"
+# The checks that an analysis other than the model checker decides, by id:
+# (severity, the analysis).  No spec check may take their ids.
+ANALYSIS_CHECKS = {
+    DEAD_CODE: ("info", "structural check (unreachable from the entry)"),
+    BUFFER_OVERRUN: ("error", _INTERVALS),
+    DIV_BY_ZERO: ("error", _INTERVALS),
+}
 
 
 class Diagnostic(NamedTuple):

@@ -2,10 +2,11 @@
 
 Functions are summarized bottom-up over the call graph (recursion falls
 back to pessimistic summaries), then analyzed independently: pattern
-labeling, CTL checking, witness refinement, interval checks and the
-structural dead-code check.  A unit's result is its file record: a function
-found in the store (`cache`) is its stored record, and any other is packed
-once analyzed.  `analyze_unit` only reads the store, and its caller writes it.
+labeling, CTL checking and witness refinement for each spec check, and the
+dead-code and interval checks of `ANALYSIS_CHECKS`.  A unit's result is its
+file record: a function found in the store (`cache`) is its stored record,
+and any other is packed once analyzed.  `analyze_unit` only reads the
+store, and its caller writes it.
 """
 
 from __future__ import annotations
@@ -15,16 +16,17 @@ from .cache import (
     CacheDb, FunctionSummary, cache_key, canonical_json, pack_function, record_summary,
 )
 from .cfg import Cfg, build_cfg, to_kripke
-from .ctl import And, EU, EX, Not, Prop, TRUE, check, witness
-from .diagnostics import AnalysisError, CONFIRMED, Counters, Diagnostic, EngineConfig, UNCONFIRMED
+from .ctl import And, EU, EX, Not, Prop, TRUE, check
+from .ctl import witness  # noqa: F401 (unused: perfbench/traced.py wraps `engine.witness`)
+from .diagnostics import (
+    ANALYSIS_CHECKS, AnalysisError, CONFIRMED, Counters, DEAD_CODE, Diagnostic, EngineConfig,
+)
 from .frontend import FunctionDef, TranslationUnit, check_well_formed
 from .intervals import analyze as interval_analyze, check_sites, interval_checks
 from .refine import SUPPRESSED, refine_diagnostic
 from .speclang import (
     CheckSpec, CheckTask, Fact, candidate_variables, instantiate, label_index,
 )
-
-DEAD_CODE_ID = "dead-code"
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +226,10 @@ def analyze_function(cfg: Cfg, checks: list[CheckSpec],
     when not given."""
     if index is None:
         index = label_index(cfg, apply_summaries(cfg, summaries))
-    diags: list[Diagnostic] = []
+    diags = _dead_code_diags(cfg)
     created = 0
     skipped = 0
     for spec in checks:
-        if spec.id == DEAD_CODE_ID:
-            diags.extend(_dead_code_diags(cfg, spec))
-            continue
         bindings = candidate_variables(spec, cfg)
         tasks = instantiate(spec, cfg, index, bindings)
         created += len(bindings)
@@ -239,13 +238,9 @@ def analyze_function(cfg: Cfg, checks: list[CheckSpec],
             sat = check(task.kripke, task.formula)
             if not sat.holds(task.formula, cfg.entry):
                 continue
-            if spec.refine:
-                confidence, trace = refine_diagnostic(task, cfg, config.max_witnesses, sat)
-                if confidence == SUPPRESSED:
-                    continue
-            else:
-                confidence = UNCONFIRMED
-                trace = witness(task.kripke, task.formula, cfg.entry, sat)
+            confidence, trace = refine_diagnostic(task, cfg, config.max_witnesses, sat)
+            if confidence == SUPPRESSED:
+                continue
             anchor = _trace_anchor(task, trace)
             diags.append(Diagnostic(
                 spec.id, spec.severity, cfg.nodes[anchor].loc,
@@ -257,14 +252,15 @@ def analyze_function(cfg: Cfg, checks: list[CheckSpec],
     return diags, created, skipped
 
 
-def _dead_code_diags(cfg: Cfg, spec: CheckSpec) -> list[Diagnostic]:
+def _dead_code_diags(cfg: Cfg) -> list[Diagnostic]:
     """One diagnostic per region of nodes unreachable from the entry."""
+    severity = ANALYSIS_CHECKS[DEAD_CODE][0]
     out: list[Diagnostic] = []
     for region in _dead_regions(cfg, cfg.unreachable):
         head = cfg.nodes[min(region)]
         if head.kind in ("entry", "exit"):
             continue
-        out.append(Diagnostic(spec.id, spec.severity, head.loc, "unreachable code",
+        out.append(Diagnostic(DEAD_CODE, severity, head.loc, "unreachable code",
                               cfg.function, CONFIRMED, (head.loc,)))
     return out
 

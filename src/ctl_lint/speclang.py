@@ -16,12 +16,16 @@ Grammar of `.chk` files (# starts a line comment):
 
     check    := "check" IDENT "{" "severity:" SEV
                 "forall" METAVAR ":" ("pointer"|"array"|"any")
-                labeldecl+ "property:" ctl ["refine:" ("on"|"off")] "}"
+                labeldecl+ "property:" ctl "}"
     labeldecl:= "label" IDENT ":=" pattern
     pattern  := PATNAME "(" args? ")"
     ctl      := IDENT | "!" ctl | ctl ("&"|"|"|"->") ctl
-              | ("AX"|"EX"|"AF"|"EF"|"AG"|"EG") ctl
-              | ("A"|"E") "[" ctl "U" ctl "]" | "(" ctl ")"
+              | ("EX"|"EF"|"EG") ctl | "E" "[" ctl "U" ctl "]" | "(" ctl ")"
+
+A universal operator (AX, AF, AG, A[p U q]) is an error at its token: a
+finding's trace is one path, which cannot show a property of all paths.
+Their names stay reserved.  The checks that another analysis decides are
+listed in `diagnostics.ANALYSIS_CHECKS`, whose ids no spec check may take.
 """
 
 from __future__ import annotations
@@ -33,10 +37,9 @@ from typing import NamedTuple
 from . import frontend as ast
 from .cfg import Cfg, Fact, KripkeStructure, to_kripke
 from .ctl import (
-    AF, AG, AU, AX, And, CtlFormula, EF, EG, EU, EX, Implies, Not, Or, Prop,
-    is_witnessable, props_of,
+    And, CtlFormula, EF, EG, EU, EX, Implies, Not, Or, Prop, is_witnessable, props_of,
 )
-from .diagnostics import INTERVAL_CHECK_IDS, read_checkset
+from .diagnostics import ANALYSIS_CHECKS, read_checkset
 from .source import LocatedError, SourceLocation, Token, tokenize
 
 
@@ -79,7 +82,6 @@ class CheckSpec(NamedTuple):
     var_class: str  # pointer | array | any
     labels: tuple[tuple[str, Pattern], ...]
     prop: CtlFormula
-    refine: bool
     loc: SourceLocation
 
 
@@ -154,10 +156,6 @@ class _ChkParser:
             raise SpecError(self.peek().loc, "expected 'check'")
         while self.peek().kind != "eof":
             checks.append(self.parse_check())
-        ids = [c.id for c in checks]
-        for c in checks:
-            if ids.count(c.id) > 1:
-                raise SpecError(c.loc, f"duplicate check id '{c.id}'")
         return checks
 
     def parse_check(self) -> CheckSpec:
@@ -198,18 +196,8 @@ class _ChkParser:
         for p in sorted(props_of(prop)):
             if p not in label_names:
                 raise SpecError(loc, f"unknown label '{p}' in property of '{check_id}'")
-
-        refine = False
-        if self.peek().text == "refine":
-            self.next()
-            self.expect(":")
-            _, mode, mode_loc, _ = self.expect_ident("'on' or 'off'")
-            if mode not in ("on", "off"):
-                raise SpecError(mode_loc, "refine must be 'on' or 'off'")
-            refine = mode == "on"
         self.expect("}")
-        return CheckSpec(check_id, severity, metavar, var_class, tuple(labels),
-                         prop, refine, loc)
+        return CheckSpec(check_id, severity, metavar, var_class, tuple(labels), prop, loc)
 
     def parse_pattern(self, quantified: str) -> Pattern:
         _, name, loc, _ = self.expect_ident("a pattern name")
@@ -264,7 +252,7 @@ class _ChkParser:
             left = And(left, self._ctl_unary())
         return left
 
-    _UNARY_OPS = {"AX": AX, "EX": EX, "AF": AF, "EF": EF, "AG": AG, "EG": EG}
+    _UNARY_OPS = {"EX": EX, "EF": EF, "EG": EG}
 
     def _ctl_unary(self) -> CtlFormula:
         kind, val, loc, _ = self.peek()
@@ -279,14 +267,17 @@ class _ChkParser:
         if val in self._UNARY_OPS:
             self.next()
             return self._UNARY_OPS[val](self._ctl_unary())
-        if val in ("A", "E"):
+        if val in ("AX", "AF", "AG", "A"):
+            raise SpecError(loc, f"'{val}' is a universal operator, which has no single-path "
+                                 "witness")
+        if val == "E":
             self.next()
             self.expect("[")
             left = self.parse_ctl()
             self.expect("U")
             right = self.parse_ctl()
             self.expect("]")
-            return (AU if val == "A" else EU)(left, right)
+            return EU(left, right)
         if kind == "ident":
             self.next()
             return Prop(val)
@@ -307,14 +298,15 @@ def load_checkset(spec_paths: Sequence[str] = ()) -> tuple[list[CheckSpec], str]
 
 def parse_checkset(sources: list[tuple[str, str]]) -> list[CheckSpec]:
     """The checks of each (file, text) of `read_checkset`, in order.  Check
-    ids must be unique, also against the interval checks' ids, and each
-    property must have single-path witnesses, which every finding reports
-    as its trace."""
+    ids must be unique, also against `ANALYSIS_CHECKS`, and a later
+    declaration of an id is the error.  Each property must have single-path
+    witnesses, which every finding reports as its trace."""
     checks = [c for file, text in sources for c in parse_checks(text, file)]
-    ids = [c.id for c in checks] + list(INTERVAL_CHECK_IDS)
+    seen = set(ANALYSIS_CHECKS)
     for c in checks:
-        if ids.count(c.id) > 1:
-            raise SpecError(c.loc, f"duplicate check id '{c.id}' across spec files")
+        if c.id in seen:
+            raise SpecError(c.loc, f"duplicate check id '{c.id}'")
+        seen.add(c.id)
         if not is_witnessable(c.prop):
             raise SpecError(c.loc, f"the property of '{c.id}' has no single-path witness")
     return checks

@@ -1,10 +1,9 @@
 """Independent CTL semantics for cross-checking the fixpoint checker.
 
 `sat_oracle` evaluates formulas by bounded forward path enumeration with
-memoization: an EU witness needs at most |S| states, an EG lasso at most
-2|S|, and the universal operators are decided by the pigeonhole bound on
-avoiding paths.  No fixpoints, no backward worklists, so agreement with
-the production checker is meaningful evidence.
+memoization: an EU witness needs at most |S| states and an EG lasso at
+most 2|S|.  No fixpoints, no backward worklists, so agreement with the
+production checker is meaningful evidence.
 
 `trace_demonstrates` judges whether a concrete trace is self-contained
 evidence for an existential formula, used to validate extracted witnesses.
@@ -16,8 +15,8 @@ import random
 
 from ctl_lint.cfg import KripkeStructure, predecessors
 from ctl_lint.ctl import (
-    AF, AG, AU, AX, And, CtlFormula, EF, EG, EU, EX, Implies, Not, Or, Prop,
-    TrueF, WitnessTrace, is_propositional,
+    And, CtlFormula, EF, EG, EU, EX, Implies, Not, Or, Prop, TrueF, WitnessTrace,
+    is_propositional,
 )
 
 
@@ -64,20 +63,12 @@ def _sat(k: KripkeStructure, f: CtlFormula, s: int, memo: dict) -> bool:
         result = (not _sat(k, f.left, s, memo)) or _sat(k, f.right, s, memo)
     elif isinstance(f, EX):
         result = any(_sat(k, f.sub, t, memo) for t in k.succ[s])
-    elif isinstance(f, AX):
-        result = all(_sat(k, f.sub, t, memo) for t in k.succ[s])
     elif isinstance(f, EF):
         result = _eu_bounded(k, TrueF(), f.sub, s, n, memo)
     elif isinstance(f, EU):
         result = _eu_bounded(k, f.left, f.right, s, n, memo)
     elif isinstance(f, EG):
         result = _eg_bounded(k, f.sub, s, 2 * n, memo)
-    elif isinstance(f, AF):
-        result = _af_bounded(k, f.sub, s, n, memo)
-    elif isinstance(f, AG):
-        result = _ag_bounded(k, f.sub, s, n, memo)
-    elif isinstance(f, AU):
-        result = _au_bounded(k, f.left, f.right, s, n, memo)
     else:
         raise TypeError(f)
     memo[key] = result
@@ -112,52 +103,6 @@ def _eg_bounded(k, body, s, d, memo) -> bool:
         result = True
     else:
         result = any(_eg_bounded(k, body, t, d - 1, memo) for t in k.succ[s])
-    memo[key] = result
-    return result
-
-
-def _af_bounded(k, body, s, d, memo) -> bool:
-    # if some path avoids `body` for |S| steps it can avoid it forever
-    key = ("AF", body, s, d)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    if _sat(k, body, s, memo):
-        result = True
-    elif d == 0:
-        result = False
-    else:
-        result = all(_af_bounded(k, body, t, d - 1, memo) for t in k.succ[s])
-    memo[key] = result
-    return result
-
-
-def _ag_bounded(k, body, s, d, memo) -> bool:
-    key = ("AG", body, s, d)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    if not _sat(k, body, s, memo):
-        result = False
-    elif d == 0:
-        result = True
-    else:
-        result = all(_ag_bounded(k, body, t, d - 1, memo) for t in k.succ[s])
-    memo[key] = result
-    return result
-
-
-def _au_bounded(k, left, right, s, d, memo) -> bool:
-    key = ("AU", left, right, s, d)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    if _sat(k, right, s, memo):
-        result = True
-    elif not _sat(k, left, s, memo) or d == 0:
-        result = False
-    else:
-        result = all(_au_bounded(k, left, right, t, d - 1, memo) for t in k.succ[s])
     memo[key] = result
     return result
 
@@ -262,6 +207,8 @@ def random_kripke(rng: random.Random, max_states: int = 8,
 
 def random_formula(rng: random.Random, props: tuple[str, ...] = ("p", "q", "r"),
                    depth: int = 3) -> CtlFormula:
+    """A random formula.  The universal shapes are drawn as their
+    existential duals, so negated EX, EG and EU are exercised too."""
     if depth == 0 or rng.random() < 0.2:
         if rng.random() < 0.12:
             return TrueF()
@@ -278,17 +225,18 @@ def random_formula(rng: random.Random, props: tuple[str, ...] = ("p", "q", "r"),
     if op == "implies":
         return Implies(sub(), sub())
     if op == "AX":
-        return AX(sub())
+        return Not(EX(Not(sub())))
     if op == "EX":
         return EX(sub())
     if op == "AF":
-        return AF(sub())
+        return Not(EG(Not(sub())))
     if op == "EF":
         return EF(sub())
     if op == "AG":
-        return AG(sub())
+        return Not(EF(Not(sub())))
     if op == "EG":
         return EG(sub())
-    if op == "AU":
-        return AU(sub(), sub())
+    if op == "AU":  # A[l U r] = !(E[!r U (!l & !r)] | EG !r)
+        left, right = sub(), sub()
+        return Not(Or(EU(Not(right), And(Not(left), Not(right))), EG(Not(right))))
     return EU(sub(), sub())

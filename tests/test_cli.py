@@ -468,12 +468,16 @@ class TestFlags:
         assert out.startswith('digraph "add"')
 
     def test_list_checks(self, capsys):
-        code, out, _ = run(capsys, "--list-checks")
-        assert code == 0
-        for check_id in ("null-deref", "memory-leak", "use-after-free",
-                         "double-free", "uninit-read", "dead-code",
-                         "buffer-overrun", "div-by-zero"):
-            assert check_id in out
+        # the whole built-in catalog, so that a change to it is deliberate
+        assert run(capsys, "--list-checks") == (0, (
+            "null-deref       warning  forall $v: pointer\n"
+            "memory-leak      warning  forall $v: pointer\n"
+            "use-after-free   error    forall $v: pointer\n"
+            "double-free      error    forall $v: pointer\n"
+            "uninit-read      warning  forall $v: any\n"
+            "dead-code        info     structural check (unreachable from the entry)\n"
+            "buffer-overrun   error    interval check (warning when only possible)\n"
+            "div-by-zero      error    interval check (warning when only possible)\n"), "")
 
     def test_user_specs_loaded(self, ws, capsys):
         chk = ws("my.chk", """
@@ -506,21 +510,16 @@ check free-call-seen {
         assert "free-call-seen" in out and "double-free" in out
 
     def test_user_spec_duplicate_id_rejected(self, ws, capsys):
-        chk = ws("dup.chk", """
-check double-free {
-  severity: info
-  forall $v: pointer
-  label f := free_of($v)
-  property: EF f
-}
-""")
-        path = ws("bug.c", DOUBLE_FREE)
-        code, _, err = run(capsys, "analyze", "--specs", chk, path)
-        assert code == 2 and "duplicate check id" in err
+        # reported at the later declaration, in the user's file
+        chk = ws("dup.chk", "check double-free {\n  severity: info\n  forall $v: pointer\n"
+                            "  label f := free_of($v)\n  property: EF f\n}\n")
+        message = f"ctl-lint: error: {chk}:1:1: duplicate check id 'double-free'\n"
+        assert run(capsys, "analyze", "--specs", chk, ws("bug.c", DOUBLE_FREE)) == (2, "", message)
+        assert run(capsys, "--list-checks", "--specs", chk) == (2, "", message)
 
-    @pytest.mark.parametrize("check_id", ["buffer-overrun", "div-by-zero"])
+    @pytest.mark.parametrize("check_id", ["dead-code", "buffer-overrun", "div-by-zero"])
     def test_user_spec_taking_an_interval_check_id_rejected(self, ws, capsys, check_id):
-        # one id, one check: an interval check's id is taken like a spec's
+        # one id, one check: an analysis-decided check's id is taken like a spec's
         chk = ws("dup.chk", f"""
 check {check_id} {{
   severity: info
@@ -529,23 +528,27 @@ check {check_id} {{
   property: EF f
 }}
 """)
-        message = f"ctl-lint: error: {chk}:2:1: duplicate check id '{check_id}' across spec files\n"
+        message = f"ctl-lint: error: {chk}:2:1: duplicate check id '{check_id}'\n"
         assert run(capsys, "analyze", "--specs", chk, ws("bug.c", DOUBLE_FREE)) == (2, "", message)
         assert run(capsys, "--list-checks", "--specs", chk) == (2, "", message)
 
-    @pytest.mark.parametrize("refine", ["on", "off"])
-    def test_user_spec_without_single_path_witnesses_rejected(self, ws, capsys, refine):
+    @pytest.mark.parametrize("prop,error", [
+        # a universal operator is rejected at its token
+        ("AF d", "6:13: 'AF' is a universal operator, which has no single-path witness"),
+        # an existential property without single-path witnesses, at its check
+        ("!EF d", "2:1: the property of 'eventually-deref' has no single-path witness"),
+    ], ids=["universal", "no-witness"])
+    def test_user_spec_without_single_path_witnesses_rejected(self, ws, capsys, prop, error):
         chk = ws("af.chk", f"""
 check eventually-deref {{
   severity: warning
   forall $v: pointer
   label d := deref($v)
-  property: AF d
-  refine: {refine}
+  property: {prop}
 }}
 """)
         path = ws("g.c", "int g(int *p) { return *p; }\n")
-        message = f"{chk}:2:1: the property of 'eventually-deref' has no single-path witness"
+        message = f"{chk}:{error}"
         for args in (["analyze", "--specs", chk, path],
                      ["analyze", "--specs", chk, "--max-witnesses", "0", path],
                      ["--list-checks", "--specs", chk]):
@@ -556,6 +559,28 @@ check eventually-deref {{
         path = ws("bug.c", DOUBLE_FREE)
         code, _, err = run(capsys, "analyze", "--db", "missing/c.db", path)
         assert (code, err) == (2, "ctl-lint: error: cache path is not writable: missing/c.db\n")
+
+    def test_user_checks_are_refined(self, ws, capsys):
+        chk = ws("twice.chk", """
+check freed-twice {
+  severity: warning
+  forall $v: pointer
+  label f := free_of($v)
+  property: EF (f & EX EF f)
+}
+""")
+        infeasible = next(f for f in FIXTURES if f.name == "df-infeasible-guards").source
+        paths = {"infeasible": ws("guards.c", infeasible), "feasible": ws("bug.c", DOUBLE_FREE)}
+
+        def verdicts(path, budget):
+            out = run(capsys, "analyze", "--no-cache", "--specs", chk, "--checks",
+                      "freed-twice", "--max-witnesses", budget, path)[1]
+            return [line.rsplit(" ", 1)[1] for line in out.splitlines() if "[freed-twice]" in line]
+
+        assert verdicts(paths["infeasible"], "5") == []
+        assert verdicts(paths["feasible"], "5") == ["(confirmed)"]
+        for path in paths.values():
+            assert verdicts(path, "0") == ["(unconfirmed)"]
 
     def test_max_witnesses_zero_unconfirmed(self, ws, capsys):
         path = ws("bug.c", DOUBLE_FREE)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ctl_lint.ctl import (
-    AF, AG, AU, AX, And, EF, EG, EU, EX, Implies, Not, Or, Prop, TRUE,
+    And, EF, EG, EU, EX, Implies, Not, Or, Prop, TRUE,
     check, is_witnessable, normalize, witness,
 )
 from oracle_ctl import (
@@ -17,25 +17,11 @@ p, q = Prop("p"), Prop("q")
 
 
 class TestNormalize:
-    def test_ag(self):
-        assert normalize(AG(p)) == Not(EU(TRUE, Not(p)))
-
     def test_ex_is_fixpoint(self):
         assert normalize(EX(p)) == EX(p)
 
-    def test_au_rewrite(self):
-        got = normalize(AU(p, q))
-        want = And(Not(EU(Not(q), And(Not(p), Not(q)))), Not(EG(Not(q))))
-        assert got == want
-
     def test_ef(self):
         assert normalize(EF(p)) == EU(TRUE, p)
-
-    def test_ax(self):
-        assert normalize(AX(p)) == Not(EX(Not(p)))
-
-    def test_af(self):
-        assert normalize(AF(p)) == Not(EG(Not(p)))
 
     def test_or_and_implies_eliminated(self):
         assert normalize(Or(p, q)) == Not(And(Not(p), Not(q)))
@@ -61,7 +47,7 @@ class TestNormalize:
 
 class TestFormulaValues:
     def test_operators_tell_formulas_apart(self):
-        assert And(p, q) != Or(p, q) and EX(p) != AX(p)
+        assert And(p, q) != Or(p, q) and EX(p) != EF(p)
 
     def test_a_formula_built_twice_is_equal(self):
         def build():
@@ -85,9 +71,10 @@ class TestCheck:
 
     def test_two_cycle(self):
         k = mk([[1], [0]], [{"p"}, set()])
-        sat = check(k, AG(p))
+        always_p = Not(EF(Not(p)))
+        sat = check(k, always_p)
         assert sat.states(EG(Or(p, Not(p)))) == frozenset({0, 1})
-        assert sat.states(AG(p)) == frozenset()
+        assert sat.states(always_p) == frozenset()
 
     def test_true_and_not_invariants(self):
         k = mk([[1], [0, 1]], [{"p"}, set()])
@@ -106,15 +93,6 @@ class TestOracleEquivalence:
             memo = {}
             for s in range(k.n):
                 assert sat.holds(f, s) == sat_oracle(k, f, s, memo), (f, s, k.succ, k.props)
-
-    def test_ag_ef_duality(self):
-        rng = random.Random(11)
-        for _ in range(80):
-            k = random_kripke(rng)
-            body = random_formula(rng, depth=2)
-            sat = check(k, AG(body))
-            universe = frozenset(range(k.n))
-            assert sat.states(AG(body)) == universe - sat.states(EF(Not(body)))
 
 
 class TestFixpointShape:
@@ -179,7 +157,7 @@ class TestWitness:
     def test_nonwitnessable_fragment_rejected(self):
         k = mk([[0]], [{"p"}])
         with pytest.raises(ValueError):
-            witness(k, AG(p), 0)
+            witness(k, Not(EF(Not(p))), 0)
         assert not is_witnessable(And(EF(p), EF(q)))
         assert is_witnessable(EF(And(p, EX(EU(Not(q), p)))))
 

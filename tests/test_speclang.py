@@ -7,7 +7,7 @@ from ctl_lint.cfg import build_cfg
 from ctl_lint.ctl import EF, EU, EX, And, Not, Prop, check, props_of
 from ctl_lint.speclang import (
     SpecError, candidate_variables, instantiate, label_index,
-    load_checkset, parse_checks,
+    load_checkset, parse_checks, parse_checkset,
 )
 from syntax_helpers import parse_check
 
@@ -18,7 +18,6 @@ check double-free {
   label freed := free_of($v)
   label redef := assign_to($v)
   property: EF (freed & EX E[!redef U freed])
-  refine: on
 }
 """
 
@@ -45,7 +44,6 @@ class TestParseCheck:
         assert spec.metavar == "$v"
         assert spec.var_class == "pointer"
         assert [name for name, _ in spec.labels] == ["freed", "redef"]
-        assert spec.refine is True
         want = EF(And(Prop("freed"), EX(EU(Not(Prop("redef")), Prop("freed")))))
         assert spec.prop == want
 
@@ -73,9 +71,28 @@ class TestParseCheck:
         assert "unbound metavariable" in str(exc.value)
 
     def test_duplicate_ids_rejected(self):
+        # the later declaration is the error
         with pytest.raises(SpecError) as exc:
-            parse_checks(DOUBLE_FREE + DOUBLE_FREE)
-        assert "duplicate check id" in str(exc.value)
+            parse_checkset([("a.chk", DOUBLE_FREE + DOUBLE_FREE)])
+        assert str(exc.value) == "a.chk:10:1: duplicate check id 'double-free'"
+
+    @pytest.mark.parametrize("op,prop", [
+        ("AX", "EF (a & AX a)"), ("AF", "AF a"), ("AG", "!AG !a"), ("A", "E[a U A[a U a]]"),
+    ])
+    def test_universal_operators_rejected_at_their_token(self, op, prop):
+        text = f"check t {{ severity: info forall $v: any label a := use($v) property: {prop} }}"
+        with pytest.raises(SpecError) as exc:
+            parse_checks(text, "c.chk")
+        column = text.index(prop) + prop.index(op) + 1
+        assert str(exc.value) == (
+            f"c.chk:1:{column}: '{op}' is a universal operator, which has no single-path witness")
+
+    def test_a_refine_line_is_an_error(self):
+        # every check is refined; --max-witnesses 0 is the one switch
+        bad = DOUBLE_FREE.replace("\n}", "\n  refine: on\n}")
+        with pytest.raises(SpecError) as exc:
+            parse_checks(bad, "a.chk")
+        assert str(exc.value) == "a.chk:8:3: expected '}', found 'refine'"
 
     def test_bad_severity(self):
         with pytest.raises(SpecError):
@@ -97,7 +114,7 @@ check t { severity: info forall $v: any
         checks, _ = load_checkset()
         assert [c.id for c in checks] == [
             "null-deref", "memory-leak", "use-after-free", "double-free",
-            "uninit-read", "dead-code"]
+            "uninit-read"]
         for c in checks:
             declared = {name for name, _ in c.labels}
             assert props_of(c.prop) <= declared
@@ -227,7 +244,7 @@ class TestInstantiate:
         from program_gen import generate_program
         from ctl_lint.speclang import _fact
         checked = 0
-        for seed in range(20):
+        for seed in range(30):
             tu = F.parse(generate_program(seed), "g.c")
             for f in tu.functions:
                 g = build_cfg(f, tu.globals)

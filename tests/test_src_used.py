@@ -7,15 +7,21 @@ its module uses it, where another module imports it and uses the imported
 name, or where a module alias reaches it (`ast.walk`); a method counts as
 referenced wherever its name is read as an attribute.  Code that only the
 tests use belongs in `tests/`.
+
+Likewise every name a module imports must be read in that module, unless
+`perfbench/traced.py` wraps it there or its line says why it is imported
+(`# noqa: F401` and a reason).
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from collections import defaultdict
 from pathlib import Path
 
 import ctl_lint
+from test_bench_names import _traced_tables
 
 SRC = Path(ctl_lint.__file__).parent
 # the console-script entry point, which pyproject.toml names
@@ -78,3 +84,30 @@ def unreferenced() -> list[str]:
 
 def test_every_src_definition_is_used_in_src():
     assert unreferenced() == []
+
+
+# an import kept for its side effect or for a wrapper, with the reason
+_NOQA = re.compile(r"# noqa: F401\b.*\w")
+
+
+def unused_imports() -> list[str]:
+    wrapped = {(module, attr.split(".")[0]) for module, attr, _ in _traced_tables()[0]}
+    out: list[str] = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text("utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text, str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   or isinstance(node, ast.ImportFrom) and node.module != "__future__"]
+        for node in imports:
+            for a in node.names:
+                name = (a.asname or a.name).split(".")[0]
+                if (name not in read and (f"ctl_lint.{path.stem}", name) not in wrapped
+                        and not _NOQA.search(lines[a.lineno - 1])):
+                    out.append(f"{path.stem}.{name}")
+    return out
+
+
+def test_every_src_import_is_read():
+    assert unused_imports() == []

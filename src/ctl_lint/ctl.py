@@ -1,28 +1,26 @@
 """Explicit-state CTL model checker.
 
 Formulas are built from propositions, the Boolean connectives and the
-existential operators EX, EF, EG and E[p U q].  There are no universal
-ones: every finding shows one path as its trace, and a universal property
-has no single-path witness.  Formulas are rewritten into the adequate set
-{True, Prop, Not, And, EX, EU, EG} and evaluated by global fixed-point
-labeling: least fixpoint with a backward worklist for EU, greatest
-fixpoint by successor counting for EG.  Each (sub)formula is labeled once
-per structure; results are memoized by structural identity, so repeated
-queries on the same structure are cheap.
+existential operators EX, EF and E[p U q].  Every finding shows one finite
+path as its trace, so the language has no universal operators and none
+whose witness is an infinite path.  Formulas are rewritten into the
+adequate set {True, Prop, Not, And, EX, EU} and evaluated by global
+fixed-point labeling: EU is a least fixpoint, computed with a backward
+worklist.  Each (sub)formula is labeled once per structure; results are
+memoized by structural identity, so repeated queries on the same
+structure are cheap.
 
 Witness extraction covers the existential-positive fragment used by the
-check catalog: EF / EX / EU / EG nesting over propositional cores, with
-Or-choice and at most one temporal conjunct per And.  Witnesses for
-EU/EX obligations are BFS-shortest with lowest-successor-id tie-breaks;
-EG obligations close into a lasso whose cycle stays inside the EG body's
-satisfaction set.
+check catalog: EF / EX / EU nesting over propositional cores, with
+Or-choice and at most one temporal conjunct per And.  A witness is the
+tuple of its states, a finite path: BFS-shortest through each EU/EX
+obligation, with lowest-successor-id tie-breaks.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import deque
-from typing import NamedTuple
 
 from .cfg import KripkeStructure
 from .frontend import Value
@@ -99,13 +97,6 @@ class EF(CtlFormula):
         return f"EF {_wrap(self.sub)}"
 
 
-class EG(CtlFormula):
-    __slots__ = _fields = ("sub",)
-
-    def __str__(self) -> str:
-        return f"EG {_wrap(self.sub)}"
-
-
 class EU(CtlFormula):
     __slots__ = _fields = ("left", "right")
 
@@ -117,7 +108,7 @@ TRUE = TrueF()
 
 
 def _wrap(f: CtlFormula) -> str:
-    if isinstance(f, (TrueF, Prop, Not, EX, EF, EG, EU)):
+    if isinstance(f, (TrueF, Prop, Not, EX, EF, EU)):
         return str(f)
     return f"({f})"
 
@@ -127,14 +118,14 @@ def props_of(f: CtlFormula) -> frozenset[str]:
         return frozenset((f.name,))
     if isinstance(f, (TrueF,)):
         return frozenset()
-    if isinstance(f, (Not, EX, EF, EG)):
+    if isinstance(f, (Not, EX, EF)):
         return props_of(f.sub)
     return props_of(f.left) | props_of(f.right)
 
 
 @functools.cache
 def normalize(f: CtlFormula) -> CtlFormula:
-    """Rewrite into the adequate set {True, Prop, Not, And, EX, EU, EG}.
+    """Rewrite into the adequate set {True, Prop, Not, And, EX, EU}.
 
     EF p = E[true U p], with Or and Implies removed by De Morgan.  Double
     negations are collapsed.
@@ -156,8 +147,6 @@ def normalize(f: CtlFormula) -> CtlFormula:
         return EX(normalize(f.sub))
     if isinstance(f, EF):
         return EU(TRUE, normalize(f.sub))
-    if isinstance(f, EG):
-        return EG(normalize(f.sub))
     if isinstance(f, EU):
         return EU(normalize(f.left), normalize(f.right))
     raise TypeError(f"not a CTL formula: {f!r}")
@@ -201,8 +190,6 @@ class SatSets:
             result = self._pre_exists(self._eval(f.sub))
         elif isinstance(f, EU):
             result = self._eval_eu(self._eval(f.left), self._eval(f.right))
-        elif isinstance(f, EG):
-            result = self._eval_eg(self._eval(f.sub))
         else:
             raise AssertionError(f"non-normalized operator reached evaluator: {f!r}")
         self._memo[f] = result
@@ -228,23 +215,6 @@ class SatSets:
                     work.append(s)
         return frozenset(result)
 
-    def _eval_eg(self, sat: frozenset[int]) -> frozenset[int]:
-        # greatest fixpoint Z = sat & pre_exists(Z): peel states whose
-        # successor count inside the candidate set drains to zero
-        succ, pred = self.kripke.succ, self.kripke.pred
-        count = {s: sum(1 for t in succ[s] if t in sat) for s in sat}
-        work = deque(s for s, c in count.items() if c == 0)
-        removed = set(work)
-        while work:
-            t = work.popleft()
-            for s in pred[t]:
-                if s in sat and s not in removed:
-                    count[s] -= 1
-                    if count[s] == 0:
-                        removed.add(s)
-                        work.append(s)
-        return frozenset(s for s in sat if s not in removed)
-
 
 def check(k: KripkeStructure, f: CtlFormula) -> SatSets:
     """Label every state of `k` with the subformulas of `f` it satisfies."""
@@ -255,17 +225,6 @@ def check(k: KripkeStructure, f: CtlFormula) -> SatSets:
 
 # ---------------------------------------------------------------------------
 # Witness extraction
-
-class WitnessTrace(NamedTuple):
-    """A path demonstrating an existential formula from its first state.
-
-    `cycle_start` marks the state the final transition loops back to when
-    the witness is a lasso; None means a plain finite path.
-    """
-
-    states: tuple[int, ...]
-    cycle_start: int | None = None
-
 
 def is_propositional(f: CtlFormula) -> bool:
     if isinstance(f, (TrueF, Prop)):
@@ -293,28 +252,24 @@ def is_witnessable(f: CtlFormula) -> bool:
         return is_witnessable(f.sub)
     if isinstance(f, EU):
         return is_propositional(f.left) and is_witnessable(f.right)
-    if isinstance(f, EG):
-        return is_propositional(f.sub)
     return False
 
 
 def witness(k: KripkeStructure, f: CtlFormula, s: int,
-            sat: SatSets | None = None) -> WitnessTrace | None:
-    """Extract a demonstrating trace for `f` at `s`, or None if s does not
-    satisfy f.  `f` must lie in the witnessable fragment."""
+            sat: SatSets | None = None) -> tuple[int, ...] | None:
+    """The states of a path demonstrating `f` from `s`, or None if s does
+    not satisfy f.  `f` must lie in the witnessable fragment."""
     if not is_witnessable(f):
         raise ValueError(f"no single-path witness exists for {f}")
     sat = sat or check(k, f)
     if not sat.holds(f, s):
         return None
-    states, cycle = _demonstrate(k, sat, f, s)
-    return WitnessTrace(tuple(states), cycle)
+    return tuple(_demonstrate(k, sat, f, s))
 
 
-def _demonstrate(k: KripkeStructure, sat: SatSets, f: CtlFormula,
-                 s: int) -> tuple[list[int], int | None]:
+def _demonstrate(k: KripkeStructure, sat: SatSets, f: CtlFormula, s: int) -> list[int]:
     if is_propositional(f):
-        return [s], None
+        return [s]
     if isinstance(f, And):
         inner = f.right if is_propositional(f.left) else f.left
         return _demonstrate(k, sat, inner, s)
@@ -324,21 +279,13 @@ def _demonstrate(k: KripkeStructure, sat: SatSets, f: CtlFormula,
     if isinstance(f, EX):
         sat_sub = sat.states(f.sub)
         t = min(t for t in k.succ[s] if t in sat_sub)
-        rest, cycle = _demonstrate(k, sat, f.sub, t)
-        return [s] + rest, _shift(cycle, 1)
+        return [s] + _demonstrate(k, sat, f.sub, t)
     if isinstance(f, EF):
         return _demonstrate(k, sat, EU(TRUE, f.sub), s)
     if isinstance(f, EU):
         path = _bfs_until(k, sat.states(f.left), sat.states(f.right), s)
-        rest, cycle = _demonstrate(k, sat, f.right, path[-1])
-        return path[:-1] + rest, _shift(cycle, len(path) - 1)
-    if isinstance(f, EG):
-        return _eg_lasso(k, sat.states(EG(f.sub)), s)
+        return path[:-1] + _demonstrate(k, sat, f.right, path[-1])
     raise AssertionError(f"unreachable for witnessable formula {f!r}")
-
-
-def _shift(cycle: int | None, by: int) -> int | None:
-    return None if cycle is None else cycle + by
 
 
 def _bfs_until(k: KripkeStructure, sat_left: frozenset[int],
@@ -366,16 +313,3 @@ def _bfs_until(k: KripkeStructure, sat_left: frozenset[int],
             queue.append(t)
     raise AssertionError("witness search failed on a satisfying state")
 
-
-def _eg_lasso(k: KripkeStructure, core: frozenset[int],
-              s: int) -> tuple[list[int], int | None]:
-    """Walk inside SAT(EG body) picking lowest successor ids until a state
-    repeats; the repeat closes the cycle."""
-    seen: dict[int, int] = {}
-    path: list[int] = []
-    cur = s
-    while cur not in seen:
-        seen[cur] = len(path)
-        path.append(cur)
-        cur = min(t for t in k.succ[cur] if t in core)
-    return path, seen[cur]

@@ -205,16 +205,16 @@ def _message_for(check_id: str, var: str) -> str:
     return template.format(var=var, id=check_id)
 
 
-def _trace_anchor(task: CheckTask, trace) -> int:
+def _trace_anchor(task: CheckTask, trace: tuple[int, ...]) -> int:
     """Anchor node of a diagnostic: the last trace state carrying a label
     other than the structural entry/exit ones."""
     structural = {name for name, pat in task.check.labels
                   if pat.name in ("at_entry", "at_exit")}
     marked = [states for name, states in task.kripke.props.items() if name not in structural]
-    for s in reversed(trace.states):
+    for s in reversed(trace):
         if any(s in states for states in marked):
             return s
-    return trace.states[0]
+    return trace[0]
 
 
 def analyze_function(cfg: Cfg, checks: list[CheckSpec],
@@ -245,7 +245,7 @@ def analyze_function(cfg: Cfg, checks: list[CheckSpec],
             diags.append(Diagnostic(
                 spec.id, spec.severity, cfg.nodes[anchor].loc,
                 _message_for(spec.id, task.bound_var), cfg.function, confidence,
-                tuple(cfg.nodes[s].loc for s in trace.states)))
+                tuple(cfg.nodes[s].loc for s in trace)))
     if any(check_sites(cfg)):
         diags.extend(interval_checks(cfg, interval_analyze(cfg)))
     diags.sort(key=Diagnostic.sort_key)

@@ -325,6 +325,7 @@ BUILTIN_FUNCTIONS = frozenset(_FIXED_ARITY_CALLS)
 
 MAX_NESTING = 100  # deepest syntax tree accepted; see the module docstring
 MAX_DIGITS = 600  # longest integer literal accepted; see the module docstring
+MAX_MAGNITUDE = 10 ** MAX_DIGITS  # every literal's magnitude is below it
 
 
 def _number(tok: Token) -> int:

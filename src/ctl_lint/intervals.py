@@ -8,7 +8,7 @@ a Python int, or `-INF`/`INF` where that end is unbounded.  Bound arithmetic
 returns an infinite operand before any `+` or `*`, because Python would
 turn the int into a float, and one past about 1e308 does not convert;
 comparisons between an int and `INF` are exact.  A sum or product bound
-past `_CAP` in magnitude widens outward to `-INF`/`INF`, so every finite
+past `ast.MAX_MAGNITUDE` widens outward to `-INF`/`INF`, so every finite
 bound prints, and a chain of squarings stays cheap.
 
 Backs the buffer-overrun and division-by-zero checks: a definitely-bad
@@ -28,11 +28,12 @@ from collections.abc import Iterator
 
 from . import frontend as ast
 from .cfg import COND, Cfg, CfgNode, FALSE, NEGATED, NodeTable, TRUE
-from .diagnostics import BUFFER_OVERRUN, CONFIRMED, DIV_BY_ZERO, Diagnostic, UNCONFIRMED
+from .diagnostics import (
+    ANALYSIS_CHECKS, BUFFER_OVERRUN, CONFIRMED, DIV_BY_ZERO, Diagnostic, UNCONFIRMED,
+)
 
 INF = float("inf")  # the bound of an end that is unbounded, as -INF or INF
 _INFS = (-INF, INF)
-_CAP = 10 ** ast.MAX_DIGITS  # the largest literal's magnitude, rounded up
 
 
 def tdiv(a: int, b: int) -> int:
@@ -119,7 +120,8 @@ def interval_leq(a: Interval, b: Interval) -> bool:
 
 
 def _capped(lo, hi) -> Interval:
-    return Interval(lo if abs(lo) <= _CAP else -INF, hi if abs(hi) <= _CAP else INF)
+    return Interval(lo if abs(lo) <= ast.MAX_MAGNITUDE else -INF,
+                    hi if abs(hi) <= ast.MAX_MAGNITUDE else INF)
 
 
 def _bsum(x, y):
@@ -554,12 +556,12 @@ def check_sites(cfg: Cfg) -> Iterator[tuple[CfgNode, ast.Expr, int | None]]:
 def interval_checks(cfg: Cfg, result: AbsResult) -> list[Diagnostic]:
     """Array-bound and divisor checks from the interval fixpoint.
 
-    Certainly-failing operations are errors with confirmed confidence;
-    possibly-failing ones are warnings left unconfirmed.  Nodes with a
-    Bottom environment are unreachable and produce nothing.  A site is read
-    with the `escaped` names dropped at a user-call node, as `transfer`
-    drops them, but not at a write through a pointer, which happens after
-    its operands are read.
+    Certainly-failing operations are confirmed, with their check's
+    severity in `ANALYSIS_CHECKS`; possibly-failing ones are warnings left
+    unconfirmed.  Nodes with a Bottom environment are unreachable and
+    produce nothing.  A site is read with the `escaped` names dropped at a
+    user-call node, as `transfer` drops them, but not at a write through a
+    pointer, which happens after its operands are read.
     """
     table = cfg.table
     out: list[Diagnostic] = []
@@ -574,26 +576,25 @@ def interval_checks(cfg: Cfg, result: AbsResult) -> list[Diagnostic]:
             if idx.empty:
                 continue
             bound = Interval(0, size - 1)
+            check_id, array = BUFFER_OVERRUN, f"'int {e.base.name}[{size}]'"
             if meet(idx, bound).empty:
-                out.append(Diagnostic(
-                    BUFFER_OVERRUN, "error", e.loc,
-                    f"index {idx!r} is outside 'int {e.base.name}[{size}]'",
-                    cfg.function, CONFIRMED))
+                provable, message = True, f"index {idx!r} is outside {array}"
             elif not interval_leq(idx, bound):
-                out.append(Diagnostic(
-                    BUFFER_OVERRUN, "warning", e.loc,
-                    f"index {idx!r} may fall outside 'int {e.base.name}[{size}]'",
-                    cfg.function, UNCONFIRMED))
+                provable, message = False, f"index {idx!r} may fall outside {array}"
+            else:
+                continue
         else:
             dv = eval_expr(e.right, env)
             if dv.empty:
                 continue
+            check_id = DIV_BY_ZERO
             if dv.is_const() and dv.lo == 0:
-                out.append(Diagnostic(
-                    DIV_BY_ZERO, "error", e.loc,
-                    "division by zero", cfg.function, CONFIRMED))
+                provable, message = True, "division by zero"
             elif dv.contains(0):
-                out.append(Diagnostic(
-                    DIV_BY_ZERO, "warning", e.loc,
-                    "possible division by zero", cfg.function, UNCONFIRMED))
+                provable, message = False, "possible division by zero"
+            else:
+                continue
+        out.append(Diagnostic(
+            check_id, ANALYSIS_CHECKS[check_id][0] if provable else "warning", e.loc,
+            message, cfg.function, CONFIRMED if provable else UNCONFIRMED))
     return out

@@ -3,8 +3,9 @@
 A witness trace is compiled into linear path constraints by symbolic
 execution: a store maps each variable to an affine form over symbols.  A
 name never written is its own symbol (its value on entry); a linear write
-sets its target's form, and anything nonlinear or unknown gives the target
-a fresh symbol.  A node that may change variables it does not name, one of
+sets its target's form, and anything nonlinear or unknown, or a product
+whose numbers outgrow the longest literal, gives the target a fresh
+symbol.  A node that may change variables it does not name, one of
 the node table's `clobbers` (a user call, or a write through a pointer),
 gives every `escaped` name (the globals and the address-taken names) a
 fresh symbol, as the interval analysis drops the same names there.  Only
@@ -33,8 +34,7 @@ from typing import NamedTuple
 from . import frontend as ast
 from .cfg import COND, Cfg, FALSE, NEGATED, TRUE
 from .ctl import (
-    And, CtlFormula, EF, EU, EX, Or, SatSets, TrueF, WitnessTrace, check,
-    is_propositional, witness,
+    And, CtlFormula, EF, EX, Or, SatSets, TrueF, check, is_propositional, witness,
 )
 from .diagnostics import CONFIRMED, UNCONFIRMED
 from .speclang import CheckTask
@@ -114,11 +114,13 @@ def _linear(e: ast.Expr, store: dict[str, Form]) -> Form | None:
             return None
         lt, lc = l
         rt, rc = r
-        if not lt:
-            return ({k: lc * x for k, x in rt.items()} if lc else {}), lc * rc
-        if not rt:
-            return ({k: rc * x for k, x in lt.items()} if rc else {}), rc * lc
-        return None
+        if lt and rt:
+            return None
+        (terms, c), k = (r, lc) if not lt else (l, rc)
+        out = {v: k * x for v, x in terms.items()} if k else {}
+        if any(abs(x) > ast.MAX_MAGNITUDE for x in (k * c, *out.values())):
+            return None  # squaring could grow it without bound; dropping is sound
+        return out, k * c
     return None  # division, modulo, comparisons, calls, derefs: nonlinear
 
 
@@ -128,25 +130,17 @@ _CMP_TRUE = {
 }
 
 
-def path_constraints(trace: WitnessTrace, cfg: Cfg) -> list[PathConstraint]:
-    """Linear constraints implied by walking the trace, one at most per
-    labelled guard edge, over the symbols of the store.
-
-    Only the stem of a lasso is encoded: loop iterations would multiply
-    constraints without bound, and dropping them only widens feasibility,
-    which keeps suppression sound.  Strict integer guards stay strict over
-    the rationals.
+def path_constraints(trace: tuple[int, ...], cfg: Cfg) -> list[PathConstraint]:
+    """Linear constraints implied by walking the trace's states, one at
+    most per labelled guard edge, over the symbols of the store.  Strict
+    integer guards stay strict over the rationals.
     """
-    states = list(trace.states)
-    if trace.cycle_start is not None:
-        last = trace.cycle_start  # guard of the stem->cycle edge still applies
-        states = states[:last + 1]
     table = cfg.table
     store: dict[str, Form] = {}
     out: list[PathConstraint] = []
-    for i, sid in enumerate(states):
+    for i, sid in enumerate(trace):
         node = cfg.nodes[sid]
-        nxt = states[i + 1] if i + 1 < len(states) else None
+        nxt = trace[i + 1] if i + 1 < len(trace) else None
         if sid in table.clobbers:
             for name in table.escaped:
                 store[name] = {f"{name}@{i}'": 1}, 0
@@ -318,46 +312,24 @@ class _Accept(_Phase):
     __slots__ = ()
 
 
-def _compile_obligations(f: CtlFormula, phases: list, forms: list[CtlFormula]) -> int | None:
-    """Obligation automaton for linear EX/EU/EF chains; None if the formula
-    needs branching or lasso witnesses (EG, two temporal conjuncts, ...).
-    `forms[i]` is the sub-formula phase `phases[i]` must complete."""
+def _compile_obligations(f: CtlFormula, phases: list, forms: list[CtlFormula]) -> int:
+    """Obligation automaton of a formula in the fragment `is_witnessable`
+    defines: linear EX/EU/EF chains, split at each Or.  `forms[i]` is the
+    sub-formula phase `phases[i]` must complete."""
     if is_propositional(f):
         phase = _Accept()
     elif isinstance(f, And):
-        if is_propositional(f.left):
-            temporal = f.right
-        elif is_propositional(f.right):
-            temporal = f.left
-        else:
-            return None
-        nxt = _compile_obligations(temporal, phases, forms)
-        if nxt is None:
-            return None
-        phase = _Gate(nxt)
+        temporal = f.right if is_propositional(f.left) else f.left
+        phase = _Gate(_compile_obligations(temporal, phases, forms))
     elif isinstance(f, Or):
-        a = _compile_obligations(f.left, phases, forms)
-        b = _compile_obligations(f.right, phases, forms)
-        if a is None or b is None:
-            return None
-        phase = _Split(a, b)
+        phase = _Split(_compile_obligations(f.left, phases, forms),
+                       _compile_obligations(f.right, phases, forms))
     elif isinstance(f, EX):
-        nxt = _compile_obligations(f.sub, phases, forms)
-        if nxt is None:
-            return None
-        phase = _Step(nxt)
+        phase = _Step(_compile_obligations(f.sub, phases, forms))
     elif isinstance(f, EF):
-        nxt = _compile_obligations(f.sub, phases, forms)
-        if nxt is None:
-            return None
-        phase = _Stay(TrueF(), nxt)
-    elif isinstance(f, EU) and is_propositional(f.left):
-        nxt = _compile_obligations(f.right, phases, forms)
-        if nxt is None:
-            return None
-        phase = _Stay(f.left, nxt)
-    else:
-        return None
+        phase = _Stay(TrueF(), _compile_obligations(f.sub, phases, forms))
+    else:  # E[p U g], p propositional
+        phase = _Stay(f.left, _compile_obligations(f.right, phases, forms))
     phases.append(phase)
     forms.append(f)
     return len(phases) - 1
@@ -369,8 +341,8 @@ DEFAULT_ENUM_BUDGET = 4_000
 def enumerate_witnesses(task_kripke, formula: CtlFormula, start: int, limit: int,
                         sat: SatSets | None = None,
                         budget: int = DEFAULT_ENUM_BUDGET,
-                        stop: Callable[[WitnessTrace], bool] | None = None,
-                        ) -> tuple[list[WitnessTrace], bool]:
+                        stop: Callable[[tuple[int, ...]], bool] | None = None,
+                        ) -> tuple[list[tuple[int, ...]], bool]:
     """Up to `limit` distinct finite witnesses, shortest first with
     lowest-state-id tie-breaks; second result reports whether enumeration
     ran to exhaustion: past `limit` the search goes on, unrecorded, until
@@ -388,14 +360,12 @@ def enumerate_witnesses(task_kripke, formula: CtlFormula, start: int, limit: int
     phases: list = []
     forms: list[CtlFormula] = []
     entry = _compile_obligations(formula, phases, forms)
-    if entry is None:
-        return [], False
     sat = sat or check(task_kripke, formula)
     # live[i]: where phase i can still be completed; it lies within what
     # an _Accept or _Gate phase tests, so neither tests again
     live = [sat.states(f) for f in forms]
     holding = [sat.states(p.prop) if isinstance(p, _Stay) else None for p in phases]
-    found: list[WitnessTrace] = []
+    found: list[tuple[int, ...]] = []
     seen_traces: set[tuple[int, ...]] = set()
     heap: list[tuple[int, tuple[int, ...], int]] = (
         [(0, (start,), entry)] if start in live[entry] else [])
@@ -417,7 +387,7 @@ def enumerate_witnesses(task_kripke, formula: CtlFormula, start: int, limit: int
                 if len(found) >= limit:
                     return found, False
                 seen_traces.add(states)
-                found.append(WitnessTrace(states))
+                found.append(states)
                 if stop is not None and stop(found[-1]):
                     break
             continue
@@ -454,7 +424,7 @@ SUPPRESSED = "suppressed"
 
 
 def refine_diagnostic(task: CheckTask, cfg: Cfg, max_witnesses: int,
-                      sat: SatSets | None = None) -> tuple[str, WitnessTrace | None]:
+                      sat: SatSets | None = None) -> tuple[str, tuple[int, ...] | None]:
     """Feasibility-filter a satisfied check task: the verdict is the
     diagnostic's confidence, `CONFIRMED` or `UNCONFIRMED`, or `SUPPRESSED`.
 
@@ -471,7 +441,7 @@ def refine_diagnostic(task: CheckTask, cfg: Cfg, max_witnesses: int,
         return UNCONFIRMED, witness(task.kripke, task.formula, cfg.entry, sat)
     kinds: list[str] = []
 
-    def is_feasible(trace: WitnessTrace) -> bool:
+    def is_feasible(trace: tuple[int, ...]) -> bool:
         kinds.append(feasible(path_constraints(trace, cfg)).kind)
         return kinds[-1] == FEASIBLE
 

@@ -20,11 +20,12 @@ Grammar of `.chk` files (# starts a line comment):
     labeldecl:= "label" IDENT ":=" pattern
     pattern  := PATNAME "(" args? ")"
     ctl      := IDENT | "!" ctl | ctl ("&"|"|"|"->") ctl
-              | ("EX"|"EF"|"EG") ctl | "E" "[" ctl "U" ctl "]" | "(" ctl ")"
+              | ("EX"|"EF") ctl | "E" "[" ctl "U" ctl "]" | "(" ctl ")"
 
 A universal operator (AX, AF, AG, A[p U q]) is an error at its token: a
 finding's trace is one path, which cannot show a property of all paths.
-Their names stay reserved.  The checks that another analysis decides are
+So is EG: its witness is an infinite path, and a trace is finite.  Their
+names stay reserved.  The checks that another analysis decides are
 listed in `diagnostics.ANALYSIS_CHECKS`, whose ids no spec check may take.
 """
 
@@ -37,7 +38,7 @@ from typing import NamedTuple
 from . import frontend as ast
 from .cfg import Cfg, Fact, KripkeStructure, to_kripke
 from .ctl import (
-    And, CtlFormula, EF, EG, EU, EX, Implies, Not, Or, Prop, is_witnessable, props_of,
+    And, CtlFormula, EF, EU, EX, Implies, Not, Or, Prop, is_witnessable, props_of,
 )
 from .diagnostics import ANALYSIS_CHECKS, read_checkset
 from .source import LocatedError, SourceLocation, Token, tokenize
@@ -252,7 +253,7 @@ class _ChkParser:
             left = And(left, self._ctl_unary())
         return left
 
-    _UNARY_OPS = {"EX": EX, "EF": EF, "EG": EG}
+    _UNARY_OPS = {"EX": EX, "EF": EF}
 
     def _ctl_unary(self) -> CtlFormula:
         kind, val, loc, _ = self.peek()
@@ -270,6 +271,8 @@ class _ChkParser:
         if val in ("AX", "AF", "AG", "A"):
             raise SpecError(loc, f"'{val}' is a universal operator, which has no single-path "
                                  "witness")
+        if val == "EG":
+            raise SpecError(loc, "'EG' has no finite witness: it holds along an infinite path")
         if val == "E":
             self.next()
             self.expect("[")

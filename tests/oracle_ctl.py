@@ -1,8 +1,7 @@
 """Independent CTL semantics for cross-checking the fixpoint checker.
 
 `sat_oracle` evaluates formulas by bounded forward path enumeration with
-memoization: an EU witness needs at most |S| states and an EG lasso at
-most 2|S|.  No fixpoints, no backward worklists, so agreement with the
+memoization: an EU witness needs at most |S| states.  No fixpoints, no backward worklists, so agreement with the
 production checker is meaningful evidence.
 
 `trace_demonstrates` judges whether a concrete trace is self-contained
@@ -15,8 +14,7 @@ import random
 
 from ctl_lint.cfg import KripkeStructure, predecessors
 from ctl_lint.ctl import (
-    And, CtlFormula, EF, EG, EU, EX, Implies, Not, Or, Prop, TrueF, WitnessTrace,
-    is_propositional,
+    And, CtlFormula, EF, EU, EX, Implies, Not, Or, Prop, TrueF, is_propositional,
 )
 
 
@@ -67,8 +65,6 @@ def _sat(k: KripkeStructure, f: CtlFormula, s: int, memo: dict) -> bool:
         result = _eu_bounded(k, TrueF(), f.sub, s, n, memo)
     elif isinstance(f, EU):
         result = _eu_bounded(k, f.left, f.right, s, n, memo)
-    elif isinstance(f, EG):
-        result = _eg_bounded(k, f.sub, s, 2 * n, memo)
     else:
         raise TypeError(f)
     memo[key] = result
@@ -91,55 +87,21 @@ def _eu_bounded(k, left, right, s, d, memo) -> bool:
     return result
 
 
-def _eg_bounded(k, body, s, d, memo) -> bool:
-    # a body-only path of length 2|S| must revisit a state, closing a lasso
-    key = ("EG", body, s, d)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    if not _sat(k, body, s, memo):
-        result = False
-    elif d == 0:
-        result = True
-    else:
-        result = any(_eg_bounded(k, body, t, d - 1, memo) for t in k.succ[s])
-    memo[key] = result
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Witness validation
 
-def edge_list(trace: WitnessTrace) -> list[tuple[int, int]]:
-    """The trace's transitions, a lasso's closing one last."""
-    edges = list(zip(trace.states, trace.states[1:]))
-    if trace.cycle_start is not None:
-        edges.append((trace.states[-1], trace.states[trace.cycle_start]))
-    return edges
+def edge_valid(k: KripkeStructure, trace: tuple[int, ...]) -> bool:
+    return all(b in k.succ[a] for a, b in zip(trace, trace[1:]))
 
 
-def edge_valid(k: KripkeStructure, trace: WitnessTrace) -> bool:
-    for a, b in edge_list(trace):
-        if b not in k.succ[a]:
-            return False
-    return True
-
-
-def trace_demonstrates(k: KripkeStructure, f: CtlFormula, trace: WitnessTrace) -> bool:
-    """Is the trace self-contained evidence for f at its first state?
+def trace_demonstrates(k: KripkeStructure, f: CtlFormula, trace: tuple[int, ...]) -> bool:
+    """Is the trace, the tuple of a path's states, self-contained evidence
+    for f at its first state?
 
     Only the states listed in the trace may be used; propositional facts
     are read from labels, temporal obligations must be discharged along
-    the trace itself (around the cycle, for lassos).
+    the trace itself.
     """
-    states = list(trace.states)
-    if trace.cycle_start is not None:
-        cycle = states[trace.cycle_start:]
-        virtual = states + cycle * 2  # two unrolled laps are enough evidence
-        looped = True
-    else:
-        virtual = states
-        looped = False
 
     def state_sat(g: CtlFormula, state: int) -> bool:
         if isinstance(g, TrueF):
@@ -157,10 +119,10 @@ def trace_demonstrates(k: KripkeStructure, f: CtlFormula, trace: WitnessTrace) -
         raise TypeError(g)
 
     def demo(i: int, g: CtlFormula) -> bool:
-        if i >= len(virtual):
+        if i >= len(trace):
             return False
         if is_propositional(g):
-            return state_sat(g, virtual[i])
+            return state_sat(g, trace[i])
         if isinstance(g, And):
             return demo(i, g.left) and demo(i, g.right)
         if isinstance(g, Or):
@@ -168,21 +130,17 @@ def trace_demonstrates(k: KripkeStructure, f: CtlFormula, trace: WitnessTrace) -
         if isinstance(g, EX):
             return demo(i + 1, g.sub)
         if isinstance(g, EF):
-            return any(demo(j, g.sub) for j in range(i, len(virtual)))
+            return any(demo(j, g.sub) for j in range(i, len(trace)))
         if isinstance(g, EU):
             if demo(i, g.right):
                 return True
             if not is_propositional(g.left):
                 return False  # non-propositional left: only immediate discharge
-            for j in range(i + 1, len(virtual)):
-                if all(state_sat(g.left, virtual[m]) for m in range(i, j)) \
+            for j in range(i + 1, len(trace)):
+                if all(state_sat(g.left, trace[m]) for m in range(i, j)) \
                         and demo(j, g.right):
                     return True
             return False
-        if isinstance(g, EG):
-            if not looped:
-                return False
-            return all(state_sat(g.sub, virtual[j]) for j in range(i, len(virtual)))
         return False
 
     return demo(0, f)
@@ -207,14 +165,13 @@ def random_kripke(rng: random.Random, max_states: int = 8,
 
 def random_formula(rng: random.Random, props: tuple[str, ...] = ("p", "q", "r"),
                    depth: int = 3) -> CtlFormula:
-    """A random formula.  The universal shapes are drawn as their
-    existential duals, so negated EX, EG and EU are exercised too."""
+    """A random formula.  The universal shapes AX and AG are drawn as
+    their existential duals, so negated EX and EF are exercised too."""
     if depth == 0 or rng.random() < 0.2:
         if rng.random() < 0.12:
             return TrueF()
         return Prop(rng.choice(props))
-    op = rng.choice(("not", "and", "or", "implies",
-                     "AX", "EX", "AF", "EF", "AG", "EG", "AU", "EU"))
+    op = rng.choice(("not", "and", "or", "implies", "AX", "EX", "EF", "AG", "EU"))
     sub = lambda: random_formula(rng, props, depth - 1)
     if op == "not":
         return Not(sub())
@@ -228,15 +185,8 @@ def random_formula(rng: random.Random, props: tuple[str, ...] = ("p", "q", "r"),
         return Not(EX(Not(sub())))
     if op == "EX":
         return EX(sub())
-    if op == "AF":
-        return Not(EG(Not(sub())))
     if op == "EF":
         return EF(sub())
     if op == "AG":
         return Not(EF(Not(sub())))
-    if op == "EG":
-        return EG(sub())
-    if op == "AU":  # A[l U r] = !(E[!r U (!l & !r)] | EG !r)
-        left, right = sub(), sub()
-        return Not(Or(EU(Not(right), And(Not(left), Not(right))), EG(Not(right))))
     return EU(sub(), sub())

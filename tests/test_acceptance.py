@@ -82,9 +82,9 @@ def test_criterion_2_witness_validity():
                     assert witness(k, f, s, sat) is None
                     continue
                 w = witness(k, f, s, sat)
-                assert w is not None and w.states[0] == s
+                assert w is not None and w[0] == s
                 assert edge_valid(k, w), (f, w)
-                assert trace_demonstrates(k, f, w), (f, w.states, w.cycle_start)
+                assert trace_demonstrates(k, f, w), (f, w)
                 validated += 1
         assert validated > 500
 

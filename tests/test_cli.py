@@ -145,13 +145,17 @@ class TestExitCodes:
         ("return {huge} + z;", 2, "x.c:1:23: integer literal longer than 600 digits"),
         *[("int y = 12345678901;" + " y = y * y;" * n + " int a[4]; a[y] = 1; return 0;", 1,
            "warning [buffer-overrun] index [-oo, +oo] may fall outside") for n in (9, 17, 22)],
+        *[("int *p = malloc(4); int y = 12345678901;" + " y = y * y;" * n
+           + " free(p); free(p); return 0;", 1, "error [double-free]") for n in (9, 17, 22)],
     ], ids=["add", "sub", "mul", "index", "5000-digits", "9-squarings", "17-squarings",
-            "22-squarings"])
+            "22-squarings", "9-squarings-on-a-witness", "17-squarings-on-a-witness",
+            "22-squarings-on-a-witness"])
     def test_a_literal_too_long_for_a_float_is_analyzed(self, ws, capsys, body, code,
                                                         expected):
         # interval bounds meet this literal and an infinite bound together;
         # a literal past the digit limit is a located error, and a bound
-        # past its cap widens, so it prints and squaring it stays cheap
+        # past its cap widens, so it prints and squaring it stays cheap; a
+        # witness that walks the squarings stops folding them at the same cap
         path = ws("x.c", f"int f(int z) {{ {body.format(x='9' * 310, huge='9' * 5000)} }}\n")
         start = time.monotonic()
         result = run(capsys, "analyze", "--no-cache", path)
@@ -535,9 +539,11 @@ check {check_id} {{
     @pytest.mark.parametrize("prop,error", [
         # a universal operator is rejected at its token
         ("AF d", "6:13: 'AF' is a universal operator, which has no single-path witness"),
+        # so is EG, whose witness is an infinite path
+        ("EF EX EG d", "6:19: 'EG' has no finite witness: it holds along an infinite path"),
         # an existential property without single-path witnesses, at its check
         ("!EF d", "2:1: the property of 'eventually-deref' has no single-path witness"),
-    ], ids=["universal", "no-witness"])
+    ], ids=["universal", "infinite", "no-witness"])
     def test_user_spec_without_single_path_witnesses_rejected(self, ws, capsys, prop, error):
         chk = ws("af.chk", f"""
 check eventually-deref {{

@@ -5,6 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from ctl_lint import frontend as F
 from ctl_lint.cfg import FALSE, TRUE, build_cfg
+from ctl_lint.diagnostics import (
+    ANALYSIS_CHECKS, BUFFER_OVERRUN, CONFIRMED, DIV_BY_ZERO, UNCONFIRMED,
+)
 from ctl_lint.intervals import (
     BOTTOM, BOTTOM_ENV, INF, Interval, IntervalEnv, add, analyze, check_sites, const, div,
     env_leq, eval_expr, interval_checks, interval_leq, iteration_cap, join,
@@ -232,6 +235,26 @@ class TestChecks:
         ds = self._diags("int f() { int a[10]; a[12] = 0; return 0; }")
         assert [(d.check_id, d.severity) for d in ds] == [("buffer-overrun", "error")]
         assert ds[0].confidence == "confirmed"
+
+    @pytest.mark.parametrize("table", ["as shipped", "edited"])
+    def test_severity_of_a_provable_site_comes_from_the_catalog(self, monkeypatch, table):
+        # a confirmed finding has its check's severity in ANALYSIS_CHECKS,
+        # whatever that is; a possible one is a warning
+        if table == "edited":
+            for check_id in (BUFFER_OVERRUN, DIV_BY_ZERO):
+                monkeypatch.setitem(ANALYSIS_CHECKS, check_id, ("info", "edited"))
+        seen = set()
+        for seed in range(60):
+            tu = F.parse(generate_program(seed), "g.c")
+            for f in tu.functions:
+                g = build_cfg(f, tu.globals)
+                for d in interval_checks(g, analyze(g)):
+                    want = (ANALYSIS_CHECKS[d.check_id][0] if d.confidence == CONFIRMED
+                            else "warning")
+                    assert d.severity == want, (seed, d)
+                    seen.add((d.check_id, d.confidence))
+        assert seen == {(c, v) for c in (BUFFER_OVERRUN, DIV_BY_ZERO)
+                        for v in (CONFIRMED, UNCONFIRMED)}
 
     def test_counted_loop_store_clean(self):
         ds = self._diags(

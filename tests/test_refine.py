@@ -9,7 +9,7 @@ import pytest
 from ctl_lint import engine, refine
 from ctl_lint import frontend as F
 from ctl_lint.cfg import COND, FALSE, TRUE, build_cfg
-from ctl_lint.ctl import WitnessTrace, check, is_propositional, witness
+from ctl_lint.ctl import check, is_propositional, witness
 from ctl_lint.intervals import IntervalEnv, transfer
 from ctl_lint.refine import (
     CONFIRMED, EQ, FEASIBLE, LE, LT, SUPPRESSED, UNCONFIRMED, UNKNOWN, Feasible,
@@ -42,7 +42,7 @@ def follow(cfg, branches):
         else:
             want = picks.pop(0)
             path.append(next(t for t, lab in outs if lab == want))
-    return WitnessTrace(tuple(path))
+    return tuple(path)
 
 
 class TestPathConstraints:
@@ -61,8 +61,8 @@ int f(int y) {
         ret1 = next(n.id for n in g.nodes
                     if isinstance(n.stmt, F.Return) and n.stmt.value.value == 1)
         trace = follow(g, [TRUE, TRUE])
-        assert ret1 in trace.states
-        cs = path_constraints(WitnessTrace(trace.states[:trace.states.index(ret1) + 1]), g)
+        assert ret1 in trace
+        cs = path_constraints(trace[:trace.index(ret1) + 1], g)
         rendered = sorted(str(c) for c in cs)
         assert rendered == [
             "-1*y <= 0",    # y >= 0
@@ -82,7 +82,7 @@ int f(int y) {
 
     def test_empty_trace(self):
         g, _ = cfg_of("int f() { return 0; }")
-        assert path_constraints(WitnessTrace(()), g) == []
+        assert path_constraints((), g) == []
 
     def test_equality_guards_and_false_branch(self):
         src = "int f(int x) { if (x == 3) { return 1; } return 0; }"
@@ -97,20 +97,6 @@ int f(int y) {
         g, _ = cfg_of(src)
         cs = path_constraints(follow(g, [FALSE]), g)
         assert [str(c) for c in cs] == ["x = 0"]
-
-    def test_lasso_encodes_stem_only(self):
-        src = ("int f(int y) { int x = y + 1; if (x < 0) { return 1; }"
-               " while (x < 5) { x = x + 1; } return x; }")
-        g, _ = cfg_of(src)
-        head = min(g.loop_heads)
-        body = next(t for t, lab in g.succ[head] if lab == TRUE)
-        stem = follow(g, [FALSE, FALSE]).states
-        stem = stem[:stem.index(head) + 1]
-        trace = WitnessTrace(stem + (body,), cycle_start=len(stem) - 1)
-        cs = path_constraints(trace, g)
-        # stem effects only: the stem's guard x >= 0 is over y + 1, and the
-        # in-cycle guard and body never contribute
-        assert [str(c) for c in cs] == ["-1*y <= 1"]
 
     def test_uninit_decl_is_unconstrained(self):
         src = "int f() { int x; if (x < 0) { return 1; } return 0; }"
@@ -141,7 +127,7 @@ int f(int y) {
         for n in g.nodes:
             if n.kind != "stmt" or n.id == decl:
                 continue
-            trace = WitnessTrace((decl, n.id, guard.id, taken))
+            trace = (decl, n.id, guard.id, taken)
             if feasible(path_constraints(trace, g)) == Feasible:
                 renewed.add(n.id)
             env = transfer(n, transfer(g.nodes[decl], IntervalEnv(), g.table), g.table)
@@ -272,7 +258,7 @@ class TestRefineDiagnostic:
             "int f(int *p) { free(p); free(p); return 0; }", "double-free")
         verdict, trace = refine_diagnostic(task, g, 5, sat=sat)
         assert verdict == "confirmed"
-        assert trace.states == (0, 1, 2)
+        assert trace == (0, 1, 2)
 
     def test_contradictory_guards_suppress(self):
         src = """
@@ -321,7 +307,7 @@ int f(int *p, int x) {
             "int f(int *p) { free(p); free(p); return 0; }", "double-free")
         verdict, trace = refine_diagnostic(task, g, 0, sat=sat)
         assert verdict == "unconfirmed"
-        assert trace is not None and trace.states[0] == g.entry
+        assert trace is not None and trace[0] == g.entry
 
     def test_second_witness_rescues_diagnostic(self):
         # the shortest path is infeasible, a longer one is real
@@ -359,9 +345,9 @@ class TestEnumeration:
         traces, exhausted = enumerate_witnesses(task.kripke, task.formula, g.entry, 10, sat)
         assert exhausted
         assert len(traces) == 2
-        lengths = [len(t.states) for t in traces]
+        lengths = [len(t) for t in traces]
         assert lengths == sorted(lengths)
-        assert traces[0].states != traces[1].states
+        assert traces[0] != traces[1]
 
     def test_exit_self_loop_not_enumerated_as_variants(self):
         task, g, sat = _satisfied_task(
@@ -462,10 +448,9 @@ def test_each_constraint_comes_from_its_own_guard_edge(refinement_runs):
             blind[id(cfg)].succ = [[] if n.kind == COND else outs
                                    for n, outs in zip(cfg.nodes, cfg.succ)]
         assert path_constraints(trace, blind[id(cfg)]) == []
-        states = trace.states
-        taken = sum(1 for a, b in zip(states, states[1:]) if cfg.nodes[a].kind == COND
+        taken = sum(1 for a, b in zip(trace, trace[1:]) if cfg.nodes[a].kind == COND
                     and len({lab for t, lab in cfg.succ[a] if t == b}) == 1)
-        assert len(cs) <= taken, (cfg.function, states)
+        assert len(cs) <= taken, (cfg.function, trace)
         guards += taken
     assert guards > len(walks)
 
@@ -565,7 +550,6 @@ def _unpruned_witnesses(task_kripke, formula, start, limit, sat,
     its own proposition when it is popped."""
     phases, forms = [], []
     entry = _compile_obligations(formula, phases, forms)
-    assert entry is not None
     holding = []
     for phase, form in zip(phases, forms):
         if isinstance(phase, _Gate):
@@ -590,7 +574,7 @@ def _unpruned_witnesses(task_kripke, formula, start, limit, sat,
                 if len(found) >= limit:
                     return found, False
                 seen_traces.add(states)
-                found.append(WitnessTrace(states))
+                found.append(states)
         elif isinstance(phase, _Gate):
             if state in holding[ph]:
                 heapq.heappush(heap, (steps, states, phase.nxt))

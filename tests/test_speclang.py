@@ -87,6 +87,13 @@ class TestParseCheck:
         assert str(exc.value) == (
             f"c.chk:1:{column}: '{op}' is a universal operator, which has no single-path witness")
 
+    def test_a_rejected_operator_stays_reserved(self):
+        # EG is an error in a property, and no label may take its name
+        text = "check t { severity: info forall $v: any label EG := use($v) property: EF EG }"
+        with pytest.raises(SpecError) as exc:
+            parse_checks(text, "c.chk")
+        assert str(exc.value) == "c.chk:1:47: 'EG' is reserved"
+
     def test_a_refine_line_is_an_error(self):
         # every check is refined; --max-witnesses 0 is the one switch
         bad = DOUBLE_FREE.replace("\n}", "\n  refine: on\n}")

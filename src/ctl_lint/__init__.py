@@ -6,4 +6,4 @@ checker; an interval analysis covers array bounds and arithmetic; reported
 counterexample traces are filtered by a linear-arithmetic feasibility pass.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

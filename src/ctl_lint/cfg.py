@@ -421,7 +421,7 @@ def build_cfg(f: FunctionDef, globals_: list[VarDecl]) -> Cfg:
 # Kripke structures
 
 class KripkeStructure:
-    """Finite transition system with a total transition relation.
+    """Finite transition system; a state may have no successor.
 
     States are the dense ids 0..n-1; `succ[s]` and `pred[s]` are sorted id
     lists, and `props[p]` is the set of states where proposition p holds

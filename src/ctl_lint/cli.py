@@ -54,7 +54,7 @@ options:
   --db PATH             cache database path (default .ctl-lint.db,
                         overridable via CTL_LINT_DB)
   --no-cache            do not read or write the cache database
-  --max-witnesses N     counterexamples examined per diagnostic (default 5)
+  --max-witnesses N     refinement rounds per diagnostic (default 5; 0: off)
   --min-severity S      error|warning|info rendering threshold (default info)
   --jobs N              at most N worker processes for the files the cache
                         misses (default: the CPUs this process may run on)

@@ -14,11 +14,18 @@ with equalities only from `==` and from the false edge of a truth-value
 guard.  The conjunction is then tested for rational satisfiability by
 Fourier-Motzkin elimination.  Coefficients and constants are ints, and
 stay ints; the arithmetic is generic, so rational (`Fraction`) input works
-alike.  An Infeasible verdict is trusted (rational emptiness implies
-integer emptiness, and dropped constraints only over-approximate), so a
-diagnostic is suppressed only when the enumeration ran to exhaustion and
-every witness it found is infeasible; a search cut short leaves it
-unconfirmed.
+alike.
+
+Refinement runs in rounds on one task, with the model checker as the only
+source of witnesses.  A round tests the witness `ctl.witness` gives on the
+current structure.  Feasible confirms the diagnostic and Unknown leaves it
+unconfirmed.  An Infeasible verdict is trusted (rational emptiness implies
+integer emptiness, and dropped constraints only over-approximate): the
+constraints are shrunk to a minimal infeasible core, the structure is
+replaced by its product with an observer that cuts every path repeating
+the core, and the property is checked again.  Where it no longer holds at
+the product's entry, the diagnostic is suppressed; when the rounds or the
+state budget run out first, it is unconfirmed.
 
 Feasible verdicts over-approximate twice, by design: fresh symbols are
 unconstrained, and integer tightening is not performed, so a path that is
@@ -27,15 +34,11 @@ rationally but not integrally satisfiable still confirms its diagnostic.
 
 from __future__ import annotations
 
-import heapq
-from collections.abc import Callable
 from typing import NamedTuple
 
 from . import frontend as ast
-from .cfg import COND, Cfg, FALSE, NEGATED, TRUE
-from .ctl import (
-    And, CtlFormula, EF, EX, Or, SatSets, TrueF, check, is_propositional, witness,
-)
+from .cfg import COND, Cfg, FALSE, KripkeStructure, NEGATED, NodeTable, TRUE, predecessors
+from .ctl import SatSets, check, witness
 from .diagnostics import CONFIRMED, UNCONFIRMED
 from .speclang import CheckTask
 
@@ -130,14 +133,15 @@ _CMP_TRUE = {
 }
 
 
-def path_constraints(trace: tuple[int, ...], cfg: Cfg) -> list[PathConstraint]:
-    """Linear constraints implied by walking the trace's states, one at
-    most per labelled guard edge, over the symbols of the store.  Strict
-    integer guards stay strict over the rationals.
+def path_constraints(trace: tuple[int, ...], cfg: Cfg) -> dict[int, PathConstraint]:
+    """Linear constraints implied by walking the trace's states, over the
+    symbols of the store, each keyed by the trace position of the guard
+    whose labelled edge gives it (at most one per edge).  Strict integer
+    guards stay strict over the rationals.
     """
     table = cfg.table
     store: dict[str, Form] = {}
-    out: list[PathConstraint] = []
+    out: dict[int, PathConstraint] = {}
     for i, sid in enumerate(trace):
         node = cfg.nodes[sid]
         nxt = trace[i + 1] if i + 1 < len(trace) else None
@@ -154,7 +158,7 @@ def path_constraints(trace: tuple[int, ...], cfg: Cfg) -> list[PathConstraint]:
                 continue
             c = _guard_constraint(node.expr, label, store)
             if c is not None:
-                out.append(c)
+                out[i] = c
     return out
 
 
@@ -283,174 +287,129 @@ def _ground_violated(c: PathConstraint) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Witness enumeration
-
-class _Phase(ast.Value):
-    """A state of the obligation automaton `_compile_obligations` builds;
-    `nxt`, `a` and `b` are the indices of the phases that follow it."""
-
-    __slots__ = ()
-
-
-class _Gate(_Phase):
-    __slots__ = _fields = ("nxt",)
-
-
-class _Step(_Phase):
-    __slots__ = _fields = ("nxt",)
-
-
-class _Stay(_Phase):
-    __slots__ = _fields = ("prop", "nxt")
-
-
-class _Split(_Phase):
-    __slots__ = _fields = ("a", "b")
-
-
-class _Accept(_Phase):
-    __slots__ = ()
-
-
-def _compile_obligations(f: CtlFormula, phases: list, forms: list[CtlFormula]) -> int:
-    """Obligation automaton of a formula in the fragment `is_witnessable`
-    defines: linear EX/EU/EF chains, split at each Or.  `forms[i]` is the
-    sub-formula phase `phases[i]` must complete."""
-    if is_propositional(f):
-        phase = _Accept()
-    elif isinstance(f, And):
-        temporal = f.right if is_propositional(f.left) else f.left
-        phase = _Gate(_compile_obligations(temporal, phases, forms))
-    elif isinstance(f, Or):
-        phase = _Split(_compile_obligations(f.left, phases, forms),
-                       _compile_obligations(f.right, phases, forms))
-    elif isinstance(f, EX):
-        phase = _Step(_compile_obligations(f.sub, phases, forms))
-    elif isinstance(f, EF):
-        phase = _Stay(TrueF(), _compile_obligations(f.sub, phases, forms))
-    else:  # E[p U g], p propositional
-        phase = _Stay(f.left, _compile_obligations(f.right, phases, forms))
-    phases.append(phase)
-    forms.append(f)
-    return len(phases) - 1
-
-
-DEFAULT_ENUM_BUDGET = 4_000
-
-
-def enumerate_witnesses(task_kripke, formula: CtlFormula, start: int, limit: int,
-                        sat: SatSets | None = None,
-                        budget: int = DEFAULT_ENUM_BUDGET,
-                        stop: Callable[[tuple[int, ...]], bool] | None = None,
-                        ) -> tuple[list[tuple[int, ...]], bool]:
-    """Up to `limit` distinct finite witnesses, shortest first with
-    lowest-state-id tie-breaks; second result reports whether enumeration
-    ran to exhaustion: past `limit` the search goes on, unrecorded, until
-    another distinct witness or the expansion budget ends it unexhausted.
-    Only live entries are pushed, so only they count toward `budget`
-    (`DEFAULT_ENUM_BUDGET` expansions): a path whose last state satisfies
-    its phase's sub-formula, from where the phase can still be completed.
-    Exhaustion thus means every such path was tried; a loop that can never
-    end in a witness does not keep the search from ending.
-    Distinct means differing in at least one edge; idling on self-loops
-    is not a distinct witness.  `stop(trace)` is called on each witness
-    as it is found; when it returns true, the search ends with that
-    witness last.
-    """
-    phases: list = []
-    forms: list[CtlFormula] = []
-    entry = _compile_obligations(formula, phases, forms)
-    sat = sat or check(task_kripke, formula)
-    # live[i]: where phase i can still be completed; it lies within what
-    # an _Accept or _Gate phase tests, so neither tests again
-    live = [sat.states(f) for f in forms]
-    holding = [sat.states(p.prop) if isinstance(p, _Stay) else None for p in phases]
-    found: list[tuple[int, ...]] = []
-    seen_traces: set[tuple[int, ...]] = set()
-    heap: list[tuple[int, tuple[int, ...], int]] = (
-        [(0, (start,), entry)] if start in live[entry] else [])
-    visited: set[tuple[tuple[int, ...], int]] = set()
-    expansions = 0
-    while heap:
-        steps, states, ph = heapq.heappop(heap)
-        key = (states, ph)
-        if key in visited:
-            continue
-        visited.add(key)
-        expansions += 1
-        if expansions > budget:
-            return found, False
-        state = states[-1]
-        phase = phases[ph]
-        if isinstance(phase, _Accept):
-            if states not in seen_traces:
-                if len(found) >= limit:
-                    return found, False
-                seen_traces.add(states)
-                found.append(states)
-                if stop is not None and stop(found[-1]):
-                    break
-            continue
-        if isinstance(phase, _Gate):
-            heapq.heappush(heap, (steps, states, phase.nxt))
-            continue
-        if isinstance(phase, _Split):
-            for nxt in (phase.a, phase.b):
-                if state in live[nxt]:
-                    heapq.heappush(heap, (steps, states, nxt))
-            continue
-        if isinstance(phase, _Step):
-            for t in task_kripke.succ[state]:
-                if t in live[phase.nxt]:
-                    heapq.heappush(heap, (steps + 1, states + (t,), phase.nxt))
-            continue
-        if isinstance(phase, _Stay):
-            if state in live[phase.nxt]:
-                heapq.heappush(heap, (steps, states, phase.nxt))
-            if state in holding[ph]:
-                for t in task_kripke.succ[state]:
-                    # a product self-loop is idling and adds nothing
-                    if t != state and t in live[ph]:
-                        heapq.heappush(heap, (steps + 1, states + (t,), ph))
-            continue
-        raise AssertionError(phase)
-    return found, not heap
-
-
-# ---------------------------------------------------------------------------
 # The refinement loop
 
 SUPPRESSED = "suppressed"
+DEFAULT_ENUM_BUDGET = 10_000
 
 
 def refine_diagnostic(task: CheckTask, cfg: Cfg, max_witnesses: int,
                       sat: SatSets | None = None) -> tuple[str, tuple[int, ...] | None]:
     """Feasibility-filter a satisfied check task: the verdict is the
-    diagnostic's confidence, `CONFIRMED` or `UNCONFIRMED`, or `SUPPRESSED`.
-
-    Enumerates up to `max_witnesses` distinct traces shortest-first and
-    tests each as it is found: the first feasible one confirms the
-    diagnostic and ends the search; if every enumerated trace is
-    infeasible and enumeration was exhaustive, the diagnostic is
-    suppressed; any Unknown, or an enumeration cut short by the witness
-    budget or the expansion budget, leaves it unconfirmed instead.
-    """
+    diagnostic's confidence, `CONFIRMED` or `UNCONFIRMED`, or `SUPPRESSED`;
+    the trace is the confirming witness, or else the first one tested."""
     sat = sat or check(task.kripke, task.formula)
     assert sat.holds(task.formula, cfg.entry), "refine requires a satisfied task"
     if max_witnesses <= 0:
         return UNCONFIRMED, witness(task.kripke, task.formula, cfg.entry, sat)
-    kinds: list[str] = []
+    traces, verdict = enumerate_witnesses(task, cfg, max_witnesses, sat)
+    if verdict == SUPPRESSED:
+        return SUPPRESSED, None
+    return verdict, traces[-1] if verdict == CONFIRMED else traces[0]
 
-    def is_feasible(trace: tuple[int, ...]) -> bool:
-        kinds.append(feasible(path_constraints(trace, cfg)).kind)
-        return kinds[-1] == FEASIBLE
 
-    traces, exhausted = enumerate_witnesses(
-        task.kripke, task.formula, cfg.entry, max_witnesses, sat, stop=is_feasible)
-    if not traces:
-        return UNCONFIRMED, witness(task.kripke, task.formula, cfg.entry, sat)
-    if kinds[-1] == FEASIBLE:
-        return CONFIRMED, traces[-1]
-    if UNKNOWN in kinds or not exhausted:
-        return UNCONFIRMED, traces[0]
-    return SUPPRESSED, None
+def enumerate_witnesses(task: CheckTask, cfg: Cfg, rounds: int,
+                        sat: SatSets) -> tuple[list[tuple[int, ...]], str]:
+    """The witness each refinement round tested, and the verdict.  The
+    diagnostic is unconfirmed after `rounds` rounds, or once the products
+    have built more than `DEFAULT_ENUM_BUDGET` states in all."""
+    k, node_of, start = task.kripke, range(task.kripke.n), cfg.entry
+    budget = DEFAULT_ENUM_BUDGET
+    traces: list[tuple[int, ...]] = []
+    for _ in range(rounds):
+        traces.append(tuple(node_of[s] for s in witness(k, task.formula, start, sat)))
+        cs = path_constraints(traces[-1], cfg)
+        kind = feasible(list(cs.values())).kind
+        if kind != INFEASIBLE:
+            return traces, CONFIRMED if kind == FEASIBLE else UNCONFIRMED
+        product = _exclude(k, node_of, start, *_observer(traces[-1], _core(cs), cfg.table),
+                           budget)
+        if product is None:
+            break
+        k, node_of = product
+        start = 0
+        budget -= k.n
+        sat = check(k, task.formula)
+        if not sat.holds(task.formula, start):
+            return traces, SUPPRESSED
+    return traces, UNCONFIRMED
+
+
+def _core(cs: dict[int, PathConstraint]) -> set[int]:
+    """The positions of a minimal infeasible subset of infeasible
+    constraints: each is deleted in turn, and stays out if the rest is
+    still infeasible."""
+    core = list(cs)
+    for i in list(core):
+        rest = [j for j in core if j != i]
+        if feasible([cs[j] for j in rest]) == Infeasible:
+            core = rest
+    return set(core)
+
+
+def _observer(trace: tuple[int, ...], core: set[int],
+              table: NodeTable) -> tuple[tuple, frozenset[int]]:
+    """The events a path must pass, in order, to repeat the trace's core
+    guards (each writer node it enters, each core guard edge (a, b) it
+    takes), and the writers whose entry out of turn releases it.
+
+    The needed variables are those the core guards read, closed under the
+    right-hand sides of the trace's writes to them; the writers are the
+    nodes that write one, and every clobber if an escaped name is needed.
+    A path that passes the trace's writers up to the last core guard and
+    the core guard edges in trace order, and no other writer, gets the
+    core's constraints up to renaming of fresh symbols.
+    """
+    last = max(core)
+
+    def uses(n: int) -> set[str]:
+        return {v for name, v in table.facts[n] if name == "use"}
+
+    needed = set().union(*(uses(trace[i]) for i in core))
+    for n in reversed(trace[:last]):
+        if n in table.writes and table.writes[n][0] in needed:
+            needed |= uses(n)
+    writers = {n for n, (target, _) in table.writes.items() if target in needed}
+    if not needed.isdisjoint(table.escaped):
+        writers |= table.clobbers
+    events: list = []
+    for i, n in enumerate(trace[:last + 1]):
+        if n in writers:
+            events.append(n)
+        if i in core:
+            events.append((n, trace[i + 1]))
+    return tuple(events), frozenset(writers)
+
+
+def _exclude(k: KripkeStructure, node_of: range | list[int], start: int, events: tuple,
+             writers: frozenset[int], budget: int) -> tuple[KripkeStructure, list[int]] | None:
+    """The product of `k` with an observer, from (`start`, 0) as state 0,
+    and each state's CFG node; None past `budget` states.  A state of `k`
+    is paired with the count of events seen, or -1 once a writer entered
+    out of turn; the edge that completes the events is cut.
+    """
+    index = {(start, 0): 0}
+    states = [(start, 0)]  # the entry is no writer
+    succ: list[list[int]] = []
+    for s, seen in states:  # grows as it is walked
+        outs = []
+        for t in k.succ[s]:
+            at = seen
+            if at >= 0:
+                if events[at] == (node_of[s], node_of[t]):
+                    at += 1
+                    if at == len(events):
+                        continue
+                if node_of[t] in writers:
+                    at = at + 1 if events[at] == node_of[t] else -1
+            if (t, at) not in index:
+                if len(states) >= budget:
+                    return None
+                index[t, at] = len(states)
+                states.append((t, at))
+            outs.append(index[t, at])
+        succ.append(sorted(outs))
+    props = {name: frozenset(i for i, (s, _) in enumerate(states) if s in held)
+             for name, held in k.props.items()}
+    return (KripkeStructure(succ, predecessors(succ), props),
+            [node_of[s] for s, _ in states])

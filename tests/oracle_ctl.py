@@ -19,8 +19,8 @@ from ctl_lint.ctl import (
 
 
 def kripke(succ: list[list[int]], labels) -> KripkeStructure:
-    """A structure from successor lists and each state's label names."""
-    assert all(succ), "the transition relation must be total"
+    """A structure from successor lists and each state's label names; a
+    state may have no successor."""
     props: dict[str, set[int]] = {}
     for s, names in enumerate(labels):
         for name in names:
@@ -150,14 +150,17 @@ def trace_demonstrates(k: KripkeStructure, f: CtlFormula, trace: tuple[int, ...]
 # Random structures and formulas
 
 def random_kripke(rng: random.Random, max_states: int = 8,
-                  props: tuple[str, ...] = ("p", "q", "r")) -> KripkeStructure:
+                  props: tuple[str, ...] = ("p", "q", "r"),
+                  dead_ends: bool = False) -> KripkeStructure:
+    """A random structure; with `dead_ends`, a state may have no successor,
+    and otherwise one without is given a self-loop."""
     n = rng.randint(1, max_states)
     density = rng.uniform(0.1, 0.9)
     succ: list[list[int]] = []
     for s in range(n):
         outs = sorted(t for t in range(n) if rng.random() < density)
-        if not outs:
-            outs = [s]  # keep the relation total
+        if not outs and not dead_ends:
+            outs = [s]
         succ.append(outs)
     labels = [frozenset(p for p in props if rng.random() < 0.4) for _ in range(n)]
     return kripke(succ, labels)

@@ -595,8 +595,9 @@ check freed-twice {
         assert "(unconfirmed)" in out
 
     def test_leak_in_a_counted_loop_is_unconfirmed_at_the_default_budget(self, ws, capsys):
-        # the shortest witnesses skip the loop and are infeasible; the search
-        # stops at the budget before a feasible one, so it cannot suppress
+        # each round's witness runs the loop once more than the last and is
+        # infeasible; a feasible one needs 7 passes, more rounds than the
+        # default 5, and the rounds run out before the property fails
         path = ws("loop.c", "int f() { int i; for (i = 0; i < 7; i++) "
                             "{ int *p = malloc(4); *p = i; } return 0; }\n")
         code, out, _ = run(capsys, "analyze", "--no-cache", path)

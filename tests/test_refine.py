@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import copy
-import heapq
+import time
 from fractions import Fraction as Fr
 
 import pytest
@@ -9,13 +9,14 @@ import pytest
 from ctl_lint import engine, refine
 from ctl_lint import frontend as F
 from ctl_lint.cfg import COND, FALSE, TRUE, build_cfg
-from ctl_lint.ctl import check, is_propositional, witness
+from ctl_lint.ctl import (
+    EF, EU, EX, And, Implies, Not, Or, Prop, TrueF, check, is_propositional, witness,
+)
 from ctl_lint.intervals import IntervalEnv, transfer
 from ctl_lint.refine import (
-    CONFIRMED, EQ, FEASIBLE, LE, LT, SUPPRESSED, UNCONFIRMED, UNKNOWN, Feasible,
-    FeasibilityVerdict, Infeasible, PathConstraint, _Accept, _compile_obligations,
-    _constraint, _Gate, _Split, _Stay, _Step, enumerate_witnesses, feasible,
-    path_constraints, refine_diagnostic,
+    CONFIRMED, EQ, LE, LT, SUPPRESSED, UNCONFIRMED, UNKNOWN, Feasible, FeasibilityVerdict,
+    Infeasible, PathConstraint, _constraint, enumerate_witnesses, feasible, path_constraints,
+    refine_diagnostic,
 )
 from ctl_lint.speclang import instantiate, label_index, load_checkset
 from fixtures_bugs import FIXTURES
@@ -45,6 +46,10 @@ def follow(cfg, branches):
     return tuple(path)
 
 
+def constraints(trace, cfg):
+    return list(path_constraints(trace, cfg).values())
+
+
 class TestPathConstraints:
     def test_store_substitutes_writes_into_guards(self):
         src = """
@@ -62,7 +67,7 @@ int f(int y) {
                     if isinstance(n.stmt, F.Return) and n.stmt.value.value == 1)
         trace = follow(g, [TRUE, TRUE])
         assert ret1 in trace
-        cs = path_constraints(trace[:trace.index(ret1) + 1], g)
+        cs = constraints(trace[:trace.index(ret1) + 1], g)
         rendered = sorted(str(c) for c in cs)
         assert rendered == [
             "-1*y <= 0",    # y >= 0
@@ -76,32 +81,32 @@ int f(int y) {
         trace = follow(g, [TRUE])
         cs = path_constraints(trace, g)
         # x gets the fresh symbol of trace position 1, which nothing ties
-        # to the entry value; only the guard constrains it
-        assert [str(c) for c in cs] == ["x@1 < 0"]
-        assert feasible(cs) == Feasible
+        # to the entry value; only the guard, at position 2, constrains it
+        assert {i: str(c) for i, c in cs.items()} == {2: "x@1 < 0"}
+        assert feasible(list(cs.values())) == Feasible
 
     def test_empty_trace(self):
         g, _ = cfg_of("int f() { return 0; }")
-        assert path_constraints((), g) == []
+        assert path_constraints((), g) == {}
 
     def test_equality_guards_and_false_branch(self):
         src = "int f(int x) { if (x == 3) { return 1; } return 0; }"
         g, _ = cfg_of(src)
-        cs_true = path_constraints(follow(g, [TRUE]), g)
+        cs_true = constraints(follow(g, [TRUE]), g)
         assert [str(c) for c in cs_true] == ["x = 3"]
-        cs_false = path_constraints(follow(g, [FALSE]), g)
+        cs_false = constraints(follow(g, [FALSE]), g)
         assert cs_false == []  # x != 3 is not convex; dropped
 
     def test_truth_value_false_branch_pins_zero(self):
         src = "int f(int x) { if (x) { return 1; } return 0; }"
         g, _ = cfg_of(src)
-        cs = path_constraints(follow(g, [FALSE]), g)
+        cs = constraints(follow(g, [FALSE]), g)
         assert [str(c) for c in cs] == ["x = 0"]
 
     def test_uninit_decl_is_unconstrained(self):
         src = "int f() { int x; if (x < 0) { return 1; } return 0; }"
         g, _ = cfg_of(src)
-        cs = path_constraints(follow(g, [TRUE]), g)
+        cs = constraints(follow(g, [TRUE]), g)
         # the declaration at trace position 1 gives x a fresh symbol
         assert [str(c) for c in cs] == ["x@1 < 0"]
         assert feasible(cs) == Feasible
@@ -128,7 +133,7 @@ int f(int y) {
             if n.kind != "stmt" or n.id == decl:
                 continue
             trace = (decl, n.id, guard.id, taken)
-            if feasible(path_constraints(trace, g)) == Feasible:
+            if feasible(constraints(trace, g)) == Feasible:
                 renewed.add(n.id)
             env = transfer(n, transfer(g.nodes[decl], IntervalEnv(), g.table), g.table)
             if not transfer(guard, env, g.table, TRUE).is_bottom:
@@ -241,8 +246,8 @@ class TestFourierMotzkin:
                 assert not ok, (cs, valuation)
 
 
-def _satisfied_task(src, check_id, var="p"):
-    g, _ = cfg_of(src)
+def _satisfied_task(src, check_id, var="p", idx=0):
+    g, _ = cfg_of(src, idx)
     spec = CHECKS[check_id]
     tasks = instantiate(spec, g, label_index(g), [var])
     assert tasks, "fixture must produce a task"
@@ -291,7 +296,7 @@ int f(int *p, int x) {
 }
 """
         task, g, sat = _satisfied_task(src, "double-free")
-        traces, _ = enumerate_witnesses(task.kripke, task.formula, g.entry, 5, sat)
+        first = witness(task.kripke, task.formula, g.entry, sat)
         real = refine.feasible
         calls = []
 
@@ -300,7 +305,8 @@ int f(int *p, int x) {
             return FeasibilityVerdict(UNKNOWN, "budget") if len(calls) == 1 else real(cs, *args)
 
         monkeypatch.setattr(refine, "feasible", first_unknown)
-        assert refine_diagnostic(task, g, 5, sat=sat) == (UNCONFIRMED, traces[0])
+        assert refine_diagnostic(task, g, 5, sat=sat) == (UNCONFIRMED, first)
+        assert len(calls) == 1
 
     def test_zero_budget_keeps_unconfirmed(self):
         task, g, sat = _satisfied_task(
@@ -338,49 +344,10 @@ int f(int *p, int x) {
         assert a == b
 
 
-class TestEnumeration:
-    def test_shortest_first_distinct(self):
-        src = "int f(int *p, int c) { free(p); if (c) { free(p); } else { free(p); } return 0; }"
-        task, g, sat = _satisfied_task(src, "double-free")
-        traces, exhausted = enumerate_witnesses(task.kripke, task.formula, g.entry, 10, sat)
-        assert exhausted
-        assert len(traces) == 2
-        lengths = [len(t) for t in traces]
-        assert lengths == sorted(lengths)
-        assert traces[0] != traces[1]
-
-    def test_exit_self_loop_not_enumerated_as_variants(self):
-        task, g, sat = _satisfied_task(
-            "int f(int *p) { int *q = malloc(4); p = q; return 0; }", "memory-leak", var="q")
-        traces, exhausted = enumerate_witnesses(task.kripke, task.formula, g.entry, 10, sat)
-        assert exhausted
-        assert len(traces) == 1  # idling on the exit loop is not a new witness
-
-
-def _reference_refine(task, cfg, max_witnesses, sat, known):
-    """The verdict rule applied to the full `enumerate_witnesses` list: the
-    first feasible trace confirms; all infeasible suppresses unless some
-    verdict was Unknown or the search did not run to exhaustion.
-    `known` maps constraint tuples to verdicts already computed."""
-    traces, exhausted = enumerate_witnesses(
-        task.kripke, task.formula, cfg.entry, max_witnesses, sat)
-    if not traces:
-        return UNCONFIRMED, witness(task.kripke, task.formula, cfg.entry, sat)
-    saw_unknown = False
-    for trace in traces:
-        cs = tuple(path_constraints(trace, cfg))
-        kind = (known[cs] if cs in known else feasible(list(cs))).kind
-        if kind == FEASIBLE:
-            return CONFIRMED, trace
-        saw_unknown |= kind == UNKNOWN
-    if saw_unknown or not exhausted:
-        return UNCONFIRMED, traces[0]
-    return SUPPRESSED, None
-
-
-def _analyze_pin_sources(max_witnesses: int) -> None:
-    """Analyze the first 50 generated programs and the 48 bug fixtures."""
-    sources = ([(f"gen{seed}.c", generate_program(seed)) for seed in range(50)]
+def _analyze_pin_sources(max_witnesses: int, programs: int = 50) -> None:
+    """Analyze the first `programs` generated programs and the 48 bug
+    fixtures."""
+    sources = ([(f"gen{seed}.c", generate_program(seed)) for seed in range(programs)]
                + [(f"{fx.name}.c", fx.source) for fx in FIXTURES])
     config = engine.EngineConfig(checkset_text="builtin", max_witnesses=max_witnesses)
     checks, _ = load_checkset()
@@ -407,9 +374,11 @@ def pin_tasks():
 
 @pytest.fixture(scope="module")
 def refinement_runs():
-    """What refinement does on the pin sources at 300 witnesses: the
-    (trace, cfg, constraints) of each `path_constraints` call, and each
-    constraint list with the verdict `feasible` gave it."""
+    """What refinement does at a witness budget of 300 on the bug fixtures
+    and the first 200 generated programs (four times the pin sources, so
+    that the constraints hold over 10,000 values): the (trace, cfg,
+    constraints) of each `path_constraints` call, and each constraint list
+    with the verdict `feasible` gave it."""
     walks, verdicts = [], {}
     real_walk, real_feasible = refine.path_constraints, refine.feasible
 
@@ -425,34 +394,35 @@ def refinement_runs():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(refine, "path_constraints", walking)
         mp.setattr(refine, "feasible", recording)
-        _analyze_pin_sources(300)
+        _analyze_pin_sources(300, programs=200)
     return walks, verdicts
 
 
 @pytest.fixture(scope="module")
 def refinement_sets(refinement_runs):
-    """Every constraint list `path_constraints` builds on the pin sources
-    at 300 witnesses, each with the verdict `feasible` gave it."""
+    """Every constraint list `feasible` tests in `refinement_runs` (each
+    round's, and each core candidate), with the verdict it gave."""
     return refinement_runs[1]
 
 
 def test_each_constraint_comes_from_its_own_guard_edge(refinement_runs):
     # without the edges that leave conditions a trace gives no constraint,
-    # and with them it gives at most one per labelled guard edge it takes
+    # and with them each constraint is keyed by the position of a guard
+    # whose edge the trace takes, the one labelled edge to the next state
     walks, _ = refinement_runs
     blind = {}
-    guards = 0
+    keyed = 0
     for trace, cfg, cs in walks:
         if id(cfg) not in blind:
             blind[id(cfg)] = copy.copy(cfg)
             blind[id(cfg)].succ = [[] if n.kind == COND else outs
                                    for n, outs in zip(cfg.nodes, cfg.succ)]
-        assert path_constraints(trace, blind[id(cfg)]) == []
-        taken = sum(1 for a, b in zip(trace, trace[1:]) if cfg.nodes[a].kind == COND
-                    and len({lab for t, lab in cfg.succ[a] if t == b}) == 1)
-        assert len(cs) <= taken, (cfg.function, trace)
-        guards += taken
-    assert guards > len(walks)
+        assert path_constraints(trace, blind[id(cfg)]) == {}
+        for i in cs:
+            assert cfg.nodes[trace[i]].kind == COND and i + 1 < len(trace), (cfg.function, trace)
+            assert len({lab for t, lab in cfg.succ[trace[i]] if t == trace[i + 1]}) == 1
+        keyed += len(cs)
+    assert keyed > len(walks)
 
 
 def test_integer_programs_give_integer_constraints(refinement_sets):
@@ -478,143 +448,167 @@ def test_equality_with_a_coefficient_that_does_not_divide():
     assert feasible(cs) == Feasible
 
 
-@pytest.mark.parametrize("max_witnesses", [1, 5, 300])
-def test_refine_matches_full_enumeration_reference(pin_tasks, monkeypatch, max_witnesses):
-    # feasible() is a pure function of its constraints, so the reference
-    # reuses the verdicts refine_diagnostic computed instead of repeating
-    # the Fourier-Motzkin work
-    known = {}
-    real = refine.feasible
-
-    def recording(cs, *args):
-        verdict = known[tuple(cs)] = real(cs, *args)
-        return verdict
-
-    monkeypatch.setattr(refine, "feasible", recording)
-    verdicts = set()
+@pytest.mark.parametrize("max_witnesses", [1, 3, 9])
+def test_a_budget_covering_every_round_gives_the_full_verdict(pin_tasks, max_witnesses):
+    # the rounds do not depend on the witness budget, so a budget that
+    # covers every round a large one runs decides as the large one does
+    covered = several = 0
     for task, cfg, sat in pin_tasks:
-        got = refine_diagnostic(task, cfg, max_witnesses, sat)
-        want = _reference_refine(task, cfg, max_witnesses, sat, known)
-        assert got == want, (cfg.function, task.check.id, task.bound_var)
-        verdicts.add(got[0])
-    # every budget both confirms and suppresses on the pin tasks; at 1 the
-    # tasks with a single, infeasible witness are the ones suppressed
-    assert verdicts >= {CONFIRMED, SUPPRESSED}, verdicts
-
-
-@pytest.mark.parametrize("max_witnesses", [1, 2, 5])
-def test_budget_covering_every_witness_gives_the_full_verdict(pin_tasks, max_witnesses):
-    # a search that has found every distinct witness there is has run to
-    # exhaustion, whatever the budget, so it decides as a large budget does
-    covered = 0
-    for task, cfg, sat in pin_tasks:
-        traces, exhausted = enumerate_witnesses(task.kripke, task.formula, cfg.entry, 300, sat)
-        if not exhausted or len(traces) > max_witnesses:
+        traces, _ = enumerate_witnesses(task, cfg, 300, sat)
+        if len(traces) > max_witnesses:
             continue
         covered += 1
+        several += len(traces) > 1
         assert (refine_diagnostic(task, cfg, max_witnesses, sat)
                 == refine_diagnostic(task, cfg, 300, sat)), \
             (cfg.function, task.check.id, task.bound_var)
-    assert covered
+    assert covered > several > 0 or max_witnesses == 1
+
+
+def _holds(k, f, s) -> bool:
+    if isinstance(f, TrueF):
+        return True
+    if isinstance(f, Prop):
+        return s in k.props.get(f.name, ())
+    if isinstance(f, Not):
+        return not _holds(k, f.sub, s)
+    if isinstance(f, Implies):
+        return not _holds(k, f.left, s) or _holds(k, f.right, s)
+    both = _holds(k, f.left, s), _holds(k, f.right, s)
+    return all(both) if isinstance(f, And) else any(both)
+
+
+def _witness_paths(k, f, s, room):
+    """Every path of at most `room` states from `s` that demonstrates `f`,
+    by depth-first search over `k` (a reference for the model checker)."""
+    if room < 1:
+        return
+    if is_propositional(f):
+        if _holds(k, f, s):
+            yield (s,)
+    elif isinstance(f, And):
+        prop, rest = (f.left, f.right) if is_propositional(f.left) else (f.right, f.left)
+        if _holds(k, prop, s):
+            yield from _witness_paths(k, rest, s, room)
+    elif isinstance(f, Or):
+        yield from _witness_paths(k, f.left, s, room)
+        yield from _witness_paths(k, f.right, s, room)
+    elif isinstance(f, EX):
+        for t in k.succ[s]:
+            yield from ((s, *w) for w in _witness_paths(k, f.sub, t, room - 1))
+    elif isinstance(f, EF):
+        yield from _witness_paths(k, EU(TrueF(), f.sub), s, room)
+    else:  # EU
+        yield from _witness_paths(k, f.right, s, room)
+        if _holds(k, f.left, s):
+            for t in k.succ[s]:
+                yield from ((s, *w) for w in _witness_paths(k, f, t, room - 1))
+
+
+def test_every_short_witness_of_a_suppressed_finding_is_infeasible(pin_tasks):
+    # the observers cut only paths that repeat an infeasible core, so every
+    # path the search finds independently of them must be infeasible too
+    suppressed = paths = 0
+    for task, cfg, sat in pin_tasks:
+        if refine_diagnostic(task, cfg, 300, sat)[0] != SUPPRESSED:
+            continue
+        suppressed += 1
+        for w in _witness_paths(task.kripke, task.formula, cfg.entry, 60):
+            paths += 1
+            assert feasible(constraints(w, cfg)) == Infeasible, (cfg.function, task.check.id, w)
+    assert suppressed >= 10 and paths > 500
 
 
 def test_refine_stops_at_first_feasible_witness(monkeypatch):
     src = "int f(int *p, int c) { free(p); if (c) { free(p); } else { free(p); } return 0; }"
     task, g, sat = _satisfied_task(src, "double-free")
-    traces, _ = enumerate_witnesses(task.kripke, task.formula, g.entry, 5, sat)
-    assert len(traces) == 2
-    assert feasible(path_constraints(traces[0], g)) == Feasible
-    enumerated, fm_calls = [], []
-    real_enum, real_feasible = refine.enumerate_witnesses, refine.feasible
+    first = witness(task.kripke, task.formula, g.entry, sat)
+    assert feasible(constraints(first, g)) == Feasible
+    rounds, fm_calls = [], []
+    real_rounds, real_feasible = refine.enumerate_witnesses, refine.feasible
 
-    def counting_enum(*args, **kwargs):
-        result = real_enum(*args, **kwargs)
-        enumerated.append(len(result[0]))
+    def counting_rounds(*args, **kwargs):
+        result = real_rounds(*args, **kwargs)
+        rounds.append(len(result[0]))
         return result
 
     def counting_feasible(*args, **kwargs):
         fm_calls.append(1)
         return real_feasible(*args, **kwargs)
 
-    monkeypatch.setattr(refine, "enumerate_witnesses", counting_enum)
+    monkeypatch.setattr(refine, "enumerate_witnesses", counting_rounds)
     monkeypatch.setattr(refine, "feasible", counting_feasible)
-    assert refine_diagnostic(task, g, 5, sat=sat) == (CONFIRMED, traces[0])
-    assert enumerated == [1]
+    assert refine_diagnostic(task, g, 5, sat=sat) == (CONFIRMED, first)
+    assert rounds == [1]
     assert len(fm_calls) == 1
-
-
-def _unpruned_witnesses(task_kripke, formula, start, limit, sat,
-                        budget=refine.DEFAULT_ENUM_BUDGET):
-    """`enumerate_witnesses` as it was before it searched only live
-    entries: every `(path, phase)` is pushed and popped, and a phase tests
-    its own proposition when it is popped."""
-    phases, forms = [], []
-    entry = _compile_obligations(formula, phases, forms)
-    holding = []
-    for phase, form in zip(phases, forms):
-        if isinstance(phase, _Gate):
-            form = form.left if is_propositional(form.left) else form.right
-        elif isinstance(phase, _Stay):
-            form = phase.prop
-        holding.append(sat.states(form) if isinstance(phase, (_Accept, _Gate, _Stay)) else None)
-    found, seen_traces, visited = [], set(), set()
-    heap = [(0, (start,), entry)]
-    expansions = 0
-    while heap:
-        steps, states, ph = heapq.heappop(heap)
-        if (states, ph) in visited:
-            continue
-        visited.add((states, ph))
-        expansions += 1
-        if expansions > budget:
-            return found, False
-        state, phase = states[-1], phases[ph]
-        if isinstance(phase, _Accept):
-            if state in holding[ph] and states not in seen_traces:
-                if len(found) >= limit:
-                    return found, False
-                seen_traces.add(states)
-                found.append(states)
-        elif isinstance(phase, _Gate):
-            if state in holding[ph]:
-                heapq.heappush(heap, (steps, states, phase.nxt))
-        elif isinstance(phase, _Split):
-            heapq.heappush(heap, (steps, states, phase.a))
-            heapq.heappush(heap, (steps, states, phase.b))
-        elif isinstance(phase, _Step):
-            for t in task_kripke.succ[state]:
-                heapq.heappush(heap, (steps + 1, states + (t,), phase.nxt))
-        else:
-            heapq.heappush(heap, (steps, states, phase.nxt))
-            if state in holding[ph]:
-                for t in task_kripke.succ[state]:
-                    if t != state:
-                        heapq.heappush(heap, (steps + 1, states + (t,), ph))
-    return found, True
-
-
-@pytest.mark.parametrize("limit", [1, 5, 300])
-def test_live_search_extends_the_unpruned_search(pin_tasks, limit):
-    # live entries pop in the order they did among all entries, so the
-    # witnesses of the unpruned search come first and in the same order;
-    # pruning only frees budget, so it finds more or ends sooner
-    exhausted_only_when_pruned = 0
-    for task, cfg, sat in pin_tasks:
-        want, want_exhausted = _unpruned_witnesses(
-            task.kripke, task.formula, cfg.entry, limit, sat)
-        got, exhausted = enumerate_witnesses(task.kripke, task.formula, cfg.entry, limit, sat)
-        where = (cfg.function, task.check.id, task.bound_var)
-        assert got[:len(want)] == want, where
-        if want_exhausted:
-            assert (got, exhausted) == (want, True), where
-        exhausted_only_when_pruned += exhausted and not want_exhausted
-    assert exhausted_only_when_pruned
 
 
 @pytest.mark.parametrize("max_witnesses", [1, 5, 300])
 def test_a_leak_only_a_dead_loop_could_reach_is_suppressed(max_witnesses):
     # every path through the loop frees p, and the one that skips it needs
-    # 0 >= 2; the loop cannot end in a witness, so the search exhausts
+    # 0 >= 2; the observer of that core cuts every path that skips the loop
+    # from `i = 0`, and a path through the loop writes i out of turn but
+    # frees p, so the first round suppresses the leak
     source = next(fx.source for fx in FIXTURES if fx.name == "df-in-loop")
     task, g, sat = _satisfied_task(source, "memory-leak")
     assert refine_diagnostic(task, g, max_witnesses, sat=sat) == (SUPPRESSED, None)
+
+
+def _double_free(body: str, prelude: str = "", idx: int = 0):
+    """The double-free task on `p` of a function `f` that frees p and then
+    runs `body`; `f` is function `idx` of the unit `prelude` starts."""
+    return _satisfied_task(f"{prelude}int f(int *p, int *q, int x, int c, int k, int n) "
+                           f"{{ free(p); {body} return 0; }}", "double-free", idx=idx)
+
+
+class TestObserver:
+    """An infeasible core cuts only the paths that get its constraints
+    again.  Each case fails if the observer's rule is loosened."""
+
+    @pytest.mark.parametrize("body, first_feasible", [
+        ("if (x > 0) { x = x - 5; if (x < 0) { free(p); } }", True),
+        ("if (x > 0) { if (c) { x = x - 5; } if (x < 0) { free(p); } }", False),
+        ("int y = x; if (y > 0) { if (c) { x = x - 5; } y = x; if (y < 0) { free(p); } }",
+         False),
+    ], ids=["on-the-path", "on-a-branch", "read-through-a-copy"])
+    def test_a_write_between_the_guards_stays_confirmed(self, body, first_feasible):
+        # the shortest witness of the branch cases skips the write and is
+        # infeasible; the write is a writer of the core's variables (of y,
+        # and of x, which the trace's `y = x` reads), so it releases the path
+        task, g, sat = _double_free(body)
+        first = witness(task.kripke, task.formula, g.entry, sat)
+        assert (feasible(constraints(first, g)) == Feasible) == first_feasible
+        assert refine_diagnostic(task, g, 5, sat=sat)[0] == CONFIRMED
+
+    @pytest.mark.parametrize("max_witnesses", [1, 5, 300])
+    def test_a_loop_that_decrements_between_the_guards_is_never_suppressed(
+            self, max_witnesses):
+        task, g, sat = _double_free(
+            "if (x > 0) { while (k < n) { x = x - 1; k = k + 1; } if (x < 0) { free(p); } }")
+        assert refine_diagnostic(task, g, max_witnesses, sat=sat)[0] != SUPPRESSED
+
+    @pytest.mark.parametrize("max_witnesses", [1, 5, 300])
+    @pytest.mark.parametrize("write", ["h();", "*q = 1;"], ids=["call", "pointer-write"])
+    def test_a_global_written_between_the_guards_is_never_suppressed(self, write,
+                                                                     max_witnesses):
+        # the guards read only gl, but a global is escaped, so every clobber
+        # is a writer of it
+        task, g, sat = _double_free(
+            f"if (gl > 0) {{ if (c) {{ {write} }} if (gl < 0) {{ free(p); }} }}",
+            prelude="int gl; void h() { gl = -1; }\n", idx=1)
+        assert refine_diagnostic(task, g, max_witnesses, sat=sat)[0] != SUPPRESSED
+
+    def test_a_loop_between_contradictory_guards_is_suppressed_in_one_round(self):
+        # the loop writes only k, which the core does not read, so the one
+        # core x > 0, x < 0 cuts every pass count at once
+        task, g, sat = _double_free(
+            "if (x > 0) { while (k < n) { k = k + 1; } if (x < 0) { free(p); } }")
+        assert refine_diagnostic(task, g, 1, sat=sat) == (SUPPRESSED, None)
+        traces, verdict = enumerate_witnesses(task, g, 300, sat)
+        assert (len(traces), verdict) == (1, SUPPRESSED)
+
+
+def test_the_state_budget_bounds_a_large_witness_budget():
+    start = time.monotonic()
+    _analyze_pin_sources(300)
+    assert time.monotonic() - start < 5

@@ -23,8 +23,8 @@ GENERATED = 50
 # max_witnesses -> (sha256 of stdout, its length in characters)
 DIGESTS = {
     0: ("a564e94dbd9a6ca58596876330529398651a86bbbe8954f1b3c5455d3f7d1fb2", 29911),
-    5: ("509394cd80925185a0834a1d323b7bf75e9739d0028c55f1a361eb13dda01972", 27947),
-    300: ("00ded2ae646ff42f7c11a10ad1ab42ec0e6fbef44936732c448e6a4101274fce", 29792),
+    5: ("834947fb0211e59767df19e45312b902bd6512c57c506092df4ef1118fde4bc4", 26788),
+    300: ("30f0d6f094f6ad3e748de20038973e4c2f3944a0745f81d863ad2a2aff662ec6", 28185),
 }
 
 

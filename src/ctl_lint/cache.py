@@ -21,10 +21,24 @@ from typing import NamedTuple
 from . import __version__
 from .diagnostics import CONFIRMED, SEVERITY_RANK, Diagnostic
 
-CACHE_HEADER = "ctl-lint-cache v5"
+CACHE_HEADER = "ctl-lint-cache v6"
+KEY_HEX = 32  # every key and digest is this many leading hex characters of a sha256
 
 _HEADER_LINE = (CACHE_HEADER + "\n").encode("ascii")
-_RECORD_HEAD = re.compile(rb"([0-9a-f]{64}) ([0-9]+) ([0-9a-f]{8})")
+_RECORD_HEAD = re.compile(rb"([0-9a-f]{%d}) ([0-9]+) ([0-9a-f]{8})" % KEY_HEX)
+# The preset zlib dictionary (RFC 1950's FDICT) of every payload: each check's diagnostic
+# openings, messages and tails, and common summaries; the most frequent last, nearest.
+_ZDICT = (b'["buffer-overrun","error","index [] is outside \'int ] may fall outside \'int '
+          b'["div-by-zero","error","division by zero",true,[]]'
+          b'["div-by-zero","warning","possible division by zero",false,[]]'
+          b'["dead-code","info","unreachable code",true,['
+          b'["uninit-read","warning","\'\' may be read before initialization",true,['
+          b'["double-free","error","\'\' may be freed twice",true,['
+          b'["use-after-free","error","\'\' is used after being freed",true,['
+          b'["null-deref","warning","\'\' may be NULL when dereferenced",true,['
+          b'["memory-leak","warning","allocation of \'\' may reach function exit without free"'
+          b',true,[,false,[]][false,[0],[]][false,[],[0]]]]],[true,[],[]],]]],[false,[],[]],'
+          b'",[[],[false,[],[]],')
 
 
 def _warn(message: str, *args) -> None:
@@ -41,15 +55,27 @@ def _frame(key: str, payload: bytes) -> bytes:
 
 
 def _encode(obj) -> bytes:
-    """The payload of a record holding `obj`: its canonical JSON, compressed.
-    `zlib.compress` is deterministic, so an unchanged record encodes to the
-    bytes the store already holds."""
-    return zlib.compress(canonical_json(obj).encode("ascii"))
+    """The payload of a record holding `obj`: its canonical JSON, compressed
+    with `_ZDICT`.  Compression is deterministic, so an unchanged record
+    encodes to the bytes the store already holds."""
+    z = zlib.compressobj(zdict=_ZDICT)
+    return z.compress(canonical_json(obj).encode("ascii")) + z.flush()
+
+
+def _decode_payload(payload: bytes):
+    """The value `_encode` made `payload` of.  A payload that is cut short,
+    runs on past its stream or was not compressed with `_ZDICT` (its FDICT
+    flag is clear) raises ValueError or zlib.error."""
+    z = zlib.decompressobj(zdict=_ZDICT)
+    text = z.decompress(payload)
+    if not (z.eof and not z.unused_data and payload[1] & 0x20):
+        raise ValueError("not a whole payload compressed with the dictionary")
+    return json.loads(text)
 
 
 def _framed_size(payload: bytes) -> int:
     """The length of the record `_frame` makes of `payload`."""
-    return len(payload) + len(str(len(payload))) + 76
+    return len(payload) + len(str(len(payload))) + KEY_HEX + 12
 
 
 def _parse(blob: bytes) -> tuple[list[tuple[str, bytes]], str | None]:
@@ -85,16 +111,17 @@ def _parse(blob: bytes) -> tuple[list[tuple[str, bytes]], str | None]:
 class CacheDb:
     """Single-file append-friendly store, shared by concurrent runs.
 
-    Format: header line `ctl-lint-cache v5`, then records of
-    `<64-hex key> <byte-length> <8-hex crc32>\\n<payload>\\n`, the CRC
-    taken over the key and the payload, which is zlib-compressed canonical
-    JSON (`_encode`).  There is one kind of record: one per input file,
-    keyed by `file_key`, whose payload inflates to `[digest, starts,
-    functions]`: the file's `source_digest`, then each function's start
-    offset and `[function key, function record]` (as `pack_function`
-    makes it), in source order.  `file_hit` returns the record of a file
-    whose bytes are unchanged; `get` finds a function by its key in any
-    record the store held at its first call; a later `put` is not seen.
+    Format: header line `ctl-lint-cache v6`, then records of
+    `<32-hex key> <byte-length> <8-hex crc32>\\n<payload>\\n`, the CRC
+    taken over the key and the payload, which is canonical JSON compressed
+    with zlib and the preset dictionary `_ZDICT` (`_encode`).  There is one
+    kind of record: one per input file, keyed by `file_key`, whose payload
+    inflates to `[digest, starts, functions]`: the `digest` of the file's
+    bytes, then each function's start offset and `[function key, function
+    record]` (as `pack_function` makes it), in source order.  `file_hit`
+    returns the record of a file whose bytes are unchanged; `get` finds a
+    function by its key in any record the store held at its first call; a
+    later `put` is not seen.
 
     A later record for a key supersedes an earlier one, and that is the
     whole liveness rule: the live records are the last one for each key,
@@ -109,7 +136,7 @@ class CacheDb:
     function records do not render, is found when it is first read.  In
     all three cases the lost records are misses, and the next store
     rewrites the file without them.  A file with another header (a v1 to
-    v4 store, say) starts fresh.
+    v5 store, say) starts fresh.
 
     Loading holds a shared `flock` on the store, appending and rewriting an
     exclusive one.  After taking a lock the store is reopened if a rewrite
@@ -172,7 +199,7 @@ class CacheDb:
         """The file record `payload` holds, or None when it holds none: then
         it is a miss for its functions, and is dropped at the next rewrite."""
         try:
-            digest, starts, functions = record = json.loads(zlib.decompress(payload))
+            digest, starts, functions = record = _decode_payload(payload)
             if not (isinstance(digest, str) and len(starts) == len(functions)
                     and all(type(s) is int for s in starts)
                     and all(type(k) is str and _readable(f) for k, f in functions)):
@@ -196,8 +223,8 @@ class CacheDb:
                 self._functions.update(record[2])
 
     def file_hit(self, key: str, digest: str) -> list | None:
-        """The record for file key `key` when it was stored for bytes whose
-        `source_digest` is `digest`.  It inflates that record alone."""
+        """The record for file key `key` when it was stored for bytes with
+        the digest `digest`.  It inflates that record alone."""
         payload = self._entries.get(key)
         record = self._inflate(key, payload) if payload is not None else None
         if record is not None:
@@ -287,8 +314,10 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), sort_keys=False, ensure_ascii=True)
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def digest(data: bytes) -> str:
+    """The digest of `data` that the store keeps, as every key and a file
+    record's digest of the file's bytes."""
+    return hashlib.sha256(data).hexdigest()[:KEY_HEX]
 
 
 def cache_key(source_text: str, checkset_text: str, summary_env: str,
@@ -299,22 +328,23 @@ def cache_key(source_text: str, checkset_text: str, summary_env: str,
     budget and the tool version.  No analysis reads a global's initializer:
     globals are havocked, so only their names, types and order count."""
     parts = [
-        _sha256(source_text),
-        _sha256(checkset_text),
-        _sha256(summary_env),
-        _sha256(globals_env),
+        digest(source_text.encode()),
+        digest(checkset_text.encode()),
+        digest(summary_env.encode()),
+        digest(globals_env.encode()),
         f"max_witnesses={max_witnesses}",
         f"ctl-lint/{__version__}",
     ]
-    return _sha256("\n".join(parts))
+    return digest("\n".join(parts).encode())
 
 
 def file_key(file: str, checkset_text: str, max_witnesses: int) -> str:
     """Key of the record of input file `file` (the path as given).  It
     hashes the path's file-system bytes, which for a UTF-8 path are its
     UTF-8 encoding and for any other are the bytes the system gave."""
-    rest = f"{_sha256(checkset_text)}\nmax_witnesses={max_witnesses}\nctl-lint/{__version__}"
-    return hashlib.sha256(b"index\n%s\n%s" % (os.fsencode(file), rest.encode())).hexdigest()
+    rest = (f"{digest(checkset_text.encode())}\nmax_witnesses={max_witnesses}\n"
+            f"ctl-lint/{__version__}")
+    return digest(b"index\n%s\n%s" % (os.fsencode(file), rest.encode()))
 
 
 # ---------------------------------------------------------------------------

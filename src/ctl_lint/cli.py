@@ -32,10 +32,10 @@ import sys
 from json.encoder import encode_basestring_ascii as _escape
 from typing import TYPE_CHECKING
 
-from .cache import CacheDb, file_key
+from .cache import CacheDb, digest, file_key
 from .diagnostics import ANALYSIS_CHECKS, CONFIRMED, UNCONFIRMED, AnalysisError, Counters
 from .diagnostics import EngineConfig, meets_min_severity, read_checkset
-from .source import LocatedError, functions_at, parse_bytes, source_digest
+from .source import LocatedError, functions_at, parse_bytes
 
 if TYPE_CHECKING:
     from .speclang import CheckSpec
@@ -234,7 +234,7 @@ def _file_hit(path: str) -> tuple[list[Row], Counters, None] | None:
     except OSError:  # a miss, whose worker raises the error in input order
         return None
     record = db.file_hit(file_key(path, config.checkset_text, config.max_witnesses),
-                         source_digest(data))
+                         digest(data))
     if record is None:
         return None
     rows, counters = _rows(fmt, path, data, record)

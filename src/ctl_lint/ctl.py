@@ -236,6 +236,7 @@ def is_propositional(f: CtlFormula) -> bool:
     return False
 
 
+@functools.cache  # `witness` asks again in every refinement round
 def is_witnessable(f: CtlFormula) -> bool:
     """Existential-positive fragment with single-path witnesses."""
     if is_propositional(f):

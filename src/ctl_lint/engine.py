@@ -120,6 +120,9 @@ def compute_summary(cfg: Cfg, summaries: dict[str, FunctionSummary],
     always_frees(i): no path reaches exit without freeing parameter i.
     derefs_param_unchecked(i): some path dereferences parameter i before
     any null check of it.
+    A query with an empty trigger label needs no model checking, as in
+    `instantiate`: with nothing nulled, freed or dereferenced, no null is
+    returned, the exit escapes iff it is reachable, and no deref is unchecked.
     """
     may_null = False
     for rid in cfg.table.returns:
@@ -141,8 +144,8 @@ def compute_summary(cfg: Cfg, summaries: dict[str, FunctionSummary],
             props = _labeling(index, value.name, nulled=("null_assign", "malloc_assign"),
                               assign=("assign_to",))
             props["ret"] = frozenset((rid,))
-            k = to_kripke(cfg, props)
-            if check(k, _RETURNS_NULLED).holds(_RETURNS_NULLED, cfg.entry):
+            if props["nulled"] and check(to_kripke(cfg, props), _RETURNS_NULLED).holds(
+                    _RETURNS_NULLED, cfg.entry):
                 may_null = True
                 break
 
@@ -151,12 +154,14 @@ def compute_summary(cfg: Cfg, summaries: dict[str, FunctionSummary],
     for i, prm in enumerate(cfg.func.params):
         props = _labeling(index, prm.name, fre=("free_of",))
         props["ext"] = frozenset((cfg.exit,))
-        k = to_kripke(cfg, props)
-        if not check(k, _ESCAPES).holds(_ESCAPES, cfg.entry):
+        escapes = (check(to_kripke(cfg, props), _ESCAPES).holds(_ESCAPES, cfg.entry)
+                   if props["fre"] else cfg.exit not in cfg.unreachable)
+        if not escapes:
             always_frees.add(i)
 
-        k = to_kripke(cfg, _labeling(index, prm.name, drf=("deref",), chk=("null_check",)))
-        if check(k, _UNCHECKED_DEREF).holds(_UNCHECKED_DEREF, cfg.entry):
+        props = _labeling(index, prm.name, drf=("deref",), chk=("null_check",))
+        if props["drf"] and check(to_kripke(cfg, props), _UNCHECKED_DEREF).holds(
+                _UNCHECKED_DEREF, cfg.entry):
             derefs_unchecked.add(i)
 
     return FunctionSummary(cfg.function, may_null, frozenset(always_frees),

@@ -31,8 +31,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .cache import digest
 from .source import _MINIC_TOKENS, _UNSUPPORTED_KEYWORDS, ParseError, SourceLocation, Token
-from .source import source_digest, tokenize
+from .source import tokenize
 
 
 class SemanticError(NamedTuple):
@@ -275,7 +276,7 @@ class TranslationUnit:
         self.functions = functions
         self.globals = globals
         self.scope_problems = scope_problems  # those of the globals first; see check_well_formed
-        self.digest = digest  # `source_digest` of the text's UTF-8 bytes
+        self.digest = digest  # `cache.digest` of the text's UTF-8 bytes
 
 
 def _at(node, loc: SourceLocation):
@@ -420,7 +421,7 @@ class _Parser:
                 globals_.append(self._decl_rest(start_tok, is_ptr, name_tok))
                 self.expect(";")
         return TranslationUnit(file, functions, globals_, global_problems + function_problems,
-                               source_digest(self.source.encode("utf-8")))
+                               digest(self.source.encode("utf-8")))
 
     def _function_rest(self, start_tok: Token, name_tok: Token, ret: MiniCType) -> FunctionDef:
         self.expect("(")

@@ -9,7 +9,6 @@ module does not load the parser; `parse_bytes` imports it on first use.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -122,12 +121,6 @@ _MINIC_TOKENS = re.compile(r"""
   | (?P<punct> <= | >= | == | != | && | \|\| | \+\+ | -- | /(?!\*) | [-+*%<>=!&|(){}\[\],;] )
   | (?P<error> /\* | [0-9]+[A-Za-z_] | [A-Za-z_][A-Za-z0-9_]* | . )
 """, re.VERBOSE | re.DOTALL)
-
-
-def source_digest(data: bytes) -> str:
-    """The digest of a unit's bytes that the cache stores: the first 32
-    hex characters of their sha256."""
-    return hashlib.sha256(data).hexdigest()[:32]
 
 
 def functions_at(source: str, offsets: list[int]) -> list[tuple[str, int]]:

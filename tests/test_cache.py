@@ -1,4 +1,4 @@
-"""The v5 cache store: corruption, concurrent runs, liveness, compaction and
+"""The v6 cache store: corruption, concurrent runs, liveness, compaction and
 the file tier."""
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pytest
 from ctl_lint import cache, cli
 from ctl_lint import frontend as F
 from ctl_lint.cli import POOL_BYTES, main
-from ctl_lint.cache import CacheDb, canonical_json
+from ctl_lint.cache import KEY_HEX, CacheDb, canonical_json
 from ctl_lint.engine import EngineConfig, analyze_unit
 from ctl_lint.speclang import load_checkset
 from fixtures_bugs import FIXTURES
@@ -70,13 +70,19 @@ def func_record(n: int = 0, pad: str = "") -> list:
     return [diagnostics, [False, [], []], n, 0]
 
 
-DIGEST = "0" * 32  # the digest `file_record` stores
+DIGEST = "0" * KEY_HEX  # the digest `file_record` stores
 
 
 def file_record(*functions: tuple[str, list]) -> list:
     """A file record listing (function key, function record) pairs, for
     bytes with `DIGEST`, the functions starting at offsets 0, 1, ..."""
     return [DIGEST, list(range(len(functions))), [[key, record] for key, record in functions]]
+
+
+def deflate(data: bytes) -> bytes:
+    """`data` compressed as `cache._encode` compresses a record's JSON."""
+    z = zlib.compressobj(zdict=cache._ZDICT)
+    return z.compress(data) + z.flush()
 
 
 def framed(key: str, obj) -> int:
@@ -115,7 +121,7 @@ class TestCorruption:
 
     def test_checksum_mismatch_skips_only_its_record(self, tmp_path, caplog):
         path = tmp_path / "c.db"
-        fa, fb, ka, kb = (c * 64 for c in "abcd")
+        fa, fb, ka, kb = (c * KEY_HEX for c in "abcd")
         db = CacheDb(str(path))
         db.put(fa, file_record((ka, func_record(1))))
         db.put(fb, file_record((kb, func_record(2))))
@@ -136,7 +142,7 @@ class TestCorruption:
         """A store whose first record has the CRC-valid payload `bad` loses
         that record alone, and the next store rewrites the file without it."""
         path = tmp_path / "c.db"
-        fa, fb, fc, ka, kb, kc = (c * 64 for c in "abcdef")
+        fa, fb, fc, ka, kb, kc = (c * KEY_HEX for c in "abcdef")
         good = cache._encode(file_record((kb, func_record(2))))
         path.write_bytes(cache._HEADER_LINE + cache._frame(fa, bad) + cache._frame(fb, good))
         db = CacheDb(str(path))
@@ -157,31 +163,50 @@ class TestCorruption:
 
     def test_undecodable_payload_is_a_miss_and_rewritten(self, tmp_path, caplog):
         # the payload inflates, but not to JSON
-        self.undecodable_is_a_miss_and_rewritten(tmp_path, caplog, zlib.compress(b"[["))
+        self.undecodable_is_a_miss_and_rewritten(tmp_path, caplog, deflate(b"[["))
 
     def test_payload_that_is_not_zlib_data_is_a_miss_and_rewritten(self, tmp_path, caplog):
         # a v3 payload: uncompressed canonical JSON
-        bad = canonical_json(file_record(("a" * 64, func_record(1)))[2]).encode()
+        bad = canonical_json(file_record(("a" * KEY_HEX, func_record(1)))[2]).encode()
         self.undecodable_is_a_miss_and_rewritten(tmp_path, caplog, bad)
 
     def test_payload_inflating_to_another_shape_is_a_miss_and_rewritten(self, tmp_path,
                                                                         caplog):
-        self.undecodable_is_a_miss_and_rewritten(tmp_path, caplog, zlib.compress(b"5"))
+        self.undecodable_is_a_miss_and_rewritten(tmp_path, caplog, cache._encode(5))
+
+    def test_payload_compressed_without_the_dictionary_is_a_miss_and_rewritten(self, tmp_path,
+                                                                              caplog):
+        # a v5 payload in a v6 frame: it inflates to a well-formed file record
+        # without the dictionary, so only its clear FDICT flag tells it apart
+        record = canonical_json(file_record(("d" * KEY_HEX, func_record(1)))).encode()
+        self.undecodable_is_a_miss_and_rewritten(tmp_path, caplog, zlib.compress(record))
+
+    @pytest.mark.parametrize("cut", [1, 4, 5, 12], ids=["adler-1", "adler", "adler+1", "deep"])
+    def test_truncated_dictionary_stream_is_a_miss_and_rewritten(self, tmp_path, caplog, cut):
+        # cut within the trailing checksum, the stream inflates to the whole
+        # record; the stream is not finished, and that makes it a miss
+        good = cache._encode(file_record(("d" * KEY_HEX, func_record(1))))
+        self.undecodable_is_a_miss_and_rewritten(tmp_path, caplog, good[:-cut])
+
+    def test_payload_with_bytes_after_its_stream_is_a_miss_and_rewritten(self, tmp_path,
+                                                                         caplog):
+        good = cache._encode(file_record(("d" * KEY_HEX, func_record(1))))
+        self.undecodable_is_a_miss_and_rewritten(tmp_path, caplog, good + b"\x00")
 
     @pytest.mark.parametrize("bad", [
-        [["d" * 64, [1]]],
-        file_record(("d" * 64, [1])),
-        file_record(("d" * 64, [[["c", "error", 0]], [False, [], []], 1, 0])),
-        file_record(("d" * 64, [[["c", "error", 0, 1, "m", False, [3]]], [False, [], []], 1, 0])),
-        file_record(("d" * 64, [[], [False, [[]], []], 1, 0])),
-        [DIGEST, [], [["d" * 64, func_record(1)]]],
-        [DIGEST, ["0"], [["d" * 64, func_record(1)]]],
-        [0, [0], [["d" * 64, func_record(1)]]],
+        [["d" * KEY_HEX, [1]]],
+        file_record(("d" * KEY_HEX, [1])),
+        file_record(("d" * KEY_HEX, [[["c", "error", 0]], [False, [], []], 1, 0])),
+        file_record(("d" * KEY_HEX, [[["c", "error", 0, 1, "m", False, [3]]], [False, [], []], 1, 0])),
+        file_record(("d" * KEY_HEX, [[], [False, [[]], []], 1, 0])),
+        [DIGEST, [], [["d" * KEY_HEX, func_record(1)]]],
+        [DIGEST, ["0"], [["d" * KEY_HEX, func_record(1)]]],
+        [0, [0], [["d" * KEY_HEX, func_record(1)]]],
         [DIGEST, [0], [[0, func_record(1)]]],
-        file_record(("d" * 64, [[["c", "fatal", 0, 1, "m", False, []]], [False, [], []], 1, 0])),
-        file_record(("d" * 64, [[[[1], "error", 0, 1, "m", False, []]], [False, [], []], 1, 0])),
-        file_record(("d" * 64, [[["c", "error", 0, 1, 5, False, []]], [False, [], []], 1, 0])),
-        file_record(("d" * 64, [[["c", "error", 0, 1, "m", 1, []]], [False, [], []], 1, 0])),
+        file_record(("d" * KEY_HEX, [[["c", "fatal", 0, 1, "m", False, []]], [False, [], []], 1, 0])),
+        file_record(("d" * KEY_HEX, [[[[1], "error", 0, 1, "m", False, []]], [False, [], []], 1, 0])),
+        file_record(("d" * KEY_HEX, [[["c", "error", 0, 1, 5, False, []]], [False, [], []], 1, 0])),
+        file_record(("d" * KEY_HEX, [[["c", "error", 0, 1, "m", 1, []]], [False, [], []], 1, 0])),
     ], ids=["v4-layout", "short-function", "short-diagnostic", "odd-trace",
             "unhashable-frees", "starts-missing", "start-not-int", "digest-not-str",
             "key-not-str", "unknown-severity", "check-not-str", "message-not-str",
@@ -206,7 +231,7 @@ class TestCorruption:
         run(capsys, "--db", str(db), "c.c")
         [(key, payload)] = cache._parse(db.read_bytes())[0]
         good = db.read_bytes()
-        record = json.loads(zlib.decompress(payload))
+        record = cache._decode_payload(payload)
         assert reshape(record) != record
         db.write_bytes(cache._HEADER_LINE + cache._frame(key, cache._encode(reshape(record))))
         code, out, err = run(capsys, "--format", "json", "--db", str(db), "c.c")
@@ -214,31 +239,66 @@ class TestCorruption:
         assert db.read_bytes() == good  # rewritten without the bad record
 
     def test_v1_store_starts_fresh(self, tmp_path, caplog):
-        # and so do v2 to v4 stores: a record of any is never read as v5's
+        # and so do v2 to v5 stores: a record of any is never read as v6's
         path = tmp_path / "c.db"
-        record = file_record(("c" * 64, func_record()))
+        record = file_record(("c" * KEY_HEX, func_record()))
         v3_record = file_record(("d" * 64, func_record(4)))
+        v5_record = [DIGEST, [0], [["d" * 64, func_record(4)]]]
         for old in (b"ctl-lint-cache v1\n" + b"a" * 64 + b" 2\n{}\n",
                     b"ctl-lint-cache v2\n"
                     + cache._frame("a" * 64, canonical_json(func_record()).encode()),
                     b"ctl-lint-cache v3\n"
                     + cache._frame("a" * 64, canonical_json(v3_record[2]).encode()),
                     b"ctl-lint-cache v4\n"
-                    + cache._frame("a" * 64, cache._encode(v3_record[2]))):
+                    + cache._frame("a" * 64, zlib.compress(canonical_json(v3_record[2]).encode())),
+                    b"ctl-lint-cache v5\n"
+                    + cache._frame("a" * 64, zlib.compress(canonical_json(v5_record).encode()))):
             path.write_bytes(old)
             inode = path.stat().st_ino
             caplog.clear()
             with caplog.at_level("WARNING", logger="ctl_lint"):
                 db = CacheDb(str(path))
-            assert db.get("a" * 64) is None and db.get("d" * 64) is None
-            assert db.file_hit("a" * 64, DIGEST) is None
+                assert db.get("a" * 64) is None and db.get("d" * 64) is None
+                assert db.get("a" * KEY_HEX) is None and db.get("d" * KEY_HEX) is None
+                assert db.file_hit("a" * 64, DIGEST) is None
+                assert db.file_hit("a" * KEY_HEX, DIGEST) is None
             assert any("bad header, starting fresh" in r.message for r in caplog.records)
             assert not any("undecodable" in r.message for r in caplog.records)
-            db.put("b" * 64, record)
+            assert len(caplog.records) == 1
+            db.put("b" * KEY_HEX, record)
             assert path.stat().st_ino != inode  # replaced, not appended to
             assert path.read_bytes() == \
-                cache._HEADER_LINE + cache._frame("b" * 64, cache._encode(record))
-            assert CacheDb(str(path)).get("c" * 64) == func_record()
+                cache._HEADER_LINE + cache._frame("b" * KEY_HEX, cache._encode(record))
+            assert CacheDb(str(path)).get("c" * KEY_HEX) == func_record()
+
+    def test_v5_store_of_a_run_starts_fresh_once(self, ws, capsys, caplog):
+        # a store the previous format wrote for these very files: 64-hex keys
+        # and payloads compressed with no dictionary
+        expected = run(capsys, "--format", "json", "--no-cache", "a.c", "b.c")[:2]
+        db = ws / "c.db"
+        run(capsys, "--db", str(db), "a.c", "b.c")
+        v6 = db.read_bytes()
+        records = cache._parse(v6)[0]
+
+        def widen(key: str) -> str:
+            return (key * 2)[:64]
+
+        v5 = b"ctl-lint-cache v5\n" + b"".join(
+            cache._frame(widen(key), zlib.compress(canonical_json(
+                [digest, starts, [[widen(k), f] for k, f in functions]]).encode()))
+            for key, (digest, starts, functions)
+            in ((key, cache._decode_payload(payload)) for key, payload in records))
+        db.write_bytes(v5)
+        with caplog.at_level("WARNING", logger="ctl_lint"):
+            code, out, err = run(capsys, "--format", "json", "--db", str(db), "a.c", "b.c")
+        assert (code, out) == expected
+        assert [r.message for r in caplog.records] == \
+            [f"cache {db}: bad header, starting fresh"]
+        assert db.read_bytes() == v6  # replaced by the store a cold run writes
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="ctl_lint"):
+            assert hits(run(capsys, "--db", str(db), "a.c", "b.c")[2]) == (5, 5)
+        assert caplog.records == []
 
 
 class TestFormat:
@@ -259,25 +319,45 @@ class TestFormat:
         assert blobs[0] == blobs[1] and pools == [2]
         records, problem = cache._parse(blobs[0])
         assert (len(records), problem) == (len(FIXTURES), None)
+        assert all(len(key) == KEY_HEX for key, _ in records)
+        # the store is at most its measured v6 size (6,865 bytes; 10,740 in
+        # v5) plus 5%, so a change that regrows it fails here
+        assert len(blobs[0]) <= 6_865 * 105 // 100
         # each fixture's record is one or two small functions, mostly hex
         # keys and framing, so the store is smaller than the same records
         # framed as plain canonical JSON, but not by half
         plain = cache._HEADER_LINE + b"".join(
-            cache._frame(key, canonical_json(json.loads(zlib.decompress(payload))).encode())
+            cache._frame(key, canonical_json(cache._decode_payload(payload)).encode())
             for key, payload in records)
         assert len(blobs[0]) < len(plain)
         # a hit is stored again, in a new file's record, as it was read:
         # packing loses nothing of what a record holds
         for _, payload in records:
-            for _, record in json.loads(zlib.decompress(payload))[2]:
+            for _, record in cache._decode_payload(payload)[2]:
                 assert cache.pack_function(function_diagnostics(record, "f", 7, "x.c"),
                                            cache.record_summary(record, "f"), *record[2:],
                                            7) == record
 
-    @pytest.mark.parametrize("n", [9, 10, 99, 100])
+    @pytest.mark.parametrize("n", [9, 10, 99, 100, 999, 1000])
     def test_framed_size_across_length_digits(self, n):
-        payload = bytes(range(n))
-        assert cache._framed_size(payload) == len(cache._frame("a" * 64, payload))
+        payload = bytes(i % 256 for i in range(n))
+        frame = cache._frame("a" * KEY_HEX, payload)
+        assert cache._framed_size(payload) == len(frame)
+        # and the frame is one the store reads back at this key width
+        assert cache._parse(cache._HEADER_LINE + frame) == ([("a" * KEY_HEX, payload)], None)
+
+    def test_readme_names_the_store_the_code_writes(self):
+        # the README's "Caching" section names the header, the key width and
+        # the older formats that start fresh
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(path, encoding="utf-8") as f:
+            caching = f.read().split("\n## Caching\n", 1)[1].split("\n## ", 1)[0]
+        version = int(cache.CACHE_HEADER.rsplit(" v", 1)[1])
+        assert f"`{cache.CACHE_HEADER}`" in caching
+        assert re.findall(r"`<(\d+)-hex key>", caching) == [str(KEY_HEX)]
+        assert f"a v1 to v{version - 1} store" in caching
+        key = cache.file_key("a.c", "builtin", 5)
+        assert len(key) == len(cache.digest(b"")) == KEY_HEX
 
     def test_reading_the_store_loads_no_analyzer(self):
         script = ("import sys\n"
@@ -297,7 +377,7 @@ class TestConcurrency:
         # for its lock; A appends to the file B renamed into place, then
         # compacts itself
         path = str(tmp_path / "c.db")
-        ka, kb1, kb2, fa, fb = (c * 64 for c in "abcde")
+        ka, kb1, kb2, fa, fb = (c * KEY_HEX for c in "abcde")
         CacheDb(path).put(fb, file_record((kb1, func_record(1))))
         a = CacheDb(path)
         b = CacheDb(path)
@@ -324,7 +404,7 @@ class TestConcurrency:
 
     def test_compaction_keeps_records_appended_after_load(self, tmp_path):
         path = str(tmp_path / "c.db")
-        ka1, ka2, kb, fa, fb = (c * 64 for c in "abcde")
+        ka1, ka2, kb, fa, fb = (c * KEY_HEX for c in "abcde")
         a = CacheDb(path)
         a.put(fa, file_record((ka1, func_record(1))))
         CacheDb(path).put(fb, file_record((kb, func_record(2))))  # after A loaded
@@ -339,16 +419,16 @@ class TestConcurrency:
         # A and B load a store with a bad checksum; B's store repairs it, C
         # appends, and A's store, which rewrites too, keeps both
         path = tmp_path / "c.db"
-        fa, fb, fc, fx = (c * 64 for c in "abcd")
-        CacheDb(str(path)).put(fx, file_record(("e" * 64, func_record())))
+        fa, fb, fc, fx = (c * KEY_HEX for c in "abcd")
+        CacheDb(str(path)).put(fx, file_record(("e" * KEY_HEX, func_record())))
         blob = bytearray(path.read_bytes())
         blob[-2] ^= 1  # inside fx's payload
         path.write_bytes(bytes(blob))
         a = CacheDb(str(path))
         b = CacheDb(str(path))
-        stored = {fb: file_record(("f" * 64, func_record(2))),
-                  fc: file_record(("0" * 64, func_record(3))),
-                  fa: file_record(("1" * 64, func_record(1)))}
+        stored = {fb: file_record(("f" * KEY_HEX, func_record(2))),
+                  fc: file_record(("0" * KEY_HEX, func_record(3))),
+                  fa: file_record(("1" * KEY_HEX, func_record(1)))}
         b.put(fb, stored[fb])
         CacheDb(str(path)).put(fc, stored[fc])
         a.put(fa, stored[fa])
@@ -430,11 +510,12 @@ class TestKeys:
         assert (code, out) == expected and hits(err) == (0, 3)
 
     @pytest.mark.parametrize("path, key", [
-        ("a.c", "f9ba3906d0ef7702141e68744730e5b8199d4ddd64516320cd47ecfd73908a75"),
-        ("dir/\u00e9.c", "e140552afdc7146b93c92ab040a949bf0dbb4895389957f994a2bfddfe42675c"),
+        ("a.c", "1036b9e0e10e5ccb32e25e6c0bd1020e"),
+        ("dir/\u00e9.c", "c9fb0e6a4012852d7cb9d23f37243763"),
     ], ids=["ascii", "utf8"])
     def test_a_utf8_path_keeps_its_file_key(self, monkeypatch, path, key):
-        # the key of 0.2.2, which hashed the path's UTF-8 text
+        # the key of 0.2.2, which hashed the path's UTF-8 text, at the v6
+        # store's width: the first 32 hex characters of each sha256
         monkeypatch.setattr(cache, "__version__", "0.2.2")
         assert cache.file_key(path, "builtin", 5) == key
 
@@ -497,7 +578,7 @@ class TestLiveness:
     @pytest.mark.parametrize("extra, due", [(0, False), (1, True)])
     def test_compaction_when_dead_bytes_exceed_a_quarter_of_live(self, tmp_path, extra, due):
         path = tmp_path / "c.db"
-        key, dead_key, file = (c * 64 for c in "abc")
+        key, dead_key, file = (c * KEY_HEX for c in "abc")
 
         def live_record(n: int) -> list:
             return file_record((key, func_record(1, NOISE[:n])))
@@ -576,7 +657,7 @@ class TestFileTier:
         assert hits(run(capsys, "--db", str(db), "a.c")[2]) == (3, 3)
         assert parses == ["a.c"]  # a file-tier miss; every function hit
         [(again, new)] = stored  # one record, superseding the old one
-        old = json.loads(zlib.decompress(old))
+        old = cache._decode_payload(old)
         assert again == key and cache._parse(db.read_bytes())[0] == [(key, cache._encode(new))]
         assert old[0] != new[0] and old[1] != new[1]  # digest and starts
         assert [k for k, _ in old[2]] == [k for k, _ in new[2]]  # the function keys
@@ -631,11 +712,11 @@ class TestFileTier:
 
     def test_file_hit_needs_the_digest_it_stored(self, tmp_path):
         db = CacheDb(str(tmp_path / "c.db"))
-        record = file_record(("b" * 64, func_record(1)), ("c" * 64, func_record(2)))
-        db.put("a" * 64, record)
-        assert db.file_hit("a" * 64, DIGEST) == record
-        assert db.file_hit("a" * 64, "1" * 32) is None
-        assert db.file_hit("d" * 64, DIGEST) is None
+        record = file_record(("b" * KEY_HEX, func_record(1)), ("c" * KEY_HEX, func_record(2)))
+        db.put("a" * KEY_HEX, record)
+        assert db.file_hit("a" * KEY_HEX, DIGEST) == record
+        assert db.file_hit("a" * KEY_HEX, "1" * KEY_HEX) is None
+        assert db.file_hit("d" * KEY_HEX, DIGEST) is None
         assert db._functions is None  # the function map was never built
 
     def test_an_all_hit_run_keeps_no_inflated_record(self, ws, capsys, monkeypatch):
@@ -650,22 +731,22 @@ class TestFileTier:
 
     def test_a_reused_record_is_not_kept(self, tmp_path):
         db = CacheDb(str(tmp_path / "c.db"))
-        db.put("a" * 64, file_record(("b" * 64, func_record(1))))
-        db.put("c" * 64, file_record(("d" * 64, func_record(2))))
+        db.put("a" * KEY_HEX, file_record(("b" * KEY_HEX, func_record(1))))
+        db.put("c" * KEY_HEX, file_record(("d" * KEY_HEX, func_record(2))))
         fresh = CacheDb(str(tmp_path / "c.db"))
-        assert fresh.file_hit("a" * 64, DIGEST) and fresh.file_hit("c" * 64, DIGEST)
-        assert fresh.get("d" * 64) == func_record(2)
+        assert fresh.file_hit("a" * KEY_HEX, DIGEST) and fresh.file_hit("c" * KEY_HEX, DIGEST)
+        assert fresh.get("d" * KEY_HEX) == func_record(2)
         assert fresh._hits == {}  # `_decode` reused both, and dropped them
 
     def test_a_record_file_hit_inflated_is_not_inflated_again(self, tmp_path, monkeypatch):
         path = str(tmp_path / "c.db")
-        fa, fb, ka, kb = (c * 64 for c in "abcd")
+        fa, fb, ka, kb = (c * KEY_HEX for c in "abcd")
         db = CacheDb(path)
         db.put(fa, file_record((ka, func_record(1))))
         db.put(fb, file_record((kb, func_record(2))))
         db.put(fa, file_record((ka, func_record(3))))  # supersedes fa's first record
         fresh = CacheDb(path)
-        assert fresh.file_hit(fa, "1" * 32) is None  # a digest mismatch keeps it too
+        assert fresh.file_hit(fa, "1" * KEY_HEX) is None  # a digest mismatch keeps it too
         inflated = []
         real = CacheDb._inflate
         monkeypatch.setattr(CacheDb, "_inflate",

@@ -144,6 +144,20 @@ class TestWitness:
         assert not is_witnessable(And(EF(p), EF(q)))
         assert is_witnessable(EF(And(p, EX(EU(Not(q), p)))))
 
+    def test_fragment_is_walked_once_per_formula(self):
+        # refinement asks `witness` again in every round; a formula outside
+        # the fragment is still rejected on every call
+        k = mk([[1], [1]], [{"q"}, {"p"}])
+        f = EX(EU(q, And(p, EX(p))))
+        outside = EX(Not(EF(Not(q))))
+        for _ in range(3):
+            assert witness(k, f, 0) == (0, 1, 1)
+            with pytest.raises(ValueError):
+                witness(k, outside, 0)
+            walked = is_witnessable.cache_info().currsize
+            assert is_witnessable(f) and not is_witnessable(outside)
+            assert is_witnessable.cache_info().currsize == walked
+
     def test_random_witnesses_validate(self):
         rng = random.Random(77)
         validated = 0

@@ -12,8 +12,9 @@ import pytest
 
 from ctl_lint import cache, engine
 from ctl_lint import frontend as F
-from ctl_lint.cfg import build_cfg
-from ctl_lint.cache import CACHE_HEADER, CacheDb, cache_key, canonical_json
+from ctl_lint.cfg import build_cfg, to_kripke
+from ctl_lint.ctl import check
+from ctl_lint.cache import CACHE_HEADER, KEY_HEX, CacheDb, cache_key, canonical_json
 from ctl_lint.engine import (
     Counters, EngineConfig, FunctionSummary, AnalysisError, analyze_unit, apply_summaries,
     call_order,
@@ -44,8 +45,8 @@ def clean(tasks: int) -> list:
 
 
 def file_record(function_key: str, tasks: int) -> list:
-    """A v5 file record of one `clean` function."""
-    return ["0" * 32, [0], [[function_key, clean(tasks)]]]
+    """A v6 file record of one `clean` function."""
+    return ["0" * KEY_HEX, [0], [[function_key, clean(tasks)]]]
 
 
 class TestSummaries:
@@ -126,6 +127,73 @@ class TestSummaries:
                                for root in node.roots for e in F.walk(root)
                                if isinstance(e, F.Call) and e.name in names}
                 assert callees[f.name] == sorted(under_roots), (src, f.name)
+
+    @staticmethod
+    def model_checked_summary(cfg, summaries, index) -> tuple[FunctionSummary, int]:
+        """`compute_summary` with every query model-checked, empty trigger
+        labels included, and the number of queries whose trigger is empty."""
+        empty = 0
+        may_null = False
+        for rid in cfg.table.returns:
+            value = cfg.nodes[rid].stmt.value
+            if isinstance(value, F.IntLit) and value.value == 0:
+                may_null = True
+                break
+            if isinstance(value, F.Call):
+                callee = summaries.get(value.name)
+                if value.name == "malloc" or callee is not None and callee.may_return_null:
+                    may_null = True
+                    break
+            if isinstance(value, F.Var):
+                props = engine._labeling(index, value.name, nulled=("null_assign", "malloc_assign"),
+                                         assign=("assign_to",))
+                props["ret"] = frozenset((rid,))
+                empty += not props["nulled"]
+                if check(to_kripke(cfg, props), engine._RETURNS_NULLED).holds(
+                        engine._RETURNS_NULLED, cfg.entry):
+                    may_null = True
+                    break
+        frees, derefs = set(), set()
+        for i, prm in enumerate(cfg.func.params):
+            props = engine._labeling(index, prm.name, fre=("free_of",))
+            props["ext"] = frozenset((cfg.exit,))
+            empty += not props["fre"]
+            if not check(to_kripke(cfg, props), engine._ESCAPES).holds(engine._ESCAPES,
+                                                                       cfg.entry):
+                frees.add(i)
+            props = engine._labeling(index, prm.name, drf=("deref",), chk=("null_check",))
+            empty += not props["drf"]
+            if check(to_kripke(cfg, props), engine._UNCHECKED_DEREF).holds(
+                    engine._UNCHECKED_DEREF, cfg.entry):
+                derefs.add(i)
+        return FunctionSummary(cfg.function, may_null, frozenset(frees),
+                               frozenset(derefs)), empty
+
+    def test_empty_trigger_queries_match_the_model_checked_summary(self):
+        # every function of the fixtures and of 300 generated programs, in
+        # the bottom-up order `analyze_unit` summarizes them
+        from fixtures_bugs import FIXTURES
+        from program_gen import generate_program
+        sources = [fixture.source for fixture in FIXTURES]
+        sources += [generate_program(seed) for seed in range(300)]
+        compared = empty = 0
+        for src in sources:
+            tu = F.parse(src, "a.c")
+            funcs = {f.name: f for f in tu.functions}
+            order, cyclic, _ = call_order(tu.functions)
+            summaries: dict[str, FunctionSummary] = {}
+            for name in order:
+                if name in cyclic:
+                    summaries[name] = engine.pessimistic_summary(funcs[name])
+                    continue
+                cfg = build_cfg(funcs[name], tu.globals)
+                index = label_index(cfg, apply_summaries(cfg, summaries))
+                expected, skippable = self.model_checked_summary(cfg, summaries, index)
+                summaries[name] = engine.compute_summary(cfg, summaries, index)
+                assert summaries[name] == expected, (src, name)
+                compared += 1
+                empty += skippable
+        assert compared > 600 and empty > compared
 
 
 class TestApplySummaries:
@@ -275,13 +343,13 @@ class TestCache:
         db_file = tmp_path / "c.db"
         db_path = str(db_file)
         db = CacheDb(db_path)
-        db.put("a" * 64, file_record("b" * 64, 1))
+        db.put("a" * KEY_HEX, file_record("b" * KEY_HEX, 1))
         size = db_file.stat().st_size
-        db.put("a" * 64, file_record("b" * 64, 1))
-        CacheDb(db_path).put("a" * 64, file_record("b" * 64, 1))
+        db.put("a" * KEY_HEX, file_record("b" * KEY_HEX, 1))
+        CacheDb(db_path).put("a" * KEY_HEX, file_record("b" * KEY_HEX, 1))
         assert db_file.stat().st_size == size
-        db.put("a" * 64, file_record("b" * 64, 2))  # a changed record is appended
-        assert CacheDb(db_path).get("b" * 64) == clean(2)
+        db.put("a" * KEY_HEX, file_record("b" * KEY_HEX, 2))  # a changed record is appended
+        assert CacheDb(db_path).get("b" * KEY_HEX) == clean(2)
 
     def test_bad_header_starts_fresh(self, tmp_path, caplog):
         db_file = tmp_path / "c.db"
@@ -297,19 +365,19 @@ class TestCache:
         db_file.write_text("not a cache\n")
         inode = db_file.stat().st_ino
         db = CacheDb(str(db_file))
-        db.put("a" * 64, file_record("c" * 64, 1))  # rewrites the store
-        db.put("b" * 64, file_record("d" * 64, 2))  # appends to the new one
+        db.put("a" * KEY_HEX, file_record("c" * KEY_HEX, 1))  # rewrites the store
+        db.put("b" * KEY_HEX, file_record("d" * KEY_HEX, 2))  # appends to the new one
         assert db_file.stat().st_ino != inode  # renamed over, not truncated
         assert db_file.read_bytes().startswith((CACHE_HEADER + "\n").encode())
         loaded = CacheDb(str(db_file))
-        assert (loaded.get("c" * 64), loaded.get("d" * 64)) == (clean(1), clean(2))
+        assert (loaded.get("c" * KEY_HEX), loaded.get("d" * KEY_HEX)) == (clean(1), clean(2))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.db"]
 
     def test_failed_rewrite_keeps_the_old_store(self, tmp_path, monkeypatch):
         db_file = tmp_path / "c.db"
         db = CacheDb(str(db_file))
-        db.put("a" * 64, file_record("c" * 64, 1))
-        db.put("b" * 64, file_record("d" * 64, 2))
+        db.put("a" * KEY_HEX, file_record("c" * KEY_HEX, 1))
+        db.put("b" * KEY_HEX, file_record("d" * KEY_HEX, 2))
         with open(db_file, "ab") as fh:
             fh.write(b"garbage\n")  # a corrupt tail: the next store rewrites
         old = db_file.read_bytes()
@@ -338,11 +406,11 @@ class TestCache:
         db = CacheDb(str(db_file))
         monkeypatch.setattr(cache, "open", failing_open, raising=False)
         with pytest.raises(OSError):
-            db.put("e" * 64, file_record("f" * 64, 3))
+            db.put("e" * KEY_HEX, file_record("f" * KEY_HEX, 3))
         monkeypatch.undo()
         assert db_file.read_bytes() == old
         loaded = CacheDb(str(db_file))
-        assert (loaded.get("c" * 64), loaded.get("d" * 64)) == (clean(1), clean(2))
+        assert (loaded.get("c" * KEY_HEX), loaded.get("d" * KEY_HEX)) == (clean(1), clean(2))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.db"]
 
     def test_record_format(self, tmp_path):
@@ -356,15 +424,18 @@ class TestCache:
         assert rest == payload + b"\n"  # the file's one record, then the end
         assert key == cache.file_key("test.c", CONFIG.checkset_text, CONFIG.max_witnesses)
         assert int(crc, 16) == zlib.crc32(key.encode() + payload)  # of the compressed bytes
-        # zlib-compressed canonical JSON: [digest, [start offset, ...],
-        #   [[function key, [diagnostics, [may_return_null, always_frees,
-        #   derefs_param_unchecked], tasks, skipped]], ...]]
-        text = zlib.decompress(payload)
+        # canonical JSON compressed with the store's preset dictionary:
+        #   [digest, [start offset, ...], [[function key, [diagnostics,
+        #   [may_return_null, always_frees, derefs_param_unchecked], tasks,
+        #   skipped]], ...]]
+        text = zlib.decompressobj(zdict=cache._ZDICT).decompress(payload)
+        assert payload == cache._encode(json.loads(text))
         assert text == canonical_json(json.loads(text)).encode()
         digest, starts, [[function_key, record]] = json.loads(text)
-        assert digest == hashlib.sha256(src.encode()).hexdigest()[:32]
+        assert digest == hashlib.sha256(src.encode()).hexdigest()[:KEY_HEX]
         assert starts == [src.index("int f")]
-        assert len(function_key) == 64 and all(c in "0123456789abcdef" for c in function_key)
+        assert len(key) == len(function_key) == KEY_HEX
+        assert all(c in "0123456789abcdef" for c in key + function_key)
         assert record == [[], [False, [], []], 0, 0]
 
     def test_new_path_hits_every_function(self, tmp_path):
@@ -422,7 +493,7 @@ class TestAnalyzeUnit:
         stored = record(src)
         digest, starts, functions = stored
         assert len(functions) == 2  # f's and g's, in source order
-        assert digest == F.source_digest(src.encode())
+        assert digest == cache.digest(src.encode())
         assert starts == [0, src.index("int g")]
         assert not os.path.exists(db.path)  # analyze_unit only reads the store
         assert stored == analyze_unit(F.parse(src, "a.c"), CHECKS, None, CONFIG)
@@ -435,10 +506,10 @@ class TestAnalyzeUnit:
         # every function hits, but the path, the bytes or the function list is new
         assert record(src, "b.c") == stored
         spaced = src.replace("\n", "\n\n")
-        assert record(spaced) == [F.source_digest(spaced.encode()),
+        assert record(spaced) == [cache.digest(spaced.encode()),
                                   [0, spaced.index("int g")], functions]
         one = src.split("\n")[0]
-        assert record(one) == [F.source_digest(one.encode()), [0], functions[:1]]
+        assert record(one) == [cache.digest(one.encode()), [0], functions[:1]]
 
     def test_cache_hits_build_no_cfg(self, monkeypatch, tmp_path):
         built = []

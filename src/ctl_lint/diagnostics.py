@@ -6,7 +6,7 @@ import os
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .source import SourceLocation
+from .source import LocatedError, SourceLocation
 
 SEVERITY_RANK = {"error": 0, "warning": 1, "info": 2}
 
@@ -46,12 +46,17 @@ def meets_min_severity(severity: str, min_severity: str) -> bool:
 
 def read_checkset(spec_paths: Sequence[str] = ()) -> tuple[list[tuple[str, str]], str]:
     """The (file, text) of the builtin checks and of each spec file, in
-    order, and the text of all of them, which cache keys hash."""
+    order, and the text of all of them, which cache keys hash.  A spec file
+    that is not UTF-8 is a located error at its start."""
     with open(os.path.join(os.path.dirname(__file__), "builtin.chk"), encoding="utf-8") as fh:
         sources = [("builtin.chk", fh.read())]
     for path in spec_paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            sources.append((path, fh.read()))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                sources.append((path, fh.read()))
+        except UnicodeDecodeError as exc:
+            raise LocatedError(SourceLocation(path, 1, 1),
+                               f"input is not valid UTF-8: {exc.reason}") from None
     return sources, "\n\x00\n".join(text for _, text in sources)
 
 

@@ -16,7 +16,7 @@ from .cache import (
     CacheDb, FunctionSummary, cache_key, canonical_json, pack_function, record_summary,
 )
 from .cfg import Cfg, build_cfg, to_kripke
-from .ctl import And, EU, EX, Not, Prop, TRUE, check
+from .ctl import And, EF, EU, EX, Not, Prop, check
 from .ctl import witness  # noqa: F401 (unused: perfbench/traced.py wraps `engine.witness`)
 from .diagnostics import (
     ANALYSIS_CHECKS, AnalysisError, CONFIRMED, Counters, DEAD_CODE, Diagnostic, EngineConfig,
@@ -103,7 +103,7 @@ def _labeling(index: dict[Fact, list[int]], var: str,
 
 
 # a value reaching a return after a null/malloc assignment and no later write
-_RETURNS_NULLED = EU(TRUE, And(Prop("nulled"), EX(EU(Not(Prop("assign")), Prop("ret")))))
+_RETURNS_NULLED = EF(And(Prop("nulled"), EX(EU(Not(Prop("assign")), Prop("ret")))))
 # a path to the exit that frees nothing
 _ESCAPES = EU(Not(Prop("fre")), Prop("ext"))
 # a dereference with no null check before it
@@ -240,8 +240,8 @@ def analyze_function(cfg: Cfg, checks: list[CheckSpec],
         created += len(bindings)
         skipped += len(bindings) - len(tasks)
         for task in tasks:
-            sat = check(task.kripke, task.formula)
-            if not sat.holds(task.formula, cfg.entry):
+            sat = check(task.kripke, spec.prop)
+            if not sat.holds(spec.prop, cfg.entry):
                 continue
             confidence, trace = refine_diagnostic(task, cfg, config.max_witnesses, sat)
             if confidence == SUPPRESSED:
@@ -249,7 +249,7 @@ def analyze_function(cfg: Cfg, checks: list[CheckSpec],
             anchor = _trace_anchor(task, trace)
             diags.append(Diagnostic(
                 spec.id, spec.severity, cfg.nodes[anchor].loc,
-                _message_for(spec.id, task.bound_var), cfg.function, confidence,
+                _message_for(spec.id, task.var), cfg.function, confidence,
                 tuple(cfg.nodes[s].loc for s in trace)))
     if any(check_sites(cfg)):
         diags.extend(interval_checks(cfg, interval_analyze(cfg)))

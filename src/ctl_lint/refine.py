@@ -66,15 +66,6 @@ class PathConstraint(NamedTuple):
         return f"{lhs} {self.op} {self.rhs}"
 
 
-class FeasibilityVerdict(NamedTuple):
-    kind: str  # FEASIBLE | INFEASIBLE | UNKNOWN
-    reason: str | None = None  # for UNKNOWN: "budget"
-
-
-Feasible = FeasibilityVerdict(FEASIBLE)
-Infeasible = FeasibilityVerdict(INFEASIBLE)
-
-
 def _constraint(terms: dict[str, int], op: str, rhs: int) -> PathConstraint:
     return PathConstraint(tuple(sorted((v, c) for v, c in terms.items() if c != 0)), op, rhs)
 
@@ -212,13 +203,14 @@ def _guard_constraint(e: ast.Expr, branch: str, store: dict[str, Form]) -> PathC
 DEFAULT_FM_BUDGET = 20_000
 
 
-def feasible(cs: list[PathConstraint], budget: int = DEFAULT_FM_BUDGET) -> FeasibilityVerdict:
-    """Rational satisfiability of a constraint conjunction.
+def feasible(cs: list[PathConstraint], budget: int = DEFAULT_FM_BUDGET) -> str:
+    """Rational satisfiability of a constraint conjunction: `FEASIBLE`,
+    `INFEASIBLE` or `UNKNOWN`.
 
     An equality is split into two `<=` rows; then variables are
     eliminated pairwise, cheapest first.  When the remaining
     variable-count x constraint-count product exceeds `budget`, gives up
-    with Unknown(budget).
+    with `UNKNOWN`.
     """
     ineqs = []
     for c in cs:
@@ -230,13 +222,13 @@ def feasible(cs: list[PathConstraint], budget: int = DEFAULT_FM_BUDGET) -> Feasi
     while True:
         ground_bad = any(_ground_violated(c) for c in ineqs if not c.terms)
         if ground_bad:
-            return Infeasible
+            return INFEASIBLE
         ineqs = [c for c in ineqs if c.terms]
         variables = sorted({v for c in ineqs for v, _ in c.terms})
         if not variables:
-            return Feasible
+            return FEASIBLE
         if len(variables) * len(ineqs) > budget:
-            return FeasibilityVerdict(UNKNOWN, "budget")
+            return UNKNOWN
         var = min(variables, key=lambda v: (_elim_cost(ineqs, v), v))
         pos = [c for c in ineqs if _coef(c, var) > 0]
         neg = [c for c in ineqs if _coef(c, var) < 0]
@@ -298,10 +290,11 @@ def refine_diagnostic(task: CheckTask, cfg: Cfg, max_witnesses: int,
     """Feasibility-filter a satisfied check task: the verdict is the
     diagnostic's confidence, `CONFIRMED` or `UNCONFIRMED`, or `SUPPRESSED`;
     the trace is the confirming witness, or else the first one tested."""
-    sat = sat or check(task.kripke, task.formula)
-    assert sat.holds(task.formula, cfg.entry), "refine requires a satisfied task"
+    prop = task.check.prop
+    sat = sat or check(task.kripke, prop)
+    assert sat.holds(prop, cfg.entry), "refine requires a satisfied task"
     if max_witnesses <= 0:
-        return UNCONFIRMED, witness(task.kripke, task.formula, cfg.entry, sat)
+        return UNCONFIRMED, witness(task.kripke, prop, cfg.entry, sat)
     traces, verdict = enumerate_witnesses(task, cfg, max_witnesses, sat)
     if verdict == SUPPRESSED:
         return SUPPRESSED, None
@@ -313,13 +306,13 @@ def enumerate_witnesses(task: CheckTask, cfg: Cfg, rounds: int,
     """The witness each refinement round tested, and the verdict.  The
     diagnostic is unconfirmed after `rounds` rounds, or once the products
     have built more than `DEFAULT_ENUM_BUDGET` states in all."""
-    k, node_of, start = task.kripke, range(task.kripke.n), cfg.entry
+    prop, k, node_of, start = task.check.prop, task.kripke, range(task.kripke.n), cfg.entry
     budget = DEFAULT_ENUM_BUDGET
     traces: list[tuple[int, ...]] = []
     for _ in range(rounds):
-        traces.append(tuple(node_of[s] for s in witness(k, task.formula, start, sat)))
+        traces.append(tuple(node_of[s] for s in witness(k, prop, start, sat)))
         cs = path_constraints(traces[-1], cfg)
-        kind = feasible(list(cs.values())).kind
+        kind = feasible(list(cs.values()))
         if kind != INFEASIBLE:
             return traces, CONFIRMED if kind == FEASIBLE else UNCONFIRMED
         product = _exclude(k, node_of, start, *_observer(traces[-1], _core(cs), cfg.table),
@@ -329,8 +322,8 @@ def enumerate_witnesses(task: CheckTask, cfg: Cfg, rounds: int,
         k, node_of = product
         start = 0
         budget -= k.n
-        sat = check(k, task.formula)
-        if not sat.holds(task.formula, start):
+        sat = check(k, prop)
+        if not sat.holds(prop, start):
             return traces, SUPPRESSED
     return traces, UNCONFIRMED
 
@@ -342,7 +335,7 @@ def _core(cs: dict[int, PathConstraint]) -> set[int]:
     core = list(cs)
     for i in list(core):
         rest = [j for j in core if j != i]
-        if feasible([cs[j] for j in rest]) == Infeasible:
+        if feasible([cs[j] for j in rest]) == INFEASIBLE:
             core = rest
     return set(core)
 

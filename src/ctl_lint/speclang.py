@@ -72,9 +72,6 @@ class Pattern(NamedTuple):
     name: str
     args: tuple[str, ...]  # metavariables ($v), identifiers, or "_"
 
-    def __str__(self) -> str:
-        return f"{self.name}({', '.join(self.args)})"
-
 
 class CheckSpec(NamedTuple):
     id: str
@@ -88,14 +85,8 @@ class CheckSpec(NamedTuple):
 
 class CheckTask(NamedTuple):
     check: CheckSpec
-    function: str
-    binding: tuple[tuple[str, str], ...]  # metavar -> variable
+    var: str  # the variable the check's metavariable is bound to
     kripke: KripkeStructure
-    formula: CtlFormula
-
-    @property
-    def bound_var(self) -> str:
-        return self.binding[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +359,5 @@ def instantiate(check: CheckSpec, cfg: Cfg, index: dict[Fact, list[int]],
         if not hits[0][1]:
             continue  # the trigger label matches nowhere
         props = {name: frozenset(nodes) for name, nodes in hits if nodes}
-        tasks.append(CheckTask(check, cfg.function, ((check.metavar, var),),
-                               to_kripke(cfg, props), check.prop))
+        tasks.append(CheckTask(check, var, to_kripke(cfg, props)))
     return tasks

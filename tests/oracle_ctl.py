@@ -14,8 +14,11 @@ import random
 
 from ctl_lint.cfg import KripkeStructure, predecessors
 from ctl_lint.ctl import (
-    And, CtlFormula, EF, EU, EX, Implies, Not, Or, Prop, TrueF, is_propositional,
+    And, CtlFormula, EF, EU, EX, Implies, Not, Or, Prop, is_propositional,
 )
+
+# holds in every state: no state carries the empty label
+TOP = Not(Prop(""))
 
 
 def kripke(succ: list[list[int]], labels) -> KripkeStructure:
@@ -47,9 +50,7 @@ def _sat(k: KripkeStructure, f: CtlFormula, s: int, memo: dict) -> bool:
     if got is not None:
         return got
     n = k.n
-    if isinstance(f, TrueF):
-        result = True
-    elif isinstance(f, Prop):
+    if isinstance(f, Prop):
         result = s in k.props.get(f.name, ())
     elif isinstance(f, Not):
         result = not _sat(k, f.sub, s, memo)
@@ -62,7 +63,7 @@ def _sat(k: KripkeStructure, f: CtlFormula, s: int, memo: dict) -> bool:
     elif isinstance(f, EX):
         result = any(_sat(k, f.sub, t, memo) for t in k.succ[s])
     elif isinstance(f, EF):
-        result = _eu_bounded(k, TrueF(), f.sub, s, n, memo)
+        result = _eu_bounded(k, TOP, f.sub, s, n, memo)
     elif isinstance(f, EU):
         result = _eu_bounded(k, f.left, f.right, s, n, memo)
     else:
@@ -104,8 +105,6 @@ def trace_demonstrates(k: KripkeStructure, f: CtlFormula, trace: tuple[int, ...]
     """
 
     def state_sat(g: CtlFormula, state: int) -> bool:
-        if isinstance(g, TrueF):
-            return True
         if isinstance(g, Prop):
             return state in k.props.get(g.name, ())
         if isinstance(g, Not):
@@ -172,7 +171,7 @@ def random_formula(rng: random.Random, props: tuple[str, ...] = ("p", "q", "r"),
     their existential duals, so negated EX and EF are exercised too."""
     if depth == 0 or rng.random() < 0.2:
         if rng.random() < 0.12:
-            return TrueF()
+            return TOP
         return Prop(rng.choice(props))
     op = rng.choice(("not", "and", "or", "implies", "AX", "EX", "EF", "AG", "EU"))
     sub = lambda: random_formula(rng, props, depth - 1)

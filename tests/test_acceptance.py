@@ -358,17 +358,15 @@ check t { severity: info forall $v: any
         lambda a, b, c: EF(And(a, EX(EU(Not(b), And(c, EX(EU(Not(a), b))))))),
         lambda a, b, c: EF(Or(a, And(b, EX(c)))),
     ]
-    formulas = []
+    specs = []
     import itertools
     for shape, (a, b, c) in itertools.product(base_shapes,
                                               itertools.permutations((P, Q, R))):
-        formulas.append(shape(a, b, c))
+        specs.append(spec._replace(prop=shape(a, b, c)))
     kripkes = [rand_kripke(rng.randint(50, 200)) for _ in range(500)]
     tasks = []
     for i in range(10_000):
-        tasks.append(CheckTask(spec, "f", (("$v", "x"),),
-                               kripkes[i % len(kripkes)],
-                               formulas[i % len(formulas)]))
+        tasks.append(CheckTask(specs[i % len(specs)], "x", kripkes[i % len(kripkes)]))
     return tasks
 
 
@@ -376,7 +374,7 @@ def test_criterion_8_many_small_tasks_throughput(tmp_path, capsys):
     with criterion(8, "10,000 small tasks complete in under 10s single-threaded"):
         tasks = _throughput_tasks()
         t0 = time.perf_counter()
-        holding = sum(check(t.kripke, t.formula).holds(t.formula, 0) for t in tasks)
+        holding = sum(check(t.kripke, t.check.prop).holds(t.check.prop, 0) for t in tasks)
         single = time.perf_counter() - t0
         assert single < 10, f"single-threaded run took {single:.2f}s"
         assert 0 < holding < len(tasks)

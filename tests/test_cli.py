@@ -521,6 +521,20 @@ check free-call-seen {
         assert run(capsys, "analyze", "--specs", chk, ws("bug.c", DOUBLE_FREE)) == (2, "", message)
         assert run(capsys, "--list-checks", "--specs", chk) == (2, "", message)
 
+    def test_user_spec_not_utf8_is_located(self, ws, capsys):
+        # reported at the file's start, as a MiniC file is, not as an
+        # internal error; and read before the check language loads
+        chk = ws("bad.chk", "")
+        with open(chk, "wb") as fh:
+            fh.write(b"\xff\xfe")
+        path = ws("bug.c", DOUBLE_FREE)
+        message = f"ctl-lint: error: {chk}:1:1: input is not valid UTF-8: invalid start byte\n"
+        assert run(capsys, "analyze", "--specs", chk, path) == (2, "", message)
+        assert run(capsys, "--list-checks", "--specs", chk) == (2, "", message)
+        outcome = fresh("analyze", "--specs", chk, path)
+        assert outcome[:3] == (2, "", message)
+        assert not {"ctl_lint.frontend", "ctl_lint.speclang"} & set(outcome.modules)
+
     @pytest.mark.parametrize("check_id", ["dead-code", "buffer-overrun", "div-by-zero"])
     def test_user_spec_taking_an_interval_check_id_rejected(self, ws, capsys, check_id):
         # one id, one check: an analysis-decided check's id is taken like a spec's

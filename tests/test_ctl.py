@@ -5,44 +5,28 @@ import random
 import pytest
 
 from ctl_lint.ctl import (
-    And, EF, EU, EX, Implies, Not, Or, Prop, TRUE,
-    check, is_witnessable, normalize, witness,
+    And, EF, EU, EX, Implies, Not, Or, Prop,
+    check, is_witnessable, witness,
 )
 from oracle_ctl import (
-    edge_valid, kripke as mk, random_formula, random_kripke, sat_oracle,
+    TOP, edge_valid, kripke as mk, random_formula, random_kripke, sat_oracle,
     trace_demonstrates,
 )
 
 p, q = Prop("p"), Prop("q")
 
 
-class TestNormalize:
-    def test_ex_is_fixpoint(self):
-        assert normalize(EX(p)) == EX(p)
-
-    def test_ef(self):
-        assert normalize(EF(p)) == EU(TRUE, p)
-
-    def test_or_and_implies_eliminated(self):
-        assert normalize(Or(p, q)) == Not(And(Not(p), Not(q)))
-        assert normalize(Implies(p, q)) == Not(And(p, Not(q)))
-
-    def test_double_negation_collapses(self):
-        assert normalize(Not(Not(p))) == p
-
-    def test_idempotent(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            f = random_formula(rng)
-            assert normalize(normalize(f)) == normalize(f)
-
-    def test_semantics_preserved(self):
-        rng = random.Random(8)
-        for _ in range(60):
-            k = random_kripke(rng)
-            f = random_formula(rng)
-            sat = check(k, f)
-            assert sat.states(f) == sat.states(normalize(f))
+def test_derived_operators_match_their_definitions():
+    # |, -> and EF are evaluated directly; each must equal its definition
+    # in terms of !, & and EU, also on structures with dead ends
+    rng = random.Random(8)
+    for _ in range(60):
+        k = random_kripke(rng, dead_ends=True)
+        a, b = random_formula(rng), random_formula(rng)
+        sat = check(k, a)
+        assert sat.states(Or(a, b)) == sat.states(Not(And(Not(a), Not(b))))
+        assert sat.states(Implies(a, b)) == sat.states(Not(And(a, Not(b))))
+        assert sat.states(EF(a)) == sat.states(EU(TOP, a))
 
 
 class TestFormulaValues:
@@ -51,7 +35,7 @@ class TestFormulaValues:
 
     def test_a_formula_built_twice_is_equal(self):
         def build():
-            return EU(Not(Prop("p")), And(Prop("q"), EX(TRUE)))
+            return EU(Not(Prop("p")), And(Prop("q"), EX(TOP)))
 
         a, b = build(), build()
         assert a is not b and a == b and hash(a) == hash(b)
@@ -65,8 +49,8 @@ class TestCheck:
 
     def test_chain_to_self_loop(self):
         k = mk([[1], [1]], [set(), {"p"}])
-        sat = check(k, EU(TRUE, p))
-        assert sat.states(EU(TRUE, p)) == frozenset({0, 1})
+        sat = check(k, EU(TOP, p))
+        assert sat.states(EU(TOP, p)) == frozenset({0, 1})
 
     def test_two_cycle(self):
         k = mk([[1], [0]], [{"p"}, set()])
@@ -77,7 +61,7 @@ class TestCheck:
     def test_true_and_not_invariants(self):
         k = mk([[1], [0, 1]], [{"p"}, set()])
         sat = check(k, p)
-        assert sat.states(TRUE) == frozenset({0, 1})
+        assert sat.states(TOP) == frozenset({0, 1})
         assert sat.states(Not(p)) == frozenset({0, 1}) - sat.states(p)
 
 

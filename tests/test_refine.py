@@ -10,17 +10,18 @@ from ctl_lint import engine, refine
 from ctl_lint import frontend as F
 from ctl_lint.cfg import COND, FALSE, TRUE, build_cfg
 from ctl_lint.ctl import (
-    EF, EU, EX, And, Implies, Not, Or, Prop, TrueF, check, is_propositional, witness,
+    EF, EU, EX, And, Implies, Not, Or, Prop, check, is_propositional, witness,
 )
 from ctl_lint.intervals import IntervalEnv, transfer
 from ctl_lint.refine import (
-    CONFIRMED, EQ, LE, LT, SUPPRESSED, UNCONFIRMED, UNKNOWN, Feasible, FeasibilityVerdict,
-    Infeasible, PathConstraint, _constraint, enumerate_witnesses, feasible, path_constraints,
+    CONFIRMED, EQ, FEASIBLE, INFEASIBLE, LE, LT, SUPPRESSED, UNCONFIRMED, UNKNOWN,
+    PathConstraint, _constraint, enumerate_witnesses, feasible, path_constraints,
     refine_diagnostic,
 )
 from ctl_lint.speclang import instantiate, label_index, load_checkset
 from fixtures_bugs import FIXTURES
 from minic_interp import Interpreter
+from oracle_ctl import TOP
 from program_gen import generate_program
 
 CHECKS = {c.id: c for c in load_checkset()[0]}
@@ -73,7 +74,7 @@ int f(int y) {
             "-1*y <= 0",    # y >= 0
             "y <= -1",      # x <= 0, with x = y + 1
         ]
-        assert feasible(cs) == Infeasible
+        assert feasible(cs) == INFEASIBLE
 
     def test_nonlinear_rhs_havocs(self):
         src = "int f(int x) { x = x * x; if (x < 0) { return 1; } return 0; }"
@@ -83,7 +84,7 @@ int f(int y) {
         # x gets the fresh symbol of trace position 1, which nothing ties
         # to the entry value; only the guard, at position 2, constrains it
         assert {i: str(c) for i, c in cs.items()} == {2: "x@1 < 0"}
-        assert feasible(list(cs.values())) == Feasible
+        assert feasible(list(cs.values())) == FEASIBLE
 
     def test_empty_trace(self):
         g, _ = cfg_of("int f() { return 0; }")
@@ -109,7 +110,7 @@ int f(int y) {
         cs = constraints(follow(g, [TRUE]), g)
         # the declaration at trace position 1 gives x a fresh symbol
         assert [str(c) for c in cs] == ["x@1 < 0"]
-        assert feasible(cs) == Feasible
+        assert feasible(cs) == FEASIBLE
 
     @pytest.mark.parametrize("setup, write, clobbers", [
         ("", "g(&x);", True),
@@ -133,7 +134,7 @@ int f(int y) {
             if n.kind != "stmt" or n.id == decl:
                 continue
             trace = (decl, n.id, guard.id, taken)
-            if feasible(constraints(trace, g)) == Feasible:
+            if feasible(constraints(trace, g)) == FEASIBLE:
                 renewed.add(n.id)
             env = transfer(n, transfer(g.nodes[decl], IntervalEnv(), g.table), g.table)
             if not transfer(guard, env, g.table, TRUE).is_bottom:
@@ -177,43 +178,42 @@ class TestFourierMotzkin:
     def test_direct_contradiction(self):
         cs = [_constraint({"x": Fr(1)}, LT, Fr(0)),
               _constraint({"x": Fr(-1)}, LT, Fr(0))]
-        assert feasible(cs) == Infeasible
+        assert feasible(cs) == INFEASIBLE
 
     def test_substitution_chain(self):
         cs = [_constraint({"x": Fr(1), "y": Fr(-1)}, EQ, Fr(1)),   # x = y + 1
               _constraint({"y": Fr(-1)}, LE, Fr(0)),               # y >= 0
               _constraint({"x": Fr(1)}, LE, Fr(0))]                # x <= 0
-        assert feasible(cs) == Infeasible
+        assert feasible(cs) == INFEASIBLE
 
     def test_single_equality_feasible(self):
-        assert feasible([_constraint({"x": Fr(1)}, EQ, Fr(5))]) == Feasible
+        assert feasible([_constraint({"x": Fr(1)}, EQ, Fr(5))]) == FEASIBLE
 
     def test_strictness_matters(self):
         le = [_constraint({"x": Fr(1)}, LE, Fr(0)),
               _constraint({"x": Fr(-1)}, LE, Fr(0))]   # x <= 0 and x >= 0
-        assert feasible(le) == Feasible
+        assert feasible(le) == FEASIBLE
         lt = [_constraint({"x": Fr(1)}, LT, Fr(0)),
               _constraint({"x": Fr(-1)}, LE, Fr(0))]   # x < 0 and x >= 0
-        assert feasible(lt) == Infeasible
+        assert feasible(lt) == INFEASIBLE
 
     def test_rational_relaxation_is_feasible_side(self):
         # 2x = 1 has no integer solution but is rationally fine
-        assert feasible([_constraint({"x": Fr(2)}, EQ, Fr(1))]) == Feasible
+        assert feasible([_constraint({"x": Fr(2)}, EQ, Fr(1))]) == FEASIBLE
 
     def test_unbounded_variable_dropped(self):
         cs = [_constraint({"x": Fr(1), "y": Fr(1)}, LE, Fr(10))]
-        assert feasible(cs) == Feasible
+        assert feasible(cs) == FEASIBLE
 
     def test_budget_gives_unknown(self):
         cs = [_constraint({f"v{i}": Fr(1), f"v{i+1}": Fr(-1)}, LE, Fr(0))
               for i in range(20)]
-        verdict = feasible(cs, budget=4)
-        assert verdict.kind == "unknown" and verdict.reason == "budget"
+        assert feasible(cs, budget=4) == UNKNOWN
 
     def test_ground_contradiction_in_equalities(self):
         cs = [_constraint({"x": Fr(1)}, EQ, Fr(1)),
               _constraint({"x": Fr(1)}, EQ, Fr(2))]
-        assert feasible(cs) == Infeasible
+        assert feasible(cs) == INFEASIBLE
 
     def test_infeasible_never_has_integer_solutions(self):
         # rational emptiness must imply integer emptiness: brute-force every
@@ -228,7 +228,7 @@ class TestFourierMotzkin:
                 terms = {n: Fr(rng.randint(-3, 3)) for n in names if rng.random() < 0.7}
                 op = rng.choice((EQ, LE, LT))
                 cs.append(_constraint(terms, op, Fr(rng.randint(-6, 6))))
-            if feasible(cs).kind != "infeasible":
+            if feasible(cs) != INFEASIBLE:
                 continue
             for point in itertools.product(range(-6, 7), repeat=len(names)):
                 valuation = dict(zip(names, point))
@@ -252,8 +252,8 @@ def _satisfied_task(src, check_id, var="p", idx=0):
     tasks = instantiate(spec, g, label_index(g), [var])
     assert tasks, "fixture must produce a task"
     task = tasks[0]
-    sat = check(task.kripke, task.formula)
-    assert sat.holds(task.formula, g.entry), "fixture must violate the property"
+    sat = check(task.kripke, task.check.prop)
+    assert sat.holds(task.check.prop, g.entry), "fixture must violate the property"
     return task, g, sat
 
 
@@ -296,13 +296,13 @@ int f(int *p, int x) {
 }
 """
         task, g, sat = _satisfied_task(src, "double-free")
-        first = witness(task.kripke, task.formula, g.entry, sat)
+        first = witness(task.kripke, task.check.prop, g.entry, sat)
         real = refine.feasible
         calls = []
 
         def first_unknown(cs, *args):
             calls.append(cs)
-            return FeasibilityVerdict(UNKNOWN, "budget") if len(calls) == 1 else real(cs, *args)
+            return UNKNOWN if len(calls) == 1 else real(cs, *args)
 
         monkeypatch.setattr(refine, "feasible", first_unknown)
         assert refine_diagnostic(task, g, 5, sat=sat) == (UNCONFIRMED, first)
@@ -436,16 +436,16 @@ def test_fraction_input_gives_the_same_verdict(refinement_sets):
         as_fractions = [PathConstraint(tuple((v, Fr(x)) for v, x in c.terms), c.op, Fr(c.rhs))
                         for c in cs]
         assert feasible(as_fractions) == verdict, cs
-    assert set(refinement_sets.values()) == {Feasible, Infeasible}
+    assert set(refinement_sets.values()) == {FEASIBLE, INFEASIBLE}
 
 
 def test_equality_with_a_coefficient_that_does_not_divide():
     # x = y/2 (2x - y = 0), y = 3, x >= 2: 3/2 >= 2 fails only over exact fractions
     cs = [_constraint({"x": 2, "y": -1}, EQ, 0), _constraint({"y": 1}, EQ, 3),
           _constraint({"x": -1}, LE, -2)]
-    assert feasible(cs) == Infeasible
+    assert feasible(cs) == INFEASIBLE
     cs[2] = _constraint({"x": -1}, LE, -1)  # x >= 1
-    assert feasible(cs) == Feasible
+    assert feasible(cs) == FEASIBLE
 
 
 @pytest.mark.parametrize("max_witnesses", [1, 3, 9])
@@ -461,13 +461,11 @@ def test_a_budget_covering_every_round_gives_the_full_verdict(pin_tasks, max_wit
         several += len(traces) > 1
         assert (refine_diagnostic(task, cfg, max_witnesses, sat)
                 == refine_diagnostic(task, cfg, 300, sat)), \
-            (cfg.function, task.check.id, task.bound_var)
+            (cfg.function, task.check.id, task.var)
     assert covered > several > 0 or max_witnesses == 1
 
 
 def _holds(k, f, s) -> bool:
-    if isinstance(f, TrueF):
-        return True
     if isinstance(f, Prop):
         return s in k.props.get(f.name, ())
     if isinstance(f, Not):
@@ -497,7 +495,7 @@ def _witness_paths(k, f, s, room):
         for t in k.succ[s]:
             yield from ((s, *w) for w in _witness_paths(k, f.sub, t, room - 1))
     elif isinstance(f, EF):
-        yield from _witness_paths(k, EU(TrueF(), f.sub), s, room)
+        yield from _witness_paths(k, EU(TOP, f.sub), s, room)
     else:  # EU
         yield from _witness_paths(k, f.right, s, room)
         if _holds(k, f.left, s):
@@ -513,17 +511,17 @@ def test_every_short_witness_of_a_suppressed_finding_is_infeasible(pin_tasks):
         if refine_diagnostic(task, cfg, 300, sat)[0] != SUPPRESSED:
             continue
         suppressed += 1
-        for w in _witness_paths(task.kripke, task.formula, cfg.entry, 60):
+        for w in _witness_paths(task.kripke, task.check.prop, cfg.entry, 60):
             paths += 1
-            assert feasible(constraints(w, cfg)) == Infeasible, (cfg.function, task.check.id, w)
+            assert feasible(constraints(w, cfg)) == INFEASIBLE, (cfg.function, task.check.id, w)
     assert suppressed >= 10 and paths > 500
 
 
 def test_refine_stops_at_first_feasible_witness(monkeypatch):
     src = "int f(int *p, int c) { free(p); if (c) { free(p); } else { free(p); } return 0; }"
     task, g, sat = _satisfied_task(src, "double-free")
-    first = witness(task.kripke, task.formula, g.entry, sat)
-    assert feasible(constraints(first, g)) == Feasible
+    first = witness(task.kripke, task.check.prop, g.entry, sat)
+    assert feasible(constraints(first, g)) == FEASIBLE
     rounds, fm_calls = [], []
     real_rounds, real_feasible = refine.enumerate_witnesses, refine.feasible
 
@@ -576,8 +574,8 @@ class TestObserver:
         # infeasible; the write is a writer of the core's variables (of y,
         # and of x, which the trace's `y = x` reads), so it releases the path
         task, g, sat = _double_free(body)
-        first = witness(task.kripke, task.formula, g.entry, sat)
-        assert (feasible(constraints(first, g)) == Feasible) == first_feasible
+        first = witness(task.kripke, task.check.prop, g.entry, sat)
+        assert (feasible(constraints(first, g)) == FEASIBLE) == first_feasible
         assert refine_diagnostic(task, g, 5, sat=sat)[0] == CONFIRMED
 
     @pytest.mark.parametrize("max_witnesses", [1, 5, 300])

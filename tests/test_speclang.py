@@ -4,7 +4,7 @@ import pytest
 
 from ctl_lint import frontend as F
 from ctl_lint.cfg import build_cfg
-from ctl_lint.ctl import EF, EU, EX, And, Not, Prop, check, props_of
+from ctl_lint.ctl import EF, EU, EX, And, CtlFormula, Not, Prop, check, props_of
 from ctl_lint.speclang import (
     SpecError, candidate_variables, instantiate, label_index,
     load_checkset, parse_checks, parse_checkset,
@@ -117,6 +117,21 @@ check t { severity: info forall $v: any
         want = Implies(And(Not(Prop("a")), Prop("b")), Or(EF(Prop("a")), Prop("b")))
         assert spec.prop == want
 
+    def test_the_language_writes_every_formula_class(self):
+        # the model checker has no operator that a property cannot write
+        spec = parse_check("""
+check t { severity: info forall $v: any
+  label a := use($v)
+  label b := assign_to($v)
+  property: EF (a & EX E[!b U (a | (b -> a))])
+}""")
+
+        def classes(f):
+            subs = (getattr(f, name) for name in f._fields)
+            return {type(f)}.union(*(classes(g) for g in subs if isinstance(g, CtlFormula)))
+
+        assert classes(spec.prop) == set(CtlFormula.__subclasses__())
+
     def test_builtin_catalog_loads(self):
         checks, _ = load_checkset()
         assert [c.id for c in checks] == [
@@ -203,13 +218,13 @@ class TestInstantiate:
         df = next(c for c in builtin_checks if c.id == "double-free")
         g, _ = cfg_of("int f(int *p, int *q) { free(p); free(q); return 0; }")
         tasks = tasks_of(df, g)
-        assert [t.bound_var for t in tasks] == ["p", "q"]
+        assert [t.var for t in tasks] == ["p", "q"]
 
     def test_trigger_skip(self, builtin_checks):
         df = next(c for c in builtin_checks if c.id == "double-free")
         g, _ = cfg_of("int f(int *p, int *q) { free(p); return 0; }")
         tasks = tasks_of(df, g)
-        assert [t.bound_var for t in tasks] == ["p"]  # q never freed
+        assert [t.var for t in tasks] == ["p"]  # q never freed
 
     def test_no_pointers_no_tasks(self, builtin_checks):
         df = next(c for c in builtin_checks if c.id == "double-free")
@@ -229,7 +244,7 @@ class TestInstantiate:
         g, _ = cfg_of(src)
         a = tasks_of(df, g)
         b = tasks_of(df, g)
-        assert [(t.binding, t.kripke.props) for t in a] == [(t.binding, t.kripke.props) for t in b]
+        assert [(t.var, t.kripke.props) for t in a] == [(t.var, t.kripke.props) for t in b]
 
     def test_task_count_bound(self, builtin_checks):
         src = "int f(int *p, int *q, int x) { free(p); free(q); x = *p; return x; }"
@@ -244,7 +259,7 @@ class TestInstantiate:
         for spec in builtin_checks:
             for task in tasks_of(spec, g):
                 declared = {name for name, _ in spec.labels}
-                assert props_of(task.formula) <= declared
+                assert props_of(task.check.prop) <= declared
                 assert task.kripke.props.keys() <= declared
 
     def test_prop_states_are_the_indexed_nodes(self, builtin_checks):
@@ -258,9 +273,9 @@ class TestInstantiate:
                 index = label_index(g)
                 for spec in builtin_checks:
                     for task in tasks_of(spec, g):
-                        sat = check(task.kripke, task.formula)
+                        sat = check(task.kripke, task.check.prop)
                         for name, pattern in spec.labels:
-                            want = frozenset(index.get(_fact(pattern, task.bound_var), ()))
+                            want = frozenset(index.get(_fact(pattern, task.var), ()))
                             assert sat.states(Prop(name)) == want
                             checked += 1
         assert checked > 500
@@ -273,4 +288,4 @@ check idx { severity: info forall $a: array
 }""")
         g, _ = cfg_of("int f() { int a[4]; int b[2]; a[1] = 0; return 0; }")
         tasks = tasks_of(spec, g)
-        assert [t.bound_var for t in tasks] == ["a"]
+        assert [t.var for t in tasks] == ["a"]
